@@ -2,9 +2,10 @@
 
 Classical extrema are exact: the expression is multilinear in dichotomic
 symbols, so the extrema over local hidden-variable models are attained at
-deterministic +/-1 assignments, and those are enumerated in full. The walk is
-a Gray code so each step flips one symbol and touches only the terms that
-contain it.
+deterministic +/-1 assignments, and those are enumerated in full. The terms
+are compiled into a per-party correlator tensor whose contraction with each
+party's strategy table gives every vertex value at once, in blocks of bounded
+size.
 
 Quantum numbers come in three strengths: the largest eigenvalue of a concrete
 Bell operator (a certified lower bound on the quantum maximum of the abstract
@@ -25,6 +26,8 @@ from .bell import BellExpression, Symbol
 from .pauli import PauliSum, anticommutator_sum, top_eigenpair
 
 SYMBOL_BUDGET = 28
+VERTEX_BLOCK = 1 << 20      # most vertex values held in memory at once
+_AXIS_SETTINGS = 10         # a party with more settings spans several axes
 BOUND_ATOL = 1e-9
 
 
@@ -41,25 +44,97 @@ class ClassicalBounds:
     exact: bool = True
 
 
-def _lex_rank(gray: int, m: int) -> int:
-    """Rank of an assignment with symbol 0 most significant, +1 before -1."""
-    rank = 0
-    for j in range(m):
-        if (gray >> j) & 1:
-            rank |= 1 << (m - 1 - j)
-    return rank
+def _strategy_table(k: int) -> np.ndarray:
+    """The 2^k deterministic strategies of a party with k settings.
+
+    Rows run in lexicographic order (setting 0 most significant, +1 before
+    -1). Column 0 is the identity; column j is the sign of setting j.
+    """
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    return np.hstack([np.ones((1 << k, 1)), 1.0 - 2.0 * bits])
 
 
-def _assignment_from_bits(bits: int, symbols: list[Symbol]) -> dict[Symbol, int]:
-    return {s: -1 if (bits >> j) & 1 else 1 for j, s in enumerate(symbols)}
+def _vertex_blocks(expr: BellExpression, symbols: list[Symbol]):
+    """Term values (constant excluded) at every +/-1 assignment of ``symbols``.
+
+    ``symbols`` is sorted and holds every symbol of ``expr``. Yields
+    ``(start, values)`` in rank order, where ``values[i]`` belongs to the
+    assignment of lexicographic rank ``start + i`` (symbol 0 most significant,
+    +1 before -1); no block holds more than VERTEX_BLOCK values.
+
+    The terms form a coefficient tensor with one axis of length k_p + 1 per
+    party (index 0 the identity), and the vertex values are that tensor
+    contracted with every party's strategy table (a party with more than
+    _AXIS_SETTINGS settings spans several axes). Only the trailing parties
+    get a dense tensor: terms are grouped by their factor on the leading
+    parties, each group is contracted over the trailing parties, and blocks of
+    leading strategies combine the groups with their signs.
+    """
+    axes: list[list[Symbol]] = []
+    for sym in symbols:
+        if not axes or axes[-1][0][0] != sym[0] \
+                or len(axes[-1]) == _AXIS_SETTINGS:
+            axes.append([])
+        axes[-1].append(sym)
+    position = {sym: (a, i) for a, axis in enumerate(axes)
+                for i, sym in enumerate(axis, 1)}
+    tables = [_strategy_table(len(axis)) for axis in axes]
+    sizes = [len(table) for table in tables]
+
+    keys = list(expr.terms)
+    coeffs = np.array([expr.terms[k] for k in keys], dtype=float)
+    if coeffs.size and float(np.max(np.abs(coeffs - np.round(coeffs)))) < 1e-12:
+        coeffs = np.round(coeffs)  # exact integer arithmetic when possible
+    index = np.zeros((len(keys), len(tables)), dtype=np.intp)
+    for t, key in enumerate(keys):
+        for sym in key:
+            a, i = position[sym]
+            index[t, a] = i
+
+    # fewest leading axes whose grouped trailing values fit in one block
+    lead_keys, inverse = np.zeros((1, 0), np.intp), np.zeros(len(keys), np.intp)
+    for lead in range(len(tables) + 1):
+        if lead:
+            lead_keys, inverse = np.unique(index[:, :lead], axis=0,
+                                           return_inverse=True)
+        n_trail = math.prod(sizes[lead:])
+        if len(lead_keys) * n_trail <= VERTEX_BLOCK:
+            break
+    n_groups = len(lead_keys)
+
+    # axis order (trailing parties..., group); each contraction consumes the
+    # first axis and appends the strategy axis, ending at (group, strategies...)
+    trail = np.zeros((*(t.shape[1] for t in tables[lead:]), n_groups))
+    trail[(*index[:, lead:].T, inverse.reshape(-1))] = coeffs
+    for table in tables[lead:]:
+        trail = np.tensordot(trail, table, axes=(0, 1))
+    trail = trail.reshape(n_groups, n_trail)
+
+    lead_signs = [tables[a][:, lead_keys[:, a]] for a in range(lead)]
+    n_lead = math.prod(sizes[:lead])
+    step = max(1, VERTEX_BLOCK // max(n_trail, n_groups))
+    for first in range(0, n_lead, step):
+        rest = np.arange(first, min(first + step, n_lead))
+        signs = np.ones((rest.size, n_groups))
+        for a in reversed(range(lead)):
+            rest, digit = np.divmod(rest, sizes[a])
+            signs *= lead_signs[a][digit]
+        yield first * n_trail, (signs @ trail).reshape(-1)
+
+
+def _assignment_from_rank(rank: int, symbols: list[Symbol]) -> dict[Symbol, int]:
+    m = len(symbols)
+    return {s: -1 if (rank >> (m - 1 - j)) & 1 else 1 for j, s in enumerate(symbols)}
 
 
 def classical_bounds(expr: BellExpression) -> ClassicalBounds:
-    """Exact LHV extrema by full vertex enumeration (Gray-code walk).
+    """Exact LHV extrema by full vertex enumeration (tensor contraction).
 
-    Ties break to the lexicographically smallest assignment (symbols sorted,
-    +1 preferred). Raises BudgetError above SYMBOL_BUDGET symbols; use
-    classical_sample_bound for a non-exact estimate there.
+    Every deterministic +/-1 assignment is evaluated; integer coefficients
+    give exact integer arithmetic. Ties break to the lexicographically
+    smallest assignment (symbols sorted, +1 preferred). Raises BudgetError
+    above SYMBOL_BUDGET symbols; use classical_sample_bound for a non-exact
+    estimate there.
     """
     symbols = expr.symbols
     m = len(symbols)
@@ -72,46 +147,19 @@ def classical_bounds(expr: BellExpression) -> ClassicalBounds:
         w: dict[Symbol, int] = {}
         return ClassicalBounds(expr.constant, expr.constant, w, dict(w))
 
-    index = {s: j for j, s in enumerate(symbols)}
-    keys = sorted(expr.terms)
-    coeffs = np.array([expr.terms[k] for k in keys], dtype=float)
-    if float(np.max(np.abs(coeffs - np.round(coeffs)))) < 1e-12:
-        coeffs = np.round(coeffs)  # exact integer walk when possible
-    per_symbol = [[] for _ in range(m)]
-    for t, key in enumerate(keys):
-        for sym in key:
-            per_symbol[index[sym]].append(t)
-    per_symbol = [np.array(lst, dtype=np.intp) for lst in per_symbol]
-
-    signs = np.ones(len(keys))
-    value = float(np.sum(coeffs))
-    best_max = best_min = value
-    best_max_bits = best_min_bits = 0
-    best_max_rank = best_min_rank = 0
-
-    gray = 0
-    for k in range(1, 1 << m):
-        bit = (k & -k).bit_length() - 1
-        gray ^= 1 << bit
-        idx = per_symbol[bit]
-        if idx.size:
-            s = signs[idx]
-            value -= 2.0 * float(coeffs[idx] @ s)
-            signs[idx] = -s
-        if value >= best_max - 1e-15:
-            rank = _lex_rank(gray, m)
-            if value > best_max + 1e-15 or rank < best_max_rank:
-                best_max, best_max_bits, best_max_rank = value, gray, rank
-        if value <= best_min + 1e-15:
-            rank = _lex_rank(gray, m)
-            if value < best_min - 1e-15 or rank < best_min_rank:
-                best_min, best_min_bits, best_min_rank = value, gray, rank
+    best_max = best_min = None
+    for start, values in _vertex_blocks(expr, symbols):
+        hi, lo = int(np.argmax(values)), int(np.argmin(values))
+        if best_max is None or values[hi] > best_max[0]:
+            best_max = (float(values[hi]), start + hi)
+        if best_min is None or values[lo] < best_min[0]:
+            best_min = (float(values[lo]), start + lo)
 
     return ClassicalBounds(
-        minimum=best_min + expr.constant,
-        maximum=best_max + expr.constant,
-        witness_min=_assignment_from_bits(best_min_bits, symbols),
-        witness_max=_assignment_from_bits(best_max_bits, symbols),
+        minimum=best_min[0] + expr.constant,
+        maximum=best_max[0] + expr.constant,
+        witness_min=_assignment_from_rank(best_min[1], symbols),
+        witness_max=_assignment_from_rank(best_max[1], symbols),
     )
 
 

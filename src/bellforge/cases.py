@@ -34,9 +34,9 @@ from .bounds import (
 from .logical import logical_paulis_numeric, logical_paulis_symbolic
 from .pauli import PauliSum, PauliTerm
 from .recursive import (
-    assignment_value_bound,
     build_level,
     mermin_case,
+    scaled_value_fraction,
     svetlichny_case,
 )
 from .stabilizer import (
@@ -130,10 +130,10 @@ def _at_most(name: str, value: float, target: float, label: str,
 
 
 def _report(expr: BellExpression, operator: PauliSum, rough: float | None,
-            sos_status: str = "not-attempted",
+            cap: int, sos_status: str = "not-attempted",
             seesaw_value: float | None = None) -> BoundsReport:
     cb = classical_bounds(expr)
-    q, wit = quantum_lower_bound(operator)
+    q, wit = quantum_lower_bound(operator, cap)
     return BoundsReport(
         classical_min=cb.minimum,
         classical_max=cb.maximum,
@@ -147,8 +147,10 @@ def _report(expr: BellExpression, operator: PauliSum, rough: float | None,
     )
 
 
-def _pipeline_identity_check(logical_form: PauliSum, final_form: PauliSum) -> Check:
-    resid = float(np.max(np.abs(logical_form.to_dense() - final_form.to_dense())))
+def _pipeline_identity_check(logical_form: PauliSum, final_form: PauliSum,
+                             cap: int) -> Check:
+    resid = float(np.max(np.abs(logical_form.to_dense(cap)
+                                - final_form.to_dense(cap))))
     return Check("pipeline identity residual", "<= 1e-10", resid, resid <= 1e-10)
 
 
@@ -164,14 +166,16 @@ def _case_chsh(config: RunConfig) -> CaseResult:
     sos_status = "verified" if cert is not None else "failed"
     seesaw = seesaw_optimize(expr, restarts=8, seed=config.case_seed("chsh"))
     report = _report(expr, dec.to_pauli_sum(), rough=2 * ROOT2,
-                     sos_status=sos_status, seesaw_value=seesaw.value)
+                     cap=config.cap_qubits, sos_status=sos_status,
+                     seesaw_value=seesaw.value)
     checks = [
         _exact("classical max", report.classical_max, 2.0, "2"),
         _exact("classical min", report.classical_min, -2.0, "-2"),
         _close("quantum lower bound", report.quantum_lower, 2 * ROOT2, "2*sqrt(2)"),
         Check("sos residual", "<= 1e-10", rep.residual if rep else math.inf,
               rep is not None and rep.verified),
-        _pipeline_identity_check(logical_form, dec.to_pauli_sum()),
+        _pipeline_identity_check(logical_form, dec.to_pauli_sum(),
+                                 config.cap_qubits),
         _close("seesaw value", seesaw.value, 2 * ROOT2, "2*sqrt(2)", tol=1e-6),
     ]
     return CaseResult("chsh", str(expr), report, checks)
@@ -181,12 +185,12 @@ def _case_mermin3(config: RunConfig) -> CaseResult:
     ops = logical_paulis_numeric(ghz3_basis())
     operator = 4.0 * ops.z
     expr, _ = symbolize(operator, {"Z": "A", "X": "B"})
-    report = _report(expr, operator, rough=4.0)
+    report = _report(expr, operator, rough=4.0, cap=config.cap_qubits)
     checks = [
         _exact("classical max", report.classical_max, 2.0, "2"),
         _close("quantum lower bound", report.quantum_lower, 4.0, "4"),
         _exact("dichotomic term bound", report.dichotomic_bound, 4.0, "4"),
-        _pipeline_identity_check(operator, operator),
+        _pipeline_identity_check(operator, operator, config.cap_qubits),
     ]
     return CaseResult("mermin3", str(expr), report, checks)
 
@@ -197,14 +201,14 @@ def _case_svetlichny3(config: RunConfig) -> CaseResult:
     expr, _ = symbolize(operator, {"Z": "A", "X": "B"})
     term_ops = [c * PauliSum.from_terms([(t, 1.0)]) for t, c in operator.items()]
     cert, rep = sos_pairing_search(term_ops, 4 * ROOT2)
-    report = _report(expr, operator, rough=4 * ROOT2,
+    report = _report(expr, operator, rough=4 * ROOT2, cap=config.cap_qubits,
                      sos_status="verified" if cert else "failed")
     checks = [
         _exact("classical max", report.classical_max, 4.0, "4"),
         _close("quantum lower bound", report.quantum_lower, 4 * ROOT2, "4*sqrt(2)"),
         Check("sos residual", "<= 1e-10", rep.residual if rep else math.inf,
               rep is not None and rep.verified),
-        _pipeline_identity_check(operator, operator),
+        _pipeline_identity_check(operator, operator, config.cap_qubits),
     ]
     return CaseResult("svetlichny3", str(expr), report, checks)
 
@@ -231,11 +235,12 @@ def _case_l5(config: RunConfig, which: str) -> CaseResult:
     if which in ("svetlichny", "hyper"):
         seesaw_value = seesaw_optimize(
             expr, restarts=6, seed=config.case_seed(name)).value
-    report = _report(expr, operator, rough=rough, seesaw_value=seesaw_value)
+    report = _report(expr, operator, rough=rough, cap=config.cap_qubits,
+                     seesaw_value=seesaw_value)
     checks = [
         _exact("classical max", report.classical_max, classical_target,
                f"{classical_target:g}"),
-        _pipeline_identity_check(operator, operator),
+        _pipeline_identity_check(operator, operator, config.cap_qubits),
     ]
     if which == "mermin":
         checks.append(_close("quantum lower bound", report.quantum_lower, 16.0, "16"))
@@ -289,7 +294,7 @@ def _case_l5_identity(config: RunConfig) -> CaseResult:
     derived_expr, _ = symbolize(projector16, {"Z": "A", "X": "B", "Y": "C"})
     published = published_identity_expression()
     cb = classical_bounds(published)
-    q, wit = quantum_lower_bound(projector16)
+    q, wit = quantum_lower_bound(projector16, config.cap_qubits)
 
     rng = np.random.default_rng(config.case_seed("l5-identity"))
     worst = 0.0
@@ -330,8 +335,10 @@ def _case_chained(config: RunConfig, n: int) -> CaseResult:
     ch = chained_construction(n)
     ops = logical_paulis_numeric(bell_basis())
     target_q = ch.quantum_bound
-    report = _report(ch.expression, ch.operator, rough=target_q)
-    ident = _pipeline_identity_check(target_q * ops.z, ch.operator)
+    report = _report(ch.expression, ch.operator, rough=target_q,
+                     cap=config.cap_qubits)
+    ident = _pipeline_identity_check(target_q * ops.z, ch.operator,
+                                     config.cap_qubits)
     checks = [
         _exact("classical max", report.classical_max, float(2 * n - 2),
                f"{2 * n - 2}"),
@@ -354,7 +361,8 @@ _FAMILY_TRUE_CLASSICAL = {
 def _case_family(config: RunConfig, family: str, n: int) -> CaseResult:
     level = build_level(n)
     case = mermin_case(n, level) if family == "mermin" else svetlichny_case(n, level)
-    report = _report(case.expression, case.operator, rough=case.quantum_target)
+    report = _report(case.expression, case.operator, rough=case.quantum_target,
+                     cap=config.cap_qubits)
     true_classical = _FAMILY_TRUE_CLASSICAL[family][n]
     published = case.classical_target
     qlabel = f"2^{n - 1}" if family == "mermin" else f"2^{n - 1}*sqrt(2)"
@@ -370,7 +378,9 @@ def _case_family(config: RunConfig, family: str, n: int) -> CaseResult:
     ]
     notes = []
     if family == "mermin":
-        v = assignment_value_bound(n, "z", level)
+        # the case operator is 2^(n-1) * logical Z, so its enumerated maximum
+        # is the assignment value of logical Z scaled by 2^(n-1)
+        v = scaled_value_fraction(report.classical_max, 2 ** (n - 1))
         checks.append(Check("assignment value bound", "<= 1/2",
                             float(v), v <= Fraction(1, 2)))
         notes.append(f"max assignment value of the scaled operator: {v} "

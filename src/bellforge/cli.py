@@ -19,6 +19,7 @@ from .bell import BellRecipe, build_logical, complementary_decompose, symbolize,
 from .bounds import classical_bounds, dichotomic_term_bound, quantum_lower_bound, \
     seesaw_optimize, sos_pairing_search
 from .cases import RunConfig, case_names, emit_table, run_case, run_cases
+from .pauli import QubitCapError
 
 
 def _shared_flags(parser: argparse.ArgumentParser) -> None:
@@ -35,6 +36,12 @@ def _shared_flags(parser: argparse.ArgumentParser) -> None:
 def _config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(seed=args.seed, threads=max(1, args.threads),
                      cap_qubits=args.cap_qubits, samples=args.samples)
+
+
+def _cap_exceeded(exc: QubitCapError, args: argparse.Namespace) -> int:
+    print(f"qubit cap exceeded: {exc} (--cap-qubits {args.cap_qubits})",
+          file=sys.stderr)
+    return 2
 
 
 def _write(text: str, out: str | None) -> None:
@@ -60,6 +67,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"bad case name: {exc.args[0]}", file=sys.stderr)
         return 2
+    except QubitCapError as exc:
+        return _cap_exceeded(exc, args)
     failed = 0
     for r in results:
         for c in r.checks:
@@ -77,7 +86,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    results = run_cases(case_names(), _config(args))
+    try:
+        results = run_cases(case_names(), _config(args))
+    except QubitCapError as exc:
+        return _cap_exceeded(exc, args)
     _write(emit_table(results, args.format), args.out)
     return 0 if all(r.passed for r in results) else 1
 

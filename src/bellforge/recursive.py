@@ -171,8 +171,13 @@ def assignment_value_bound(n: int, which: str = "z",
     scale = 2 ** (n - 1)
     scaled = float(scale) * op
     expr, _ = symbolize(scaled, {"Z": "A", "X": "B"})
-    bounds = classical_bounds(expr)
-    top = int(round(bounds.maximum))
-    if abs(bounds.maximum - top) > 1e-12:
+    return scaled_value_fraction(classical_bounds(expr).maximum, scale)
+
+
+def scaled_value_fraction(maximum: float, scale: int) -> Fraction:
+    """``maximum / scale`` as an exact fraction; ``maximum`` must be an integer,
+    the enumerated maximum of an operator scaled by ``scale``."""
+    top = int(round(maximum))
+    if abs(maximum - top) > 1e-12:
         raise AssertionError("scaled operator did not enumerate to an integer")
     return Fraction(top, scale)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
 from .bell import BellExpression, Setting, Symbol, evaluate_quantum
+from .bounds import _vertex_blocks
 from .logical import LogicalPaulis, logical_paulis_numeric
 from .pauli import PauliSum
 from .stabilizer import bell_basis
@@ -173,12 +173,12 @@ class QuadraticCase:
 
 def _pair_vertices(e1: BellExpression, e2: BellExpression
                    ) -> list[tuple[float, float]]:
+    """Both values at every +/-1 assignment of the symbols of either, in
+    lexicographic order (symbols sorted, +1 first)."""
     symbols = sorted(set(e1.symbols) | set(e2.symbols))
-    pts = []
-    for values in iter_product((1, -1), repeat=len(symbols)):
-        a = dict(zip(symbols, values))
-        pts.append((e1.evaluate(a), e2.evaluate(a)))
-    return pts
+    x, y = (np.concatenate([v for _, v in _vertex_blocks(e, symbols)]) + e.constant
+            for e in (e1, e2))
+    return list(zip(x.tolist(), y.tolist()))
 
 
 def quadratic_bell(variant: str) -> QuadraticCase:

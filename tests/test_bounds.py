@@ -1,10 +1,13 @@
 """Classical enumeration, eigen bounds, SOS certificates, see-saw."""
 
 import math
+import tracemalloc
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
 
+from bellforge import bounds
 from bellforge.bell import (
     BellExpression,
     Setting,
@@ -72,25 +75,77 @@ class TestClassicalBounds:
         cb = classical_bounds(expr)
         assert (cb.minimum, cb.maximum) == (-8.0, 8.0)
 
-    def test_matches_bruteforce_on_random_expressions(self):
+    def test_matches_bruteforce_on_random_expressions(self, monkeypatch):
+        # 1-3 settings per party, a party without symbols, integer and
+        # non-integer coefficients, and the enumeration run whole and in small
+        # blocks with parties split over several axes. With integer coefficients values are exact and both witnesses
+        # must be the lexicographically first optimum (symbols sorted, +1
+        # before -1); every third expression has only even-degree terms, so
+        # flipping all symbols keeps its value and each optimum is tied.
         rng = np.random.default_rng(100)
-        for _ in range(25):
-            parties = int(rng.integers(2, 4))
+        ties = 0
+        for trial in range(60):
+            integer, even = trial % 3 != 0, trial % 3 == 1
+            parties = int(rng.integers(3 if even else 1, 6))
+            settings = {p: ["A", "B", "C"][:int(rng.integers(1, 4))]
+                        for p in range(parties)}
+            silent = int(rng.integers(parties)) if parties > 1 else None
             terms = {}
-            for _ in range(int(rng.integers(2, 6))):
-                key = tuple((p, rng.choice(["A", "B"])) for p in range(parties)
-                            if rng.random() < 0.8)
-                key = tuple(sorted(dict(key).items()))
+            for _ in range(int(rng.integers(1, 7))):
+                key = tuple((p, str(rng.choice(settings[p])))
+                            for p in range(parties)
+                            if p != silent and rng.random() < 0.6)
+                key = key[:len(key) // 2 * 2] if even else key
                 if not key:
                     continue
-                terms[key] = terms.get(key, 0.0) + float(rng.integers(-3, 4))
-            if not terms:
-                continue
+                coeff = float(rng.integers(-3, 4)) if integer else float(rng.normal())
+                terms[key] = terms.get(key, 0.0) + coeff
             expr = BellExpression(parties, terms, constant=float(rng.integers(-2, 3)))
-            cb = classical_bounds(expr)
+            symbols = expr.symbols
+            vertices = [dict(zip(symbols, v))
+                        for v in iter_product((1, -1), repeat=len(symbols))]
+            values = [expr.evaluate(a) for a in vertices]
             lo, hi = classical_bounds_bruteforce(expr)
-            assert abs(cb.minimum - lo) < 1e-9
-            assert abs(cb.maximum - hi) < 1e-9
+            assert (lo, hi) == (min(values), max(values))
+            if even and symbols:
+                assert values.count(hi) > 1 and values.count(lo) > 1
+                ties += 1
+            for block, per_axis in ((bounds.VERTEX_BLOCK, bounds._AXIS_SETTINGS),
+                                    (8, 2), (2, 1)):
+                monkeypatch.setattr(bounds, "VERTEX_BLOCK", block)
+                monkeypatch.setattr(bounds, "_AXIS_SETTINGS", per_axis)
+                cb = classical_bounds(expr)
+                if integer:
+                    assert (cb.minimum, cb.maximum) == (lo, hi)
+                    assert cb.witness_max == vertices[values.index(hi)]
+                    assert cb.witness_min == vertices[values.index(lo)]
+                else:
+                    assert abs(cb.minimum - lo) < 1e-12
+                    assert abs(cb.maximum - hi) < 1e-12
+                    assert abs(expr.evaluate(cb.witness_min) - lo) < 1e-12
+                    assert abs(expr.evaluate(cb.witness_max) - hi) < 1e-12
+        assert ties >= 10
+
+    def test_memory_stays_bounded(self):
+        # a 24-party ring, where one unblocked 2^24 float64 array is 128 MB,
+        # and one party with 21 settings, whose unsplit strategy table is
+        # 2^21 x 22 float64 = 352 MB
+        ring = BellExpression(24, {((p, "A"), ((p + 1) % 24, "A")): 1.0
+                                   for p in range(24)})
+        wide = BellExpression(1, {((0, f"S{j:02d}"),): 1.0 for j in range(21)})
+        for expr, lowest in ((ring, [1 - 2 * (p % 2) for p in range(24)]),
+                             (wide, [-1] * 21)):
+            tracemalloc.start()
+            try:
+                cb = classical_bounds(expr)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            m = len(expr.terms)
+            assert (cb.minimum, cb.maximum) == (-m, m)
+            assert cb.witness_max == {s: 1 for s in expr.symbols}
+            assert cb.witness_min == dict(zip(expr.symbols, lowest))
+            assert peak < 64 * 2 ** 20
 
     def test_constant_only(self):
         cb = classical_bounds(BellExpression(1, {}, constant=3.5))

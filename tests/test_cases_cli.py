@@ -129,6 +129,13 @@ class TestCli:
     def test_verify_requires_selection(self, capsys):
         assert cli_main(["verify"]) == 2
 
+    def test_cap_qubits_is_enforced(self, capsys):
+        assert cli_main(["verify", "--case", "mermin:8", "--cap-qubits", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "dense cap of 4" in err and "--cap-qubits 4" in err
+        assert cli_main(["table", "--cap-qubits", "1"]) == 2
+        assert "--cap-qubits 1" in capsys.readouterr().err
+
     def test_verify_json_output(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         rc = cli_main(["verify", "--case", "mermin3", "--json", str(out),
