@@ -23,7 +23,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .bell import BellExpression, Symbol
-from .pauli import PauliSum, anticommutator_sum, top_eigenpair
+from .pauli import _PAULI_2X2, PauliSum, anticommutator_sum, top_eigenpair
 
 SYMBOL_BUDGET = 28
 VERTEX_BLOCK = 1 << 20      # most vertex values held in memory at once
@@ -249,13 +249,14 @@ def sos_verify(terms: list[PauliSum], cert: SosCertificate,
 
     dim = 1 << n
     eye = np.eye(dim)
+    dense = [t.to_dense() for t in terms]
     b = np.zeros((dim, dim), dtype=complex)
-    for t in terms:
-        b += t.to_dense()
+    for d in dense:
+        b += d
     rhs = np.zeros((dim, dim), dtype=complex)
     root2 = math.sqrt(2)
     for i, j in cert.pairs:
-        s = eye - (terms[i].to_dense() + terms[j].to_dense()) / root2
+        s = eye - (dense[i] + dense[j]) / root2
         rhs += s @ s
     rhs /= root2
     residual = float(np.max(np.abs(cert.claimed_bound * eye - b - rhs)))
@@ -309,12 +310,6 @@ def sos_pairing_search(terms: list[PauliSum], claimed_bound: float,
 
 # --- see-saw heuristic ---------------------------------------------------------
 
-_PAULI_2X2 = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 _AXES = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 
 

@@ -9,11 +9,19 @@ significant bit of a computational-basis index.
 Sums keep only Hermitian content: every stored term has a real coefficient and
 sign +1 (phase folded into the coefficient), so any rendered matrix is
 Hermitian by construction.
+
+Every Pauli string is a signed permutation: it sends basis state r to a phase
+times basis state r ^ x. One kernel, ``_signed_permutation``, gives that
+target and phase for all 2^n basis states at once, and rendering, applying and
+decomposing are all built on it. A sum is rendered densely by scattering
+O(2^n) entries per term into a zero matrix, in place of a Kronecker product of
+2x2 factors per term (the PauliComposer scheme, arXiv:2301.00560).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -24,7 +32,9 @@ HERMITICITY_ATOL = 1e-9
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
 
-_SINGLE_DENSE = {
+# The single-qubit matrices, for code that works one qubit at a time (see-saw
+# Bloch matrices, Monte-Carlo sweeps); Pauli strings never render through them.
+_PAULI_2X2 = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -32,6 +42,9 @@ _SINGLE_DENSE = {
 }
 
 _I_POW = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
+# i^k * (+1, -1), indexed by sign parity; one lookup gives the same bits as
+# multiplying the phase into a +/-1 sign vector, without the two array passes
+_PHASED_SIGNS = tuple(p * np.array([1.0, -1.0]) for p in _I_POW)
 
 
 class DimensionError(ValueError):
@@ -58,6 +71,20 @@ def _index_mask(mask: int, n: int) -> int:
         if (mask >> q) & 1:
             out |= 1 << (n - 1 - q)
     return out
+
+
+def _signed_permutation(n: int, x_mask: int, z_mask: int, phase_exp: int = 0
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Where and with what phase i^phase_exp * (Pauli string) sends each basis state.
+
+    Returns ``(dest, entries)`` with the string mapping basis state r to
+    entries[r] * |dest[r]>: column r of its matrix holds one nonzero entry,
+    i^(phase_exp + |x & z|) * (-1)^popcount(r & zm), in row r ^ xm.
+    """
+    src = np.arange(1 << n)
+    parity = np.bitwise_count(src & _index_mask(z_mask, n)) & 1
+    phased_signs = _PHASED_SIGNS[(phase_exp + (x_mask & z_mask).bit_count()) % 4]
+    return src ^ _index_mask(x_mask, n), phased_signs[parity]
 
 
 @dataclass(frozen=True)
@@ -161,26 +188,24 @@ class PauliTerm:
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Apply the term to a state vector without building the matrix."""
-        n = self.n
-        dim = 1 << n
+        dim = 1 << self.n
         vec = np.asarray(vec, dtype=complex)
         if vec.shape != (dim,):
             raise DimensionError(f"state has shape {vec.shape}, expected ({dim},)")
-        xm = _index_mask(self.x_mask, n)
-        zm = _index_mask(self.z_mask, n)
-        src = np.arange(dim)
-        signs = 1.0 - 2.0 * (np.bitwise_count(src & zm) & 1)
-        phase = _I_POW[(self.phase_exp + (self.x_mask & self.z_mask).bit_count()) % 4]
+        dest, entries = _signed_permutation(self.n, self.x_mask, self.z_mask,
+                                            self.phase_exp)
         out = np.empty(dim, dtype=complex)
-        out[src ^ xm] = phase * signs * vec
+        out[dest] = entries * vec
         return out
 
     def to_dense(self, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
         _check_cap(self.n, cap)
-        m = np.ones((1, 1), dtype=complex)
-        for q in range(self.n):
-            m = np.kron(m, _SINGLE_DENSE[self.letter(q)])
-        return _I_POW[self.phase_exp] * m
+        dim = 1 << self.n
+        dest, entries = _signed_permutation(self.n, self.x_mask, self.z_mask,
+                                            self.phase_exp)
+        out = np.zeros((dim, dim), dtype=complex)
+        out[dest, np.arange(dim)] = entries
+        return out
 
 
 def multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
@@ -287,11 +312,22 @@ class PauliSum:
         return " ".join(parts).lstrip("+ ")
 
     def to_dense(self, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+        """Dense matrix, scattered one run of terms with equal x mask at a time.
+
+        Terms sharing an x mask fill the same entries, so each run is summed
+        into one vector in sorted (x, z) order and written once; every matrix
+        entry sees the same additions in the same order as a term-by-term sum.
+        """
         _check_cap(self.n, cap)
         dim = 1 << self.n
+        src = np.arange(dim)
         out = np.zeros((dim, dim), dtype=complex)
-        for term, c in self.items():
-            out += c * term.to_dense(cap)
+        for x, run in groupby(sorted(self._terms.items()), key=lambda kc: kc[0][0]):
+            acc = np.zeros(dim, dtype=complex)
+            for (_, z), c in run:
+                dest, entries = _signed_permutation(self.n, x, z)
+                acc += c * entries
+            out[dest, src] = acc
         return out
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
@@ -405,17 +441,13 @@ def pauli_decompose(matrix: np.ndarray, n: int,
     m = check_hermitian(matrix)
     if m.shape != (dim, dim):
         raise DimensionError(f"matrix shape {m.shape} does not match n={n}")
-    idx = np.arange(dim)
+    src = np.arange(dim)
     terms: dict[tuple[int, int], float] = {}
     for x in range(dim):
-        xm = _index_mask(x, n)
-        cols = idx ^ xm
         for z in range(dim):
-            zm = _index_mask(z, n)
-            signs = 1.0 - 2.0 * (np.bitwise_count(idx & zm) & 1)
-            # tr(P M) using the one-nonzero-per-row structure of P
-            phase = _I_POW[(x & z).bit_count() % 4]
-            val = phase * np.sum(signs * m[idx, cols])
+            # tr(P M) = sum_r P[dest r, r] M[r, dest r]: one entry per column of P
+            dest, entries = _signed_permutation(n, x, z)
+            val = np.sum(entries * m[src, dest])
             c = val / dim
             if abs(c.imag) > 1e-9:
                 raise ValueError("matrix has non-Hermitian Pauli content")

@@ -17,7 +17,7 @@ import numpy as np
 from .bell import BellExpression, Setting, Symbol, evaluate_quantum
 from .bounds import _vertex_blocks
 from .logical import LogicalPaulis, logical_paulis_numeric
-from .pauli import PauliSum
+from .pauli import _PAULI_2X2, PauliSum
 from .stabilizer import bell_basis
 
 DISC_BOUND = 8.0
@@ -148,7 +148,7 @@ def lemma_sweep(samples: int = 10000, seed: int = 1) -> SweepResult:
     a2 /= np.linalg.norm(a2, axis=1)[:, None]
     keep = np.linalg.norm(np.cross(a1, a2), axis=1) > 1e-8
     rhos = _random_densities(rng, samples, 2)
-    paulis = np.stack([_sigma("X"), _sigma("Y"), _sigma("Z")])
+    paulis = np.stack([_PAULI_2X2[c] for c in "XYZ"])
     bloch = np.einsum("kij,cji->kc", rhos, paulis).real
     e1 = np.sum(a1 * bloch, axis=1)
     e2 = np.sum(a2 * bloch, axis=1)
@@ -206,12 +206,6 @@ def quadratic_bell(variant: str) -> QuadraticCase:
     return QuadraticCase(variant, e1, e2, classical, bound, vertices)
 
 
-def _sigma(letter: str) -> np.ndarray:
-    return {"X": np.array([[0, 1], [1, 0]], dtype=complex),
-            "Y": np.array([[0, -1j], [1j, 0]]),
-            "Z": np.array([[1, 0], [0, -1]], dtype=complex)}[letter]
-
-
 def quadratic_quantum_sweep(case: QuadraticCase, samples: int = 10000,
                             seed: int = 2) -> SweepResult:
     """Random mixed states and independent random xz-plane settings.
@@ -226,7 +220,7 @@ def quadratic_quantum_sweep(case: QuadraticCase, samples: int = 10000,
               for p in (0, 1) for lab in ("A", "B")}
 
     # T[k, i, j] = tr(rho_k sigma_i x sigma_j) for i, j in {Z, X}
-    basis = [_sigma("Z"), _sigma("X")]
+    basis = [_PAULI_2X2["Z"], _PAULI_2X2["X"]]
     prods = np.stack([np.kron(p, q) for p in basis for q in basis]).reshape(2, 2, 4, 4)
     t = np.einsum("kij,abji->kab", rhos, prods).real
 

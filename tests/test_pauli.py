@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from bellforge.pauli import (
+    _PAULI_2X2,
+    DENSE_QUBIT_CAP,
     DimensionError,
     PauliSum,
     PauliTerm,
@@ -21,6 +23,22 @@ from bellforge.pauli import (
     product,
     top_eigenpair,
 )
+
+
+def kron_dense(term):
+    """Dense term as a Kronecker product of one 2x2 factor per qubit: the
+    independent oracle for the signed-permutation scatter in ``pauli``."""
+    m = np.ones((1, 1), dtype=complex)
+    for q in range(term.n):
+        m = np.kron(m, _PAULI_2X2[term.letter(q)])
+    return (1.0 + 0j, 1j, -1.0 + 0j, -1j)[term.phase_exp] * m
+
+
+def kron_dense_sum(p):
+    out = np.zeros((1 << p.n, 1 << p.n), dtype=complex)
+    for term, c in p.items():
+        out += c * kron_dense(term)
+    return out
 
 
 def random_term(rng, n):
@@ -206,21 +224,62 @@ class TestSums:
     def test_cap_enforced(self):
         with pytest.raises(QubitCapError):
             PauliSum.identity(13).to_dense()
+        with pytest.raises(QubitCapError):
+            PauliTerm.identity(DENSE_QUBIT_CAP + 1).to_dense()
+        with pytest.raises(QubitCapError):
+            PauliTerm.from_string("XYZ").to_dense(cap=2)
         PauliSum.identity(13)      # symbolic side is fine above the cap
 
     def test_apply_matches_dense(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
-            n = int(rng.integers(1, 5))
+            n = int(rng.integers(1, 7))
             p = PauliSum.from_terms([(random_term_h(rng, n), rng.normal())
                                      for _ in range(4)], n=n)
             v = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             assert np.allclose(p.apply(v), p.to_dense() @ v, atol=1e-10)
+            t = random_term(rng, n)    # any of the four phases
+            assert np.allclose(t.apply(v), t.to_dense() @ v, atol=1e-12)
 
 
 def random_term_h(rng, n):
     return PauliTerm(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)),
                      2 * int(rng.integers(0, 2)))
+
+
+def random_sum_shared_x(rng, n, masks=3, terms=12):
+    """Random real sum whose terms share a few x masks; z masks are free, so
+    all four letters occur."""
+    xs = rng.integers(0, 1 << n, size=masks)
+    return PauliSum.from_terms(
+        [(PauliTerm(n, int(rng.choice(xs)), int(rng.integers(0, 1 << n))),
+          rng.normal()) for _ in range(terms)], n=n)
+
+
+class TestScatterAgainstKron:
+    def test_sum_render_is_bit_identical(self):
+        rng = np.random.default_rng(404)
+        letters = set()
+        shared = 0
+        for n in range(1, 8):
+            for _ in range(6):
+                p = random_sum_shared_x(rng, n)
+                mine, oracle = p.to_dense(), kron_dense_sum(p)
+                assert np.array_equal(mine.view(np.uint64), oracle.view(np.uint64))
+                letters.update("".join(t.letters for t, _ in p.items()))
+                xs = [t.x_mask for t, _ in p.items()]
+                shared += len(xs) - len(set(xs))
+        assert letters == set("IXYZ")
+        assert shared > 0
+
+    def test_term_render_all_phases(self):
+        rng = np.random.default_rng(405)
+        for n in range(1, 7):
+            for _ in range(5):
+                x, z = int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n))
+                for phase in range(4):
+                    t = PauliTerm(n, x, z, phase)
+                    assert np.all(t.to_dense() == kron_dense(t))
 
 
 class TestEigenBounds:
@@ -276,11 +335,16 @@ class TestEigenBounds:
 class TestDecompose:
     def test_round_trip(self):
         rng = np.random.default_rng(6)
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             g = rng.normal(size=(1 << n, 1 << n)) + 1j * rng.normal(size=(1 << n, 1 << n))
             h = (g + g.conj().T) / 2
             ps = pauli_decompose(h, n)
             assert np.max(np.abs(ps.to_dense() - h)) < 1e-10
+            # and back from a sum with guaranteed Y content
+            p = random_sum_shared_x(rng, n) + PauliSum.from_strings([("Y" * n, 0.75)])
+            coeffs = dict(pauli_decompose(p.to_dense(), n).to_strings())
+            assert coeffs == pytest.approx(dict(p.to_strings()), abs=1e-12)
+            assert "Y" * n in coeffs
 
     def test_scan_cap(self):
         with pytest.raises(QubitCapError):

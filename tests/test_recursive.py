@@ -6,7 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bellforge.bounds import classical_bounds, quantum_lower_bound
+from bellforge.bounds import (
+    classical_bounds,
+    dichotomic_term_bound,
+    quantum_lower_bound,
+)
 from bellforge.logical import logical_paulis_numeric, sums_match
 from bellforge.pauli import PauliSum
 from bellforge.recursive import (
@@ -147,6 +151,19 @@ class TestFamilyCases:
         assert cb.maximum == classical
         q, _ = quantum_lower_bound(case.operator)
         assert abs(q - quantum) < 1e-9
+
+    def test_members_at_n10(self):
+        # n = MAX_LEVEL: the 1024-dim render is a scatter, so eigh dominates
+        # and both members take a few seconds
+        for build, quantum in ((mermin_case, 2.0 ** 9),
+                               (svetlichny_case, 2.0 ** 9 * math.sqrt(2))):
+            case = build(10)
+            assert classical_bounds(case.expression).maximum == 2.0 ** 5
+            q, _ = quantum_lower_bound(case.operator)
+            assert abs(q - quantum) <= 1e-9 * quantum
+            # the bound is tight for Mermin, and eigensolver rounding puts
+            # mermin:10 at q = 512.0000000000003 against 511.9999999999999
+            assert q <= dichotomic_term_bound(case.expression) + 1e-9
 
     def test_published_bounds_hold(self):
         # the published family bounds are valid upper bounds at every n,
