@@ -12,6 +12,14 @@ Bell operator (a certified lower bound on the quantum maximum of the abstract
 expression), the sum of absolute coefficients over dichotomic terms (an upper
 bound), and a sum-of-squares certificate check that can pin the maximum
 exactly.
+
+The see-saw heuristic re-renders the Bell operator, and each symbol's
+leave-one-out operator, after every setting update. Each of those is compiled
+once per call into a table of factor indices per term and party, and rendered
+from a stack of the current 2x2 setting matrices with one broadcast product
+per party for all terms at once; updating a setting overwrites one slot of
+the stack. The products and the term-by-term sum follow the order of a
+per-term Kronecker chain, so the operators are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -33,6 +41,10 @@ BOUND_ATOL = 1e-9
 
 class BudgetError(ValueError):
     """Exact enumeration would exceed the symbol budget."""
+
+
+class SeesawError(ArithmeticError):
+    """A see-saw sweep lowered the objective by more than rounding allows."""
 
 
 @dataclass
@@ -325,24 +337,51 @@ class SeesawResult:
     trajectories: list[list[float]] = field(default_factory=list)
 
 
-def _render_dense(expr: BellExpression, blochs: dict[Symbol, np.ndarray],
-                  skip: Symbol | None = None) -> np.ndarray:
-    """Dense operator; with ``skip`` the symbol's factor is replaced by identity."""
+def _render_plan(expr: BellExpression, symbols: list[Symbol], skip: Symbol | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compile ``expr`` for repeated dense renders with changing settings.
+
+    Returns ``(index, coeffs, start)``: ``index[t, p]`` picks term t's factor
+    on party p from a ``mats`` stack (0 the identity, j the matrix of
+    ``symbols[j - 1]``), ``coeffs`` holds the coefficients in ``expr.terms``
+    order, and ``start`` is the matrix the terms are added to. With ``skip``
+    only the terms holding that symbol are kept, its factor becomes the
+    identity and the constant is dropped.
+    """
     n = expr.parties
     dim = 1 << n
-    out = expr.constant * np.eye(dim, dtype=complex) if (expr.constant and skip is None) \
-        else np.zeros((dim, dim), dtype=complex)
-    for key, coeff in expr.terms.items():
-        if skip is not None and skip not in key:
-            continue
-        by_party = {p: lab for p, lab in key}
-        m = np.ones((1, 1), dtype=complex)
-        for p in range(n):
-            if p in by_party and (skip is None or (p, by_party[p]) != skip):
-                m = np.kron(m, _bloch_matrix(blochs[(p, by_party[p])]))
-            else:
-                m = np.kron(m, _PAULI_2X2["I"])
-        out += coeff * m
+    slot = {sym: j for j, sym in enumerate(symbols, 1)}
+    keys = [key for key in expr.terms if skip is None or skip in key]
+    index = np.zeros((len(keys), n), dtype=np.intp)
+    for t, key in enumerate(keys):
+        for sym in key:
+            if sym != skip:
+                index[t, sym[0]] = slot[sym]
+    coeffs = np.array([expr.terms[key] for key in keys], dtype=float)
+    start = expr.constant * np.eye(dim, dtype=complex) \
+        if (expr.constant and skip is None) else np.zeros((dim, dim), dtype=complex)
+    return index, coeffs, start
+
+
+def _render(plan, mats: np.ndarray) -> np.ndarray:
+    """Dense operator of a ``_render_plan`` for the 2x2 factors in ``mats``.
+
+    Every term's tensor product is built at once, one broadcast product per
+    party in place of one Kronecker product per party per term; the products
+    and the term-by-term sum run in the order of a per-term Kronecker chain,
+    so the bits match it.
+    """
+    index, coeffs, start = plan
+    factors = mats[index]
+    n_terms, n = index.shape
+    m = np.ones((n_terms, 1, 1), dtype=complex)
+    for p in range(n):
+        d = 2 * m.shape[1]
+        m = (m[:, :, None, :, None]
+             * factors[:, p, None, :, None, :]).reshape(n_terms, d, d)
+    out = start.copy()
+    for term in coeffs[:, None, None] * m:
+        out += term
     return out
 
 
@@ -359,12 +398,17 @@ def seesaw_optimize(expr: BellExpression, restarts: int = 16, seed: int = 0,
 
     Restart 0 is an axis-aligned warm start (per party, symbols take the z, x,
     y axes in sorted order); remaining restarts are random unit vectors. The
-    objective is nondecreasing within each restart; the best converged value
-    over restarts is returned.
+    objective is nondecreasing within each restart, and a sweep that lowers it
+    by more than 1e-12 * max(1, |value|) raises SeesawError; the best
+    converged value over restarts is returned.
     """
     rng = np.random.default_rng(seed)
     symbols = expr.symbols
     n = expr.parties
+    full = _render_plan(expr, symbols)
+    leave_one_out = [_render_plan(expr, symbols, skip=sym) for sym in symbols]
+    mats = np.empty((len(symbols) + 1, 2, 2), dtype=complex)
+    mats[0] = _PAULI_2X2["I"]
     best_value = -math.inf
     best_bloch: dict[Symbol, tuple[float, float, float]] = {}
     trajectories: list[list[float]] = []
@@ -372,7 +416,7 @@ def seesaw_optimize(expr: BellExpression, restarts: int = 16, seed: int = 0,
     for restart in range(max(1, restarts)):
         blochs: dict[Symbol, np.ndarray] = {}
         per_party_count: dict[int, int] = {}
-        for sym in symbols:
+        for j, sym in enumerate(symbols, 1):
             if restart == 0:
                 k = per_party_count.get(sym[0], 0)
                 blochs[sym] = np.array(_AXES[k % 3])
@@ -380,25 +424,29 @@ def seesaw_optimize(expr: BellExpression, restarts: int = 16, seed: int = 0,
             else:
                 v = rng.normal(size=3)
                 blochs[sym] = v / np.linalg.norm(v)
+            mats[j] = _bloch_matrix(blochs[sym])
 
         trajectory: list[float] = []
         value = -math.inf
+        operator = _render(full, mats)
         for _ in range(max_sweeps):
-            _, state = top_eigenpair(_render_dense(expr, blochs))
+            _, state = top_eigenpair(operator)
             rho = np.outer(state, state.conj())
-            for sym in symbols:
-                a = _render_dense(expr, blochs, skip=sym)
+            for j, (sym, plan) in enumerate(zip(symbols, leave_one_out), 1):
+                a = _render(plan, mats)
                 ptr = _partial_trace_keep(rho @ a, sym[0], n)
                 h = (ptr + ptr.conj().T) / 2
                 u = np.array([np.trace(h @ _PAULI_2X2[c]).real for c in "XYZ"])
                 norm = float(np.linalg.norm(u))
                 if norm > 1e-13:
                     blochs[sym] = u / norm
-            new_value = float(
-                np.vdot(state, _render_dense(expr, blochs) @ state).real)
+                    mats[j] = _bloch_matrix(blochs[sym])
+            operator = _render(full, mats)
+            new_value = float(np.vdot(state, operator @ state).real)
             trajectory.append(new_value)
-            if new_value < value - 1e-12:
-                raise AssertionError("see-saw objective decreased")
+            if new_value < value - 1e-12 * max(1.0, abs(value)):
+                raise SeesawError(
+                    f"see-saw objective decreased from {value!r} to {new_value!r}")
             if new_value - value < gain_tol:
                 value = new_value
                 break

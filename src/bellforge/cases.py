@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -62,7 +61,6 @@ ROOT3 = math.sqrt(3.0)
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 7
-    threads: int = 1
     cap_qubits: int = 12
     samples: int = 10000
 
@@ -482,12 +480,7 @@ def run_case(name: str, config: RunConfig | None = None) -> CaseResult:
 
 def run_cases(names: list[str], config: RunConfig | None = None) -> list[CaseResult]:
     config = config or RunConfig()
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(lambda n: run_case(n, config), names))
-    else:
-        results = [run_case(n, config) for n in names]
-    return sorted(results, key=lambda r: r.name)
+    return sorted((run_case(n, config) for n in names), key=lambda r: r.name)
 
 
 # --- table emission -------------------------------------------------------------

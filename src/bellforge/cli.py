@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -24,9 +23,6 @@ from .pauli import QubitCapError
 
 def _shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=7, help="master RNG seed")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("BELLFORGE_THREADS", "1")),
-                        help="worker threads (env BELLFORGE_THREADS)")
     parser.add_argument("--cap-qubits", type=int, default=12,
                         help="dense-rendering qubit cap")
     parser.add_argument("--samples", type=int, default=10000,
@@ -34,8 +30,7 @@ def _shared_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(seed=args.seed, threads=max(1, args.threads),
-                     cap_qubits=args.cap_qubits, samples=args.samples)
+    return RunConfig(seed=args.seed, cap_qubits=args.cap_qubits, samples=args.samples)
 
 
 def _cap_exceeded(exc: QubitCapError, args: argparse.Namespace) -> int:

@@ -18,6 +18,7 @@ from bellforge.bell import (
 )
 from bellforge.bounds import (
     BudgetError,
+    SeesawError,
     SosCertificate,
     classical_bounds,
     classical_bounds_bruteforce,
@@ -30,7 +31,7 @@ from bellforge.bounds import (
 )
 from bellforge.cases import published_identity_expression
 from bellforge.logical import logical_paulis_numeric, logical_paulis_symbolic
-from bellforge.pauli import PauliSum, PauliTerm
+from bellforge.pauli import _PAULI_2X2, PauliSum, PauliTerm
 from bellforge.stabilizer import GraphSpec, bell_basis, ghz3_basis, graph_state_generators
 
 ROOT2 = math.sqrt(2)
@@ -278,3 +279,179 @@ class TestSeesaw:
         lam, _ = quantum_lower_bound(op)
         assert res.value >= lam - 1e-8
         assert res.value <= dichotomic_term_bound(expr) + 1e-8
+
+    def test_decrease_raises_seesaw_error(self, monkeypatch):
+        # the second sweep is handed the product state |00>, which caps the
+        # CHSH objective at 2, below the 2*sqrt(2) of the first sweep
+        expr, _ = chsh_expression()
+        real = bounds.top_eigenpair
+        calls = []
+
+        def eigenpair(m):
+            calls.append(1)
+            if len(calls) == 2:
+                return 0.0, np.eye(4, dtype=complex)[0]
+            return real(m)
+
+        monkeypatch.setattr(bounds, "top_eigenpair", eigenpair)
+        with pytest.raises(SeesawError, match="decreased"):
+            seesaw_optimize(expr, restarts=1)
+        assert len(calls) == 2
+        assert issubclass(SeesawError, ArithmeticError)
+
+    def test_rounding_at_large_scale_does_not_raise(self):
+        # at 1e6 * CHSH a converged sweep can read a few 1e-9 below the last,
+        # past an absolute 1e-12 but within 1e-12 of the objective's scale
+        expr, _ = chsh_expression()
+        drops = []
+        for seed in range(4):
+            res = seesaw_optimize(expr.scaled(1e6), restarts=4, seed=seed)
+            assert abs(res.value - 2e6 * ROOT2) < 1e-9 * 2e6 * ROOT2
+            drops += [a - b for t in res.trajectories for a, b in zip(t, t[1:])]
+        assert max(drops) > 1e-12
+
+# --- see-saw renders against the kron chain ---------------------------------------
+
+def kron_render(expr, blochs, skip=None):
+    """The see-saw operator by one np.kron per party per term: the oracle."""
+    n = expr.parties
+    dim = 1 << n
+    out = expr.constant * np.eye(dim, dtype=complex) if (expr.constant and skip is None) \
+        else np.zeros((dim, dim), dtype=complex)
+    for key, coeff in expr.terms.items():
+        if skip is not None and skip not in key:
+            continue
+        by_party = {p: lab for p, lab in key}
+        m = np.ones((1, 1), dtype=complex)
+        for p in range(n):
+            if p in by_party and (skip is None or (p, by_party[p]) != skip):
+                m = np.kron(m, bounds._bloch_matrix(blochs[(p, by_party[p])]))
+            else:
+                m = np.kron(m, _PAULI_2X2["I"])
+        out += coeff * m
+    return out
+
+
+def kron_seesaw(expr, restarts, seed, max_sweeps=500, gain_tol=1e-9):
+    """seesaw_optimize's loop rendering every operator with kron_render."""
+    rng = np.random.default_rng(seed)
+    symbols = expr.symbols
+    n = expr.parties
+    best_value, best_bloch, trajectories = -math.inf, {}, []
+    for restart in range(max(1, restarts)):
+        blochs, per_party_count = {}, {}
+        for sym in symbols:
+            if restart == 0:
+                k = per_party_count.get(sym[0], 0)
+                blochs[sym] = np.array(bounds._AXES[k % 3])
+                per_party_count[sym[0]] = k + 1
+            else:
+                v = rng.normal(size=3)
+                blochs[sym] = v / np.linalg.norm(v)
+        trajectory, value = [], -math.inf
+        for _ in range(max_sweeps):
+            _, state = bounds.top_eigenpair(kron_render(expr, blochs))
+            rho = np.outer(state, state.conj())
+            for sym in symbols:
+                a = kron_render(expr, blochs, skip=sym)
+                ptr = bounds._partial_trace_keep(rho @ a, sym[0], n)
+                h = (ptr + ptr.conj().T) / 2
+                u = np.array([np.trace(h @ _PAULI_2X2[c]).real for c in "XYZ"])
+                norm = float(np.linalg.norm(u))
+                if norm > 1e-13:
+                    blochs[sym] = u / norm
+            new_value = float(np.vdot(state, kron_render(expr, blochs) @ state).real)
+            trajectory.append(new_value)
+            if new_value - value < gain_tol:
+                value = new_value
+                break
+            value = new_value
+        trajectories.append(trajectory)
+        if value > best_value:
+            best_value = value
+            best_bloch = {s: tuple(float(c) for c in b) for s, b in blochs.items()}
+    return best_value, best_bloch, trajectories
+
+
+def random_expression(rng, parties, sparse, constant):
+    """Up to 8 terms on 1-3 settings per party; ``sparse`` terms skip parties."""
+    settings = {p: ["A", "B", "C"][:int(rng.integers(1, 4))] for p in range(parties)}
+    terms = {}
+    for _ in range(int(rng.integers(1, 9))):
+        key = tuple((p, str(rng.choice(settings[p]))) for p in range(parties)
+                    if not sparse or rng.random() < 0.6)
+        if key:
+            terms[key] = terms.get(key, 0.0) + float(rng.normal())
+    return BellExpression(parties, terms, constant=constant)
+
+
+def loop5_expressions():
+    ops = loop5_ops()
+    letters = {"Z": "A", "X": "B", "Y": "C"}
+    svetlichny, _ = symbolize(16.0 * (ops.z + ops.x), letters)
+    hyper, _ = symbolize(16.0 * (ops.z + ops.x + ops.y), letters)
+    return [svetlichny, hyper]
+
+
+class TestSeesawRender:
+    @staticmethod
+    def check_renders(expr, rng):
+        symbols = expr.symbols
+        blochs = {}
+        mats = np.empty((len(symbols) + 1, 2, 2), dtype=complex)
+        mats[0] = _PAULI_2X2["I"]
+        for j, sym in enumerate(symbols, 1):
+            v = rng.normal(size=3)
+            blochs[sym] = v / np.linalg.norm(v)
+            mats[j] = bounds._bloch_matrix(blochs[sym])
+        for skip in [None, *symbols]:
+            got = bounds._render(bounds._render_plan(expr, symbols, skip), mats)
+            want = kron_render(expr, blochs, skip)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
+                (str(expr), skip)
+
+    def test_catalog_expressions_bit_identical(self):
+        rng = np.random.default_rng(40)
+        chsh, _ = chsh_expression()
+        for expr in [*loop5_expressions(), chsh]:
+            for _ in range(3):
+                self.check_renders(expr, rng)
+
+    def test_random_expressions_with_constant(self):
+        rng = np.random.default_rng(41)
+        for _ in range(25):
+            parties = int(rng.integers(1, 5))
+            expr = random_expression(rng, parties, sparse=False,
+                                     constant=float(rng.normal()) or 1.0)
+            assert expr.constant != 0.0
+            self.check_renders(expr, rng)
+
+    def test_terms_leaving_parties_out(self):
+        rng = np.random.default_rng(42)
+        left_out = 0
+        for _ in range(40):
+            parties = int(rng.integers(2, 6))
+            expr = random_expression(rng, parties, sparse=True,
+                                     constant=float(rng.integers(-1, 2)))
+            left_out += sum(len(key) < parties for key in expr.terms)
+            self.check_renders(expr, rng)
+        assert left_out >= 40
+
+    @pytest.mark.parametrize("case", ["chsh", "single-term", "random-3-party"])
+    def test_seesaw_matches_kron_loop(self, case):
+        if case == "chsh":
+            expr, _ = chsh_expression()
+        elif case == "single-term":
+            expr = BellExpression(2, {((0, "A"), (1, "B")): 1.0})
+        else:
+            expr = random_expression(np.random.default_rng(43), 3, sparse=True,
+                                     constant=0.5)
+            assert len(expr.symbols) >= 3
+        for seed in range(4):
+            res = seesaw_optimize(expr, restarts=3, seed=seed)
+            value, best_bloch, trajectories = kron_seesaw(expr, 3, seed)
+            assert res.value.hex() == value.hex()
+            assert {s: [c.hex() for c in b] for s, b in res.best_bloch.items()} == \
+                {s: [c.hex() for c in b] for s, b in best_bloch.items()}
+            assert [[v.hex() for v in t] for t in res.trajectories] == \
+                [[v.hex() for v in t] for t in trajectories]
