@@ -17,9 +17,11 @@ The see-saw heuristic re-renders the Bell operator, and each symbol's
 leave-one-out operator, after every setting update. Each of those is compiled
 once per call into a table of factor indices per term and party, and rendered
 from a stack of the current 2x2 setting matrices with one broadcast product
-per party for all terms at once; updating a setting overwrites one slot of
-the stack. The products and the term-by-term sum follow the order of a
-per-term Kronecker chain, so the operators are bit-identical to it.
+per party for a chunk of terms at a time (at most ``_RENDER_CHUNK_BYTES`` of
+term matrices, so memory stays a few operators whatever the term count);
+updating a setting overwrites one slot of the stack. The products and the
+term-by-term sum follow the order of a per-term Kronecker chain, so the
+operators are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ SYMBOL_BUDGET = 28
 VERTEX_BLOCK = 1 << 20      # most vertex values held in memory at once
 _AXIS_SETTINGS = 10         # a party with more settings spans several axes
 BOUND_ATOL = 1e-9
+_RENDER_CHUNK_BYTES = 1 << 18   # most see-saw term matrices built at once
 
 
 class BudgetError(ValueError):
@@ -338,50 +341,52 @@ class SeesawResult:
 
 
 def _render_plan(expr: BellExpression, symbols: list[Symbol], skip: Symbol | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Compile ``expr`` for repeated dense renders with changing settings.
 
-    Returns ``(index, coeffs, start)``: ``index[t, p]`` picks term t's factor
-    on party p from a ``mats`` stack (0 the identity, j the matrix of
+    Returns ``(index, coeffs, constant)``: ``index[t, p]`` picks term t's
+    factor on party p from a ``mats`` stack (0 the identity, j the matrix of
     ``symbols[j - 1]``), ``coeffs`` holds the coefficients in ``expr.terms``
-    order, and ``start`` is the matrix the terms are added to. With ``skip``
-    only the terms holding that symbol are kept, its factor becomes the
-    identity and the constant is dropped.
+    order, and ``constant`` multiplies the identity the terms are added to.
+    With ``skip`` only the terms holding that symbol are kept, its factor
+    becomes the identity and the constant is dropped.
     """
-    n = expr.parties
-    dim = 1 << n
     slot = {sym: j for j, sym in enumerate(symbols, 1)}
     keys = [key for key in expr.terms if skip is None or skip in key]
-    index = np.zeros((len(keys), n), dtype=np.intp)
+    index = np.zeros((len(keys), expr.parties), dtype=np.intp)
     for t, key in enumerate(keys):
         for sym in key:
             if sym != skip:
                 index[t, sym[0]] = slot[sym]
     coeffs = np.array([expr.terms[key] for key in keys], dtype=float)
-    start = expr.constant * np.eye(dim, dtype=complex) \
-        if (expr.constant and skip is None) else np.zeros((dim, dim), dtype=complex)
-    return index, coeffs, start
+    return index, coeffs, (expr.constant if skip is None else 0.0)
 
 
 def _render(plan, mats: np.ndarray) -> np.ndarray:
     """Dense operator of a ``_render_plan`` for the 2x2 factors in ``mats``.
 
-    Every term's tensor product is built at once, one broadcast product per
-    party in place of one Kronecker product per party per term; the products
-    and the term-by-term sum run in the order of a per-term Kronecker chain,
-    so the bits match it.
+    The terms' tensor products are built a chunk of at most
+    ``_RENDER_CHUNK_BYTES`` at a time, one broadcast product per party in
+    place of one Kronecker product per party per term; the products and the
+    term-by-term sum run in the order of a per-term Kronecker chain, so the
+    bits match it.
     """
-    index, coeffs, start = plan
-    factors = mats[index]
+    index, coeffs, constant = plan
     n_terms, n = index.shape
-    m = np.ones((n_terms, 1, 1), dtype=complex)
-    for p in range(n):
-        d = 2 * m.shape[1]
-        m = (m[:, :, None, :, None]
-             * factors[:, p, None, :, None, :]).reshape(n_terms, d, d)
-    out = start.copy()
-    for term in coeffs[:, None, None] * m:
-        out += term
+    dim = 1 << n
+    out = constant * np.eye(dim, dtype=complex) if constant \
+        else np.zeros((dim, dim), dtype=complex)
+    chunk = max(1, _RENDER_CHUNK_BYTES // (16 * dim * dim))
+    for lo in range(0, n_terms, chunk):
+        factors = mats[index[lo:lo + chunk]]
+        size = len(factors)
+        m = np.ones((size, 1, 1), dtype=complex)
+        for p in range(n):
+            d = 2 * m.shape[1]
+            m = (m[:, :, None, :, None]
+                 * factors[:, p, None, :, None, :]).reshape(size, d, d)
+        for c, term in zip(coeffs[lo:lo + chunk], m):
+            out += np.multiply(c, term, out=term)
     return out
 
 

@@ -417,6 +417,43 @@ class TestSeesawRender:
             for _ in range(3):
                 self.check_renders(expr, rng)
 
+    @pytest.mark.parametrize("terms_per_chunk", [1, 5, 16])
+    def test_terms_spanning_several_chunks(self, monkeypatch, terms_per_chunk):
+        rng = np.random.default_rng(44)
+        chsh, _ = chsh_expression()
+        monkeypatch.setattr(bounds, "_RENDER_CHUNK_BYTES",
+                            terms_per_chunk * 16 * 32 * 32)
+        for expr in loop5_expressions():
+            # 32 and 48 terms: several chunks, the last one partly filled
+            assert len(expr.terms) > terms_per_chunk
+            self.check_renders(expr, rng)
+        # a chunk holds more 4 x 4 terms than CHSH has
+        self.check_renders(chsh, rng)
+
+    def test_render_memory_stays_bounded(self):
+        # 96 terms on 7 parties: all term matrices at once would be 24 MB
+        rng = np.random.default_rng(45)
+        terms = {}
+        while len(terms) < 96:
+            key = tuple((p, str(rng.choice(["A", "B"]))) for p in range(7))
+            terms[key] = float(rng.normal())
+        expr = BellExpression(7, terms)
+        symbols = expr.symbols
+        mats = np.empty((len(symbols) + 1, 2, 2), dtype=complex)
+        mats[0] = _PAULI_2X2["I"]
+        for j in range(1, len(symbols) + 1):
+            v = rng.normal(size=3)
+            mats[j] = bounds._bloch_matrix(v / np.linalg.norm(v))
+        plan = bounds._render_plan(expr, symbols)
+        tracemalloc.start()
+        try:
+            bounds._render(plan, mats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a few 128 x 128 complex matrices (256 kB each), not 96 of them
+        assert peak < 8 * 16 * 128 * 128
+
     def test_random_expressions_with_constant(self):
         rng = np.random.default_rng(41)
         for _ in range(25):
