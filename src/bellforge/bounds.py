@@ -14,14 +14,20 @@ bound), and a sum-of-squares certificate check that can pin the maximum
 exactly.
 
 The see-saw heuristic re-renders the Bell operator, and each symbol's
-leave-one-out operator, after every setting update. Each of those is compiled
-once per call into a table of factor indices per term and party, and rendered
-from a stack of the current 2x2 setting matrices with one broadcast product
-per party for a chunk of terms at a time (at most ``_RENDER_CHUNK_BYTES`` of
-term matrices, so memory stays a few operators whatever the term count);
-updating a setting overwrites one slot of the stack. The products and the
-term-by-term sum follow the order of a per-term Kronecker chain, so the
-operators are bit-identical to it.
+leave-one-out operator, after every setting update. A symbol's leave-one-out
+operator holds no other setting of its party, so the sweep goes party by
+party: one render gives the stack of that party's leave-one-out operators,
+and batched partial traces and Bloch projections update all of its settings
+at once. Each render runs from a plan compiled once per call, a table of
+factor indices per term and party plus one term range per output operator,
+and from a stack of the current 2x2 setting matrices; updating a setting
+overwrites one slot of that stack. Terms are built party-major (each party's
+factor indices outermost, so every multiply runs over a contiguous axis), one
+broadcast product per party for a chunk of at most ``_RENDER_CHUNK_BYTES`` of
+terms, so memory stays a few operators whatever the term count. Each
+operator's terms are summed in order and transposed to (row, col) layout once.
+The products and the sums follow a per-term Kronecker chain, so the operators
+are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -33,13 +39,21 @@ from itertools import product as iter_product
 import numpy as np
 
 from .bell import BellExpression, Symbol
-from .pauli import _PAULI_2X2, PauliSum, anticommutator_sum, top_eigenpair
+from .pauli import (
+    _PAULI_2X2,
+    DENSE_QUBIT_CAP,
+    PauliSum,
+    _check_cap,
+    anticommutator_sum,
+    top_eigenpair,
+)
 
 SYMBOL_BUDGET = 28
 VERTEX_BLOCK = 1 << 20      # most vertex values held in memory at once
 _AXIS_SETTINGS = 10         # a party with more settings spans several axes
 BOUND_ATOL = 1e-9
 _RENDER_CHUNK_BYTES = 1 << 18   # most see-saw term matrices built at once
+_NEG_ZERO = complex(-0.0, -0.0)  # additive identity that keeps signed zeros
 
 
 class BudgetError(ValueError):
@@ -326,6 +340,7 @@ def sos_pairing_search(terms: list[PauliSum], claimed_bound: float,
 # --- see-saw heuristic ---------------------------------------------------------
 
 _AXES = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+_BLOCH_PAULIS = np.stack([_PAULI_2X2[c] for c in "XYZ"])
 
 
 def _bloch_matrix(bloch) -> np.ndarray:
@@ -340,78 +355,136 @@ class SeesawResult:
     trajectories: list[list[float]] = field(default_factory=list)
 
 
-def _render_plan(expr: BellExpression, symbols: list[Symbol], skip: Symbol | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, float]:
+def _render_plan(expr: BellExpression, symbols: list[Symbol], party: int | None = None
+                 ) -> tuple[np.ndarray, np.ndarray, list[int], float]:
     """Compile ``expr`` for repeated dense renders with changing settings.
 
-    Returns ``(index, coeffs, constant)``: ``index[t, p]`` picks term t's
+    Returns ``(index, coeffs, ends, constant)``: ``index[t, p]`` picks term t's
     factor on party p from a ``mats`` stack (0 the identity, j the matrix of
-    ``symbols[j - 1]``), ``coeffs`` holds the coefficients in ``expr.terms``
-    order, and ``constant`` multiplies the identity the terms are added to.
-    With ``skip`` only the terms holding that symbol are kept, its factor
-    becomes the identity and the constant is dropped.
+    ``symbols[j - 1]``), ``coeffs`` holds the term coefficients, output
+    operator s sums terms ``ends[s - 1]:ends[s]`` (from 0 for s = 0), and
+    ``constant`` multiplies the identity the first operator starts from.
+    Without ``party`` there is one operator, ``expr`` itself. With ``party``
+    there is one per symbol of that party, in ``symbols`` order: the terms
+    holding the symbol, its factor made the identity, and no constant.
     """
     slot = {sym: j for j, sym in enumerate(symbols, 1)}
-    keys = [key for key in expr.terms if skip is None or skip in key]
-    index = np.zeros((len(keys), expr.parties), dtype=np.intp)
-    for t, key in enumerate(keys):
+    if party is None:
+        entries = [(None, key) for key in expr.terms]
+        ends = [len(entries)]
+    else:
+        entries, ends = [], []
+        for skip in symbols:
+            if skip[0] == party:
+                entries += [(skip, key) for key in expr.terms if skip in key]
+                ends.append(len(entries))
+    index = np.zeros((len(entries), expr.parties), dtype=np.intp)
+    for t, (skip, key) in enumerate(entries):
         for sym in key:
             if sym != skip:
                 index[t, sym[0]] = slot[sym]
-    coeffs = np.array([expr.terms[key] for key in keys], dtype=float)
-    return index, coeffs, (expr.constant if skip is None else 0.0)
+    # complex, so scaling the terms in place needs no cast buffer
+    coeffs = np.array([expr.terms[key] for _, key in entries], dtype=complex)
+    return index, coeffs, ends, (expr.constant if party is None else 0.0)
+
+
+def _party_major_products(factors: np.ndarray) -> np.ndarray:
+    """Tensor products over p of the 2x2 ``factors[t, p]``, flat, party-major.
+
+    Term t's entries run over the axes (a_{n-1}, b_{n-1}, ..., a_0, b_0): each
+    party's factor goes outermost, so every multiply runs over a contiguous
+    inner axis, and the product so far comes first, as in a Kronecker product.
+    """
+    size, n = factors.shape[:2]
+    terms = np.ones((size, 1), dtype=complex)
+    for p in range(n):
+        terms = (terms[:, None, None, :] * factors[:, p, :, :, None]).reshape(size, -1)
+    return terms
 
 
 def _render(plan, mats: np.ndarray) -> np.ndarray:
-    """Dense operator of a ``_render_plan`` for the 2x2 factors in ``mats``.
+    """Stack of the dense operators of a ``_render_plan`` for the factors in ``mats``.
 
-    The terms' tensor products are built a chunk of at most
-    ``_RENDER_CHUNK_BYTES`` at a time, one broadcast product per party in
-    place of one Kronecker product per party per term; the products and the
-    term-by-term sum run in the order of a per-term Kronecker chain, so the
-    bits match it.
+    Terms are built party-major a chunk of at most ``_RENDER_CHUNK_BYTES`` at
+    a time and scaled in place. Each operator's terms are summed in order, the
+    running sum carried from chunk to chunk by adding it into the operator's
+    first term in the next chunk. The sums start from -0.0, which, unlike
+    ``np.add.reduce``'s default +0.0, leaves a -0.0 entry as the Kronecker
+    chain has it. An operator is transposed to (row, col) layout once, when
+    its last term is in.
     """
-    index, coeffs, constant = plan
+    index, coeffs, ends, constant = plan
     n_terms, n = index.shape
     dim = 1 << n
-    out = constant * np.eye(dim, dtype=complex) if constant \
-        else np.zeros((dim, dim), dtype=complex)
+    # (a_{n-1}, b_{n-1}, ..., a_0, b_0) -> (a_0, ..., a_{n-1}, b_0, ..., b_{n-1})
+    to_rows = [*range(2 * n - 2, -1, -2), *range(2 * n - 1, 0, -2)]
+    start = 0.0
+    if constant:
+        start = constant * _party_major_products(mats[np.zeros((1, n), np.intp)])[0]
+    stack = np.empty((len(ends), dim, dim), dtype=complex)
+    acc = np.empty(dim * dim, dtype=complex)
+    acc[...] = start
+    done = 0
+
+    def close_through(t: int) -> None:
+        # emit every operator whose terms all lie before term t
+        nonlocal done
+        while done < len(ends) and ends[done] <= t:
+            stack[done].reshape((2,) * 2 * n)[...] = \
+                acc.reshape((2,) * 2 * n).transpose(to_rows)
+            acc[...] = start
+            done += 1
+
     chunk = max(1, _RENDER_CHUNK_BYTES // (16 * dim * dim))
     for lo in range(0, n_terms, chunk):
-        factors = mats[index[lo:lo + chunk]]
-        size = len(factors)
-        m = np.ones((size, 1, 1), dtype=complex)
-        for p in range(n):
-            d = 2 * m.shape[1]
-            m = (m[:, :, None, :, None]
-                 * factors[:, p, None, :, None, :]).reshape(size, d, d)
-        for c, term in zip(coeffs[lo:lo + chunk], m):
-            out += np.multiply(c, term, out=term)
-    return out
+        terms = _party_major_products(mats[index[lo:lo + chunk]])
+        size = len(terms)
+        terms *= coeffs[lo:lo + size, None]
+        a = lo
+        while a < lo + size:
+            close_through(a)
+            b = min(ends[done], lo + size)
+            part = terms[a - lo:b - lo]
+            part[0] += acc
+            np.add.reduce(part, axis=0, initial=_NEG_ZERO, out=acc)
+            a = b
+    close_through(n_terms)
+    return stack
 
 
 def _partial_trace_keep(m: np.ndarray, party: int, n: int) -> np.ndarray:
+    """Reduced 2x2 matrices on ``party`` of a stack of n-qubit operators."""
     left = 1 << party
     right = 1 << (n - party - 1)
-    m6 = m.reshape(left, 2, right, left, 2, right)
-    return np.einsum("aibajb->ij", m6)
+    m7 = m.reshape(len(m), left, 2, right, left, 2, right)
+    return np.einsum("saibajb->sij", m7)
 
 
 def seesaw_optimize(expr: BellExpression, restarts: int = 16, seed: int = 0,
-                    max_sweeps: int = 500, gain_tol: float = 1e-9) -> SeesawResult:
+                    max_sweeps: int = 500, gain_tol: float = 1e-9,
+                    cap: int = DENSE_QUBIT_CAP) -> SeesawResult:
     """Alternating maximization over the state and per-symbol Bloch vectors.
 
     Restart 0 is an axis-aligned warm start (per party, symbols take the z, x,
     y axes in sorted order); remaining restarts are random unit vectors. The
     objective is nondecreasing within each restart, and a sweep that lowers it
     by more than 1e-12 * max(1, |value|) raises SeesawError; the best
-    converged value over restarts is returned.
+    converged value over restarts is returned. Raises QubitCapError, before
+    any operator is built, when the expression has more than ``cap`` parties.
     """
+    n = expr.parties
+    _check_cap(n, cap)
     rng = np.random.default_rng(seed)
     symbols = expr.symbols
-    n = expr.parties
     full = _render_plan(expr, symbols)
-    leave_one_out = [_render_plan(expr, symbols, skip=sym) for sym in symbols]
+    # a term holds one symbol per party at most, so a party's leave-one-out
+    # operators depend only on the other parties' settings: each party's are
+    # rendered together, and updating them together is a symbol-by-symbol sweep
+    party_plans = []
+    for p in range(n):
+        slots = [j for j, sym in enumerate(symbols, 1) if sym[0] == p]
+        if slots:
+            party_plans.append((p, slots, _render_plan(expr, symbols, party=p)))
     mats = np.empty((len(symbols) + 1, 2, 2), dtype=complex)
     mats[0] = _PAULI_2X2["I"]
     best_value = -math.inf
@@ -433,20 +506,21 @@ def seesaw_optimize(expr: BellExpression, restarts: int = 16, seed: int = 0,
 
         trajectory: list[float] = []
         value = -math.inf
-        operator = _render(full, mats)
+        operator = _render(full, mats)[0]
         for _ in range(max_sweeps):
             _, state = top_eigenpair(operator)
             rho = np.outer(state, state.conj())
-            for j, (sym, plan) in enumerate(zip(symbols, leave_one_out), 1):
-                a = _render(plan, mats)
-                ptr = _partial_trace_keep(rho @ a, sym[0], n)
-                h = (ptr + ptr.conj().T) / 2
-                u = np.array([np.trace(h @ _PAULI_2X2[c]).real for c in "XYZ"])
-                norm = float(np.linalg.norm(u))
-                if norm > 1e-13:
-                    blochs[sym] = u / norm
-                    mats[j] = _bloch_matrix(blochs[sym])
-            operator = _render(full, mats)
+            for p, slots, plan in party_plans:
+                ptr = _partial_trace_keep(rho @ _render(plan, mats), p, n)
+                h = (ptr + ptr.conj().swapaxes(1, 2)) / 2
+                bloch = np.trace(h[:, None] @ _BLOCH_PAULIS, axis1=2, axis2=3).real
+                for j, u in zip(slots, bloch):
+                    norm = float(np.linalg.norm(u))
+                    if norm > 1e-13:
+                        sym = symbols[j - 1]
+                        blochs[sym] = u / norm
+                        mats[j] = _bloch_matrix(blochs[sym])
+            operator = _render(full, mats)[0]
             new_value = float(np.vdot(state, operator @ state).real)
             trajectory.append(new_value)
             if new_value < value - 1e-12 * max(1.0, abs(value)):

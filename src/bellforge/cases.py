@@ -162,7 +162,8 @@ def _case_chsh(config: RunConfig) -> CaseResult:
     terms = dec.term_operators()
     cert, rep = sos_pairing_search(terms, 2 * ROOT2)
     sos_status = "verified" if cert is not None else "failed"
-    seesaw = seesaw_optimize(expr, restarts=8, seed=config.case_seed("chsh"))
+    seesaw = seesaw_optimize(expr, restarts=8, seed=config.case_seed("chsh"),
+                             cap=config.cap_qubits)
     report = _report(expr, dec.to_pauli_sum(), rough=2 * ROOT2,
                      cap=config.cap_qubits, sos_status=sos_status,
                      seesaw_value=seesaw.value)
@@ -232,7 +233,7 @@ def _case_l5(config: RunConfig, which: str) -> CaseResult:
     seesaw_value = None
     if which in ("svetlichny", "hyper"):
         seesaw_value = seesaw_optimize(
-            expr, restarts=6, seed=config.case_seed(name)).value
+            expr, restarts=6, seed=config.case_seed(name), cap=config.cap_qubits).value
     report = _report(expr, operator, rough=rough, cap=config.cap_qubits,
                      seesaw_value=seesaw_value)
     checks = [

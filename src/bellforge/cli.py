@@ -15,8 +15,8 @@ import numpy as np
 
 from .bell import BellRecipe, build_logical, complementary_decompose, symbolize, \
     symbolize_decomposed
-from .bounds import classical_bounds, dichotomic_term_bound, quantum_lower_bound, \
-    seesaw_optimize, sos_pairing_search
+from .bounds import BOUND_ATOL, classical_bounds, dichotomic_term_bound, \
+    quantum_lower_bound, seesaw_optimize, sos_pairing_search
 from .cases import RunConfig, case_names, emit_table, run_case, run_cases
 from .pauli import QubitCapError
 
@@ -124,19 +124,27 @@ def cmd_build(args: argparse.Namespace) -> int:
             expr, operator = ch.expression, ch.operator
             rough_bound = ch.quantum_bound
             pipeline_residual = float(np.max(np.abs(
-                operator.to_dense() - (ch.quantum_bound * ops.z).to_dense())))
+                operator.to_dense(args.cap_qubits)
+                - (ch.quantum_bound * ops.z).to_dense(args.cap_qubits))))
         elif kind == "none":
             operator = logical_form
             expr, _ = symbolize(operator, recipe.symbols)
         else:
             print(f"unknown decomposition kind {kind!r}", file=sys.stderr)
             return 2
+    except QubitCapError as exc:
+        return _cap_exceeded(exc, args)
     except ValueError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return 2
 
     cb = classical_bounds(expr)
-    q, _ = quantum_lower_bound(operator, args.cap_qubits)
+    try:
+        q, _ = quantum_lower_bound(operator, args.cap_qubits)
+        seesaw = seesaw_optimize(expr, restarts=8, seed=args.seed,
+                                 cap=args.cap_qubits) if args.seesaw else None
+    except QubitCapError as exc:
+        return _cap_exceeded(exc, args)
     report = {
         "expression": str(expr),
         "classical_min": cb.minimum,
@@ -146,11 +154,10 @@ def cmd_build(args: argparse.Namespace) -> int:
         "dichotomic_bound": dichotomic_term_bound(expr),
         "pipeline_residual": pipeline_residual,
         "sos_status": sos_status,
-        "violation": bool(q > cb.maximum + 1e-9),
+        "violation": bool(q > cb.maximum + BOUND_ATOL),
     }
-    if args.seesaw:
-        report["seesaw_value"] = seesaw_optimize(
-            expr, restarts=8, seed=args.seed).value
+    if seesaw is not None:
+        report["seesaw_value"] = seesaw.value
     _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 

@@ -332,6 +332,13 @@ def kron_render(expr, blochs, skip=None):
     return out
 
 
+def partial_trace_keep(m, party, n):
+    """The reduced 2x2 matrix on ``party`` of one n-qubit operator."""
+    left = 1 << party
+    right = 1 << (n - party - 1)
+    return np.einsum("aibajb->ij", m.reshape(left, 2, right, left, 2, right))
+
+
 def kron_seesaw(expr, restarts, seed, max_sweeps=500, gain_tol=1e-9):
     """seesaw_optimize's loop rendering every operator with kron_render."""
     rng = np.random.default_rng(seed)
@@ -354,7 +361,7 @@ def kron_seesaw(expr, restarts, seed, max_sweeps=500, gain_tol=1e-9):
             rho = np.outer(state, state.conj())
             for sym in symbols:
                 a = kron_render(expr, blochs, skip=sym)
-                ptr = bounds._partial_trace_keep(rho @ a, sym[0], n)
+                ptr = partial_trace_keep(rho @ a, sym[0], n)
                 h = (ptr + ptr.conj().T) / 2
                 u = np.array([np.trace(h @ _PAULI_2X2[c]).real for c in "XYZ"])
                 norm = float(np.linalg.norm(u))
@@ -393,22 +400,57 @@ def loop5_expressions():
     return [svetlichny, hyper]
 
 
+def random_settings(rng, symbols):
+    """Random unit Bloch vectors, and the stack of their matrices that
+    ``bounds._render`` reads, the identity first."""
+    blochs = {}
+    mats = np.empty((len(symbols) + 1, 2, 2), dtype=complex)
+    mats[0] = _PAULI_2X2["I"]
+    for j, sym in enumerate(symbols, 1):
+        v = rng.normal(size=3)
+        blochs[sym] = v / np.linalg.norm(v)
+        mats[j] = bounds._bloch_matrix(blochs[sym])
+    return blochs, mats
+
+
+def seven_party_expression(rng, labels):
+    """96 terms, each holding one of ``labels`` on every one of 7 parties."""
+    terms = {}
+    while len(terms) < 96:
+        key = tuple((p, str(rng.choice(labels))) for p in range(7))
+        terms[key] = float(rng.normal())
+    return BellExpression(7, terms)
+
+
+def render_peak(plan, mats):
+    """Peak traced allocation of one ``bounds._render``, in bytes."""
+    tracemalloc.start()
+    try:
+        bounds._render(plan, mats)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def assert_same_bits(got, want, context):
+    assert got.shape == want.shape, context
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), context
+
+
 class TestSeesawRender:
     @staticmethod
     def check_renders(expr, rng):
         symbols = expr.symbols
-        blochs = {}
-        mats = np.empty((len(symbols) + 1, 2, 2), dtype=complex)
-        mats[0] = _PAULI_2X2["I"]
-        for j, sym in enumerate(symbols, 1):
-            v = rng.normal(size=3)
-            blochs[sym] = v / np.linalg.norm(v)
-            mats[j] = bounds._bloch_matrix(blochs[sym])
-        for skip in [None, *symbols]:
-            got = bounds._render(bounds._render_plan(expr, symbols, skip), mats)
-            want = kron_render(expr, blochs, skip)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
-                (str(expr), skip)
+        blochs, mats = random_settings(rng, symbols)
+        full = bounds._render(bounds._render_plan(expr, symbols), mats)
+        assert full.shape[0] == 1
+        assert_same_bits(full[0], kron_render(expr, blochs), (str(expr), None))
+        for party in range(expr.parties):
+            stack = bounds._render(bounds._render_plan(expr, symbols, party), mats)
+            own = [sym for sym in symbols if sym[0] == party]
+            assert len(stack) == len(own)
+            for got, skip in zip(stack, own):
+                assert_same_bits(got, kron_render(expr, blochs, skip), (str(expr), skip))
 
     def test_catalog_expressions_bit_identical(self):
         rng = np.random.default_rng(40)
@@ -423,36 +465,59 @@ class TestSeesawRender:
         chsh, _ = chsh_expression()
         monkeypatch.setattr(bounds, "_RENDER_CHUNK_BYTES",
                             terms_per_chunk * 16 * 32 * 32)
+        crossing = 0
         for expr in loop5_expressions():
             # 32 and 48 terms: several chunks, the last one partly filled
             assert len(expr.terms) > terms_per_chunk
+            for party in range(expr.parties):
+                ends = bounds._render_plan(expr, expr.symbols, party)[2]
+                crossing += sum(first // terms_per_chunk != (end - 1) // terms_per_chunk
+                                for first, end in zip([0, *ends], ends))
             self.check_renders(expr, rng)
+        # some leave-one-out operator's terms start in one chunk and end in a
+        # later one, so its running sum is carried across
+        assert crossing > 0
         # a chunk holds more 4 x 4 terms than CHSH has
         self.check_renders(chsh, rng)
 
     def test_render_memory_stays_bounded(self):
         # 96 terms on 7 parties: all term matrices at once would be 24 MB
         rng = np.random.default_rng(45)
-        terms = {}
-        while len(terms) < 96:
-            key = tuple((p, str(rng.choice(["A", "B"]))) for p in range(7))
-            terms[key] = float(rng.normal())
-        expr = BellExpression(7, terms)
-        symbols = expr.symbols
-        mats = np.empty((len(symbols) + 1, 2, 2), dtype=complex)
-        mats[0] = _PAULI_2X2["I"]
-        for j in range(1, len(symbols) + 1):
-            v = rng.normal(size=3)
-            mats[j] = bounds._bloch_matrix(v / np.linalg.norm(v))
-        plan = bounds._render_plan(expr, symbols)
-        tracemalloc.start()
-        try:
-            bounds._render(plan, mats)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        expr = seven_party_expression(rng, ["A", "B"])
+        _, mats = random_settings(rng, expr.symbols)
+        peak = render_peak(bounds._render_plan(expr, expr.symbols), mats)
         # a few 128 x 128 complex matrices (256 kB each), not 96 of them
         assert peak < 8 * 16 * 128 * 128
+
+    def test_party_stack_memory_stays_bounded(self):
+        # with 3 settings a party's stack holds 3 operators of 128 x 128 and
+        # needs at most a running sum and a chunk of terms beside them
+        rng = np.random.default_rng(46)
+        expr = seven_party_expression(rng, ["A", "B", "C"])
+        _, mats = random_settings(rng, expr.symbols)
+        operator = 16 * 128 * 128
+        for party in (0, 3, 6):
+            plan = bounds._render_plan(expr, expr.symbols, party)
+            k = sum(sym[0] == party for sym in expr.symbols)
+            assert len(plan[2]) == k == 3
+            peak = render_peak(plan, mats)
+            assert peak <= (k + 3) * operator + bounds._RENDER_CHUNK_BYTES
+
+    @pytest.mark.parametrize("terms_per_chunk", [1, None])
+    def test_negative_zero_entries_keep_their_sign(self, monkeypatch, terms_per_chunk):
+        # the constant -1 * I and both terms -1 * Z have -0.0 real parts off
+        # the diagonal, which the Kronecker chain sums to -0.0; a sum started
+        # from np.add.reduce's default +0.0 would read +0.0 there
+        if terms_per_chunk:
+            monkeypatch.setattr(bounds, "_RENDER_CHUNK_BYTES", terms_per_chunk * 16 * 2 * 2)
+        expr = BellExpression(1, {((0, "A"),): -1.0, ((0, "B"),): -1.0}, constant=-1.0)
+        blochs = {sym: np.array(bounds._AXES[0]) for sym in expr.symbols}
+        mats = np.stack([_PAULI_2X2["I"], *(bounds._bloch_matrix(blochs[sym])
+                                             for sym in expr.symbols)])
+        got = bounds._render(bounds._render_plan(expr, expr.symbols), mats)[0]
+        want = kron_render(expr, blochs)
+        assert np.signbit(want[0, 1].real) and np.signbit(want[1, 0].real)
+        assert_same_bits(got, want, str(expr))
 
     def test_random_expressions_with_constant(self):
         rng = np.random.default_rng(41)
@@ -485,10 +550,19 @@ class TestSeesawRender:
                                      constant=0.5)
             assert len(expr.symbols) >= 3
         for seed in range(4):
-            res = seesaw_optimize(expr, restarts=3, seed=seed)
-            value, best_bloch, trajectories = kron_seesaw(expr, 3, seed)
-            assert res.value.hex() == value.hex()
-            assert {s: [c.hex() for c in b] for s, b in res.best_bloch.items()} == \
-                {s: [c.hex() for c in b] for s, b in best_bloch.items()}
-            assert [[v.hex() for v in t] for t in res.trajectories] == \
-                [[v.hex() for v in t] for t in trajectories]
+            self.check_seesaw(expr, restarts=3, seed=seed)
+
+    def test_seesaw_matches_kron_loop_three_settings_per_party(self):
+        # l5-hyper: each party's three leave-one-out operators come from one
+        # stack, where the kron loop renders and updates them one at a time
+        self.check_seesaw(loop5_expressions()[1], restarts=2, seed=5)
+
+    @staticmethod
+    def check_seesaw(expr, restarts, seed):
+        res = seesaw_optimize(expr, restarts=restarts, seed=seed)
+        value, best_bloch, trajectories = kron_seesaw(expr, restarts, seed)
+        assert res.value.hex() == value.hex()
+        assert {s: [c.hex() for c in b] for s, b in res.best_bloch.items()} == \
+            {s: [c.hex() for c in b] for s, b in best_bloch.items()}
+        assert [[v.hex() for v in t] for t in res.trajectories] == \
+            [[v.hex() for v in t] for t in trajectories]

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,20 @@ from bellforge.cases import (
     run_case,
     run_cases,
 )
+import bellforge
+from bellforge import bounds
 from bellforge.cli import main as cli_main
+
+LOOP5_RECIPE = {
+    "basis": {"kind": "graph",
+              "graph": {"n": 5,
+                        "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]},
+              "flip": "ZZZZZ"},
+    "k": [0, 0, 1],
+    "beta_q": "auto",
+    "decomposition": {"kind": "none"},
+    "symbols": {"Z": "A", "X": "B", "Y": "C"},
+}
 
 
 class TestCatalog:
@@ -136,6 +150,15 @@ class TestCli:
         assert cli_main(["table", "--cap-qubits", "1"]) == 2
         assert "--cap-qubits 1" in capsys.readouterr().err
 
+    def test_seesaw_cap_stops_before_any_render(self, monkeypatch, capsys):
+        def render(plan, mats):
+            raise AssertionError("see-saw rendered above the qubit cap")
+
+        monkeypatch.setattr(bounds, "_render", render)
+        assert cli_main(["verify", "--case", "l5-hyper", "--cap-qubits", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "5 qubits exceeds dense cap of 4" in err and "--cap-qubits 4" in err
+
     def test_verify_json_output(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         rc = cli_main(["verify", "--case", "mermin3", "--json", str(out),
@@ -154,18 +177,8 @@ class TestCli:
         assert len(lines) == len(case_names()) + 1
 
     def test_build_recipe(self, tmp_path, capsys):
-        recipe = {
-            "basis": {"kind": "graph",
-                      "graph": {"n": 5,
-                                "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]},
-                      "flip": "ZZZZZ"},
-            "k": [0, 0, 1],
-            "beta_q": "auto",
-            "decomposition": {"kind": "none"},
-            "symbols": {"Z": "A", "X": "B", "Y": "C"},
-        }
         cfg = tmp_path / "recipe.json"
-        cfg.write_text(json.dumps(recipe))
+        cfg.write_text(json.dumps(LOOP5_RECIPE))
         out = tmp_path / "out.json"
         rc = cli_main(["build", "--config", str(cfg), "--out", str(out)])
         assert rc == 0
@@ -173,6 +186,28 @@ class TestCli:
         assert report["classical_max"] == 8.0
         assert abs(report["quantum_lower"] - 16.0) < 1e-9
         assert report["violation"] is True
+
+    @pytest.mark.parametrize("seesaw", [False, True])
+    def test_build_above_cap_exits_2(self, tmp_path, capsys, seesaw):
+        cfg = tmp_path / "recipe.json"
+        cfg.write_text(json.dumps(LOOP5_RECIPE))
+        argv = ["build", "--config", str(cfg), "--cap-qubits", "3"]
+        assert cli_main(argv + ["--seesaw"] * seesaw) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "qubit cap exceeded: 5 qubits exceeds dense cap of 3" in captured.err
+        assert "(--cap-qubits 3)" in captured.err
+
+    def test_build_chained_recipe_honours_cap(self, tmp_path, capsys):
+        recipe = {"basis": {"kind": "bell"}, "k": [0, 0, 1], "beta_q": 2.0,
+                  "decomposition": {"kind": "chained", "n": 3}}
+        cfg = tmp_path / "recipe.json"
+        cfg.write_text(json.dumps(recipe))
+        assert cli_main(["build", "--config", str(cfg), "--cap-qubits", "1"]) == 2
+        assert "2 qubits exceeds dense cap of 1" in capsys.readouterr().err
+        assert cli_main(["build", "--config", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["pipeline_residual"] <= 1e-10
 
     def test_build_complementary_recipe(self, tmp_path, capsys):
         recipe = {"basis": {"kind": "bell"}, "k": [0, 0, 1],
@@ -189,7 +224,11 @@ class TestCli:
         assert report["pipeline_residual"] <= 1e-10
 
     def test_console_script_entry(self):
+        # the child imports the package this test imported, installed or not
+        src = str(Path(bellforge.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-m", "bellforge.cli", "list"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "chsh" in proc.stdout.splitlines()

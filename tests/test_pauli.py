@@ -282,6 +282,69 @@ class TestScatterAgainstKron:
                     assert np.all(t.to_dense() == kron_dense(t))
 
 
+def random_sum_like(rng, p, commuting, terms):
+    """Random real sum whose every term commutes (or anticommutes) with every
+    term of ``p``; None when a few hundred draws find no such term."""
+    items = []
+    for _ in range(300):
+        t = random_term_h(rng, p.n)
+        if all(t.commutes(u) == commuting for u, _ in p.items()):
+            items.append((t, rng.normal()))
+            if len(items) == terms:
+                break
+    return PauliSum.from_terms(items, n=p.n) if items else None
+
+
+class TestProductsAgainstDense:
+    """``product`` and ``anticommutator_sum`` against dense products of
+    Kronecker-built matrices, on seeded random sums."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_products_match_dense(self, n):
+        rng = np.random.default_rng(500 + n)
+        letters, checked = set(), {1.0: 0, 1j: 0, "anti": 0}
+        for _ in range(12):
+            p = PauliSum.from_terms([(random_term_h(rng, n), rng.normal())
+                                     for _ in range(int(rng.integers(1, 5)))], n=n)
+            dense_p = kron_dense_sum(p)
+            # commuting factors give a Hermitian p q, anticommuting ones i p q
+            for scale, commuting in ((1.0, True), (1j, False)):
+                q = random_sum_like(rng, p, commuting, int(rng.integers(1, 5)))
+                if q is None or q.to_strings() == p.to_strings():
+                    continue
+                want = scale * (dense_p @ kron_dense_sum(q))
+                assert np.allclose(want, want.conj().T, atol=1e-12)
+                got = kron_dense_sum(product(p, q, scale))
+                assert np.max(np.abs(got - want)) <= 1e-12
+                checked[scale] += 1
+            q = PauliSum.from_terms([(random_term_h(rng, n), rng.normal())
+                                     for _ in range(int(rng.integers(1, 5)))], n=n)
+            if q.to_strings() != p.to_strings():
+                dense_q = kron_dense_sum(q)
+                got = kron_dense_sum(anticommutator_sum(p, q))
+                assert np.max(np.abs(got - (dense_p @ dense_q + dense_q @ dense_p))) <= 1e-12
+                checked["anti"] += 1
+                letters.update("".join(t.letters for t, _ in (p + q).items()))
+        assert min(checked.values()) >= 4, checked
+        assert letters == set("IXYZ")
+
+    def test_non_hermitian_products_rejected(self):
+        rng = np.random.default_rng(510)
+        rejected = 0
+        for n in range(1, 6):
+            for _ in range(10):
+                p, q = (PauliSum.from_terms([(random_term_h(rng, n), rng.normal())
+                                             for _ in range(3)], n=n) for _ in range(2))
+                for scale in (1.0, 1j):
+                    want = scale * (kron_dense_sum(p) @ kron_dense_sum(q))
+                    if np.allclose(want, want.conj().T, atol=1e-9):
+                        continue
+                    with pytest.raises(ValueError, match="not Hermitian"):
+                        product(p, q, scale)
+                    rejected += 1
+        assert rejected >= 40
+
+
 class TestEigenBounds:
     def test_lambda_of_z(self):
         assert lambda_max(PauliSum.from_strings([("Z", 1.0)]).to_dense()) == 1.0
