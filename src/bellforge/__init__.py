@@ -47,10 +47,6 @@ from .pauli import (
     PauliTerm,
     QubitCapError,
     anticommutator_sum,
-    commutes,
-    lambda_max,
-    lambda_min,
-    multiply,
     pauli_decompose,
     product,
 )

@@ -10,7 +10,6 @@ changes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -260,11 +259,8 @@ class DecomposedOperator:
     products: list[tuple[float, int, PauliTerm]]
 
     def to_pauli_sum(self) -> PauliSum:
-        out = PauliSum.zero(self.n)
-        for coeff, s_idx, rest in self.products:
-            emb = self.settings[s_idx].embed(self.n)
-            out = out + coeff * product(emb, PauliSum.from_terms([(rest, 1.0)]))
-        return out
+        """The rewritten operator: the term operators summed in order."""
+        return sum(self.term_operators(), PauliSum.zero(self.n))
 
     def term_operators(self) -> list[PauliSum]:
         """One PauliSum per product, signs included (SOS certificate inputs)."""
@@ -409,10 +405,6 @@ class ChainedConstruction:
     bindings: dict[Symbol, Setting]
     quantum_bound: float                    # 2n cos(pi/2n)
 
-    @property
-    def logical_scale(self) -> float:
-        return self.quantum_bound
-
 
 def xz_setting(party: int, label: str, theta: float) -> Setting:
     """Z rotated by theta towards X: cos(theta) Z + sin(theta) X."""
@@ -532,10 +524,6 @@ class BellRecipe:
             group=group,
             flip=flip,
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "BellRecipe":
-        return cls.from_dict(json.loads(text))
 
     def logical_ops(self) -> LogicalPaulis:
         if self.group is not None and self.flip is not None:

@@ -219,15 +219,14 @@ def classical_sample_bound(expr: BellExpression, samples: int = 20000,
     return best
 
 
-def quantum_lower_bound(op: PauliSum, cap: int | None = None
+def quantum_lower_bound(op: PauliSum, cap: int = DENSE_QUBIT_CAP
                         ) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of the rendered operator and a witness eigenvector.
 
     This is the maximum over states for these fixed settings, hence a
     certified lower bound on the quantum maximum of the abstract expression.
     """
-    dense = op.to_dense() if cap is None else op.to_dense(cap)
-    return top_eigenpair(dense)
+    return top_eigenpair(op.to_dense(cap))
 
 
 def dichotomic_term_bound(expr: BellExpression) -> float:

@@ -2,7 +2,8 @@
 
 Each case builds one Bell inequality through the pipeline, computes bounds,
 and compares them against its frozen targets. Case results serialize
-deterministically (same seed, same bytes) so they can gate CI.
+deterministically (same seed, same bytes) so they can gate CI. A user recipe
+goes through the same bounds report in ``build_report``.
 """
 
 from __future__ import annotations
@@ -12,11 +13,14 @@ import math
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from .bell import (
     BellExpression,
+    BellRecipe,
+    build_logical,
     chained_construction,
     complementary_decompose,
     symbolize,
@@ -145,10 +149,14 @@ def _report(expr: BellExpression, operator: PauliSum, rough: float | None,
     )
 
 
+def _residual(a: PauliSum, b: PauliSum, cap: int) -> float:
+    """Largest entry of |a - b| over the dense renders."""
+    return float(np.max(np.abs(a.to_dense(cap) - b.to_dense(cap))))
+
+
 def _pipeline_identity_check(logical_form: PauliSum, final_form: PauliSum,
                              cap: int) -> Check:
-    resid = float(np.max(np.abs(logical_form.to_dense(cap)
-                                - final_form.to_dense(cap))))
+    resid = _residual(logical_form, final_form, cap)
     return Check("pipeline identity residual", "<= 1e-10", resid, resid <= 1e-10)
 
 
@@ -159,12 +167,12 @@ def _case_chsh(config: RunConfig) -> CaseResult:
     logical_form = (2 * ROOT2) * ops.z
     dec = complementary_decompose(logical_form, pivot=1)
     expr, _ = symbolize_decomposed(dec, letter_order={0: ["X", "Z"]})
-    terms = dec.term_operators()
-    cert, rep = sos_pairing_search(terms, 2 * ROOT2)
+    operator = dec.to_pauli_sum()
+    cert, rep = sos_pairing_search(dec.term_operators(), 2 * ROOT2)
     sos_status = "verified" if cert is not None else "failed"
     seesaw = seesaw_optimize(expr, restarts=8, seed=config.case_seed("chsh"),
                              cap=config.cap_qubits)
-    report = _report(expr, dec.to_pauli_sum(), rough=2 * ROOT2,
+    report = _report(expr, operator, rough=2 * ROOT2,
                      cap=config.cap_qubits, sos_status=sos_status,
                      seesaw_value=seesaw.value)
     checks = [
@@ -173,8 +181,7 @@ def _case_chsh(config: RunConfig) -> CaseResult:
         _close("quantum lower bound", report.quantum_lower, 2 * ROOT2, "2*sqrt(2)"),
         Check("sos residual", "<= 1e-10", rep.residual if rep else math.inf,
               rep is not None and rep.verified),
-        _pipeline_identity_check(logical_form, dec.to_pauli_sum(),
-                                 config.cap_qubits),
+        _pipeline_identity_check(logical_form, operator, config.cap_qubits),
         _close("seesaw value", seesaw.value, 2 * ROOT2, "2*sqrt(2)", tol=1e-6),
     ]
     return CaseResult("chsh", str(expr), report, checks)
@@ -292,8 +299,7 @@ def _case_l5_identity(config: RunConfig) -> CaseResult:
     projector16 = 16.0 * ops.ident
     derived_expr, _ = symbolize(projector16, {"Z": "A", "X": "B", "Y": "C"})
     published = published_identity_expression()
-    cb = classical_bounds(published)
-    q, wit = quantum_lower_bound(projector16, config.cap_qubits)
+    report = _report(published, projector16, rough=16.0, cap=config.cap_qubits)
 
     rng = np.random.default_rng(config.case_seed("l5-identity"))
     worst = 0.0
@@ -301,19 +307,13 @@ def _case_l5_identity(config: RunConfig) -> CaseResult:
         rho = random_codespace_mixture(ops.basis, rng)
         worst = max(worst, abs(projector16.expectation(rho) - 16.0))
 
-    report = BoundsReport(
-        classical_min=cb.minimum, classical_max=cb.maximum,
-        classical_witness=cb.witness_max,
-        quantum_lower=q, quantum_witness=wit, rough_bound=16.0,
-        dichotomic_bound=dichotomic_term_bound(published),
-    )
     # where the published expression and the derived symbolization disagree
     diff = {k for k in set(derived_expr.terms) | set(published.terms)
             if abs(derived_expr.terms.get(k, 0.0) - published.terms.get(k, 0.0)) > 1e-12}
     checks = [
-        _exact("classical min (published form)", cb.minimum, -6.0, "-6"),
-        _exact("classical max (published form)", cb.maximum, 10.0, "10"),
-        _close("lambda_max of 16*projector", q, 16.0, "16"),
+        _exact("classical min (published form)", report.classical_min, -6.0, "-6"),
+        _exact("classical max (published form)", report.classical_max, 10.0, "10"),
+        _close("lambda_max of 16*projector", report.quantum_lower, 16.0, "16"),
         _at_most("code-space mixture deviation", worst, 0.0, "0", tol=1e-9),
         _exact("dichotomic term bound", report.dichotomic_bound, 16.0, "16"),
         _exact("sign-flagged orbit size", float(len(diff)), 5.0, "5"),
@@ -432,56 +432,84 @@ def _case_uncertainty_sweep(config: RunConfig) -> CaseResult:
 
 # --- catalog ------------------------------------------------------------------
 
+_CASES = {
+    "chsh": _case_chsh,
+    "mermin3": _case_mermin3,
+    "svetlichny3": _case_svetlichny3,
+    **{f"l5-{which}": partial(_case_l5, which=which)
+       for which in ("mermin", "svetlichny", "hyper")},
+    "l5-identity": _case_l5_identity,
+    **{variant: partial(_case_quadratic, variant=variant)
+       for variant in ("uffink", "nki")},
+    "uncertainty-sweep": _case_uncertainty_sweep,
+    **{f"chained:{n}": partial(_case_chained, n=n) for n in range(2, 7)},
+    **{f"{family}:{n}": partial(_case_family, family=family, n=n)
+       for family in ("mermin", "svetlichny") for n in range(3, 9)},
+}
+
+
 def case_names() -> list[str]:
-    names = ["chsh", "mermin3", "svetlichny3",
-             "l5-mermin", "l5-svetlichny", "l5-hyper", "l5-identity",
-             "uffink", "nki", "uncertainty-sweep"]
-    names += [f"chained:{n}" for n in range(2, 7)]
-    names += [f"mermin:{n}" for n in range(3, 9)]
-    names += [f"svetlichny:{n}" for n in range(3, 9)]
-    return names
+    return list(_CASES)
 
 
 def run_case(name: str, config: RunConfig | None = None) -> CaseResult:
-    config = config or RunConfig()
-    if name == "chsh":
-        return _case_chsh(config)
-    if name == "mermin3":
-        return _case_mermin3(config)
-    if name == "svetlichny3":
-        return _case_svetlichny3(config)
-    if name == "l5-mermin":
-        return _case_l5(config, "mermin")
-    if name == "l5-svetlichny":
-        return _case_l5(config, "svetlichny")
-    if name == "l5-hyper":
-        return _case_l5(config, "hyper")
-    if name == "l5-identity":
-        return _case_l5_identity(config)
-    if name in ("uffink", "nki"):
-        return _case_quadratic(config, name)
-    if name == "uncertainty-sweep":
-        return _case_uncertainty_sweep(config)
-    if ":" in name:
-        head, _, tail = name.partition(":")
-        try:
-            n = int(tail)
-        except ValueError:
-            raise KeyError(f"bad case parameter in {name!r}") from None
-        if head == "chained":
-            if not 2 <= n <= 8:
-                raise KeyError("chained supports n in 2..8")
-            return _case_chained(config, n)
-        if head in ("mermin", "svetlichny"):
-            if not 3 <= n <= 8:
-                raise KeyError(f"{head} family supports n in 3..8")
-            return _case_family(config, head, n)
-    raise KeyError(f"unknown case {name!r}")
+    try:
+        build = _CASES[name]
+    except KeyError:
+        raise KeyError(f"unknown case {name!r}") from None
+    return build(config or RunConfig())
 
 
 def run_cases(names: list[str], config: RunConfig | None = None) -> list[CaseResult]:
     config = config or RunConfig()
     return sorted((run_case(n, config) for n in names), key=lambda r: r.name)
+
+
+# --- recipe builds --------------------------------------------------------------
+
+def build_report(recipe: BellRecipe, config: RunConfig, seesaw: bool) -> dict:
+    """Run a recipe through the pipeline and report what it certifies.
+
+    The decomposition kind picks the operator: ``none`` symbolizes the logical
+    form itself, ``complementary`` rewrites it at a pivot (with an SOS search
+    on at most 8 terms), and ``chained`` takes the chained construction on the
+    Bell-state basis. ``pipeline_residual`` is the largest entry of the
+    difference between the final operator and the logical form it replaces.
+    Raises ValueError when the recipe does not fit its decomposition and
+    QubitCapError above ``config.cap_qubits``.
+    """
+    cap = config.cap_qubits
+    ops = recipe.logical_ops()
+    logical_form = build_logical(recipe, ops)
+    kind = recipe.decomposition.get("kind", "none")
+    rough, sos_status, residual = recipe.beta_q, "not-attempted", 0.0
+    if kind == "complementary":
+        dec = complementary_decompose(logical_form, recipe.decomposition["pivot"])
+        expr, _ = symbolize_decomposed(dec)
+        operator = dec.to_pauli_sum()
+        residual = _residual(operator, logical_form, cap)
+        terms = dec.term_operators()
+        if len(terms) <= 8:
+            cert, _ = sos_pairing_search(terms, recipe.beta_q)
+            sos_status = "verified" if cert is not None else "failed"
+    elif kind == "chained":
+        if recipe.basis.name != "bell":
+            raise ValueError("chained decomposition is defined on the two-qubit "
+                             "Bell-state basis")
+        ch = chained_construction(int(recipe.decomposition["n"]))
+        expr, operator, rough = ch.expression, ch.operator, ch.quantum_bound
+        residual = _residual(operator, ch.quantum_bound * ops.z, cap)
+    elif kind == "none":
+        operator = logical_form
+        expr, _ = symbolize(operator, recipe.symbols)
+    else:
+        raise ValueError(f"unknown decomposition kind {kind!r}")
+    seesaw_value = seesaw_optimize(expr, restarts=8, seed=config.seed,
+                                   cap=cap).value if seesaw else None
+    report = _report(expr, operator, rough=rough, cap=cap, sos_status=sos_status,
+                     seesaw_value=seesaw_value)
+    return {"expression": str(expr), "pipeline_residual": residual,
+            **report.to_dict(include_witness_state=False)}
 
 
 # --- table emission -------------------------------------------------------------

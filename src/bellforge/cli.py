@@ -11,13 +11,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .bell import BellRecipe, build_logical, complementary_decompose, symbolize, \
-    symbolize_decomposed
-from .bounds import BOUND_ATOL, classical_bounds, dichotomic_term_bound, \
-    quantum_lower_bound, seesaw_optimize, sos_pairing_search
-from .cases import RunConfig, case_names, emit_table, run_case, run_cases
+from .bell import BellRecipe
+from .cases import RunConfig, build_report, case_names, emit_table, run_cases
 from .pauli import QubitCapError
 
 
@@ -52,16 +47,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("nothing to verify: pass --case NAME (repeatable) or --all",
               file=sys.stderr)
         return 2
-    unknown = [n for n in names if n not in case_names() and ":" not in n]
+    unknown = [n for n in names if n not in case_names()]
     if unknown:
         print(f"unknown case(s): {', '.join(unknown)}", file=sys.stderr)
         print(f"known: {', '.join(case_names())}", file=sys.stderr)
         return 2
     try:
         results = run_cases(names, _config(args))
-    except KeyError as exc:
-        print(f"bad case name: {exc.args[0]}", file=sys.stderr)
-        return 2
     except QubitCapError as exc:
         return _cap_exceeded(exc, args)
     failed = 0
@@ -95,69 +87,13 @@ def cmd_build(args: argparse.Namespace) -> int:
     except (ValueError, KeyError) as exc:
         print(f"recipe error in {args.config}: {exc}", file=sys.stderr)
         return 2
-    ops = recipe.logical_ops()
-    logical_form = build_logical(recipe, ops)
-
-    kind = recipe.decomposition.get("kind", "none")
-    pipeline_residual = 0.0
-    sos_status = "not-attempted"
-    rough_bound = recipe.beta_q
     try:
-        if kind == "complementary":
-            dec = complementary_decompose(logical_form, recipe.decomposition["pivot"])
-            expr, _ = symbolize_decomposed(dec)
-            operator = dec.to_pauli_sum()
-            pipeline_residual = float(np.max(np.abs(
-                operator.to_dense(args.cap_qubits)
-                - logical_form.to_dense(args.cap_qubits))))
-            terms = dec.term_operators()
-            if len(terms) <= 8:
-                cert, rep = sos_pairing_search(terms, recipe.beta_q)
-                sos_status = "verified" if cert else "failed"
-        elif kind == "chained":
-            from .bell import chained_construction
-            if recipe.basis.name != "bell":
-                print("chained decomposition is defined on the two-qubit "
-                      "Bell-state basis", file=sys.stderr)
-                return 2
-            ch = chained_construction(int(recipe.decomposition["n"]))
-            expr, operator = ch.expression, ch.operator
-            rough_bound = ch.quantum_bound
-            pipeline_residual = float(np.max(np.abs(
-                operator.to_dense(args.cap_qubits)
-                - (ch.quantum_bound * ops.z).to_dense(args.cap_qubits))))
-        elif kind == "none":
-            operator = logical_form
-            expr, _ = symbolize(operator, recipe.symbols)
-        else:
-            print(f"unknown decomposition kind {kind!r}", file=sys.stderr)
-            return 2
+        report = build_report(recipe, _config(args), args.seesaw)
     except QubitCapError as exc:
         return _cap_exceeded(exc, args)
     except ValueError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return 2
-
-    cb = classical_bounds(expr)
-    try:
-        q, _ = quantum_lower_bound(operator, args.cap_qubits)
-        seesaw = seesaw_optimize(expr, restarts=8, seed=args.seed,
-                                 cap=args.cap_qubits) if args.seesaw else None
-    except QubitCapError as exc:
-        return _cap_exceeded(exc, args)
-    report = {
-        "expression": str(expr),
-        "classical_min": cb.minimum,
-        "classical_max": cb.maximum,
-        "quantum_lower": q,
-        "rough_bound": rough_bound,
-        "dichotomic_bound": dichotomic_term_bound(expr),
-        "pipeline_residual": pipeline_residual,
-        "sos_status": sos_status,
-        "violation": bool(q > cb.maximum + BOUND_ATOL),
-    }
-    if seesaw is not None:
-        report["seesaw_value"] = seesaw.value
     _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
     return 0
 
@@ -171,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p_verify = sub.add_parser("verify", help="run golden cases and compare")
     p_verify.add_argument("--case", action="append",
-                          help="case name (repeatable); see --list")
+                          help="case name (repeatable); see `bellforge list`")
     p_verify.add_argument("--all", action="store_true", help="run every case")
     p_verify.add_argument("--json", help="also write results as JSON to a file")
     _shared_flags(p_verify)

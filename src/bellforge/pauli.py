@@ -208,14 +208,6 @@ class PauliTerm:
         return out
 
 
-def multiply(a: PauliTerm, b: PauliTerm) -> PauliTerm:
-    return a * b
-
-
-def commutes(a: PauliTerm, b: PauliTerm) -> bool:
-    return a.commutes(b)
-
-
 @dataclass
 class PauliSum:
     """Hermitian operator as a finite real combination of Pauli strings."""
@@ -402,14 +394,6 @@ def eig_bounds(m: np.ndarray) -> tuple[float, float]:
     """(lambda_min, lambda_max) of a Hermitian matrix."""
     vals = np.linalg.eigvalsh(check_hermitian(m))
     return float(vals[0]), float(vals[-1])
-
-
-def lambda_max(m: np.ndarray) -> float:
-    return eig_bounds(m)[1]
-
-
-def lambda_min(m: np.ndarray) -> float:
-    return eig_bounds(m)[0]
 
 
 def top_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:

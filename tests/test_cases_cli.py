@@ -32,6 +32,13 @@ LOOP5_RECIPE = {
     "symbols": {"Z": "A", "X": "B", "Y": "C"},
 }
 
+# family-like names outside the catalog: past chained:6, or with the member
+# number padded, signed or zero-led
+OLD_PARSER_ONLY = ["chained:7", "chained:8"] + [
+    f"{head}:{pad}{n}" for head, n in (("chained", 4), ("mermin", 3),
+                                       ("svetlichny", 8))
+    for pad in ("0", " ", "+")]
+
 
 class TestCatalog:
     def test_names_cover_families(self):
@@ -48,6 +55,14 @@ class TestCatalog:
             run_case("mermin:9")
         with pytest.raises(KeyError):
             run_case("chained:x")
+        with pytest.raises(KeyError):
+            run_case("chained:7")
+
+    @pytest.mark.parametrize("name", OLD_PARSER_ONLY)
+    def test_only_listed_names_run(self, name):
+        assert name not in case_names()
+        with pytest.raises(KeyError, match="unknown case"):
+            run_case(name)
 
     def test_chsh_case_passes(self):
         r = run_case("chsh", RunConfig(seed=3))
@@ -135,6 +150,11 @@ class TestCli:
     def test_verify_unknown_case(self, capsys):
         rc = cli_main(["verify", "--case", "nope"])
         assert rc == 2
+        capsys.readouterr()
+        assert cli_main(["verify", "--case", "chained:7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown case(s): chained:7" in captured.err
 
     def test_verify_bad_parametrized_case(self, capsys):
         assert cli_main(["verify", "--case", "chained:12"]) == 2
@@ -186,6 +206,18 @@ class TestCli:
         assert report["classical_max"] == 8.0
         assert abs(report["quantum_lower"] - 16.0) < 1e-9
         assert report["violation"] is True
+
+    def test_build_reproduces_catalog_row(self, tmp_path, capsys):
+        # the loop-5 recipe is the l5-mermin case, so build reports its row
+        cfg = tmp_path / "recipe.json"
+        cfg.write_text(json.dumps(LOOP5_RECIPE))
+        out = tmp_path / "out.json"
+        assert cli_main(["build", "--config", str(cfg), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        row = json.loads(json.dumps(run_case("l5-mermin").to_dict()))
+        assert report["expression"] == row["expression"]
+        assert {k: report[k] for k in row["bounds"]} == row["bounds"]
+        assert set(report) == {"expression", "pipeline_residual", *row["bounds"]}
 
     @pytest.mark.parametrize("seesaw", [False, True])
     def test_build_above_cap_exits_2(self, tmp_path, capsys, seesaw):

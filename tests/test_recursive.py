@@ -133,25 +133,6 @@ class TestLevelInvariants:
 
 
 class TestFamilyCases:
-    @pytest.mark.parametrize("n,classical,quantum", [
-        (3, 2.0, 4.0), (4, 4.0, 8.0), (5, 4.0, 16.0)])
-    def test_mermin_enumerated(self, n, classical, quantum):
-        case = mermin_case(n)
-        cb = classical_bounds(case.expression)
-        assert cb.maximum == classical
-        q, _ = quantum_lower_bound(case.operator)
-        assert abs(q - quantum) < 1e-9
-
-    @pytest.mark.parametrize("n,classical,quantum", [
-        (3, 4.0, 4 * math.sqrt(2)), (4, 4.0, 8 * math.sqrt(2)),
-        (5, 8.0, 16 * math.sqrt(2))])
-    def test_svetlichny_enumerated(self, n, classical, quantum):
-        case = svetlichny_case(n)
-        cb = classical_bounds(case.expression)
-        assert cb.maximum == classical
-        q, _ = quantum_lower_bound(case.operator)
-        assert abs(q - quantum) < 1e-9
-
     def test_members_at_n10(self):
         # n = MAX_LEVEL: the 1024-dim render is a scatter, so eigh dominates
         # and both members take a few seconds
@@ -165,15 +146,6 @@ class TestFamilyCases:
             # mermin:10 at q = 512.0000000000003 against 511.9999999999999
             assert q <= dichotomic_term_bound(case.expression) + 1e-9
 
-    def test_published_bounds_hold(self):
-        # the published family bounds are valid upper bounds at every n,
-        # tight only for the smallest members
-        for n in range(3, 7):
-            cm = classical_bounds(mermin_case(n).expression).maximum
-            cs = classical_bounds(svetlichny_case(n).expression).maximum
-            assert cm <= 2.0 ** (n - 2) + 1e-12
-            assert cs <= 2.0 ** (n - 1) + 1e-12
-
 
 class TestAssignmentValueBound:
     def test_two_qubit_value_reaches_one(self):
@@ -184,11 +156,3 @@ class TestAssignmentValueBound:
     def test_half_for_small_levels(self, n):
         assert assignment_value_bound(n, "z") == Fraction(1, 2)
         assert assignment_value_bound(n, "x") == Fraction(1, 2)
-
-    @pytest.mark.parametrize("n,value", [
-        (5, Fraction(1, 4)), (6, Fraction(1, 4)),
-        (7, Fraction(1, 8)), (8, Fraction(1, 8))])
-    def test_exact_decay_beyond_small_levels(self, n, value):
-        v = assignment_value_bound(n, "z")
-        assert v == value
-        assert v <= Fraction(1, 2)   # the published bound still holds
