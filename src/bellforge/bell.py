@@ -515,11 +515,13 @@ class BellRecipe:
             beta = float(beta_raw)
             if beta <= 0:
                 raise ValueError("beta_q must be positive")
+        decomposition = data.get("decomposition", {"kind": "none"})
+        _check_decomposition(decomposition)
         return cls(
             basis=basis,
             k=(float(k[0]), float(k[1]), float(k[2])),
             beta_q=beta,
-            decomposition=data.get("decomposition", {"kind": "none"}),
+            decomposition=decomposition,
             symbols=data.get("symbols", {"Z": "A", "X": "B", "Y": "C"}),
             group=group,
             flip=flip,
@@ -529,6 +531,26 @@ class BellRecipe:
         if self.group is not None and self.flip is not None:
             return logical_paulis_symbolic(self.group, self.flip, self.basis)
         return logical_paulis_numeric(self.basis)
+
+
+def _check_decomposition(spec) -> None:
+    """Raise ValueError unless ``spec`` names a known decomposition kind with
+    its parameter: an integer ``pivot`` for complementary, an integer ``n`` of
+    at least 2 for chained, nothing for none (the default kind)."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"decomposition must be an object, not {spec!r}")
+    kind = spec.get("kind", "none")
+    if kind == "none":
+        return
+    key = {"complementary": "pivot", "chained": "n"}.get(kind) \
+        if isinstance(kind, str) else None
+    if key is None:
+        raise ValueError(f"unknown decomposition kind {kind!r}")
+    value = spec.get(key)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{kind} decomposition needs an integer {key!r}, got {value!r}")
+    if kind == "chained" and value < 2:
+        raise ValueError(f"chained decomposition needs n >= 2, got {value}")
 
 
 def build_logical(recipe: BellRecipe, ops: LogicalPaulis | None = None) -> PauliSum:

@@ -21,13 +21,19 @@ and batched partial traces and Bloch projections update all of its settings
 at once. Each render runs from a plan compiled once per call, a table of
 factor indices per term and party plus one term range per output operator,
 and from a stack of the current 2x2 setting matrices; updating a setting
-overwrites one slot of that stack. Terms are built party-major (each party's
-factor indices outermost, so every multiply runs over a contiguous axis), one
+overwrites one slot of that stack. A party's leave-one-out operators are
+B (x) I on that party, so its plan drops the party and each B is rendered on
+the other n-1 parties, a quarter of the work, and written into both diagonal
+blocks of the party's axis. Terms are built party-major (each party's factor
+indices outermost, so every multiply runs over a contiguous axis), one
 broadcast product per party for a chunk of at most ``_RENDER_CHUNK_BYTES`` of
-terms, so memory stays a few operators whatever the term count. Each
+terms, so memory stays a few operators whatever the term count; the product
+buffers and the running sum are allocated once per see-saw call. Each
 operator's terms are summed in order and transposed to (row, col) layout once.
 The products and the sums follow a per-term Kronecker chain, so the operators
-are bit-identical to it.
+are bit-identical to it: dropping an identity factor changes at most the sign
+of a zero, and a party's sums start from +0.0, so every zero reads +0.0 in
+both.
 """
 
 from __future__ import annotations
@@ -355,17 +361,20 @@ class SeesawResult:
 
 
 def _render_plan(expr: BellExpression, symbols: list[Symbol], party: int | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, list[int], float]:
+                 ) -> tuple[np.ndarray, np.ndarray, list[int], float, int | None]:
     """Compile ``expr`` for repeated dense renders with changing settings.
 
-    Returns ``(index, coeffs, ends, constant)``: ``index[t, p]`` picks term t's
-    factor on party p from a ``mats`` stack (0 the identity, j the matrix of
-    ``symbols[j - 1]``), ``coeffs`` holds the term coefficients, output
-    operator s sums terms ``ends[s - 1]:ends[s]`` (from 0 for s = 0), and
-    ``constant`` multiplies the identity the first operator starts from.
-    Without ``party`` there is one operator, ``expr`` itself. With ``party``
-    there is one per symbol of that party, in ``symbols`` order: the terms
-    holding the symbol, its factor made the identity, and no constant.
+    Returns ``(index, coeffs, ends, constant, party)``: ``index[t, q]`` picks
+    term t's factor on the q-th rendered party from a ``mats`` stack (0 the
+    identity, j the matrix of ``symbols[j - 1]``), ``coeffs`` holds the term
+    coefficients, output operator s sums terms ``ends[s - 1]:ends[s]`` (from 0
+    for s = 0), and ``constant`` multiplies the identity the first operator
+    starts from. Without ``party`` there is one operator, ``expr`` itself, and
+    every party is rendered. With ``party`` there is one per symbol of that
+    party, in ``symbols`` order: the terms holding the symbol and no constant.
+    Its factor on ``party`` is then the identity in every term, so that column
+    is dropped and ``_render`` places the operators on the other parties
+    beside an identity on ``party``.
     """
     slot = {sym: j for j, sym in enumerate(symbols, 1)}
     if party is None:
@@ -382,26 +391,52 @@ def _render_plan(expr: BellExpression, symbols: list[Symbol], party: int | None 
         for sym in key:
             if sym != skip:
                 index[t, sym[0]] = slot[sym]
+    if party is not None:
+        index = np.delete(index, party, axis=1)
     # complex, so scaling the terms in place needs no cast buffer
     coeffs = np.array([expr.terms[key] for _, key in entries], dtype=complex)
-    return index, coeffs, ends, (expr.constant if party is None else 0.0)
+    return index, coeffs, ends, (expr.constant if party is None else 0.0), party
 
 
-def _party_major_products(factors: np.ndarray) -> np.ndarray:
+def _chunk_terms(term_size: int) -> int:
+    """Terms of ``term_size`` entries built at once by ``_render``."""
+    return max(1, _RENDER_CHUNK_BYTES // (16 * term_size))
+
+
+def _render_workspace(plans) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Buffers that ``_render`` of any of ``plans`` works in: two for the term
+    products (each party's product reads one and writes the other) and one
+    for the running sum."""
+    products = sums = 1
+    for index, *_ in plans:
+        term_size = 4 ** index.shape[1]
+        products = max(products, min(len(index), _chunk_terms(term_size)) * term_size)
+        sums = max(sums, term_size)
+    return (np.empty(products, dtype=complex), np.empty(products, dtype=complex),
+            np.empty(sums, dtype=complex))
+
+
+def _party_major_products(factors: np.ndarray, buffers=None) -> np.ndarray:
     """Tensor products over p of the 2x2 ``factors[t, p]``, flat, party-major.
 
     Term t's entries run over the axes (a_{n-1}, b_{n-1}, ..., a_0, b_0): each
     party's factor goes outermost, so every multiply runs over a contiguous
     inner axis, and the product so far comes first, as in a Kronecker product.
+    With ``buffers``, a pair of flat arrays each large enough for the result,
+    the products alternate between them and the result is a view of one.
     """
     size, n = factors.shape[:2]
     terms = np.ones((size, 1), dtype=complex)
     for p in range(n):
-        terms = (terms[:, None, None, :] * factors[:, p, :, :, None]).reshape(size, -1)
+        shape = (size, 2, 2, terms.shape[1])
+        out = None if buffers is None else \
+            buffers[p % 2][:math.prod(shape)].reshape(shape)
+        terms = np.multiply(terms[:, None, None, :], factors[:, p, :, :, None],
+                            out=out).reshape(size, -1)
     return terms
 
 
-def _render(plan, mats: np.ndarray) -> np.ndarray:
+def _render(plan, mats: np.ndarray, work=None) -> np.ndarray:
     """Stack of the dense operators of a ``_render_plan`` for the factors in ``mats``.
 
     Terms are built party-major a chunk of at most ``_RENDER_CHUNK_BYTES`` at
@@ -410,18 +445,31 @@ def _render(plan, mats: np.ndarray) -> np.ndarray:
     first term in the next chunk. The sums start from -0.0, which, unlike
     ``np.add.reduce``'s default +0.0, leaves a -0.0 entry as the Kronecker
     chain has it. An operator is transposed to (row, col) layout once, when
-    its last term is in.
+    its last term is in. A party plan's operators are rendered on the other
+    parties and written into both diagonal blocks of the party's axis; the
+    other blocks stay +0.0, as the Kronecker chain has them there (its party
+    sums start from +0.0 and never return -0.0). ``work`` is a
+    ``_render_workspace`` for the plan; without it one is allocated.
     """
-    index, coeffs, ends, constant = plan
-    n_terms, n = index.shape
-    dim = 1 << n
-    # (a_{n-1}, b_{n-1}, ..., a_0, b_0) -> (a_0, ..., a_{n-1}, b_0, ..., b_{n-1})
-    to_rows = [*range(2 * n - 2, -1, -2), *range(2 * n - 1, 0, -2)]
+    index, coeffs, ends, constant, party = plan
+    n_terms, m = index.shape            # m parties rendered
+    n = m if party is None else m + 1
+    term_size = 4 ** m
+    *products, acc = work if work is not None else _render_workspace([plan])
+    acc = acc[:term_size]
+    # (a_{m-1}, b_{m-1}, ..., a_0, b_0) -> (a_0, ..., a_{m-1}, b_0, ..., b_{m-1})
+    to_rows = [*range(2 * m - 2, -1, -2), *range(2 * m - 1, 0, -2)]
     start = 0.0
     if constant:
         start = constant * _party_major_products(mats[np.zeros((1, n), np.intp)])[0]
-    stack = np.empty((len(ends), dim, dim), dtype=complex)
-    acc = np.empty(dim * dim, dtype=complex)
+    stack = np.zeros((len(ends), 1 << n, 1 << n), dtype=complex)
+    axes = stack.reshape(len(ends), *(2,) * 2 * n)
+    if party is None:
+        blocks = [axes]
+    else:
+        # the rendered parties' row and column axes at a_party = b_party = a
+        blocks = [axes[(slice(None),) * (1 + party) + (a,) + (slice(None),) * (n - 1) + (a,)]
+                  for a in (0, 1)]
     acc[...] = start
     done = 0
 
@@ -429,14 +477,15 @@ def _render(plan, mats: np.ndarray) -> np.ndarray:
         # emit every operator whose terms all lie before term t
         nonlocal done
         while done < len(ends) and ends[done] <= t:
-            stack[done].reshape((2,) * 2 * n)[...] = \
-                acc.reshape((2,) * 2 * n).transpose(to_rows)
+            rows = acc.reshape((2,) * 2 * m).transpose(to_rows)
+            for block in blocks:
+                block[done] = rows
             acc[...] = start
             done += 1
 
-    chunk = max(1, _RENDER_CHUNK_BYTES // (16 * dim * dim))
+    chunk = _chunk_terms(term_size)
     for lo in range(0, n_terms, chunk):
-        terms = _party_major_products(mats[index[lo:lo + chunk]])
+        terms = _party_major_products(mats[index[lo:lo + chunk]], products)
         size = len(terms)
         terms *= coeffs[lo:lo + size, None]
         a = lo
@@ -484,6 +533,7 @@ def seesaw_optimize(expr: BellExpression, restarts: int = 16, seed: int = 0,
         slots = [j for j, sym in enumerate(symbols, 1) if sym[0] == p]
         if slots:
             party_plans.append((p, slots, _render_plan(expr, symbols, party=p)))
+    work = _render_workspace([full, *(plan for _, _, plan in party_plans)])
     mats = np.empty((len(symbols) + 1, 2, 2), dtype=complex)
     mats[0] = _PAULI_2X2["I"]
     best_value = -math.inf
@@ -505,12 +555,12 @@ def seesaw_optimize(expr: BellExpression, restarts: int = 16, seed: int = 0,
 
         trajectory: list[float] = []
         value = -math.inf
-        operator = _render(full, mats)[0]
+        operator = _render(full, mats, work)[0]
         for _ in range(max_sweeps):
             _, state = top_eigenpair(operator)
             rho = np.outer(state, state.conj())
             for p, slots, plan in party_plans:
-                ptr = _partial_trace_keep(rho @ _render(plan, mats), p, n)
+                ptr = _partial_trace_keep(rho @ _render(plan, mats, work), p, n)
                 h = (ptr + ptr.conj().swapaxes(1, 2)) / 2
                 bloch = np.trace(h[:, None] @ _BLOCH_PAULIS, axis1=2, axis2=3).real
                 for j, u in zip(slots, bloch):
@@ -519,7 +569,7 @@ def seesaw_optimize(expr: BellExpression, restarts: int = 16, seed: int = 0,
                         sym = symbols[j - 1]
                         blochs[sym] = u / norm
                         mats[j] = _bloch_matrix(blochs[sym])
-            operator = _render(full, mats)[0]
+            operator = _render(full, mats, work)[0]
             new_value = float(np.vdot(state, operator @ state).real)
             trajectory.append(new_value)
             if new_value < value - 1e-12 * max(1.0, abs(value)):

@@ -20,6 +20,7 @@ import numpy as np
 from .bell import (
     BellExpression,
     BellRecipe,
+    _check_decomposition,
     build_logical,
     chained_construction,
     complementary_decompose,
@@ -478,6 +479,7 @@ def build_report(recipe: BellRecipe, config: RunConfig, seesaw: bool) -> dict:
     Raises ValueError when the recipe does not fit its decomposition and
     QubitCapError above ``config.cap_qubits``.
     """
+    _check_decomposition(recipe.decomposition)
     cap = config.cap_qubits
     ops = recipe.logical_ops()
     logical_form = build_logical(recipe, ops)
@@ -496,14 +498,12 @@ def build_report(recipe: BellRecipe, config: RunConfig, seesaw: bool) -> dict:
         if recipe.basis.name != "bell":
             raise ValueError("chained decomposition is defined on the two-qubit "
                              "Bell-state basis")
-        ch = chained_construction(int(recipe.decomposition["n"]))
+        ch = chained_construction(recipe.decomposition["n"])
         expr, operator, rough = ch.expression, ch.operator, ch.quantum_bound
         residual = _residual(operator, ch.quantum_bound * ops.z, cap)
-    elif kind == "none":
+    else:
         operator = logical_form
         expr, _ = symbolize(operator, recipe.symbols)
-    else:
-        raise ValueError(f"unknown decomposition kind {kind!r}")
     seesaw_value = seesaw_optimize(expr, restarts=8, seed=config.seed,
                                    cap=cap).value if seesaw else None
     report = _report(expr, operator, rough=rough, cap=cap, sos_status=sos_status,

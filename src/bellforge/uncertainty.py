@@ -110,10 +110,19 @@ class SweepResult:
 
 
 def _random_densities(rng: np.random.Generator, samples: int, dim: int) -> np.ndarray:
-    g = rng.normal(size=(samples, dim, dim)) + 1j * rng.normal(size=(samples, dim, dim))
+    """``samples`` random dim x dim densities G G^dagger / tr(G G^dagger).
+
+    G's real and imaginary parts are written straight into it and the trace
+    is divided out in place, so neither the complex sum nor the quotient
+    needs an array of its own.
+    """
+    g = np.empty((samples, dim, dim), dtype=complex)
+    g.real = rng.normal(size=(samples, dim, dim))
+    g.imag = rng.normal(size=(samples, dim, dim))
     rhos = np.einsum("kij,klj->kil", g, g.conj())
     traces = np.einsum("kii->k", rhos).real
-    return rhos / traces[:, None, None]
+    rhos /= traces[:, None, None]
+    return rhos
 
 
 def uncertainty_sweep(samples: int = 10000, seed: int = 0) -> SweepResult:

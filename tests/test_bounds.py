@@ -503,6 +503,32 @@ class TestSeesawRender:
             peak = render_peak(plan, mats)
             assert peak <= (k + 3) * operator + bounds._RENDER_CHUNK_BYTES
 
+    def test_party_stack_is_identity_on_its_party(self):
+        # each leave-one-out operator of party p is B (x) I_p: rendered on the
+        # other parties, its two diagonal blocks on p are bitwise equal and the
+        # off-diagonal ones +0.0
+        rng = np.random.default_rng(47)
+        exprs = [loop5_expressions()[1]] + [
+            random_expression(rng, parties, sparse=bool(parties % 2),
+                              constant=float(rng.integers(-1, 2)))
+            for parties in [1, 2, 3, 4, 5] * 3]
+        for expr in exprs:
+            n = expr.parties
+            _, mats = random_settings(rng, expr.symbols)
+            for party in range(n):
+                plan = bounds._render_plan(expr, expr.symbols, party)
+                assert plan[0].shape == (len(plan[1]), n - 1)
+                stack = bounds._render(plan, mats)
+                blocks = stack.reshape(len(stack), 1 << party, 2, 1 << (n - party - 1),
+                                       1 << party, 2, 1 << (n - party - 1))
+                for a, b in ((0, 1), (1, 0)):
+                    off = blocks[:, :, a, :, :, b, :]
+                    assert np.all(off == 0), (str(expr), party)
+                    assert not np.signbit(off.view(float)).any(), (str(expr), party)
+                assert_same_bits(np.ascontiguousarray(blocks[:, :, 0, :, :, 0, :]),
+                                 np.ascontiguousarray(blocks[:, :, 1, :, :, 1, :]),
+                                 (str(expr), party))
+
     @pytest.mark.parametrize("terms_per_chunk", [1, None])
     def test_negative_zero_entries_keep_their_sign(self, monkeypatch, terms_per_chunk):
         # the constant -1 * I and both terms -1 * Z have -0.0 real parts off

@@ -255,6 +255,28 @@ class TestCli:
         assert report["sos_status"] == "verified"
         assert report["pipeline_residual"] <= 1e-10
 
+    @pytest.mark.parametrize("decomposition,message", [
+        ({"kind": "complementary"}, "complementary decomposition needs an integer 'pivot'"),
+        ({"kind": "chained"}, "chained decomposition needs an integer 'n'"),
+        ({"kind": "complementary", "pivot": 1.0}, "needs an integer 'pivot', got 1.0"),
+        ({"kind": "chained", "n": "3"}, "needs an integer 'n', got '3'"),
+        ({"kind": "chained", "n": 1}, "chained decomposition needs n >= 2"),
+        ({"kind": "pivoted", "pivot": 1}, "unknown decomposition kind 'pivoted'"),
+        ({"kind": ["chained"], "n": 3}, "unknown decomposition kind ['chained']"),
+        (["complementary", 1], "decomposition must be an object"),
+    ])
+    def test_build_rejects_bad_decomposition(self, tmp_path, capsys, decomposition,
+                                             message):
+        recipe = {"basis": {"kind": "bell"}, "k": [0, 0, 1], "beta_q": 2.0,
+                  "decomposition": decomposition}
+        cfg = tmp_path / "recipe.json"
+        cfg.write_text(json.dumps(recipe))
+        assert cli_main(["build", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"recipe error in {cfg}: ")
+        assert message in captured.err
+
     def test_console_script_entry(self):
         # the child imports the package this test imported, installed or not
         src = str(Path(bellforge.__file__).resolve().parents[1])

@@ -126,6 +126,31 @@ class TestSymbolicRoute:
                      (sym.ident, num.ident)):
             assert sums_match(a, b, atol=1e-12)
 
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_numeric_route_on_random_graph_codes(self, n):
+        # 10 codes below n = 6, 3 at n = 6, where the numeric route's 4^n
+        # scan takes about 0.4 s a code
+        rng = np.random.default_rng(60 + n)
+        codes = 10 if n < 6 else 3
+        checked = attempts = 0
+        while checked < codes and attempts < 4 * codes:
+            attempts += 1
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < 0.5]
+            group = graph_state_generators(GraphSpec.from_edges(n, edges))
+            flip = PauliTerm.from_string("".join(rng.choice(list("IXYZ"), size=n)))
+            try:
+                basis = basis_from_flip(group, flip)
+            except ValueError:
+                continue   # the flip commutes with the whole group
+            sym = logical_paulis_symbolic(group, flip, basis)
+            num = logical_paulis_numeric(basis)
+            for a, b in ((sym.z, num.z), (sym.x, num.x), (sym.y, num.y),
+                         (sym.ident, num.ident)):
+                assert sums_match(a, b, atol=1e-12), (edges, str(flip))
+            checked += 1
+        assert checked == codes
+
     def test_invalid_flip(self):
         group, _ = loop5_parts()
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from bellforge.logical import logical_paulis_numeric, sums_match
 from bellforge.stabilizer import bell_basis
 from bellforge.uncertainty import (
     DirectionXZ,
+    _random_densities,
     bell_op_xz,
     check_density,
     lemma_check,
@@ -126,6 +127,18 @@ class TestSamplers:
     def test_check_density_rejects(self):
         with pytest.raises(ValueError):
             check_density(np.diag([2.0, -1.0]))
+
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_batched_densities_match_expression_oracle(self, dim):
+        # the sampler as one expression, with its sample-sized temporaries
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=(500, dim, dim)) + 1j * rng.normal(size=(500, dim, dim))
+        rhos = np.einsum("kij,klj->kil", g, g.conj())
+        want = rhos / np.einsum("kii->k", rhos).real[:, None, None]
+        got = _random_densities(np.random.default_rng(3), 500, dim)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        check_density(got[0])
 
 
 class TestQuadratic:
