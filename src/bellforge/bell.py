@@ -11,6 +11,7 @@ changes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,14 +53,6 @@ class Setting:
         sq = product(self.op, self.op)
         if len(sq) != 1 or abs(sq.coeff(PauliTerm.identity(1)) - 1.0) > DICHOTOMY_ATOL:
             raise ValueError(f"setting {self.label} is not dichotomic: op^2 != I")
-
-    @classmethod
-    def from_bloch(cls, party: int, label: str, bloch) -> "Setting":
-        bx, by, bz = (float(v) for v in bloch)
-        norm = math.sqrt(bx * bx + by * by + bz * bz)
-        op = PauliSum.from_strings(
-            [("X", bx / norm), ("Y", by / norm), ("Z", bz / norm)], n=1)
-        return cls(party, label, op)
 
     def bloch(self) -> tuple[float, float, float]:
         return (self.op.coeff(PauliTerm.from_string("X")),
@@ -111,13 +104,22 @@ class BellExpression:
         out = {s for key in self.terms for s in key}
         return sorted(out)
 
-    def symbols_by_party(self) -> dict[int, list[str]]:
-        out: dict[int, list[str]] = {}
-        for party, label in self.symbols:
-            out.setdefault(party, []).append(label)
-        return {p: sorted(ls) for p, ls in out.items()}
+    def factor_table(self, symbols: list[Symbol] | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """``(index, coeffs)``: ``index[t, p]`` is 1 + the position in ``symbols``
+        (default ``self.symbols``; it may hold more) of term t's symbol on party
+        p, 0 if it has none; ``coeffs`` is float64. Both run in term order."""
+        slot = {sym: j for j, sym in enumerate(
+            self.symbols if symbols is None else symbols, 1)}
+        index = np.zeros((len(self.terms), self.parties), dtype=np.intp)
+        for t, key in enumerate(self.terms):
+            for sym in key:
+                index[t, sym[0]] = slot[sym]
+        return index, np.array(list(self.terms.values()), dtype=float)
 
     def evaluate(self, assignment: dict[Symbol, int]) -> float:
+        """The value at one assignment by a direct term walk, not ``factor_table``:
+        the independent oracle behind ``classical_bounds_bruteforce``."""
         total = self.constant
         for key, coeff in self.terms.items():
             v = coeff
@@ -153,7 +155,11 @@ class BellExpression:
 
 def render_operator(expr: BellExpression,
                     bindings: dict[Symbol, Setting]) -> PauliSum:
-    """Substitute bound settings into the expression, yielding the Bell operator."""
+    """Substitute bound settings into the expression, yielding the Bell operator.
+
+    A symbolic term walk, not ``factor_table``: the operator's strings and
+    coefficients come from exact Pauli products, not dense matrices, and so
+    fix the bits of the chained construction's operator."""
     n = expr.parties
     out = PauliSum.identity(n, expr.constant) if expr.constant else PauliSum.zero(n)
     for key, coeff in expr.terms.items():
@@ -449,27 +455,20 @@ def chained_construction(n: int) -> ChainedConstruction:
     )
 
 
-def chained_z_reconstruction(n: int) -> PauliSum:
-    """(1/n) * sum_k Z1(t_k) Z2(t_k) with t_k = (k-1)pi/n; equals the logical Z."""
-    out = PauliSum.zero(2)
-    for k in range(1, n + 1):
-        theta = (k - 1) * math.pi / n
-        za = xz_setting(0, "a", theta).embed(2)
-        zb = xz_setting(1, "b", theta).embed(2)
-        out = out + (1.0 / n) * product(za, zb)
-    return out
+def chained_reconstruction(n: int, logical: str) -> PauliSum:
+    """The logical Z or X of the two-qubit Bell basis, for every n >= 2.
 
-
-def chained_x_reconstruction(n: int) -> PauliSum:
-    """The logical X as (logical Z) * (i Y2), resolved over half-offset angles.
-
-    (1/n) * sum_k Z1((k-1)pi/n) Z2((n + 2k - 2)pi/2n); equals the logical X
-    of the two-qubit Bell basis for every n >= 2.
+    (1/n) * sum_k Z1((2k-2)pi/2n) Z2((shift + 2k-2)pi/2n), with shift 0 for
+    ``logical="z"`` and n for ``"x"``: the logical X is (logical Z) * (i Y2),
+    resolved over half-offset angles.
     """
+    if logical not in ("z", "x"):
+        raise ValueError(f"logical must be 'z' or 'x', got {logical!r}")
+    shift = 0 if logical == "z" else n
     out = PauliSum.zero(2)
     for k in range(1, n + 1):
-        za = xz_setting(0, "a", (k - 1) * math.pi / n).embed(2)
-        zb = xz_setting(1, "b", (n + 2 * k - 2) * math.pi / (2 * n)).embed(2)
+        za = xz_setting(0, "a", (2 * k - 2) * math.pi / (2 * n)).embed(2)
+        zb = xz_setting(1, "b", (shift + 2 * k - 2) * math.pi / (2 * n)).embed(2)
         out = out + (1.0 / n) * product(za, zb)
     return out
 
@@ -491,6 +490,8 @@ class BellRecipe:
     @classmethod
     def from_dict(cls, data: dict) -> "BellRecipe":
         basis_spec = data["basis"]
+        if not isinstance(basis_spec, dict):
+            raise ValueError(f"basis must be an object, not {basis_spec!r}")
         kind = basis_spec["kind"]
         group = flip = None
         if kind == "bell":
@@ -505,24 +506,33 @@ class BellRecipe:
             basis = basis_from_flip(group, flip)
         else:
             raise ValueError(f"unknown basis kind {kind!r}")
-        k = np.asarray(data.get("k", [0, 0, 1]), dtype=float)
+        k = data.get("k", [0, 0, 1])
+        if not (isinstance(k, list) and len(k) == 3 and all(map(_is_real, k))):
+            raise ValueError(f"direction k must be three real numbers, got {k!r}")
+        k = np.asarray(k, dtype=float)
         if abs(np.linalg.norm(k) - 1.0) > 1e-12:
             raise ValueError("direction k must be unit norm")
         beta_raw = data.get("beta_q", "auto")
         if beta_raw == "auto":
             beta = float(2 ** (basis.n - 1) * np.sum(np.abs(k)))
-        else:
+        elif _is_real(beta_raw) and beta_raw > 0:
             beta = float(beta_raw)
-            if beta <= 0:
-                raise ValueError("beta_q must be positive")
+        else:
+            raise ValueError(
+                f'beta_q must be "auto" or a positive real number, got {beta_raw!r}')
         decomposition = data.get("decomposition", {"kind": "none"})
         _check_decomposition(decomposition)
+        symbols = data.get("symbols", {"Z": "A", "X": "B", "Y": "C"})
+        if not (isinstance(symbols, dict) and set(symbols) <= {"X", "Y", "Z"}
+                and all(isinstance(name, str) for name in symbols.values())):
+            raise ValueError("symbols must be an object mapping Pauli letters "
+                             f"X, Y, Z to strings, got {symbols!r}")
         return cls(
             basis=basis,
             k=(float(k[0]), float(k[1]), float(k[2])),
             beta_q=beta,
             decomposition=decomposition,
-            symbols=data.get("symbols", {"Z": "A", "X": "B", "Y": "C"}),
+            symbols=symbols,
             group=group,
             flip=flip,
         )
@@ -531,6 +541,11 @@ class BellRecipe:
         if self.group is not None and self.flip is not None:
             return logical_paulis_symbolic(self.group, self.flip, self.basis)
         return logical_paulis_numeric(self.basis)
+
+
+def _is_real(value) -> bool:
+    """A JSON number that fits a finite float; a bool is not one."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _check_decomposition(spec) -> None:

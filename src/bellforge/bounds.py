@@ -2,10 +2,10 @@
 
 Classical extrema are exact: the expression is multilinear in dichotomic
 symbols, so the extrema over local hidden-variable models are attained at
-deterministic +/-1 assignments, and those are enumerated in full. The terms
-are compiled into a per-party correlator tensor whose contraction with each
-party's strategy table gives every vertex value at once, in blocks of bounded
-size.
+deterministic +/-1 assignments, and those are enumerated in full. The
+expression's ``factor_table`` is scattered into a per-party correlator tensor
+whose contraction with each party's strategy table gives every vertex value
+at once, in blocks of bounded size.
 
 Quantum numbers come in three strengths: the largest eigenvalue of a concrete
 Bell operator (a certified lower bound on the quantum maximum of the abstract
@@ -18,10 +18,10 @@ leave-one-out operator, after every setting update. A symbol's leave-one-out
 operator holds no other setting of its party, so the sweep goes party by
 party: one render gives the stack of that party's leave-one-out operators,
 and batched partial traces and Bloch projections update all of its settings
-at once. Each render runs from a plan compiled once per call, a table of
-factor indices per term and party plus one term range per output operator,
-and from a stack of the current 2x2 setting matrices; updating a setting
-overwrites one slot of that stack. A party's leave-one-out operators are
+at once. Each render runs from a plan cut once per call from the same
+``factor_table`` (its rows, regrouped, plus one term range per output
+operator) and from a stack of the current 2x2 setting matrices; updating a
+setting overwrites one slot of that stack. A party's leave-one-out operators are
 B (x) I on that party, so its plan drops the party and each B is rendered on
 the other n-1 parties, a quarter of the work, and written into both diagonal
 blocks of the party's axis. Terms are built party-major (each party's factor
@@ -105,29 +105,25 @@ def _vertex_blocks(expr: BellExpression, symbols: list[Symbol]):
     parties, each group is contracted over the trailing parties, and blocks of
     leading strategies combine the groups with their signs.
     """
-    axes: list[list[Symbol]] = []
-    for sym in symbols:
-        if not axes or axes[-1][0][0] != sym[0] \
-                or len(axes[-1]) == _AXIS_SETTINGS:
-            axes.append([])
-        axes[-1].append(sym)
-    position = {sym: (a, i) for a, axis in enumerate(axes)
-                for i, sym in enumerate(axis, 1)}
-    tables = [_strategy_table(len(axis)) for axis in axes]
+    # factor-table slot j (symbols[j - 1]) is setting local[j] of axis axis_of[j]
+    axis_of, local = [-1], [0]
+    for j, sym in enumerate(symbols):
+        same = j and symbols[j - 1][0] == sym[0] and local[-1] < _AXIS_SETTINGS
+        axis_of.append(axis_of[-1] + (not same))
+        local.append(local[-1] + 1 if same else 1)
+    tables = [_strategy_table(k) for k in np.bincount(axis_of[1:])]
     sizes = [len(table) for table in tables]
 
-    keys = list(expr.terms)
-    coeffs = np.array([expr.terms[k] for k in keys], dtype=float)
+    slots, coeffs = expr.factor_table(symbols)
     if coeffs.size and float(np.max(np.abs(coeffs - np.round(coeffs)))) < 1e-12:
         coeffs = np.round(coeffs)  # exact integer arithmetic when possible
-    index = np.zeros((len(keys), len(tables)), dtype=np.intp)
-    for t, key in enumerate(keys):
-        for sym in key:
-            a, i = position[sym]
-            index[t, a] = i
+    index = np.zeros((len(coeffs), len(tables)), dtype=np.intp)
+    term, party = np.nonzero(slots)
+    j = slots[term, party]
+    index[term, np.take(axis_of, j)] = np.take(local, j)
 
     # fewest leading axes whose grouped trailing values fit in one block
-    lead_keys, inverse = np.zeros((1, 0), np.intp), np.zeros(len(keys), np.intp)
+    lead_keys, inverse = np.zeros((1, 0), np.intp), np.zeros(len(coeffs), np.intp)
     for lead in range(len(tables) + 1):
         if lead:
             lead_keys, inverse = np.unique(index[:, :lead], axis=0,
@@ -210,19 +206,22 @@ def classical_bounds_bruteforce(expr: BellExpression) -> tuple[float, float]:
 
 def classical_sample_bound(expr: BellExpression, samples: int = 20000,
                            seed: int = 0) -> ClassicalBounds:
-    """Random-vertex sampling; bounds are attained values, not certified extrema."""
+    """Random-vertex sampling; bounds are attained values, not certified extrema.
+
+    Values add the terms in term order; ties go to the first sample drawn."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     symbols = expr.symbols
-    best = ClassicalBounds(math.inf, -math.inf, {}, {}, exact=False)
-    for _ in range(samples):
-        assignment = {s: int(v) for s, v in
-                      zip(symbols, rng.choice((-1, 1), size=len(symbols)))}
-        v = expr.evaluate(assignment)
-        if v > best.maximum:
-            best.maximum, best.witness_max = v, assignment
-        if v < best.minimum:
-            best.minimum, best.witness_min = v, assignment
-    return best
+    index, coeffs = expr.factor_table(symbols)
+    signs = rng.choice((-1, 1), size=(samples, len(symbols)))
+    by_slot = np.hstack([np.ones((samples, 1), dtype=signs.dtype), signs])
+    values = np.full(samples, expr.constant)
+    for row, coeff in zip(index, coeffs):
+        values += coeff * by_slot[:, row].prod(axis=1)
+    lo, hi = int(np.argmin(values)), int(np.argmax(values))
+    wmin, wmax = ({s: int(v) for s, v in zip(symbols, signs[k])} for k in (lo, hi))
+    return ClassicalBounds(float(values[lo]), float(values[hi]), wmin, wmax, exact=False)
 
 
 def quantum_lower_bound(op: PauliSum, cap: int = DENSE_QUBIT_CAP
@@ -376,26 +375,16 @@ def _render_plan(expr: BellExpression, symbols: list[Symbol], party: int | None 
     is dropped and ``_render`` places the operators on the other parties
     beside an identity on ``party``.
     """
-    slot = {sym: j for j, sym in enumerate(symbols, 1)}
-    if party is None:
-        entries = [(None, key) for key in expr.terms]
-        ends = [len(entries)]
-    else:
-        entries, ends = [], []
-        for skip in symbols:
-            if skip[0] == party:
-                entries += [(skip, key) for key in expr.terms if skip in key]
-                ends.append(len(entries))
-    index = np.zeros((len(entries), expr.parties), dtype=np.intp)
-    for t, (skip, key) in enumerate(entries):
-        for sym in key:
-            if sym != skip:
-                index[t, sym[0]] = slot[sym]
-    if party is not None:
-        index = np.delete(index, party, axis=1)
+    index, coeffs = expr.factor_table(symbols)
     # complex, so scaling the terms in place needs no cast buffer
-    coeffs = np.array([expr.terms[key] for _, key in entries], dtype=complex)
-    return index, coeffs, ends, (expr.constant if party is None else 0.0), party
+    coeffs, ends, constant = coeffs.astype(complex), [len(coeffs)], expr.constant
+    if party is not None:
+        rows = [np.flatnonzero(index[:, party] == j)
+                for j, sym in enumerate(symbols, 1) if sym[0] == party]
+        order = np.concatenate([np.zeros(0, np.intp), *rows])
+        index, coeffs = np.delete(index[order], party, axis=1), coeffs[order]
+        ends, constant = np.cumsum([len(r) for r in rows], dtype=int).tolist(), 0.0
+    return index, coeffs, ends, constant, party
 
 
 def _chunk_terms(term_size: int) -> int:

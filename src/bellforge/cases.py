@@ -36,7 +36,7 @@ from .bounds import (
     sos_pairing_search,
 )
 from .logical import logical_paulis_numeric, logical_paulis_symbolic
-from .pauli import PauliSum, PauliTerm
+from .pauli import DENSE_QUBIT_CAP, PauliSum, PauliTerm
 from .recursive import (
     build_level,
     mermin_case,
@@ -66,7 +66,7 @@ ROOT3 = math.sqrt(3.0)
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 7
-    cap_qubits: int = 12
+    cap_qubits: int = DENSE_QUBIT_CAP
     samples: int = 10000
 
     def case_seed(self, name: str) -> int:

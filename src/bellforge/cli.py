@@ -17,10 +17,10 @@ from .pauli import QubitCapError
 
 
 def _shared_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=7, help="master RNG seed")
-    parser.add_argument("--cap-qubits", type=int, default=12,
+    parser.add_argument("--seed", type=int, default=RunConfig.seed, help="master RNG seed")
+    parser.add_argument("--cap-qubits", type=int, default=RunConfig.cap_qubits,
                         help="dense-rendering qubit cap")
-    parser.add_argument("--samples", type=int, default=10000,
+    parser.add_argument("--samples", type=int, default=RunConfig.samples,
                         help="Monte-Carlo sample count for sweep cases")
 
 

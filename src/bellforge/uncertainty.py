@@ -221,31 +221,26 @@ def quadratic_quantum_sweep(case: QuadraticCase, samples: int = 10000,
 
     Every observable gets its own angle: A or B at angle t is
     cos(t) Z + sin(t) X, which covers rotated and reflected setting pairs
-    alike. Vectorized over samples.
+    alike. Vectorized over samples; every term holds one symbol per party.
     """
     rng = np.random.default_rng(seed)
     rhos = _random_densities(rng, samples, 4)
-    angles = {(p, lab): rng.uniform(-math.pi, math.pi, size=samples)
-              for p in (0, 1) for lab in ("A", "B")}
+    symbols = [(p, lab) for p in (0, 1) for lab in ("A", "B")]
+    angles = np.stack([rng.uniform(-math.pi, math.pi, size=samples) for _ in symbols])
+    comps = np.stack([np.cos(angles), np.sin(angles)], axis=1)   # (Z, X) components
 
     # T[k, i, j] = tr(rho_k sigma_i x sigma_j) for i, j in {Z, X}
     basis = [_PAULI_2X2["Z"], _PAULI_2X2["X"]]
     prods = np.stack([np.kron(p, q) for p in basis for q in basis]).reshape(2, 2, 4, 4)
     t = np.einsum("kij,abji->kab", rhos, prods).real
 
-    def expectation(sym_a: Symbol, sym_b: Symbol) -> np.ndarray:
-        ta, tb = angles[sym_a], angles[sym_b]
-        comp_a = np.stack([np.cos(ta), np.sin(ta)])   # (Z, X) components
-        comp_b = np.stack([np.cos(tb), np.sin(tb)])
-        return np.einsum("ak,bk,kab->k", comp_a, comp_b, t)
-
     def value(expr: BellExpression) -> np.ndarray:
+        index, coeffs = expr.factor_table(symbols)
+        if not index.all():
+            raise ValueError(f"a term of {expr} lacks a factor on one party")
         out = np.full(samples, expr.constant)
-        for key, coeff in expr.terms.items():
-            (p1, l1), (p2, l2) = key
-            if p1 != 0:
-                (p1, l1), (p2, l2) = (p2, l2), (p1, l1)
-            out = out + coeff * expectation((p1, l1), (p2, l2))
+        for (a, b), coeff in zip(index, coeffs):
+            out = out + coeff * np.einsum("ak,bk,kab->k", comps[a - 1], comps[b - 1], t)
         return out
 
     lhs = value(case.expr1) ** 2 + value(case.expr2) ** 2

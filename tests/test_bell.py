@@ -12,7 +12,7 @@ from bellforge.bell import (
     Setting,
     build_logical,
     chained_construction,
-    chained_z_reconstruction,
+    chained_reconstruction,
     complementary_decompose,
     embed_single,
     evaluate_quantum,
@@ -62,6 +62,41 @@ class TestBellExpression:
         e = BellExpression(2, {((0, "A"), (1, "B")): 1.0,
                                ((0, "A'"), (1, "B")): -1.0})
         assert e.symbols == [(0, "A"), (0, "A'"), (1, "B")]
+
+    def test_factor_table_matches_evaluate(self):
+        # seeded random expressions with a constant, on 1-5 parties, one of
+        # them without symbols, tabled over their own symbols and over a
+        # wider list holding symbols they do not use
+        rng = np.random.default_rng(31)
+        for trial in range(40):
+            parties = int(rng.integers(1, 6))
+            silent = int(rng.integers(parties))
+            terms = {}
+            for _ in range(int(rng.integers(0, 7))):
+                key = tuple((p, str(rng.choice(["A", "B", "C"])))
+                            for p in range(parties) if p != silent and rng.random() < 0.7)
+                if key:
+                    terms[key] = float(rng.normal())
+            expr = BellExpression(parties, terms, constant=float(rng.normal()))
+            wide = sorted(set(expr.symbols) | {(p, "D") for p in range(parties)})
+            for symbols in (None, wide):
+                index, coeffs = expr.factor_table(symbols)
+                symbols = expr.symbols if symbols is None else symbols
+                assert index.shape == (len(expr.terms), parties)
+                assert coeffs.dtype == np.float64
+                assert not index[:, silent].any()
+                assert coeffs.tolist() == list(expr.terms.values())
+                assert [tuple(symbols[j - 1] for j in row if j) for row in index] \
+                    == list(expr.terms)
+                assert all(symbols[j - 1][0] == p
+                           for row in index for p, j in enumerate(row) if j)
+                for values in ([1] * len(symbols), rng.choice((-1, 1), len(symbols))):
+                    signs = np.concatenate([[1], values])
+                    got = expr.constant
+                    for row, coeff in zip(index, coeffs):
+                        got += coeff * np.prod(signs[row])
+                    assignment = {s: int(v) for s, v in zip(symbols, values)}
+                    assert got == expr.evaluate(assignment), (str(expr), symbols)
 
 
 class TestBuildLogical:
@@ -254,16 +289,15 @@ class TestChained:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_z_reconstruction(self, n):
-        resid = np.max(np.abs(chained_z_reconstruction(n).to_dense()
+        resid = np.max(np.abs(chained_reconstruction(n, "z").to_dense()
                               - bell_ops().z.to_dense()))
         assert resid < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_x_reconstruction(self, n):
-        from bellforge.bell import chained_x_reconstruction
         from bellforge.pauli import product as op_product
         ops = bell_ops()
-        resid = np.max(np.abs(chained_x_reconstruction(n).to_dense()
+        resid = np.max(np.abs(chained_reconstruction(n, "x").to_dense()
                               - ops.x.to_dense()))
         assert resid < 1e-12
         # the same operator is logical Z times iY on the second qubit

@@ -49,6 +49,22 @@ def loop5_ops():
         graph_state_generators(GraphSpec.loop(5)), PauliTerm.from_string("ZZZZZ"))
 
 
+def sample_loop(expr, samples, seed):
+    """classical_sample_bound by one draw and one ``evaluate`` per sample."""
+    rng = np.random.default_rng(seed)
+    symbols = expr.symbols
+    best = bounds.ClassicalBounds(math.inf, -math.inf, {}, {}, exact=False)
+    for _ in range(samples):
+        assignment = {s: int(v) for s, v in
+                      zip(symbols, rng.choice((-1, 1), size=len(symbols)))}
+        v = expr.evaluate(assignment)
+        if v > best.maximum:
+            best.maximum, best.witness_max = v, assignment
+        if v < best.minimum:
+            best.minimum, best.witness_min = v, assignment
+    return best
+
+
 class TestClassicalBounds:
     def test_chsh(self):
         expr, _ = chsh_expression()
@@ -168,6 +184,31 @@ class TestClassicalBounds:
             s = classical_sample_bound(expr, samples=200, seed=seed)
             assert s.maximum <= cb.maximum + 1e-12
             assert s.minimum >= cb.minimum - 1e-12
+
+    def test_sampling_matches_per_sample_loop(self):
+        # one draw of every sample's signs and the terms added in term order
+        # against a per-sample draw and evaluate, the form the sampler had
+        # before it read the factor table; values are exact, so both must
+        # agree bit for bit, witnesses included
+        rng = np.random.default_rng(61)
+        exprs = [chsh_expression()[0], published_identity_expression()]
+        exprs += [random_expression(rng, parties, sparse=bool(parties % 2),
+                                    constant=float(rng.normal()))
+                  for parties in [1, 2, 3, 4, 5] * 4]
+        for i, expr in enumerate(exprs):
+            for samples in (1, 7, 300):
+                got = classical_sample_bound(expr, samples=samples, seed=i)
+                want = sample_loop(expr, samples, seed=i)
+                assert not got.exact
+                assert (got.minimum, got.maximum) == (want.minimum, want.maximum)
+                assert (got.witness_min, got.witness_max) == \
+                    (want.witness_min, want.witness_max), (str(expr), samples)
+
+    def test_sampling_needs_a_sample(self):
+        expr, _ = chsh_expression()
+        for samples in (0, -1):
+            with pytest.raises(ValueError, match="samples"):
+                classical_sample_bound(expr, samples=samples)
 
     def test_lexicographic_witness_tie_break(self):
         # A_0 * B_1 has four optima; the lexicographically smallest (+1 first,

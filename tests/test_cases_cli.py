@@ -277,6 +277,30 @@ class TestCli:
         assert captured.err.startswith(f"recipe error in {cfg}: ")
         assert message in captured.err
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("k", [0.6, 0.8], "direction k must be three real numbers, got [0.6, 0.8]"),
+        ("k", [0, 0, 1, 0], "direction k must be three real numbers"),
+        ("k", [False, False, True], "direction k must be three real numbers"),
+        ("k", [float("nan"), 0, 1], "direction k must be three real numbers"),
+        ("beta_q", None, 'beta_q must be "auto" or a positive real number, got None'),
+        ("beta_q", "2.0", 'beta_q must be "auto" or a positive real number'),
+        ("beta_q", 0, 'beta_q must be "auto" or a positive real number, got 0'),
+        ("symbols", 5, "symbols must be an object mapping Pauli letters"),
+        ("symbols", {"Z": 1}, "symbols must be an object mapping Pauli letters"),
+        ("basis", "bell", "basis must be an object, not 'bell'"),
+    ])
+    def test_build_rejects_bad_recipe_field(self, tmp_path, capsys, field, value,
+                                            message):
+        recipe = {"basis": {"kind": "bell"}, "k": [0, 0, 1], "beta_q": 2.0,
+                  field: value}
+        cfg = tmp_path / "recipe.json"
+        cfg.write_text(json.dumps(recipe))
+        assert cli_main(["build", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"recipe error in {cfg}: ")
+        assert message in captured.err
+
     def test_console_script_entry(self):
         # the child imports the package this test imported, installed or not
         src = str(Path(bellforge.__file__).resolve().parents[1])

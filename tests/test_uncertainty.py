@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from bellforge.bell import BellExpression
 from bellforge.logical import logical_paulis_numeric, sums_match
+from bellforge.pauli import _PAULI_2X2
 from bellforge.stabilizer import bell_basis
 from bellforge.uncertainty import (
     DirectionXZ,
+    SweepResult,
     _random_densities,
     bell_op_xz,
     check_density,
@@ -141,6 +144,34 @@ class TestSamplers:
         check_density(got[0])
 
 
+def closure_sweep(case, samples, seed):
+    """quadratic_quantum_sweep with one angle array per symbol and a per-term
+    expectation closure: the oracle for the factor-table form."""
+    rng = np.random.default_rng(seed)
+    rhos = _random_densities(rng, samples, 4)
+    angles = {(p, lab): rng.uniform(-math.pi, math.pi, size=samples)
+              for p in (0, 1) for lab in ("A", "B")}
+    basis = [_PAULI_2X2["Z"], _PAULI_2X2["X"]]
+    prods = np.stack([np.kron(p, q) for p in basis for q in basis]).reshape(2, 2, 4, 4)
+    t = np.einsum("kij,abji->kab", rhos, prods).real
+
+    def expectation(sym_a, sym_b):
+        ta, tb = angles[sym_a], angles[sym_b]
+        comp_a = np.stack([np.cos(ta), np.sin(ta)])
+        comp_b = np.stack([np.cos(tb), np.sin(tb)])
+        return np.einsum("ak,bk,kab->k", comp_a, comp_b, t)
+
+    def value(expr):
+        out = np.full(samples, expr.constant)
+        for (sym_a, sym_b), coeff in expr.terms.items():
+            out = out + coeff * expectation(sym_a, sym_b)
+        return out
+
+    lhs = value(case.expr1) ** 2 + value(case.expr2) ** 2
+    k = int(np.argmax(lhs))
+    return SweepResult(samples, float(lhs[k]), case.bound, {"sample": k})
+
+
 class TestQuadratic:
     def test_uffink_vertices_and_classical(self):
         case = quadratic_bell("uffink")
@@ -159,6 +190,23 @@ class TestQuadratic:
         nki = quadratic_bell("nki")
         assert quadratic_quantum_sweep(uff, samples=4000, seed=6).max_lhs <= 4 + 1e-9
         assert quadratic_quantum_sweep(nki, samples=4000, seed=7).max_lhs <= 8 + 1e-9
+
+    @pytest.mark.parametrize("variant", ["uffink", "nki"])
+    def test_sweep_matches_per_symbol_closure(self, variant):
+        # the factor-table sweep against a per-term closure over per-symbol
+        # angle draws, the form the sweep had before it read the table
+        case = quadratic_bell(variant)
+        for seed in range(6):
+            got = quadratic_quantum_sweep(case, samples=3000, seed=seed)
+            want = closure_sweep(case, samples=3000, seed=seed)
+            assert got.max_lhs.hex() == want.max_lhs.hex(), (variant, seed)
+            assert got.argmax == want.argmax, (variant, seed)
+
+    def test_sweep_rejects_one_party_term(self):
+        case = quadratic_bell("uffink")
+        case.expr2 = BellExpression(2, {((0, "A"),): 1.0, ((0, "B"), (1, "A")): 1.0})
+        with pytest.raises(ValueError, match="lacks a factor"):
+            quadratic_quantum_sweep(case, samples=10)
 
     def test_uffink_attains_bound(self):
         assert abs(uffink_attaining_value() - 4.0) < 1e-9
