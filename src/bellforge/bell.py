@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .logical import LogicalPaulis, logical_paulis_numeric, logical_paulis_symbolic
+from .logical import (
+    LogicalPaulis,
+    bell_logical_paulis,
+    ghz3_logical_paulis,
+    logical_paulis_numeric,
+    logical_paulis_symbolic,
+)
 from .pauli import PauliSum, PauliTerm, product
 from .stabilizer import (
     GraphSpec,
@@ -489,6 +495,8 @@ class BellRecipe:
 
     @classmethod
     def from_dict(cls, data: dict) -> "BellRecipe":
+        if not isinstance(data, dict):
+            raise ValueError(f"recipe must be an object, not {data!r}")
         basis_spec = data["basis"]
         if not isinstance(basis_spec, dict):
             raise ValueError(f"basis must be an object, not {basis_spec!r}")
@@ -499,10 +507,12 @@ class BellRecipe:
         elif kind == "ghz3":
             basis = ghz3_basis()
         elif kind == "graph":
-            gs = basis_spec["graph"]
-            graph = GraphSpec.from_edges(gs["n"], gs["edges"])
+            graph = _graph_spec(basis_spec["graph"])
+            flip_text = basis_spec["flip"]
+            if not isinstance(flip_text, str):
+                raise ValueError(f"flip must be a Pauli string, got {flip_text!r}")
             group = graph_state_generators(graph)
-            flip = PauliTerm.from_string(basis_spec["flip"])
+            flip = PauliTerm.from_string(flip_text)
             basis = basis_from_flip(group, flip)
         else:
             raise ValueError(f"unknown basis kind {kind!r}")
@@ -538,14 +548,36 @@ class BellRecipe:
         )
 
     def logical_ops(self) -> LogicalPaulis:
+        """The basis's logical operators; shared for the named bases."""
         if self.group is not None and self.flip is not None:
             return logical_paulis_symbolic(self.group, self.flip, self.basis)
+        if self.basis is bell_basis():
+            return bell_logical_paulis()
+        if self.basis is ghz3_basis():
+            return ghz3_logical_paulis()
         return logical_paulis_numeric(self.basis)
 
 
 def _is_real(value) -> bool:
     """A JSON number that fits a finite float; a bool is not one."""
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _graph_spec(spec) -> GraphSpec:
+    """The graph of a recipe's graph basis: ``{"n": int >= 1, "edges": [[u, v], ...]}``."""
+    if not (isinstance(spec, dict) and _is_int(spec.get("n")) and spec["n"] >= 1):
+        raise ValueError(f"graph must be an object with an integer n >= 1, got {spec!r}")
+    edges = spec.get("edges")
+    if not (isinstance(edges, list) and all(
+            isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))
+            for e in edges)):
+        raise ValueError(f"graph edges must be a list of integer pairs, got {edges!r}")
+    return GraphSpec.from_edges(spec["n"], edges)
 
 
 def _check_decomposition(spec) -> None:
@@ -562,7 +594,7 @@ def _check_decomposition(spec) -> None:
     if key is None:
         raise ValueError(f"unknown decomposition kind {kind!r}")
     value = spec.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not _is_int(value):
         raise ValueError(f"{kind} decomposition needs an integer {key!r}, got {value!r}")
     if kind == "chained" and value < 2:
         raise ValueError(f"chained decomposition needs n >= 2, got {value}")

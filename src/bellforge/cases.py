@@ -13,7 +13,7 @@ import math
 import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .bounds import (
     seesaw_optimize,
     sos_pairing_search,
 )
-from .logical import logical_paulis_numeric, logical_paulis_symbolic
+from .logical import bell_logical_paulis, ghz3_logical_paulis, logical_paulis_symbolic
 from .pauli import DENSE_QUBIT_CAP, PauliSum, PauliTerm
 from .recursive import (
     build_level,
@@ -46,7 +46,6 @@ from .recursive import (
 from .stabilizer import (
     GraphSpec,
     bell_basis,
-    ghz3_basis,
     graph_state_generators,
 )
 from .uncertainty import (
@@ -164,7 +163,7 @@ def _pipeline_identity_check(logical_form: PauliSum, final_form: PauliSum,
 # --- individual cases ---------------------------------------------------------
 
 def _case_chsh(config: RunConfig) -> CaseResult:
-    ops = logical_paulis_numeric(bell_basis())
+    ops = bell_logical_paulis()
     logical_form = (2 * ROOT2) * ops.z
     dec = complementary_decompose(logical_form, pivot=1)
     expr, _ = symbolize_decomposed(dec, letter_order={0: ["X", "Z"]})
@@ -189,7 +188,7 @@ def _case_chsh(config: RunConfig) -> CaseResult:
 
 
 def _case_mermin3(config: RunConfig) -> CaseResult:
-    ops = logical_paulis_numeric(ghz3_basis())
+    ops = ghz3_logical_paulis()
     operator = 4.0 * ops.z
     expr, _ = symbolize(operator, {"Z": "A", "X": "B"})
     report = _report(expr, operator, rough=4.0, cap=config.cap_qubits)
@@ -203,7 +202,7 @@ def _case_mermin3(config: RunConfig) -> CaseResult:
 
 
 def _case_svetlichny3(config: RunConfig) -> CaseResult:
-    ops = logical_paulis_numeric(ghz3_basis())
+    ops = ghz3_logical_paulis()
     operator = 4.0 * (ops.x - ops.z)       # 4*sqrt2 along the (1,0,-1) direction
     expr, _ = symbolize(operator, {"Z": "A", "X": "B"})
     term_ops = [c * PauliSum.from_terms([(t, 1.0)]) for t, c in operator.items()]
@@ -220,7 +219,9 @@ def _case_svetlichny3(config: RunConfig) -> CaseResult:
     return CaseResult("svetlichny3", str(expr), report, checks)
 
 
+@cache
 def _loop5_ops():
+    """The loop-5 code's logical operators, symbolic route, shared."""
     group = graph_state_generators(GraphSpec.loop(5))
     flip = PauliTerm.from_string("ZZZZZ")
     return logical_paulis_symbolic(group, flip)
@@ -333,7 +334,7 @@ def _case_l5_identity(config: RunConfig) -> CaseResult:
 
 def _case_chained(config: RunConfig, n: int) -> CaseResult:
     ch = chained_construction(n)
-    ops = logical_paulis_numeric(bell_basis())
+    ops = bell_logical_paulis()
     target_q = ch.quantum_bound
     report = _report(ch.expression, ch.operator, rough=target_q,
                      cap=config.cap_qubits)
@@ -416,7 +417,7 @@ def _case_uncertainty_sweep(config: RunConfig) -> CaseResult:
                            seed=config.case_seed("uncertainty-sweep"))
     lm = lemma_sweep(samples=config.samples,
                      seed=config.case_seed("lemma-sweep"))
-    ops = logical_paulis_numeric(bell_basis())
+    ops = bell_logical_paulis()
     rho0 = np.outer(bell_basis().zero_ket, bell_basis().zero_ket.conj())
     saturation = uncertainty_lhs(rho0, DirectionXZ(0.0), DirectionXZ(math.pi / 2), ops)
     checks = [

@@ -8,18 +8,28 @@ combinations
 
 expanded over n-qubit Pauli strings. Two construction routes are provided and
 must agree: a dense outer-product route (any explicit basis, small n) and a
-symbolic stabilizer route (half-group split, any n the group fits).
+symbolic stabilizer route (half-group split, any n the group fits). The
+numeric operators of the named Bell and GHZ3 bases are built once per process
+and shared.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pauli import PauliSum, PauliTerm, QubitCapError, pauli_decompose, product
-from .stabilizer import LogicalBasis, StabilizerGroup, basis_from_flip, commuting_split
+from .stabilizer import (
+    LogicalBasis,
+    StabilizerGroup,
+    basis_from_flip,
+    bell_basis,
+    commuting_split,
+    ghz3_basis,
+)
 
 NUMERIC_QUBIT_CAP = 6   # the 4^n Pauli-basis scan is only run at small n
 
@@ -82,6 +92,18 @@ def logical_paulis_numeric(basis: LogicalBasis,
         y=pauli_decompose(y_m, basis.n),
         ident=pauli_decompose(i_m, basis.n),
     )
+
+
+@functools.cache
+def bell_logical_paulis() -> LogicalPaulis:
+    """The numeric logical operators of ``bell_basis()``, shared."""
+    return logical_paulis_numeric(bell_basis())
+
+
+@functools.cache
+def ghz3_logical_paulis() -> LogicalPaulis:
+    """The numeric logical operators of ``ghz3_basis()``, shared."""
+    return logical_paulis_numeric(ghz3_basis())
 
 
 def logical_paulis_symbolic(group: StabilizerGroup, flip: PauliTerm,

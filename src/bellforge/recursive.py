@@ -5,19 +5,28 @@ by its logical image under a fixed two-qubit basis: |0> and |1> become the
 basis kets, X/Y/Z become the logical operators, and I becomes the code-space
 projector. Iterating on the last qubit grows the n-qubit family behind the
 Mermin and Svetlichny inequalities.
+
+The Bell-basis rule and the levels it grows are constants of the
+construction, built once per process: ``default_rule()`` returns one shared
+rule, and ``build_level(n)`` returns level n of one shared chain in which
+level k+1 is level k expanded at its last qubit. Shared objects are frozen
+and their kets read-only.
 """
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 import numpy as np
 
 from .bell import BellExpression, Setting, Symbol, symbolize
-from .logical import LogicalPaulis, logical_paulis_numeric
+from .logical import LogicalPaulis, bell_logical_paulis
 from .pauli import PauliSum
-from .stabilizer import bell_basis
+from .stabilizer import frozen_ket
 
 MAX_LEVEL = 10
 
@@ -29,7 +38,7 @@ class ExpansionRule:
     width: int
     zero_ket: np.ndarray
     one_ket: np.ndarray
-    ops: dict[str, PauliSum]   # images of "Z", "X", and optionally "Y", "I"
+    ops: Mapping[str, PauliSum]   # images of "Z", "X", and optionally "Y", "I"
 
     @classmethod
     def from_logical(cls, lp: LogicalPaulis) -> "ExpansionRule":
@@ -37,13 +46,14 @@ class ExpansionRule:
             width=lp.n,
             zero_ket=lp.basis.zero_ket,
             one_ket=lp.basis.one_ket,
-            ops={"Z": lp.z, "X": lp.x, "Y": lp.y, "I": lp.ident},
+            ops=MappingProxyType({"Z": lp.z, "X": lp.x, "Y": lp.y, "I": lp.ident}),
         )
 
 
+@functools.cache
 def default_rule() -> ExpansionRule:
-    """Expansion through the two-qubit Bell-state basis."""
-    return ExpansionRule.from_logical(logical_paulis_numeric(bell_basis()))
+    """Expansion through the two-qubit Bell-state basis, shared."""
+    return ExpansionRule.from_logical(bell_logical_paulis())
 
 
 def expand_state(vec: np.ndarray, k: int, n: int, rule: ExpansionRule) -> np.ndarray:
@@ -79,15 +89,19 @@ def expand_operator(op: PauliSum, k: int, rule: ExpansionRule) -> PauliSum:
     return PauliSum(new_n, {key: c for key, c in acc.items() if abs(c) > 1e-15})
 
 
-@dataclass
+@dataclass(frozen=True)
 class RecursiveLevel:
-    """State pair and operator pair of one level of the recursion."""
+    """State pair and operator pair of one level of the recursion (read-only kets)."""
 
     n: int
     zero_ket: np.ndarray
     one_ket: np.ndarray
     z_op: PauliSum
     x_op: PauliSum
+
+    def __post_init__(self):
+        object.__setattr__(self, "zero_ket", frozen_ket(self.zero_ket))
+        object.__setattr__(self, "one_ket", frozen_ket(self.one_ket))
 
     def expanded(self, k: int, rule: ExpansionRule) -> "RecursiveLevel":
         return RecursiveLevel(
@@ -105,21 +119,28 @@ def star_expand(level: RecursiveLevel, k: int,
     return level.expanded(k, rule or default_rule())
 
 
-def build_level(n: int, rule: ExpansionRule | None = None) -> RecursiveLevel:
-    """Iterated expansion of the last qubit, from a single physical qubit."""
+def build_level(n: int) -> RecursiveLevel:
+    """Iterated expansion of the last qubit, from a single physical qubit.
+
+    Every call for the same n returns the same shared level.
+    """
     if not 1 <= n <= MAX_LEVEL:
         raise ValueError(f"level must be within 1..{MAX_LEVEL}")
-    rule = rule or default_rule()
-    level = RecursiveLevel(
-        n=1,
-        zero_ket=np.array([1.0, 0.0], dtype=complex),
-        one_ket=np.array([0.0, 1.0], dtype=complex),
-        z_op=PauliSum.from_strings([("Z", 1.0)]),
-        x_op=PauliSum.from_strings([("X", 1.0)]),
-    )
-    while level.n < n:
-        level = level.expanded(level.n - 1, rule)
-    return level
+    return _level(n)
+
+
+@functools.cache
+def _level(n: int) -> RecursiveLevel:
+    """Level n of the shared chain: level n - 1 expanded at its last qubit."""
+    if n == 1:
+        return RecursiveLevel(
+            n=1,
+            zero_ket=np.array([1.0, 0.0], dtype=complex),
+            one_ket=np.array([0.0, 1.0], dtype=complex),
+            z_op=PauliSum.from_strings([("Z", 1.0)]),
+            x_op=PauliSum.from_strings([("X", 1.0)]),
+        )
+    return _level(n - 1).expanded(n - 2, default_rule())
 
 
 @dataclass

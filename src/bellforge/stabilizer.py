@@ -4,10 +4,15 @@ A logical basis is a pair of orthonormal n-qubit states spanning a
 two-dimensional code space. It can be given directly as vectors (the named
 two- and three-qubit bases below) or derived from a stabilizer group plus a
 flip operator that anticommutes with part of the group.
+
+A basis holds read-only copies of its kets, so one basis can be shared. The
+named Bell and GHZ3 bases are constants of the construction: each is built
+once per process and every caller gets the same object.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +62,13 @@ class GraphSpec:
     def neighbors(self, v: int) -> list[int]:
         out = [b if a == v else a for a, b in self.edges if v in (a, b)]
         return sorted(out)
+
+
+def frozen_ket(vec) -> np.ndarray:
+    """A read-only complex copy of ``vec``, safe to share between callers."""
+    out = np.array(vec, dtype=complex)
+    out.flags.writeable = False
+    return out
 
 
 def _symplectic_rank(terms: list[PauliTerm], n: int) -> int:
@@ -165,7 +177,7 @@ def state_vector(s: StabilizerGroup, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LogicalBasis:
-    """Orthonormal pair spanning a 2-dimensional code space."""
+    """Orthonormal pair spanning a 2-dimensional code space (read-only kets)."""
 
     n: int
     zero_ket: np.ndarray
@@ -176,8 +188,8 @@ class LogicalBasis:
 
     def __post_init__(self):
         dim = 1 << self.n
-        zero = np.asarray(self.zero_ket, dtype=complex)
-        one = np.asarray(self.one_ket, dtype=complex)
+        zero = frozen_ket(self.zero_ket)
+        one = frozen_ket(self.one_ket)
         if zero.shape != (dim,) or one.shape != (dim,):
             raise ValueError(f"kets must have dimension {dim}")
         if abs(np.linalg.norm(zero) - 1.0) > 1e-12 or abs(np.linalg.norm(one) - 1.0) > 1e-12:
@@ -224,6 +236,7 @@ def commuting_split(s: StabilizerGroup, zc: PauliTerm
 
 # --- named bases used by the golden constructions ---------------------------
 
+@functools.cache
 def bell_basis() -> LogicalBasis:
     """|0> = (|00>+|11>)/sqrt2, |1> = (|01>-|10>)/sqrt2."""
     r = 1 / np.sqrt(2)
@@ -231,6 +244,7 @@ def bell_basis() -> LogicalBasis:
     one = np.array([0, r, -r, 0], dtype=complex)
     return LogicalBasis(2, zero, one, name="bell")
 
+@functools.cache
 def ghz3_basis() -> LogicalBasis:
     """The three-qubit basis behind the Mermin / Svetlichny constructions."""
     zero = np.zeros(8, dtype=complex)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bell import BellExpression, Setting, Symbol, evaluate_quantum
 from .bounds import _vertex_blocks
-from .logical import LogicalPaulis, logical_paulis_numeric
+from .logical import LogicalPaulis, bell_logical_paulis
 from .pauli import _PAULI_2X2, PauliSum
 from .stabilizer import bell_basis
 
@@ -51,7 +51,7 @@ def _check_not_parallel(d1: DirectionXZ, d2: DirectionXZ) -> tuple[float, float]
 def uncertainty_lhs(rho: np.ndarray, d1: DirectionXZ, d2: DirectionXZ,
                     ops: LogicalPaulis | None = None) -> float:
     """Ellipse functional of the two Bell expectations; at most 8 for any state."""
-    ops = ops or logical_paulis_numeric(bell_basis())
+    ops = ops or bell_logical_paulis()
     plus, minus = _check_not_parallel(d1, d2)
     b1 = bell_op_xz(ops, d1).expectation(rho)
     b2 = bell_op_xz(ops, d2).expectation(rho)
@@ -129,7 +129,7 @@ def uncertainty_sweep(samples: int = 10000, seed: int = 0) -> SweepResult:
     """Monte-Carlo check of the two-qubit relation over random mixed states
     and direction pairs (vectorized)."""
     rng = np.random.default_rng(seed)
-    ops = logical_paulis_numeric(bell_basis())
+    ops = bell_logical_paulis()
     b_x = (2 * math.sqrt(2) * ops.x).to_dense()
     b_z = (2 * math.sqrt(2) * ops.z).to_dense()
     rhos = _random_densities(rng, samples, 4)

@@ -301,12 +301,46 @@ class TestCli:
         assert captured.err.startswith(f"recipe error in {cfg}: ")
         assert message in captured.err
 
-    def test_console_script_entry(self):
+    @pytest.mark.parametrize("recipe,message", [
+        ({"basis": {"kind": "graph", "graph": 5, "flip": "ZZZZZ"}},
+         "graph must be an object with an integer n >= 1, got 5"),
+        ({"basis": {"kind": "graph", "graph": {"n": "3", "edges": [[0, 1]]},
+                    "flip": "ZZZ"}},
+         "graph must be an object with an integer n >= 1, got {'n': '3'"),
+        ({"basis": {"kind": "graph", "graph": {"n": 3, "edges": [[0, 1]]}, "flip": 7}},
+         "flip must be a Pauli string, got 7"),
+        ([LOOP5_RECIPE], "recipe must be an object, not [{"),
+        ({"basis": {"kind": "graph", "graph": {"n": 3, "edges": [[0, 1, 2]]},
+                    "flip": "ZZZ"}},
+         "graph edges must be a list of integer pairs, got [[0, 1, 2]]"),
+        ({"basis": {"kind": "graph", "graph": {"n": 3, "edges": [[0, True]]},
+                    "flip": "ZZZ"}},
+         "graph edges must be a list of integer pairs"),
+    ])
+    def test_build_rejects_bad_graph_recipe(self, tmp_path, capsys, recipe, message):
+        cfg = tmp_path / "recipe.json"
+        cfg.write_text(json.dumps(recipe))
+        assert cli_main(["build", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"recipe error in {cfg}: ")
+        assert message in captured.err
+
+    @staticmethod
+    def _run_module(module: str) -> subprocess.CompletedProcess:
         # the child imports the package this test imported, installed or not
         src = str(Path(bellforge.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "bellforge.cli", "list"],
+        return subprocess.run([sys.executable, "-m", module, "list"],
                               capture_output=True, text=True, env=env)
+
+    def test_console_script_entry(self):
+        proc = self._run_module("bellforge.cli")
+        assert proc.returncode == 0
+        assert "chsh" in proc.stdout.splitlines()
+
+    def test_package_entry(self):
+        proc = self._run_module("bellforge")
         assert proc.returncode == 0
         assert "chsh" in proc.stdout.splitlines()

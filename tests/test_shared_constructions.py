@@ -1,0 +1,151 @@
+"""The fixed constructions are built once per process and shared read-only."""
+
+import dataclasses
+import sys
+
+import numpy as np
+import pytest
+
+from bellforge import cases, logical, recursive, stabilizer
+from bellforge.bell import BellRecipe
+from bellforge.cases import RunConfig, case_names, run_cases
+from bellforge.logical import bell_logical_paulis, ghz3_logical_paulis, logical_paulis_numeric
+from bellforge.pauli import PauliSum
+from bellforge.recursive import (
+    MAX_LEVEL,
+    ExpansionRule,
+    RecursiveLevel,
+    build_level,
+    default_rule,
+)
+from bellforge.stabilizer import bell_basis, ghz3_basis
+
+CACHED = (stabilizer.bell_basis, stabilizer.ghz3_basis, logical.bell_logical_paulis,
+          logical.ghz3_logical_paulis, recursive.default_rule, recursive._level,
+          cases._loop5_ops)
+
+# the catalog's Monte-Carlo cases take fewer samples; no construction depends on it
+QUICK = RunConfig(samples=500)
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Count calls of ``module.name`` made from any bellforge module."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "bellforge" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def _sum_bytes(op: PauliSum) -> tuple:
+    return op.n, [(s, c.hex()) for s, c in op.to_strings()]
+
+
+def _ket_bytes(*kets: np.ndarray) -> list:
+    return [(k.dtype.str, k.shape, k.tobytes()) for k in kets]
+
+
+def _cached_objects() -> list:
+    return [bell_basis(), ghz3_basis(), bell_logical_paulis(), ghz3_logical_paulis(),
+            cases._loop5_ops(), default_rule(),
+            *(build_level(n) for n in range(1, MAX_LEVEL + 1))]
+
+
+def _snapshot(obj) -> tuple:
+    if isinstance(obj, stabilizer.LogicalBasis):
+        return (obj.n, obj.name, *_ket_bytes(obj.zero_ket, obj.one_ket))
+    if isinstance(obj, logical.LogicalPaulis):
+        return (_snapshot(obj.basis),
+                *map(_sum_bytes, (obj.z, obj.x, obj.y, obj.ident)))
+    if isinstance(obj, ExpansionRule):
+        return (obj.width, *_ket_bytes(obj.zero_ket, obj.one_ket),
+                *((k, _sum_bytes(op)) for k, op in obj.ops.items()))
+    return (obj.n, *_ket_bytes(obj.zero_ket, obj.one_ket),
+            _sum_bytes(obj.z_op), _sum_bytes(obj.x_op))
+
+
+class TestBuiltOnce:
+    def test_catalog_pass_call_counts(self, monkeypatch):
+        for fn in CACHED:
+            fn.cache_clear()
+        decompose = _count_calls(monkeypatch, logical, "pauli_decompose")
+        symbolic = _count_calls(monkeypatch, logical, "logical_paulis_symbolic")
+        expand = _count_calls(monkeypatch, recursive, "expand_operator")
+        run_cases(case_names(), QUICK)
+        # Bell and GHZ3 bases, four operators each; one loop-5 code; levels 2..8
+        assert len(decompose) <= 8
+        assert len(symbolic) <= 1
+        assert len(expand) <= 14
+        del decompose[:], symbolic[:], expand[:]
+        run_cases(case_names(), QUICK)
+        assert (decompose, symbolic, expand) == ([], [], [])
+
+    def test_same_object_every_call(self):
+        assert build_level(5) is build_level(5)
+        assert default_rule() is default_rule()
+        assert bell_logical_paulis().basis is bell_basis()
+        assert ghz3_logical_paulis().basis is ghz3_basis()
+        for kind, ops in (("bell", bell_logical_paulis()), ("ghz3", ghz3_logical_paulis())):
+            assert BellRecipe.from_dict({"basis": {"kind": kind}}).logical_ops() is ops
+
+    def test_shared_chain_matches_fresh_chain(self):
+        rule = ExpansionRule.from_logical(
+            logical_paulis_numeric(stabilizer.bell_basis.__wrapped__()))
+        fresh = RecursiveLevel(
+            n=1,
+            zero_ket=np.array([1.0, 0.0], dtype=complex),
+            one_ket=np.array([0.0, 1.0], dtype=complex),
+            z_op=PauliSum.from_strings([("Z", 1.0)]),
+            x_op=PauliSum.from_strings([("X", 1.0)]),
+        )
+        for n in range(1, MAX_LEVEL + 1):
+            shared = build_level(n)
+            assert shared.n == fresh.n == n
+            assert shared.z_op.to_strings() == fresh.z_op.to_strings()
+            assert shared.x_op.to_strings() == fresh.x_op.to_strings()
+            for a, b in ((shared.zero_ket, fresh.zero_ket), (shared.one_ket, fresh.one_ket)):
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+            fresh = fresh.expanded(n - 1, rule)
+
+    def test_catalog_pass_leaves_shared_objects_unchanged(self):
+        objects = _cached_objects()
+        before = [_snapshot(obj) for obj in objects]
+        run_cases(case_names(), QUICK)
+        assert all(a is b for a, b in zip(_cached_objects(), objects))
+        assert [_snapshot(obj) for obj in objects] == before
+
+
+class TestReadOnly:
+    @pytest.mark.parametrize("get_ket", [
+        lambda: bell_basis().zero_ket,
+        lambda: ghz3_basis().one_ket,
+        lambda: bell_logical_paulis().basis.one_ket,
+        lambda: cases._loop5_ops().basis.zero_ket,
+        lambda: default_rule().zero_ket,
+        lambda: build_level(1).zero_ket,
+        lambda: build_level(6).one_ket,
+    ])
+    def test_cached_ket_rejects_writes(self, get_ket):
+        ket = get_ket()
+        with pytest.raises(ValueError):
+            ket[0] = 0.0
+
+    def test_shared_level_and_rule_are_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            build_level(3).z_op = PauliSum.zero(3)
+        with pytest.raises(TypeError):
+            default_rule().ops["Z"] = PauliSum.zero(2)
+
+    def test_level_keeps_its_own_copy(self):
+        zero = np.array([1.0, 0.0], dtype=complex)
+        level = RecursiveLevel(1, zero, np.array([0.0, 1.0], dtype=complex),
+                               PauliSum.from_strings([("Z", 1.0)]),
+                               PauliSum.from_strings([("X", 1.0)]))
+        zero[0] = 0.0
+        assert level.zero_ket[0] == 1.0 and zero.flags.writeable
