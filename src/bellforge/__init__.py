@@ -39,7 +39,6 @@ from .logical import (
     LogicalPaulis,
     logical_paulis_numeric,
     logical_paulis_symbolic,
-    rotated_z,
 )
 from .pauli import (
     DimensionError,
@@ -56,7 +55,6 @@ from .recursive import (
     assignment_value_bound,
     build_level,
     mermin_case,
-    star_expand,
     svetlichny_case,
 )
 from .stabilizer import (
@@ -68,7 +66,6 @@ from .stabilizer import (
     expand_projector,
     ghz3_basis,
     graph_state_generators,
-    loop5_basis,
     state_vector,
 )
 from .uncertainty import (

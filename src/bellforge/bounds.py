@@ -34,6 +34,21 @@ The products and the sums follow a per-term Kronecker chain, so the operators
 are bit-identical to it: dropping an identity factor changes at most the sign
 of a zero, and a party's sums start from +0.0, so every zero reads +0.0 in
 both.
+
+Restarts draw random numbers only as they start, so every restart's starting
+settings are drawn up front, in the order one restart after another would
+draw them, and the restarts then advance through their sweeps together. Each
+restart owns a slice of one settings stack; a plan tiled over the restarts
+still running (factor indices offset to each one's slice) renders all their
+operators in one call, and the products with the states, the partial traces,
+the Bloch projections and the normalisations that follow are batched over
+restarts as well. Only the eigensolve (stacked, it picks other eigenvectors
+in degenerate spectra) and the objective stay one call per restart. Each
+restart computes what it would alone, bit for bit: the tiled render sums
+every operator's terms in the same order, and the batched steps act on each
+restart's arrays exactly as on its own. Restarts run in batches whose
+leave-one-out stacks hold at most ``_SEESAW_BATCH_BYTES``, so at large n they
+run a few at a time, down to one.
 """
 
 from __future__ import annotations
@@ -59,6 +74,7 @@ VERTEX_BLOCK = 1 << 20      # most vertex values held in memory at once
 _AXIS_SETTINGS = 10         # a party with more settings spans several axes
 BOUND_ATOL = 1e-9
 _RENDER_CHUNK_BYTES = 1 << 18   # most see-saw term matrices built at once
+_SEESAW_BATCH_BYTES = 1 << 22   # most leave-one-out stack bytes per restart batch
 _NEG_ZERO = complex(-0.0, -0.0)  # additive identity that keeps signed zeros
 
 
@@ -347,8 +363,9 @@ _AXES = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
 _BLOCH_PAULIS = np.stack([_PAULI_2X2[c] for c in "XYZ"])
 
 
-def _bloch_matrix(bloch) -> np.ndarray:
-    bx, by, bz = bloch
+def _bloch_matrix(bloch: np.ndarray) -> np.ndarray:
+    """x X + y Y + z Z for each Bloch vector along the last axis of ``bloch``."""
+    bx, by, bz = (bloch[..., c, None, None] for c in range(3))
     return bx * _PAULI_2X2["X"] + by * _PAULI_2X2["Y"] + bz * _PAULI_2X2["Z"]
 
 
@@ -385,6 +402,18 @@ def _render_plan(expr: BellExpression, symbols: list[Symbol], party: int | None 
         index, coeffs = np.delete(index[order], party, axis=1), coeffs[order]
         ends, constant = np.cumsum([len(r) for r in rows], dtype=int).tolist(), 0.0
     return index, coeffs, ends, constant, party
+
+
+def _tile_plan(plan, restarts: np.ndarray, width: int):
+    """``plan`` repeated for each of ``restarts``, whose factors are the slots
+    ``r * width`` onward of a flat ``mats`` stack; restart ``restarts[i]``'s
+    operators come out i-th in the rendered stack."""
+    index, coeffs, ends, constant, party = plan
+    tiled = index + (restarts * width)[:, None, None]
+    shift = np.arange(len(restarts))[:, None] * len(coeffs)
+    return (tiled.reshape(len(tiled) * len(index), index.shape[1]),
+            np.tile(coeffs, len(restarts)), (shift + ends).ravel().tolist(),
+            constant, party)
 
 
 def _chunk_terms(term_size: int) -> int:
@@ -497,6 +526,24 @@ def _partial_trace_keep(m: np.ndarray, party: int, n: int) -> np.ndarray:
     return np.einsum("saibajb->sij", m7)
 
 
+def _starting_blochs(symbols: list[Symbol], restarts: int, seed: int) -> np.ndarray:
+    """Every restart's starting Bloch vectors, ``[restart, symbol]``.
+
+    Restart 0 is axis-aligned: per party, symbols take the z, x, y axes in
+    sorted order. Each later restart draws one normal 3-vector per symbol, in
+    restart order and then symbol order, and normalises it.
+    """
+    blochs = np.empty((restarts, len(symbols), 3))
+    per_party_count: dict[int, int] = {}
+    for j, (party, _) in enumerate(symbols):
+        k = per_party_count.get(party, 0)
+        blochs[0, j] = _AXES[k % 3]
+        per_party_count[party] = k + 1
+    v = np.random.default_rng(seed).normal(size=(restarts - 1, len(symbols), 3))
+    blochs[1:] = v / np.sqrt(np.vecdot(v, v))[..., None]
+    return blochs
+
+
 def seesaw_optimize(expr: BellExpression, restarts: int = 16, seed: int = 0,
                     max_sweeps: int = 500, gain_tol: float = 1e-9,
                     cap: int = DENSE_QUBIT_CAP) -> SeesawResult:
@@ -505,74 +552,84 @@ def seesaw_optimize(expr: BellExpression, restarts: int = 16, seed: int = 0,
     Restart 0 is an axis-aligned warm start (per party, symbols take the z, x,
     y axes in sorted order); remaining restarts are random unit vectors. The
     objective is nondecreasing within each restart, and a sweep that lowers it
-    by more than 1e-12 * max(1, |value|) raises SeesawError; the best
-    converged value over restarts is returned. Raises QubitCapError, before
-    any operator is built, when the expression has more than ``cap`` parties.
+    by more than 1e-12 * max(1, |value|) raises SeesawError naming the
+    restart (the first of that sweep, when several drop at once); the best
+    converged value over restarts is returned, the first restart reaching it
+    giving ``best_bloch``. Raises QubitCapError, before any operator is built,
+    when the expression has more than ``cap`` parties.
+
+    Restarts run together, in batches of at most ``_SEESAW_BATCH_BYTES`` of
+    leave-one-out stacks: each sweep renders each party's stacks, and the
+    operators, in one call for every restart still running, and a restart
+    leaves its batch when it converges or reaches ``max_sweeps``. Every
+    restart computes what it would alone, bit for bit.
     """
     n = expr.parties
     _check_cap(n, cap)
-    rng = np.random.default_rng(seed)
     symbols = expr.symbols
-    full = _render_plan(expr, symbols)
+    n_restarts, width, dim = max(1, restarts), len(symbols) + 1, 1 << n
     # a term holds one symbol per party at most, so a party's leave-one-out
     # operators depend only on the other parties' settings: each party's are
     # rendered together, and updating them together is a symbol-by-symbol sweep
-    party_plans = []
+    parties, plans = [], [_render_plan(expr, symbols)]
     for p in range(n):
         slots = [j for j, sym in enumerate(symbols, 1) if sym[0] == p]
         if slots:
-            party_plans.append((p, slots, _render_plan(expr, symbols, party=p)))
-    work = _render_workspace([full, *(plan for _, _, plan in party_plans)])
-    mats = np.empty((len(symbols) + 1, 2, 2), dtype=complex)
-    mats[0] = _PAULI_2X2["I"]
+            parties.append((p, np.array(slots)))
+            plans.append(_render_plan(expr, symbols, party=p))
+    most = max((len(slots) for _, slots in parties), default=1)
+    batch = min(n_restarts, max(1, _SEESAW_BATCH_BYTES // (16 * dim * dim * most)))
+    work = _render_workspace([_tile_plan(plan, np.arange(batch), width) for plan in plans])
+    # restart r's factors are mats[r], the identity first; flat is what renders read
+    blochs = _starting_blochs(symbols, n_restarts, seed)
+    mats = np.empty((n_restarts, width, 2, 2), dtype=complex)
+    mats[:, 0] = _PAULI_2X2["I"]
+    mats[:, 1:] = _bloch_matrix(blochs)
+    flat = mats.reshape(-1, 2, 2)
+    values = [-math.inf] * n_restarts
+    trajectories: list[list[float]] = [[] for _ in range(n_restarts)]
+
+    for first in range(0, n_restarts if max_sweeps > 0 else 0, batch):
+        active = np.arange(first, min(first + batch, n_restarts))
+        tiled = [_tile_plan(plan, active, width) for plan in plans]
+        operators = _render(tiled[0], flat, work)
+        while len(active):
+            states = [top_eigenpair(operator)[1] for operator in operators]
+            kets = np.stack(states)
+            rho = kets[:, :, None] * kets.conj()[:, None, :]
+            for (p, slots), plan in zip(parties, tiled[1:]):
+                stack = _render(plan, flat, work).reshape(len(active), len(slots), dim, dim)
+                ptr = _partial_trace_keep((rho[:, None] @ stack).reshape(-1, dim, dim), p, n)
+                h = (ptr + ptr.conj().swapaxes(1, 2)) / 2
+                u = np.trace(h[:, None] @ _BLOCH_PAULIS, axis1=2, axis2=3).real
+                u = u.reshape(len(active), len(slots), 3)
+                norm = np.sqrt(np.vecdot(u, u))
+                a, k = np.nonzero(norm > 1e-13)
+                rows, cols = active[a], slots[k]
+                blochs[rows, cols - 1] = u[a, k] / norm[a, k, None]
+                mats[rows, cols] = _bloch_matrix(blochs[rows, cols - 1])
+            operators = _render(tiled[0], flat, work)
+            running = []
+            for i, (r, state, operator) in enumerate(zip(active, states, operators)):
+                value, new_value = values[r], float(np.vdot(state, operator @ state).real)
+                trajectories[r].append(new_value)
+                if new_value < value - 1e-12 * max(1.0, abs(value)):
+                    raise SeesawError(f"see-saw objective of restart {r} decreased "
+                                      f"from {value!r} to {new_value!r}")
+                values[r] = new_value
+                converged = new_value - value < gain_tol
+                if not converged and len(trajectories[r]) < max_sweeps:
+                    running.append(i)
+            if len(running) < len(active):
+                active, operators = active[running], operators[running]
+                tiled = [_tile_plan(plan, active, width) for plan in plans]
+
     best_value = -math.inf
     best_bloch: dict[Symbol, tuple[float, float, float]] = {}
-    trajectories: list[list[float]] = []
-
-    for restart in range(max(1, restarts)):
-        blochs: dict[Symbol, np.ndarray] = {}
-        per_party_count: dict[int, int] = {}
-        for j, sym in enumerate(symbols, 1):
-            if restart == 0:
-                k = per_party_count.get(sym[0], 0)
-                blochs[sym] = np.array(_AXES[k % 3])
-                per_party_count[sym[0]] = k + 1
-            else:
-                v = rng.normal(size=3)
-                blochs[sym] = v / np.linalg.norm(v)
-            mats[j] = _bloch_matrix(blochs[sym])
-
-        trajectory: list[float] = []
-        value = -math.inf
-        operator = _render(full, mats, work)[0]
-        for _ in range(max_sweeps):
-            _, state = top_eigenpair(operator)
-            rho = np.outer(state, state.conj())
-            for p, slots, plan in party_plans:
-                ptr = _partial_trace_keep(rho @ _render(plan, mats, work), p, n)
-                h = (ptr + ptr.conj().swapaxes(1, 2)) / 2
-                bloch = np.trace(h[:, None] @ _BLOCH_PAULIS, axis1=2, axis2=3).real
-                for j, u in zip(slots, bloch):
-                    norm = float(np.linalg.norm(u))
-                    if norm > 1e-13:
-                        sym = symbols[j - 1]
-                        blochs[sym] = u / norm
-                        mats[j] = _bloch_matrix(blochs[sym])
-            operator = _render(full, mats, work)[0]
-            new_value = float(np.vdot(state, operator @ state).real)
-            trajectory.append(new_value)
-            if new_value < value - 1e-12 * max(1.0, abs(value)):
-                raise SeesawError(
-                    f"see-saw objective decreased from {value!r} to {new_value!r}")
-            if new_value - value < gain_tol:
-                value = new_value
-                break
-            value = new_value
-        trajectories.append(trajectory)
+    for value, bloch in zip(values, blochs):
         if value > best_value:
             best_value = value
-            best_bloch = {s: tuple(float(c) for c in b) for s, b in blochs.items()}
-
+            best_bloch = {s: tuple(float(c) for c in b) for s, b in zip(symbols, bloch)}
     return SeesawResult(best_value, best_bloch, trajectories)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -131,7 +132,16 @@ def main(argv: list[str] | None = None) -> int:
     p_list.set_defaults(func=lambda a: (print("\n".join(case_names())), 0)[1])
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early (`bellforge list | head -1`); point stdout at
+        # devnull so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ and shared.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,15 +58,6 @@ class LogicalPaulis:
         if kz:
             out = out + kz * self.z
         return out
-
-    def to_json(self) -> str:
-        payload = {
-            name: [[s, round(c, 12)] for s, c in op.to_strings()]
-            for name, op in (("z", self.z), ("x", self.x),
-                             ("y", self.y), ("i", self.ident))
-        }
-        payload["n"] = self.n
-        return json.dumps(payload, sort_keys=True)
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -126,16 +116,3 @@ def logical_paulis_symbolic(group: StabilizerGroup, flip: PauliTerm,
     y_op = product(x_op, z_op, scale=1j)
     return LogicalPaulis(basis=basis, z=z_op, x=x_op, y=y_op, ident=ident)
 
-
-def rotated_z(ops: LogicalPaulis, theta: float) -> PauliSum:
-    """cos(theta) * Z + sin(theta) * X, the logical Z rotated in the xz plane."""
-    return ops.direction((np.sin(theta), 0.0, np.cos(theta)))
-
-
-def sums_match(a: PauliSum, b: PauliSum, atol: float = 1e-12) -> bool:
-    """Term-by-term agreement of two sums."""
-    if a.n != b.n:
-        return False
-    keys = set(k for k, _ in (a.to_strings())) | set(k for k, _ in b.to_strings())
-    da, db = dict(a.to_strings()), dict(b.to_strings())
-    return all(abs(da.get(k, 0.0) - db.get(k, 0.0)) <= atol for k in keys)

@@ -390,12 +390,6 @@ def check_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray
     return m
 
 
-def eig_bounds(m: np.ndarray) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of a Hermitian matrix."""
-    vals = np.linalg.eigvalsh(check_hermitian(m))
-    return float(vals[0]), float(vals[-1])
-
-
 def top_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest eigenvalue and a matching unit eigenvector (phase-fixed)."""
     vals, vecs = np.linalg.eigh(check_hermitian(m))

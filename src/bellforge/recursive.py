@@ -113,12 +113,6 @@ class RecursiveLevel:
         )
 
 
-def star_expand(level: RecursiveLevel, k: int,
-                rule: ExpansionRule | None = None) -> RecursiveLevel:
-    """One expansion step at qubit k (defaults to the Bell-basis rule)."""
-    return level.expanded(k, rule or default_rule())
-
-
 def build_level(n: int) -> RecursiveLevel:
     """Iterated expansion of the last qubit, from a single physical qubit.
 

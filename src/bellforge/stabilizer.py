@@ -199,14 +199,6 @@ class LogicalBasis:
         object.__setattr__(self, "zero_ket", zero)
         object.__setattr__(self, "one_ket", one)
 
-    @classmethod
-    def from_kets(cls, zero, one, name: str = "") -> "LogicalBasis":
-        zero = np.asarray(zero, dtype=complex)
-        n = int(round(np.log2(zero.size)))
-        return cls(n, zero / np.linalg.norm(zero),
-                   np.asarray(one, dtype=complex) / np.linalg.norm(one),
-                   name=name)
-
 
 def basis_from_flip(s: StabilizerGroup, zc: PauliTerm,
                     cap: int = DENSE_QUBIT_CAP, name: str = "") -> LogicalBasis:
@@ -257,10 +249,3 @@ def ghz3_basis() -> LogicalBasis:
     one[0b100], one[0b111] = 0.5, -0.5
     return LogicalBasis(3, zero, one, name="ghz3")
 
-
-def loop5_basis() -> LogicalBasis:
-    """Five-qubit loop-graph code basis: |0> = |L5>, |1> = Z^(x5) |L5>."""
-    group = graph_state_generators(GraphSpec.loop(5))
-    flip = PauliTerm.from_string("ZZZZZ")
-    basis = basis_from_flip(group, flip, name="loop5")
-    return basis

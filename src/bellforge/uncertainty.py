@@ -21,6 +21,7 @@ from .pauli import _PAULI_2X2, PauliSum
 from .stabilizer import bell_basis
 
 DISC_BOUND = 8.0
+_DENSITY_BLOCK = 256   # samples per product block in _random_densities
 
 
 @dataclass(frozen=True)
@@ -112,14 +113,25 @@ class SweepResult:
 def _random_densities(rng: np.random.Generator, samples: int, dim: int) -> np.ndarray:
     """``samples`` random dim x dim densities G G^dagger / tr(G G^dagger).
 
-    G's real and imaginary parts are written straight into it and the trace
-    is divided out in place, so neither the complex sum nor the quotient
-    needs an array of its own.
+    G's real parts are drawn first, then its imaginary parts, straight into
+    the second half of the output's memory: writing the densities in sample
+    order reaches that half only at imaginary parts already read. Products
+    are formed a block of ``_DENSITY_BLOCK`` samples at a time, and the trace
+    is divided out in place, so the only sample-sized temporary is the real
+    parts, half the output's size.
     """
-    g = np.empty((samples, dim, dim), dtype=complex)
-    g.real = rng.normal(size=(samples, dim, dim))
-    g.imag = rng.normal(size=(samples, dim, dim))
-    rhos = np.einsum("kij,klj->kil", g, g.conj())
+    rhos = np.empty((samples, dim, dim), dtype=complex)
+    real = rng.normal(size=rhos.shape)
+    imag = rhos.reshape(-1).view(float)[real.size:].reshape(rhos.shape)
+    rng.standard_normal(out=imag)    # what normal(size=...) draws, in place
+    g = np.empty((min(samples, _DENSITY_BLOCK), dim, dim), dtype=complex)
+    g_conj = np.empty_like(g)
+    for lo in range(0, samples, _DENSITY_BLOCK):
+        hi = min(lo + _DENSITY_BLOCK, samples)
+        block, block_conj = g[:hi - lo], g_conj[:hi - lo]
+        block.real, block.imag = real[lo:hi], imag[lo:hi]
+        np.einsum("kij,klj->kil", block, np.conjugate(block, out=block_conj),
+                  out=rhos[lo:hi])
     traces = np.einsum("kii->k", rhos).real
     rhos /= traces[:, None, None]
     return rhos

@@ -23,6 +23,7 @@ from golden import (
     loop5_golden_y,
     loop5_golden_z,
 )
+from helpers import basis_from_kets
 
 from bellforge.bell import (
     chained_construction,
@@ -43,7 +44,6 @@ from bellforge.pauli import PauliSum, PauliTerm
 from bellforge.recursive import assignment_value_bound, build_level, mermin_case, svetlichny_case
 from bellforge.stabilizer import (
     GraphSpec,
-    LogicalBasis,
     StabilizerGroup,
     bell_basis,
     expand_projector,
@@ -275,7 +275,7 @@ def test_criterion_6_assignment_value_is_half(n):
 @pytest.mark.parametrize("row", range(6))
 def test_criterion_7_basis_table(row):
     entry = TWO_QUBIT_BASIS_TABLE[row]
-    basis = LogicalBasis.from_kets(list(entry["zero"]), list(entry["one"]))
+    basis = basis_from_kets(list(entry["zero"]), list(entry["one"]))
     ops = logical_paulis_numeric(basis)
     for name, op in (("x", ops.x), ("z", ops.z), ("y", ops.y), ("i", ops.ident)):
         got = dict(op.to_strings())

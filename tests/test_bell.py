@@ -20,9 +20,10 @@ from bellforge.bell import (
     symbolize,
     symbolize_decomposed,
 )
-from bellforge.logical import logical_paulis_numeric, logical_paulis_symbolic, rotated_z, sums_match
+from bellforge.logical import logical_paulis_numeric, logical_paulis_symbolic
 from bellforge.pauli import PauliSum, PauliTerm
 from bellforge.stabilizer import GraphSpec, bell_basis, ghz3_basis, graph_state_generators
+from helpers import basis_from_kets, rotated_z
 
 ROOT2 = math.sqrt(2)
 
@@ -120,9 +121,7 @@ class TestBuildLogical:
         assert all(abs(abs(c) - 1.0) < 1e-9 for _, c in op.to_strings())
 
     def test_trivial_direction(self):
-        basis_ops = logical_paulis_numeric(
-            __import__("bellforge.stabilizer", fromlist=["LogicalBasis"])
-            .LogicalBasis.from_kets([1, 0], [0, 1]))
+        basis_ops = logical_paulis_numeric(basis_from_kets([1, 0], [0, 1]))
         assert (1.0 * basis_ops.direction((0, 0, 1))).to_strings() == [("Z", 1.0)]
 
     def test_beta_auto_rules(self):

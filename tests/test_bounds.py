@@ -353,6 +353,12 @@ class TestSeesaw:
 
 # --- see-saw renders against the kron chain ---------------------------------------
 
+def bloch_matrix(bloch):
+    """x X + y Y + z Z for one Bloch vector, as the oracles build it."""
+    bx, by, bz = bloch
+    return bx * _PAULI_2X2["X"] + by * _PAULI_2X2["Y"] + bz * _PAULI_2X2["Z"]
+
+
 def kron_render(expr, blochs, skip=None):
     """The see-saw operator by one np.kron per party per term: the oracle."""
     n = expr.parties
@@ -366,7 +372,7 @@ def kron_render(expr, blochs, skip=None):
         m = np.ones((1, 1), dtype=complex)
         for p in range(n):
             if p in by_party and (skip is None or (p, by_party[p]) != skip):
-                m = np.kron(m, bounds._bloch_matrix(blochs[(p, by_party[p])]))
+                m = np.kron(m, bloch_matrix(blochs[(p, by_party[p])]))
             else:
                 m = np.kron(m, _PAULI_2X2["I"])
         out += coeff * m
@@ -381,7 +387,8 @@ def partial_trace_keep(m, party, n):
 
 
 def kron_seesaw(expr, restarts, seed, max_sweeps=500, gain_tol=1e-9):
-    """seesaw_optimize's loop rendering every operator with kron_render."""
+    """seesaw_optimize one restart after another, rendering every operator
+    with kron_render and updating one symbol at a time."""
     rng = np.random.default_rng(seed)
     symbols = expr.symbols
     n = expr.parties
@@ -450,7 +457,7 @@ def random_settings(rng, symbols):
     for j, sym in enumerate(symbols, 1):
         v = rng.normal(size=3)
         blochs[sym] = v / np.linalg.norm(v)
-        mats[j] = bounds._bloch_matrix(blochs[sym])
+        mats[j] = bloch_matrix(blochs[sym])
     return blochs, mats
 
 
@@ -579,7 +586,7 @@ class TestSeesawRender:
             monkeypatch.setattr(bounds, "_RENDER_CHUNK_BYTES", terms_per_chunk * 16 * 2 * 2)
         expr = BellExpression(1, {((0, "A"),): -1.0, ((0, "B"),): -1.0}, constant=-1.0)
         blochs = {sym: np.array(bounds._AXES[0]) for sym in expr.symbols}
-        mats = np.stack([_PAULI_2X2["I"], *(bounds._bloch_matrix(blochs[sym])
+        mats = np.stack([_PAULI_2X2["I"], *(bloch_matrix(blochs[sym])
                                              for sym in expr.symbols)])
         got = bounds._render(bounds._render_plan(expr, expr.symbols), mats)[0]
         want = kron_render(expr, blochs)
@@ -625,11 +632,138 @@ class TestSeesawRender:
         self.check_seesaw(loop5_expressions()[1], restarts=2, seed=5)
 
     @staticmethod
-    def check_seesaw(expr, restarts, seed):
-        res = seesaw_optimize(expr, restarts=restarts, seed=seed)
-        value, best_bloch, trajectories = kron_seesaw(expr, restarts, seed)
+    def check_seesaw(expr, restarts, seed, max_sweeps=500):
+        res = seesaw_optimize(expr, restarts=restarts, seed=seed, max_sweeps=max_sweeps)
+        value, best_bloch, trajectories = kron_seesaw(expr, restarts, seed, max_sweeps)
         assert res.value.hex() == value.hex()
         assert {s: [c.hex() for c in b] for s, b in res.best_bloch.items()} == \
             {s: [c.hex() for c in b] for s, b in best_bloch.items()}
         assert [[v.hex() for v in t] for t in res.trajectories] == \
             [[v.hex() for v in t] for t in trajectories]
+        return res
+
+
+def count_renders(monkeypatch):
+    """Patch ``bounds._render`` to record the number of operators of each call."""
+    real, sizes = bounds._render, []
+
+    def render(plan, mats, work=None):
+        sizes.append(len(plan[2]))
+        return real(plan, mats, work)
+
+    monkeypatch.setattr(bounds, "_render", render)
+    return sizes
+
+
+class TestSeesawBatches:
+    """Restarts run together; each must still compute what it would alone."""
+
+    check_seesaw = staticmethod(TestSeesawRender.check_seesaw)
+
+    @pytest.mark.parametrize("which, seed", [(0, 0), (1, 2)])
+    def test_restarts_leaving_at_different_sweeps(self, which, seed):
+        # l5-svetlichny at seed 0 runs 2, 4, 4 and 5 sweeps, l5-hyper at seed 2
+        # 2, 8, 5 and 4, so the batch shrinks sweep by sweep
+        res = self.check_seesaw(loop5_expressions()[which], restarts=4, seed=seed)
+        lengths = [len(t) for t in res.trajectories]
+        assert len(set(lengths)) > 2, lengths
+
+    def test_cut_off_by_max_sweeps(self):
+        # l5-hyper at seed 1 runs 2, 17, 4 and 4 sweeps: three restarts stop
+        # at the cap before converging, restart 0 converges first
+        res = self.check_seesaw(loop5_expressions()[1], restarts=4, seed=1, max_sweeps=3)
+        assert [len(t) for t in res.trajectories] == [2, 3, 3, 3]
+        assert res.trajectories[1][-1] - res.trajectories[1][-2] > 1e-9
+
+    def test_no_sweeps(self):
+        chsh, _ = chsh_expression()
+        res = seesaw_optimize(chsh, restarts=3, max_sweeps=0)
+        assert (res.value, res.best_bloch, res.trajectories) == (-math.inf, {}, [[], [], []])
+
+    @pytest.mark.parametrize("terms_per_chunk", [1, 3, None])
+    def test_tiled_render_matches_each_restart(self, monkeypatch, terms_per_chunk):
+        # restarts 0, 2 and 3 of four still running: the tiled plan renders
+        # each one's operators as its own plan on its own settings does, also
+        # when one restart's terms share a chunk with the next one's
+        rng = np.random.default_rng(48)
+        for _ in range(12):
+            parties = int(rng.integers(1, 5))
+            if terms_per_chunk:
+                monkeypatch.setattr(bounds, "_RENDER_CHUNK_BYTES",
+                                    terms_per_chunk * 16 * 4 ** parties)
+            expr = random_expression(rng, parties, sparse=bool(parties % 2),
+                                     constant=float(rng.integers(-1, 2)))
+            symbols = expr.symbols
+            mats = np.stack([random_settings(rng, symbols)[1] for _ in range(4)])
+            running = np.array([0, 2, 3])
+            for party in [None, *{sym[0] for sym in symbols}]:
+                plan = bounds._render_plan(expr, symbols, party)
+                tiled = bounds._tile_plan(plan, running, len(symbols) + 1)
+                got = bounds._render(tiled, mats.reshape(-1, 2, 2))
+                want = np.concatenate([bounds._render(plan, mats[r]) for r in running])
+                assert_same_bits(got, want, (str(expr), party))
+
+    @pytest.mark.parametrize("restarts_per_batch", [1, 2])
+    def test_several_batches(self, monkeypatch, restarts_per_batch):
+        # l5-hyper's largest party stack holds 3 operators of 32 x 32; a
+        # budget of that many restarts' stacks splits 3 restarts into batches
+        expr = loop5_expressions()[1]
+        monkeypatch.setattr(bounds, "_SEESAW_BATCH_BYTES",
+                            restarts_per_batch * 3 * 16 * 32 * 32)
+        sizes = count_renders(monkeypatch)
+        res = self.check_seesaw(expr, restarts=3, seed=2)
+        longest = [max(len(t) for t in res.trajectories[first:first + restarts_per_batch])
+                   for first in range(0, 3, restarts_per_batch)]
+        assert len(sizes) == sum(1 + (expr.parties + 1) * s for s in longest)
+        assert max(sizes) == 3 * restarts_per_batch
+
+    @pytest.mark.parametrize("restarts", [6, 12])
+    def test_render_calls_do_not_grow_with_restarts(self, monkeypatch, restarts):
+        # one render of every running restart's operator to start, then per
+        # sweep one per party and one of the operators
+        expr = loop5_expressions()[1]
+        sizes = count_renders(monkeypatch)
+        res = seesaw_optimize(expr, restarts=restarts, seed=1)
+        longest = max(len(t) for t in res.trajectories)
+        assert len(sizes) == 1 + (expr.parties + 1) * longest
+        # the first sweep renders every restart's three leave-one-out operators
+        assert sizes[:2] == [restarts, 3 * restarts]
+
+    def test_seesaw_error_from_a_later_restart(self, monkeypatch):
+        # restarts run sweep by sweep: calls 1-3 are the first sweep of
+        # restarts 0-2, call 5 restart 1's second sweep, which gets |00> and
+        # so ends at most at 2, below the 2*sqrt(2) of its first sweep
+        expr, _ = chsh_expression()
+        real = bounds.top_eigenpair
+        calls = []
+
+        def eigenpair(m):
+            calls.append(1)
+            if len(calls) == 5:
+                return 0.0, np.eye(4, dtype=complex)[0]
+            return real(m)
+
+        monkeypatch.setattr(bounds, "top_eigenpair", eigenpair)
+        with pytest.raises(SeesawError, match="restart 1 decreased"):
+            seesaw_optimize(expr, restarts=3, seed=0)
+        assert len(calls) == 6
+
+    def test_memory_grows_by_the_stacks_of_each_restart(self):
+        # 96 terms on 7 parties, 3 settings each: a restart adds its party
+        # stack, that stack times its state, its state and its operator, all
+        # 128 x 128, beside the render buffers; a batch holds at most
+        # _SEESAW_BATCH_BYTES of stacks, so 6 restarts peak as 5 do
+        rng = np.random.default_rng(46)
+        expr = seven_party_expression(rng, ["A", "B", "C"])
+        operator = 16 * 128 * 128
+        batch = bounds._SEESAW_BATCH_BYTES // (3 * operator)
+        assert batch == 5
+        for restarts in (2, 6):
+            tracemalloc.start()
+            try:
+                seesaw_optimize(expr, restarts=restarts, seed=1, max_sweeps=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            running = min(restarts, batch)
+            assert peak <= 2 * bounds._RENDER_CHUNK_BYTES + (8 * running + 5) * operator

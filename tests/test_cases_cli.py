@@ -327,13 +327,28 @@ class TestCli:
         assert message in captured.err
 
     @staticmethod
-    def _run_module(module: str) -> subprocess.CompletedProcess:
+    def _module_env() -> dict:
         # the child imports the package this test imported, installed or not
         src = str(Path(bellforge.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        return {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def _run_module(self, module: str) -> subprocess.CompletedProcess:
         return subprocess.run([sys.executable, "-m", module, "list"],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=self._module_env())
+
+    def test_reader_closed_before_output(self):
+        # `bellforge list | head -1`: the reader is gone before the first write,
+        # so every write fails with EPIPE; the command exits 1, as Python
+        # does on EPIPE, without a traceback
+        proc = subprocess.Popen([sys.executable, "-m", "bellforge", "list"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env=self._module_env())
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == ""
 
     def test_console_script_entry(self):
         proc = self._run_module("bellforge.cli")

@@ -6,16 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from bellforge.logical import (
-    logical_paulis_numeric,
-    logical_paulis_symbolic,
-    rotated_z,
-    sums_match,
-)
+from bellforge.logical import logical_paulis_numeric, logical_paulis_symbolic
 from bellforge.pauli import PauliSum, PauliTerm, QubitCapError, product
 from bellforge.stabilizer import (
     GraphSpec,
-    LogicalBasis,
     StabilizerGroup,
     basis_from_flip,
     bell_basis,
@@ -25,6 +19,7 @@ from bellforge.stabilizer import (
 
 
 from golden import loop5_golden_x, loop5_golden_y, loop5_golden_z, ring_string
+from helpers import basis_from_kets, logical_paulis_json, rotated_z, sums_match
 
 
 def loop5_parts():
@@ -50,7 +45,7 @@ class TestNumericRoute:
 
     def test_alternate_bell_pair_basis(self):
         r = 1 / math.sqrt(2)
-        basis = LogicalBasis.from_kets([r, 0, 0, -r], [0, r, r, 0])
+        basis = basis_from_kets([r, 0, 0, -r], [0, r, r, 0])
         ops = logical_paulis_numeric(basis)
         assert_terms(ops.x, {"XZ": 0.5, "ZX": 0.5})
         assert_terms(ops.z, {"ZZ": 0.5, "XX": -0.5})
@@ -58,7 +53,7 @@ class TestNumericRoute:
         assert_terms(ops.ident, {"II": 0.5, "YY": 0.5})
 
     def test_physical_qubit(self):
-        basis = LogicalBasis.from_kets([1, 0], [0, 1])
+        basis = basis_from_kets([1, 0], [0, 1])
         ops = logical_paulis_numeric(basis)
         assert_terms(ops.z, {"Z": 1.0})
         assert_terms(ops.x, {"X": 1.0})
@@ -221,7 +216,7 @@ class TestRotatedZ:
 
 def test_json_serialization():
     ops = logical_paulis_numeric(bell_basis())
-    payload = json.loads(ops.to_json())
+    payload = json.loads(logical_paulis_json(ops))
     assert payload["n"] == 2
     assert sorted(payload) == ["i", "n", "x", "y", "z"]
     assert payload["z"] == [["XX", 0.5], ["ZZ", 0.5]]

@@ -14,11 +14,11 @@ from bellforge.pauli import (
     QubitCapError,
     anticommutator_sum,
     check_hermitian,
-    eig_bounds,
     pauli_decompose,
     product,
     top_eigenpair,
 )
+from helpers import eig_bounds
 
 
 def kron_dense(term):

@@ -11,7 +11,6 @@ from bellforge.bounds import (
     dichotomic_term_bound,
     quantum_lower_bound,
 )
-from bellforge.logical import logical_paulis_numeric, sums_match
 from bellforge.pauli import PauliSum
 from bellforge.recursive import (
     ExpansionRule,
@@ -22,10 +21,10 @@ from bellforge.recursive import (
     expand_operator,
     expand_state,
     mermin_case,
-    star_expand,
     svetlichny_case,
 )
 from bellforge.stabilizer import bell_basis
+from helpers import sums_match
 
 
 class TestExpansion:
@@ -76,7 +75,7 @@ class TestExpansion:
 
     def test_star_expand_object(self):
         lv = build_level(2)
-        lv3 = star_expand(lv, 1)
+        lv3 = lv.expanded(1, default_rule())
         assert lv3.n == 3
         assert sums_match(lv3.z_op, build_level(3).z_op)
 

@@ -14,9 +14,9 @@ from bellforge.stabilizer import (
     expand_projector,
     ghz3_basis,
     graph_state_generators,
-    loop5_basis,
     state_vector,
 )
+from helpers import loop5_basis
 
 RNG = np.random.default_rng(1234)
 

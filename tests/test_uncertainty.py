@@ -1,14 +1,16 @@
 """Uncertainty relation for Bell operator pairs and quadratic inequalities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bellforge.bell import BellExpression
-from bellforge.logical import logical_paulis_numeric, sums_match
+from bellforge.logical import logical_paulis_numeric
 from bellforge.pauli import _PAULI_2X2
 from bellforge.stabilizer import bell_basis
+from helpers import sums_match
 from bellforge.uncertainty import (
     DirectionXZ,
     SweepResult,
@@ -133,15 +135,40 @@ class TestSamplers:
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_batched_densities_match_expression_oracle(self, dim):
+        self.check_densities(dim, 500)
+
+    @pytest.mark.parametrize("dim, samples", [(4, 256), (3, 1), (4, 1025)])
+    def test_densities_at_product_block_edges(self, dim, samples):
+        # one full block, one sample, and four full blocks and one sample
+        self.check_densities(dim, samples)
+
+    @staticmethod
+    def check_densities(dim, samples):
         # the sampler as one expression, with its sample-sized temporaries
         rng = np.random.default_rng(3)
-        g = rng.normal(size=(500, dim, dim)) + 1j * rng.normal(size=(500, dim, dim))
+        g = rng.normal(size=(samples, dim, dim)) + 1j * rng.normal(size=(samples, dim, dim))
         rhos = np.einsum("kij,klj->kil", g, g.conj())
         want = rhos / np.einsum("kii->k", rhos).real[:, None, None]
-        got = _random_densities(np.random.default_rng(3), 500, dim)
+        mine = np.random.default_rng(3)
+        got = _random_densities(mine, samples, dim)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert mine.random() == rng.random()    # the same draws, no more
         check_density(got[0])
+
+    def test_densities_need_half_their_size_beside_them(self):
+        # the real parts (half the output) are the only sample-sized
+        # temporary; the output, G and its conjugate at once would be three
+        # times the output
+        samples, dim = 10000, 4
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            _random_densities(rng, samples, dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 16 * samples * dim * dim
 
 
 def closure_sweep(case, samples, seed):
