@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .logical import (
     logical_paulis_numeric,
     logical_paulis_symbolic,
 )
-from .pauli import PauliSum, PauliTerm, product
+from .pauli import _BITS_LETTER, PauliSum, PauliTerm, product
 from .stabilizer import (
     GraphSpec,
     LogicalBasis,
@@ -95,13 +96,13 @@ class BellExpression:
         clean: dict[TermKey, float] = {}
         for key, coeff in self.terms.items():
             key = tuple(sorted(key))
-            seen = [p for p, _ in key]
-            if len(set(seen)) != len(seen):
+            if len({p for p, _ in key}) != len(key):
                 raise ValueError(f"term {key} repeats a party")
-            if not all(0 <= p < self.parties for p in seen):
-                raise ValueError(f"term {key} names a party outside 0..{self.parties - 1}")
             if key == ():
                 raise ValueError("empty factor tuple; fold it into the constant")
+            # sorted by party, so the first and last factors hold the extremes
+            if not (0 <= key[0][0] and key[-1][0] < self.parties):
+                raise ValueError(f"term {key} names a party outside 0..{self.parties - 1}")
             clean[key] = clean.get(key, 0.0) + float(coeff)
         self.terms = {k: c for k, c in clean.items() if c != 0.0}
 
@@ -138,15 +139,11 @@ class BellExpression:
         return len(self.terms)
 
     def __str__(self) -> str:
-        def fmt(sym: Symbol) -> str:
-            return f"{sym[1]}_{sym[0]}"
-
         parts = []
         if self.constant:
             parts.append(f"{self.constant:+g}")
-        for key in sorted(self.terms):
-            c = self.terms[key]
-            body = "*".join(fmt(s) for s in key)
+        for key, c in sorted(self.terms.items()):
+            body = "*".join([f"{label}_{party}" for party, label in key])
             if abs(abs(c) - 1.0) < 1e-12:
                 parts.append(("+ " if c > 0 else "- ") + body)
             else:
@@ -191,40 +188,54 @@ def evaluate_quantum(expr: BellExpression, bindings: dict[Symbol, Setting],
     return render_operator(expr, bindings).expectation(state)
 
 
+@cache
+def _letter_setting(party: int, label: str, letter: str) -> Setting:
+    """The setting measuring one Pauli letter at one party, built and checked
+    for dichotomy once per process and shared (``Setting`` is frozen)."""
+    return Setting(party, label, PauliSum.from_strings([(letter, 1.0)], n=1))
+
+
 def symbolize(op: PauliSum, symbol_map: dict[str, str],
               constant_from_identity: bool = True
               ) -> tuple[BellExpression, dict[Symbol, Setting]]:
     """Replace each single-qubit Pauli by a per-party symbol.
 
-    ``symbol_map`` sends Pauli letters to symbol names, e.g. {"Z": "A",
-    "X": "B", "Y": "C"}. The all-identity term becomes the expression's
-    constant. Every non-identity letter must be mapped.
+    ``symbol_map`` sends Pauli letters to distinct symbol names, e.g.
+    {"Z": "A", "X": "B", "Y": "C"}. The all-identity term becomes the
+    expression's constant. Every non-identity letter must be mapped.
+
+    Walks the terms in sorted (x, z) order and, in each, only the qubits in
+    its support, lowest first; settings come from ``_letter_setting``.
+    Bindings are listed in order of first appearance.
     """
-    n = op.n
+    labels = [symbol_map[letter] for letter in "XYZ" if letter in symbol_map]
+    if len(set(labels)) != len(labels):
+        raise ValueError("symbol map sends two Pauli letters to the same label: "
+                         f"{symbol_map!r}")
     terms: dict[TermKey, float] = {}
     constant = 0.0
     bindings: dict[Symbol, Setting] = {}
-    for term, coeff in op.items():
-        if term.weight == 0:
+    for (x, z), coeff in sorted(op._terms.items()):
+        if not x | z:
             if not constant_from_identity:
                 raise ValueError("identity term present but constants disallowed")
             constant += coeff
             continue
         key = []
-        for q in range(n):
-            letter = term.letter(q)
-            if letter == "I":
-                continue
+        support = x | z
+        while support:
+            q = (support & -support).bit_length() - 1
+            support ^= 1 << q
+            letter = _BITS_LETTER[(x >> q) & 1, (z >> q) & 1]
             if letter not in symbol_map:
                 raise ValueError(f"no symbol mapped for Pauli letter {letter}")
-            label = symbol_map[letter]
-            sym = (q, label)
+            sym = (q, symbol_map[letter])
             key.append(sym)
             if sym not in bindings:
-                bindings[sym] = Setting(
-                    q, label, PauliSum.from_strings([(letter, 1.0)], n=1))
-        terms[tuple(sorted(key))] = terms.get(tuple(sorted(key)), 0.0) + coeff
-    return BellExpression(n, terms, constant), bindings
+                bindings[sym] = _letter_setting(*sym, letter)
+        # an injective map gives every Pauli string its own key
+        terms[tuple(key)] = coeff
+    return BellExpression(op.n, terms, constant), bindings
 
 
 # --- complementary setting rewrite ------------------------------------------
@@ -387,8 +398,7 @@ def symbolize_decomposed(dec: DecomposedOperator,
             raise ValueError(f"party {party} would need more than two settings")
         label = party_letter(party) + ("'" if idx == 1 else "")
         label_of[key] = label
-        bindings[(party, label)] = Setting(
-            party, label, PauliSum.from_strings([(pauli_letter, 1.0)], n=1))
+        bindings[(party, label)] = _letter_setting(party, label, pauli_letter)
         return label
 
     terms: dict[TermKey, float] = {}
@@ -534,9 +544,10 @@ class BellRecipe:
         _check_decomposition(decomposition)
         symbols = data.get("symbols", {"Z": "A", "X": "B", "Y": "C"})
         if not (isinstance(symbols, dict) and set(symbols) <= {"X", "Y", "Z"}
-                and all(isinstance(name, str) for name in symbols.values())):
+                and all(isinstance(name, str) for name in symbols.values())
+                and len(set(symbols.values())) == len(symbols)):
             raise ValueError("symbols must be an object mapping Pauli letters "
-                             f"X, Y, Z to strings, got {symbols!r}")
+                             f"X, Y, Z to distinct strings, got {symbols!r}")
         return cls(
             basis=basis,
             k=(float(k[0]), float(k[1]), float(k[2])),

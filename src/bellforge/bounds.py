@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product as iter_product
 
 import numpy as np
@@ -95,14 +96,18 @@ class ClassicalBounds:
     exact: bool = True
 
 
+@cache
 def _strategy_table(k: int) -> np.ndarray:
-    """The 2^k deterministic strategies of a party with k settings.
+    """The 2^k deterministic strategies of a party with k settings, built
+    once per process and shared read-only.
 
     Rows run in lexicographic order (setting 0 most significant, +1 before
     -1). Column 0 is the identity; column j is the sign of setting j.
     """
     bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    return np.hstack([np.ones((1 << k, 1)), 1.0 - 2.0 * bits])
+    table = np.hstack([np.ones((1 << k, 1)), 1.0 - 2.0 * bits])
+    table.flags.writeable = False
+    return table
 
 
 def _vertex_blocks(expr: BellExpression, symbols: list[Symbol]):

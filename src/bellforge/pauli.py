@@ -11,23 +11,33 @@ sign +1 (phase folded into the coefficient), so any rendered matrix is
 Hermitian by construction.
 
 Every Pauli string is a signed permutation: it sends basis state r to a phase
-times basis state r ^ x. One kernel, ``_signed_permutation``, gives that
-target and phase for all 2^n basis states at once, and rendering, applying and
-decomposing are all built on it. A sum is rendered densely by scattering
-O(2^n) entries per term into a zero matrix, in place of a Kronecker product of
-2x2 factors per term (the PauliComposer scheme, arXiv:2301.00560).
+times basis state r ^ x. One batched kernel, ``_signed_permutation``, gives
+that target and phase for all 2^n basis states of a whole array of strings at
+once: index masks come from a per-n bit-reversal table, sign parities from
+``np.bitwise_count`` and phases from one table lookup. Rendering, applying and
+decomposing a term or a sum are all built on it. A sum is rendered densely by
+scattering O(2^n) entries per term into a zero matrix, in place of a Kronecker
+product of 2x2 factors per term (the PauliComposer scheme, arXiv:2301.00560);
+its terms go through the kernel a chunk at a time, within
+``_KERNEL_CHUNK_BYTES`` of temporaries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import groupby
+from functools import cache
 
 import numpy as np
 
 DENSE_QUBIT_CAP = 12        # 2^12 = 4096-dim dense matrices at most
 COEFF_PRUNE = 1e-14         # drop numerically-zero coefficients after arithmetic
 HERMITICITY_ATOL = 1e-9
+_KERNEL_CHUNK_BYTES = 1 << 20   # most bytes of render temporaries held at once
+# bytes per basis state of a chunk term: 16 for its entry and 16 for its run's
+# sum (its image, in apply), 8 each for its destination and its run's row, 5
+# for its sign parity and the uint32 before it, and room for numpy's
+# fixed-size ufunc buffers
+_KERNEL_ENTRY_BYTES = 72
 
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
@@ -42,9 +52,10 @@ _PAULI_2X2 = {
 }
 
 _I_POW = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
-# i^k * (+1, -1), indexed by sign parity; one lookup gives the same bits as
-# multiplying the phase into a +/-1 sign vector, without the two array passes
-_PHASED_SIGNS = tuple(p * np.array([1.0, -1.0]) for p in _I_POW)
+# row k is i^k * (+1, -1), column the sign parity; one lookup gives the same
+# bits as multiplying the phase into a +/-1 sign vector, without the two passes
+_PHASED_SIGNS = np.array([p * np.array([1.0, -1.0]) for p in _I_POW])
+_PHASED_SIGNS.flags.writeable = False
 
 
 class DimensionError(ValueError):
@@ -59,32 +70,65 @@ def _parity(x: int) -> int:
     return x.bit_count() & 1
 
 
+def _product_phase(xa: int, za: int, xb: int, zb: int) -> int:
+    """k (mod 4) in P_a P_b = i^k P_c for the +1-signed strings with these
+    masks, P_c having masks (xa ^ xb, za ^ zb)."""
+    # Convert both factors to X^x Z^z normal order, commute Z past X
+    # (one -1 per crossing), then restore the Y convention on the result.
+    return ((xa & za).bit_count() + (xb & zb).bit_count()
+            - ((xa ^ xb) & (za ^ zb)).bit_count() + 2 * _parity(za & xb))
+
+
 def _check_cap(n: int, cap: int) -> None:
     if n > cap:
         raise QubitCapError(f"{n} qubits exceeds dense cap of {cap}")
 
 
-def _index_mask(mask: int, n: int) -> int:
-    """Reflect a qubit-indexed bit mask into basis-index bit order."""
-    out = 0
+@cache
+def _bit_reversal(n: int) -> np.ndarray:
+    """Every n-qubit mask reflected into basis-index bit order (qubit q is
+    bit n - 1 - q of an index); shared and read-only.
+
+    The type is uint8 up to 8 qubits, else uint32 (numpy's ``bitwise_count``
+    runs several times slower on uint16 and int64 than on these).
+    """
+    masks = np.arange(1 << n, dtype=np.uint8 if n <= 8 else np.uint32)
+    out = np.zeros_like(masks)
     for q in range(n):
-        if (mask >> q) & 1:
-            out |= 1 << (n - 1 - q)
+        out |= ((masks >> q) & 1) << (n - 1 - q)
+    out.flags.writeable = False
     return out
 
 
-def _signed_permutation(n: int, x_mask: int, z_mask: int, phase_exp: int = 0
+def _signed_permutation(n: int, x_masks: np.ndarray, z_masks: np.ndarray,
+                        phase_exps: np.ndarray | int = 0,
+                        scales: np.ndarray | None = None
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Where and with what phase i^phase_exp * (Pauli string) sends each basis state.
+    """Where and with what phase each string i^phase_exps[t] * P_t sends each
+    basis state, for the T strings with integer masks ``x_masks[t]``, ``z_masks[t]``.
 
-    Returns ``(dest, entries)`` with the string mapping basis state r to
-    entries[r] * |dest[r]>: column r of its matrix holds one nonzero entry,
-    i^(phase_exp + |x & z|) * (-1)^popcount(r & zm), in row r ^ xm.
+    Returns ``(dest, entries)``, both of shape (T, 2^n): string t maps basis
+    state r to entries[t, r] * |dest[t, r]>, so column r of its matrix holds
+    one nonzero entry, i^(phase_exp + |x & z|) * (-1)^popcount(r & zm), in row
+    r ^ xm (xm, zm: the masks in index bit order). With ``scales``, entry
+    (t, r) is ``scales[t] * entry``, the same bits as scaling afterwards; each
+    string's two possible entries are scaled before they are spread.
     """
-    src = np.arange(1 << n)
-    parity = np.bitwise_count(src & _index_mask(z_mask, n)) & 1
-    phased_signs = _PHASED_SIGNS[(phase_exp + (x_mask & z_mask).bit_count()) % 4]
-    return src ^ _index_mask(x_mask, n), phased_signs[parity]
+    reverse = _bit_reversal(n)
+    odd = np.bitwise_count(np.arange(1 << n, dtype=reverse.dtype)
+                           & reverse[z_masks][:, None])
+    odd &= 1
+    signs = _PHASED_SIGNS[(phase_exps + np.bitwise_count(x_masks & z_masks)) % 4]
+    if scales is not None:
+        signs = scales[:, None] * signs
+    entries = np.where(odd.view(bool), signs[:, 1:], signs[:, :1])
+    # intp rows: numpy would convert narrower index arrays on every use
+    return np.arange(1 << n) ^ reverse[x_masks][:, None], entries
+
+
+def _chunk_terms(n: int) -> int:
+    """Most terms whose kernel temporaries fit in ``_KERNEL_CHUNK_BYTES``."""
+    return max(1, _KERNEL_CHUNK_BYTES // (_KERNEL_ENTRY_BYTES << n))
 
 
 @dataclass(frozen=True)
@@ -175,37 +219,41 @@ class PauliTerm:
         """Operator product, left factor first, with exact phase accumulation."""
         if self.n != other.n:
             raise DimensionError(f"{self.n} vs {other.n} qubits")
-        x = self.x_mask ^ other.x_mask
-        z = self.z_mask ^ other.z_mask
-        # Convert both factors to X^x Z^z normal order, commute Z past X
-        # (one -1 per crossing), then restore the Y convention on the result.
         phase = (self.phase_exp + other.phase_exp
-                 + (self.x_mask & self.z_mask).bit_count()
-                 + (other.x_mask & other.z_mask).bit_count()
-                 - (x & z).bit_count()
-                 + 2 * _parity(self.z_mask & other.x_mask))
-        return PauliTerm(self.n, x, z, phase % 4)
+                 + _product_phase(self.x_mask, self.z_mask, other.x_mask, other.z_mask))
+        return PauliTerm(self.n, self.x_mask ^ other.x_mask,
+                         self.z_mask ^ other.z_mask, phase % 4)
+
+    def _permutation(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(dest, entries)`` of this term alone (see ``_signed_permutation``)."""
+        dest, entries = _signed_permutation(
+            self.n, np.array([self.x_mask]), np.array([self.z_mask]), self.phase_exp)
+        return dest[0], entries[0]
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Apply the term to a state vector without building the matrix."""
-        dim = 1 << self.n
-        vec = np.asarray(vec, dtype=complex)
-        if vec.shape != (dim,):
-            raise DimensionError(f"state has shape {vec.shape}, expected ({dim},)")
-        dest, entries = _signed_permutation(self.n, self.x_mask, self.z_mask,
-                                            self.phase_exp)
-        out = np.empty(dim, dtype=complex)
+        vec = _check_state(vec, self.n)
+        dest, entries = self._permutation()
+        out = np.empty(vec.size, dtype=complex)
         out[dest] = entries * vec
         return out
 
     def to_dense(self, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
         _check_cap(self.n, cap)
         dim = 1 << self.n
-        dest, entries = _signed_permutation(self.n, self.x_mask, self.z_mask,
-                                            self.phase_exp)
+        dest, entries = self._permutation()
         out = np.zeros((dim, dim), dtype=complex)
         out[dest, np.arange(dim)] = entries
         return out
+
+
+def _check_state(vec: np.ndarray, n: int) -> np.ndarray:
+    """``vec`` as a complex n-qubit state vector; DimensionError otherwise."""
+    dim = 1 << n
+    vec = np.asarray(vec, dtype=complex)
+    if vec.shape != (dim,):
+        raise DimensionError(f"state has shape {vec.shape}, expected ({dim},)")
+    return vec
 
 
 @dataclass
@@ -303,29 +351,89 @@ class PauliSum:
             parts.append(f"{sign} {mag:g}*{term.letters}")
         return " ".join(parts).lstrip("+ ")
 
-    def to_dense(self, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
-        """Dense matrix, scattered one run of terms with equal x mask at a time.
+    def _sorted_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """x masks, z masks and coefficients of the terms, in sorted (x, z) order."""
+        keys = sorted(self._terms)
+        masks = np.array(keys, dtype=np.intp).reshape(-1, 2)
+        coeffs = np.array([self._terms[k] for k in keys], dtype=float)
+        return masks[:, 0], masks[:, 1], coeffs
 
-        Terms sharing an x mask fill the same entries, so each run is summed
-        into one vector in sorted (x, z) order and written once; every matrix
-        entry sees the same additions in the same order as a term-by-term sum.
+    def to_dense(self, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+        """Dense matrix, every term scattered through the batched kernel.
+
+        Terms sharing an x mask (a run, in sorted (x, z) order) fill the same
+        entries, so each run is summed into one vector started from +0.0 and
+        written once; every entry sees the same additions in the same order as
+        a term-by-term sum. Runs are taken longest first, in groups of at most
+        ``_chunk_terms(n)``: the j-th terms of a group's runs are then one
+        block of the kernel's output, added with one ``+=``, and each group is
+        written with one fancy assignment. The kernel runs on chunks of whole
+        such blocks, so temporaries stay within ``_KERNEL_CHUNK_BYTES`` beside
+        the output, plus index arrays of O(terms).
         """
         _check_cap(self.n, cap)
-        dim = 1 << self.n
-        src = np.arange(dim)
+        n, dim = self.n, 1 << self.n
         out = np.zeros((dim, dim), dtype=complex)
-        for x, run in groupby(sorted(self._terms.items()), key=lambda kc: kc[0][0]):
-            acc = np.zeros(dim, dtype=complex)
-            for (_, z), c in run:
-                dest, entries = _signed_permutation(self.n, x, z)
-                acc += c * entries
-            out[dest, src] = acc
+        xs, zs, coeffs = self._sorted_arrays()
+        edges = np.ones(xs.size + 1, dtype=bool)    # where runs start, and the end
+        edges[1:-1] = xs[1:] != xs[:-1]
+        edges = np.flatnonzero(edges)
+        starts, lengths = edges[:-1], edges[1:] - edges[:-1]
+        # longest first, ties in x order
+        by_length = np.array(sorted(range(lengths.size), key=lengths.__getitem__,
+                                    reverse=True), dtype=np.intp)
+        size = _chunk_terms(n)
+        src = np.arange(dim)
+        for g in range(0, by_length.size, size):
+            group = by_length[g:g + size]
+            first, length = starts[group], lengths[group]
+            # has[j, r]: run r of the group has a j-th term; those runs come
+            # first, so the group's terms in (j, run) order are ends[j-1]:ends[j]
+            has = np.arange(length[0])[:, None] < length
+            width = np.count_nonzero(has, axis=1)
+            ends = width.cumsum()
+            rank, slot = np.nonzero(has)
+            terms = first[slot] + rank
+            acc = np.zeros((first.size, dim), dtype=complex)
+            j = 0
+            while j < width.size:
+                lo = ends[j] - width[j]
+                stop = ends.searchsorted(lo + size, side="right")
+                chunk = terms[lo:ends[stop - 1]]
+                dest, entries = _signed_permutation(n, xs[chunk], zs[chunk],
+                                                    scales=coeffs[chunk])
+                if j == 0:
+                    rows = dest[:first.size].copy()     # each run's first term
+                for r in range(j, stop):
+                    at = ends[r] - width[r] - lo
+                    acc[:width[r]] += entries[at:at + width[r]]
+                del dest, entries   # before the next chunk's are made
+                j = stop
+            out[rows, src] = acc
         return out
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(1 << self.n, dtype=complex)
-        for term, c in self.items():
-            out += c * term.apply(vec)
+        """The sum applied to a state vector without building the matrix.
+
+        Term images come from the batched kernel a chunk at a time and are
+        added to a +0.0-started vector one by one in sorted (x, z) order, as
+        a term-by-term sum would add them.
+        """
+        vec = _check_state(vec, self.n)
+        out = np.zeros(vec.size, dtype=complex)
+        xs, zs, coeffs = self._sorted_arrays()
+        size = _chunk_terms(self.n)
+        buffer = np.empty((min(size, coeffs.size), vec.size), dtype=complex)
+        for lo in range(0, coeffs.size, size):
+            dest, entries = _signed_permutation(self.n, xs[lo:lo + size],
+                                                zs[lo:lo + size])
+            entries *= vec
+            images = buffer[:len(entries)]
+            for image, row, entry in zip(images, dest, entries):
+                image[row] = entry      # 1-d scatters beat one 2-d scatter
+            images *= coeffs[lo:lo + size, None]
+            for image in images:
+                out += image
         return out
 
     def expectation(self, state: np.ndarray) -> float:
@@ -342,11 +450,12 @@ def _accumulate_product(a: PauliSum, b: PauliSum, scale: complex,
                         acc: dict[tuple[int, int], complex]) -> None:
     if a.n != b.n:
         raise DimensionError(f"{a.n} vs {b.n} qubits")
-    for ta, ca in a.items():
-        for tb, cb in b.items():
-            t = ta * tb
-            k = t.key()
-            acc[k] = acc.get(k, 0j) + scale * ca * cb * _I_POW[t.phase_exp]
+    right = sorted(b._terms.items())
+    for (xa, za), ca in sorted(a._terms.items()):
+        for (xb, zb), cb in right:
+            k = (xa ^ xb, za ^ zb)
+            phase = _product_phase(xa, za, xb, zb) % 4
+            acc[k] = acc.get(k, 0j) + scale * ca * cb * _I_POW[phase]
 
 
 def _realize(acc: dict[tuple[int, int], complex], n: int) -> PauliSum:
@@ -422,10 +531,11 @@ def pauli_decompose(matrix: np.ndarray, n: int,
     src = np.arange(dim)
     terms: dict[tuple[int, int], float] = {}
     for x in range(dim):
+        # every string with this x mask, one row each
+        dest, entries = _signed_permutation(n, np.full(dim, x), src)
         for z in range(dim):
             # tr(P M) = sum_r P[dest r, r] M[r, dest r]: one entry per column of P
-            dest, entries = _signed_permutation(n, x, z)
-            val = np.sum(entries * m[src, dest])
+            val = np.sum(entries[z] * m[src, dest[z]])
             c = val / dim
             if abs(c.imag) > 1e-9:
                 raise ValueError("matrix has non-Hermitian Pauli content")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import BellExpression, Setting, Symbol, evaluate_quantum
+from .bell import BellExpression, Setting, Symbol, _letter_setting, evaluate_quantum
 from .bounds import _vertex_blocks
 from .logical import LogicalPaulis, bell_logical_paulis
 from .pauli import _PAULI_2X2, PauliSum
@@ -269,10 +269,8 @@ def uffink_attaining_value(case: QuadraticCase | None = None) -> float:
     case = case or quadratic_bell("uffink")
     rho0 = np.outer(bell_basis().zero_ket, bell_basis().zero_ket.conj())
     bindings: dict[Symbol, Setting] = {
-        (0, "A"): Setting(0, "A", PauliSum.from_strings([("Z", 1.0)], n=1)),
-        (0, "B"): Setting(0, "B", PauliSum.from_strings([("X", 1.0)], n=1)),
-        (1, "A"): Setting(1, "A", PauliSum.from_strings([("X", 1.0)], n=1)),
-        (1, "B"): Setting(1, "B", PauliSum.from_strings([("Z", 1.0)], n=1)),
+        (party, label): _letter_setting(party, label, letter)
+        for party, label, letter in ((0, "A", "Z"), (0, "B", "X"), (1, "A", "X"), (1, "B", "Z"))
     }
     v1 = evaluate_quantum(case.expr1, bindings, rho0)
     v2 = evaluate_quantum(case.expr2, bindings, rho0)

@@ -1,11 +1,13 @@
 """Small constructions and comparisons that only the tests use."""
 
 import json
+from itertools import groupby
 
 import numpy as np
 
+from bellforge.bell import BellExpression, Setting
 from bellforge.logical import LogicalPaulis
-from bellforge.pauli import PauliSum, PauliTerm, check_hermitian
+from bellforge.pauli import _I_POW, PauliSum, PauliTerm, _realize, check_hermitian
 from bellforge.stabilizer import (
     GraphSpec,
     LogicalBasis,
@@ -56,3 +58,107 @@ def eig_bounds(m: np.ndarray) -> tuple[float, float]:
     """(lambda_min, lambda_max) of a Hermitian matrix."""
     vals = np.linalg.eigvalsh(check_hermitian(m))
     return float(vals[0]), float(vals[-1])
+
+
+# --- per-term oracles for the batched kernel and the mask-walking symbolize ---
+
+_ORACLE_SIGNS = tuple(p * np.array([1.0, -1.0]) for p in _I_POW)
+
+
+def _index_mask(mask: int, n: int) -> int:
+    """Reflect a qubit-indexed bit mask into basis-index bit order."""
+    out = 0
+    for q in range(n):
+        if (mask >> q) & 1:
+            out |= 1 << (n - 1 - q)
+    return out
+
+
+def term_permutation(n: int, x_mask: int, z_mask: int, phase_exp: int = 0):
+    """``(dest, entries)`` of one string, one term at a time: the string sends
+    basis state r to entries[r] * |dest[r]>."""
+    src = np.arange(1 << n)
+    parity = np.bitwise_count(src & _index_mask(z_mask, n)) & 1
+    phased_signs = _ORACLE_SIGNS[(phase_exp + (x_mask & z_mask).bit_count()) % 4]
+    return src ^ _index_mask(x_mask, n), phased_signs[parity]
+
+
+def term_to_dense(term: PauliTerm) -> np.ndarray:
+    dim = 1 << term.n
+    dest, entries = term_permutation(term.n, term.x_mask, term.z_mask, term.phase_exp)
+    out = np.zeros((dim, dim), dtype=complex)
+    out[dest, np.arange(dim)] = entries
+    return out
+
+
+def term_apply(term: PauliTerm, vec: np.ndarray) -> np.ndarray:
+    vec = np.asarray(vec, dtype=complex)
+    dest, entries = term_permutation(term.n, term.x_mask, term.z_mask, term.phase_exp)
+    out = np.empty(1 << term.n, dtype=complex)
+    out[dest] = entries * vec
+    return out
+
+
+def sum_to_dense(op: PauliSum) -> np.ndarray:
+    """One vector per run of equal x mask, its terms added in sorted order."""
+    dim = 1 << op.n
+    src = np.arange(dim)
+    out = np.zeros((dim, dim), dtype=complex)
+    for x, run in groupby(sorted(op._terms.items()), key=lambda kc: kc[0][0]):
+        acc = np.zeros(dim, dtype=complex)
+        for (_, z), c in run:
+            dest, entries = term_permutation(op.n, x, z)
+            acc += c * entries
+        out[dest, src] = acc
+    return out
+
+
+def sum_apply(op: PauliSum, vec: np.ndarray) -> np.ndarray:
+    out = np.zeros(1 << op.n, dtype=complex)
+    for term, c in op.items():
+        out += c * term_apply(term, vec)
+    return out
+
+
+def symbolize_by_terms(op: PauliSum, symbol_map: dict[str, str],
+                       constant_from_identity: bool = True):
+    """Term-by-term symbolize: a ``PauliTerm`` per term, ``letter(q)`` on
+    every qubit and a freshly checked ``Setting`` per new symbol."""
+    terms = {}
+    constant = 0.0
+    bindings = {}
+    for term, coeff in op.items():
+        if term.weight == 0:
+            if not constant_from_identity:
+                raise ValueError("identity term present but constants disallowed")
+            constant += coeff
+            continue
+        key = []
+        for q in range(op.n):
+            letter = term.letter(q)
+            if letter == "I":
+                continue
+            if letter not in symbol_map:
+                raise ValueError(f"no symbol mapped for Pauli letter {letter}")
+            sym = (q, symbol_map[letter])
+            key.append(sym)
+            if sym not in bindings:
+                bindings[sym] = Setting(
+                    q, sym[1], PauliSum.from_strings([(letter, 1.0)], n=1))
+        terms[tuple(sorted(key))] = terms.get(tuple(sorted(key)), 0.0) + coeff
+    return BellExpression(op.n, terms, constant), bindings
+
+
+def product_by_terms(a: PauliSum, b: PauliSum, scale: complex = 1.0) -> PauliSum:
+    """scale * a @ b through ``PauliTerm`` products, pair by pair in sorted order."""
+    acc = {}
+    for ta, ca in a.items():
+        for tb, cb in b.items():
+            t = ta * tb
+            acc[t.key()] = acc.get(t.key(), 0j) + scale * ca * cb * _I_POW[t.phase_exp]
+    return _realize(acc, a.n)
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """The raw 64-bit words of a float or complex array, for bit-exact checks."""
+    return np.ascontiguousarray(a).view(np.uint64)

@@ -228,6 +228,12 @@ class TestSymbolize:
         with pytest.raises(ValueError):
             symbolize(PauliSum.from_strings([("Y", 1.0)]), {"Z": "A"})
 
+    def test_two_letters_one_label_rejected(self):
+        # ZX and XZ would both become A_0*A_1, one setting standing for two
+        op = PauliSum.from_strings([("ZX", 1.0), ("XZ", 1.0)])
+        with pytest.raises(ValueError, match="same label"):
+            symbolize(op, {"Z": "A", "X": "A", "Y": "C"})
+
     def test_round_trip_evaluation(self):
         rng = np.random.default_rng(77)
         ops = loop5_ops()

@@ -287,6 +287,7 @@ class TestCli:
         ("beta_q", 0, 'beta_q must be "auto" or a positive real number, got 0'),
         ("symbols", 5, "symbols must be an object mapping Pauli letters"),
         ("symbols", {"Z": 1}, "symbols must be an object mapping Pauli letters"),
+        ("symbols", {"Z": "A", "X": "A", "Y": "C"}, "to distinct strings"),
         ("basis", "bell", "basis must be an object, not 'bell'"),
     ])
     def test_build_rejects_bad_recipe_field(self, tmp_path, capsys, field, value,

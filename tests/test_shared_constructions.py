@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from bellforge import cases, logical, recursive, stabilizer
-from bellforge.bell import BellRecipe
+from bellforge import bell, bounds, cases, logical, pauli, recursive, stabilizer
+from bellforge.bell import BellRecipe, Setting
 from bellforge.cases import RunConfig, case_names, run_cases
 from bellforge.logical import bell_logical_paulis, ghz3_logical_paulis, logical_paulis_numeric
 from bellforge.pauli import PauliSum
@@ -22,7 +22,12 @@ from bellforge.stabilizer import bell_basis, ghz3_basis
 
 CACHED = (stabilizer.bell_basis, stabilizer.ghz3_basis, logical.bell_logical_paulis,
           logical.ghz3_logical_paulis, recursive.default_rule, recursive._level,
-          cases._loop5_ops)
+          cases._loop5_ops, bell._letter_setting, bounds._strategy_table)
+
+# the single-letter settings and strategy tables a catalog pass reads
+LETTER_KEYS = [(party, label, letter) for party in range(8)
+               for letter, label in (("Z", "A"), ("X", "B"), ("Y", "C"))]
+STRATEGY_SIZES = range(1, 7)
 
 # the catalog's Monte-Carlo cases take fewer samples; no construction depends on it
 QUICK = RunConfig(samples=500)
@@ -54,10 +59,16 @@ def _ket_bytes(*kets: np.ndarray) -> list:
 def _cached_objects() -> list:
     return [bell_basis(), ghz3_basis(), bell_logical_paulis(), ghz3_logical_paulis(),
             cases._loop5_ops(), default_rule(),
-            *(build_level(n) for n in range(1, MAX_LEVEL + 1))]
+            *(build_level(n) for n in range(1, MAX_LEVEL + 1)),
+            *(bell._letter_setting(*key) for key in LETTER_KEYS),
+            *(bounds._strategy_table(k) for k in STRATEGY_SIZES)]
 
 
 def _snapshot(obj) -> tuple:
+    if isinstance(obj, np.ndarray):
+        return _ket_bytes(obj)
+    if isinstance(obj, Setting):
+        return (obj.party, obj.label, _sum_bytes(obj.op))
     if isinstance(obj, stabilizer.LogicalBasis):
         return (obj.n, obj.name, *_ket_bytes(obj.zero_ket, obj.one_ket))
     if isinstance(obj, logical.LogicalPaulis):
@@ -85,6 +96,42 @@ class TestBuiltOnce:
         del decompose[:], symbolic[:], expand[:]
         run_cases(case_names(), QUICK)
         assert (decompose, symbolic, expand) == ([], [], [])
+
+    def test_warm_catalog_pass_stays_batched(self, monkeypatch):
+        run_cases(case_names(), QUICK)
+        requested, checked, kernel_calls = set(), [], []
+        cached_setting = bell._letter_setting
+
+        def letter_setting(*key):
+            requested.add(key)
+            return cached_setting(*key)
+
+        for mod in (bell, sys.modules["bellforge.uncertainty"]):
+            monkeypatch.setattr(mod, "_letter_setting", letter_setting)
+        post_init = Setting.__post_init__
+
+        def counted_post_init(setting):
+            letters = setting.op.to_strings()
+            key = (setting.party, setting.label, letters[0][0]) \
+                if letters and letters[0][1] == 1.0 and len(letters) == 1 else None
+            checked.append(key)
+            post_init(setting)
+
+        monkeypatch.setattr(Setting, "__post_init__", counted_post_init)
+        kernel = pauli._signed_permutation
+
+        def counted_kernel(n, x_masks, *args, **kwargs):
+            frame = sys._getframe(1)
+            if frame.f_code is PauliSum.to_dense.__code__:
+                kernel_calls.append((len(frame.f_locals["self"]), len(x_masks)))
+            return kernel(n, x_masks, *args, **kwargs)
+
+        monkeypatch.setattr(pauli, "_signed_permutation", counted_kernel)
+        run_cases(case_names(), QUICK)
+        assert len(requested) >= 10 and checked
+        assert not requested & set(checked)
+        assert any(terms > 1 for terms, _ in kernel_calls)
+        assert [call for call in kernel_calls if call[0] > 1 and call[1] == 1] == []
 
     def test_same_object_every_call(self):
         assert build_level(5) is build_level(5)
@@ -135,6 +182,17 @@ class TestReadOnly:
         ket = get_ket()
         with pytest.raises(ValueError):
             ket[0] = 0.0
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_strategy_table_rejects_writes(self, k):
+        with pytest.raises(ValueError):
+            bounds._strategy_table(k)[0, 0] = 0.0
+
+    def test_letter_setting_is_frozen_and_shared(self):
+        setting = bell._letter_setting(2, "B", "X")
+        assert bell._letter_setting(2, "B", "X") is setting
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setting.op = PauliSum.from_strings([("Z", 1.0)])
 
     def test_shared_level_and_rule_are_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
