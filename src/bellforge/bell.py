@@ -421,10 +421,8 @@ def symbolize_decomposed(dec: DecomposedOperator,
 
 @dataclass
 class ChainedConstruction:
-    n_settings: int
     operator: PauliSum                      # two-qubit Bell operator
     expression: BellExpression
-    bindings: dict[Symbol, Setting]
     quantum_bound: float                    # 2n cos(pi/2n)
 
 
@@ -461,12 +459,9 @@ def chained_construction(n: int) -> ChainedConstruction:
     bindings: dict[Symbol, Setting] = {}
     for s in list(a.values()) + list(b.values()):
         bindings[(s.party, s.label)] = s
-    op = render_operator(expr, bindings)
     return ChainedConstruction(
-        n_settings=n,
-        operator=op,
+        operator=render_operator(expr, bindings),
         expression=expr,
-        bindings=bindings,
         quantum_bound=2 * n * math.cos(math.pi / (2 * n)),
     )
 

@@ -28,12 +28,12 @@ blocks of the party's axis. Terms are built party-major (each party's factor
 indices outermost, so every multiply runs over a contiguous axis), one
 broadcast product per party for a chunk of at most ``_RENDER_CHUNK_BYTES`` of
 terms, so memory stays a few operators whatever the term count; the product
-buffers and the running sum are allocated once per see-saw call. Each
-operator's terms are summed in order and transposed to (row, col) layout once.
-The products and the sums follow a per-term Kronecker chain, so the operators
-are bit-identical to it: dropping an identity factor changes at most the sign
-of a zero, and a party's sums start from +0.0, so every zero reads +0.0 in
-both.
+buffers are allocated once per see-saw call. Each operator's terms are summed
+in order into its own row of one array, and the rows are transposed to (row,
+col) layout and written into the stack once per render. The products and the
+sums follow a per-term Kronecker chain, so the operators are bit-identical to
+it: dropping an identity factor changes at most the sign of a zero, and a
+party's sums start from +0.0, so every zero reads +0.0 in both.
 
 Restarts draw random numbers only as they start, so every restart's starting
 settings are drawn up front, in the order one restart after another would
@@ -74,6 +74,8 @@ SYMBOL_BUDGET = 28
 VERTEX_BLOCK = 1 << 20      # most vertex values held in memory at once
 _AXIS_SETTINGS = 10         # a party with more settings spans several axes
 BOUND_ATOL = 1e-9
+_SOS_ATOL = 1e-10           # largest residual a verified SOS certificate leaves
+_SEESAW_GAIN_TOL = 1e-9     # a restart converges once a sweep gains less
 _RENDER_CHUNK_BYTES = 1 << 18   # most see-saw term matrices built at once
 _SEESAW_BATCH_BYTES = 1 << 22   # most leave-one-out stack bytes per restart batch
 _NEG_ZERO = complex(-0.0, -0.0)  # additive identity that keeps signed zeros
@@ -282,8 +284,7 @@ class SosReport:
     verified: bool
 
 
-def sos_verify(terms: list[PauliSum], cert: SosCertificate,
-               atol: float = 1e-10) -> SosReport:
+def sos_verify(terms: list[PauliSum], cert: SosCertificate) -> SosReport:
     """Check a sum-of-squares certificate against the dense operator identity.
 
     Verifies (i) the paired anticommutators cancel overall, and (ii)
@@ -315,7 +316,7 @@ def sos_verify(terms: list[PauliSum], cert: SosCertificate,
     rhs /= root2
     residual = float(np.max(np.abs(cert.claimed_bound * eye - b - rhs)))
     return SosReport(residual=residual, pairing_ok=pairing_ok,
-                     verified=pairing_ok and residual <= atol)
+                     verified=pairing_ok and residual <= _SOS_ATOL)
 
 
 def _negating_match(anticomms: list[PauliSum]) -> bool:
@@ -347,8 +348,8 @@ def _pairings(items: list[int]):
             yield [(first, partner)] + tail
 
 
-def sos_pairing_search(terms: list[PauliSum], claimed_bound: float,
-                       atol: float = 1e-10) -> tuple[SosCertificate | None, SosReport | None]:
+def sos_pairing_search(terms: list[PauliSum], claimed_bound: float
+                       ) -> tuple[SosCertificate | None, SosReport | None]:
     """Brute-force search for a verifying pairing; limited to 8 terms."""
     if len(terms) > 8:
         raise ValueError("pairing search is limited to 8 terms")
@@ -356,7 +357,7 @@ def sos_pairing_search(terms: list[PauliSum], claimed_bound: float,
         raise ValueError("need an even number of terms")
     for pairing in _pairings(list(range(len(terms)))):
         cert = SosCertificate(tuple(pairing), claimed_bound)
-        report = sos_verify(terms, cert, atol)
+        report = sos_verify(terms, cert)
         if report.verified:
             return cert, report
     return None, None
@@ -426,17 +427,14 @@ def _chunk_terms(term_size: int) -> int:
     return max(1, _RENDER_CHUNK_BYTES // (16 * term_size))
 
 
-def _render_workspace(plans) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Buffers that ``_render`` of any of ``plans`` works in: two for the term
-    products (each party's product reads one and writes the other) and one
-    for the running sum."""
-    products = sums = 1
+def _render_workspace(plans) -> tuple[np.ndarray, np.ndarray]:
+    """The two term-product buffers that ``_render`` of any of ``plans`` works
+    in: each party's product reads one and writes the other."""
+    size = 1
     for index, *_ in plans:
         term_size = 4 ** index.shape[1]
-        products = max(products, min(len(index), _chunk_terms(term_size)) * term_size)
-        sums = max(sums, term_size)
-    return (np.empty(products, dtype=complex), np.empty(products, dtype=complex),
-            np.empty(sums, dtype=complex))
+        size = max(size, min(len(index), _chunk_terms(term_size)) * term_size)
+    return np.empty(size, dtype=complex), np.empty(size, dtype=complex)
 
 
 def _party_major_products(factors: np.ndarray, buffers=None) -> np.ndarray:
@@ -463,63 +461,51 @@ def _render(plan, mats: np.ndarray, work=None) -> np.ndarray:
     """Stack of the dense operators of a ``_render_plan`` for the factors in ``mats``.
 
     Terms are built party-major a chunk of at most ``_RENDER_CHUNK_BYTES`` at
-    a time and scaled in place. Each operator's terms are summed in order, the
-    running sum carried from chunk to chunk by adding it into the operator's
-    first term in the next chunk. The sums start from -0.0, which, unlike
-    ``np.add.reduce``'s default +0.0, leaves a -0.0 entry as the Kronecker
-    chain has it. An operator is transposed to (row, col) layout once, when
-    its last term is in. A party plan's operators are rendered on the other
-    parties and written into both diagonal blocks of the party's axis; the
-    other blocks stay +0.0, as the Kronecker chain has them there (its party
-    sums start from +0.0 and never return -0.0). ``work`` is a
+    a time and scaled in place. Each operator is summed in term order into its
+    own row of one ``(len(ends), 4**m)`` array, which starts from the plan's
+    constant times I, or +0.0: in every chunk the row is added into the
+    operator's first term there and the terms are reduced back into it. The
+    reduction starts from -0.0, which, unlike ``np.add.reduce``'s default
+    +0.0, leaves a -0.0 entry as the Kronecker chain has it. After the last
+    chunk the rows are transposed to (row, col) layout in one copy. A party
+    plan's operators are rendered on the other parties and written into both
+    diagonal blocks of the party's axis, one assignment each; the other
+    blocks stay +0.0, as the Kronecker chain has them there (its party sums
+    start from +0.0 and never return -0.0). ``work`` is a
     ``_render_workspace`` for the plan; without it one is allocated.
     """
     index, coeffs, ends, constant, party = plan
     n_terms, m = index.shape            # m parties rendered
     n = m if party is None else m + 1
     term_size = 4 ** m
-    *products, acc = work if work is not None else _render_workspace([plan])
-    acc = acc[:term_size]
-    # (a_{m-1}, b_{m-1}, ..., a_0, b_0) -> (a_0, ..., a_{m-1}, b_0, ..., b_{m-1})
-    to_rows = [*range(2 * m - 2, -1, -2), *range(2 * m - 1, 0, -2)]
-    start = 0.0
+    products = work if work is not None else _render_workspace([plan])
+    sums = np.zeros((len(ends), term_size), dtype=complex)
     if constant:
-        start = constant * _party_major_products(mats[np.zeros((1, n), np.intp)])[0]
-    stack = np.zeros((len(ends), 1 << n, 1 << n), dtype=complex)
-    axes = stack.reshape(len(ends), *(2,) * 2 * n)
-    if party is None:
-        blocks = [axes]
-    else:
-        # the rendered parties' row and column axes at a_party = b_party = a
-        blocks = [axes[(slice(None),) * (1 + party) + (a,) + (slice(None),) * (n - 1) + (a,)]
-                  for a in (0, 1)]
-    acc[...] = start
-    done = 0
-
-    def close_through(t: int) -> None:
-        # emit every operator whose terms all lie before term t
-        nonlocal done
-        while done < len(ends) and ends[done] <= t:
-            rows = acc.reshape((2,) * 2 * m).transpose(to_rows)
-            for block in blocks:
-                block[done] = rows
-            acc[...] = start
-            done += 1
-
-    chunk = _chunk_terms(term_size)
+        sums[:] = constant * _party_major_products(mats[np.zeros((1, n), np.intp)])[0]
+    chunk, s = _chunk_terms(term_size), 0
     for lo in range(0, n_terms, chunk):
         terms = _party_major_products(mats[index[lo:lo + chunk]], products)
-        size = len(terms)
-        terms *= coeffs[lo:lo + size, None]
+        hi = lo + len(terms)
+        terms *= coeffs[lo:hi, None]
         a = lo
-        while a < lo + size:
-            close_through(a)
-            b = min(ends[done], lo + size)
+        while a < hi:
+            while ends[s] <= a:
+                s += 1
+            b = min(ends[s], hi)
             part = terms[a - lo:b - lo]
-            part[0] += acc
-            np.add.reduce(part, axis=0, initial=_NEG_ZERO, out=acc)
+            part[0] += sums[s]
+            np.add.reduce(part, axis=0, initial=_NEG_ZERO, out=sums[s])
             a = b
-    close_through(n_terms)
+    # (a_{m-1}, b_{m-1}, ..., a_0, b_0) -> (a_0, ..., a_{m-1}, b_0, ..., b_{m-1})
+    rows = sums.reshape(len(ends), *(2,) * 2 * m).transpose(
+        0, *range(2 * m - 1, 0, -2), *range(2 * m, 1, -2))
+    if party is None:
+        return rows.reshape(len(ends), 1 << n, 1 << n)
+    stack = np.zeros((len(ends), 1 << n, 1 << n), dtype=complex)
+    axes = stack.reshape(len(ends), *(2,) * 2 * n)
+    for a in (0, 1):
+        # the rendered parties' row and column axes at a_party = b_party = a
+        axes[(slice(None),) * (1 + party) + (a,) + (slice(None),) * (n - 1) + (a,)] = rows
     return stack
 
 
@@ -550,8 +536,7 @@ def _starting_blochs(symbols: list[Symbol], restarts: int, seed: int) -> np.ndar
 
 
 def seesaw_optimize(expr: BellExpression, restarts: int = 16, seed: int = 0,
-                    max_sweeps: int = 500, gain_tol: float = 1e-9,
-                    cap: int = DENSE_QUBIT_CAP) -> SeesawResult:
+                    max_sweeps: int = 500, cap: int = DENSE_QUBIT_CAP) -> SeesawResult:
     """Alternating maximization over the state and per-symbol Bloch vectors.
 
     Restart 0 is an axis-aligned warm start (per party, symbols take the z, x,
@@ -600,6 +585,7 @@ def seesaw_optimize(expr: BellExpression, restarts: int = 16, seed: int = 0,
         operators = _render(tiled[0], flat, work)
         while len(active):
             states = [top_eigenpair(operator)[1] for operator in operators]
+            del operators  # free before the party renders, to keep a sweep's peak
             kets = np.stack(states)
             rho = kets[:, :, None] * kets.conj()[:, None, :]
             for (p, slots), plan in zip(parties, tiled[1:]):
@@ -622,7 +608,7 @@ def seesaw_optimize(expr: BellExpression, restarts: int = 16, seed: int = 0,
                     raise SeesawError(f"see-saw objective of restart {r} decreased "
                                       f"from {value!r} to {new_value!r}")
                 values[r] = new_value
-                converged = new_value - value < gain_tol
+                converged = new_value - value < _SEESAW_GAIN_TOL
                 if not converged and len(trajectories[r]) < max_sweeps:
                     running.append(i)
             if len(running) < len(active):
@@ -648,7 +634,6 @@ class BoundsReport:
     classical_max: float
     classical_witness: dict[Symbol, int]
     quantum_lower: float
-    quantum_witness: np.ndarray | None
     rough_bound: float | None
     dichotomic_bound: float
     sos_status: str = "not-attempted"
@@ -658,8 +643,8 @@ class BoundsReport:
     def violation(self) -> bool:
         return bool(self.quantum_lower > self.classical_max + BOUND_ATOL)
 
-    def to_dict(self, include_witness_state: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "classical_min": float(self.classical_min),
             "classical_max": float(self.classical_max),
             "classical_witness": {f"{lab}_{p}": int(v) for (p, lab), v
@@ -671,8 +656,3 @@ class BoundsReport:
             "seesaw_value": None if self.seesaw_value is None else float(self.seesaw_value),
             "violation": self.violation,
         }
-        if include_witness_state and self.quantum_witness is not None:
-            out["quantum_witness_state"] = [
-                [round(float(a.real), 12), round(float(a.imag), 12)]
-                for a in self.quantum_witness]
-        return out

@@ -100,8 +100,7 @@ class CaseResult:
         return {
             "case": self.name,
             "expression": self.expression,
-            "bounds": self.bounds.to_dict(include_witness_state=False)
-            if self.bounds else None,
+            "bounds": self.bounds.to_dict() if self.bounds else None,
             "checks": [c.to_dict() for c in self.checks],
             "notes": self.notes,
             "pass": bool(self.passed),
@@ -135,13 +134,12 @@ def _report(expr: BellExpression, operator: PauliSum, rough: float | None,
             cap: int, sos_status: str = "not-attempted",
             seesaw_value: float | None = None) -> BoundsReport:
     cb = classical_bounds(expr)
-    q, wit = quantum_lower_bound(operator, cap)
+    q, _ = quantum_lower_bound(operator, cap)
     return BoundsReport(
         classical_min=cb.minimum,
         classical_max=cb.maximum,
         classical_witness=cb.witness_max,
         quantum_lower=q,
-        quantum_witness=wit,
         rough_bound=rough,
         dichotomic_bound=dichotomic_term_bound(expr),
         sos_status=sos_status,
@@ -510,7 +508,7 @@ def build_report(recipe: BellRecipe, config: RunConfig, seesaw: bool) -> dict:
     report = _report(expr, operator, rough=rough, cap=cap, sos_status=sos_status,
                      seesaw_value=seesaw_value)
     return {"expression": str(expr), "pipeline_residual": residual,
-            **report.to_dict(include_witness_state=False)}
+            **report.to_dict()}
 
 
 # --- table emission -------------------------------------------------------------

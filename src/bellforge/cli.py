@@ -17,16 +17,25 @@ from .cases import RunConfig, build_report, case_names, emit_table, run_cases
 from .pauli import QubitCapError
 
 
-def _shared_flags(parser: argparse.ArgumentParser) -> None:
+def _at_least_one(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
+def _shared_flags(parser: argparse.ArgumentParser, samples: bool = True) -> None:
     parser.add_argument("--seed", type=int, default=RunConfig.seed, help="master RNG seed")
     parser.add_argument("--cap-qubits", type=int, default=RunConfig.cap_qubits,
                         help="dense-rendering qubit cap")
-    parser.add_argument("--samples", type=int, default=RunConfig.samples,
-                        help="Monte-Carlo sample count for sweep cases")
+    if samples:
+        parser.add_argument("--samples", type=_at_least_one, default=RunConfig.samples,
+                            help="Monte-Carlo sample count for sweep cases (at least 1)")
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(seed=args.seed, cap_qubits=args.cap_qubits, samples=args.samples)
+    return RunConfig(seed=args.seed, cap_qubits=args.cap_qubits,
+                     samples=getattr(args, "samples", RunConfig.samples))
 
 
 def _cap_exceeded(exc: QubitCapError, args: argparse.Namespace) -> int:
@@ -35,11 +44,17 @@ def _cap_exceeded(exc: QubitCapError, args: argparse.Namespace) -> int:
     return 2
 
 
-def _write(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
+def _write(text: str, out: str | None) -> int:
+    """Write ``text`` to the file ``out`` (stdout without one); 2 if it cannot be written."""
+    if not out:
         sys.stdout.write(text)
+        return 0
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        print(f"cannot write {out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -67,9 +82,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"      note: {note}")
     print(f"{len(results)} case(s), "
           f"{sum(len(r.checks) for r in results)} check(s), {failed} failure(s)")
-    if args.json:
-        _write(json.dumps([r.to_dict() for r in results], indent=2,
-                          sort_keys=True) + "\n", args.json)
+    if args.json and _write(json.dumps([r.to_dict() for r in results], indent=2,
+                                       sort_keys=True) + "\n", args.json):
+        return 2
     return 1 if failed else 0
 
 
@@ -78,13 +93,16 @@ def cmd_table(args: argparse.Namespace) -> int:
         results = run_cases(case_names(), _config(args))
     except QubitCapError as exc:
         return _cap_exceeded(exc, args)
-    _write(emit_table(results, args.format), args.out)
-    return 0 if all(r.passed for r in results) else 1
+    return _write(emit_table(results, args.format), args.out) or \
+        (0 if all(r.passed for r in results) else 1)
 
 
 def cmd_build(args: argparse.Namespace) -> int:
     try:
         recipe = BellRecipe.from_dict(json.loads(Path(args.config).read_text()))
+    except OSError as exc:
+        print(f"cannot read {args.config}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     except (ValueError, KeyError) as exc:
         print(f"recipe error in {args.config}: {exc}", file=sys.stderr)
         return 2
@@ -95,8 +113,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return 2
-    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
-    return 0
+    return _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -125,7 +142,7 @@ def main(argv: list[str] | None = None) -> int:
     p_build.add_argument("--out", help="report JSON file (default stdout)")
     p_build.add_argument("--seesaw", action="store_true",
                          help="also run the see-saw heuristic")
-    _shared_flags(p_build)
+    _shared_flags(p_build, samples=False)
     p_build.set_defaults(func=cmd_build)
 
     p_list = sub.add_parser("list", help="list known case names")

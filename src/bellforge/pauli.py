@@ -32,6 +32,8 @@ import numpy as np
 DENSE_QUBIT_CAP = 12        # 2^12 = 4096-dim dense matrices at most
 COEFF_PRUNE = 1e-14         # drop numerically-zero coefficients after arithmetic
 HERMITICITY_ATOL = 1e-9
+_PHASE_TOL = 1e-9           # smallest amplitude fix_global_phase takes as first
+_DECOMPOSE_PRUNE = 1e-12    # pauli_decompose drops coefficients up to this
 _KERNEL_CHUNK_BYTES = 1 << 20   # most bytes of render temporaries held at once
 # bytes per basis state of a chunk term: 16 for its entry and 16 for its run's
 # sum (its image, in apply), 8 each for its destination and its run's row, 5
@@ -489,12 +491,12 @@ def anticommutator_sum(p: PauliSum, q: PauliSum) -> PauliSum:
     return _realize(acc, p.n)
 
 
-def check_hermitian(m: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+def check_hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"not a square matrix: shape {m.shape}")
     resid = np.max(np.abs(m - m.conj().T))
-    if resid > atol:
+    if resid > HERMITICITY_ATOL:
         raise ValueError(f"matrix is not Hermitian (residual {resid:.3e})")
     return m
 
@@ -506,17 +508,16 @@ def top_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     return float(vals[-1]), fix_global_phase(vec)
 
 
-def fix_global_phase(vec: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def fix_global_phase(vec: np.ndarray) -> np.ndarray:
     """Make the first non-negligible amplitude real positive."""
     vec = np.asarray(vec, dtype=complex)
     for a in vec:
-        if abs(a) > tol:
+        if abs(a) > _PHASE_TOL:
             return vec * (abs(a) / a)
     return vec
 
 
-def pauli_decompose(matrix: np.ndarray, n: int,
-                    prune: float = 1e-12) -> PauliSum:
+def pauli_decompose(matrix: np.ndarray, n: int) -> PauliSum:
     """Expand a Hermitian 2^n matrix in the Pauli basis via trace inner products.
 
     Scans all 4^n strings, so it is restricted to small n; the coefficient of
@@ -539,6 +540,6 @@ def pauli_decompose(matrix: np.ndarray, n: int,
             c = val / dim
             if abs(c.imag) > 1e-9:
                 raise ValueError("matrix has non-Hermitian Pauli content")
-            if abs(c.real) > prune:
+            if abs(c.real) > _DECOMPOSE_PRUNE:
                 terms[(x, z)] = float(c.real)
     return PauliSum(n, terms)

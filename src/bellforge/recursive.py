@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .bell import BellExpression, Setting, Symbol, symbolize
+from .bell import BellExpression, symbolize
 from .logical import LogicalPaulis, bell_logical_paulis
 from .pauli import PauliSum
 from .stabilizer import frozen_ket
@@ -145,7 +145,6 @@ class FamilyCase:
     n: int
     operator: PauliSum
     expression: BellExpression
-    bindings: dict[Symbol, Setting]
     classical_target: float
     quantum_target: float
 
@@ -154,9 +153,9 @@ def mermin_case(n: int, level: RecursiveLevel | None = None) -> FamilyCase:
     """2^(n-1) times the level's logical Z, symbolized over A (Z) and B (X)."""
     level = level or build_level(n)
     op = float(2 ** (n - 1)) * level.z_op
-    expr, bindings = symbolize(op, {"Z": "A", "X": "B"})
+    expr, _ = symbolize(op, {"Z": "A", "X": "B"})
     return FamilyCase(
-        name=f"mermin:{n}", n=n, operator=op, expression=expr, bindings=bindings,
+        name=f"mermin:{n}", n=n, operator=op, expression=expr,
         classical_target=float(2 ** (n - 2)), quantum_target=float(2 ** (n - 1)))
 
 
@@ -164,9 +163,9 @@ def svetlichny_case(n: int, level: RecursiveLevel | None = None) -> FamilyCase:
     """2^(n-1) times (logical X + logical Z) of the level."""
     level = level or build_level(n)
     op = float(2 ** (n - 1)) * (level.x_op + level.z_op)
-    expr, bindings = symbolize(op, {"Z": "A", "X": "B"})
+    expr, _ = symbolize(op, {"Z": "A", "X": "B"})
     return FamilyCase(
-        name=f"svetlichny:{n}", n=n, operator=op, expression=expr, bindings=bindings,
+        name=f"svetlichny:{n}", n=n, operator=op, expression=expr,
         classical_target=float(2 ** (n - 1)),
         quantum_target=float(2 ** (n - 1)) * np.sqrt(2.0))
 

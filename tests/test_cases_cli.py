@@ -327,6 +327,50 @@ class TestCli:
         assert captured.err.startswith(f"recipe error in {cfg}: ")
         assert message in captured.err
 
+    @pytest.mark.parametrize("config", ["MISSING.json", "."])
+    def test_build_unreadable_recipe_exits_2(self, tmp_path, capsys, config):
+        # a missing file and a directory both give one line naming the file
+        cfg = tmp_path / config
+        assert cli_main(["build", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"cannot read {cfg}: ")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["verify", "table", "build"])
+    def test_output_into_missing_directory_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "missing" / "out.json"
+        cfg = tmp_path / "recipe.json"
+        cfg.write_text(json.dumps({"basis": {"kind": "bell"}, "k": [0, 0, 1],
+                                   "beta_q": 2.0}))
+        argv = {"verify": ["verify", "--case", "chsh", "--json", str(out)],
+                "table": ["table", "--format", "csv", "--out", str(out)],
+                "build": ["build", "--config", str(cfg), "--out", str(out)]}[command]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot write {out}: ")
+        assert err.count("\n") == 1
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "table"])
+    @pytest.mark.parametrize("samples", ["0", "-3", "many"])
+    def test_samples_below_one_is_a_usage_error(self, capsys, command, samples):
+        argv = [command, "--samples", samples] + ["--case", "uffink"] * (command == "verify")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"argument --samples: must be an integer of at least 1, got '{samples}'" in err
+
+    def test_build_has_no_samples_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "recipe.json"
+        cfg.write_text(json.dumps(LOOP5_RECIPE))
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["build", "--config", str(cfg), "--samples", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --samples 5" in capsys.readouterr().err
+
     @staticmethod
     def _module_env() -> dict:
         # the child imports the package this test imported, installed or not
