@@ -195,8 +195,7 @@ def _letter_setting(party: int, label: str, letter: str) -> Setting:
     return Setting(party, label, PauliSum.from_strings([(letter, 1.0)], n=1))
 
 
-def symbolize(op: PauliSum, symbol_map: dict[str, str],
-              constant_from_identity: bool = True
+def symbolize(op: PauliSum, symbol_map: dict[str, str]
               ) -> tuple[BellExpression, dict[Symbol, Setting]]:
     """Replace each single-qubit Pauli by a per-party symbol.
 
@@ -217,8 +216,6 @@ def symbolize(op: PauliSum, symbol_map: dict[str, str],
     bindings: dict[Symbol, Setting] = {}
     for (x, z), coeff in sorted(op._terms.items()):
         if not x | z:
-            if not constant_from_identity:
-                raise ValueError("identity term present but constants disallowed")
             constant += coeff
             continue
         key = []
@@ -464,24 +461,6 @@ def chained_construction(n: int) -> ChainedConstruction:
         expression=expr,
         quantum_bound=2 * n * math.cos(math.pi / (2 * n)),
     )
-
-
-def chained_reconstruction(n: int, logical: str) -> PauliSum:
-    """The logical Z or X of the two-qubit Bell basis, for every n >= 2.
-
-    (1/n) * sum_k Z1((2k-2)pi/2n) Z2((shift + 2k-2)pi/2n), with shift 0 for
-    ``logical="z"`` and n for ``"x"``: the logical X is (logical Z) * (i Y2),
-    resolved over half-offset angles.
-    """
-    if logical not in ("z", "x"):
-        raise ValueError(f"logical must be 'z' or 'x', got {logical!r}")
-    shift = 0 if logical == "z" else n
-    out = PauliSum.zero(2)
-    for k in range(1, n + 1):
-        za = xz_setting(0, "a", (2 * k - 2) * math.pi / (2 * n)).embed(2)
-        zb = xz_setting(1, "b", (shift + 2 * k - 2) * math.pi / (2 * n)).embed(2)
-        out = out + (1.0 / n) * product(za, zb)
-    return out
 
 
 # --- recipes ------------------------------------------------------------------

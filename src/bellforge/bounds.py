@@ -38,13 +38,13 @@ party's sums start from +0.0, so every zero reads +0.0 in both.
 Restarts draw random numbers only as they start, so every restart's starting
 settings are drawn up front, in the order one restart after another would
 draw them, and the restarts then advance through their sweeps together. Each
-restart owns a slice of one settings stack; a plan tiled over the restarts
-still running (factor indices offset to each one's slice) renders all their
-operators in one call, and the products with the states, the partial traces,
-the Bloch projections and the normalisations that follow are batched over
-restarts as well. Only the eigensolve (stacked, it picks other eigenvectors
-in degenerate spectra) and the objective stay one call per restart. Each
-restart computes what it would alone, bit for bit: the tiled render sums
+restart owns a row of one settings stack; one render of the running
+restarts' rows builds all their operators, each restart's terms from the same
+plan, restart after restart, and the products with the states, the partial
+traces, the Bloch projections and the normalisations that follow are batched
+over restarts as well. The eigensolve and the objective stay one call per
+restart: the benchmark's trace of ``top_eigenpair`` counts one matrix per
+call. Each restart computes what it would alone, bit for bit: the render sums
 every operator's terms in the same order, and the batched steps act on each
 restart's arrays exactly as on its own. Restarts run in batches whose
 leave-one-out stacks hold at most ``_SEESAW_BATCH_BYTES``, so at large n they
@@ -410,30 +410,19 @@ def _render_plan(expr: BellExpression, symbols: list[Symbol], party: int | None 
     return index, coeffs, ends, constant, party
 
 
-def _tile_plan(plan, restarts: np.ndarray, width: int):
-    """``plan`` repeated for each of ``restarts``, whose factors are the slots
-    ``r * width`` onward of a flat ``mats`` stack; restart ``restarts[i]``'s
-    operators come out i-th in the rendered stack."""
-    index, coeffs, ends, constant, party = plan
-    tiled = index + (restarts * width)[:, None, None]
-    shift = np.arange(len(restarts))[:, None] * len(coeffs)
-    return (tiled.reshape(len(tiled) * len(index), index.shape[1]),
-            np.tile(coeffs, len(restarts)), (shift + ends).ravel().tolist(),
-            constant, party)
-
-
 def _chunk_terms(term_size: int) -> int:
     """Terms of ``term_size`` entries built at once by ``_render``."""
     return max(1, _RENDER_CHUNK_BYTES // (16 * term_size))
 
 
-def _render_workspace(plans) -> tuple[np.ndarray, np.ndarray]:
-    """The two term-product buffers that ``_render`` of any of ``plans`` works
-    in: each party's product reads one and writes the other."""
+def _render_workspace(plans, restarts: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two term-product buffers that ``_render`` of any of ``plans`` for up
+    to ``restarts`` restarts works in: each party's product reads one and
+    writes the other."""
     size = 1
     for index, *_ in plans:
         term_size = 4 ** index.shape[1]
-        size = max(size, min(len(index), _chunk_terms(term_size)) * term_size)
+        size = max(size, min(restarts * len(index), _chunk_terms(term_size)) * term_size)
     return np.empty(size, dtype=complex), np.empty(size, dtype=complex)
 
 
@@ -460,31 +449,39 @@ def _party_major_products(factors: np.ndarray, buffers=None) -> np.ndarray:
 def _render(plan, mats: np.ndarray, work=None) -> np.ndarray:
     """Stack of the dense operators of a ``_render_plan`` for the factors in ``mats``.
 
-    Terms are built party-major a chunk of at most ``_RENDER_CHUNK_BYTES`` at
-    a time and scaled in place. Each operator is summed in term order into its
-    own row of one ``(len(ends), 4**m)`` array, which starts from the plan's
-    constant times I, or +0.0: in every chunk the row is added into the
-    operator's first term there and the terms are reduced back into it. The
-    reduction starts from -0.0, which, unlike ``np.add.reduce``'s default
-    +0.0, leaves a -0.0 entry as the Kronecker chain has it. After the last
-    chunk the rows are transposed to (row, col) layout in one copy. A party
-    plan's operators are rendered on the other parties and written into both
-    diagonal blocks of the party's axis, one assignment each; the other
-    blocks stay +0.0, as the Kronecker chain has them there (its party sums
-    start from +0.0 and never return -0.0). ``work`` is a
-    ``_render_workspace`` for the plan; without it one is allocated.
+    ``mats`` is a ``(restarts, slots, 2, 2)`` stack of each restart's
+    settings, or one restart's ``(slots, 2, 2)``; the result holds every
+    restart's operators, restart after restart. The terms of all restarts
+    are built in that order, party-major, a chunk of at most
+    ``_RENDER_CHUNK_BYTES`` at a time, and scaled in place. Each operator is
+    summed in term order into its own row of one ``(operators, 4**m)`` array,
+    which starts from the plan's constant times I, or +0.0: in every chunk
+    the row is added into the operator's first term there and the terms are
+    reduced back into it. The reduction starts from -0.0, which, unlike
+    ``np.add.reduce``'s default +0.0, leaves a -0.0 entry as the Kronecker
+    chain has it. After the last chunk the rows are transposed to (row, col)
+    layout in one copy. A party plan's operators are rendered on the other
+    parties and written into both diagonal blocks of the party's axis, one
+    assignment each; the other blocks stay +0.0, as the Kronecker chain has
+    them there (its party sums start from +0.0 and never return -0.0).
+    ``work`` is a ``_render_workspace`` for the plan and at least this many
+    restarts; without it one is allocated.
     """
     index, coeffs, ends, constant, party = plan
-    n_terms, m = index.shape            # m parties rendered
+    mats = mats.reshape(-1, *mats.shape[-3:])
+    restarts, (n_terms, m) = len(mats), index.shape     # m parties rendered
     n = m if party is None else m + 1
     term_size = 4 ** m
-    products = work if work is not None else _render_workspace([plan])
+    products = work if work is not None else _render_workspace([plan], restarts)
+    factors = np.take(mats, index, axis=1).reshape(restarts * n_terms, m, 2, 2)
+    coeffs = np.concatenate([coeffs] * restarts)
+    ends = [r * n_terms + end for r in range(restarts) for end in ends]
     sums = np.zeros((len(ends), term_size), dtype=complex)
     if constant:
-        sums[:] = constant * _party_major_products(mats[np.zeros((1, n), np.intp)])[0]
+        sums[:] = constant * _party_major_products(mats[:1, np.zeros(n, np.intp)])[0]
     chunk, s = _chunk_terms(term_size), 0
-    for lo in range(0, n_terms, chunk):
-        terms = _party_major_products(mats[index[lo:lo + chunk]], products)
+    for lo in range(0, len(factors), chunk):
+        terms = _party_major_products(factors[lo:lo + chunk], products)
         hi = lo + len(terms)
         terms *= coeffs[lo:hi, None]
         a = lo
@@ -550,9 +547,9 @@ def seesaw_optimize(expr: BellExpression, restarts: int = 16, seed: int = 0,
 
     Restarts run together, in batches of at most ``_SEESAW_BATCH_BYTES`` of
     leave-one-out stacks: each sweep renders each party's stacks, and the
-    operators, in one call for every restart still running, and a restart
-    leaves its batch when it converges or reaches ``max_sweeps``. Every
-    restart computes what it would alone, bit for bit.
+    operators, in one call on the settings of every restart still running,
+    and a restart leaves its batch when it converges or reaches
+    ``max_sweeps``. Every restart computes what it would alone, bit for bit.
     """
     n = expr.parties
     _check_cap(n, cap)
@@ -569,27 +566,26 @@ def seesaw_optimize(expr: BellExpression, restarts: int = 16, seed: int = 0,
             plans.append(_render_plan(expr, symbols, party=p))
     most = max((len(slots) for _, slots in parties), default=1)
     batch = min(n_restarts, max(1, _SEESAW_BATCH_BYTES // (16 * dim * dim * most)))
-    work = _render_workspace([_tile_plan(plan, np.arange(batch), width) for plan in plans])
-    # restart r's factors are mats[r], the identity first; flat is what renders read
+    work = _render_workspace(plans, batch)
+    # restart r's factors are mats[r], the identity first
     blochs = _starting_blochs(symbols, n_restarts, seed)
     mats = np.empty((n_restarts, width, 2, 2), dtype=complex)
     mats[:, 0] = _PAULI_2X2["I"]
     mats[:, 1:] = _bloch_matrix(blochs)
-    flat = mats.reshape(-1, 2, 2)
     values = [-math.inf] * n_restarts
     trajectories: list[list[float]] = [[] for _ in range(n_restarts)]
 
     for first in range(0, n_restarts if max_sweeps > 0 else 0, batch):
         active = np.arange(first, min(first + batch, n_restarts))
-        tiled = [_tile_plan(plan, active, width) for plan in plans]
-        operators = _render(tiled[0], flat, work)
+        operators = _render(plans[0], mats[active], work)
         while len(active):
             states = [top_eigenpair(operator)[1] for operator in operators]
             del operators  # free before the party renders, to keep a sweep's peak
             kets = np.stack(states)
             rho = kets[:, :, None] * kets.conj()[:, None, :]
-            for (p, slots), plan in zip(parties, tiled[1:]):
-                stack = _render(plan, flat, work).reshape(len(active), len(slots), dim, dim)
+            for (p, slots), plan in zip(parties, plans[1:]):
+                stack = _render(plan, mats[active], work).reshape(
+                    len(active), len(slots), dim, dim)
                 ptr = _partial_trace_keep((rho[:, None] @ stack).reshape(-1, dim, dim), p, n)
                 h = (ptr + ptr.conj().swapaxes(1, 2)) / 2
                 u = np.trace(h[:, None] @ _BLOCH_PAULIS, axis1=2, axis2=3).real
@@ -599,7 +595,7 @@ def seesaw_optimize(expr: BellExpression, restarts: int = 16, seed: int = 0,
                 rows, cols = active[a], slots[k]
                 blochs[rows, cols - 1] = u[a, k] / norm[a, k, None]
                 mats[rows, cols] = _bloch_matrix(blochs[rows, cols - 1])
-            operators = _render(tiled[0], flat, work)
+            operators = _render(plans[0], mats[active], work)
             running = []
             for i, (r, state, operator) in enumerate(zip(active, states, operators)):
                 value, new_value = values[r], float(np.vdot(state, operator @ state).real)
@@ -613,7 +609,6 @@ def seesaw_optimize(expr: BellExpression, restarts: int = 16, seed: int = 0,
                     running.append(i)
             if len(running) < len(active):
                 active, operators = active[running], operators[running]
-                tiled = [_tile_plan(plan, active, width) for plan in plans]
 
     best_value = -math.inf
     best_bloch: dict[Symbol, tuple[float, float, float]] = {}

@@ -73,31 +73,6 @@ def lemma_check(a1, a2, rho: np.ndarray) -> float:
     return (e1 + e2) ** 2 / plus + (e1 - e2) ** 2 / minus
 
 
-# --- random state samplers (seeded, full-support) -----------------------------
-
-def random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
-def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
-
-
-def check_density(rho: np.ndarray, atol: float = 1e-10) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
-        raise ValueError("density matrix is not Hermitian")
-    vals = np.linalg.eigvalsh(rho)
-    if vals[0] < -atol:
-        raise ValueError(f"density matrix has negative eigenvalue {vals[0]:.3e}")
-    if abs(np.trace(rho).real - 1.0) > 1e-12:
-        raise ValueError("density matrix trace is not 1")
-    return rho
-
-
 @dataclass
 class SweepResult:
     samples: int

@@ -1,13 +1,14 @@
 """Small constructions and comparisons that only the tests use."""
 
 import json
+import math
 from itertools import groupby
 
 import numpy as np
 
-from bellforge.bell import BellExpression, Setting
+from bellforge.bell import BellExpression, Setting, xz_setting
 from bellforge.logical import LogicalPaulis
-from bellforge.pauli import _I_POW, PauliSum, PauliTerm, _realize, check_hermitian
+from bellforge.pauli import _I_POW, PauliSum, PauliTerm, _realize, check_hermitian, product
 from bellforge.stabilizer import (
     GraphSpec,
     LogicalBasis,
@@ -120,8 +121,7 @@ def sum_apply(op: PauliSum, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def symbolize_by_terms(op: PauliSum, symbol_map: dict[str, str],
-                       constant_from_identity: bool = True):
+def symbolize_by_terms(op: PauliSum, symbol_map: dict[str, str]):
     """Term-by-term symbolize: a ``PauliTerm`` per term, ``letter(q)`` on
     every qubit and a freshly checked ``Setting`` per new symbol."""
     terms = {}
@@ -129,8 +129,6 @@ def symbolize_by_terms(op: PauliSum, symbol_map: dict[str, str],
     bindings = {}
     for term, coeff in op.items():
         if term.weight == 0:
-            if not constant_from_identity:
-                raise ValueError("identity term present but constants disallowed")
             constant += coeff
             continue
         key = []
@@ -162,3 +160,44 @@ def product_by_terms(a: PauliSum, b: PauliSum, scale: complex = 1.0) -> PauliSum
 def bits(a: np.ndarray) -> np.ndarray:
     """The raw 64-bit words of a float or complex array, for bit-exact checks."""
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+def chained_reconstruction(n: int, logical: str) -> PauliSum:
+    """The logical Z or X of the two-qubit Bell basis, for every n >= 2.
+
+    (1/n) * sum_k Z1((2k-2)pi/2n) Z2((shift + 2k-2)pi/2n), with shift 0 for
+    ``logical="z"`` and n for ``"x"``: the logical X is (logical Z) * (i Y2),
+    resolved over half-offset angles.
+    """
+    if logical not in ("z", "x"):
+        raise ValueError(f"logical must be 'z' or 'x', got {logical!r}")
+    shift = 0 if logical == "z" else n
+    out = PauliSum.zero(2)
+    for k in range(1, n + 1):
+        za = xz_setting(0, "a", (2 * k - 2) * math.pi / (2 * n)).embed(2)
+        zb = xz_setting(1, "b", (shift + 2 * k - 2) * math.pi / (2 * n)).embed(2)
+        out = out + (1.0 / n) * product(za, zb)
+    return out
+
+
+def random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def check_density(rho: np.ndarray, atol: float = 1e-10) -> np.ndarray:
+    rho = np.asarray(rho, dtype=complex)
+    if np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+        raise ValueError("density matrix is not Hermitian")
+    vals = np.linalg.eigvalsh(rho)
+    if vals[0] < -atol:
+        raise ValueError(f"density matrix has negative eigenvalue {vals[0]:.3e}")
+    if abs(np.trace(rho).real - 1.0) > 1e-12:
+        raise ValueError("density matrix trace is not 1")
+    return rho

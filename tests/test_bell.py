@@ -12,7 +12,6 @@ from bellforge.bell import (
     Setting,
     build_logical,
     chained_construction,
-    chained_reconstruction,
     complementary_decompose,
     embed_single,
     evaluate_quantum,
@@ -23,7 +22,7 @@ from bellforge.bell import (
 from bellforge.logical import logical_paulis_numeric, logical_paulis_symbolic
 from bellforge.pauli import PauliSum, PauliTerm
 from bellforge.stabilizer import GraphSpec, bell_basis, ghz3_basis, graph_state_generators
-from helpers import basis_from_kets, rotated_z
+from helpers import basis_from_kets, chained_reconstruction, rotated_z
 
 ROOT2 = math.sqrt(2)
 

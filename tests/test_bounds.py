@@ -648,8 +648,9 @@ def count_renders(monkeypatch):
     real, sizes = bounds._render, []
 
     def render(plan, mats, work=None):
-        sizes.append(len(plan[2]))
-        return real(plan, mats, work)
+        stack = real(plan, mats, work)
+        sizes.append(len(stack))
+        return stack
 
     monkeypatch.setattr(bounds, "_render", render)
     return sizes
@@ -682,9 +683,10 @@ class TestSeesawBatches:
 
     @pytest.mark.parametrize("terms_per_chunk", [1, 3, None])
     def test_tiled_render_matches_each_restart(self, monkeypatch, terms_per_chunk):
-        # restarts 0, 2 and 3 of four still running: the tiled plan renders
-        # each one's operators as its own plan on its own settings does, also
-        # when one restart's terms share a chunk with the next one's
+        # restarts 0, 2 and 3 of four still running, and 3, 0 and 2 out of
+        # order: one render of their settings stack gives each one's operators
+        # as its own render on its own settings does, also when one restart's
+        # terms share a chunk with the next one's
         rng = np.random.default_rng(48)
         for _ in range(12):
             parties = int(rng.integers(1, 5))
@@ -695,13 +697,12 @@ class TestSeesawBatches:
                                      constant=float(rng.integers(-1, 2)))
             symbols = expr.symbols
             mats = np.stack([random_settings(rng, symbols)[1] for _ in range(4)])
-            running = np.array([0, 2, 3])
-            for party in [None, *{sym[0] for sym in symbols}]:
-                plan = bounds._render_plan(expr, symbols, party)
-                tiled = bounds._tile_plan(plan, running, len(symbols) + 1)
-                got = bounds._render(tiled, mats.reshape(-1, 2, 2))
-                want = np.concatenate([bounds._render(plan, mats[r]) for r in running])
-                assert_same_bits(got, want, (str(expr), party))
+            for running in (np.array([0, 2, 3]), np.array([3, 0, 2])):
+                for party in [None, *{sym[0] for sym in symbols}]:
+                    plan = bounds._render_plan(expr, symbols, party)
+                    got = bounds._render(plan, mats[running])
+                    want = np.concatenate([bounds._render(plan, mats[r]) for r in running])
+                    assert_same_bits(got, want, (str(expr), party))
 
     @pytest.mark.parametrize("restarts_per_batch", [1, 2])
     def test_several_batches(self, monkeypatch, restarts_per_batch):

@@ -10,19 +10,16 @@ from bellforge.bell import BellExpression
 from bellforge.logical import logical_paulis_numeric
 from bellforge.pauli import _PAULI_2X2
 from bellforge.stabilizer import bell_basis
-from helpers import sums_match
+from helpers import check_density, random_density, random_pure_state, sums_match
 from bellforge.uncertainty import (
     DirectionXZ,
     SweepResult,
     _random_densities,
     bell_op_xz,
-    check_density,
     lemma_check,
     lemma_sweep,
     quadratic_bell,
     quadratic_quantum_sweep,
-    random_density,
-    random_pure_state,
     square_in_disc_check,
     uffink_attaining_value,
     uncertainty_lhs,
