@@ -50,6 +50,10 @@ def sums(seed):
             out.append(random_sum(rng, n, runs, terms))
     # long runs beside many short ones, past one kernel chunk at n = 8
     out.append(random_sum(rng, 8, 3, 600) + random_sum(rng, 8, 150, 150))
+    # the uint32 bit-reversal table
+    for n in (9, 10):
+        for runs, terms in ((1, 6), (3, 12)):
+            out.append(random_sum(rng, n, runs, terms))
     out.append(PauliSum.zero(3))
     out.append(PauliSum.identity(2, -0.5))
     return out
@@ -104,6 +108,22 @@ class TestRenderMemory:
         finally:
             tracemalloc.stop()
         assert dense.nbytes == output
+        assert peak <= output + pauli._KERNEL_CHUNK_BYTES
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_apply_peak_is_vector_plus_budget(self, n):
+        rng = np.random.default_rng(1205)
+        op = random_sum(rng, n, 3, 400) + random_sum(rng, n, 200, 200)
+        vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        output = 16 << n
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            image = op.apply(vec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert image.nbytes == output
         assert peak <= output + pauli._KERNEL_CHUNK_BYTES
 
 
