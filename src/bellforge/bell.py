@@ -24,7 +24,7 @@ from .logical import (
     logical_paulis_numeric,
     logical_paulis_symbolic,
 )
-from .pauli import _BITS_LETTER, PauliSum, PauliTerm, product
+from .pauli import _BITS_LETTER, DENSE_QUBIT_CAP, PauliSum, PauliTerm, product
 from .stabilizer import (
     GraphSpec,
     LogicalBasis,
@@ -478,7 +478,9 @@ class BellRecipe:
     flip: PauliTerm | None = None
 
     @classmethod
-    def from_dict(cls, data: dict) -> "BellRecipe":
+    def from_dict(cls, data: dict, cap: int = DENSE_QUBIT_CAP) -> "BellRecipe":
+        """The recipe described by ``data``; a graph basis is built under the
+        dense qubit cap ``cap``."""
         if not isinstance(data, dict):
             raise ValueError(f"recipe must be an object, not {data!r}")
         basis_spec = data["basis"]
@@ -497,7 +499,7 @@ class BellRecipe:
                 raise ValueError(f"flip must be a Pauli string, got {flip_text!r}")
             group = graph_state_generators(graph)
             flip = PauliTerm.from_string(flip_text)
-            basis = basis_from_flip(group, flip)
+            basis = basis_from_flip(group, flip, cap)
         else:
             raise ValueError(f"unknown basis kind {kind!r}")
         k = data.get("k", [0, 0, 1])

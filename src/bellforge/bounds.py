@@ -11,7 +11,11 @@ Quantum numbers come in three strengths: the largest eigenvalue of a concrete
 Bell operator (a certified lower bound on the quantum maximum of the abstract
 expression), the sum of absolute coefficients over dichotomic terms (an upper
 bound), and a sum-of-squares certificate check that can pin the maximum
-exactly.
+exactly. The eigenvalue comes from dense ``eigh`` up to 8 qubits and from
+Lanczos on ``PauliSum.apply`` above, with no dense matrix: the Bell operators
+are pseudo Pauli, B^3 = beta^2 |k|^2 B, so Lanczos needs three applies where
+``eigh`` grows about 8x per qubit. Below 9 qubits dense ``eigh`` is the
+faster route on generic operators, and every catalog row keeps its digits.
 
 The see-saw heuristic re-renders the Bell operator, and each symbol's
 leave-one-out operator, after every setting update. A symbol's leave-one-out
@@ -66,6 +70,7 @@ from .pauli import (
     DENSE_QUBIT_CAP,
     PauliSum,
     _check_cap,
+    _krylov_top_eigenpair,
     anticommutator_sum,
     top_eigenpair,
 )
@@ -79,6 +84,7 @@ _SEESAW_GAIN_TOL = 1e-9     # a restart converges once a sweep gains less
 _RENDER_CHUNK_BYTES = 1 << 18   # most see-saw term matrices built at once
 _SEESAW_BATCH_BYTES = 1 << 22   # most leave-one-out stack bytes per restart batch
 _NEG_ZERO = complex(-0.0, -0.0)  # additive identity that keeps signed zeros
+_DENSE_EIGH_QUBITS = 8      # quantum_lower_bound goes matrix-free above this
 
 
 class BudgetError(ValueError):
@@ -161,7 +167,11 @@ def _vertex_blocks(expr: BellExpression, symbols: list[Symbol]):
     trail = np.zeros((*(t.shape[1] for t in tables[lead:]), n_groups))
     trail[(*index[:, lead:].T, inverse.reshape(-1))] = coeffs
     for table in tables[lead:]:
-        trail = np.tensordot(trail, table, axes=(0, 1))
+        # a transposed view, where tensordot would copy the tensor
+        trail = trail.reshape(table.shape[1], -1).T @ table.T
+    if not lead:
+        yield 0, trail.reshape(-1)
+        return
     trail = trail.reshape(n_groups, n_trail)
 
     lead_signs = [tables[a][:, lead_keys[:, a]] for a in range(lead)]
@@ -249,12 +259,24 @@ def classical_sample_bound(expr: BellExpression, samples: int = 20000,
 
 def quantum_lower_bound(op: PauliSum, cap: int = DENSE_QUBIT_CAP
                         ) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue of the rendered operator and a witness eigenvector.
+    """Largest eigenvalue of the operator and a witness eigenvector.
 
     This is the maximum over states for these fixed settings, hence a
     certified lower bound on the quantum maximum of the abstract expression.
+    Up to ``_DENSE_EIGH_QUBITS`` qubits it is the top eigenpair of the dense
+    render (``eigh``). Above, Lanczos on ``PauliSum.apply`` gives the value
+    as the witness's Rayleigh quotient, a lower bound on the largest
+    eigenvalue even unconverged, with no dense matrix: a pseudo Pauli
+    operator takes three applies and one more for the quotient, where
+    ``eigh`` grows about 8x per qubit. The split sits where the two routes
+    cross on generic operators (dense ``eigh`` is the faster one up to 8
+    qubits), and it keeps the digits of every catalog row, none of which is
+    past 8 qubits. ``cap`` bounds the qubit count on both routes.
     """
-    return top_eigenpair(op.to_dense(cap))
+    _check_cap(op.n, cap)
+    if op.n <= _DENSE_EIGH_QUBITS:
+        return top_eigenpair(op.to_dense(cap))
+    return _krylov_top_eigenpair(op)
 
 
 def dichotomic_term_bound(expr: BellExpression) -> float:

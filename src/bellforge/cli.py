@@ -99,10 +99,13 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_build(args: argparse.Namespace) -> int:
     try:
-        recipe = BellRecipe.from_dict(json.loads(Path(args.config).read_text()))
+        recipe = BellRecipe.from_dict(json.loads(Path(args.config).read_text()),
+                                      args.cap_qubits)
     except OSError as exc:
         print(f"cannot read {args.config}: {exc.strerror or exc}", file=sys.stderr)
         return 2
+    except QubitCapError as exc:
+        return _cap_exceeded(exc, args)
     except (ValueError, KeyError) as exc:
         print(f"recipe error in {args.config}: {exc}", file=sys.stderr)
         return 2

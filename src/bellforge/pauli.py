@@ -21,7 +21,9 @@ product of 2x2 factors per term (the PauliComposer scheme, arXiv:2301.00560).
 Its terms go through the kernel a chunk at a time, within
 ``_KERNEL_CHUNK_BYTES`` of temporaries, and each chunk is added into the
 output by one ``np.add.at``, which applies repeated indices in order, so the
-bits equal a term-by-term sum's.
+bits equal a term-by-term sum's. The top eigenpair of a sum comes from dense
+``eigh`` of its render, or with no dense matrix from Lanczos iteration on
+``apply``.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ _KERNEL_CHUNK_BYTES = 1 << 20   # most bytes of render temporaries held at once
 # for numpy's fixed-size ufunc buffers, up to about 0.26 MB in the kernel
 # (tracemalloc, numpy 2.4)
 _KERNEL_ENTRY_BYTES = 72
+_KRYLOV_RTOL = 1e-13        # Lanczos stops at this Ritz residual per unit sum |c|
+_KRYLOV_SEED = 0            # seed of the Lanczos start vector
 
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
@@ -68,7 +72,8 @@ class DimensionError(ValueError):
 
 
 class QubitCapError(ValueError):
-    """Dense rendering requested above the configured qubit cap."""
+    """Dense rendering, or a matrix-free eigenvalue bound, requested above
+    the configured qubit cap."""
 
 
 def _parity(x: int) -> int:
@@ -477,6 +482,42 @@ def top_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     vals, vecs = np.linalg.eigh(check_hermitian(m))
     vec = vecs[:, -1]
     return float(vals[-1]), fix_global_phase(vec)
+
+
+def _krylov_top_eigenpair(op: PauliSum) -> tuple[float, np.ndarray]:
+    """A lower bound on the largest eigenvalue of ``op`` and a unit witness
+    (phase-fixed), from Lanczos iteration on ``op.apply``; no dense matrix.
+
+    Starts from a fixed-seed complex Gaussian vector and reorthogonalises
+    each new vector against all before it (twice). Stops once the top Ritz
+    pair's residual is at most ``_KRYLOV_RTOL`` times sum |c|, or when the
+    Krylov space is the whole space. A pseudo Pauli operator B = beta (k.L)
+    has B^3 = beta^2 |k|^2 B, so its Krylov spaces have dimension at most 3.
+    The value is the witness's Rayleigh quotient <x|op|x>, taken with one more
+    ``apply``: a lower bound on the largest eigenvalue whether or not the
+    iteration converged.
+    """
+    dim = 1 << op.n
+    tol = _KRYLOV_RTOL * sum(abs(c) for c in op._terms.values())
+    rng = np.random.default_rng(_KRYLOV_SEED)
+    start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    basis = [start / np.linalg.norm(start)]
+    alphas, betas = [], []
+    while True:
+        w = op.apply(basis[-1])
+        alphas.append(np.vdot(basis[-1], w).real)
+        vs = np.array(basis)
+        for _ in range(2):
+            w -= vs.T @ (vs.conj() @ w)
+        betas.append(np.linalg.norm(w))
+        ritz = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:-1], 1)
+                              + np.diag(betas[:-1], -1))[1][:, -1]
+        if betas[-1] * abs(ritz[-1]) <= tol or len(basis) == dim:
+            break
+        basis.append(w / betas[-1])
+    x = ritz @ vs
+    x = fix_global_phase(x / np.linalg.norm(x))
+    return float(np.vdot(x, op.apply(x)).real), x
 
 
 def fix_global_phase(vec: np.ndarray) -> np.ndarray:

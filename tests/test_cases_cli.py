@@ -20,6 +20,7 @@ from bellforge.cases import (
 import bellforge
 from bellforge import bounds
 from bellforge.cli import main as cli_main
+from bellforge.pauli import PauliSum
 
 LOOP5_RECIPE = {
     "basis": {"kind": "graph",
@@ -229,6 +230,25 @@ class TestCli:
         assert captured.out == ""
         assert "qubit cap exceeded: 5 qubits exceeds dense cap of 3" in captured.err
         assert "(--cap-qubits 3)" in captured.err
+
+    def test_build_graph_basis_honours_cap(self, tmp_path, monkeypatch, capsys):
+        # the recipe's basis is built under --cap-qubits, not the default cap
+        rendered = []
+        real = PauliSum.to_dense
+
+        def to_dense(self, *args, **kwargs):
+            rendered.append(self.n)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(PauliSum, "to_dense", to_dense)
+        cfg = tmp_path / "recipe.json"
+        cfg.write_text(json.dumps(LOOP5_RECIPE))
+        assert cli_main(["build", "--config", str(cfg), "--cap-qubits", "4"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "qubit cap exceeded: 5 qubits exceeds dense cap of 4" in captured.err
+        assert "(--cap-qubits 4)" in captured.err
+        assert all(n <= 4 for n in rendered)
 
     def test_build_chained_recipe_honours_cap(self, tmp_path, capsys):
         recipe = {"basis": {"kind": "bell"}, "k": [0, 0, 1], "beta_q": 2.0,

@@ -1,5 +1,6 @@
 """The batched Pauli kernel and the mask-walking symbolize against the
-term-by-term oracles in ``helpers``, bit for bit, on seeded random inputs."""
+term-by-term oracles in ``helpers``, bit for bit, and the matrix-free quantum
+lower bound against dense ``eigh``, on seeded random inputs."""
 
 import tracemalloc
 
@@ -8,7 +9,8 @@ import pytest
 
 from bellforge import pauli
 from bellforge.bell import symbolize
-from bellforge.pauli import COEFF_PRUNE, PauliSum, PauliTerm, product
+from bellforge.bounds import quantum_lower_bound
+from bellforge.pauli import COEFF_PRUNE, PauliSum, PauliTerm, QubitCapError, product
 from helpers import (
     bits,
     product_by_terms,
@@ -125,6 +127,55 @@ class TestRenderMemory:
             tracemalloc.stop()
         assert image.nbytes == output
         assert peak <= output + pauli._KERNEL_CHUNK_BYTES
+
+
+def krylov_sums(seed):
+    """9-qubit sums for the matrix-free route: generic spectra, and commuting
+    strings (Z on qubits 0-4, X on 5-8) whose top eigenvalue is degenerate."""
+    rng = np.random.default_rng(seed)
+    commuting = PauliSum(9, {(0, int(z)): random_coeff(rng)
+                             for z in rng.integers(1, 1 << 5, size=6)})
+    commuting += PauliSum(9, {(int(x) << 5, 0): random_coeff(rng)
+                              for x in rng.integers(1, 1 << 4, size=4)})
+    return [random_sum(rng, 9, 64, 64), random_sum(rng, 9, 3, 12), commuting]
+
+
+class TestKrylovAgainstDenseEigh:
+    def test_value_matches_eigh(self):
+        degenerate = 0
+        for op in krylov_sums(1208):
+            value, _ = quantum_lower_bound(op)
+            dense = op.to_dense()
+            top, _ = pauli.top_eigenpair(dense)
+            assert abs(value - top) <= 1e-9 * sum(abs(c) for _, c in op.items())
+            degenerate += np.sum(np.linalg.eigvalsh(dense) > top - 1e-9) > 1
+        assert degenerate
+
+    def test_value_is_the_witness_rayleigh_quotient(self):
+        for op in krylov_sums(1209):
+            value, witness = quantum_lower_bound(op)
+            assert abs(np.linalg.norm(witness) - 1.0) <= 1e-12
+            assert value == np.vdot(witness, op.apply(witness)).real
+
+    def test_unconverged_value_is_a_lower_bound(self, monkeypatch):
+        # one Lanczos step and the Rayleigh quotient, far from the top
+        monkeypatch.setattr(pauli, "_KRYLOV_RTOL", np.inf)
+        for op in krylov_sums(1210):
+            value, _ = quantum_lower_bound(op)
+            assert value <= pauli.top_eigenpair(op.to_dense())[0] + 1e-12
+
+    def test_repeated_calls_identical_bits(self):
+        op = krylov_sums(1211)[0]
+        (a, x), (b, y) = quantum_lower_bound(op), quantum_lower_bound(op)
+        assert a.hex() == b.hex() and np.array_equal(bits(x), bits(y))
+
+    def test_cap_is_checked_before_any_apply(self, monkeypatch):
+        def apply(self, vec):
+            raise AssertionError("applied above the qubit cap")
+
+        monkeypatch.setattr(PauliSum, "apply", apply)
+        with pytest.raises(QubitCapError, match="9 qubits exceeds dense cap of 8"):
+            quantum_lower_bound(krylov_sums(1212)[0], cap=8)
 
 
 class TestProductAgainstTermProducts:

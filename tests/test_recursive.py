@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bellforge import bounds
 from bellforge.bounds import (
     classical_bounds,
     dichotomic_term_bound,
@@ -132,18 +133,48 @@ class TestLevelInvariants:
 
 
 class TestFamilyCases:
-    def test_members_at_n10(self):
-        # n = MAX_LEVEL: the 1024-dim render is a scatter, so eigh dominates
-        # and both members take a few seconds
-        for build, quantum in ((mermin_case, 2.0 ** 9),
-                               (svetlichny_case, 2.0 ** 9 * math.sqrt(2))):
-            case = build(10)
-            assert classical_bounds(case.expression).maximum == 2.0 ** 5
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Counts of ``apply``, ``to_dense`` and ``top_eigenpair`` calls."""
+        counts = {"apply": 0, "to_dense": 0, "top_eigenpair": 0}
+
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("apply", "to_dense"):
+            monkeypatch.setattr(PauliSum, name, counted(name, getattr(PauliSum, name)))
+        monkeypatch.setattr(bounds, "top_eigenpair",
+                            counted("top_eigenpair", bounds.top_eigenpair))
+        return counts
+
+    @staticmethod
+    def check_members(n, calls):
+        # past 8 qubits the quantum lower bound is Lanczos on apply: B^3 =
+        # beta^2 |k|^2 B, so three steps and one more apply for the Rayleigh
+        # quotient, with no dense render and no eigh
+        for build, classical, quantum in (
+                (mermin_case, 2.0 ** (n // 2), 2.0 ** (n - 1)),
+                (svetlichny_case, 2.0 ** ((n + 1) // 2), 2.0 ** (n - 1) * math.sqrt(2))):
+            case = build(n)
+            assert classical_bounds(case.expression).maximum == classical
+            calls.update(apply=0, to_dense=0, top_eigenpair=0)
             q, _ = quantum_lower_bound(case.operator)
+            assert calls["to_dense"] == calls["top_eigenpair"] == 0
+            assert 1 <= calls["apply"] <= 4
             assert abs(q - quantum) <= 1e-9 * quantum
-            # the bound is tight for Mermin, and eigensolver rounding puts
-            # mermin:10 at q = 512.0000000000003 against 511.9999999999999
+            # the bound is tight for Mermin, and rounding puts mermin:10 at
+            # q = 512.000000000002 against 511.9999999999999
             assert q <= dichotomic_term_bound(case.expression) + 1e-9
+
+    def test_members_at_n9(self, calls):
+        self.check_members(9, calls)
+
+    def test_members_at_n10(self, calls):
+        # n = MAX_LEVEL
+        self.check_members(10, calls)
 
 
 class TestAssignmentValueBound:
