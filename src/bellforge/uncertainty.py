@@ -5,6 +5,13 @@ built on the two-qubit Bell basis obey an ellipse bound on their expectation
 pair over ALL two-qubit states. Specializing to orthogonal directions gives a
 disc that covers the classical square, which is what turns the relation into
 quadratic Bell inequalities of the known Uffink and Nagata-Koashi-Imoto forms.
+
+The seeded Monte-Carlo sweeps check these bounds over random mixed states,
+rho = G G^dagger / tr(G G^dagger) with G complex Gaussian (Hilbert-Schmidt
+sampling; Zyczkowski & Sommers, J. Phys. A 34, 7111 (2001)). They need only a
+few traces tr(rho O) per state, so ``_random_expectations`` reads those
+straight from the Gaussian draws, in real arithmetic with samples on the last
+axis, and never forms a density matrix.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ from .pauli import _PAULI_2X2, PauliSum
 from .stabilizer import bell_basis
 
 DISC_BOUND = 8.0
-_DENSITY_BLOCK = 256   # samples per product block in _random_densities
+_ZX_PRODUCTS = np.stack([np.kron(_PAULI_2X2[p], _PAULI_2X2[q])
+                         for p in "ZX" for q in "ZX"])
 
 
 @dataclass(frozen=True)
@@ -85,50 +93,76 @@ class SweepResult:
         return self.max_lhs <= self.bound + 1e-9
 
 
-def _random_densities(rng: np.random.Generator, samples: int, dim: int) -> np.ndarray:
-    """``samples`` random dim x dim densities G G^dagger / tr(G G^dagger).
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
 
-    G's real parts are drawn first, then its imaginary parts, straight into
-    the second half of the output's memory: writing the densities in sample
-    order reaches that half only at imaginary parts already read. Products
-    are formed a block of ``_DENSITY_BLOCK`` samples at a time, and the trace
-    is divided out in place, so the only sample-sized temporary is the real
-    parts, half the output's size.
+
+def _random_expectations(rng: np.random.Generator, samples: int,
+                         observables) -> np.ndarray:
+    """tr(rho_k O) for each d x d observable O, as an (observables, samples)
+    array, over ``samples`` random densities rho_k = G G^dagger / tr(G G^dagger).
+
+    G is complex Gaussian (Hilbert-Schmidt sampling), its real parts drawn
+    first, then its imaginary parts, each as ``rng.normal`` draws a
+    (samples, d, d) array. No density is formed: with samples on the last
+    axis, Re(G G^dagger) = R R^T + I I^T is built on and above its diagonal,
+    and Im(G G^dagger) = I R^T - R I^T above it only when some observable has
+    an imaginary part. One matmul contracts them with every observable, and
+    the trace is divided out of the result.
     """
-    rhos = np.empty((samples, dim, dim), dtype=complex)
-    real = rng.normal(size=rhos.shape)
-    imag = rhos.reshape(-1).view(float)[real.size:].reshape(rhos.shape)
-    rng.standard_normal(out=imag)    # what normal(size=...) draws, in place
-    g = np.empty((min(samples, _DENSITY_BLOCK), dim, dim), dtype=complex)
-    g_conj = np.empty_like(g)
-    for lo in range(0, samples, _DENSITY_BLOCK):
-        hi = min(lo + _DENSITY_BLOCK, samples)
-        block, block_conj = g[:hi - lo], g_conj[:hi - lo]
-        block.real, block.imag = real[lo:hi], imag[lo:hi]
-        np.einsum("kij,klj->kil", block, np.conjugate(block, out=block_conj),
-                  out=rhos[lo:hi])
-    traces = np.einsum("kii->k", rhos).real
-    rhos /= traces[:, None, None]
-    return rhos
+    obs = np.asarray(observables)
+    dim = obs.shape[-1]
+    rows, cols = np.triu_indices(dim)
+    upper = rows < cols
+    imaginary = bool(np.iscomplexobj(obs) and np.any(obs.imag))
+
+    # h[i] is row i of G, real parts then imaginary parts; each part's raw
+    # draws are freed once laid out samples-last
+    h = np.empty((dim, 2, dim, samples))
+    for part in range(2):
+        h[:, part] = rng.standard_normal(size=(samples, dim, dim)).transpose(1, 2, 0)
+    h = h.reshape(dim, 2 * dim, samples)
+
+    # rows (i, l) of Re(G G^dagger) for i <= l, then of Im(G G^dagger) for i < l
+    corr = np.empty((rows.size + (upper.sum() if imaginary else 0), samples))
+    re_at, im_at = 0, rows.size
+    for i in range(dim):
+        np.einsum("jk,ljk->lk", h[i], h[i:], out=corr[re_at:re_at + dim - i])
+        re_at += dim - i
+        if imaginary and i + 1 < dim:
+            im = corr[im_at:im_at + dim - 1 - i]
+            np.einsum("jk,ljk->lk", h[i, dim:], h[i + 1:, :dim], out=im)
+            im -= np.einsum("jk,ljk->lk", h[i, :dim], h[i + 1:, dim:])
+            im_at += dim - 1 - i
+    del h
+
+    # tr(rho O) = sum_i rho_ii O_ii + 2 sum_{i<l} (Re rho_il Re O_il + Im rho_il Im O_il)
+    weights = np.where(upper, 2.0, 1.0)
+    coeffs = obs.real[:, rows, cols] * weights
+    if imaginary:
+        coeffs = np.hstack((coeffs, 2.0 * obs.imag[:, rows[upper], cols[upper]]))
+    out = coeffs @ corr
+    out /= corr[:rows.size][~upper].sum(axis=0)
+    return out
 
 
 def uncertainty_sweep(samples: int = 10000, seed: int = 0) -> SweepResult:
     """Monte-Carlo check of the two-qubit relation over random mixed states
     and direction pairs (vectorized)."""
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
     ops = bell_logical_paulis()
-    b_x = (2 * math.sqrt(2) * ops.x).to_dense()
-    b_z = (2 * math.sqrt(2) * ops.z).to_dense()
-    rhos = _random_densities(rng, samples, 4)
+    ex, ez = _random_expectations(
+        rng, samples, [(2 * math.sqrt(2) * op).to_dense() for op in (ops.x, ops.z)])
     t1 = rng.uniform(0, math.pi, size=samples)
     t2 = rng.uniform(0, math.pi, size=samples)
+    s1, c1, s2, c2 = np.sin(t1), np.cos(t1), np.sin(t2), np.cos(t2)
     keep = np.abs(np.sin(t1 - t2)) > 1e-6     # drop (anti)parallel pairs
-    ex = np.einsum("kij,ji->k", rhos, b_x).real
-    ez = np.einsum("kij,ji->k", rhos, b_z).real
-    b1 = np.sin(t1) * ex + np.cos(t1) * ez
-    b2 = np.sin(t2) * ex + np.cos(t2) * ez
-    plus = (np.sin(t1) + np.sin(t2)) ** 2 + (np.cos(t1) + np.cos(t2)) ** 2
-    minus = (np.sin(t1) - np.sin(t2)) ** 2 + (np.cos(t1) - np.cos(t2)) ** 2
+    b1 = s1 * ex + c1 * ez
+    b2 = s2 * ex + c2 * ez
+    plus = (s1 + s2) ** 2 + (c1 + c2) ** 2
+    minus = (s1 - s2) ** 2 + (c1 - c2) ** 2
     lhs = np.where(keep, (b1 + b2) ** 2 / plus + (b1 - b2) ** 2 / minus, -np.inf)
     k = int(np.argmax(lhs))
     return SweepResult(samples, float(lhs[k]), DISC_BOUND,
@@ -137,15 +171,14 @@ def uncertainty_sweep(samples: int = 10000, seed: int = 0) -> SweepResult:
 
 def lemma_sweep(samples: int = 10000, seed: int = 1) -> SweepResult:
     """Monte-Carlo check of the single-qubit lemma (vectorized)."""
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
     a1 = rng.normal(size=(samples, 3))
     a1 /= np.linalg.norm(a1, axis=1)[:, None]
     a2 = rng.normal(size=(samples, 3))
     a2 /= np.linalg.norm(a2, axis=1)[:, None]
     keep = np.linalg.norm(np.cross(a1, a2), axis=1) > 1e-8
-    rhos = _random_densities(rng, samples, 2)
-    paulis = np.stack([_PAULI_2X2[c] for c in "XYZ"])
-    bloch = np.einsum("kij,cji->kc", rhos, paulis).real
+    bloch = _random_expectations(rng, samples, [_PAULI_2X2[c] for c in "XYZ"]).T
     e1 = np.sum(a1 * bloch, axis=1)
     e2 = np.sum(a2 * bloch, axis=1)
     plus = np.sum((a1 + a2) ** 2, axis=1)
@@ -210,16 +243,13 @@ def quadratic_quantum_sweep(case: QuadraticCase, samples: int = 10000,
     cos(t) Z + sin(t) X, which covers rotated and reflected setting pairs
     alike. Vectorized over samples; every term holds one symbol per party.
     """
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
-    rhos = _random_densities(rng, samples, 4)
+    # t[i, j, k] = tr(rho_k sigma_i x sigma_j) for i, j in {Z, X}
+    t = _random_expectations(rng, samples, _ZX_PRODUCTS).reshape(2, 2, samples)
     symbols = [(p, lab) for p in (0, 1) for lab in ("A", "B")]
     angles = np.stack([rng.uniform(-math.pi, math.pi, size=samples) for _ in symbols])
     comps = np.stack([np.cos(angles), np.sin(angles)], axis=1)   # (Z, X) components
-
-    # T[k, i, j] = tr(rho_k sigma_i x sigma_j) for i, j in {Z, X}
-    basis = [_PAULI_2X2["Z"], _PAULI_2X2["X"]]
-    prods = np.stack([np.kron(p, q) for p in basis for q in basis]).reshape(2, 2, 4, 4)
-    t = np.einsum("kij,abji->kab", rhos, prods).real
 
     def value(expr: BellExpression) -> np.ndarray:
         index, coeffs = expr.factor_table(symbols)
@@ -227,7 +257,7 @@ def quadratic_quantum_sweep(case: QuadraticCase, samples: int = 10000,
             raise ValueError(f"a term of {expr} lacks a factor on one party")
         out = np.full(samples, expr.constant)
         for (a, b), coeff in zip(index, coeffs):
-            out = out + coeff * np.einsum("ak,bk,kab->k", comps[a - 1], comps[b - 1], t)
+            out = out + coeff * np.einsum("ak,bk,abk->k", comps[a - 1], comps[b - 1], t)
         return out
 
     lhs = value(case.expr1) ** 2 + value(case.expr2) ** 2

@@ -191,6 +191,16 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def random_densities(rng: np.random.Generator, samples: int, dim: int) -> np.ndarray:
+    """``samples`` random dim x dim densities G G^dagger / tr(G G^dagger), G's
+    real parts drawn first, then its imaginary parts: the density route that
+    the Monte-Carlo sweeps replace by drawing expectations directly."""
+    shape = (samples, dim, dim)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    rhos = np.einsum("kij,klj->kil", g, g.conj())
+    return rhos / np.einsum("kii->k", rhos).real[:, None, None]
+
+
 def check_density(rho: np.ndarray, atol: float = 1e-10) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if np.max(np.abs(rho - rho.conj().T)) > 1e-12:

@@ -2,19 +2,29 @@
 
 import math
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
 from bellforge.bell import BellExpression
-from bellforge.logical import logical_paulis_numeric
+from bellforge.cases import RunConfig
+from bellforge.logical import bell_logical_paulis, logical_paulis_numeric
 from bellforge.pauli import _PAULI_2X2
 from bellforge.stabilizer import bell_basis
-from helpers import check_density, random_density, random_pure_state, sums_match
+from helpers import (
+    check_density,
+    random_densities,
+    random_density,
+    random_pure_state,
+    sums_match,
+)
 from bellforge.uncertainty import (
+    DISC_BOUND,
     DirectionXZ,
     SweepResult,
-    _random_densities,
+    _ZX_PRODUCTS,
+    _random_expectations,
     bell_op_xz,
     lemma_check,
     lemma_sweep,
@@ -132,58 +142,72 @@ class TestSamplers:
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_batched_densities_match_expression_oracle(self, dim):
-        self.check_densities(dim, 500)
-
-    @pytest.mark.parametrize("dim, samples", [(4, 256), (3, 1), (4, 1025)])
-    def test_densities_at_product_block_edges(self, dim, samples):
-        # one full block, one sample, and four full blocks and one sample
-        self.check_densities(dim, samples)
-
-    @staticmethod
-    def check_densities(dim, samples):
-        # the sampler as one expression, with its sample-sized temporaries
+        # the batched density oracle against one matrix product per sample
+        samples = 500
         rng = np.random.default_rng(3)
         g = rng.normal(size=(samples, dim, dim)) + 1j * rng.normal(size=(samples, dim, dim))
-        rhos = np.einsum("kij,klj->kil", g, g.conj())
-        want = rhos / np.einsum("kii->k", rhos).real[:, None, None]
+        rhos = g @ g.conj().transpose(0, 2, 1)
+        want = rhos / np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
         mine = np.random.default_rng(3)
-        got = _random_densities(mine, samples, dim)
+        got = random_densities(mine, samples, dim)
         assert got.shape == want.shape
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.max(np.abs(got - want)) <= 1e-15
         assert mine.random() == rng.random()    # the same draws, no more
         check_density(got[0])
 
-    def test_densities_need_half_their_size_beside_them(self):
-        # the real parts (half the output) are the only sample-sized
-        # temporary; the output, G and its conjugate at once would be three
-        # times the output
+    @pytest.mark.parametrize("kind", ["symmetric", "hermitian"])
+    @pytest.mark.parametrize("samples", [1, 256, 1025, 10000])
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_expectations_match_density_oracle(self, dim, samples, kind):
+        obs = random_observables(np.random.default_rng(dim), dim, kind)
+        rng = np.random.default_rng(3)
+        rhos = random_densities(rng, samples, dim)
+        want = np.einsum("kij,cji->ck", rhos, obs).real
+        mine = np.random.default_rng(3)
+        got = _random_expectations(mine, samples, obs)
+        assert got.shape == (len(obs), samples)
+        scale = np.abs(obs).sum(axis=(1, 2))[:, None]
+        assert np.all(np.abs(got - want) <= 1e-14 * scale)
+        assert mine.random() == rng.random()    # the same draws, no more
+
+    def test_expectations_peak_memory(self):
+        # the draws laid out samples-last (the size of the densities they
+        # replace) are held beside one part's raw draws or the correlator
+        # rows, each at most half that; the densities, G and its conjugate
+        # would be three times the first
         samples, dim = 10000, 4
+        obs = random_observables(np.random.default_rng(0), dim, "hermitian")
         rng = np.random.default_rng(0)
         tracemalloc.start()
         try:
-            _random_densities(rng, samples, dim)
+            _random_expectations(rng, samples, obs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 16 * samples * dim * dim
+        assert peak < 1.7 * 16 * samples * dim * dim
+
+
+def random_observables(rng, dim, kind, count=3):
+    """``count`` random real-symmetric or complex-Hermitian dim x dim matrices."""
+    m = rng.normal(size=(count, dim, dim))
+    if kind == "hermitian":
+        m = m + 1j * rng.normal(size=(count, dim, dim))
+    return (m + m.conj().transpose(0, 2, 1)) / 2
 
 
 def closure_sweep(case, samples, seed):
     """quadratic_quantum_sweep with one angle array per symbol and a per-term
     expectation closure: the oracle for the factor-table form."""
     rng = np.random.default_rng(seed)
-    rhos = _random_densities(rng, samples, 4)
+    t = _random_expectations(rng, samples, _ZX_PRODUCTS).reshape(2, 2, samples)
     angles = {(p, lab): rng.uniform(-math.pi, math.pi, size=samples)
               for p in (0, 1) for lab in ("A", "B")}
-    basis = [_PAULI_2X2["Z"], _PAULI_2X2["X"]]
-    prods = np.stack([np.kron(p, q) for p in basis for q in basis]).reshape(2, 2, 4, 4)
-    t = np.einsum("kij,abji->kab", rhos, prods).real
 
     def expectation(sym_a, sym_b):
         ta, tb = angles[sym_a], angles[sym_b]
         comp_a = np.stack([np.cos(ta), np.sin(ta)])
         comp_b = np.stack([np.cos(tb), np.sin(tb)])
-        return np.einsum("ak,bk,kab->k", comp_a, comp_b, t)
+        return np.einsum("ak,bk,abk->k", comp_a, comp_b, t)
 
     def value(expr):
         out = np.full(samples, expr.constant)
@@ -252,3 +276,106 @@ class TestSquareInDisc:
         ok, worst, _ = square_in_disc_check(DirectionXZ(0.3), DirectionXZ(1.2))
         assert ok
         assert worst <= 8.0 + 1e-9
+
+
+# --- the sweeps against the density route they replace -------------------------
+
+def density_relation_sweep(samples, seed):
+    """uncertainty_sweep through explicit densities."""
+    rng = np.random.default_rng(seed)
+    ops = bell_logical_paulis()
+    b_x = (2 * ROOT2 * ops.x).to_dense()
+    b_z = (2 * ROOT2 * ops.z).to_dense()
+    rhos = random_densities(rng, samples, 4)
+    t1 = rng.uniform(0, math.pi, size=samples)
+    t2 = rng.uniform(0, math.pi, size=samples)
+    keep = np.abs(np.sin(t1 - t2)) > 1e-6
+    ex = np.einsum("kij,ji->k", rhos, b_x).real
+    ez = np.einsum("kij,ji->k", rhos, b_z).real
+    b1 = np.sin(t1) * ex + np.cos(t1) * ez
+    b2 = np.sin(t2) * ex + np.cos(t2) * ez
+    plus = (np.sin(t1) + np.sin(t2)) ** 2 + (np.cos(t1) + np.cos(t2)) ** 2
+    minus = (np.sin(t1) - np.sin(t2)) ** 2 + (np.cos(t1) - np.cos(t2)) ** 2
+    lhs = np.where(keep, (b1 + b2) ** 2 / plus + (b1 - b2) ** 2 / minus, -np.inf)
+    k = int(np.argmax(lhs))
+    return SweepResult(samples, float(lhs[k]), DISC_BOUND,
+                       {"sample": k, "theta1": float(t1[k]), "theta2": float(t2[k])})
+
+
+def density_lemma_sweep(samples, seed):
+    """lemma_sweep through explicit densities."""
+    rng = np.random.default_rng(seed)
+    a1 = rng.normal(size=(samples, 3))
+    a1 /= np.linalg.norm(a1, axis=1)[:, None]
+    a2 = rng.normal(size=(samples, 3))
+    a2 /= np.linalg.norm(a2, axis=1)[:, None]
+    keep = np.linalg.norm(np.cross(a1, a2), axis=1) > 1e-8
+    rhos = random_densities(rng, samples, 2)
+    paulis = np.stack([_PAULI_2X2[c] for c in "XYZ"])
+    bloch = np.einsum("kij,cji->kc", rhos, paulis).real
+    e1 = np.sum(a1 * bloch, axis=1)
+    e2 = np.sum(a2 * bloch, axis=1)
+    plus = np.sum((a1 + a2) ** 2, axis=1)
+    minus = np.sum((a1 - a2) ** 2, axis=1)
+    lhs = np.where(keep, (e1 + e2) ** 2 / plus + (e1 - e2) ** 2 / minus, -np.inf)
+    k = int(np.argmax(lhs))
+    return SweepResult(samples, float(lhs[k]), 1.0, {"sample": k})
+
+
+def density_quadratic_sweep(case, samples, seed):
+    """quadratic_quantum_sweep through explicit densities."""
+    rng = np.random.default_rng(seed)
+    rhos = random_densities(rng, samples, 4)
+    symbols = [(p, lab) for p in (0, 1) for lab in ("A", "B")]
+    angles = np.stack([rng.uniform(-math.pi, math.pi, size=samples) for _ in symbols])
+    comps = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    basis = [_PAULI_2X2["Z"], _PAULI_2X2["X"]]
+    prods = np.stack([np.kron(p, q) for p in basis for q in basis]).reshape(2, 2, 4, 4)
+    t = np.einsum("kij,abji->kab", rhos, prods).real
+
+    def value(expr):
+        index, coeffs = expr.factor_table(symbols)
+        out = np.full(samples, expr.constant)
+        for (a, b), coeff in zip(index, coeffs):
+            out = out + coeff * np.einsum("ak,bk,kab->k", comps[a - 1], comps[b - 1], t)
+        return out
+
+    lhs = value(case.expr1) ** 2 + value(case.expr2) ** 2
+    k = int(np.argmax(lhs))
+    return SweepResult(samples, float(lhs[k]), case.bound, {"sample": k})
+
+
+def sweep_pair(name):
+    """(sweep, density-route oracle, catalog seed name) for one sweep."""
+    if name in ("uffink", "nki"):
+        case = quadratic_bell(name)
+        return (partial(quadratic_quantum_sweep, case),
+                partial(density_quadratic_sweep, case), name)
+    if name == "relation":
+        return uncertainty_sweep, density_relation_sweep, "uncertainty-sweep"
+    return lemma_sweep, density_lemma_sweep, "lemma-sweep"
+
+
+SWEEP_NAMES = ["relation", "lemma", "uffink", "nki"]
+
+
+class TestSweepsAgainstDensityRoute:
+    @pytest.mark.parametrize("name", SWEEP_NAMES)
+    def test_same_argmax_and_maximum(self, name):
+        # seeds 0-19, then the seed the seed-7 catalog row runs at its samples
+        sweep, oracle, seed_name = sweep_pair(name)
+        runs = [(4000, seed) for seed in range(20)]
+        runs.append((RunConfig().samples, RunConfig().case_seed(seed_name)))
+        for samples, seed in runs:
+            got, want = sweep(samples=samples, seed=seed), oracle(samples, seed)
+            assert got.argmax == want.argmax, (name, seed)
+            assert got.max_lhs == pytest.approx(want.max_lhs, rel=1e-13, abs=0)
+
+
+class TestSweepSampleCount:
+    @pytest.mark.parametrize("samples", [0, -3])
+    @pytest.mark.parametrize("name", ["relation", "lemma", "uffink"])
+    def test_rejects_fewer_than_one_sample(self, name, samples):
+        sweep = sweep_pair(name)[0]
+        with pytest.raises(ValueError, match=f"samples must be at least 1, got {samples}"):
+            sweep(samples=samples)
