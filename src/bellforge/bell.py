@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -84,45 +85,86 @@ Symbol = tuple[int, str]          # (party, label)
 TermKey = tuple[Symbol, ...]      # sorted by party, one factor per party
 
 
-@dataclass
 class BellExpression:
-    """Multilinear polynomial in abstract per-party dichotomic symbols."""
+    """Multilinear polynomial in abstract per-party dichotomic symbols.
 
-    parties: int
-    terms: dict[TermKey, float] = field(default_factory=dict)
-    constant: float = 0.0
+    Stored as its factor table (see ``factor_table``): the sorted symbols, the
+    read-only ``index`` and ``coeffs`` arrays, one row per term, and the
+    constant. Terms given as a dict have their factors sorted, repeated keys
+    summed and zero coefficients dropped, and keep the dict's order; the
+    cleaned dict is kept as the ``terms`` view. An expression written
+    straight from a table (``symbolize``) builds that view on first use.
+    """
 
-    def __post_init__(self):
+    def __init__(self, parties: int, terms: dict[TermKey, float] | None = None,
+                 constant: float = 0.0):
         clean: dict[TermKey, float] = {}
-        for key, coeff in self.terms.items():
+        for key, coeff in (terms or {}).items():
             key = tuple(sorted(key))
             if len({p for p, _ in key}) != len(key):
                 raise ValueError(f"term {key} repeats a party")
             if key == ():
                 raise ValueError("empty factor tuple; fold it into the constant")
             # sorted by party, so the first and last factors hold the extremes
-            if not (0 <= key[0][0] and key[-1][0] < self.parties):
-                raise ValueError(f"term {key} names a party outside 0..{self.parties - 1}")
+            if not (0 <= key[0][0] and key[-1][0] < parties):
+                raise ValueError(f"term {key} names a party outside 0..{parties - 1}")
             clean[key] = clean.get(key, 0.0) + float(coeff)
-        self.terms = {k: c for k, c in clean.items() if c != 0.0}
+        clean = {k: c for k, c in clean.items() if c != 0.0}
+        symbols = sorted({s for key in clean for s in key})
+        slot = {sym: j for j, sym in enumerate(symbols, 1)}
+        index = np.zeros((len(clean), parties), dtype=np.intp)
+        for t, key in enumerate(clean):
+            for sym in key:
+                index[t, sym[0]] = slot[sym]
+        self._store(parties, symbols, index, np.array(list(clean.values()), dtype=float),
+                    constant)
+        self._terms = MappingProxyType(clean)
+
+    @classmethod
+    def _from_table(cls, parties: int, symbols: list[Symbol], index: np.ndarray,
+                    coeffs: np.ndarray, constant: float) -> "BellExpression":
+        """The expression with this factor table, taken as is: ``symbols``
+        sorted and each used, no zero in ``coeffs``, no row repeated."""
+        expr = cls.__new__(cls)
+        expr._store(parties, symbols, index, coeffs, constant)
+        return expr
+
+    def _store(self, parties, symbols, index, coeffs, constant) -> None:
+        index.flags.writeable = coeffs.flags.writeable = False
+        self.parties, self.constant = parties, constant
+        self._symbols, self._index, self._coeffs = tuple(symbols), index, coeffs
+        self._terms: MappingProxyType | None = None
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """Read-only ``{(symbol, ...): coefficient}``, factors sorted by party,
+        in term order."""
+        if self._terms is None:
+            symbol = (None, *self._symbols)
+            self._terms = MappingProxyType({
+                tuple([symbol[j] for j in row if j]): c
+                for row, c in zip(self._index.tolist(), self._coeffs.tolist())})
+        return self._terms
 
     @property
     def symbols(self) -> list[Symbol]:
-        out = {s for key in self.terms for s in key}
-        return sorted(out)
+        return list(self._symbols)
 
     def factor_table(self, symbols: list[Symbol] | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
-        """``(index, coeffs)``: ``index[t, p]`` is 1 + the position in ``symbols``
-        (default ``self.symbols``; it may hold more) of term t's symbol on party
-        p, 0 if it has none; ``coeffs`` is float64. Both run in term order."""
-        slot = {sym: j for j, sym in enumerate(
-            self.symbols if symbols is None else symbols, 1)}
-        index = np.zeros((len(self.terms), self.parties), dtype=np.intp)
-        for t, key in enumerate(self.terms):
-            for sym in key:
-                index[t, sym[0]] = slot[sym]
-        return index, np.array(list(self.terms.values()), dtype=float)
+        """``(index, coeffs)``, read-only: ``index[t, p]`` is 1 + the position in
+        ``symbols`` (default ``self.symbols``; it may hold more, in any order)
+        of term t's symbol on party p, 0 if it has none; ``coeffs`` is float64.
+        Both run in term order."""
+        if symbols is None or tuple(symbols) == self._symbols:
+            return self._index, self._coeffs
+        slot = {sym: j for j, sym in enumerate(symbols, 1)}
+        missing = [sym for sym in self._symbols if sym not in slot]
+        if missing:
+            raise ValueError(f"symbols {missing} of the expression are not listed")
+        index = np.array([0, *map(slot.get, self._symbols)], dtype=np.intp)[self._index]
+        index.flags.writeable = False
+        return index, self._coeffs
 
     def evaluate(self, assignment: dict[Symbol, int]) -> float:
         """The value at one assignment by a direct term walk, not ``factor_table``:
@@ -135,8 +177,18 @@ class BellExpression:
             total += v
         return total
 
+    def __eq__(self, other) -> bool:
+        """Equal parties, constant and terms; term order does not count."""
+        if not isinstance(other, BellExpression):
+            return NotImplemented
+        return (self.parties, self.constant, dict(self.terms)) == \
+            (other.parties, other.constant, dict(other.terms))
+
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self._coeffs)
+
+    def __repr__(self) -> str:
+        return f"BellExpression({self.parties}, {dict(self.terms)!r}, {self.constant!r})"
 
     def __str__(self) -> str:
         parts = []
@@ -195,6 +247,28 @@ def _letter_setting(party: int, label: str, letter: str) -> Setting:
     return Setting(party, label, PauliSum.from_strings([(letter, 1.0)], n=1))
 
 
+@cache
+def _letter_cells(n: int, labels: tuple[str | None, str | None, str | None]) -> np.ndarray:
+    """``cells[q, x, z]``, the cell of the Pauli letter with bits (x, z) at
+    qubit q when X, Y and Z have these labels (None if unmapped); built once
+    per process and shared read-only.
+
+    With the k labels sorted, a mapped letter's cell is 1 + k q + the rank of
+    its label, so the cells in use run in symbol order. The identity is cell
+    0 and an unmapped letter cell 1 + k n.
+    """
+    ranked = sorted(label for label in labels if label is not None)
+    k, label_of = len(ranked), dict(zip("XYZ", labels))
+    cells = np.zeros((n, 2, 2), dtype=np.intp)
+    for (x, z), letter in _BITS_LETTER.items():
+        if letter != "I":
+            label = label_of[letter]
+            cells[:, x, z] = k * n + 1 if label is None else \
+                k * np.arange(n) + 1 + ranked.index(label)
+    cells.flags.writeable = False
+    return cells
+
+
 def symbolize(op: PauliSum, symbol_map: dict[str, str]
               ) -> tuple[BellExpression, dict[Symbol, Setting]]:
     """Replace each single-qubit Pauli by a per-party symbol.
@@ -202,37 +276,46 @@ def symbolize(op: PauliSum, symbol_map: dict[str, str]
     ``symbol_map`` sends Pauli letters to distinct symbol names, e.g.
     {"Z": "A", "X": "B", "Y": "C"}. The all-identity term becomes the
     expression's constant. Every non-identity letter must be mapped.
+    Terms with a zero coefficient are dropped, and the bindings hold exactly
+    the expression's symbols, in its order; settings come from
+    ``_letter_setting``.
 
-    Walks the terms in sorted (x, z) order and, in each, only the qubits in
-    its support, lowest first; settings come from ``_letter_setting``.
-    Bindings are listed in order of first appearance.
+    The factor table is written from the sum's sorted (x, z) mask arrays:
+    each term's bits (x_q, z_q) on each qubit q pick a ``_letter_cells``
+    cell, and the cells in use, in (qubit, label) order, are the symbols.
+    Terms stay in sorted (x, z) order.
     """
     labels = [symbol_map[letter] for letter in "XYZ" if letter in symbol_map]
     if len(set(labels)) != len(labels):
         raise ValueError("symbol map sends two Pauli letters to the same label: "
                          f"{symbol_map!r}")
-    terms: dict[TermKey, float] = {}
-    constant = 0.0
-    bindings: dict[Symbol, Setting] = {}
-    for (x, z), coeff in sorted(op._terms.items()):
-        if not x | z:
-            constant += coeff
-            continue
-        key = []
-        support = x | z
-        while support:
-            q = (support & -support).bit_length() - 1
-            support ^= 1 << q
-            letter = _BITS_LETTER[(x >> q) & 1, (z >> q) & 1]
-            if letter not in symbol_map:
-                raise ValueError(f"no symbol mapped for Pauli letter {letter}")
-            sym = (q, symbol_map[letter])
-            key.append(sym)
-            if sym not in bindings:
-                bindings[sym] = _letter_setting(*sym, letter)
-        # an injective map gives every Pauli string its own key
-        terms[tuple(key)] = coeff
-    return BellExpression(op.n, terms, constant), bindings
+    labels.sort()
+    n, k = op.n, len(labels)
+    cells_at = _letter_cells(n, tuple(symbol_map.get(letter) for letter in "XYZ"))
+    xs, zs, coeffs = op._sorted_arrays()
+    if not coeffs.all():
+        live = coeffs != 0.0
+        xs, zs, coeffs = xs[live], zs[live], coeffs[live]
+    # sorted (x, z) order puts the identity term, if any, first
+    constant = 0.0 + float(op._terms.get((0, 0), 0.0))
+    first = int(constant != 0.0)
+    qubits = np.arange(n)
+    xbits = np.asarray(xs[first:, None] >> qubits & 1, dtype=np.intp)
+    zbits = np.asarray(zs[first:, None] >> qubits & 1, dtype=np.intp)
+    cells = cells_at[qubits, xbits, zbits]
+    counts = np.bincount(cells.ravel(), minlength=2 + k * n)
+    if counts[-1]:
+        t, q = divmod(int(np.argmax(cells.ravel() == 1 + k * n)), n)
+        raise ValueError("no symbol mapped for Pauli letter "
+                         f"{_BITS_LETTER[int(xbits[t, q]), int(zbits[t, q])]}")
+    used = counts[:-1] > 0
+    used[0] = False
+    symbols = [((c - 1) // k, labels[(c - 1) % k]) for c in used.nonzero()[0].tolist()]
+    letter_of = {symbol_map[letter]: letter for letter in "XYZ" if letter in symbol_map}
+    bindings = {sym: _letter_setting(*sym, letter_of[sym[1]]) for sym in symbols}
+    # a used cell's slot is the count of used cells up to it; cell 0 gets 0
+    index = used.cumsum(dtype=np.intp)[cells]
+    return BellExpression._from_table(n, symbols, index, coeffs[first:], constant), bindings
 
 
 # --- complementary setting rewrite ------------------------------------------

@@ -280,8 +280,10 @@ def quantum_lower_bound(op: PauliSum, cap: int = DENSE_QUBIT_CAP
 
 
 def dichotomic_term_bound(expr: BellExpression) -> float:
-    """constant + sum |coefficients|: quantum upper bound for dichotomic settings."""
-    return expr.constant + float(sum(abs(c) for c in expr.terms.values()))
+    """constant + sum |coefficients|: quantum upper bound for dichotomic settings.
+
+    The sum runs term by term in term order, a Python float sum."""
+    return expr.constant + float(sum(abs(c) for c in expr.factor_table()[1].tolist()))
 
 
 # --- sum-of-squares certificates ---------------------------------------------

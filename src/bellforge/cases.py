@@ -20,10 +20,13 @@ import numpy as np
 from .bell import (
     BellExpression,
     BellRecipe,
+    Setting,
+    Symbol,
     _check_decomposition,
     build_logical,
     chained_construction,
     complementary_decompose,
+    render_operator,
     symbolize,
     symbolize_decomposed,
 )
@@ -158,6 +161,17 @@ def _pipeline_identity_check(logical_form: PauliSum, final_form: PauliSum,
     return Check("pipeline identity residual", "<= 1e-10", resid, resid <= 1e-10)
 
 
+def _symbolize_check(operator: PauliSum, expr: BellExpression,
+                     bindings: dict[Symbol, Setting]) -> Check:
+    """The pipeline identity of a symbolized operator, term by term: the sum
+    over Pauli strings of |coefficient difference| between ``operator`` and
+    what ``expr`` renders to under ``bindings``; no dense render."""
+    rendered = render_operator(expr, bindings)._terms
+    resid = float(sum(abs(operator._terms.get(k, 0.0) - rendered.get(k, 0.0))
+                      for k in sorted(operator._terms.keys() | rendered.keys())))
+    return Check("pipeline identity residual", "<= 1e-10", resid, resid <= 1e-10)
+
+
 # --- individual cases ---------------------------------------------------------
 
 def _case_chsh(config: RunConfig) -> CaseResult:
@@ -188,13 +202,13 @@ def _case_chsh(config: RunConfig) -> CaseResult:
 def _case_mermin3(config: RunConfig) -> CaseResult:
     ops = ghz3_logical_paulis()
     operator = 4.0 * ops.z
-    expr, _ = symbolize(operator, {"Z": "A", "X": "B"})
+    expr, bindings = symbolize(operator, {"Z": "A", "X": "B"})
     report = _report(expr, operator, rough=4.0, cap=config.cap_qubits)
     checks = [
         _exact("classical max", report.classical_max, 2.0, "2"),
         _close("quantum lower bound", report.quantum_lower, 4.0, "4"),
         _exact("dichotomic term bound", report.dichotomic_bound, 4.0, "4"),
-        _pipeline_identity_check(operator, operator, config.cap_qubits),
+        _symbolize_check(operator, expr, bindings),
     ]
     return CaseResult("mermin3", str(expr), report, checks)
 
@@ -202,7 +216,7 @@ def _case_mermin3(config: RunConfig) -> CaseResult:
 def _case_svetlichny3(config: RunConfig) -> CaseResult:
     ops = ghz3_logical_paulis()
     operator = 4.0 * (ops.x - ops.z)       # 4*sqrt2 along the (1,0,-1) direction
-    expr, _ = symbolize(operator, {"Z": "A", "X": "B"})
+    expr, bindings = symbolize(operator, {"Z": "A", "X": "B"})
     term_ops = [c * PauliSum.from_terms([(t, 1.0)]) for t, c in operator.items()]
     cert, rep = sos_pairing_search(term_ops, 4 * ROOT2)
     report = _report(expr, operator, rough=4 * ROOT2, cap=config.cap_qubits,
@@ -212,7 +226,7 @@ def _case_svetlichny3(config: RunConfig) -> CaseResult:
         _close("quantum lower bound", report.quantum_lower, 4 * ROOT2, "4*sqrt(2)"),
         Check("sos residual", "<= 1e-10", rep.residual if rep else math.inf,
               rep is not None and rep.verified),
-        _pipeline_identity_check(operator, operator, config.cap_qubits),
+        _symbolize_check(operator, expr, bindings),
     ]
     return CaseResult("svetlichny3", str(expr), report, checks)
 
@@ -236,7 +250,7 @@ def _case_l5(config: RunConfig, which: str) -> CaseResult:
     else:
         operator, rough, name = 16.0 * (ops.z + ops.x + ops.y), 16 * ROOT3, "l5-hyper"
         classical_target = 24.0
-    expr, _ = symbolize(operator, {"Z": "A", "X": "B", "Y": "C"})
+    expr, bindings = symbolize(operator, {"Z": "A", "X": "B", "Y": "C"})
     seesaw_value = None
     if which in ("svetlichny", "hyper"):
         seesaw_value = seesaw_optimize(
@@ -246,7 +260,7 @@ def _case_l5(config: RunConfig, which: str) -> CaseResult:
     checks = [
         _exact("classical max", report.classical_max, classical_target,
                f"{classical_target:g}"),
-        _pipeline_identity_check(operator, operator, config.cap_qubits),
+        _symbolize_check(operator, expr, bindings),
     ]
     if which == "mermin":
         checks.append(_close("quantum lower bound", report.quantum_lower, 16.0, "16"))

@@ -272,6 +272,8 @@ class PauliSum:
 
     n: int
     _terms: dict[tuple[int, int], float] = field(default_factory=dict)
+    # ``_sorted_arrays``, computed on first use; ``_add_term`` and ``_prune`` clear it
+    _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def zero(cls, n: int) -> "PauliSum":
@@ -305,10 +307,12 @@ class PauliSum:
             raise DimensionError(f"{term.n} vs {self.n} qubits")
         key = term.key()
         self._terms[key] = self._terms.get(key, 0.0) + term.sign * coeff
+        self._arrays = None
 
     def _prune(self) -> None:
         for k in [k for k, c in self._terms.items() if abs(c) <= COEFF_PRUNE]:
             del self._terms[k]
+        self._arrays = None
 
     def items(self) -> list[tuple[PauliTerm, float]]:
         """Terms in deterministic (x, z) mask order, all with +1 sign."""
@@ -362,11 +366,16 @@ class PauliSum:
         return " ".join(parts).lstrip("+ ")
 
     def _sorted_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """x masks, z masks and coefficients of the terms, in sorted (x, z) order."""
-        keys = sorted(self._terms)
-        masks = np.array(keys, dtype=np.intp).reshape(-1, 2)
-        coeffs = np.array([self._terms[k] for k in keys], dtype=float)
-        return masks[:, 0], masks[:, 1], coeffs
+        """x masks, z masks and coefficients of the terms, in sorted (x, z)
+        order; built once and shared read-only. The masks are intp, or
+        Python ints past 63 qubits."""
+        if self._arrays is None:
+            keys = sorted(self._terms)
+            masks = np.array(keys, dtype=np.intp if self.n <= 63 else object).reshape(-1, 2)
+            coeffs = np.array([self._terms[k] for k in keys], dtype=float)
+            masks.flags.writeable = coeffs.flags.writeable = False
+            self._arrays = masks[:, 0], masks[:, 1], coeffs
+        return self._arrays
 
     def to_dense(self, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
         """Dense matrix, every term scattered through the batched kernel.

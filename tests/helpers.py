@@ -6,9 +6,17 @@ from itertools import groupby
 
 import numpy as np
 
-from bellforge.bell import BellExpression, Setting, xz_setting
+from bellforge.bell import BellExpression, Setting, _letter_setting, xz_setting
 from bellforge.logical import LogicalPaulis
-from bellforge.pauli import _I_POW, PauliSum, PauliTerm, _realize, check_hermitian, product
+from bellforge.pauli import (
+    _BITS_LETTER,
+    _I_POW,
+    PauliSum,
+    PauliTerm,
+    _realize,
+    check_hermitian,
+    product,
+)
 from bellforge.stabilizer import (
     GraphSpec,
     LogicalBasis,
@@ -123,11 +131,15 @@ def sum_apply(op: PauliSum, vec: np.ndarray) -> np.ndarray:
 
 def symbolize_by_terms(op: PauliSum, symbol_map: dict[str, str]):
     """Term-by-term symbolize: a ``PauliTerm`` per term, ``letter(q)`` on
-    every qubit and a freshly checked ``Setting`` per new symbol."""
+    every qubit and a freshly checked ``Setting`` per new symbol; terms with
+    a zero coefficient are skipped, and bindings follow the expression's
+    symbols."""
     terms = {}
     constant = 0.0
     bindings = {}
     for term, coeff in op.items():
+        if coeff == 0.0:
+            continue
         if term.weight == 0:
             constant += coeff
             continue
@@ -144,7 +156,53 @@ def symbolize_by_terms(op: PauliSum, symbol_map: dict[str, str]):
                 bindings[sym] = Setting(
                     q, sym[1], PauliSum.from_strings([(letter, 1.0)], n=1))
         terms[tuple(sorted(key))] = terms.get(tuple(sorted(key)), 0.0) + coeff
-    return BellExpression(op.n, terms, constant), bindings
+    expr = BellExpression(op.n, terms, constant)
+    return expr, {sym: bindings[sym] for sym in expr.symbols}
+
+
+def symbolize_by_masks(op: PauliSum, symbol_map: dict[str, str]):
+    """Mask-walking symbolize: the terms in sorted (x, z) order, in each only
+    the qubits of its support, lowest first, through a dict of term keys;
+    terms with a zero coefficient are skipped, and bindings follow the
+    expression's symbols."""
+    labels = [symbol_map[letter] for letter in "XYZ" if letter in symbol_map]
+    if len(set(labels)) != len(labels):
+        raise ValueError("symbol map sends two Pauli letters to the same label: "
+                         f"{symbol_map!r}")
+    terms = {}
+    constant = 0.0
+    bindings = {}
+    for (x, z), coeff in sorted(op._terms.items()):
+        if coeff == 0.0:
+            continue
+        if not x | z:
+            constant += coeff
+            continue
+        key = []
+        support = x | z
+        while support:
+            q = (support & -support).bit_length() - 1
+            support ^= 1 << q
+            letter = _BITS_LETTER[(x >> q) & 1, (z >> q) & 1]
+            if letter not in symbol_map:
+                raise ValueError(f"no symbol mapped for Pauli letter {letter}")
+            sym = (q, symbol_map[letter])
+            key.append(sym)
+            if sym not in bindings:
+                bindings[sym] = _letter_setting(*sym, letter)
+        terms[tuple(key)] = coeff
+    expr = BellExpression(op.n, terms, constant)
+    return expr, {sym: bindings[sym] for sym in expr.symbols}
+
+
+def factor_table_by_terms(expr: BellExpression, symbols):
+    """``expr.factor_table(symbols)`` by a walk over the ``terms`` dict."""
+    slot = {sym: j for j, sym in enumerate(symbols, 1)}
+    index = np.zeros((len(expr.terms), expr.parties), dtype=np.intp)
+    for t, key in enumerate(expr.terms):
+        for sym in key:
+            index[t, sym[0]] = slot[sym]
+    return index, np.array(list(expr.terms.values()), dtype=float)
 
 
 def product_by_terms(a: PauliSum, b: PauliSum, scale: complex = 1.0) -> PauliSum:

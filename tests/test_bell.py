@@ -22,7 +22,7 @@ from bellforge.bell import (
 from bellforge.logical import logical_paulis_numeric, logical_paulis_symbolic
 from bellforge.pauli import PauliSum, PauliTerm
 from bellforge.stabilizer import GraphSpec, bell_basis, ghz3_basis, graph_state_generators
-from helpers import basis_from_kets, chained_reconstruction, rotated_z
+from helpers import basis_from_kets, chained_reconstruction, factor_table_by_terms, rotated_z
 
 ROOT2 = math.sqrt(2)
 
@@ -57,6 +57,19 @@ class TestBellExpression:
     def test_evaluate(self):
         e = BellExpression(2, {((0, "A"), (1, "B")): 2.0}, constant=1.0)
         assert e.evaluate({(0, "A"): 1, (1, "B"): -1}) == -1.0
+
+    def test_value_equality(self):
+        # equal when parties, constant and terms agree, whatever the term
+        # order or the route that built them
+        e = BellExpression(2, {((0, "A"), (1, "B")): 1.0, ((1, "A"),): -2.0}, 0.5)
+        assert e == BellExpression(2, {((1, "A"),): -2.0, ((1, "B"), (0, "A")): 1.0}, 0.5)
+        assert e != BellExpression(2, {((0, "A"), (1, "B")): 1.0, ((1, "A"),): 2.0}, 0.5)
+        assert e != BellExpression(3, dict(e.terms), 0.5)
+        assert e != BellExpression(2, dict(e.terms))
+        expr, _ = symbolize(PauliSum.from_strings([("ZX", 1.0), ("XI", -2.0)]),
+                            {"Z": "A", "X": "B"})
+        assert expr == BellExpression(2, {((0, "A"), (1, "B")): 1.0, ((0, "B"),): -2.0})
+        assert e != "e"
 
     def test_symbols(self):
         e = BellExpression(2, {((0, "A"), (1, "B")): 1.0,
@@ -97,6 +110,70 @@ class TestBellExpression:
                         got += coeff * np.prod(signs[row])
                     assignment = {s: int(v) for s, v in zip(symbols, values)}
                     assert got == expr.evaluate(assignment), (str(expr), symbols)
+
+
+def random_expression(rng, parties, labels=("A", "B", "C")):
+    """Seeded random terms, factors unsorted, some keys repeated."""
+    terms = {}
+    for _ in range(int(rng.integers(0, 9))):
+        key = [(p, str(rng.choice(labels))) for p in range(parties) if rng.random() < 0.6]
+        if key:
+            rng.shuffle(key)
+            terms[tuple(key)] = float(rng.integers(-3, 4)) or float(rng.normal())
+    return BellExpression(parties, terms, constant=float(rng.normal()))
+
+
+class TestFactorTable:
+    def test_matches_dict_walk_for_shuffled_supersets(self):
+        rng = np.random.default_rng(1803)
+        for trial in range(60):
+            expr = random_expression(rng, int(rng.integers(1, 7)))
+            extra = [(p, "D") for p in range(expr.parties) if rng.random() < 0.5]
+            for symbols in (expr.symbols, expr.symbols + extra):
+                symbols = [symbols[i] for i in rng.permutation(len(symbols))]
+                index, coeffs = expr.factor_table(symbols)
+                want_index, want_coeffs = factor_table_by_terms(expr, symbols)
+                assert index.dtype == np.intp and coeffs.dtype == np.float64
+                assert np.array_equal(index, want_index)
+                assert [c.hex() for c in coeffs.tolist()] == \
+                    [c.hex() for c in want_coeffs.tolist()]
+
+    def test_stored_form_round_trips_through_terms(self):
+        # the table is the expression: terms, symbols and len read off it,
+        # rows in the cleaned dict's order, zero sums dropped
+        expr = BellExpression(3, {((1, "B"), (0, "A")): 1.0, ((2, "C"),): 2.0,
+                                  ((0, "A"), (1, "B")): 0.5, ((0, "B"),): 0.0})
+        assert dict(expr.terms) == {((0, "A"), (1, "B")): 1.5, ((2, "C"),): 2.0}
+        assert list(expr.terms) == [((0, "A"), (1, "B")), ((2, "C"),)]
+        assert expr.symbols == [(0, "A"), (1, "B"), (2, "C")]
+        assert len(expr) == 2
+        index, coeffs = expr.factor_table()
+        assert index.tolist() == [[1, 2, 0], [0, 0, 3]] and coeffs.tolist() == [1.5, 2.0]
+        again = BellExpression(3, dict(expr.terms), expr.constant)
+        assert [a.tolist() for a in again.factor_table()] == \
+            [a.tolist() for a in expr.factor_table()]
+
+    def test_arrays_and_terms_are_read_only(self):
+        ops = loop5_ops()
+        built, _ = symbolize(16.0 * (ops.z + ops.x), {"Z": "A", "X": "B", "Y": "C"})
+        given = BellExpression(2, {((0, "A"), (1, "B")): 1.0})
+        for expr in (built, given):
+            for symbols in (None, expr.symbols + [(0, "Z")]):
+                for array in expr.factor_table(symbols):
+                    assert not array.flags.writeable
+                    with pytest.raises(ValueError):
+                        array[...] = 0
+            with pytest.raises(TypeError):
+                expr.terms[((0, "A"),)] = 1.0
+            symbols = expr.symbols
+            symbols.clear()
+            assert expr.symbols
+
+    def test_missing_symbols_named(self):
+        expr = BellExpression(2, {((0, "A"), (1, "C")): 1.0, ((1, "B"),): 1.0})
+        with pytest.raises(ValueError, match=r"symbols \[\(1, 'B'\), \(1, 'C'\)\] "
+                                             r"of the expression are not listed"):
+            expr.factor_table([(0, "A"), (2, "C")])
 
 
 class TestBuildLogical:

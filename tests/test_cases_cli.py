@@ -9,9 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from bellforge.bell import BellExpression, symbolize
 from bellforge.cases import (
     CaseResult,
     RunConfig,
+    _loop5_ops,
+    _symbolize_check,
     case_names,
     emit_table,
     run_case,
@@ -96,6 +99,28 @@ class TestCatalog:
         b = run_case("l5-svetlichny", RunConfig(seed=5))
         assert json.dumps(a.to_dict(), sort_keys=True) == \
             json.dumps(b.to_dict(), sort_keys=True)
+
+
+class TestSymbolizeCheck:
+    @pytest.mark.parametrize("name", ["mermin3", "svetlichny3", "l5-mermin",
+                                      "l5-svetlichny", "l5-hyper"])
+    def test_catalog_rows_render_back_exactly(self, name):
+        check, = [c for c in run_case(name, RunConfig()).checks
+                  if c.name == "pipeline identity residual"]
+        assert check.ok and check.value == 0.0
+
+    def test_flipped_coefficient_fails(self):
+        ops = _loop5_ops()
+        op = 16.0 * (ops.z + ops.x)
+        expr, bindings = symbolize(op, {"Z": "A", "X": "B", "Y": "C"})
+        index, coeffs = expr.factor_table()
+        flipped = coeffs.copy()
+        flipped[5] = -flipped[5]
+        bad = BellExpression._from_table(expr.parties, expr.symbols, index.copy(),
+                                         flipped, expr.constant)
+        check = _symbolize_check(op, bad, bindings)
+        assert not check.ok and check.value == 2 * abs(coeffs[5])
+        assert _symbolize_check(op, expr, bindings).value == 0.0
 
 
 class TestTables:

@@ -1,21 +1,24 @@
-"""The batched Pauli kernel and the mask-walking symbolize against the
-term-by-term oracles in ``helpers``, bit for bit, and the matrix-free quantum
-lower bound against dense ``eigh``, on seeded random inputs."""
+"""The batched Pauli kernel and the array symbolize against the term-by-term
+and mask-walking oracles in ``helpers``, bit for bit, and the matrix-free
+quantum lower bound against dense ``eigh``, on seeded random inputs."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from bellforge import pauli
-from bellforge.bell import symbolize
+from bellforge.bell import render_operator, symbolize
 from bellforge.bounds import quantum_lower_bound
 from bellforge.pauli import COEFF_PRUNE, PauliSum, PauliTerm, QubitCapError, product
 from helpers import (
     bits,
+    factor_table_by_terms,
     product_by_terms,
     sum_apply,
     sum_to_dense,
+    symbolize_by_masks,
     symbolize_by_terms,
     term_apply,
     term_to_dense,
@@ -204,8 +207,8 @@ def symbolize_results(op, symbol_map):
             [(sym, s.party, s.label, s.op.to_strings()) for sym, s in bindings.items()])
 
 
-def oracle_results(op, symbol_map):
-    expr, bindings = symbolize_by_terms(op, symbol_map)
+def oracle_results(op, symbol_map, oracle=symbolize_by_terms):
+    expr, bindings = oracle(op, symbol_map)
     return ([(k, c.hex()) for k, c in expr.terms.items()], expr.constant.hex(),
             [(sym, s.party, s.label, s.op.to_strings()) for sym, s in bindings.items()])
 
@@ -240,3 +243,103 @@ class TestSymbolizeAgainstTermWalk:
         with pytest.raises(ValueError) as oracle:
             symbolize_by_terms(op, symbol_map)
         assert str(mine.value) == str(oracle.value)
+
+
+def letter_sum(rng, n, letters):
+    """Random strings over ``letters`` (with I), an identity term half the
+    time, and about one coefficient in six an exact +0.0 or -0.0."""
+    codes = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+    terms = {(0, 0): random_coeff(rng)} if rng.random() < 0.5 else {}
+    for _ in range(int(rng.integers(0, 3 * n + 4))):
+        x = z = 0
+        for q in range(n):
+            xb, zb = codes[str(rng.choice(["I", *letters]))]
+            x, z = x | xb << q, z | zb << q
+        terms[(x, z)] = (float(rng.choice([0.0, -0.0])) if rng.random() < 1 / 6
+                         else random_coeff(rng))
+    return PauliSum(n, terms)
+
+
+ZX, ZXY = {"Z": "A", "X": "B"}, {"Z": "A", "X": "B", "Y": "C"}
+
+
+class TestArraySymbolize:
+    def table_results(self, op, symbol_map):
+        expr, _ = symbolize(op, symbol_map)
+        index, coeffs = expr.factor_table()
+        return expr.symbols, index.tolist(), [c.hex() for c in coeffs.tolist()]
+
+    def oracle_table(self, op, symbol_map):
+        expr, _ = symbolize_by_terms(op, symbol_map)
+        index, coeffs = factor_table_by_terms(expr, expr.symbols)
+        return expr.symbols, index.tolist(), [c.hex() for c in coeffs.tolist()]
+
+    @pytest.mark.parametrize("symbol_map", [ZX, ZXY])
+    def test_matches_both_oracles(self, symbol_map):
+        # n = 1..10, Z/X sums under both maps and Z/X/Y sums under Z/X/Y;
+        # constants, exact zeros and the empty sum included
+        rng = np.random.default_rng(1801)
+        ops = [PauliSum.zero(1), PauliSum.zero(4)]
+        ops += [letter_sum(rng, n, "XZ" if len(symbol_map) == 2 else "XYZ")
+                for n in range(1, 11) for _ in range(12)]
+        for op in ops:
+            mine = symbolize_results(op, symbol_map)
+            assert mine == oracle_results(op, symbol_map)
+            assert mine == oracle_results(op, symbol_map, symbolize_by_masks)
+            assert self.table_results(op, symbol_map) == self.oracle_table(op, symbol_map)
+        zeros = [c for op in ops for c in op._terms.values() if c == 0.0]
+        assert {math.copysign(1.0, c) for c in zeros} == {-1.0, 1.0}
+        assert sum((0, 0) in op._terms for op in ops) > 20
+
+    def test_same_unmapped_letter_errors(self):
+        rng = np.random.default_rng(1802)
+        raised = 0
+        for n in range(1, 11):
+            for _ in range(12):
+                op = letter_sum(rng, n, "XYZ")
+                try:
+                    mine = symbolize_results(op, ZX)
+                except ValueError as err:
+                    raised += 1
+                    assert str(err) == "no symbol mapped for Pauli letter Y"
+                    for oracle in (symbolize_by_terms, symbolize_by_masks):
+                        with pytest.raises(ValueError, match=f"^{err}$"):
+                            oracle(op, ZX)
+                    continue
+                assert mine == oracle_results(op, ZX)
+                assert mine == oracle_results(op, ZX, symbolize_by_masks)
+        assert raised > 60
+        # the first unmapped letter in sorted (x, z) term order, lowest qubit
+        # first: XZ has masks (1, 2) and sorts before ZY's (2, 3)
+        for route in (symbolize, symbolize_by_masks):
+            with pytest.raises(ValueError, match="^no symbol mapped for Pauli letter X$"):
+                route(PauliSum.from_strings([("ZY", 1.0), ("XZ", 1.0)]), {"Z": "A"})
+
+    def test_non_injective_map_error(self):
+        op = PauliSum.from_strings([("ZX", 1.0)])
+        symbol_map = {"Z": "A", "X": "A"}
+        message = "symbol map sends two Pauli letters to the same label: " \
+            "{'Z': 'A', 'X': 'A'}"
+        for route in (symbolize, symbolize_by_masks):
+            with pytest.raises(ValueError) as err:
+                route(op, symbol_map)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("n", [63, 64, 70])
+    def test_masks_past_one_machine_word(self, n):
+        rng = np.random.default_rng(1805 + n)
+        op = letter_sum(rng, n, "XYZ") + PauliSum.from_strings([("Y" * n, 1.0)])
+        assert symbolize_results(op, ZXY) == oracle_results(op, ZXY, symbolize_by_masks)
+        expr, bindings = symbolize(op, ZXY)
+        assert expr.symbols[-1] == (n - 1, "C")
+        assert render_operator(expr, bindings)._terms == op._terms
+
+    def test_zero_terms_bind_nothing(self):
+        # the zero term's X on qubit 0 is no symbol of the expression
+        op = PauliSum(2, {(1, 0): 0.0, (3, 3): 1.0})
+        expr, bindings = symbolize(op, {"X": "A", "Y": "C"})
+        assert expr.symbols == [(0, "C"), (1, "C")]
+        assert list(bindings) == expr.symbols
+        # nor is an unmapped letter in a zero term an error
+        expr, bindings = symbolize(PauliSum(2, {(2, 2): -0.0, (1, 0): 2.0}), {"X": "A"})
+        assert dict(expr.terms) == {((0, "A"),): 2.0} and list(bindings) == [(0, "A")]

@@ -412,3 +412,34 @@ class TestDecompose:
     def test_check_hermitian(self):
         with pytest.raises(ValueError):
             check_hermitian(np.array([[0, 1j], [1j, 0]]))
+
+
+class TestSortedArrayCache:
+    def test_built_once_and_read_only(self):
+        op = PauliSum.from_strings([("XZ", 1.0), ("ZI", -2.0), ("II", 0.5)])
+        arrays = op._sorted_arrays()
+        assert op._sorted_arrays() is arrays
+        keys = sorted(op._terms)
+        assert [a.tolist() for a in arrays] == [
+            [x for x, _ in keys], [z for _, z in keys], [op._terms[k] for k in keys]]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[...] = 0
+
+    def test_add_term_and_prune_clear_it(self):
+        op = PauliSum.from_strings([("XZ", 1.0), ("ZI", -2.0)])
+        before = op.to_dense()
+        yy = PauliTerm.from_string("YY")
+        for coeff in (3.0, -3.0):
+            op._sorted_arrays()
+            op._add_term(yy, coeff)
+            assert op._arrays is None
+            assert op._sorted_arrays()[2].tolist() == [op._terms[k] for k in sorted(op._terms)]
+        assert op._terms[yy.key()] == 0.0 and len(op._sorted_arrays()[2]) == 3
+        op._prune()
+        assert op._arrays is None
+        assert len(op._sorted_arrays()[2]) == 2
+        assert np.array_equal(op.to_dense(), before)
+        v = np.arange(4.0) + 1j
+        assert np.array_equal(op.apply(v), PauliSum(2, dict(op._terms)).apply(v))

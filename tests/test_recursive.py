@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bellforge import bounds
+from bellforge.bell import BellExpression
 from bellforge.bounds import (
     classical_bounds,
     dichotomic_term_bound,
@@ -175,6 +176,21 @@ class TestFamilyCases:
     def test_members_at_n10(self, calls):
         # n = MAX_LEVEL
         self.check_members(10, calls)
+
+    def test_certifying_n9_builds_no_terms_dict(self, monkeypatch):
+        # symbolize writes the factor table and every bound reads it; the
+        # terms dict is a view built only for printing and evaluation
+        def built(expr):
+            raise AssertionError(f"terms dict of a {expr.parties}-party expression built")
+
+        monkeypatch.setattr(BellExpression, "terms", property(built))
+        for build in (mermin_case, svetlichny_case):
+            case = build(9)
+            classical_bounds(case.expression)
+            quantum_lower_bound(case.operator)
+            dichotomic_term_bound(case.expression)
+        with pytest.raises(AssertionError, match="terms dict of a 9-party"):
+            str(case.expression)
 
 
 class TestAssignmentValueBound:
