@@ -19,6 +19,7 @@ from .bell import (
     complementary_decompose,
     evaluate_quantum,
     render_operator,
+    render_terms,
     symbolize,
     symbolize_decomposed,
 )

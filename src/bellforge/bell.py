@@ -5,7 +5,7 @@ The pipeline starts from a scaled direction in the logical Bloch sphere,
 renders it as a Pauli-string operator, optionally rewrites one qubit's factors
 through a complementary setting pair, and finally replaces operators by
 per-party symbols. All stages are matrix-identical; only the bookkeeping
-changes.
+changes. ``render_operator`` is the one way back from symbols to operators.
 """
 
 from __future__ import annotations
@@ -208,15 +208,13 @@ class BellExpression:
                               factor * self.constant)
 
 
-def render_operator(expr: BellExpression,
-                    bindings: dict[Symbol, Setting]) -> PauliSum:
-    """Substitute bound settings into the expression, yielding the Bell operator.
-
-    A symbolic term walk, not ``factor_table``: the operator's strings and
-    coefficients come from exact Pauli products, not dense matrices, and so
-    fix the bits of the chained construction's operator."""
+def render_terms(expr: BellExpression,
+                 bindings: dict[Symbol, Setting]) -> list[PauliSum]:
+    """One operator per term of ``expr``, in term order: the coefficient times
+    its bound settings, multiplied in party order as exact Pauli products (a
+    term walk, not ``factor_table``); SOS pairing search takes these."""
     n = expr.parties
-    out = PauliSum.identity(n, expr.constant) if expr.constant else PauliSum.zero(n)
+    out = []
     for key, coeff in expr.terms.items():
         acc = PauliSum.identity(n, coeff)
         for sym in key:
@@ -227,8 +225,22 @@ def render_operator(expr: BellExpression,
             if setting.party != sym[0]:
                 raise ValueError(f"binding for {sym} names party {setting.party}")
             acc = product(acc, setting.embed(n))
-        out = out + acc
+        out.append(acc)
     return out
+
+
+def render_operator(expr: BellExpression,
+                    bindings: dict[Symbol, Setting]) -> PauliSum:
+    """Substitute bound settings into the expression, yielding the Bell operator;
+    its bits fix those of every derived operator."""
+    return sum_terms(expr, render_terms(expr, bindings))
+
+
+def sum_terms(expr: BellExpression, terms: list[PauliSum]) -> PauliSum:
+    """The constant of ``expr`` plus its rendered ``terms``, added in order."""
+    n = expr.parties
+    start = PauliSum.identity(n, expr.constant) if expr.constant else PauliSum.zero(n)
+    return sum(terms, start)
 
 
 def evaluate_quantum(expr: BellExpression, bindings: dict[Symbol, Setting],
@@ -361,18 +373,6 @@ class DecomposedOperator:
     settings: tuple[Setting, Setting]
     products: list[tuple[float, int, PauliTerm]]
 
-    def to_pauli_sum(self) -> PauliSum:
-        """The rewritten operator: the term operators summed in order."""
-        return sum(self.term_operators(), PauliSum.zero(self.n))
-
-    def term_operators(self) -> list[PauliSum]:
-        """One PauliSum per product, signs included (SOS certificate inputs)."""
-        out = []
-        for coeff, s_idx, rest in self.products:
-            emb = self.settings[s_idx].embed(self.n)
-            out.append(coeff * product(emb, PauliSum.from_terms([(rest, 1.0)])))
-        return out
-
 
 def complementary_decompose(op: PauliSum, pivot: int) -> DecomposedOperator:
     """Rewrite the pivot qubit's factors over a complementary observable pair.
@@ -499,11 +499,16 @@ def symbolize_decomposed(dec: DecomposedOperator,
 
 # --- chained multi-setting construction --------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ChainedConstruction:
-    operator: PauliSum                      # two-qubit Bell operator
     expression: BellExpression
+    bindings: MappingProxyType              # symbol -> Setting, read-only
     quantum_bound: float                    # 2n cos(pi/2n)
+
+    @property
+    def operator(self) -> PauliSum:
+        """The two-qubit Bell operator, rendered from the expression."""
+        return render_operator(self.expression, self.bindings)
 
 
 def xz_setting(party: int, label: str, theta: float) -> Setting:
@@ -512,38 +517,25 @@ def xz_setting(party: int, label: str, theta: float) -> Setting:
         [("Z", math.cos(theta)), ("X", math.sin(theta))], n=1))
 
 
+@cache
 def chained_construction(n: int) -> ChainedConstruction:
     """The n-settings-per-party chained Bell construction on two qubits.
 
     Party 0 measures at angles (k-1)pi/n, party 1 at half-offset angles
     (2k-1)pi/2n; the resulting 2n-term operator equals 2n cos(pi/2n) times
-    the logical Z of the two-qubit Bell basis.
+    the logical Z of the two-qubit Bell basis. Built once per n, shared.
     """
     if n < 2:
         raise ValueError("chained construction needs at least 2 settings per party")
-    a = {k: xz_setting(0, f"A{k}", (k - 1) * math.pi / n) for k in range(1, n + 1)}
-    b = {k: xz_setting(1, f"B{k}", (2 * k - 1) * math.pi / (2 * n)) for k in range(1, n + 1)}
-    terms: dict[TermKey, float] = {}
-
-    def add(sa: Setting, sb: Setting, coeff: float) -> None:
-        key = tuple(sorted([(0, sa.label), (1, sb.label)]))
-        terms[key] = terms.get(key, 0.0) + coeff
-
-    for k in range(1, n + 1):
-        add(a[k], b[k], 1.0)
-    for k in range(1, n):
-        add(a[k + 1], b[k], 1.0)
-    add(a[1], b[n], -1.0)
-
-    expr = BellExpression(2, terms)
-    bindings: dict[Symbol, Setting] = {}
-    for s in list(a.values()) + list(b.values()):
-        bindings[(s.party, s.label)] = s
-    return ChainedConstruction(
-        operator=render_operator(expr, bindings),
-        expression=expr,
-        quantum_bound=2 * n * math.cos(math.pi / (2 * n)),
-    )
+    a = [xz_setting(0, f"A{k}", (k - 1) * math.pi / n) for k in range(1, n + 1)]
+    b = [xz_setting(1, f"B{k}", (2 * k - 1) * math.pi / (2 * n)) for k in range(1, n + 1)]
+    # + A_k B_k for each k, + A_k+1 B_k for k < n, - A_1 B_n
+    pairs = [(k, k, 1.0) for k in range(1, n + 1)] + \
+        [(k + 1, k, 1.0) for k in range(1, n)] + [(1, n, -1.0)]
+    expr = BellExpression(2, {((0, f"A{i}"), (1, f"B{j}")): c for i, j, c in pairs})
+    bindings = {(s.party, s.label): s for s in a + b}
+    return ChainedConstruction(expr, MappingProxyType(bindings),
+                               2 * n * math.cos(math.pi / (2 * n)))
 
 
 # --- recipes ------------------------------------------------------------------

@@ -257,8 +257,8 @@ def classical_sample_bound(expr: BellExpression, samples: int = 20000,
     return ClassicalBounds(float(values[lo]), float(values[hi]), wmin, wmax, exact=False)
 
 
-def quantum_lower_bound(op: PauliSum, cap: int = DENSE_QUBIT_CAP
-                        ) -> tuple[float, np.ndarray]:
+def quantum_lower_bound(op: PauliSum, cap: int = DENSE_QUBIT_CAP,
+                        dense: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of the operator and a witness eigenvector.
 
     This is the maximum over states for these fixed settings, hence a
@@ -271,11 +271,12 @@ def quantum_lower_bound(op: PauliSum, cap: int = DENSE_QUBIT_CAP
     ``eigh`` grows about 8x per qubit. The split sits where the two routes
     cross on generic operators (dense ``eigh`` is the faster one up to 8
     qubits), and it keeps the digits of every catalog row, none of which is
-    past 8 qubits. ``cap`` bounds the qubit count on both routes.
+    past 8 qubits. ``cap`` bounds the qubit count on both routes; the dense
+    route reads ``dense``, the caller's ``op.to_dense()``, if given.
     """
     _check_cap(op.n, cap)
     if op.n <= _DENSE_EIGH_QUBITS:
-        return top_eigenpair(op.to_dense(cap))
+        return top_eigenpair(op.to_dense(cap) if dense is None else dense)
     return _krylov_top_eigenpair(op)
 
 

@@ -14,19 +14,19 @@ import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .bell import (
     BellExpression,
     BellRecipe,
-    Setting,
-    Symbol,
     _check_decomposition,
     build_logical,
     chained_construction,
     complementary_decompose,
-    render_operator,
+    render_terms,
+    sum_terms,
     symbolize,
     symbolize_decomposed,
 )
@@ -46,11 +46,7 @@ from .recursive import (
     scaled_value_fraction,
     svetlichny_case,
 )
-from .stabilizer import (
-    GraphSpec,
-    bell_basis,
-    graph_state_generators,
-)
+from .stabilizer import GraphSpec, bell_basis, graph_state_generators
 from .uncertainty import (
     DirectionXZ,
     lemma_sweep,
@@ -135,9 +131,11 @@ def _at_most(name: str, value: float, target: float, label: str,
 
 def _report(expr: BellExpression, operator: PauliSum, rough: float | None,
             cap: int, sos_status: str = "not-attempted",
-            seesaw_value: float | None = None) -> BoundsReport:
+            seesaw_value: float | None = None,
+            dense: np.ndarray | None = None) -> BoundsReport:
+    """The bounds of ``expr`` and its ``operator`` (dense render ``dense``, if made)."""
     cb = classical_bounds(expr)
-    q, _ = quantum_lower_bound(operator, cap)
+    q, _ = quantum_lower_bound(operator, cap, dense)
     return BoundsReport(
         classical_min=cb.minimum,
         classical_max=cb.maximum,
@@ -150,38 +148,62 @@ def _report(expr: BellExpression, operator: PauliSum, rough: float | None,
     )
 
 
-def _residual(a: PauliSum, b: PauliSum, cap: int) -> float:
-    """Largest entry of |a - b| over the dense renders."""
-    return float(np.max(np.abs(a.to_dense(cap) - b.to_dense(cap))))
+class _Derivation(NamedTuple):
+    expression: BellExpression
+    terms: list[PauliSum]       # one render per expression term, in term order
+    operator: PauliSum          # the constant plus ``terms``, added in order
+    check: Check                # the pipeline identity
 
 
-def _pipeline_identity_check(logical_form: PauliSum, final_form: PauliSum,
-                             cap: int) -> Check:
-    resid = _residual(logical_form, final_form, cap)
-    return Check("pipeline identity residual", "<= 1e-10", resid, resid <= 1e-10)
+def _derive(logical_form: PauliSum | None, spec: dict,
+            symbols: dict[str, str] | None = None,
+            letter_order: dict[int, list[str]] | None = None,
+            cap: int = DENSE_QUBIT_CAP) -> _Derivation:
+    """The pipeline from a logical form to its Bell expression, rendered back.
+
+    ``spec`` is a decomposition: ``none`` symbolizes with ``symbols``,
+    ``complementary`` labels by ``letter_order``, and ``chained`` brings its
+    own logical form, 2n cos(pi/2n) times the Bell basis's logical Z. The
+    pipeline identity residual is the sum over Pauli strings of |coefficient
+    difference| for ``none``, else the largest entry of the dense difference.
+    """
+    kind = spec.get("kind", "none")
+    if kind == "complementary":
+        dec = complementary_decompose(logical_form, spec["pivot"])
+        expr, bindings = symbolize_decomposed(dec, letter_order)
+    elif kind == "chained":
+        ch = chained_construction(spec["n"])
+        expr, bindings = ch.expression, ch.bindings
+        logical_form = ch.quantum_bound * bell_logical_paulis().z
+    else:
+        expr, bindings = symbolize(logical_form, symbols)
+    terms = render_terms(expr, bindings)
+    operator = sum_terms(expr, terms)
+    if kind == "none":
+        a, b = logical_form._terms, operator._terms
+        resid = float(sum(abs(a.get(k, 0.0) - b.get(k, 0.0))
+                          for k in sorted(a.keys() | b.keys())))
+    else:
+        resid = float(np.max(np.abs(logical_form.to_dense(cap) - operator.to_dense(cap))))
+    check = Check("pipeline identity residual", "<= 1e-10", resid, resid <= 1e-10)
+    return _Derivation(expr, terms, operator, check)
 
 
-def _symbolize_check(operator: PauliSum, expr: BellExpression,
-                     bindings: dict[Symbol, Setting]) -> Check:
-    """The pipeline identity of a symbolized operator, term by term: the sum
-    over Pauli strings of |coefficient difference| between ``operator`` and
-    what ``expr`` renders to under ``bindings``; no dense render."""
-    rendered = render_operator(expr, bindings)._terms
-    resid = float(sum(abs(operator._terms.get(k, 0.0) - rendered.get(k, 0.0))
-                      for k in sorted(operator._terms.keys() | rendered.keys())))
-    return Check("pipeline identity residual", "<= 1e-10", resid, resid <= 1e-10)
+def _sos(terms: list[PauliSum], bound: float) -> tuple[str, Check]:
+    """The SOS pairing search on ``terms``: its status and residual check."""
+    cert, rep = sos_pairing_search(terms, bound)
+    return ("verified" if cert is not None else "failed",
+            Check("sos residual", "<= 1e-10", rep.residual if rep else math.inf,
+                  rep is not None and rep.verified))
 
 
 # --- individual cases ---------------------------------------------------------
 
 def _case_chsh(config: RunConfig) -> CaseResult:
-    ops = bell_logical_paulis()
-    logical_form = (2 * ROOT2) * ops.z
-    dec = complementary_decompose(logical_form, pivot=1)
-    expr, _ = symbolize_decomposed(dec, letter_order={0: ["X", "Z"]})
-    operator = dec.to_pauli_sum()
-    cert, rep = sos_pairing_search(dec.term_operators(), 2 * ROOT2)
-    sos_status = "verified" if cert is not None else "failed"
+    expr, terms, operator, ident = _derive(
+        (2 * ROOT2) * bell_logical_paulis().z, {"kind": "complementary", "pivot": 1},
+        letter_order={0: ["X", "Z"]}, cap=config.cap_qubits)
+    sos_status, sos_check = _sos(terms, 2 * ROOT2)
     seesaw = seesaw_optimize(expr, restarts=8, seed=config.case_seed("chsh"),
                              cap=config.cap_qubits)
     report = _report(expr, operator, rough=2 * ROOT2,
@@ -191,42 +213,39 @@ def _case_chsh(config: RunConfig) -> CaseResult:
         _exact("classical max", report.classical_max, 2.0, "2"),
         _exact("classical min", report.classical_min, -2.0, "-2"),
         _close("quantum lower bound", report.quantum_lower, 2 * ROOT2, "2*sqrt(2)"),
-        Check("sos residual", "<= 1e-10", rep.residual if rep else math.inf,
-              rep is not None and rep.verified),
-        _pipeline_identity_check(logical_form, operator, config.cap_qubits),
+        sos_check,
+        ident,
         _close("seesaw value", seesaw.value, 2 * ROOT2, "2*sqrt(2)", tol=1e-6),
     ]
     return CaseResult("chsh", str(expr), report, checks)
 
 
 def _case_mermin3(config: RunConfig) -> CaseResult:
-    ops = ghz3_logical_paulis()
-    operator = 4.0 * ops.z
-    expr, bindings = symbolize(operator, {"Z": "A", "X": "B"})
+    expr, _, operator, ident = _derive(4.0 * ghz3_logical_paulis().z,
+                                       {"kind": "none"}, {"Z": "A", "X": "B"})
     report = _report(expr, operator, rough=4.0, cap=config.cap_qubits)
     checks = [
         _exact("classical max", report.classical_max, 2.0, "2"),
         _close("quantum lower bound", report.quantum_lower, 4.0, "4"),
         _exact("dichotomic term bound", report.dichotomic_bound, 4.0, "4"),
-        _symbolize_check(operator, expr, bindings),
+        ident,
     ]
     return CaseResult("mermin3", str(expr), report, checks)
 
 
 def _case_svetlichny3(config: RunConfig) -> CaseResult:
     ops = ghz3_logical_paulis()
-    operator = 4.0 * (ops.x - ops.z)       # 4*sqrt2 along the (1,0,-1) direction
-    expr, bindings = symbolize(operator, {"Z": "A", "X": "B"})
-    term_ops = [c * PauliSum.from_terms([(t, 1.0)]) for t, c in operator.items()]
-    cert, rep = sos_pairing_search(term_ops, 4 * ROOT2)
+    # 4*sqrt2 along the (1,0,-1) direction
+    expr, terms, operator, ident = _derive(4.0 * (ops.x - ops.z), {"kind": "none"},
+                                           {"Z": "A", "X": "B"})
+    sos_status, sos_check = _sos(terms, 4 * ROOT2)
     report = _report(expr, operator, rough=4 * ROOT2, cap=config.cap_qubits,
-                     sos_status="verified" if cert else "failed")
+                     sos_status=sos_status)
     checks = [
         _exact("classical max", report.classical_max, 4.0, "4"),
         _close("quantum lower bound", report.quantum_lower, 4 * ROOT2, "4*sqrt(2)"),
-        Check("sos residual", "<= 1e-10", rep.residual if rep else math.inf,
-              rep is not None and rep.verified),
-        _symbolize_check(operator, expr, bindings),
+        sos_check,
+        ident,
     ]
     return CaseResult("svetlichny3", str(expr), report, checks)
 
@@ -242,17 +261,18 @@ def _loop5_ops():
 def _case_l5(config: RunConfig, which: str) -> CaseResult:
     ops = _loop5_ops()
     if which == "mermin":
-        operator, rough, name = 16.0 * ops.z, 16.0, "l5-mermin"
-        classical_target = 8.0
+        logical_form, rough, label, classical_target = 16.0 * ops.z, 16.0, "16", 8.0
     elif which == "svetlichny":
-        operator, rough, name = 16.0 * (ops.z + ops.x), 16 * ROOT2, "l5-svetlichny"
+        logical_form, rough, label = 16.0 * (ops.z + ops.x), 16 * ROOT2, "16*sqrt(2)"
         classical_target = 16.0
     else:
-        operator, rough, name = 16.0 * (ops.z + ops.x + ops.y), 16 * ROOT3, "l5-hyper"
+        logical_form, rough, label = 16.0 * (ops.z + ops.x + ops.y), 16 * ROOT3, "16*sqrt(3)"
         classical_target = 24.0
-    expr, bindings = symbolize(operator, {"Z": "A", "X": "B", "Y": "C"})
+    name = f"l5-{which}"
+    expr, _, operator, ident = _derive(logical_form, {"kind": "none"},
+                                       {"Z": "A", "X": "B", "Y": "C"})
     seesaw_value = None
-    if which in ("svetlichny", "hyper"):
+    if which != "mermin":
         seesaw_value = seesaw_optimize(
             expr, restarts=6, seed=config.case_seed(name), cap=config.cap_qubits).value
     report = _report(expr, operator, rough=rough, cap=config.cap_qubits,
@@ -260,23 +280,15 @@ def _case_l5(config: RunConfig, which: str) -> CaseResult:
     checks = [
         _exact("classical max", report.classical_max, classical_target,
                f"{classical_target:g}"),
-        _symbolize_check(operator, expr, bindings),
+        ident,
+        _close("quantum lower bound", report.quantum_lower, rough, label),
     ]
     if which == "mermin":
-        checks.append(_close("quantum lower bound", report.quantum_lower, 16.0, "16"))
         checks.append(_exact("dichotomic term bound", report.dichotomic_bound,
                              16.0, "16"))
         checks.append(_exact("term count", float(len(operator)), 16.0, "16"))
-    elif which == "svetlichny":
-        checks.append(_close("quantum lower bound", report.quantum_lower,
-                             16 * ROOT2, "16*sqrt(2)"))
-        checks.append(_at_least("seesaw value", seesaw_value, 16 * ROOT2,
-                                "16*sqrt(2)"))
     else:
-        checks.append(_close("quantum lower bound", report.quantum_lower,
-                             16 * ROOT3, "16*sqrt(3)"))
-        checks.append(_at_least("seesaw value", seesaw_value, 16 * ROOT3,
-                                "16*sqrt(3)"))
+        checks.append(_at_least("seesaw value", seesaw_value, rough, label))
     return CaseResult(name, str(expr), report, checks)
 
 
@@ -313,13 +325,16 @@ def _case_l5_identity(config: RunConfig) -> CaseResult:
     projector16 = 16.0 * ops.ident
     derived_expr, _ = symbolize(projector16, {"Z": "A", "X": "B", "Y": "C"})
     published = published_identity_expression()
-    report = _report(published, projector16, rough=16.0, cap=config.cap_qubits)
+    # one render serves the quantum lower bound and every mixture's trace
+    dense = projector16.to_dense(config.cap_qubits)
+    report = _report(published, projector16, rough=16.0, cap=config.cap_qubits,
+                     dense=dense)
 
     rng = np.random.default_rng(config.case_seed("l5-identity"))
     worst = 0.0
     for _ in range(10):
         rho = random_codespace_mixture(ops.basis, rng)
-        worst = max(worst, abs(projector16.expectation(rho) - 16.0))
+        worst = max(worst, abs(float(np.trace(rho @ dense).real) - 16.0))
 
     # where the published expression and the derived symbolization disagree
     diff = {k for k in set(derived_expr.terms) | set(published.terms)
@@ -345,22 +360,19 @@ def _case_l5_identity(config: RunConfig) -> CaseResult:
 
 
 def _case_chained(config: RunConfig, n: int) -> CaseResult:
-    ch = chained_construction(n)
-    ops = bell_logical_paulis()
-    target_q = ch.quantum_bound
-    report = _report(ch.expression, ch.operator, rough=target_q,
-                     cap=config.cap_qubits)
-    ident = _pipeline_identity_check(target_q * ops.z, ch.operator,
-                                     config.cap_qubits)
+    expr, _, operator, ident = _derive(None, {"kind": "chained", "n": n},
+                                       cap=config.cap_qubits)
+    target_q = chained_construction(n).quantum_bound
+    report = _report(expr, operator, rough=target_q, cap=config.cap_qubits)
     checks = [
         _exact("classical max", report.classical_max, float(2 * n - 2),
                f"{2 * n - 2}"),
         _close("quantum lower bound", report.quantum_lower, target_q,
                f"{2 * n}*cos(pi/{2 * n})"),
         ident,
-        _exact("term count", float(len(ch.expression)), float(2 * n), f"{2 * n}"),
+        _exact("term count", float(len(expr)), float(2 * n), f"{2 * n}"),
     ]
-    return CaseResult(f"chained:{n}", str(ch.expression), report, checks)
+    return CaseResult(f"chained:{n}", str(expr), report, checks)
 
 
 _FAMILY_TRUE_CLASSICAL = {
@@ -484,44 +496,30 @@ def run_cases(names: list[str], config: RunConfig | None = None) -> list[CaseRes
 def build_report(recipe: BellRecipe, config: RunConfig, seesaw: bool) -> dict:
     """Run a recipe through the pipeline and report what it certifies.
 
-    The decomposition kind picks the operator: ``none`` symbolizes the logical
-    form itself, ``complementary`` rewrites it at a pivot (with an SOS search
-    on at most 8 terms), and ``chained`` takes the chained construction on the
-    Bell-state basis. ``pipeline_residual`` is the largest entry of the
-    difference between the final operator and the logical form it replaces.
-    Raises ValueError when the recipe does not fit its decomposition and
+    The decomposition picks the derivation (``_derive``); ``complementary``
+    adds an SOS search on at most 8 terms, and ``chained`` needs the Bell-state
+    basis. ``pipeline_residual`` is the derivation's residual. Raises
+    ValueError when the recipe does not fit its decomposition and
     QubitCapError above ``config.cap_qubits``.
     """
-    _check_decomposition(recipe.decomposition)
-    cap = config.cap_qubits
-    ops = recipe.logical_ops()
-    logical_form = build_logical(recipe, ops)
-    kind = recipe.decomposition.get("kind", "none")
-    rough, sos_status, residual = recipe.beta_q, "not-attempted", 0.0
-    if kind == "complementary":
-        dec = complementary_decompose(logical_form, recipe.decomposition["pivot"])
-        expr, _ = symbolize_decomposed(dec)
-        operator = dec.to_pauli_sum()
-        residual = _residual(operator, logical_form, cap)
-        terms = dec.term_operators()
-        if len(terms) <= 8:
-            cert, _ = sos_pairing_search(terms, recipe.beta_q)
-            sos_status = "verified" if cert is not None else "failed"
-    elif kind == "chained":
+    spec = recipe.decomposition
+    _check_decomposition(spec)
+    kind = spec.get("kind", "none")
+    rough, sos_status, cap = recipe.beta_q, "not-attempted", config.cap_qubits
+    if kind == "chained":
         if recipe.basis.name != "bell":
             raise ValueError("chained decomposition is defined on the two-qubit "
                              "Bell-state basis")
-        ch = chained_construction(recipe.decomposition["n"])
-        expr, operator, rough = ch.expression, ch.operator, ch.quantum_bound
-        residual = _residual(operator, ch.quantum_bound * ops.z, cap)
-    else:
-        operator = logical_form
-        expr, _ = symbolize(operator, recipe.symbols)
+        rough = chained_construction(spec["n"]).quantum_bound
+    expr, terms, operator, ident = _derive(build_logical(recipe), spec,
+                                           recipe.symbols, cap=cap)
+    if kind == "complementary" and len(terms) <= 8:
+        sos_status, _ = _sos(terms, recipe.beta_q)
     seesaw_value = seesaw_optimize(expr, restarts=8, seed=config.seed,
                                    cap=cap).value if seesaw else None
     report = _report(expr, operator, rough=rough, cap=cap, sos_status=sos_status,
                      seesaw_value=seesaw_value)
-    return {"expression": str(expr), "pipeline_residual": residual,
+    return {"expression": str(expr), "pipeline_residual": ident.value,
             **report.to_dict()}
 
 

@@ -49,6 +49,11 @@ def bell_op_xz(ops: LogicalPaulis, d: DirectionXZ) -> PauliSum:
     return 2 * math.sqrt(2) * ops.direction((s, 0.0, c))
 
 
+def _ellipse(e1, e2, plus, minus):
+    """The ellipse functional of an expectation pair, for floats or arrays."""
+    return (e1 + e2) ** 2 / plus + (e1 - e2) ** 2 / minus
+
+
 def _check_not_parallel(d1: DirectionXZ, d2: DirectionXZ) -> tuple[float, float]:
     plus = float(np.linalg.norm(d1.vector + d2.vector)) ** 2
     minus = float(np.linalg.norm(d1.vector - d2.vector)) ** 2
@@ -64,7 +69,7 @@ def uncertainty_lhs(rho: np.ndarray, d1: DirectionXZ, d2: DirectionXZ,
     plus, minus = _check_not_parallel(d1, d2)
     b1 = bell_op_xz(ops, d1).expectation(rho)
     b2 = bell_op_xz(ops, d2).expectation(rho)
-    return (b1 + b2) ** 2 / plus + (b1 - b2) ** 2 / minus
+    return _ellipse(b1, b2, plus, minus)
 
 
 def lemma_check(a1, a2, rho: np.ndarray) -> float:
@@ -78,7 +83,7 @@ def lemma_check(a1, a2, rho: np.ndarray) -> float:
     e1, e2 = op1.expectation(rho), op2.expectation(rho)
     plus = float(np.linalg.norm(a1 + a2)) ** 2
     minus = float(np.linalg.norm(a1 - a2)) ** 2
-    return (e1 + e2) ** 2 / plus + (e1 - e2) ** 2 / minus
+    return _ellipse(e1, e2, plus, minus)
 
 
 @dataclass
@@ -163,7 +168,7 @@ def uncertainty_sweep(samples: int = 10000, seed: int = 0) -> SweepResult:
     b2 = s2 * ex + c2 * ez
     plus = (s1 + s2) ** 2 + (c1 + c2) ** 2
     minus = (s1 - s2) ** 2 + (c1 - c2) ** 2
-    lhs = np.where(keep, (b1 + b2) ** 2 / plus + (b1 - b2) ** 2 / minus, -np.inf)
+    lhs = np.where(keep, _ellipse(b1, b2, plus, minus), -np.inf)
     k = int(np.argmax(lhs))
     return SweepResult(samples, float(lhs[k]), DISC_BOUND,
                        {"sample": k, "theta1": float(t1[k]), "theta2": float(t2[k])})
@@ -183,7 +188,7 @@ def lemma_sweep(samples: int = 10000, seed: int = 1) -> SweepResult:
     e2 = np.sum(a2 * bloch, axis=1)
     plus = np.sum((a1 + a2) ** 2, axis=1)
     minus = np.sum((a1 - a2) ** 2, axis=1)
-    lhs = np.where(keep, (e1 + e2) ** 2 / plus + (e1 - e2) ** 2 / minus, -np.inf)
+    lhs = np.where(keep, _ellipse(e1, e2, plus, minus), -np.inf)
     k = int(np.argmax(lhs))
     return SweepResult(samples, float(lhs[k]), 1.0, {"sample": k})
 
@@ -304,8 +309,5 @@ def square_in_disc_check(d1: DirectionXZ, d2: DirectionXZ
 
     e1, e2 = expr_for(d1), expr_for(d2)
     vertices = _pair_vertices(e1, e2)
-    worst = -math.inf
-    for x, y in vertices:
-        lhs = (x + y) ** 2 / plus + (x - y) ** 2 / minus
-        worst = max(worst, lhs)
+    worst = max(_ellipse(x, y, plus, minus) for x, y in vertices)
     return worst <= DISC_BOUND + 1e-9, worst, vertices

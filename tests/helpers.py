@@ -6,7 +6,13 @@ from itertools import groupby
 
 import numpy as np
 
-from bellforge.bell import BellExpression, Setting, _letter_setting, xz_setting
+from bellforge.bell import (
+    BellExpression,
+    DecomposedOperator,
+    Setting,
+    _letter_setting,
+    xz_setting,
+)
 from bellforge.logical import LogicalPaulis
 from bellforge.pauli import (
     _BITS_LETTER,
@@ -213,6 +219,14 @@ def product_by_terms(a: PauliSum, b: PauliSum, scale: complex = 1.0) -> PauliSum
             t = ta * tb
             acc[t.key()] = acc.get(t.key(), 0j) + scale * ca * cb * _I_POW[t.phase_exp]
     return _realize(acc, a.n)
+
+
+def decomposed_terms_by_products(dec: DecomposedOperator) -> list[PauliSum]:
+    """One operator per product of ``dec``, in product order:
+    coeff * product(setting.embed(n), rest), the product route."""
+    return [coeff * product(dec.settings[s_idx].embed(dec.n),
+                            PauliSum.from_terms([(rest, 1.0)]))
+            for coeff, s_idx, rest in dec.products]
 
 
 def bits(a: np.ndarray) -> np.ndarray:

@@ -28,6 +28,8 @@ from helpers import basis_from_kets
 from bellforge.bell import (
     chained_construction,
     complementary_decompose,
+    render_operator,
+    render_terms,
     symbolize,
     symbolize_decomposed,
 )
@@ -81,11 +83,11 @@ def test_criterion_1_chsh():
     ops = logical_paulis_numeric(bell_basis())
     logical_form = (2 * ROOT2) * ops.z
     dec = complementary_decompose(logical_form, pivot=1)
-    expr, _ = symbolize_decomposed(dec)
+    expr, bindings = symbolize_decomposed(dec)
     cb = classical_bounds(expr)
     assert len(expr.symbols) == 4        # 16-vertex enumeration
-    lam, _ = quantum_lower_bound(dec.to_pauli_sum())
-    cert, rep = sos_pairing_search(dec.term_operators(), 2 * ROOT2)
+    lam, _ = quantum_lower_bound(render_operator(expr, bindings))
+    cert, rep = sos_pairing_search(render_terms(expr, bindings), 2 * ROOT2)
     ok = (cb.maximum == 2.0 and abs(lam - 2 * ROOT2) <= 1e-9
           and cert is not None and rep.residual <= 1e-10)
     report("1 (chsh)", ok,
@@ -349,9 +351,11 @@ def test_criterion_9_pipeline_identities():
     l5 = loop5_ops()
     pairs = []
     chsh = (2 * ROOT2) * ops2.z
-    pairs.append(("chsh", chsh, complementary_decompose(chsh, 1).to_pauli_sum()))
+    pairs.append(("chsh", chsh, render_operator(*symbolize_decomposed(
+        complementary_decompose(chsh, 1)))))
     svet = 4.0 * (g3.x - g3.z)
-    pairs.append(("svetlichny3", svet, complementary_decompose(svet, 0).to_pauli_sum()))
+    pairs.append(("svetlichny3", svet, render_operator(*symbolize_decomposed(
+        complementary_decompose(svet, 0)))))
     for n in (2, 3, 4, 5, 6):
         ch = chained_construction(n)
         pairs.append((f"chained:{n}", ch.quantum_bound * ops2.z, ch.operator))

@@ -224,7 +224,8 @@ class TestComplementaryDecompose:
                           for c, i, rest in dec.products)
         assert products == [("XI", "B", 1.0), ("XI", "B'", 1.0),
                             ("ZI", "B", 1.0), ("ZI", "B'", -1.0)]
-        resid = np.max(np.abs(dec.to_pauli_sum().to_dense() - op.to_dense()))
+        operator = render_operator(*symbolize_decomposed(dec))
+        resid = np.max(np.abs(operator.to_dense() - op.to_dense()))
         assert resid < 1e-12
 
     def test_svetlichny_merge_mode(self):
@@ -237,7 +238,8 @@ class TestComplementaryDecompose:
         blochs = {tuple(np.round(s.bloch(), 9)) for s in dec.settings}
         r = round(1 / ROOT2, 9)
         assert blochs == {(r, 0.0, r), (r, 0.0, -r)}
-        resid = np.max(np.abs(dec.to_pauli_sum().to_dense() - op.to_dense()))
+        operator = render_operator(*symbolize_decomposed(dec))
+        resid = np.max(np.abs(operator.to_dense() - op.to_dense()))
         assert resid < 1e-12
 
     def test_rotated_settings(self):
@@ -251,7 +253,8 @@ class TestComplementaryDecompose:
         for theta in (0.2, 0.7, 1.3):
             op = (2 * ROOT2) * rotated_z(bell_ops(), theta)
             dec = complementary_decompose(op, pivot=1)
-            resid = np.max(np.abs(dec.to_pauli_sum().to_dense() - op.to_dense()))
+            operator = render_operator(*symbolize_decomposed(dec))
+            resid = np.max(np.abs(operator.to_dense() - op.to_dense()))
             assert resid < 1e-12
             # settings are the published rotated pair, up to outcome relabeling
             want = {canon(np.array([math.sin(theta + math.pi / 4), 0.0,
@@ -410,10 +413,12 @@ class TestPipelineIdentity:
         ops2 = bell_ops()
         cases = []
         op = (2 * ROOT2) * ops2.z
-        cases.append((op, complementary_decompose(op, 1).to_pauli_sum()))
+        cases.append((op, render_operator(*symbolize_decomposed(
+            complementary_decompose(op, 1)))))
         g3 = logical_paulis_numeric(ghz3_basis())
         svet = 4.0 * (g3.x - g3.z)
-        cases.append((svet, complementary_decompose(svet, 0).to_pauli_sum()))
+        cases.append((svet, render_operator(*symbolize_decomposed(
+            complementary_decompose(svet, 0)))))
         for n in (2, 3, 4):
             ch = chained_construction(n)
             cases.append(((ch.quantum_bound) * ops2.z, ch.operator))

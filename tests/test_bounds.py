@@ -13,6 +13,8 @@ from bellforge.bell import (
     Setting,
     chained_construction,
     complementary_decompose,
+    render_operator,
+    render_terms,
     symbolize,
     symbolize_decomposed,
 )
@@ -222,7 +224,7 @@ class TestClassicalBounds:
 class TestQuantumBounds:
     def test_chsh_operator(self):
         _, dec = chsh_expression()
-        val, wit = quantum_lower_bound(dec.to_pauli_sum())
+        val, wit = quantum_lower_bound(render_operator(*symbolize_decomposed(dec)))
         assert abs(val - 2 * ROOT2) < 1e-9
         r = 1 / ROOT2
         assert np.allclose(wit, [r, 0, 0, r], atol=1e-8)
@@ -256,7 +258,7 @@ class TestQuantumBounds:
 class TestSos:
     def test_chsh_certificate(self):
         _, dec = chsh_expression()
-        terms = dec.term_operators()
+        terms = render_terms(*symbolize_decomposed(dec))
         cert, rep = sos_pairing_search(terms, 2 * ROOT2)
         assert cert is not None
         assert rep.pairing_ok and rep.residual <= 1e-10
@@ -271,7 +273,7 @@ class TestSos:
 
     def test_wrong_partition_fails_loudly(self):
         _, dec = chsh_expression()
-        terms = dec.term_operators()
+        terms = render_terms(*symbolize_decomposed(dec))
         # products come out in restriction order: Z.B, -Z.B', X.B, X.B';
         # pairing a B-setting term with a B'-setting term across different
         # first-party operators breaks the cancellation
@@ -285,11 +287,12 @@ class TestSos:
             SosCertificate(((0, 1), (1, 2)), 1.0)
         _, dec = chsh_expression()
         with pytest.raises(ValueError):
-            sos_verify(dec.term_operators(), SosCertificate(((0, 1),), 1.0))
+            sos_verify(render_terms(*symbolize_decomposed(dec)),
+                       SosCertificate(((0, 1),), 1.0))
 
     def test_wrong_bound_fails(self):
         _, dec = chsh_expression()
-        terms = dec.term_operators()
+        terms = render_terms(*symbolize_decomposed(dec))
         cert, rep = sos_pairing_search(terms, 2 * ROOT2)
         wrong = SosCertificate(cert.pairs, 3.0)
         assert not sos_verify(terms, wrong).verified

@@ -9,19 +9,19 @@ from pathlib import Path
 
 import pytest
 
-from bellforge.bell import BellExpression, symbolize
+from bellforge.bell import BellExpression
 from bellforge.cases import (
     CaseResult,
     RunConfig,
+    _derive,
     _loop5_ops,
-    _symbolize_check,
     case_names,
     emit_table,
     run_case,
     run_cases,
 )
 import bellforge
-from bellforge import bounds
+from bellforge import bounds, cases
 from bellforge.cli import main as cli_main
 from bellforge.pauli import PauliSum
 
@@ -42,6 +42,24 @@ OLD_PARSER_ONLY = ["chained:7", "chained:8"] + [
     f"{head}:{pad}{n}" for head, n in (("chained", 4), ("mermin", 3),
                                        ("svetlichny", 8))
     for pad in ("0", " ", "+")]
+
+
+def _flip_symbolize(monkeypatch, t: int) -> list:
+    """Make the catalog's ``symbolize`` negate the coefficient of term t; the
+    returned list gets each coefficient so flipped."""
+    real, flipped = cases.symbolize, []
+
+    def flipping(op, symbol_map):
+        expr, bindings = real(op, symbol_map)
+        index, coeffs = expr.factor_table()
+        coeffs = coeffs.copy()
+        flipped.append(float(coeffs[t]))
+        coeffs[t] = -coeffs[t]
+        return BellExpression._from_table(expr.parties, expr.symbols, index.copy(),
+                                          coeffs, expr.constant), bindings
+
+    monkeypatch.setattr(cases, "symbolize", flipping)
+    return flipped
 
 
 class TestCatalog:
@@ -109,18 +127,23 @@ class TestSymbolizeCheck:
                   if c.name == "pipeline identity residual"]
         assert check.ok and check.value == 0.0
 
-    def test_flipped_coefficient_fails(self):
+    def test_flipped_coefficient_fails(self, monkeypatch):
         ops = _loop5_ops()
         op = 16.0 * (ops.z + ops.x)
-        expr, bindings = symbolize(op, {"Z": "A", "X": "B", "Y": "C"})
-        index, coeffs = expr.factor_table()
-        flipped = coeffs.copy()
-        flipped[5] = -flipped[5]
-        bad = BellExpression._from_table(expr.parties, expr.symbols, index.copy(),
-                                         flipped, expr.constant)
-        check = _symbolize_check(op, bad, bindings)
-        assert not check.ok and check.value == 2 * abs(coeffs[5])
-        assert _symbolize_check(op, expr, bindings).value == 0.0
+        symbols = {"Z": "A", "X": "B", "Y": "C"}
+        assert _derive(op, {"kind": "none"}, symbols).check.value == 0.0
+        flipped = _flip_symbolize(monkeypatch, 5)
+        check = _derive(op, {"kind": "none"}, symbols).check
+        assert not check.ok and check.value == 2 * abs(flipped[0])
+
+    def test_build_none_recipe_computes_residual(self, tmp_path, monkeypatch, capsys):
+        # a none recipe's residual is measured, not assumed to be 0
+        flipped = _flip_symbolize(monkeypatch, 5)
+        cfg = tmp_path / "recipe.json"
+        cfg.write_text(json.dumps(LOOP5_RECIPE))
+        assert cli_main(["build", "--config", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert flipped and report["pipeline_residual"] == 2 * abs(flipped[0])
 
 
 class TestTables:

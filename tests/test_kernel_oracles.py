@@ -1,6 +1,7 @@
 """The batched Pauli kernel and the array symbolize against the term-by-term
-and mask-walking oracles in ``helpers``, bit for bit, and the matrix-free
-quantum lower bound against dense ``eigh``, on seeded random inputs."""
+and mask-walking oracles in ``helpers``, bit for bit, the render of a
+decomposed operator against the product route, and the matrix-free quantum
+lower bound against dense ``eigh``, on seeded random inputs."""
 
 import math
 import tracemalloc
@@ -9,11 +10,23 @@ import numpy as np
 import pytest
 
 from bellforge import pauli
-from bellforge.bell import render_operator, symbolize
+from bellforge.bell import (
+    BellExpression,
+    BellRecipe,
+    DecompositionError,
+    _letter_setting,
+    build_logical,
+    complementary_decompose,
+    render_operator,
+    render_terms,
+    symbolize,
+    symbolize_decomposed,
+)
 from bellforge.bounds import quantum_lower_bound
 from bellforge.pauli import COEFF_PRUNE, PauliSum, PauliTerm, QubitCapError, product
 from helpers import (
     bits,
+    decomposed_terms_by_products,
     factor_table_by_terms,
     product_by_terms,
     sum_apply,
@@ -343,3 +356,76 @@ class TestArraySymbolize:
         # nor is an unmapped letter in a zero term an error
         expr, bindings = symbolize(PauliSum(2, {(2, 2): -0.0, (1, 0): 2.0}), {"X": "A"})
         assert dict(expr.terms) == {((0, "A"),): 2.0} and list(bindings) == [(0, "A")]
+
+
+def graph_recipes(rng):
+    """Graph-basis recipes for n = 2..6: a path, a star and eight seeded random
+    connected graphs each, flip Z on every qubit, k on each axis and one
+    random unit k, beta_q auto."""
+    out = []
+    for n in range(2, 7):
+        graphs = [[[q, q + 1] for q in range(n - 1)], [[0, q] for q in range(1, n)]]
+        graphs += [[[int(rng.integers(q)), q] for q in range(1, n)]
+                   + [[u, v] for u in range(n) for v in range(u + 2, n) if rng.random() < 0.3]
+                   for _ in range(8)]
+        k = rng.normal(size=3)
+        directions = [[1, 0, 0], [0, 1, 0], [0, 0, 1], (k / np.linalg.norm(k)).tolist()]
+        for graph in graphs:
+            for direction in directions:
+                out.append(BellRecipe.from_dict({
+                    "basis": {"kind": "graph", "graph": {"n": n, "edges": graph},
+                              "flip": "Z" * n},
+                    "k": direction}))
+    return out
+
+
+def letter_expression(dec):
+    """``dec`` as an expression and its bindings, each non-pivot factor
+    labelled by its Pauli letter: any number of settings a party, where
+    ``symbolize_decomposed`` allows two."""
+    bindings = {(s.party, s.label): s for s in dec.settings}
+    terms = {}
+    for coeff, s_idx, rest in dec.products:
+        setting = dec.settings[s_idx]
+        key = [(setting.party, setting.label)]
+        for q in range(dec.n):
+            letter = rest.letter(q)
+            if q != dec.pivot and letter != "I":
+                key.append((q, letter))
+                bindings[q, letter] = _letter_setting(q, letter, letter)
+        terms[tuple(key)] = coeff
+    assert len(terms) == len(dec.products)
+    return BellExpression(dec.n, terms), bindings
+
+
+def sum_hex(op: PauliSum) -> list:
+    """Keys in dict order with their coefficients' hex, for bit-exact checks."""
+    return [(key, c.hex()) for key, c in op._terms.items()]
+
+
+class TestRenderAgainstProducts:
+    def test_decomposed_terms_match_product_route(self):
+        rng = np.random.default_rng(1906)
+        decomposed, symbolized = [], 0
+        for recipe in graph_recipes(rng):
+            logical_form = build_logical(recipe)
+            for pivot in range(logical_form.n):
+                try:
+                    dec = complementary_decompose(logical_form, pivot)
+                except DecompositionError:
+                    continue
+                decomposed.append(dec.n)
+                routes = [letter_expression(dec)]
+                try:
+                    routes.append(symbolize_decomposed(dec))
+                    symbolized += 1
+                except ValueError:      # more than two settings at one party
+                    pass
+                oracle = decomposed_terms_by_products(dec)
+                for expr, bindings in routes:
+                    assert list(map(sum_hex, render_terms(expr, bindings))) == \
+                        list(map(sum_hex, oracle))
+                    assert sum_hex(render_operator(expr, bindings)) == \
+                        sum_hex(sum(oracle, PauliSum.zero(dec.n)))
+        assert set(decomposed) == {2, 3, 4, 5, 6}
+        assert len(decomposed) >= 90 and symbolized >= 50

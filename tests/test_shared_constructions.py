@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bellforge import bell, bounds, cases, logical, pauli, recursive, stabilizer
-from bellforge.bell import BellRecipe, Setting
+from bellforge.bell import BellRecipe, ChainedConstruction, Setting, chained_construction
 from bellforge.cases import RunConfig, case_names, run_cases
 from bellforge.logical import bell_logical_paulis, ghz3_logical_paulis, logical_paulis_numeric
 from bellforge.pauli import PauliSum
@@ -22,12 +22,14 @@ from bellforge.stabilizer import bell_basis, ghz3_basis
 
 CACHED = (stabilizer.bell_basis, stabilizer.ghz3_basis, logical.bell_logical_paulis,
           logical.ghz3_logical_paulis, recursive.default_rule, recursive._level,
-          cases._loop5_ops, bell._letter_setting, bounds._strategy_table)
+          cases._loop5_ops, bell._letter_setting, bounds._strategy_table,
+          bell.chained_construction)
 
 # the single-letter settings and strategy tables a catalog pass reads
 LETTER_KEYS = [(party, label, letter) for party in range(8)
                for letter, label in (("Z", "A"), ("X", "B"), ("Y", "C"))]
 STRATEGY_SIZES = range(1, 7)
+CHAINED_SIZES = range(2, 7)
 
 # the catalog's Monte-Carlo cases take fewer samples; no construction depends on it
 QUICK = RunConfig(samples=500)
@@ -61,7 +63,8 @@ def _cached_objects() -> list:
             cases._loop5_ops(), default_rule(),
             *(build_level(n) for n in range(1, MAX_LEVEL + 1)),
             *(bell._letter_setting(*key) for key in LETTER_KEYS),
-            *(bounds._strategy_table(k) for k in STRATEGY_SIZES)]
+            *(bounds._strategy_table(k) for k in STRATEGY_SIZES),
+            *(chained_construction(n) for n in CHAINED_SIZES)]
 
 
 def _snapshot(obj) -> tuple:
@@ -69,6 +72,10 @@ def _snapshot(obj) -> tuple:
         return _ket_bytes(obj)
     if isinstance(obj, Setting):
         return (obj.party, obj.label, _sum_bytes(obj.op))
+    if isinstance(obj, ChainedConstruction):
+        return (obj.quantum_bound.hex(),
+                [(key, c.hex()) for key, c in obj.expression.terms.items()],
+                [(sym, _snapshot(s)) for sym, s in obj.bindings.items()])
     if isinstance(obj, stabilizer.LogicalBasis):
         return (obj.n, obj.name, *_ket_bytes(obj.zero_ket, obj.one_ket))
     if isinstance(obj, logical.LogicalPaulis):
@@ -193,6 +200,14 @@ class TestReadOnly:
         assert bell._letter_setting(2, "B", "X") is setting
         with pytest.raises(dataclasses.FrozenInstanceError):
             setting.op = PauliSum.from_strings([("Z", 1.0)])
+
+    def test_chained_construction_is_frozen_and_shared(self):
+        ch = chained_construction(3)
+        assert chained_construction(3) is ch
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ch.quantum_bound = 0.0
+        with pytest.raises(TypeError):
+            ch.bindings[0, "A1"] = None
 
     def test_shared_level_and_rule_are_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
