@@ -51,8 +51,6 @@ from .pauli import (
     product,
 )
 from .recursive import (
-    ExpansionRule,
-    RecursiveLevel,
     assignment_value_bound,
     build_level,
     mermin_case,

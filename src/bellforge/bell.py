@@ -22,14 +22,11 @@ from .logical import (
     LogicalPaulis,
     bell_logical_paulis,
     ghz3_logical_paulis,
-    logical_paulis_numeric,
     logical_paulis_symbolic,
 )
 from .pauli import _BITS_LETTER, DENSE_QUBIT_CAP, PauliSum, PauliTerm, product
 from .stabilizer import (
     GraphSpec,
-    LogicalBasis,
-    StabilizerGroup,
     basis_from_flip,
     bell_basis,
     ghz3_basis,
@@ -454,9 +451,9 @@ def symbolize_decomposed(dec: DecomposedOperator,
                          ) -> tuple[BellExpression, dict[Symbol, Setting]]:
     """Symbols for a decomposed operator: primed labels per party.
 
-    Non-pivot parties receive labels L and L' in first-seen order of their
-    Pauli letters; ``letter_order`` pins that order per party when the default
-    is not wanted.
+    A non-pivot party's k-th Pauli letter, in first-seen order, gets the
+    label L followed by k primes (L, L', L'', ...); ``letter_order`` pins that
+    order per party when the default is not wanted.
     """
     letter_order = dict(letter_order or {})
     n = dec.n
@@ -473,10 +470,7 @@ def symbolize_decomposed(dec: DecomposedOperator,
         order = letter_order.setdefault(party, [])
         if pauli_letter not in order:
             order.append(pauli_letter)
-        idx = order.index(pauli_letter)
-        if idx > 1:
-            raise ValueError(f"party {party} would need more than two settings")
-        label = party_letter(party) + ("'" if idx == 1 else "")
+        label = party_letter(party) + "'" * order.index(pauli_letter)
         label_of[key] = label
         bindings[(party, label)] = _letter_setting(party, label, pauli_letter)
         return label
@@ -544,29 +538,28 @@ def chained_construction(n: int) -> ChainedConstruction:
 class BellRecipe:
     """Declarative description of one pipeline run (JSON-loadable)."""
 
-    basis: LogicalBasis
+    ops: LogicalPaulis              # the basis's logical qubit
     k: tuple[float, float, float]
     beta_q: float
     decomposition: dict
     symbols: dict[str, str]
-    group: StabilizerGroup | None = None
-    flip: PauliTerm | None = None
 
     @classmethod
     def from_dict(cls, data: dict, cap: int = DENSE_QUBIT_CAP) -> "BellRecipe":
-        """The recipe described by ``data``; a graph basis is built under the
-        dense qubit cap ``cap``."""
+        """The recipe described by ``data``. Its logical operators are resolved
+        after every field check: shared for the named bases, by the symbolic
+        route for a graph basis, whose kets are built under the dense qubit
+        cap ``cap``."""
         if not isinstance(data, dict):
             raise ValueError(f"recipe must be an object, not {data!r}")
         basis_spec = data["basis"]
         if not isinstance(basis_spec, dict):
             raise ValueError(f"basis must be an object, not {basis_spec!r}")
         kind = basis_spec["kind"]
-        group = flip = None
         if kind == "bell":
-            basis = bell_basis()
+            n, resolve = bell_basis().n, bell_logical_paulis
         elif kind == "ghz3":
-            basis = ghz3_basis()
+            n, resolve = ghz3_basis().n, ghz3_logical_paulis
         elif kind == "graph":
             graph = _graph_spec(basis_spec["graph"])
             flip_text = basis_spec["flip"]
@@ -574,7 +567,11 @@ class BellRecipe:
                 raise ValueError(f"flip must be a Pauli string, got {flip_text!r}")
             group = graph_state_generators(graph)
             flip = PauliTerm.from_string(flip_text)
-            basis = basis_from_flip(group, flip, cap)
+            n = graph.n
+
+            def resolve() -> LogicalPaulis:
+                return logical_paulis_symbolic(group, flip,
+                                               basis_from_flip(group, flip, cap))
         else:
             raise ValueError(f"unknown basis kind {kind!r}")
         k = data.get("k", [0, 0, 1])
@@ -585,7 +582,7 @@ class BellRecipe:
             raise ValueError("direction k must be unit norm")
         beta_raw = data.get("beta_q", "auto")
         if beta_raw == "auto":
-            beta = float(2 ** (basis.n - 1) * np.sum(np.abs(k)))
+            beta = float(2 ** (n - 1) * np.sum(np.abs(k)))
         elif _is_real(beta_raw) and beta_raw > 0:
             beta = float(beta_raw)
         else:
@@ -600,24 +597,12 @@ class BellRecipe:
             raise ValueError("symbols must be an object mapping Pauli letters "
                              f"X, Y, Z to distinct strings, got {symbols!r}")
         return cls(
-            basis=basis,
+            ops=resolve(),
             k=(float(k[0]), float(k[1]), float(k[2])),
             beta_q=beta,
             decomposition=decomposition,
             symbols=symbols,
-            group=group,
-            flip=flip,
         )
-
-    def logical_ops(self) -> LogicalPaulis:
-        """The basis's logical operators; shared for the named bases."""
-        if self.group is not None and self.flip is not None:
-            return logical_paulis_symbolic(self.group, self.flip, self.basis)
-        if self.basis is bell_basis():
-            return bell_logical_paulis()
-        if self.basis is ghz3_basis():
-            return ghz3_logical_paulis()
-        return logical_paulis_numeric(self.basis)
 
 
 def _is_real(value) -> bool:
@@ -662,7 +647,6 @@ def _check_decomposition(spec) -> None:
         raise ValueError(f"chained decomposition needs n >= 2, got {value}")
 
 
-def build_logical(recipe: BellRecipe, ops: LogicalPaulis | None = None) -> PauliSum:
+def build_logical(recipe: BellRecipe) -> PauliSum:
     """beta_q * (k . logical sigma): the logical form, already in Pauli strings."""
-    ops = ops or recipe.logical_ops()
-    return recipe.beta_q * ops.direction(recipe.k)
+    return recipe.beta_q * recipe.ops.direction(recipe.k)

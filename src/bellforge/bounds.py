@@ -191,6 +191,16 @@ def _assignment_from_rank(rank: int, symbols: list[Symbol]) -> dict[Symbol, int]
     return {s: -1 if (rank >> (m - 1 - j)) & 1 else 1 for j, s in enumerate(symbols)}
 
 
+def check_symbol_budget(m: int) -> None:
+    """Raise BudgetError if exact enumeration of m symbols exceeds
+    SYMBOL_BUDGET (read at call time)."""
+    if m > SYMBOL_BUDGET:
+        raise BudgetError(
+            f"{m} symbols exceeds the exact-enumeration budget of "
+            f"{SYMBOL_BUDGET}; classical_sample_bound gives a sampled, "
+            "non-exact lower bound")
+
+
 def classical_bounds(expr: BellExpression) -> ClassicalBounds:
     """Exact LHV extrema by full vertex enumeration (tensor contraction).
 
@@ -202,11 +212,7 @@ def classical_bounds(expr: BellExpression) -> ClassicalBounds:
     """
     symbols = expr.symbols
     m = len(symbols)
-    if m > SYMBOL_BUDGET:
-        raise BudgetError(
-            f"{m} symbols exceeds the exact-enumeration budget of "
-            f"{SYMBOL_BUDGET}; classical_sample_bound gives a sampled, "
-            "non-exact lower bound")
+    check_symbol_budget(m)
     if m == 0:
         w: dict[Symbol, int] = {}
         return ClassicalBounds(expr.constant, expr.constant, w, dict(w))

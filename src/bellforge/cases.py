@@ -32,6 +32,7 @@ from .bell import (
 )
 from .bounds import (
     BoundsReport,
+    check_symbol_budget,
     classical_bounds,
     dichotomic_term_bound,
     quantum_lower_bound,
@@ -177,6 +178,7 @@ def _derive(logical_form: PauliSum | None, spec: dict,
         logical_form = ch.quantum_bound * bell_logical_paulis().z
     else:
         expr, bindings = symbolize(logical_form, symbols)
+    check_symbol_budget(len(expr.symbols))   # no render for what cannot be enumerated
     terms = render_terms(expr, bindings)
     operator = sum_terms(expr, terms)
     if kind == "none":
@@ -507,7 +509,7 @@ def build_report(recipe: BellRecipe, config: RunConfig, seesaw: bool) -> dict:
     kind = spec.get("kind", "none")
     rough, sos_status, cap = recipe.beta_q, "not-attempted", config.cap_qubits
     if kind == "chained":
-        if recipe.basis.name != "bell":
+        if recipe.ops.basis.name != "bell":
             raise ValueError("chained decomposition is defined on the two-qubit "
                              "Bell-state basis")
         rough = chained_construction(spec["n"]).quantum_bound

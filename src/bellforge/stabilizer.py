@@ -21,7 +21,6 @@ from .pauli import (
     DENSE_QUBIT_CAP,
     PauliSum,
     PauliTerm,
-    QubitCapError,
     _check_cap,
     fix_global_phase,
 )
@@ -182,8 +181,6 @@ class LogicalBasis:
     n: int
     zero_ket: np.ndarray
     one_ket: np.ndarray
-    group: StabilizerGroup | None = None
-    flip: PauliTerm | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -214,7 +211,7 @@ def basis_from_flip(s: StabilizerGroup, zc: PauliTerm,
             f"flip {zc} commutes with the whole group; not a valid logical flip")
     zero = state_vector(s, cap)
     one = zc.apply(zero)
-    return LogicalBasis(s.n, zero, one, group=s, flip=zc, name=name)
+    return LogicalBasis(s.n, zero, one, name=name)
 
 
 def commuting_split(s: StabilizerGroup, zc: PauliTerm

@@ -323,6 +323,34 @@ class TestCli:
         assert report["sos_status"] == "verified"
         assert report["pipeline_residual"] <= 1e-10
 
+    def test_build_checks_symbol_budget_before_rendering(self, tmp_path, monkeypatch,
+                                                         capsys):
+        # the loop-5 recipe has 15 symbols; over budget, nothing is rendered
+        def render_terms(*args):
+            raise AssertionError("rendered an expression over the symbol budget")
+
+        monkeypatch.setattr(bounds, "SYMBOL_BUDGET", 10)
+        monkeypatch.setattr(cases, "render_terms", render_terms)
+        cfg = tmp_path / "recipe.json"
+        cfg.write_text(json.dumps(LOOP5_RECIPE))
+        assert cli_main(["build", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "15 symbols exceeds the exact-enumeration budget of 10" in captured.err
+
+    def test_build_complementary_recipe_with_three_settings_a_party(self, tmp_path,
+                                                                    capsys):
+        recipe = {"basis": {"kind": "graph", "graph": {"n": 3, "edges": [[0, 1], [1, 2]]},
+                            "flip": "ZZZ"},
+                  "k": [0, 0, 1], "decomposition": {"kind": "complementary", "pivot": 1}}
+        cfg = tmp_path / "recipe.json"
+        cfg.write_text(json.dumps(recipe))
+        assert cli_main(["build", "--config", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["pipeline_residual"] == 0.0
+        # party 0 measures three Pauli letters: A, A' and A''
+        assert {"A_0", "A'_0", "A''_0"} <= set(report["classical_witness"])
+
     @pytest.mark.parametrize("decomposition,message", [
         ({"kind": "complementary"}, "complementary decomposition needs an integer 'pivot'"),
         ({"kind": "chained"}, "chained decomposition needs an integer 'n'"),

@@ -13,62 +13,70 @@ from bellforge.bounds import (
     dichotomic_term_bound,
     quantum_lower_bound,
 )
-from bellforge.pauli import PauliSum
+from bellforge.logical import bell_logical_paulis
+from bellforge.pauli import PauliSum, product
 from bellforge.recursive import (
-    ExpansionRule,
-    RecursiveLevel,
+    MAX_LEVEL,
     assignment_value_bound,
     build_level,
-    default_rule,
+    expand_code,
     expand_operator,
     expand_state,
     mermin_case,
     svetlichny_case,
 )
-from bellforge.stabilizer import bell_basis
+from bellforge.stabilizer import LogicalBasis, bell_basis
 from helpers import sums_match
 
 
 class TestExpansion:
     def test_level2_matches_projector_definition(self):
         lv = build_level(2)
-        assert dict(lv.z_op.to_strings()) == pytest.approx({"ZZ": 0.5, "XX": 0.5})
-        assert dict(lv.x_op.to_strings()) == pytest.approx({"ZX": 0.5, "XZ": -0.5})
+        assert dict(lv.z.to_strings()) == pytest.approx({"ZZ": 0.5, "XX": 0.5})
+        assert dict(lv.x.to_strings()) == pytest.approx({"ZX": 0.5, "XZ": -0.5})
         r = 1 / math.sqrt(2)
-        assert np.allclose(lv.zero_ket, [r, 0, 0, r], atol=1e-12)
-        assert np.allclose(lv.one_ket, [0, r, -r, 0], atol=1e-12)
+        assert np.allclose(lv.basis.zero_ket, [r, 0, 0, r], atol=1e-12)
+        assert np.allclose(lv.basis.one_ket, [0, r, -r, 0], atol=1e-12)
+
+    def test_level2_is_the_bell_rule_bit_for_bit(self):
+        lv, bell = build_level(2), bell_logical_paulis()
+        for op in ("z", "x", "y", "ident"):
+            got, want = getattr(lv, op).to_strings(), getattr(bell, op).to_strings()
+            assert [(s, c.hex()) for s, c in got] == [(s, c.hex()) for s, c in want], op
+        for ket in ("zero_ket", "one_ket"):
+            assert getattr(lv.basis, ket).tobytes() == getattr(bell.basis, ket).tobytes()
 
     def test_level3_golden(self):
         lv = build_level(3)
-        assert dict(lv.z_op.to_strings()) == pytest.approx(
+        assert dict(lv.z.to_strings()) == pytest.approx(
             {"ZZZ": 0.25, "ZXX": 0.25, "XZX": 0.25, "XXZ": -0.25})
-        assert dict(lv.x_op.to_strings()) == pytest.approx(
+        assert dict(lv.x.to_strings()) == pytest.approx(
             {"ZZX": 0.25, "ZXZ": -0.25, "XZZ": -0.25, "XXX": -0.25})
         want_zero = np.zeros(8)
         want_zero[[0b000, 0b011, 0b101]] = 0.5
         want_zero[0b110] = -0.5
-        assert np.allclose(lv.zero_ket, want_zero, atol=1e-12)
+        assert np.allclose(lv.basis.zero_ket, want_zero, atol=1e-12)
         want_one = np.zeros(8)
         want_one[0b001] = 0.5
         want_one[[0b010, 0b100, 0b111]] = -0.5
-        assert np.allclose(lv.one_ket, want_one, atol=1e-12)
+        assert np.allclose(lv.basis.one_ket, want_one, atol=1e-12)
 
     def test_identity_expands_to_projector(self):
         eye = PauliSum.identity(1)
-        out = expand_operator(eye, 0, default_rule())
+        out = expand_operator(eye, 0, bell_logical_paulis())
         assert dict(out.to_strings()) == pytest.approx({"II": 0.5, "YY": -0.5})
 
     def test_expand_mid_qubit(self):
         # expanding the middle qubit of ZIZ touches only that slot
         op = PauliSum.from_strings([("ZIZ", 1.0)])
-        out = expand_operator(op, 1, default_rule())
+        out = expand_operator(op, 1, bell_logical_paulis())
         assert dict(out.to_strings()) == pytest.approx(
             {"ZIIZ": 0.5, "ZYYZ": -0.5})
 
     def test_expand_state_mid_qubit(self):
         vec = np.zeros(4, dtype=complex)
         vec[0b01] = 1.0   # |0>|1>
-        out = expand_state(vec, 1, 2, default_rule())
+        out = expand_state(vec, 1, 2, bell_logical_paulis())
         r = 1 / math.sqrt(2)
         want = np.zeros(8, dtype=complex)
         want[0b001] = r   # |0> (|01>-|10>)/sqrt2
@@ -76,21 +84,23 @@ class TestExpansion:
         assert np.allclose(out, want, atol=1e-12)
 
     def test_star_expand_object(self):
-        lv = build_level(2)
-        lv3 = lv.expanded(1, default_rule())
+        lv3 = expand_code(build_level(2), 1, bell_logical_paulis())
         assert lv3.n == 3
-        assert sums_match(lv3.z_op, build_level(3).z_op)
+        for op in ("z", "x", "y", "ident"):
+            assert sums_match(getattr(lv3, op), getattr(build_level(3), op))
 
     def test_level1_is_the_physical_qubit(self):
         lv = build_level(1)
         assert lv.n == 1
-        assert lv.z_op.to_strings() == [("Z", 1.0)]
-        assert lv.x_op.to_strings() == [("X", 1.0)]
-        assert np.allclose(lv.zero_ket, [1, 0]) and np.allclose(lv.one_ket, [0, 1])
+        assert lv.z.to_strings() == [("Z", 1.0)]
+        assert lv.x.to_strings() == [("X", 1.0)]
+        assert lv.y.to_strings() == [("Y", 1.0)]
+        assert lv.ident.to_strings() == [("I", 1.0)]
+        assert np.allclose(lv.basis.zero_ket, [1, 0]) and np.allclose(lv.basis.one_ket, [0, 1])
 
     def test_bad_qubit(self):
         with pytest.raises(ValueError):
-            expand_operator(PauliSum.identity(2), 2, default_rule())
+            expand_operator(PauliSum.identity(2), 2, bell_logical_paulis())
         with pytest.raises(ValueError):
             build_level(0)
         with pytest.raises(ValueError):
@@ -101,18 +111,32 @@ class TestLevelInvariants:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_projector_identity(self, n):
         lv = build_level(n)
-        z_m = np.outer(lv.zero_ket, lv.zero_ket.conj()) \
-            - np.outer(lv.one_ket, lv.one_ket.conj())
-        x_m = np.outer(lv.zero_ket, lv.one_ket.conj()) \
-            + np.outer(lv.one_ket, lv.zero_ket.conj())
-        assert np.max(np.abs(lv.z_op.to_dense() - z_m)) < 1e-10
-        assert np.max(np.abs(lv.x_op.to_dense() - x_m)) < 1e-10
+        zero, one = lv.basis.zero_ket, lv.basis.one_ket
+        z_m = np.outer(zero, zero.conj()) - np.outer(one, one.conj())
+        x_m = np.outer(zero, one.conj()) + np.outer(one, zero.conj())
+        assert np.max(np.abs(lv.z.to_dense() - z_m)) < 1e-10
+        assert np.max(np.abs(lv.x.to_dense() - x_m)) < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_ident_is_the_code_projector_and_y_is_ixz(self, n):
+        lv = build_level(n)
+        zero, one = lv.basis.zero_ket, lv.basis.one_ket
+        projector = np.outer(zero, zero.conj()) + np.outer(one, one.conj())
+        assert np.max(np.abs(lv.ident.to_dense() - projector)) < 1e-15
+        assert np.max(np.abs((lv.y - product(lv.x, lv.z, scale=1j)).to_dense())) < 1e-15
+
+    @pytest.mark.parametrize("n", range(1, MAX_LEVEL + 1))
+    def test_every_level_is_a_logical_basis(self, n):
+        basis = build_level(n).basis
+        assert isinstance(basis, LogicalBasis) and basis.n == n
+        # the constructor's norm and orthogonality checks pass on a fresh copy
+        LogicalBasis(n, basis.zero_ket, basis.one_ket)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_scaled_coefficients_are_unit(self, n):
         lv = build_level(n)
         scale = 2 ** (n - 1)
-        for op in (lv.z_op, lv.x_op):
+        for op in (lv.z, lv.x):
             assert len(op) == scale
             for _, c in op.to_strings():
                 assert abs(abs(c * scale) - 1.0) < 1e-12
@@ -120,17 +144,14 @@ class TestLevelInvariants:
     @pytest.mark.parametrize("n", [2, 3])
     def test_two_step_composition(self, n):
         # expanding the last qubit twice equals substituting the three-qubit
-        # block operators in one move
+        # level in one move
         lv_n = build_level(n)
-        lv3 = build_level(3)
-        rule3 = ExpansionRule(width=3, zero_ket=lv3.zero_ket, one_ket=lv3.one_ket,
-                              ops={"Z": lv3.z_op, "X": lv3.x_op})
         direct = build_level(n + 2)
-        composed = lv_n.expanded(lv_n.n - 1, rule3)
-        assert sums_match(direct.z_op, composed.z_op)
-        assert sums_match(direct.x_op, composed.x_op)
-        assert np.allclose(direct.zero_ket, composed.zero_ket, atol=1e-12)
-        assert np.allclose(direct.one_ket, composed.one_ket, atol=1e-12)
+        composed = expand_code(lv_n, lv_n.n - 1, build_level(3))
+        for op in ("z", "x", "y", "ident"):
+            assert sums_match(getattr(direct, op), getattr(composed, op)), op
+        assert np.allclose(direct.basis.zero_ket, composed.basis.zero_ket, atol=1e-12)
+        assert np.allclose(direct.basis.one_ket, composed.basis.one_ket, atol=1e-12)
 
 
 class TestFamilyCases:

@@ -11,19 +11,12 @@ from bellforge.bell import BellRecipe, ChainedConstruction, Setting, chained_con
 from bellforge.cases import RunConfig, case_names, run_cases
 from bellforge.logical import bell_logical_paulis, ghz3_logical_paulis, logical_paulis_numeric
 from bellforge.pauli import PauliSum
-from bellforge.recursive import (
-    MAX_LEVEL,
-    ExpansionRule,
-    RecursiveLevel,
-    build_level,
-    default_rule,
-)
-from bellforge.stabilizer import bell_basis, ghz3_basis
+from bellforge.recursive import MAX_LEVEL, build_level, expand_code
+from bellforge.stabilizer import LogicalBasis, bell_basis, ghz3_basis
 
 CACHED = (stabilizer.bell_basis, stabilizer.ghz3_basis, logical.bell_logical_paulis,
-          logical.ghz3_logical_paulis, recursive.default_rule, recursive._level,
-          cases._loop5_ops, bell._letter_setting, bounds._strategy_table,
-          bell.chained_construction)
+          logical.ghz3_logical_paulis, recursive._level, cases._loop5_ops,
+          bell._letter_setting, bounds._strategy_table, bell.chained_construction)
 
 # the single-letter settings and strategy tables a catalog pass reads
 LETTER_KEYS = [(party, label, letter) for party in range(8)
@@ -60,7 +53,7 @@ def _ket_bytes(*kets: np.ndarray) -> list:
 
 def _cached_objects() -> list:
     return [bell_basis(), ghz3_basis(), bell_logical_paulis(), ghz3_logical_paulis(),
-            cases._loop5_ops(), default_rule(),
+            cases._loop5_ops(),
             *(build_level(n) for n in range(1, MAX_LEVEL + 1)),
             *(bell._letter_setting(*key) for key in LETTER_KEYS),
             *(bounds._strategy_table(k) for k in STRATEGY_SIZES),
@@ -76,16 +69,12 @@ def _snapshot(obj) -> tuple:
         return (obj.quantum_bound.hex(),
                 [(key, c.hex()) for key, c in obj.expression.terms.items()],
                 [(sym, _snapshot(s)) for sym, s in obj.bindings.items()])
-    if isinstance(obj, stabilizer.LogicalBasis):
+    if isinstance(obj, LogicalBasis):
         return (obj.n, obj.name, *_ket_bytes(obj.zero_ket, obj.one_ket))
     if isinstance(obj, logical.LogicalPaulis):
         return (_snapshot(obj.basis),
                 *map(_sum_bytes, (obj.z, obj.x, obj.y, obj.ident)))
-    if isinstance(obj, ExpansionRule):
-        return (obj.width, *_ket_bytes(obj.zero_ket, obj.one_ket),
-                *((k, _sum_bytes(op)) for k, op in obj.ops.items()))
-    return (obj.n, *_ket_bytes(obj.zero_ket, obj.one_ket),
-            _sum_bytes(obj.z_op), _sum_bytes(obj.x_op))
+    raise TypeError(f"no snapshot for {type(obj).__name__}")
 
 
 class TestBuiltOnce:
@@ -96,10 +85,11 @@ class TestBuiltOnce:
         symbolic = _count_calls(monkeypatch, logical, "logical_paulis_symbolic")
         expand = _count_calls(monkeypatch, recursive, "expand_operator")
         run_cases(case_names(), QUICK)
-        # Bell and GHZ3 bases, four operators each; one loop-5 code; levels 2..8
+        # Bell and GHZ3 bases, four operators each; one loop-5 code; levels
+        # 2..8, four operators each
         assert len(decompose) <= 8
         assert len(symbolic) <= 1
-        assert len(expand) <= 14
+        assert len(expand) <= 28
         del decompose[:], symbolic[:], expand[:]
         run_cases(case_names(), QUICK)
         assert (decompose, symbolic, expand) == ([], [], [])
@@ -142,30 +132,29 @@ class TestBuiltOnce:
 
     def test_same_object_every_call(self):
         assert build_level(5) is build_level(5)
-        assert default_rule() is default_rule()
         assert bell_logical_paulis().basis is bell_basis()
         assert ghz3_logical_paulis().basis is ghz3_basis()
         for kind, ops in (("bell", bell_logical_paulis()), ("ghz3", ghz3_logical_paulis())):
-            assert BellRecipe.from_dict({"basis": {"kind": kind}}).logical_ops() is ops
+            assert BellRecipe.from_dict({"basis": {"kind": kind}}).ops is ops
 
     def test_shared_chain_matches_fresh_chain(self):
-        rule = ExpansionRule.from_logical(
-            logical_paulis_numeric(stabilizer.bell_basis.__wrapped__()))
-        fresh = RecursiveLevel(
-            n=1,
-            zero_ket=np.array([1.0, 0.0], dtype=complex),
-            one_ket=np.array([0.0, 1.0], dtype=complex),
-            z_op=PauliSum.from_strings([("Z", 1.0)]),
-            x_op=PauliSum.from_strings([("X", 1.0)]),
+        rule = logical_paulis_numeric(stabilizer.bell_basis.__wrapped__())
+        fresh = logical.LogicalPaulis(
+            basis=LogicalBasis(1, np.array([1.0, 0.0]), np.array([0.0, 1.0])),
+            z=PauliSum.from_strings([("Z", 1.0)]),
+            x=PauliSum.from_strings([("X", 1.0)]),
+            y=PauliSum.from_strings([("Y", 1.0)]),
+            ident=PauliSum.from_strings([("I", 1.0)]),
         )
         for n in range(1, MAX_LEVEL + 1):
             shared = build_level(n)
             assert shared.n == fresh.n == n
-            assert shared.z_op.to_strings() == fresh.z_op.to_strings()
-            assert shared.x_op.to_strings() == fresh.x_op.to_strings()
-            for a, b in ((shared.zero_ket, fresh.zero_ket), (shared.one_ket, fresh.one_ket)):
+            for op in ("z", "x", "y", "ident"):
+                assert getattr(shared, op).to_strings() == getattr(fresh, op).to_strings()
+            for a, b in ((shared.basis.zero_ket, fresh.basis.zero_ket),
+                         (shared.basis.one_ket, fresh.basis.one_ket)):
                 assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
-            fresh = fresh.expanded(n - 1, rule)
+            fresh = expand_code(fresh, n - 1, rule)
 
     def test_catalog_pass_leaves_shared_objects_unchanged(self):
         objects = _cached_objects()
@@ -181,9 +170,9 @@ class TestReadOnly:
         lambda: ghz3_basis().one_ket,
         lambda: bell_logical_paulis().basis.one_ket,
         lambda: cases._loop5_ops().basis.zero_ket,
-        lambda: default_rule().zero_ket,
-        lambda: build_level(1).zero_ket,
-        lambda: build_level(6).one_ket,
+        lambda: build_level(2).basis.zero_ket,
+        lambda: build_level(1).basis.zero_ket,
+        lambda: build_level(6).basis.one_ket,
     ])
     def test_cached_ket_rejects_writes(self, get_ket):
         ket = get_ket()
@@ -211,14 +200,14 @@ class TestReadOnly:
 
     def test_shared_level_and_rule_are_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            build_level(3).z_op = PauliSum.zero(3)
-        with pytest.raises(TypeError):
-            default_rule().ops["Z"] = PauliSum.zero(2)
+            build_level(3).z = PauliSum.zero(3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            build_level(3).basis.zero_ket = np.zeros(8, dtype=complex)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bell_logical_paulis().ident = PauliSum.zero(2)
 
     def test_level_keeps_its_own_copy(self):
         zero = np.array([1.0, 0.0], dtype=complex)
-        level = RecursiveLevel(1, zero, np.array([0.0, 1.0], dtype=complex),
-                               PauliSum.from_strings([("Z", 1.0)]),
-                               PauliSum.from_strings([("X", 1.0)]))
+        basis = LogicalBasis(1, zero, np.array([0.0, 1.0], dtype=complex))
         zero[0] = 0.0
-        assert level.zero_ket[0] == 1.0 and zero.flags.writeable
+        assert basis.zero_ket[0] == 1.0 and zero.flags.writeable
