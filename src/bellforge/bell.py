@@ -24,7 +24,15 @@ from .logical import (
     ghz3_logical_paulis,
     logical_paulis_symbolic,
 )
-from .pauli import _BITS_LETTER, DENSE_QUBIT_CAP, PauliSum, PauliTerm, product
+from .pauli import (
+    _BITS_LETTER,
+    _BLOCH_BITS,
+    DENSE_QUBIT_CAP,
+    PauliSum,
+    PauliTerm,
+    bloch_sum,
+    product,
+)
 from .stabilizer import (
     GraphSpec,
     basis_from_flip,
@@ -60,9 +68,7 @@ class Setting:
             raise ValueError(f"setting {self.label} is not dichotomic: op^2 != I")
 
     def bloch(self) -> tuple[float, float, float]:
-        return (self.op.coeff(PauliTerm.from_string("X")),
-                self.op.coeff(PauliTerm.from_string("Y")),
-                self.op.coeff(PauliTerm.from_string("Z")))
+        return tuple(self.op._terms.get(bits, 0.0) for bits in _BLOCH_BITS)
 
     def embed(self, n: int) -> PauliSum:
         return embed_single(self.op, self.party, n)
@@ -211,17 +217,20 @@ def render_terms(expr: BellExpression,
     its bound settings, multiplied in party order as exact Pauli products (a
     term walk, not ``factor_table``); SOS pairing search takes these."""
     n = expr.parties
+    embedded = {}
+    for sym in expr.symbols:
+        try:
+            setting = bindings[sym]
+        except KeyError:
+            raise ValueError(f"symbol {sym} is not bound to a setting") from None
+        if setting.party != sym[0]:
+            raise ValueError(f"binding for {sym} names party {setting.party}")
+        embedded[sym] = setting.embed(n)
     out = []
     for key, coeff in expr.terms.items():
         acc = PauliSum.identity(n, coeff)
         for sym in key:
-            try:
-                setting = bindings[sym]
-            except KeyError:
-                raise ValueError(f"symbol {sym} is not bound to a setting") from None
-            if setting.party != sym[0]:
-                raise ValueError(f"binding for {sym} names party {setting.party}")
-            acc = product(acc, setting.embed(n))
+            acc = product(acc, embedded[sym])
         out.append(acc)
     return out
 
@@ -235,9 +244,7 @@ def render_operator(expr: BellExpression,
 
 def sum_terms(expr: BellExpression, terms: list[PauliSum]) -> PauliSum:
     """The constant of ``expr`` plus its rendered ``terms``, added in order."""
-    n = expr.parties
-    start = PauliSum.identity(n, expr.constant) if expr.constant else PauliSum.zero(n)
-    return sum(terms, start)
+    return sum(terms, PauliSum.identity(expr.parties, expr.constant))
 
 
 def evaluate_quantum(expr: BellExpression, bindings: dict[Symbol, Setting],
@@ -284,10 +291,9 @@ def symbolize(op: PauliSum, symbol_map: dict[str, str]
 
     ``symbol_map`` sends Pauli letters to distinct symbol names, e.g.
     {"Z": "A", "X": "B", "Y": "C"}. The all-identity term becomes the
-    expression's constant. Every non-identity letter must be mapped.
-    Terms with a zero coefficient are dropped, and the bindings hold exactly
-    the expression's symbols, in its order; settings come from
-    ``_letter_setting``.
+    expression's constant. Every non-identity letter must be mapped. The
+    bindings hold exactly the expression's symbols, in its order; settings
+    come from ``_letter_setting``.
 
     The factor table is written from the sum's sorted (x, z) mask arrays:
     each term's bits (x_q, z_q) on each qubit q pick a ``_letter_cells``
@@ -302,11 +308,8 @@ def symbolize(op: PauliSum, symbol_map: dict[str, str]
     n, k = op.n, len(labels)
     cells_at = _letter_cells(n, tuple(symbol_map.get(letter) for letter in "XYZ"))
     xs, zs, coeffs = op._sorted_arrays()
-    if not coeffs.all():
-        live = coeffs != 0.0
-        xs, zs, coeffs = xs[live], zs[live], coeffs[live]
     # sorted (x, z) order puts the identity term, if any, first
-    constant = 0.0 + float(op._terms.get((0, 0), 0.0))
+    constant = float(op._terms.get((0, 0), 0.0))
     first = int(constant != 0.0)
     qubits = np.arange(n)
     xbits = np.asarray(xs[first:, None] >> qubits & 1, dtype=np.intp)
@@ -329,16 +332,6 @@ def symbolize(op: PauliSum, symbol_map: dict[str, str]
 
 # --- complementary setting rewrite ------------------------------------------
 
-_BLOCH_KEYS = (("X", (1, 0)), ("Y", (1, 1)), ("Z", (0, 1)))
-
-
-def _pivot_bloch(parts: dict[tuple[int, int], float]) -> np.ndarray:
-    vec = np.zeros(3)
-    for i, (_, bits) in enumerate(_BLOCH_KEYS):
-        vec[i] = parts.get(bits, 0.0)
-    return vec
-
-
 def _canonical_direction(vec: np.ndarray) -> tuple[np.ndarray, float]:
     """Unit direction with first nonzero component positive, plus the scale."""
     norm = float(np.linalg.norm(vec))
@@ -349,12 +342,6 @@ def _canonical_direction(vec: np.ndarray) -> tuple[np.ndarray, float]:
                 return -d, -norm
             break
     return d, norm
-
-
-def _bloch_sum(vec: np.ndarray) -> PauliSum:
-    return PauliSum.from_strings(
-        [(letter, float(v)) for (letter, _), v in zip(_BLOCH_KEYS, vec)
-         if abs(v) > 1e-15], n=1)
 
 
 @dataclass
@@ -386,18 +373,18 @@ def complementary_decompose(op: PauliSum, pivot: int) -> DecomposedOperator:
         raise DecompositionError("cannot decompose the zero operator")
     pivot_bit = 1 << pivot
 
-    groups: dict[tuple[int, int], dict[tuple[int, int], float]] = {}
+    # the pivot's Bloch vector in each group
+    groups: dict[tuple[int, int], np.ndarray] = {}
     for term, coeff in op.items():
         rest_key = (term.x_mask & ~pivot_bit, term.z_mask & ~pivot_bit)
         pbits = ((term.x_mask >> pivot) & 1, (term.z_mask >> pivot) & 1)
         if pbits == (0, 0):
             raise DecompositionError(
                 f"term {term.letters} has identity at the pivot; no pairing")
-        groups.setdefault(rest_key, {})[pbits] = coeff
+        groups.setdefault(rest_key, np.zeros(3))[_BLOCH_BITS.index(pbits)] = coeff
 
     resolved = []  # (scale, direction ndarray, rest_key)
-    for rest_key, parts in sorted(groups.items()):
-        vec = _pivot_bloch(parts)
+    for rest_key, vec in sorted(groups.items()):
         direction, scale = _canonical_direction(vec)
         resolved.append((scale, direction, rest_key))
 
@@ -421,8 +408,8 @@ def complementary_decompose(op: PauliSum, pivot: int) -> DecomposedOperator:
 
     if len(resolved) == 2:
         # Split mode: both groups are expressed over the mid directions.
-        s_plus = Setting(pivot, letter, _bloch_sum((d1 + d2) / math.sqrt(2)))
-        s_minus = Setting(pivot, letter + "'", _bloch_sum((d1 - d2) / math.sqrt(2)))
+        s_plus = Setting(pivot, letter, bloch_sum((d1 + d2) / math.sqrt(2)))
+        s_minus = Setting(pivot, letter + "'", bloch_sum((d1 - d2) / math.sqrt(2)))
         products: list[tuple[float, int, PauliTerm]] = []
         for scale, direction, rest_key in resolved:
             rest = rest_term(rest_key)
@@ -436,8 +423,8 @@ def complementary_decompose(op: PauliSum, pivot: int) -> DecomposedOperator:
         settings = (s_plus, s_minus)
     else:
         # Merge mode: each group's unit combination is itself a setting.
-        settings = (Setting(pivot, letter, _bloch_sum(d1)),
-                    Setting(pivot, letter + "'", _bloch_sum(d2)))
+        settings = (Setting(pivot, letter, bloch_sum(d1)),
+                    Setting(pivot, letter + "'", bloch_sum(d2)))
         products = []
         for scale, direction, rest_key in resolved:
             idx = 0 if np.allclose(direction, d1, atol=1e-9) else 1
@@ -507,8 +494,7 @@ class ChainedConstruction:
 
 def xz_setting(party: int, label: str, theta: float) -> Setting:
     """Z rotated by theta towards X: cos(theta) Z + sin(theta) X."""
-    return Setting(party, label, PauliSum.from_strings(
-        [("Z", math.cos(theta)), ("X", math.sin(theta))], n=1))
+    return Setting(party, label, bloch_sum((math.sin(theta), 0.0, math.cos(theta))))
 
 
 @cache

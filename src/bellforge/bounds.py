@@ -67,6 +67,7 @@ import numpy as np
 from .bell import BellExpression, Symbol
 from .pauli import (
     _PAULI_2X2,
+    BLOCH_PAULIS,
     DENSE_QUBIT_CAP,
     PauliSum,
     _check_cap,
@@ -328,9 +329,7 @@ def sos_verify(terms: list[PauliSum], cert: SosCertificate) -> SosReport:
         raise ValueError("pairs do not cover the term list")
 
     anticomms = [anticommutator_sum(terms[i], terms[j]) for i, j in cert.pairs]
-    total = PauliSum.zero(n)
-    for ac in anticomms:
-        total = total + ac
+    total = sum(anticomms, PauliSum.zero(n))
     pairing_ok = total.is_zero and _negating_match(anticomms)
 
     dim = 1 << n
@@ -397,7 +396,6 @@ def sos_pairing_search(terms: list[PauliSum], claimed_bound: float
 # --- see-saw heuristic ---------------------------------------------------------
 
 _AXES = ((0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
-_BLOCH_PAULIS = np.stack([_PAULI_2X2[c] for c in "XYZ"])
 
 
 def _bloch_matrix(bloch: np.ndarray) -> np.ndarray:
@@ -619,7 +617,7 @@ def seesaw_optimize(expr: BellExpression, restarts: int = 16, seed: int = 0,
                     len(active), len(slots), dim, dim)
                 ptr = _partial_trace_keep((rho[:, None] @ stack).reshape(-1, dim, dim), p, n)
                 h = (ptr + ptr.conj().swapaxes(1, 2)) / 2
-                u = np.trace(h[:, None] @ _BLOCH_PAULIS, axis1=2, axis2=3).real
+                u = np.trace(h[:, None] @ BLOCH_PAULIS, axis1=2, axis2=3).real
                 u = u.reshape(len(active), len(slots), 3)
                 norm = np.sqrt(np.vecdot(u, u))
                 a, k = np.nonzero(norm > 1e-13)

@@ -154,6 +154,7 @@ class _Derivation(NamedTuple):
     terms: list[PauliSum]       # one render per expression term, in term order
     operator: PauliSum          # the constant plus ``terms``, added in order
     check: Check                # the pipeline identity
+    dense: np.ndarray | None    # the operator's dense render, if the check made one
 
 
 def _derive(logical_form: PauliSum | None, spec: dict,
@@ -166,7 +167,8 @@ def _derive(logical_form: PauliSum | None, spec: dict,
     ``complementary`` labels by ``letter_order``, and ``chained`` brings its
     own logical form, 2n cos(pi/2n) times the Bell basis's logical Z. The
     pipeline identity residual is the sum over Pauli strings of |coefficient
-    difference| for ``none``, else the largest entry of the dense difference.
+    difference| for ``none``, else the largest entry of the dense difference,
+    whose render of the operator is passed on for the bounds.
     """
     kind = spec.get("kind", "none")
     if kind == "complementary":
@@ -181,14 +183,16 @@ def _derive(logical_form: PauliSum | None, spec: dict,
     check_symbol_budget(len(expr.symbols))   # no render for what cannot be enumerated
     terms = render_terms(expr, bindings)
     operator = sum_terms(expr, terms)
+    dense = None
     if kind == "none":
         a, b = logical_form._terms, operator._terms
         resid = float(sum(abs(a.get(k, 0.0) - b.get(k, 0.0))
                           for k in sorted(a.keys() | b.keys())))
     else:
-        resid = float(np.max(np.abs(logical_form.to_dense(cap) - operator.to_dense(cap))))
+        dense = operator.to_dense(cap)
+        resid = float(np.max(np.abs(logical_form.to_dense(cap) - dense)))
     check = Check("pipeline identity residual", "<= 1e-10", resid, resid <= 1e-10)
-    return _Derivation(expr, terms, operator, check)
+    return _Derivation(expr, terms, operator, check, dense)
 
 
 def _sos(terms: list[PauliSum], bound: float) -> tuple[str, Check]:
@@ -202,7 +206,7 @@ def _sos(terms: list[PauliSum], bound: float) -> tuple[str, Check]:
 # --- individual cases ---------------------------------------------------------
 
 def _case_chsh(config: RunConfig) -> CaseResult:
-    expr, terms, operator, ident = _derive(
+    expr, terms, operator, ident, dense = _derive(
         (2 * ROOT2) * bell_logical_paulis().z, {"kind": "complementary", "pivot": 1},
         letter_order={0: ["X", "Z"]}, cap=config.cap_qubits)
     sos_status, sos_check = _sos(terms, 2 * ROOT2)
@@ -210,7 +214,7 @@ def _case_chsh(config: RunConfig) -> CaseResult:
                              cap=config.cap_qubits)
     report = _report(expr, operator, rough=2 * ROOT2,
                      cap=config.cap_qubits, sos_status=sos_status,
-                     seesaw_value=seesaw.value)
+                     seesaw_value=seesaw.value, dense=dense)
     checks = [
         _exact("classical max", report.classical_max, 2.0, "2"),
         _exact("classical min", report.classical_min, -2.0, "-2"),
@@ -223,8 +227,8 @@ def _case_chsh(config: RunConfig) -> CaseResult:
 
 
 def _case_mermin3(config: RunConfig) -> CaseResult:
-    expr, _, operator, ident = _derive(4.0 * ghz3_logical_paulis().z,
-                                       {"kind": "none"}, {"Z": "A", "X": "B"})
+    expr, _, operator, ident, _ = _derive(4.0 * ghz3_logical_paulis().z,
+                                          {"kind": "none"}, {"Z": "A", "X": "B"})
     report = _report(expr, operator, rough=4.0, cap=config.cap_qubits)
     checks = [
         _exact("classical max", report.classical_max, 2.0, "2"),
@@ -238,8 +242,8 @@ def _case_mermin3(config: RunConfig) -> CaseResult:
 def _case_svetlichny3(config: RunConfig) -> CaseResult:
     ops = ghz3_logical_paulis()
     # 4*sqrt2 along the (1,0,-1) direction
-    expr, terms, operator, ident = _derive(4.0 * (ops.x - ops.z), {"kind": "none"},
-                                           {"Z": "A", "X": "B"})
+    expr, terms, operator, ident, _ = _derive(4.0 * (ops.x - ops.z), {"kind": "none"},
+                                              {"Z": "A", "X": "B"})
     sos_status, sos_check = _sos(terms, 4 * ROOT2)
     report = _report(expr, operator, rough=4 * ROOT2, cap=config.cap_qubits,
                      sos_status=sos_status)
@@ -271,8 +275,8 @@ def _case_l5(config: RunConfig, which: str) -> CaseResult:
         logical_form, rough, label = 16.0 * (ops.z + ops.x + ops.y), 16 * ROOT3, "16*sqrt(3)"
         classical_target = 24.0
     name = f"l5-{which}"
-    expr, _, operator, ident = _derive(logical_form, {"kind": "none"},
-                                       {"Z": "A", "X": "B", "Y": "C"})
+    expr, _, operator, ident, _ = _derive(logical_form, {"kind": "none"},
+                                          {"Z": "A", "X": "B", "Y": "C"})
     seesaw_value = None
     if which != "mermin":
         seesaw_value = seesaw_optimize(
@@ -362,10 +366,10 @@ def _case_l5_identity(config: RunConfig) -> CaseResult:
 
 
 def _case_chained(config: RunConfig, n: int) -> CaseResult:
-    expr, _, operator, ident = _derive(None, {"kind": "chained", "n": n},
-                                       cap=config.cap_qubits)
+    expr, _, operator, ident, dense = _derive(None, {"kind": "chained", "n": n},
+                                              cap=config.cap_qubits)
     target_q = chained_construction(n).quantum_bound
-    report = _report(expr, operator, rough=target_q, cap=config.cap_qubits)
+    report = _report(expr, operator, rough=target_q, cap=config.cap_qubits, dense=dense)
     checks = [
         _exact("classical max", report.classical_max, float(2 * n - 2),
                f"{2 * n - 2}"),
@@ -513,14 +517,14 @@ def build_report(recipe: BellRecipe, config: RunConfig, seesaw: bool) -> dict:
             raise ValueError("chained decomposition is defined on the two-qubit "
                              "Bell-state basis")
         rough = chained_construction(spec["n"]).quantum_bound
-    expr, terms, operator, ident = _derive(build_logical(recipe), spec,
-                                           recipe.symbols, cap=cap)
+    expr, terms, operator, ident, dense = _derive(build_logical(recipe), spec,
+                                                  recipe.symbols, cap=cap)
     if kind == "complementary" and len(terms) <= 8:
         sos_status, _ = _sos(terms, recipe.beta_q)
     seesaw_value = seesaw_optimize(expr, restarts=8, seed=config.seed,
                                    cap=cap).value if seesaw else None
     report = _report(expr, operator, rough=rough, cap=cap, sos_status=sos_status,
-                     seesaw_value=seesaw_value)
+                     seesaw_value=seesaw_value, dense=dense)
     return {"expression": str(expr), "pipeline_residual": ident.value,
             **report.to_dict()}
 

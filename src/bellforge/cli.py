@@ -17,19 +17,22 @@ from .cases import RunConfig, build_report, case_names, emit_table, run_cases
 from .pauli import QubitCapError
 
 
-def _at_least_one(text: str) -> int:
-    """An argparse type: an integer of at least 1."""
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
-    return int(text)
+def _at_least(low: int):
+    """An argparse type: an integer of at least ``low`` (0 or more)."""
+    def parse(text: str) -> int:
+        if text.isdecimal() and int(text) >= low:
+            return int(text)
+        raise argparse.ArgumentTypeError(f"must be an integer of at least {low}, got {text!r}")
+    return parse
 
 
 def _shared_flags(parser: argparse.ArgumentParser, samples: bool = True) -> None:
-    parser.add_argument("--seed", type=int, default=RunConfig.seed, help="master RNG seed")
+    parser.add_argument("--seed", type=_at_least(0), default=RunConfig.seed,
+                        help="master RNG seed (a non-negative integer)")
     parser.add_argument("--cap-qubits", type=int, default=RunConfig.cap_qubits,
                         help="dense-rendering qubit cap")
     if samples:
-        parser.add_argument("--samples", type=_at_least_one, default=RunConfig.samples,
+        parser.add_argument("--samples", type=_at_least(1), default=RunConfig.samples,
                             help="Monte-Carlo sample count for sweep cases (at least 1)")
 
 

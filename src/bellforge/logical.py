@@ -8,9 +8,9 @@ combinations
 
 expanded over n-qubit Pauli strings. Two construction routes are provided and
 must agree: a dense outer-product route (any explicit basis, small n) and a
-symbolic stabilizer route (half-group split, any n the group fits). The
-numeric operators of the named Bell and GHZ3 bases are built once per process
-and shared.
+symbolic stabilizer route (half-group split, one pass over the group per
+operator, any n the group fits). The numeric operators of the named Bell and
+GHZ3 bases are built once per process and shared.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliSum, PauliTerm, QubitCapError, pauli_decompose, product
+from .pauli import PauliSum, PauliTerm, QubitCapError, pauli_decompose
 from .stabilizer import (
     LogicalBasis,
     StabilizerGroup,
@@ -50,14 +50,7 @@ class LogicalPaulis:
     def direction(self, k: tuple[float, float, float]) -> PauliSum:
         """k_x * X + k_y * Y + k_z * Z for a Bloch-like direction k."""
         kx, ky, kz = (float(c) for c in k)
-        out = PauliSum.zero(self.n)
-        if kx:
-            out = out + kx * self.x
-        if ky:
-            out = out + ky * self.y
-        if kz:
-            out = out + kz * self.z
-        return out
+        return kx * self.x + ky * self.y + kz * self.z
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -101,8 +94,10 @@ def logical_paulis_symbolic(group: StabilizerGroup, flip: PauliTerm,
     """Half-group split construction.
 
     Z collects the group half anticommuting with the flip, X the commuting
-    half times the flip, each scaled 2/2^n; Y is i*X@Z. Agrees term-for-term
-    with the numeric route on the basis derived from the same data.
+    half C times the flip, each scaled 2/2^n. Y = i*X@Z in one pass over C:
+    the other half is z*C for any z in it, so Y = (2/2^n) sum of i*flip*z*c
+    over c in C. Agrees term-for-term with the numeric route on the basis
+    derived from the same data.
     """
     if basis is None:
         basis = basis_from_flip(group, flip)
@@ -113,6 +108,8 @@ def logical_paulis_symbolic(group: StabilizerGroup, flip: PauliTerm,
     z_op = PauliSum.from_terms(((e, w) for e in anti), n=group.n)
     x_op = PauliSum.from_terms(((e * flip, w) for e in comm), n=group.n)
     ident = PauliSum.from_terms(((e, w) for e in comm), n=group.n)
-    y_op = product(x_op, z_op, scale=1j)
+    flip_z = flip * anti[0]
+    i_flip_z = PauliTerm(group.n, flip_z.x_mask, flip_z.z_mask, flip_z.phase_exp + 1)
+    y_op = PauliSum.from_terms(((i_flip_z * e, w) for e in comm), n=group.n)
     return LogicalPaulis(basis=basis, z=z_op, x=x_op, y=y_op, ident=ident)
 

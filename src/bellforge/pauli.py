@@ -8,7 +8,9 @@ significant bit of a computational-basis index.
 
 Sums keep only Hermitian content: every stored term has a real coefficient and
 sign +1 (phase folded into the coefficient), so any rendered matrix is
-Hermitian by construction.
+Hermitian by construction; a sum is built once, by one constructor. The
+module also holds the one single-qubit table: the 2x2 Pauli matrices, X, Y and
+Z stacked as ``BLOCH_PAULIS``, and ``bloch_sum`` of a Bloch vector.
 
 Every Pauli string is a signed permutation: it sends basis state r to a phase
 times basis state r ^ x. One batched kernel, ``_signed_permutation``, gives
@@ -34,7 +36,7 @@ from functools import cache
 import numpy as np
 
 DENSE_QUBIT_CAP = 12        # 2^12 = 4096-dim dense matrices at most
-COEFF_PRUNE = 1e-14         # drop numerically-zero coefficients after arithmetic
+COEFF_PRUNE = 1e-14         # PauliSum keeps only coefficients above this in size
 HERMITICITY_ATOL = 1e-9
 _PHASE_TOL = 1e-9           # smallest amplitude fix_global_phase takes as first
 _DECOMPOSE_PRUNE = 1e-12    # pauli_decompose drops coefficients up to this
@@ -59,6 +61,10 @@ _PAULI_2X2 = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+# X, Y and Z in Bloch-vector order: the stacked matrices and the (x, z) bits
+BLOCH_PAULIS = np.stack([_PAULI_2X2[c] for c in "XYZ"])
+BLOCH_PAULIS.flags.writeable = False
+_BLOCH_BITS = tuple(_LETTER_BITS[c] for c in "XYZ")
 
 _I_POW = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 # row k is i^k * (+1, -1), column the sign parity; one lookup gives the same
@@ -266,18 +272,27 @@ def _check_state(vec: np.ndarray, n: int) -> np.ndarray:
     return vec
 
 
-@dataclass
+@dataclass(init=False, slots=True)
 class PauliSum:
-    """Hermitian operator as a finite real combination of Pauli strings."""
+    """Hermitian operator as a finite real combination of Pauli strings.
+
+    A value: ``PauliSum(n, terms)`` keeps the entries of ``{(x_mask, z_mask):
+    coefficient}`` with |c| > ``COEFF_PRUNE`` (so never +0.0 or -0.0), and no
+    method changes a sum afterwards, so sums and their arrays are shared.
+    """
 
     n: int
-    _terms: dict[tuple[int, int], float] = field(default_factory=dict)
-    # ``_sorted_arrays``, computed on first use; ``_add_term`` and ``_prune`` clear it
-    _arrays: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _terms: dict[tuple[int, int], float]
+    _arrays: tuple | None = field(repr=False, compare=False)  # ``_sorted_arrays``
+
+    def __init__(self, n: int, terms: dict[tuple[int, int], float] | None = None):
+        self.n = n
+        self._terms = {k: c for k, c in (terms or {}).items() if abs(c) > COEFF_PRUNE}
+        self._arrays = None
 
     @classmethod
     def zero(cls, n: int) -> "PauliSum":
-        return cls(n, {})
+        return cls(n)
 
     @classmethod
     def identity(cls, n: int, coeff: float = 1.0) -> "PauliSum":
@@ -291,28 +306,18 @@ class PauliSum:
             if not items:
                 raise ValueError("cannot infer qubit count from an empty sum")
             n = items[0][0].n
-        out = cls(n, {})
+        terms: dict[tuple[int, int], float] = {}
         for term, coeff in items:
-            out._add_term(term, float(coeff))
-        out._prune()
-        return out
+            if term.n != n:
+                raise DimensionError(f"{term.n} vs {n} qubits")
+            key = term.key()
+            terms[key] = terms.get(key, 0.0) + term.sign * float(coeff)
+        return cls(n, terms)
 
     @classmethod
     def from_strings(cls, items, n: int | None = None) -> "PauliSum":
         return cls.from_terms(
             ((PauliTerm.from_string(s), c) for s, c in items), n=n)
-
-    def _add_term(self, term: PauliTerm, coeff: float) -> None:
-        if term.n != self.n:
-            raise DimensionError(f"{term.n} vs {self.n} qubits")
-        key = term.key()
-        self._terms[key] = self._terms.get(key, 0.0) + term.sign * coeff
-        self._arrays = None
-
-    def _prune(self) -> None:
-        for k in [k for k, c in self._terms.items() if abs(c) <= COEFF_PRUNE]:
-            del self._terms[k]
-        self._arrays = None
 
     def items(self) -> list[tuple[PauliTerm, float]]:
         """Terms in deterministic (x, z) mask order, all with +1 sign."""
@@ -336,17 +341,14 @@ class PauliSum:
         terms = dict(self._terms)
         for k, c in other._terms.items():
             terms[k] = terms.get(k, 0.0) + c
-        out = PauliSum(self.n, terms)
-        out._prune()
-        return out
+        return PauliSum(self.n, terms)
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (-1.0) * other
 
     def __rmul__(self, scalar: float) -> "PauliSum":
         s = float(scalar)
-        return PauliSum(self.n, {k: s * c for k, c in self._terms.items()
-                                 if abs(s * c) > COEFF_PRUNE})
+        return PauliSum(self.n, {k: s * c for k, c in self._terms.items()})
 
     def __matmul__(self, other: "PauliSum") -> "PauliSum":
         return product(self, other)
@@ -433,6 +435,11 @@ class PauliSum:
         return float(val.real)
 
 
+def bloch_sum(vec) -> PauliSum:
+    """vx X + vy Y + vz Z, the one-qubit sum of the Bloch vector ``vec``."""
+    return PauliSum(1, {bits: float(v) for bits, v in zip(_BLOCH_BITS, vec)})
+
+
 def _accumulate_product(a: PauliSum, b: PauliSum, scale: complex,
                         acc: dict[tuple[int, int], complex]) -> None:
     if a.n != b.n:
@@ -452,8 +459,7 @@ def _realize(acc: dict[tuple[int, int], complex], n: int) -> PauliSum:
             raise ValueError(
                 "operator combination is not Hermitian with real coefficients "
                 f"(term {k} has coefficient {c})")
-        if abs(c.real) > COEFF_PRUNE:
-            terms[k] = c.real
+        terms[k] = c.real
     return PauliSum(n, terms)
 
 

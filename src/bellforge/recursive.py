@@ -57,7 +57,7 @@ def expand_operator(op: PauliSum, k: int, rule: LogicalPaulis) -> PauliSum:
             x = x_lo | (block.x_mask << k) | (x_hi << (k + w))
             z = z_lo | (block.z_mask << k) | (z_hi << (k + w))
             acc[(x, z)] = acc.get((x, z), 0.0) + coeff * bc
-    return PauliSum(new_n, {key: c for key, c in acc.items() if abs(c) > 1e-15})
+    return PauliSum(new_n, acc)
 
 
 def expand_code(code: LogicalPaulis, k: int, rule: LogicalPaulis) -> LogicalPaulis:

@@ -5,9 +5,11 @@ two-dimensional code space. It can be given directly as vectors (the named
 two- and three-qubit bases below) or derived from a stabilizer group plus a
 flip operator that anticommutes with part of the group.
 
-A basis holds read-only copies of its kets, so one basis can be shared. The
-named Bell and GHZ3 bases are constants of the construction: each is built
-once per process and every caller gets the same object.
+A stabilized state is read off the projector's Pauli sum through ``apply``,
+with no dense matrix. A basis holds read-only copies of its kets, so one basis
+can be shared. The named Bell and GHZ3 bases are constants of the
+construction: each is built once per process and every caller gets the same
+object.
 """
 
 from __future__ import annotations
@@ -158,17 +160,20 @@ def state_vector(s: StabilizerGroup, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
     """The unique stabilized state, global phase fixed.
 
     The projector is rank one, so its largest-diagonal column is already
-    proportional to the state.
+    proportional to the state. Both come from ``apply``, with no matrix: the
+    diagonal is the projector's Z-type terms (x mask 0) applied to all ones.
     """
-    proj = expand_projector(s, cap).to_dense(cap)
-    diag = np.real(np.diag(proj))
+    proj = expand_projector(s, cap)
+    diagonal = PauliSum(s.n, {k: c for k, c in proj._terms.items() if k[0] == 0})
+    diag = diagonal.apply(np.ones(1 << s.n)).real
     col = int(np.argmax(diag))
     if diag[col] <= PROJECTOR_ATOL:
         raise ValueError("projector has no usable column; generators inconsistent")
-    vec = proj[:, col]
-    vec = vec / np.linalg.norm(vec)
-    vec = fix_global_phase(vec)
-    resid = np.max(np.abs(proj @ vec - vec))
+    basis_state = np.zeros(1 << s.n)
+    basis_state[col] = 1.0
+    vec = proj.apply(basis_state)
+    vec = fix_global_phase(vec / np.linalg.norm(vec))
+    resid = np.max(np.abs(proj.apply(vec) - vec))
     if resid > PROJECTOR_ATOL:
         raise ValueError(f"stabilized state residual {resid:.3e}")
     return vec

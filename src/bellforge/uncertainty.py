@@ -24,7 +24,7 @@ import numpy as np
 from .bell import BellExpression, Setting, Symbol, _letter_setting, evaluate_quantum
 from .bounds import _vertex_blocks
 from .logical import LogicalPaulis, bell_logical_paulis
-from .pauli import _PAULI_2X2, PauliSum
+from .pauli import _PAULI_2X2, BLOCH_PAULIS, PauliSum, bloch_sum
 from .stabilizer import bell_basis
 
 DISC_BOUND = 8.0
@@ -78,9 +78,7 @@ def lemma_check(a1, a2, rho: np.ndarray) -> float:
     a2 = np.asarray(a2, dtype=float)
     if np.linalg.norm(np.cross(a1, a2)) < 1e-12:
         raise ValueError("Bloch vectors are parallel")
-    op1 = PauliSum.from_strings([("X", a1[0]), ("Y", a1[1]), ("Z", a1[2])], n=1)
-    op2 = PauliSum.from_strings([("X", a2[0]), ("Y", a2[1]), ("Z", a2[2])], n=1)
-    e1, e2 = op1.expectation(rho), op2.expectation(rho)
+    e1, e2 = bloch_sum(a1).expectation(rho), bloch_sum(a2).expectation(rho)
     plus = float(np.linalg.norm(a1 + a2)) ** 2
     minus = float(np.linalg.norm(a1 - a2)) ** 2
     return _ellipse(e1, e2, plus, minus)
@@ -183,7 +181,7 @@ def lemma_sweep(samples: int = 10000, seed: int = 1) -> SweepResult:
     a2 = rng.normal(size=(samples, 3))
     a2 /= np.linalg.norm(a2, axis=1)[:, None]
     keep = np.linalg.norm(np.cross(a1, a2), axis=1) > 1e-8
-    bloch = _random_expectations(rng, samples, [_PAULI_2X2[c] for c in "XYZ"]).T
+    bloch = _random_expectations(rng, samples, BLOCH_PAULIS).T
     e1 = np.sum(a1 * bloch, axis=1)
     e2 = np.sum(a2 * bloch, axis=1)
     plus = np.sum((a1 + a2) ** 2, axis=1)

@@ -21,12 +21,15 @@ from bellforge.pauli import (
     PauliTerm,
     _realize,
     check_hermitian,
+    fix_global_phase,
     product,
 )
 from bellforge.stabilizer import (
     GraphSpec,
     LogicalBasis,
+    StabilizerGroup,
     basis_from_flip,
+    expand_projector,
     graph_state_generators,
 )
 
@@ -44,6 +47,15 @@ def loop5_basis() -> LogicalBasis:
     """Five-qubit loop-graph code basis: |0> = |L5>, |1> = Z^(x5) |L5>."""
     group = graph_state_generators(GraphSpec.loop(5))
     return basis_from_flip(group, PauliTerm.from_string("ZZZZZ"), name="loop5")
+
+
+def state_vector_dense(s: StabilizerGroup) -> np.ndarray:
+    """The stabilized state read off the dense projector: its first
+    largest-diagonal column, normalised and phase-fixed. The oracle for
+    ``stabilizer.state_vector``, which builds no matrix."""
+    proj = expand_projector(s).to_dense()
+    vec = proj[:, int(np.argmax(np.real(np.diag(proj))))]
+    return fix_global_phase(vec / np.linalg.norm(vec))
 
 
 def logical_paulis_json(ops: LogicalPaulis) -> str:

@@ -459,6 +459,20 @@ class TestCli:
         assert err.startswith("usage: ")
         assert f"argument --samples: must be an integer of at least 1, got '{samples}'" in err
 
+    @pytest.mark.parametrize("command", ["verify", "table", "build"])
+    @pytest.mark.parametrize("seed", ["-1", "1.5", "many"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command, seed):
+        cfg = tmp_path / "recipe.json"
+        cfg.write_text(json.dumps(LOOP5_RECIPE))
+        argv = {"verify": ["verify", "--case", "chsh"], "table": ["table"],
+                "build": ["build", "--config", str(cfg), "--seesaw"]}[command]
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert f"argument --seed: must be an integer of at least 0, got '{seed}'" in err
+
     def test_build_has_no_samples_flag(self, tmp_path, capsys):
         cfg = tmp_path / "recipe.json"
         cfg.write_text(json.dumps(LOOP5_RECIPE))

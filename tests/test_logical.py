@@ -146,6 +146,29 @@ class TestSymbolicRoute:
             checked += 1
         assert checked == codes
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_y_matches_product_route(self, n):
+        # i * X @ Z by T^2 term products, the oracle of the one-pass Y, bit for
+        # bit on paths, loops, random graphs and random signed flips
+        rng = np.random.default_rng(80 + n)
+        graphs = [GraphSpec.path(n), GraphSpec.loop(n) if n > 2 else GraphSpec.path(n)]
+        graphs += [GraphSpec.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                            if rng.random() < 0.5]) for _ in range(4)]
+        checked = 0
+        for graph in graphs:
+            group = graph_state_generators(graph)
+            for flip in (PauliTerm(n, 0, (1 << n) - 1),
+                         PauliTerm(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)), 0)):
+                flip = PauliTerm(n, flip.x_mask, flip.z_mask, 2 * int(rng.integers(2)))
+                if all(flip.commutes(g) for g in group.generators):
+                    continue
+                ops = logical_paulis_symbolic(group, flip)
+                oracle = product(ops.x, ops.z, scale=1j)
+                assert sorted((k, c.hex()) for k, c in ops.y._terms.items()) == \
+                    sorted((k, c.hex()) for k, c in oracle._terms.items())
+                checked += 1
+        assert checked >= 6
+
     def test_invalid_flip(self):
         group, _ = loop5_parts()
         with pytest.raises(ValueError):

@@ -5,19 +5,25 @@ import math
 import numpy as np
 import pytest
 
+from bellforge.bell import embed_single
+from bellforge.logical import bell_logical_paulis
 from bellforge.pauli import (
     _PAULI_2X2,
+    BLOCH_PAULIS,
+    COEFF_PRUNE,
     DENSE_QUBIT_CAP,
     DimensionError,
     PauliSum,
     PauliTerm,
     QubitCapError,
     anticommutator_sum,
+    bloch_sum,
     check_hermitian,
     pauli_decompose,
     product,
     top_eigenpair,
 )
+from bellforge.recursive import expand_operator
 from helpers import eig_bounds
 
 
@@ -427,19 +433,68 @@ class TestSortedArrayCache:
             with pytest.raises(ValueError):
                 array[...] = 0
 
-    def test_add_term_and_prune_clear_it(self):
-        op = PauliSum.from_strings([("XZ", 1.0), ("ZI", -2.0)])
-        before = op.to_dense()
-        yy = PauliTerm.from_string("YY")
-        for coeff in (3.0, -3.0):
-            op._sorted_arrays()
-            op._add_term(yy, coeff)
-            assert op._arrays is None
-            assert op._sorted_arrays()[2].tolist() == [op._terms[k] for k in sorted(op._terms)]
-        assert op._terms[yy.key()] == 0.0 and len(op._sorted_arrays()[2]) == 3
-        op._prune()
-        assert op._arrays is None
-        assert len(op._sorted_arrays()[2]) == 2
-        assert np.array_equal(op.to_dense(), before)
+    def test_no_method_changes_a_sum(self):
+        given = {(1, 2): 1.0, (2, 0): -2.0, (0, 0): 0.5}
+        op = PauliSum(2, given)
+        given[(3, 3)] = 4.0     # the sum keeps its own copy of the terms
+        terms, arrays, before = dict(op._terms), op._sorted_arrays(), op.to_dense()
+        other = PauliSum.from_strings([("YY", 3.0), ("XZ", -1.0)])
         v = np.arange(4.0) + 1j
-        assert np.array_equal(op.apply(v), PauliSum(2, dict(op._terms)).apply(v))
+        results = [op + other, op - op, 2.0 * op, -1.0 * op, op @ op,
+                   product(op, op), anticommutator_sum(op, other),
+                   PauliSum.from_terms(op.items()), op.apply(v), op.expectation(v)]
+        assert op._terms == terms and list(op._terms) == list(terms)
+        assert op._sorted_arrays() is arrays
+        assert np.array_equal(op.to_dense(), before)
+        assert (op - op).is_zero and results[7] == op
+        assert not hasattr(op, "_add_term") and not hasattr(op, "_prune")
+
+
+class TestSingleQubitTable:
+    def test_bloch_paulis_are_x_y_z(self):
+        assert np.array_equal(BLOCH_PAULIS, np.stack([_PAULI_2X2[c] for c in "XYZ"]))
+        assert not BLOCH_PAULIS.flags.writeable
+
+    def test_bloch_sum_renders_the_bloch_matrix(self):
+        rng = np.random.default_rng(2101)
+        for vec in rng.normal(size=(20, 3)):
+            op = bloch_sum(vec)
+            assert op.n == 1
+            assert np.allclose(op.to_dense(), np.tensordot(vec, BLOCH_PAULIS, 1), atol=1e-15)
+            assert [op.coeff(PauliTerm.from_string(c)) for c in "XYZ"] == vec.tolist()
+
+
+# each way of building a sum, fed terms whose coefficients come out as +0.0,
+# -0.0 or at most COEFF_PRUNE in size, and the strings it must keep
+ZERO_RULE_CASES = {
+    "constructor": (lambda: PauliSum(2, {(1, 0): 0.0, (2, 0): -0.0, (3, 0): 1e-14,
+                                         (1, 1): -1e-14, (0, 1): 1.5e-14, (0, 0): 1.0}),
+                    {"II", "ZI"}),
+    "from_terms": (lambda: PauliSum.from_strings([("XI", 1.0), ("XI", -1.0), ("ZZ", 1e-15),
+                                                  ("YY", -0.0), ("ZI", 2.0)]),
+                   {"ZI"}),
+    "add": (lambda: PauliSum.from_strings([("XX", 1.0), ("ZZ", 0.3)])
+            + PauliSum.from_strings([("XX", -1.0), ("ZZ", -0.3 + 1e-15), ("YY", 1.0)]),
+            {"YY"}),
+    "scalar": (lambda: 1e-14 * PauliSum.from_strings([("X", 1.0), ("Z", 0.5), ("Y", 2.0)]),
+               {"Y"}),
+    "scalar zero": (lambda: -0.0 * PauliSum.from_strings([("X", 1.0), ("Z", 0.5)]), set()),
+    # XZ + ZX = 0: the Y terms of (X + Z)^2 cancel exactly
+    "product": (lambda: product(PauliSum.from_strings([("X", 1.0), ("Z", 1.0)]),
+                                PauliSum.from_strings([("X", 1.0), ("Z", 1.0)])),
+                {"I"}),
+    # Z's image terms get 2e-14 times the rule's coefficients, about 1e-14
+    "expand_operator": (lambda: expand_operator(
+        PauliSum.from_strings([("Z", 2e-14), ("X", 1.0)]), 0, bell_logical_paulis()),
+        {"XZ", "ZX"}),
+    "embed_single": (lambda: embed_single(bloch_sum((1e-15, -0.0, 0.6)), 1, 3), {"IZI"}),
+    "bloch_sum": (lambda: bloch_sum((0.8, 1e-14, -0.0)), {"X"}),
+}
+
+
+@pytest.mark.parametrize("build", ZERO_RULE_CASES)
+def test_no_sum_holds_a_numerically_zero_coefficient(build):
+    make, kept = ZERO_RULE_CASES[build]
+    op = make()
+    assert all(abs(c) > COEFF_PRUNE for c in op._terms.values())
+    assert {s for s, _ in op.to_strings()} == kept

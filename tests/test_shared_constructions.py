@@ -91,8 +91,19 @@ class TestBuiltOnce:
         assert len(symbolic) <= 1
         assert len(expand) <= 28
         del decompose[:], symbolic[:], expand[:]
+        renders = []
+        to_dense = PauliSum.to_dense
+
+        def counted_to_dense(op, *args, **kwargs):
+            renders.append(op.n)
+            return to_dense(op, *args, **kwargs)
+
+        monkeypatch.setattr(PauliSum, "to_dense", counted_to_dense)
         run_cases(case_names(), QUICK)
         assert (decompose, symbolic, expand) == ([], [], [])
+        # chsh and chained:2..6 render their operator once, for the pipeline
+        # identity, and their lower bound reads that render
+        assert len(renders) == 48
 
     def test_warm_catalog_pass_stays_batched(self, monkeypatch):
         run_cases(case_names(), QUICK)

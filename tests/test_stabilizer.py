@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bellforge.pauli import PauliSum, PauliTerm
+from bellforge.pauli import PauliSum, PauliTerm, QubitCapError
 from bellforge.stabilizer import (
     GraphSpec,
     LogicalBasis,
@@ -16,7 +16,7 @@ from bellforge.stabilizer import (
     graph_state_generators,
     state_vector,
 )
-from helpers import loop5_basis
+from helpers import loop5_basis, state_vector_dense
 
 RNG = np.random.default_rng(1234)
 
@@ -141,6 +141,36 @@ class TestStateVector:
         rebuilt = state_vector(group)
         overlap = abs(np.vdot(rebuilt, target))
         assert abs(overlap - 1.0) < 1e-10   # equal up to global phase
+
+    def test_matches_dense_projector_column(self):
+        # graph groups, the same with random generator signs, and signed
+        # Z-type groups (computational basis states), n = 1..8
+        rng = np.random.default_rng(2102)
+        groups = []
+        for n in range(1, 9):
+            for _ in range(3):
+                edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                         if rng.random() < 0.5]
+                plain = graph_state_generators(GraphSpec.from_edges(n, edges))
+                groups.append(plain)
+                groups.append(StabilizerGroup(n, tuple(
+                    PauliTerm(n, g.x_mask, g.z_mask, 2 * int(rng.integers(2)))
+                    for g in plain.generators)))
+            groups.append(StabilizerGroup(n, tuple(
+                PauliTerm(n, 0, 1 << q, 2 * int(rng.integers(2))) for q in range(n))))
+        for group in groups:
+            assert state_vector(group).tobytes() == state_vector_dense(group).tobytes()
+
+    def test_builds_no_matrix(self, monkeypatch):
+        def no_render(*args, **kwargs):
+            raise AssertionError("state_vector rendered a dense matrix")
+
+        monkeypatch.setattr(PauliSum, "to_dense", no_render)
+        group = graph_state_generators(GraphSpec.path(10))
+        v = state_vector(group)
+        assert np.max(np.abs(expand_projector(group).apply(v) - v)) < 1e-10
+        with pytest.raises(QubitCapError):
+            state_vector(group, cap=9)
 
     def test_projection_residual_guard(self):
         v = state_vector(graph_state_generators(GraphSpec.loop(5)))
