@@ -214,8 +214,14 @@ class BellExpression:
 def render_terms(expr: BellExpression,
                  bindings: dict[Symbol, Setting]) -> list[PauliSum]:
     """One operator per term of ``expr``, in term order: the coefficient times
-    its bound settings, multiplied in party order as exact Pauli products (a
-    term walk, not ``factor_table``); SOS pairing search takes these."""
+    its bound settings, multiplied in party order (a term walk, not
+    ``factor_table``); SOS pairing search takes these.
+
+    The factors sit on distinct qubits, so each product is a tensor product
+    with phase 0: a key is the OR of the factors' masks and a coefficient the
+    product of theirs, taken in party order. Each term's sum is built in one
+    pass, its keys in the order the pairwise product route gives them (the
+    partial sum sorted, then each setting's terms in sorted order)."""
     n = expr.parties
     embedded = {}
     for sym in expr.symbols:
@@ -225,13 +231,15 @@ def render_terms(expr: BellExpression,
             raise ValueError(f"symbol {sym} is not bound to a setting") from None
         if setting.party != sym[0]:
             raise ValueError(f"binding for {sym} names party {setting.party}")
-        embedded[sym] = setting.embed(n)
+        embedded[sym] = sorted(setting.embed(n)._terms.items())
     out = []
     for key, coeff in expr.terms.items():
-        acc = PauliSum.identity(n, coeff)
+        terms = {(0, 0): coeff}
         for sym in key:
-            acc = product(acc, embedded[sym])
-        out.append(acc)
+            terms = {(xa | xb, za | zb): ca * cb
+                     for (xa, za), ca in sorted(terms.items())
+                     for (xb, zb), cb in embedded[sym]}
+        out.append(PauliSum(n, terms))
     return out
 
 

@@ -275,11 +275,13 @@ def quantum_lower_bound(op: PauliSum, cap: int = DENSE_QUBIT_CAP,
     as the witness's Rayleigh quotient, a lower bound on the largest
     eigenvalue even unconverged, with no dense matrix: a pseudo Pauli
     operator takes three applies and one more for the quotient, where
-    ``eigh`` grows about 8x per qubit. The split sits where the two routes
-    cross on generic operators (dense ``eigh`` is the faster one up to 8
-    qubits), and it keeps the digits of every catalog row, none of which is
-    past 8 qubits. ``cap`` bounds the qubit count on both routes; the dense
-    route reads ``dense``, the caller's ``op.to_dense()``, if given.
+    ``eigh`` grows about 8x per qubit. A real operator (every recursive-family
+    member) runs that route in float64 and returns a float64 witness. The
+    split sits where the two routes cross on generic operators (dense
+    ``eigh`` is the faster one up to 8 qubits), and it keeps the digits of
+    every catalog row, none of which is past 8 qubits. ``cap`` bounds the
+    qubit count on both routes; the dense route reads ``dense``, the
+    caller's ``op.to_dense()``, if given.
     """
     _check_cap(op.n, cap)
     if op.n <= _DENSE_EIGH_QUBITS:

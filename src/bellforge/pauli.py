@@ -26,6 +26,13 @@ output by one ``np.add.at``, which applies repeated indices in order, so the
 bits equal a term-by-term sum's. The top eigenpair of a sum comes from dense
 ``eigh`` of its render, or with no dense matrix from Lanczos iteration on
 ``apply``.
+
+The matrix-free route follows the data's dtype. A sum is real when every term
+has an even number of Y letters (even popcount(x & z)), as every pseudo Pauli
+operator of the recursive family is. ``apply`` of a real sum to a real vector
+runs the same kernel on a real sign table and returns float64, with the bits
+of the real part of the complex route; Lanczos on a real sum starts from a
+real vector and stays in float64 throughout. Anything else runs in complex128.
 """
 
 from __future__ import annotations
@@ -41,11 +48,13 @@ HERMITICITY_ATOL = 1e-9
 _PHASE_TOL = 1e-9           # smallest amplitude fix_global_phase takes as first
 _DECOMPOSE_PRUNE = 1e-12    # pauli_decompose drops coefficients up to this
 _KERNEL_CHUNK_BYTES = 1 << 20   # most bytes of render temporaries held at once
-# bytes per basis state of a chunk term: 16 for its entry, 8 for its
+# bytes per basis state of a complex chunk term: 16 for its entry, 8 for its
 # destination (its flat index, in to_dense) and 1 for its sign parity, whose
 # uint32 operand (4 more) is freed before the entry is made; the rest is room
-# for numpy's fixed-size ufunc buffers, up to about 0.26 MB in the kernel
-# (tracemalloc, numpy 2.4)
+# for numpy's fixed-size ufunc buffers, up to about 0.26 MB in the kernel.
+# tracemalloc reads 25 bytes per entry for complex128 chunks and 17 for
+# float64 ones (numpy 2.4, n = 8..12, 64-term chunks), so a real chunk term
+# reserves 8 bytes fewer per basis state (``_chunk_terms``)
 _KERNEL_ENTRY_BYTES = 72
 _KRYLOV_RTOL = 1e-13        # Lanczos stops at this Ritz residual per unit sum |c|
 _KRYLOV_SEED = 0            # seed of the Lanczos start vector
@@ -71,6 +80,9 @@ _I_POW = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 # bits as multiplying the phase into a +/-1 sign vector, without the two passes
 _PHASED_SIGNS = np.array([p * np.array([1.0, -1.0]) for p in _I_POW])
 _PHASED_SIGNS.flags.writeable = False
+# the real parts: the signs of a real string, whose row k is even
+_REAL_SIGNS = np.ascontiguousarray(_PHASED_SIGNS.real)
+_REAL_SIGNS.flags.writeable = False
 
 
 class DimensionError(ValueError):
@@ -118,7 +130,7 @@ def _bit_reversal(n: int) -> np.ndarray:
 
 def _signed_permutation(n: int, x_masks: np.ndarray, z_masks: np.ndarray,
                         phase_exps: np.ndarray | int = 0,
-                        scales: np.ndarray | None = None
+                        scales: np.ndarray | None = None, real: bool = False
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Where and with what phase each string i^phase_exps[t] * P_t sends each
     basis state, for the T strings with integer masks ``x_masks[t]``, ``z_masks[t]``.
@@ -128,13 +140,15 @@ def _signed_permutation(n: int, x_masks: np.ndarray, z_masks: np.ndarray,
     one nonzero entry, i^(phase_exp + |x & z|) * (-1)^popcount(r & zm), in row
     r ^ xm (xm, zm: the masks in index bit order). With ``scales``, entry
     (t, r) is ``scales[t] * entry``, the same bits as scaling afterwards; each
-    string's two possible entries are scaled before they are spread.
+    string's two possible entries are scaled before they are spread. With
+    ``real`` the entries are float64, for strings whose phase is +/-1 only.
     """
     reverse = _bit_reversal(n)
     odd = np.bitwise_count(np.arange(1 << n, dtype=reverse.dtype)
                            & reverse[z_masks][:, None])
     odd &= 1
-    signs = _PHASED_SIGNS[(phase_exps + np.bitwise_count(x_masks & z_masks)) % 4]
+    table = _REAL_SIGNS if real else _PHASED_SIGNS
+    signs = table[(phase_exps + np.bitwise_count(x_masks & z_masks)) % 4]
     if scales is not None:
         signs = scales[:, None] * signs
     entries = np.where(odd.view(bool), signs[:, 1:], signs[:, :1])
@@ -142,9 +156,11 @@ def _signed_permutation(n: int, x_masks: np.ndarray, z_masks: np.ndarray,
     return np.arange(1 << n) ^ reverse[x_masks][:, None], entries
 
 
-def _chunk_terms(n: int) -> int:
-    """Most terms whose kernel temporaries fit in ``_KERNEL_CHUNK_BYTES``."""
-    return max(1, _KERNEL_CHUNK_BYTES // (_KERNEL_ENTRY_BYTES << n))
+def _chunk_terms(n: int, dtype=complex) -> int:
+    """Most terms whose kernel temporaries fit in ``_KERNEL_CHUNK_BYTES``,
+    for entries of ``dtype``."""
+    entry = _KERNEL_ENTRY_BYTES - np.dtype(complex).itemsize + np.dtype(dtype).itemsize
+    return max(1, _KERNEL_CHUNK_BYTES // (entry << n))
 
 
 @dataclass(frozen=True)
@@ -263,10 +279,11 @@ class PauliTerm:
         return out
 
 
-def _check_state(vec: np.ndarray, n: int) -> np.ndarray:
-    """``vec`` as a complex n-qubit state vector; DimensionError otherwise."""
+def _check_state(vec: np.ndarray, n: int, dtype=complex) -> np.ndarray:
+    """``vec`` as an n-qubit state vector of ``dtype`` (None: its own);
+    DimensionError otherwise."""
     dim = 1 << n
-    vec = np.asarray(vec, dtype=complex)
+    vec = np.asarray(vec, dtype=dtype)
     if vec.shape != (dim,):
         raise DimensionError(f"state has shape {vec.shape}, expected ({dim},)")
     return vec
@@ -405,22 +422,37 @@ class PauliSum:
             del dest, entries   # before the next chunk's are made
         return out.reshape(1 << n, 1 << n)
 
+    def _is_real(self) -> bool:
+        """Whether every term has an even number of Y letters, so that the
+        matrix is real."""
+        xs, zs, _ = self._sorted_arrays()
+        return not np.any(np.bitwise_count(xs & zs) & 1)
+
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """The sum applied to a state vector without building the matrix.
 
         Term images come from the batched kernel a chunk at a time and are
         added into a +0.0-started vector by one ordered ``np.add.at`` per
         chunk, in sorted (x, z) order, as a term-by-term sum would add them.
+        A real sum applied to a real vector runs in float64: each string's
+        two signs are scaled by its coefficient before they are spread, so an
+        entry is (+/-c) * v, the bits of the complex route's real part.
+        Anything else is complex128.
         """
-        vec = _check_state(vec, self.n)
-        out = np.zeros(vec.size, dtype=complex)
+        vec = _check_state(vec, self.n, dtype=None)
+        real = not np.iscomplexobj(vec) and self._is_real()
+        vec = vec.astype(float if real else complex, copy=False)
+        out = np.zeros_like(vec)
         xs, zs, coeffs = self._sorted_arrays()
-        size = _chunk_terms(self.n)
+        size = _chunk_terms(self.n, vec.dtype)
         for lo in range(0, coeffs.size, size):
-            dest, entries = _signed_permutation(self.n, xs[lo:lo + size],
-                                                zs[lo:lo + size])
+            chunk = slice(lo, lo + size)
+            dest, entries = _signed_permutation(
+                self.n, xs[chunk], zs[chunk], scales=coeffs[chunk] if real else None,
+                real=real)
             entries *= vec
-            entries *= coeffs[lo:lo + size, None]
+            if not real:
+                entries *= coeffs[chunk, None]
             np.add.at(out, dest.ravel(), entries.ravel())
             del dest, entries
         return out
@@ -503,8 +535,10 @@ def _krylov_top_eigenpair(op: PauliSum) -> tuple[float, np.ndarray]:
     """A lower bound on the largest eigenvalue of ``op`` and a unit witness
     (phase-fixed), from Lanczos iteration on ``op.apply``; no dense matrix.
 
-    Starts from a fixed-seed complex Gaussian vector and reorthogonalises
-    each new vector against all before it (twice). Stops once the top Ritz
+    Starts from a fixed-seed real Gaussian vector and reorthogonalises each
+    new vector against all before it (twice). On a real sum every vector, the
+    witness and the last ``apply`` stay float64; a complex sum turns the
+    iteration complex at its first ``apply``. Stops once the top Ritz
     pair's residual is at most ``_KRYLOV_RTOL`` times sum |c|, or when the
     Krylov space is the whole space. A pseudo Pauli operator B = beta (k.L)
     has B^3 = beta^2 |k|^2 B, so its Krylov spaces have dimension at most 3.
@@ -515,7 +549,7 @@ def _krylov_top_eigenpair(op: PauliSum) -> tuple[float, np.ndarray]:
     dim = 1 << op.n
     tol = _KRYLOV_RTOL * sum(abs(c) for c in op._terms.values())
     rng = np.random.default_rng(_KRYLOV_SEED)
-    start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    start = rng.standard_normal(dim)
     basis = [start / np.linalg.norm(start)]
     alphas, betas = [], []
     while True:
@@ -536,8 +570,9 @@ def _krylov_top_eigenpair(op: PauliSum) -> tuple[float, np.ndarray]:
 
 
 def fix_global_phase(vec: np.ndarray) -> np.ndarray:
-    """Make the first non-negligible amplitude real positive."""
-    vec = np.asarray(vec, dtype=complex)
+    """Make the first non-negligible amplitude real positive; a real vector
+    stays real (float64), its sign fixed."""
+    vec = np.asarray(vec, dtype=complex if np.iscomplexobj(vec) else float)
     for a in vec:
         if abs(a) > _PHASE_TOL:
             return vec * (abs(a) / a)

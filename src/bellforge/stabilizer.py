@@ -162,10 +162,12 @@ def state_vector(s: StabilizerGroup, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
     The projector is rank one, so its largest-diagonal column is already
     proportional to the state. Both come from ``apply``, with no matrix: the
     diagonal is the projector's Z-type terms (x mask 0) applied to all ones.
+    A real projector (a graph state's, say) is applied in float64 throughout;
+    the ket is cast to complex at the end.
     """
     proj = expand_projector(s, cap)
     diagonal = PauliSum(s.n, {k: c for k, c in proj._terms.items() if k[0] == 0})
-    diag = diagonal.apply(np.ones(1 << s.n)).real
+    diag = diagonal.apply(np.ones(1 << s.n))
     col = int(np.argmax(diag))
     if diag[col] <= PROJECTOR_ATOL:
         raise ValueError("projector has no usable column; generators inconsistent")
@@ -176,7 +178,7 @@ def state_vector(s: StabilizerGroup, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
     resid = np.max(np.abs(proj.apply(vec) - vec))
     if resid > PROJECTOR_ATOL:
         raise ValueError(f"stabilized state residual {resid:.3e}")
-    return vec
+    return vec.astype(complex)
 
 
 @dataclass(frozen=True)

@@ -149,15 +149,12 @@ def sum_apply(op: PauliSum, vec: np.ndarray) -> np.ndarray:
 
 def symbolize_by_terms(op: PauliSum, symbol_map: dict[str, str]):
     """Term-by-term symbolize: a ``PauliTerm`` per term, ``letter(q)`` on
-    every qubit and a freshly checked ``Setting`` per new symbol; terms with
-    a zero coefficient are skipped, and bindings follow the expression's
-    symbols."""
+    every qubit and a freshly checked ``Setting`` per new symbol; bindings
+    follow the expression's symbols."""
     terms = {}
     constant = 0.0
     bindings = {}
     for term, coeff in op.items():
-        if coeff == 0.0:
-            continue
         if term.weight == 0:
             constant += coeff
             continue
@@ -181,8 +178,7 @@ def symbolize_by_terms(op: PauliSum, symbol_map: dict[str, str]):
 def symbolize_by_masks(op: PauliSum, symbol_map: dict[str, str]):
     """Mask-walking symbolize: the terms in sorted (x, z) order, in each only
     the qubits of its support, lowest first, through a dict of term keys;
-    terms with a zero coefficient are skipped, and bindings follow the
-    expression's symbols."""
+    bindings follow the expression's symbols."""
     labels = [symbol_map[letter] for letter in "XYZ" if letter in symbol_map]
     if len(set(labels)) != len(labels):
         raise ValueError("symbol map sends two Pauli letters to the same label: "
@@ -191,8 +187,6 @@ def symbolize_by_masks(op: PauliSum, symbol_map: dict[str, str]):
     constant = 0.0
     bindings = {}
     for (x, z), coeff in sorted(op._terms.items()):
-        if coeff == 0.0:
-            continue
         if not x | z:
             constant += coeff
             continue
@@ -231,6 +225,20 @@ def product_by_terms(a: PauliSum, b: PauliSum, scale: complex = 1.0) -> PauliSum
             t = ta * tb
             acc[t.key()] = acc.get(t.key(), 0j) + scale * ca * cb * _I_POW[t.phase_exp]
     return _realize(acc, a.n)
+
+
+def render_terms_by_products(expr: BellExpression,
+                             bindings: dict[tuple[int, str], Setting]) -> list[PauliSum]:
+    """``render_terms`` by the product route: per term, the coefficient as an
+    identity sum times each bound setting's embedding, one exact ``product``
+    at a time in party order."""
+    out = []
+    for key, coeff in expr.terms.items():
+        acc = PauliSum.identity(expr.parties, coeff)
+        for sym in key:
+            acc = product(acc, bindings[sym].embed(expr.parties))
+        out.append(acc)
+    return out
 
 
 def decomposed_terms_by_products(dec: DecomposedOperator) -> list[PauliSum]:

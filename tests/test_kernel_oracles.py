@@ -8,11 +8,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bellforge import pauli
+from bellforge import cases, pauli
 from bellforge.bell import (
     BellExpression,
     BellRecipe,
     DecompositionError,
+    Setting,
     _letter_setting,
     build_logical,
     complementary_decompose,
@@ -22,12 +23,22 @@ from bellforge.bell import (
     symbolize_decomposed,
 )
 from bellforge.bounds import quantum_lower_bound
-from bellforge.pauli import COEFF_PRUNE, PauliSum, PauliTerm, QubitCapError, product
+from bellforge.cases import case_names, run_cases
+from bellforge.pauli import (
+    COEFF_PRUNE,
+    PauliSum,
+    PauliTerm,
+    QubitCapError,
+    bloch_sum,
+    product,
+)
+from bellforge.recursive import build_level
 from helpers import (
     bits,
     decomposed_terms_by_products,
     factor_table_by_terms,
     product_by_terms,
+    render_terms_by_products,
     sum_apply,
     sum_to_dense,
     symbolize_by_masks,
@@ -57,6 +68,12 @@ def random_sum(rng, n, runs, terms):
     xs = rng.integers(0, 1 << n, size=runs)
     keys = {(int(rng.choice(xs)), int(rng.integers(0, 1 << n))) for _ in range(terms)}
     return PauliSum(n, {k: random_coeff(rng) for k in sorted(keys)})
+
+
+def real_part(op):
+    """The terms of ``op`` with an even number of Y letters: a real sum."""
+    return PauliSum(op.n, {(x, z): c for (x, z), c in op._terms.items()
+                           if not (x & z).bit_count() & 1})
 
 
 def sums(seed):
@@ -91,6 +108,29 @@ class TestRenderAgainstTermOracle:
             vec = rng.normal(size=1 << op.n) + 1j * rng.normal(size=1 << op.n)
             vec[::3] = -0.0
             assert np.array_equal(bits(op.apply(vec)), bits(sum_apply(op, vec)))
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_real_apply_is_the_oracle_real_part(self, monkeypatch, budget):
+        # real sums on real vectors run in float64 with the bits of the
+        # complex oracle's real part; a non-real sum on a real vector keeps
+        # the complex oracle's bits
+        monkeypatch.setattr(pauli, "_KERNEL_CHUNK_BYTES", budget)
+        rng = np.random.default_rng(2201)
+        kinds = set()
+        for op in sums(1203):
+            vec = rng.normal(size=1 << op.n)
+            vec[1::5] = 0.0
+            vec[::3] = -0.0
+            for summand in (real_part(op), op):
+                image, oracle = summand.apply(vec), sum_apply(summand, vec)
+                if summand._is_real():
+                    assert image.dtype == np.float64
+                    assert np.array_equal(bits(image), bits(oracle.real))
+                else:
+                    assert image.dtype == np.complex128
+                    assert np.array_equal(bits(image), bits(oracle))
+                kinds.add(image.dtype)
+        assert kinds == {np.dtype(np.float64), np.dtype(np.complex128)}
 
     def test_terms_bit_identical(self):
         rng = np.random.default_rng(1204)
@@ -127,12 +167,19 @@ class TestRenderMemory:
         assert dense.nbytes == output
         assert peak <= output + pauli._KERNEL_CHUNK_BYTES
 
-    @pytest.mark.parametrize("n", [10, 12])
-    def test_apply_peak_is_vector_plus_budget(self, n):
+    @pytest.mark.parametrize("n, real", [(10, False), (12, False), (10, True), (12, True)],
+                             ids=["10", "12", "10-real", "12-real"])
+    def test_apply_peak_is_vector_plus_budget(self, n, real):
         rng = np.random.default_rng(1205)
         op = random_sum(rng, n, 3, 400) + random_sum(rng, n, 200, 200)
-        vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        output = 16 << n
+        if real:
+            # a real sum on a real vector: float64 chunks and output
+            op = real_part(op)
+            vec = rng.normal(size=1 << n)
+            output = 8 << n
+        else:
+            vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            output = 16 << n
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -178,6 +225,16 @@ class TestKrylovAgainstDenseEigh:
         for op in krylov_sums(1210):
             value, _ = quantum_lower_bound(op)
             assert value <= pauli.top_eigenpair(op.to_dense())[0] + 1e-12
+
+    def test_witness_follows_the_sum_dtype(self):
+        # a real sum stays float64 from the start vector to the witness; a
+        # complex one turns complex at its first apply
+        dtypes = set()
+        for op in krylov_sums(1209):
+            _, witness = quantum_lower_bound(op)
+            assert witness.dtype == (np.float64 if op._is_real() else np.complex128)
+            dtypes.add(witness.dtype)
+        assert dtypes == {np.dtype(np.float64), np.dtype(np.complex128)}
 
     def test_repeated_calls_identical_bits(self):
         op = krylov_sums(1211)[0]
@@ -410,6 +467,10 @@ class TestRenderAgainstProducts:
         decomposed = []
         for recipe in graph_recipes(rng):
             logical_form = build_logical(recipe)
+            # the logical form symbolized with Y as its own symbol
+            expr, bindings = symbolize(logical_form, ZXY)
+            assert list(map(sum_hex, render_terms(expr, bindings))) == \
+                list(map(sum_hex, render_terms_by_products(expr, bindings)))
             for pivot in range(logical_form.n):
                 try:
                     dec = complementary_decompose(logical_form, pivot)
@@ -420,9 +481,54 @@ class TestRenderAgainstProducts:
                 routes = [letter_expression(dec), symbolize_decomposed(dec)]
                 oracle = decomposed_terms_by_products(dec)
                 for expr, bindings in routes:
-                    assert list(map(sum_hex, render_terms(expr, bindings))) == \
-                        list(map(sum_hex, oracle))
+                    rendered = list(map(sum_hex, render_terms(expr, bindings)))
+                    assert rendered == list(map(sum_hex, oracle))
+                    assert rendered == list(map(sum_hex, render_terms_by_products(
+                        expr, bindings)))
                     assert sum_hex(render_operator(expr, bindings)) == \
                         sum_hex(sum(oracle, PauliSum.zero(dec.n)))
         assert set(decomposed) == {2, 3, 4, 5, 6}
         assert len(decomposed) >= 90
+
+    def test_random_settings_match_product_route(self):
+        # Bloch settings of two or three terms on every party, terms of up to
+        # five factors: the partial sum is re-sorted before each factor
+        rng = np.random.default_rng(2203)
+        for n in range(1, 6):
+            for _ in range(6):
+                bindings = {}
+                for q in range(n):
+                    for label in "AB":
+                        v = rng.normal(size=3)
+                        v[rng.integers(3)] *= rng.integers(2)
+                        bindings[q, label] = Setting(q, label, bloch_sum(v / np.linalg.norm(v)))
+                terms = {}
+                for _ in range(int(rng.integers(1, 8))):
+                    parties = sorted(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
+                    terms[tuple((int(q), str(rng.choice(["A", "B"]))) for q in parties)] = \
+                        float(rng.normal())
+                expr = BellExpression(n, terms, float(rng.normal()))
+                assert list(map(sum_hex, render_terms(expr, bindings))) == \
+                    list(map(sum_hex, render_terms_by_products(expr, bindings)))
+
+    def test_catalog_expressions_match_product_route(self, monkeypatch):
+        # every expression a catalog case renders, and the family members
+        # and the loop-5 projector's symbolization, which the catalog does
+        # not render
+        seen = []
+
+        def recorded(expr, bindings):
+            seen.append((expr, bindings))
+            return render_terms(expr, bindings)
+
+        monkeypatch.setattr(cases, "render_terms", recorded)
+        run_cases(case_names())
+        assert len(seen) >= 10
+        for n in range(3, 9):
+            level = build_level(n)
+            for op in (level.z, level.x + level.z):
+                seen.append(symbolize(float(2 ** (n - 1)) * op, ZX))
+        seen.append(symbolize(16.0 * cases._loop5_ops().ident, ZXY))
+        for expr, bindings in seen:
+            assert list(map(sum_hex, render_terms(expr, bindings))) == \
+                list(map(sum_hex, render_terms_by_products(expr, bindings)))

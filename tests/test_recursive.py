@@ -176,14 +176,16 @@ class TestFamilyCases:
     def check_members(n, calls):
         # past 8 qubits the quantum lower bound is Lanczos on apply: B^3 =
         # beta^2 |k|^2 B, so three steps and one more apply for the Rayleigh
-        # quotient, with no dense render and no eigh
+        # quotient, with no dense render and no eigh; B is real (an even
+        # number of Y letters per term), so the witness is float64
         for build, classical, quantum in (
                 (mermin_case, 2.0 ** (n // 2), 2.0 ** (n - 1)),
                 (svetlichny_case, 2.0 ** ((n + 1) // 2), 2.0 ** (n - 1) * math.sqrt(2))):
             case = build(n)
             assert classical_bounds(case.expression).maximum == classical
             calls.update(apply=0, to_dense=0, top_eigenpair=0)
-            q, _ = quantum_lower_bound(case.operator)
+            q, witness = quantum_lower_bound(case.operator)
+            assert witness.dtype == np.float64
             assert calls["to_dense"] == calls["top_eigenpair"] == 0
             assert 1 <= calls["apply"] <= 4
             assert abs(q - quantum) <= 1e-9 * quantum
