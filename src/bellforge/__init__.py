@@ -70,11 +70,9 @@ from .stabilizer import (
 from .uncertainty import (
     DirectionXZ,
     bell_op_xz,
-    lemma_check,
     lemma_sweep,
     quadratic_bell,
     quadratic_quantum_sweep,
-    square_in_disc_check,
     uncertainty_lhs,
     uncertainty_sweep,
 )

@@ -170,8 +170,8 @@ class BellExpression:
         return index, self._coeffs
 
     def evaluate(self, assignment: dict[Symbol, int]) -> float:
-        """The value at one assignment by a direct term walk, not ``factor_table``:
-        the independent oracle behind ``classical_bounds_bruteforce``."""
+        """The value at one assignment by a direct term walk, not
+        ``factor_table``, so it checks the vertex enumeration independently."""
         total = self.constant
         for key, coeff in self.terms.items():
             v = coeff

@@ -60,7 +60,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache
-from itertools import product as iter_product
 
 import numpy as np
 
@@ -232,16 +231,6 @@ def classical_bounds(expr: BellExpression) -> ClassicalBounds:
         witness_min=_assignment_from_rank(best_min[1], symbols),
         witness_max=_assignment_from_rank(best_max[1], symbols),
     )
-
-
-def classical_bounds_bruteforce(expr: BellExpression) -> tuple[float, float]:
-    """Direct per-vertex re-evaluation; the independent oracle for tests."""
-    symbols = expr.symbols
-    lo, hi = math.inf, -math.inf
-    for values in iter_product((1, -1), repeat=len(symbols)):
-        v = expr.evaluate(dict(zip(symbols, values)))
-        lo, hi = min(lo, v), max(hi, v)
-    return lo, hi
 
 
 def classical_sample_bound(expr: BellExpression, samples: int = 20000,

@@ -513,7 +513,7 @@ def build_report(recipe: BellRecipe, config: RunConfig, seesaw: bool) -> dict:
     kind = spec.get("kind", "none")
     rough, sos_status, cap = recipe.beta_q, "not-attempted", config.cap_qubits
     if kind == "chained":
-        if recipe.ops.basis.name != "bell":
+        if recipe.ops.basis is not bell_basis():
             raise ValueError("chained decomposition is defined on the two-qubit "
                              "Bell-state basis")
         rough = chained_construction(spec["n"]).quantum_bound

@@ -29,8 +29,9 @@ def _at_least(low: int):
 def _shared_flags(parser: argparse.ArgumentParser, samples: bool = True) -> None:
     parser.add_argument("--seed", type=_at_least(0), default=RunConfig.seed,
                         help="master RNG seed (a non-negative integer)")
-    parser.add_argument("--cap-qubits", type=int, default=RunConfig.cap_qubits,
-                        help="dense-rendering qubit cap")
+    parser.add_argument("--cap-qubits", type=_at_least(1), default=RunConfig.cap_qubits,
+                        help="qubit cap of dense renders and matrix-free bounds "
+                             "(at least 1)")
     if samples:
         parser.add_argument("--samples", type=_at_least(1), default=RunConfig.samples,
                             help="Monte-Carlo sample count for sweep cases (at least 1)")

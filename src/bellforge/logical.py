@@ -7,10 +7,12 @@ combinations
     Y = i(|1><0| - |0><1|)   ident = |0><0| + |1><1|
 
 expanded over n-qubit Pauli strings. Two construction routes are provided and
-must agree: a dense outer-product route (any explicit basis, small n) and a
-symbolic stabilizer route (half-group split, one pass over the group per
-operator, any n the group fits). The numeric operators of the named Bell and
-GHZ3 bases are built once per process and shared.
+must agree: a dense outer-product route (any code basis of at most
+``DECOMPOSE_QUBIT_CAP`` qubits) and a symbolic stabilizer route (half-group
+split, one pass over the group per operator, any n the group fits). The named
+Bell and GHZ3 bases are stabilizer codes like any other; their operators still
+come from the numeric route, whose digits the recursive family and the
+certified table carry, and are built once per process and shared.
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliSum, PauliTerm, QubitCapError, pauli_decompose
+from .pauli import (
+    DECOMPOSE_QUBIT_CAP,
+    PauliSum,
+    PauliTerm,
+    _check_cap,
+    pauli_decompose,
+)
 from .stabilizer import (
     LogicalBasis,
     StabilizerGroup,
@@ -29,8 +37,6 @@ from .stabilizer import (
     commuting_split,
     ghz3_basis,
 )
-
-NUMERIC_QUBIT_CAP = 6   # the 4^n Pauli-basis scan is only run at small n
 
 
 @dataclass(frozen=True)
@@ -57,12 +63,11 @@ def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.outer(a, b.conj())
 
 
-def logical_paulis_numeric(basis: LogicalBasis,
-                           cap: int = NUMERIC_QUBIT_CAP) -> LogicalPaulis:
-    """Dense outer products decomposed in the Pauli basis by trace inner products."""
-    if basis.n > cap:
-        raise QubitCapError(
-            f"numeric construction scans 4^n strings; n={basis.n} exceeds {cap}")
+def logical_paulis_numeric(basis: LogicalBasis) -> LogicalPaulis:
+    """Dense outer products decomposed in the Pauli basis by trace inner
+    products; QubitCapError above ``DECOMPOSE_QUBIT_CAP`` qubits, before any
+    outer product is formed."""
+    _check_cap(basis.n, DECOMPOSE_QUBIT_CAP)
     zero, one = basis.zero_ket, basis.one_ket
     z_m = _outer(zero, zero) - _outer(one, one)
     x_m = _outer(zero, one) + _outer(one, zero)

@@ -43,6 +43,7 @@ from functools import cache
 import numpy as np
 
 DENSE_QUBIT_CAP = 12        # 2^12 = 4096-dim dense matrices at most
+DECOMPOSE_QUBIT_CAP = 6     # pauli_decompose scans all 4^n strings up to here
 COEFF_PRUNE = 1e-14         # PauliSum keeps only coefficients above this in size
 HERMITICITY_ATOL = 1e-9
 _PHASE_TOL = 1e-9           # smallest amplitude fix_global_phase takes as first
@@ -582,11 +583,10 @@ def fix_global_phase(vec: np.ndarray) -> np.ndarray:
 def pauli_decompose(matrix: np.ndarray, n: int) -> PauliSum:
     """Expand a Hermitian 2^n matrix in the Pauli basis via trace inner products.
 
-    Scans all 4^n strings, so it is restricted to small n; the coefficient of
-    P is tr(P M) / 2^n.
+    Scans all 4^n strings, so it is restricted to n <= ``DECOMPOSE_QUBIT_CAP``;
+    the coefficient of P is tr(P M) / 2^n.
     """
-    if n > 6:
-        raise QubitCapError("full 4^n Pauli scan is limited to n <= 6")
+    _check_cap(n, DECOMPOSE_QUBIT_CAP)
     dim = 1 << n
     m = check_hermitian(matrix)
     if m.shape != (dim, dim):

@@ -1,15 +1,19 @@
 """Graph states, stabilizer groups, projector expansion and logical bases.
 
 A logical basis is a pair of orthonormal n-qubit states spanning a
-two-dimensional code space. It can be given directly as vectors (the named
-two- and three-qubit bases below) or derived from a stabilizer group plus a
-flip operator that anticommutes with part of the group.
+two-dimensional code space. Every code basis is a stabilizer group plus a
+flip operator that anticommutes with part of the group (``basis_from_flip``):
+|0> is the group's stabilized state and |1> the flip applied to it. The named
+bases below are two such codes (Gottesman, quant-ph/9705052):
+
+    Bell:  +XX, +ZZ;          flip +ZX
+    GHZ3:  +ZZZ, -XXZ, +IYY;  flip +XZZ
 
 A stabilized state is read off the projector's Pauli sum through ``apply``,
 with no dense matrix. A basis holds read-only copies of its kets, so one basis
-can be shared. The named Bell and GHZ3 bases are constants of the
-construction: each is built once per process and every caller gets the same
-object.
+can be shared; a copy holds no negative zero. The named Bell and GHZ3 bases
+are constants of the construction: each is built once per process and every
+caller gets the same object.
 """
 
 from __future__ import annotations
@@ -66,8 +70,11 @@ class GraphSpec:
 
 
 def frozen_ket(vec) -> np.ndarray:
-    """A read-only complex copy of ``vec``, safe to share between callers."""
-    out = np.array(vec, dtype=complex)
+    """A read-only complex copy of ``vec``, safe to share between callers.
+
+    Adding 0j turns every -0.0 part into +0.0, so equal kets are equal bit
+    for bit whichever signed permutation made them."""
+    out = np.asarray(vec, dtype=complex) + 0j
     out.flags.writeable = False
     return out
 
@@ -188,7 +195,6 @@ class LogicalBasis:
     n: int
     zero_ket: np.ndarray
     one_ket: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         dim = 1 << self.n
@@ -205,7 +211,7 @@ class LogicalBasis:
 
 
 def basis_from_flip(s: StabilizerGroup, zc: PauliTerm,
-                    cap: int = DENSE_QUBIT_CAP, name: str = "") -> LogicalBasis:
+                    cap: int = DENSE_QUBIT_CAP) -> LogicalBasis:
     """Code basis |0> = stabilized state, |1> = flip applied to it.
 
     The flip must anticommute with at least one generator; otherwise it is a
@@ -218,7 +224,7 @@ def basis_from_flip(s: StabilizerGroup, zc: PauliTerm,
             f"flip {zc} commutes with the whole group; not a valid logical flip")
     zero = state_vector(s, cap)
     one = zc.apply(zero)
-    return LogicalBasis(s.n, zero, one, name=name)
+    return LogicalBasis(s.n, zero, one)
 
 
 def commuting_split(s: StabilizerGroup, zc: PauliTerm
@@ -235,21 +241,14 @@ def commuting_split(s: StabilizerGroup, zc: PauliTerm
 @functools.cache
 def bell_basis() -> LogicalBasis:
     """|0> = (|00>+|11>)/sqrt2, |1> = (|01>-|10>)/sqrt2."""
-    r = 1 / np.sqrt(2)
-    zero = np.array([r, 0, 0, r], dtype=complex)
-    one = np.array([0, r, -r, 0], dtype=complex)
-    return LogicalBasis(2, zero, one, name="bell")
+    return basis_from_flip(StabilizerGroup.from_strings(["+XX", "+ZZ"]),
+                           PauliTerm.from_string("+ZX"))
+
 
 @functools.cache
 def ghz3_basis() -> LogicalBasis:
-    """The three-qubit basis behind the Mermin / Svetlichny constructions."""
-    zero = np.zeros(8, dtype=complex)
-    one = np.zeros(8, dtype=complex)
-    # |0> = [ |0>(|00>-|11>) - |1>(|01>+|10>) ] / 2
-    zero[0b000], zero[0b011] = 0.5, -0.5
-    zero[0b101], zero[0b110] = -0.5, -0.5
-    # |1> = [ |0>(|01>+|10>) + |1>(|00>-|11>) ] / 2
-    one[0b001], one[0b010] = 0.5, 0.5
-    one[0b100], one[0b111] = 0.5, -0.5
-    return LogicalBasis(3, zero, one, name="ghz3")
-
+    """The three-qubit basis behind the Mermin / Svetlichny constructions:
+    |0> = [ |0>(|00>-|11>) - |1>(|01>+|10>) ] / 2,
+    |1> = [ |0>(|01>+|10>) + |1>(|00>-|11>) ] / 2."""
+    return basis_from_flip(StabilizerGroup.from_strings(["+ZZZ", "-XXZ", "+IYY"]),
+                           PauliTerm.from_string("+XZZ"))

@@ -24,7 +24,7 @@ import numpy as np
 from .bell import BellExpression, Setting, Symbol, _letter_setting, evaluate_quantum
 from .bounds import _vertex_blocks
 from .logical import LogicalPaulis, bell_logical_paulis
-from .pauli import _PAULI_2X2, BLOCH_PAULIS, PauliSum, bloch_sum
+from .pauli import _PAULI_2X2, BLOCH_PAULIS, PauliSum
 from .stabilizer import bell_basis
 
 DISC_BOUND = 8.0
@@ -70,18 +70,6 @@ def uncertainty_lhs(rho: np.ndarray, d1: DirectionXZ, d2: DirectionXZ,
     b1 = bell_op_xz(ops, d1).expectation(rho)
     b2 = bell_op_xz(ops, d2).expectation(rho)
     return _ellipse(b1, b2, plus, minus)
-
-
-def lemma_check(a1, a2, rho: np.ndarray) -> float:
-    """Single-qubit ellipse functional; at most 1 for any qubit state."""
-    a1 = np.asarray(a1, dtype=float)
-    a2 = np.asarray(a2, dtype=float)
-    if np.linalg.norm(np.cross(a1, a2)) < 1e-12:
-        raise ValueError("Bloch vectors are parallel")
-    e1, e2 = bloch_sum(a1).expectation(rho), bloch_sum(a2).expectation(rho)
-    plus = float(np.linalg.norm(a1 + a2)) ** 2
-    minus = float(np.linalg.norm(a1 - a2)) ** 2
-    return _ellipse(e1, e2, plus, minus)
 
 
 @dataclass
@@ -283,29 +271,3 @@ def uffink_attaining_value(case: QuadraticCase | None = None) -> float:
     v1 = evaluate_quantum(case.expr1, bindings, rho0)
     v2 = evaluate_quantum(case.expr2, bindings, rho0)
     return v1 * v1 + v2 * v2
-
-
-def square_in_disc_check(d1: DirectionXZ, d2: DirectionXZ
-                         ) -> tuple[bool, float, list[tuple[float, float]]]:
-    """All LHV vertices of the symbolized operator pair satisfy the ellipse bound.
-
-    For orthogonal directions the ellipse is the disc x^2 + y^2 <= 8 and the
-    extreme classical points sit exactly on the circle.
-    """
-    plus, minus = _check_not_parallel(d1, d2)
-    root2 = math.sqrt(2)
-    A = [(0, "A"), (0, "B"), (1, "A"), (1, "B")]
-    a1, b1, a2, b2 = A
-
-    def expr_for(d: DirectionXZ) -> BellExpression:
-        s, c = math.sin(d.theta), math.cos(d.theta)
-        # 2*sqrt2*(sin*X + cos*Z) on the Bell basis, symbols Z->A, X->B
-        return BellExpression(2, {
-            (a1, a2): root2 * c, (b1, b2): root2 * c,
-            (a1, b2): root2 * s, (b1, a2): -root2 * s,
-        })
-
-    e1, e2 = expr_for(d1), expr_for(d2)
-    vertices = _pair_vertices(e1, e2)
-    worst = max(_ellipse(x, y, plus, minus) for x, y in vertices)
-    return worst <= DISC_BOUND + 1e-9, worst, vertices

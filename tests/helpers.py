@@ -3,6 +3,7 @@
 import json
 import math
 from itertools import groupby
+from itertools import product as iter_product
 
 import numpy as np
 
@@ -34,19 +35,42 @@ from bellforge.stabilizer import (
 )
 
 
-def basis_from_kets(zero, one, name: str = "") -> LogicalBasis:
+def basis_from_kets(zero, one) -> LogicalBasis:
     """A logical basis from two kets, each normalised."""
     zero = np.asarray(zero, dtype=complex)
     n = int(round(np.log2(zero.size)))
     return LogicalBasis(n, zero / np.linalg.norm(zero),
-                        np.asarray(one, dtype=complex) / np.linalg.norm(one),
-                        name=name)
+                        np.asarray(one, dtype=complex) / np.linalg.norm(one))
 
 
 def loop5_basis() -> LogicalBasis:
     """Five-qubit loop-graph code basis: |0> = |L5>, |1> = Z^(x5) |L5>."""
     group = graph_state_generators(GraphSpec.loop(5))
-    return basis_from_flip(group, PauliTerm.from_string("ZZZZZ"), name="loop5")
+    return basis_from_flip(group, PauliTerm.from_string("ZZZZZ"))
+
+
+def bell_kets_typed() -> tuple[np.ndarray, np.ndarray]:
+    """The Bell-basis kets typed out amplitude by amplitude:
+    |0> = (|00>+|11>)/sqrt2, |1> = (|01>-|10>)/sqrt2. The reference for
+    ``bell_basis()``, which derives them from a stabilizer group and a flip."""
+    r = 1 / np.sqrt(2)
+    zero = np.array([r, 0, 0, r], dtype=complex)
+    one = np.array([0, r, -r, 0], dtype=complex)
+    return zero, one
+
+
+def ghz3_kets_typed() -> tuple[np.ndarray, np.ndarray]:
+    """The GHZ3-basis kets typed out amplitude by amplitude; the reference
+    for ``ghz3_basis()``."""
+    zero = np.zeros(8, dtype=complex)
+    one = np.zeros(8, dtype=complex)
+    # |0> = [ |0>(|00>-|11>) - |1>(|01>+|10>) ] / 2
+    zero[0b000], zero[0b011] = 0.5, -0.5
+    zero[0b101], zero[0b110] = -0.5, -0.5
+    # |1> = [ |0>(|01>+|10>) + |1>(|00>-|11>) ] / 2
+    one[0b001], one[0b010] = 0.5, 0.5
+    one[0b100], one[0b111] = 0.5, -0.5
+    return zero, one
 
 
 def state_vector_dense(s: StabilizerGroup) -> np.ndarray:
@@ -79,6 +103,16 @@ def sums_match(a: PauliSum, b: PauliSum, atol: float = 1e-12) -> bool:
         return False
     da, db = dict(a.to_strings()), dict(b.to_strings())
     return all(abs(da.get(k, 0.0) - db.get(k, 0.0)) <= atol for k in da.keys() | db.keys())
+
+
+def classical_bounds_bruteforce(expr: BellExpression) -> tuple[float, float]:
+    """Direct per-vertex re-evaluation; the independent oracle for tests."""
+    symbols = expr.symbols
+    lo, hi = math.inf, -math.inf
+    for values in iter_product((1, -1), repeat=len(symbols)):
+        v = expr.evaluate(dict(zip(symbols, values)))
+        lo, hi = min(lo, v), max(hi, v)
+    return lo, hi
 
 
 def eig_bounds(m: np.ndarray) -> tuple[float, float]:

@@ -23,7 +23,7 @@ from golden import (
     loop5_golden_y,
     loop5_golden_z,
 )
-from helpers import basis_from_kets
+from helpers import basis_from_kets, classical_bounds_bruteforce
 
 from bellforge.bell import (
     chained_construction,
@@ -35,7 +35,6 @@ from bellforge.bell import (
 )
 from bellforge.bounds import (
     classical_bounds,
-    classical_bounds_bruteforce,
     quantum_lower_bound,
     seesaw_optimize,
     sos_pairing_search,

@@ -23,7 +23,6 @@ from bellforge.bounds import (
     SeesawError,
     SosCertificate,
     classical_bounds,
-    classical_bounds_bruteforce,
     classical_sample_bound,
     dichotomic_term_bound,
     quantum_lower_bound,
@@ -35,6 +34,7 @@ from bellforge.cases import published_identity_expression
 from bellforge.logical import logical_paulis_numeric, logical_paulis_symbolic
 from bellforge.pauli import _PAULI_2X2, PauliSum, PauliTerm
 from bellforge.stabilizer import GraphSpec, bell_basis, ghz3_basis, graph_state_generators
+from helpers import classical_bounds_bruteforce
 
 ROOT2 = math.sqrt(2)
 

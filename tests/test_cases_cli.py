@@ -473,6 +473,23 @@ class TestCli:
         assert err.startswith("usage: ")
         assert f"argument --seed: must be an integer of at least 0, got '{seed}'" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--case", "chsh", "--cap-qubits", "-3"],
+        ["verify", "--case", "uffink", "--cap-qubits", "0"],
+        ["table", "--cap-qubits", "0"],
+        ["build", "--config", "recipe.json", "--cap-qubits", "-1"],
+        ["verify", "--case", "chsh", "--cap-qubits", "2.5"],
+    ])
+    def test_cap_below_one_is_a_usage_error(self, capsys, argv):
+        # rejected while parsing, before any case runs or any recipe is read
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert ("argument --cap-qubits: must be an integer of at least 1, "
+                f"got '{argv[-1]}'") in err
+
     def test_build_has_no_samples_flag(self, tmp_path, capsys):
         cfg = tmp_path / "recipe.json"
         cfg.write_text(json.dumps(LOOP5_RECIPE))

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from bellforge import logical
 from bellforge.logical import logical_paulis_numeric, logical_paulis_symbolic
 from bellforge.pauli import PauliSum, PauliTerm, QubitCapError, product
 from bellforge.stabilizer import (
@@ -65,9 +66,18 @@ class TestNumericRoute:
         assert_terms(ops.x, {"XZZ": 0.25, "ZXZ": 0.25, "ZZX": 0.25, "XXX": -0.25})
         assert_terms(ops.z, {"ZZZ": 0.25, "ZXX": -0.25, "XZX": -0.25, "XXZ": -0.25})
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        # a 7-qubit code basis is past DECOMPOSE_QUBIT_CAP; the check comes
+        # before any 2^7 x 2^7 outer product is formed
+        basis = basis_from_flip(graph_state_generators(GraphSpec.loop(7)),
+                                PauliTerm.from_string("ZZZZZZZ"))
+
+        def no_outer(*args):
+            raise AssertionError("outer product formed above the cap")
+
+        monkeypatch.setattr(logical, "_outer", no_outer)
         with pytest.raises(QubitCapError):
-            logical_paulis_numeric(basis_from_flip(*loop5_parts()), cap=4)
+            logical_paulis_numeric(basis)
 
 
 class TestSymbolicRoute:
@@ -110,6 +120,8 @@ class TestSymbolicRoute:
         (["XX", "ZZ"], "IZ"),
         (["XZI", "ZXZ", "IZX"], "ZII"),
         (["XZIIZ", "ZXZII", "IZXZI", "IIZXZ", "ZIIZX"], "ZZZZZ"),
+        (["+XX", "+ZZ"], "+ZX"),                 # bell_basis()
+        (["+ZZZ", "-XXZ", "+IYY"], "+XZZ"),      # ghz3_basis()
     ])
     def test_matches_numeric_route(self, strings, flip):
         group = StabilizerGroup.from_strings(strings)

@@ -70,7 +70,7 @@ def _snapshot(obj) -> tuple:
                 [(key, c.hex()) for key, c in obj.expression.terms.items()],
                 [(sym, _snapshot(s)) for sym, s in obj.bindings.items()])
     if isinstance(obj, LogicalBasis):
-        return (obj.n, obj.name, *_ket_bytes(obj.zero_ket, obj.one_ket))
+        return (obj.n, *_ket_bytes(obj.zero_ket, obj.one_ket))
     if isinstance(obj, logical.LogicalPaulis):
         return (_snapshot(obj.basis),
                 *map(_sum_bytes, (obj.z, obj.x, obj.y, obj.ident)))

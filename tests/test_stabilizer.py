@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bellforge.pauli import PauliSum, PauliTerm, QubitCapError
+from bellforge.recursive import build_level
 from bellforge.stabilizer import (
     GraphSpec,
     LogicalBasis,
@@ -16,7 +17,7 @@ from bellforge.stabilizer import (
     graph_state_generators,
     state_vector,
 )
-from helpers import loop5_basis, state_vector_dense
+from helpers import bell_kets_typed, ghz3_kets_typed, loop5_basis, state_vector_dense
 
 RNG = np.random.default_rng(1234)
 
@@ -190,6 +191,35 @@ class TestLogicalBasis:
             assert abs(np.vdot(basis.zero_ket, basis.one_ket)) < 1e-12
             assert abs(np.linalg.norm(basis.zero_ket) - 1) < 1e-12
             assert abs(np.linalg.norm(basis.one_ket) - 1) < 1e-12
+
+    @pytest.mark.parametrize("basis,typed", [(bell_basis, bell_kets_typed),
+                                             (ghz3_basis, ghz3_kets_typed)],
+                             ids=["bell", "ghz3"])
+    def test_named_basis_is_the_typed_kets_bit_for_bit(self, basis, typed):
+        # group and flip give exactly the amplitudes written out by hand
+        got = basis()
+        for ket, want in zip((got.zero_ket, got.one_ket), typed()):
+            assert ket.dtype == want.dtype
+            assert ket.tobytes() == want.tobytes()
+
+    def test_no_ket_holds_a_negative_zero(self):
+        # a flip or an expansion can leave -0.0 parts; a basis never keeps one
+        rng = np.random.default_rng(2323)
+        bases = [bell_basis(), ghz3_basis(), loop5_basis(),
+                 *(build_level(n).basis for n in range(1, 7))]
+        for n in range(2, 7):
+            for _ in range(4):
+                edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                         if rng.random() < 0.5]
+                group = graph_state_generators(GraphSpec.from_edges(n, edges))
+                flip = PauliTerm.from_string("".join(rng.choice(list("IXYZ"), size=n)))
+                if any(not flip.commutes(g) for g in group.generators):
+                    bases.append(basis_from_flip(group, flip))
+        assert len(bases) > 15
+        for basis in bases:
+            for ket in (basis.zero_ket, basis.one_ket):
+                parts = ket.view(np.float64)
+                assert not np.any((parts == 0.0) & np.signbit(parts))
 
     def test_flip_applied_to_bell_pair(self):
         # flip Z on qubit 1 maps (|00>+|11>)/sqrt2 to (|00>-|11>)/sqrt2

@@ -10,7 +10,7 @@ import pytest
 from bellforge.bell import BellExpression
 from bellforge.cases import RunConfig
 from bellforge.logical import bell_logical_paulis, logical_paulis_numeric
-from bellforge.pauli import _PAULI_2X2
+from bellforge.pauli import _PAULI_2X2, bloch_sum
 from bellforge.stabilizer import bell_basis
 from helpers import (
     check_density,
@@ -24,19 +24,61 @@ from bellforge.uncertainty import (
     DirectionXZ,
     SweepResult,
     _ZX_PRODUCTS,
+    _check_not_parallel,
+    _ellipse,
+    _pair_vertices,
     _random_expectations,
     bell_op_xz,
-    lemma_check,
     lemma_sweep,
     quadratic_bell,
     quadratic_quantum_sweep,
-    square_in_disc_check,
     uffink_attaining_value,
     uncertainty_lhs,
     uncertainty_sweep,
 )
 
 ROOT2 = math.sqrt(2)
+
+
+# --- the single-qubit lemma and the square-in-disc picture, test-only --------
+
+def lemma_check(a1, a2, rho: np.ndarray) -> float:
+    """Single-qubit ellipse functional; at most 1 for any qubit state."""
+    a1 = np.asarray(a1, dtype=float)
+    a2 = np.asarray(a2, dtype=float)
+    if np.linalg.norm(np.cross(a1, a2)) < 1e-12:
+        raise ValueError("Bloch vectors are parallel")
+    e1, e2 = bloch_sum(a1).expectation(rho), bloch_sum(a2).expectation(rho)
+    plus = float(np.linalg.norm(a1 + a2)) ** 2
+    minus = float(np.linalg.norm(a1 - a2)) ** 2
+    return _ellipse(e1, e2, plus, minus)
+
+
+def square_in_disc_check(d1: DirectionXZ, d2: DirectionXZ
+                         ) -> tuple[bool, float, list[tuple[float, float]]]:
+    """All LHV vertices of the symbolized operator pair satisfy the ellipse bound.
+
+    For orthogonal directions the ellipse is the disc x^2 + y^2 <= 8 and the
+    extreme classical points sit exactly on the circle.
+    """
+    plus, minus = _check_not_parallel(d1, d2)
+    root2 = math.sqrt(2)
+    A = [(0, "A"), (0, "B"), (1, "A"), (1, "B")]
+    a1, b1, a2, b2 = A
+
+    def expr_for(d: DirectionXZ) -> BellExpression:
+        s, c = math.sin(d.theta), math.cos(d.theta)
+        # 2*sqrt2*(sin*X + cos*Z) on the Bell basis, symbols Z->A, X->B
+        return BellExpression(2, {
+            (a1, a2): root2 * c, (b1, b2): root2 * c,
+            (a1, b2): root2 * s, (b1, a2): -root2 * s,
+        })
+
+    e1, e2 = expr_for(d1), expr_for(d2)
+    vertices = _pair_vertices(e1, e2)
+    worst = max(_ellipse(x, y, plus, minus) for x, y in vertices)
+    return worst <= DISC_BOUND + 1e-9, worst, vertices
+
 
 
 def bell_ops():
