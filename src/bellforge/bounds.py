@@ -11,11 +11,13 @@ Quantum numbers come in three strengths: the largest eigenvalue of a concrete
 Bell operator (a certified lower bound on the quantum maximum of the abstract
 expression), the sum of absolute coefficients over dichotomic terms (an upper
 bound), and a sum-of-squares certificate check that can pin the maximum
-exactly. The eigenvalue comes from dense ``eigh`` up to 8 qubits and from
-Lanczos on ``PauliSum.apply`` above, with no dense matrix: the Bell operators
-are pseudo Pauli, B^3 = beta^2 |k|^2 B, so Lanczos needs three applies where
-``eigh`` grows about 8x per qubit. Below 9 qubits dense ``eigh`` is the
-faster route on generic operators, and every catalog row keeps its digits.
+exactly. The eigenvalue comes from dense ``eigh`` up to 8 qubits. Above, a
+pseudo Pauli operator B = beta (k . L), whose square is beta^2 |k|^2 times
+the code projector, is certified from its stabilizer structure alone
+(``pseudo_pauli_certificate``): bit operations on its term masks, with no
+dense matrix and no ``apply``. Any other operator goes to Lanczos on
+``PauliSum.apply``. Below 9 qubits dense ``eigh`` is the faster route on
+generic operators, and every catalog row keeps its digits.
 
 The see-saw heuristic re-renders the Bell operator, and each symbol's
 leave-one-out operator, after every setting update. A symbol's leave-one-out
@@ -59,19 +61,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, reduce
+from operator import xor
 
 import numpy as np
 
 from .bell import BellExpression, Symbol
 from .pauli import (
     _PAULI_2X2,
+    _PHASED_SIGNS,
+    _REAL_SIGNS,
     BLOCH_PAULIS,
     DENSE_QUBIT_CAP,
     PauliSum,
+    _bit_reversal,
     _check_cap,
     _krylov_top_eigenpair,
+    _signed_permutation,
     anticommutator_sum,
+    fix_global_phase,
     top_eigenpair,
 )
 
@@ -85,6 +93,7 @@ _RENDER_CHUNK_BYTES = 1 << 18   # most see-saw term matrices built at once
 _SEESAW_BATCH_BYTES = 1 << 22   # most leave-one-out stack bytes per restart batch
 _NEG_ZERO = complex(-0.0, -0.0)  # additive identity that keeps signed zeros
 _DENSE_EIGH_QUBITS = 8      # quantum_lower_bound goes matrix-free above this
+_PSEUDO_PAULI_RTOL = 1e-13  # largest certificate residual per unit sum |c|
 
 
 class BudgetError(ValueError):
@@ -253,6 +262,141 @@ def classical_sample_bound(expr: BellExpression, samples: int = 20000,
     return ClassicalBounds(float(values[lo]), float(values[hi]), wmin, wmax, exact=False)
 
 
+def _gf2_echelon(vecs) -> list[int]:
+    """A reduced echelon basis of the GF(2) span of non-negative integer
+    vectors: each basis vector's top bit, its pivot, is set in no other."""
+    vecs = np.array(vecs, dtype=np.int64)
+    basis: list[int] = []
+    while vecs.size and (top := int(vecs.max())):
+        pivot = top.bit_length() - 1
+        vecs ^= top * ((vecs >> pivot) & 1)
+        basis = [b ^ top if b >> pivot & 1 else b for b in basis]
+        basis.append(top)
+    return basis
+
+
+def _anticommute(u: int, w: int, n: int) -> int:
+    """1 when the n-qubit strings with symplectic vectors u and w (x bits
+    low, z bits high) anticommute, else 0."""
+    full = (1 << n) - 1
+    return ((u & full & w >> n) ^ (u >> n & w & full)).bit_count() & 1
+
+
+def pseudo_pauli_certificate(op: PauliSum) -> tuple[float, np.ndarray] | None:
+    """A lower bound on the largest eigenvalue of a pseudo Pauli operator and
+    a unit witness, read off the operator's stabilizer structure; None when
+    ``op`` does not have that structure.
+
+    A pseudo Pauli operator is B = sum_j a_j r_j P: P = prod_i (I + s_i g_i)/2
+    projects onto the code of n - 1 independent commuting signed strings (the
+    stabilizer group S), and the 1 to 3 logical strings r_j commute with S,
+    lie outside it and anticommute pairwise. Then B^2 = |a|^2 P and the
+    largest eigenvalue is |a| (Gottesman, quant-ph/9705052). Its terms are
+    the cosets r_j S, which this reads off the cached sorted mask arrays in
+    O(T n) bit operations, with no dense matrix and no ``apply``:
+
+    1. S is the part of span{t ^ t0} (over GF(2), t over the terms) that
+       commutes with every term, from one small linear solve;
+    2. the terms are 1, 2 or 3 full cosets of S, each term reduced to its
+       coset's representative;
+    3. the representatives lie outside S;
+    4. S has n - 1 generators, so the code holds one logical qubit. Then
+       the representatives anticommute pairwise: they are distinct nonzero
+       classes of the plane that commutes with S, modulo S;
+    5. the signs s_i come from the first coset, then each coset's a_j is the
+       least-squares fit to its coefficients;
+    6. the value is |a| - sum |residual|, a lower bound on the largest
+       eigenvalue by Weyl's inequality whatever the coefficients are, each
+       string having norm 1;
+    7. it stands only when sum |residual| is at most ``_PSEUDO_PAULI_RTOL``
+       times sum |c|.
+
+    The witness is the code state stabilized by S and sign(a_1) r_1, one
+    amplitude per element of that group, with (I + A) applied to it, A =
+    sum_j a_j r_j / |a|: that is the +|a| eigenvector of the fitted operator
+    sum_j a_j r_j P. A real sum gets a float64 witness.
+    """
+    n = op.n
+    if op.is_zero or 2 * n > 62:
+        return None
+    xs, zs, coeffs = op._sorted_arrays()
+    full = (1 << n) - 1
+    vecs = xs | zs << n
+    span = _gf2_echelon(vecs ^ vecs[0])
+    if len(span) > n + 1:
+        return None
+    # v in span commutes with every term iff it does with t0 and with the span
+    tests = [*span, int(vecs[0])]
+    pivots: dict[int, tuple[int, int]] = {}
+    stab = []
+    for j, b in enumerate(span):
+        col, combo = sum(_anticommute(u, b, n) << i for i, u in enumerate(tests)), 1 << j
+        while col:
+            p = col.bit_length() - 1
+            if p not in pivots:
+                pivots[p] = col, combo
+                break
+            col ^= pivots[p][0]
+            combo ^= pivots[p][1]
+        else:
+            stab.append(reduce(xor, (s for i, s in enumerate(span) if combo >> i & 1)))
+    if len(stab) != n - 1:
+        return None
+    stab = _gf2_echelon(stab)
+    # reduce each term t to its coset representative r: r prod_{i in used} g_i
+    # is i^phase t
+    label, used, phase = vecs, np.zeros_like(vecs), np.zeros_like(vecs)
+    for i, g in enumerate(stab):
+        hit = (label >> (g.bit_length() - 1)) & 1
+        label = label ^ g * hit
+        used |= hit << i
+        phase += hit * ((g & full & g >> n).bit_count()
+                        + 2 * (np.bitwise_count(label >> n & g & full) & 1))
+    phase += np.bitwise_count(label & full & label >> n) - np.bitwise_count(xs & zs)
+    labels, coset, counts = np.unique(label, return_inverse=True, return_counts=True)
+    if labels.size > 3 or labels[0] == 0 or np.any(counts != 1 << (n - 1)):
+        return None
+    flip = (phase >> 1 & 1).astype(bool) ^ (coeffs < 0)
+    first = np.flatnonzero(coset == 0)
+    at = np.empty(1 << (n - 1), dtype=np.intp)
+    at[used[first]] = first
+    negs = sum(int(flip[at[1 << i]] ^ flip[at[0]]) << i for i in range(n - 1))
+    along = np.where((np.bitwise_count(used & negs) + (phase >> 1)) & 1, -coeffs, coeffs)
+    amps = np.array([math.fsum(along[coset == j].tolist()) for j in range(labels.size)])
+    slack = float(np.abs(along - amps[coset] / (1 << (n - 1))).sum())
+    if slack > _PSEUDO_PAULI_RTOL * float(np.abs(coeffs).sum()):
+        return None
+    norm = math.hypot(*amps.tolist())
+
+    # the group of S and sign(a_1) r_1, element e = i^gk P(gx, gz), grown by
+    # one signed generator at a time
+    gens = [(g, negs >> i & 1) for i, g in enumerate(stab)]
+    gens.append((int(labels[0]), int(amps[0] < 0)))
+    gx, gz, gk = (np.zeros(1, dtype=np.int64) for _ in range(3))
+    for g, minus in gens:
+        x, z = g & full, g >> n
+        k = (gk + 2 * minus + (x & z).bit_count() + np.bitwise_count(gx & gz)
+             - np.bitwise_count((gx ^ x) & (gz ^ z)) + 2 * (np.bitwise_count(gz & x) & 1))
+        gx, gz = np.concatenate([gx, gx ^ x]), np.concatenate([gz, gz ^ z])
+        gk = np.concatenate([gk, k & 3])
+    # a basis state |b> on which every Z-type element acts as +1
+    b = 0
+    for row in _gf2_echelon(gz[gx == 0] << 1 | gk[gx == 0] >> 1 & 1):
+        b |= (row & 1) << (row.bit_length() - 2)
+    real = op._is_real()
+    reverse = _bit_reversal(n)
+    table = _REAL_SIGNS if real else _PHASED_SIGNS
+    code = np.zeros(1 << n, dtype=float if real else complex)
+    np.add.at(code, (reverse[gx] ^ reverse[b]).astype(np.intp),
+              table[(gk + np.bitwise_count(gx & gz)) & 3, np.bitwise_count(gz & b) & 1])
+    witness = code.copy()
+    for r, a in zip(labels.tolist(), amps.tolist()):
+        dest, entries = _signed_permutation(n, np.array([r & full]), np.array([r >> n]),
+                                            real=real)
+        witness[dest[0]] += (a / norm) * entries[0] * code
+    return norm - slack, fix_global_phase(witness / np.linalg.norm(witness))
+
+
 def quantum_lower_bound(op: PauliSum, cap: int = DENSE_QUBIT_CAP,
                         dense: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of the operator and a witness eigenvector.
@@ -260,22 +404,24 @@ def quantum_lower_bound(op: PauliSum, cap: int = DENSE_QUBIT_CAP,
     This is the maximum over states for these fixed settings, hence a
     certified lower bound on the quantum maximum of the abstract expression.
     Up to ``_DENSE_EIGH_QUBITS`` qubits it is the top eigenpair of the dense
-    render (``eigh``). Above, Lanczos on ``PauliSum.apply`` gives the value
-    as the witness's Rayleigh quotient, a lower bound on the largest
-    eigenvalue even unconverged, with no dense matrix: a pseudo Pauli
-    operator takes three applies and one more for the quotient, where
-    ``eigh`` grows about 8x per qubit. A real operator (every recursive-family
-    member) runs that route in float64 and returns a float64 witness. The
-    split sits where the two routes cross on generic operators (dense
-    ``eigh`` is the faster one up to 8 qubits), and it keeps the digits of
-    every catalog row, none of which is past 8 qubits. ``cap`` bounds the
-    qubit count on both routes; the dense route reads ``dense``, the
-    caller's ``op.to_dense()``, if given.
+    render (``eigh``). Above, with no dense matrix, a pseudo Pauli operator
+    (every recursive-family member and every ``build`` logical form) gets
+    ``pseudo_pauli_certificate``: |a| less the residual, from the stabilizer
+    structure of its terms in O(T n) bit operations and no ``apply``, exact
+    when the coefficients are. Any other operator, or one whose residual is
+    too large, gets Lanczos on ``PauliSum.apply``, the witness's Rayleigh
+    quotient, a lower bound on the largest eigenvalue even unconverged. A
+    real operator gets a float64 witness on both routes. The split sits
+    where dense ``eigh`` stops being the faster route on generic operators,
+    and it keeps the digits of every catalog row, none of which is past 8
+    qubits. ``cap`` bounds the qubit count on every route; the dense route
+    reads ``dense``, the caller's ``op.to_dense()``, if given.
     """
     _check_cap(op.n, cap)
     if op.n <= _DENSE_EIGH_QUBITS:
         return top_eigenpair(op.to_dense(cap) if dense is None else dense)
-    return _krylov_top_eigenpair(op)
+    certified = pseudo_pauli_certificate(op)
+    return certified if certified is not None else _krylov_top_eigenpair(op)
 
 
 def dichotomic_term_bound(expr: BellExpression) -> float:

@@ -42,7 +42,7 @@ from bellforge.bounds import (
 from bellforge.cases import RunConfig, published_identity_expression, random_codespace_mixture
 from bellforge.logical import logical_paulis_numeric, logical_paulis_symbolic
 from bellforge.pauli import PauliSum, PauliTerm
-from bellforge.recursive import assignment_value_bound, build_level, mermin_case, svetlichny_case
+from bellforge.recursive import assignment_value_bound, mermin_case, svetlichny_case
 from bellforge.stabilizer import (
     GraphSpec,
     StabilizerGroup,

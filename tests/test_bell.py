@@ -13,7 +13,6 @@ from bellforge.bell import (
     build_logical,
     chained_construction,
     complementary_decompose,
-    embed_single,
     evaluate_quantum,
     render_operator,
     symbolize,

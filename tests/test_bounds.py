@@ -10,7 +10,6 @@ import pytest
 from bellforge import bounds
 from bellforge.bell import (
     BellExpression,
-    Setting,
     chained_construction,
     complementary_decompose,
     render_operator,

@@ -11,7 +11,6 @@ import pytest
 
 from bellforge.bell import BellExpression
 from bellforge.cases import (
-    CaseResult,
     RunConfig,
     _derive,
     _loop5_ops,
@@ -255,6 +254,22 @@ class TestCli:
         assert report["classical_max"] == 8.0
         assert abs(report["quantum_lower"] - 16.0) < 1e-9
         assert report["violation"] is True
+
+    def test_build_9_qubit_path_is_exact_and_below_its_upper_bound(self, tmp_path,
+                                                                    capsys):
+        # past 8 qubits the lower bound of a pseudo Pauli operator is its
+        # stabilizer certificate: beta |k| = 256 exactly, where Lanczos read
+        # 256.0000000000012 above the dichotomic bound of 256
+        recipe = {"basis": {"kind": "graph",
+                            "graph": {"n": 9, "edges": [[q, q + 1] for q in range(8)]},
+                            "flip": "Z" * 9},
+                  "k": [0, 0, 1], "decomposition": {"kind": "none"}}
+        cfg = tmp_path / "recipe.json"
+        cfg.write_text(json.dumps(recipe))
+        assert cli_main(["build", "--config", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["quantum_lower"] == 256.0
+        assert report["quantum_lower"] <= report["dichotomic_bound"]
 
     def test_build_reproduces_catalog_row(self, tmp_path, capsys):
         # the loop-5 recipe is the l5-mermin case, so build reports its row

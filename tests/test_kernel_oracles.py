@@ -1,7 +1,8 @@
 """The batched Pauli kernel and the array symbolize against the term-by-term
 and mask-walking oracles in ``helpers``, bit for bit, the render of a
 decomposed operator against the product route, and the matrix-free quantum
-lower bound against dense ``eigh``, on seeded random inputs."""
+lower bounds, Lanczos and the pseudo Pauli certificate, against dense
+``eigh``, on seeded random inputs."""
 
 import tracemalloc
 
@@ -22,7 +23,8 @@ from bellforge.bell import (
     symbolize,
     symbolize_decomposed,
 )
-from bellforge.bounds import quantum_lower_bound
+from bellforge import bounds
+from bellforge.bounds import pseudo_pauli_certificate, quantum_lower_bound
 from bellforge.cases import case_names, run_cases
 from bellforge.pauli import (
     COEFF_PRUNE,
@@ -32,7 +34,9 @@ from bellforge.pauli import (
     bloch_sum,
     product,
 )
-from bellforge.recursive import build_level
+from bellforge.logical import logical_paulis_symbolic
+from bellforge.recursive import build_level, mermin_case, svetlichny_case
+from bellforge.stabilizer import GraphSpec, StabilizerGroup, graph_state_generators
 from helpers import (
     bits,
     decomposed_terms_by_products,
@@ -203,6 +207,12 @@ def krylov_sums(seed):
 
 
 class TestKrylovAgainstDenseEigh:
+    def test_certificate_rejects_every_input(self):
+        # so that quantum_lower_bound runs Lanczos on every sum below
+        for seed in range(1208, 1213):
+            for op in krylov_sums(seed):
+                assert pseudo_pauli_certificate(op) is None
+
     def test_value_matches_eigh(self):
         degenerate = 0
         for op in krylov_sums(1208):
@@ -248,6 +258,143 @@ class TestKrylovAgainstDenseEigh:
         monkeypatch.setattr(PauliSum, "apply", apply)
         with pytest.raises(QubitCapError, match="9 qubits exceeds dense cap of 8"):
             quantum_lower_bound(krylov_sums(1212)[0], cap=8)
+
+
+def pseudo_pauli_sums(seed):
+    """beta (k . L) on graph codes of 2 to 8 qubits: two seeded random
+    connected graphs per n and the 5-loop, each generator signed at random,
+    flip Z on every qubit; k on an axis, in a coordinate plane or generic (1,
+    2 or 3 cosets of the stabilizer group), beta 1, 2^(n-1) or random."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for n in range(2, 9):
+        graphs = [GraphSpec.from_edges(n, [(int(rng.integers(q)), q) for q in range(1, n)]
+                                       + [(u, v) for u in range(n) for v in range(u + 2, n)
+                                          if rng.random() < 0.3])
+                  for _ in range(2)]
+        if n == 5:
+            graphs.append(GraphSpec.loop(5))
+        for graph in graphs:
+            gens = tuple(PauliTerm(n, g.x_mask, g.z_mask, 2 * int(rng.integers(2)))
+                         for g in graph_state_generators(graph).generators)
+            ops = logical_paulis_symbolic(StabilizerGroup(n, gens),
+                                          PauliTerm(n, 0, (1 << n) - 1))
+            for cosets in (1, 2, 3):
+                k = np.zeros(3)
+                k[rng.permutation(3)[:cosets]] = rng.normal(size=cosets)
+                beta = float(rng.choice([1.0, 2.0 ** (n - 1), rng.uniform(0.5, 10.0)]))
+                out.append(beta * ops.direction(k / np.linalg.norm(k)))
+    return out
+
+
+def abs_sum(op):
+    return float(np.sum(np.abs(op._sorted_arrays()[2])))
+
+
+class TestPseudoPauliCertificate:
+    # eigh itself reads the exact beta |k| up to 13 ulps of sum |c| low on
+    # these inputs (64.0 as 63.999999999999886 at n = 7), so "not above
+    # eigh" allows that rounding
+    EIGH_ROUNDING = 1e-14
+
+    def test_value_matches_eigh_and_is_below_the_witness(self):
+        family = [build(n).operator for n in range(3, 9)
+                  for build in (mermin_case, svetlichny_case)]
+        cosets, dtypes = set(), set()
+        for op in pseudo_pauli_sums(2401) + family:
+            value, witness = pseudo_pauli_certificate(op)
+            top, _ = pauli.top_eigenpair(op.to_dense())
+            assert abs(value - top) <= 1e-12 * abs_sum(op)
+            assert value <= top + self.EIGH_ROUNDING * abs_sum(op)
+            assert abs(np.linalg.norm(witness) - 1.0) <= 1e-12
+            assert witness.dtype == (np.float64 if op._is_real() else np.complex128)
+            rayleigh = np.vdot(witness, op.apply(witness)).real
+            assert value <= rayleigh + self.EIGH_ROUNDING * abs_sum(op)
+            cosets.add(len(op) >> (op.n - 1))
+            dtypes.add(witness.dtype)
+        assert cosets == {1, 2, 3}
+        assert dtypes == {np.dtype(np.float64), np.dtype(np.complex128)}
+
+    def test_perturbed_sums_keep_a_lower_bound(self):
+        # one coefficient off by 3e-14 sum |c|: the residual is within the
+        # tolerance, and the value, |a| less the residual, stays below eigh
+        rng = np.random.default_rng(2403)
+        for op in pseudo_pauli_sums(2404):
+            terms = dict(op._terms)
+            key = list(terms)[rng.integers(len(terms))]
+            terms[key] += rng.choice([-3e-14, 3e-14]) * abs_sum(op)
+            bumped = PauliSum(op.n, terms)
+            value, _ = pseudo_pauli_certificate(bumped)
+            top, _ = pauli.top_eigenpair(bumped.to_dense())
+            assert top - 1e-12 * abs_sum(op) <= value <= top + self.EIGH_ROUNDING * abs_sum(op)
+
+    @pytest.mark.parametrize("n", [2, 5, 9, 10])
+    def test_unit_coefficients_give_beta_to_the_bit(self, n):
+        # beta = 2^(n-1) on an axis of a path code: every coefficient is +/-1
+        for k in np.eye(3):
+            op = build_logical(BellRecipe.from_dict({
+                "basis": {"kind": "graph", "flip": "Z" * n,
+                          "graph": {"n": n, "edges": [[q, q + 1] for q in range(n - 1)]}},
+                "k": k.tolist()}))
+            assert pseudo_pauli_certificate(op)[0] == 2.0 ** (n - 1)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_family_past_8_qubits_matches_lanczos(self, n):
+        for build in (mermin_case, svetlichny_case):
+            op = build(n).operator
+            value, witness = pseudo_pauli_certificate(op)
+            lanczos, _ = pauli._krylov_top_eigenpair(op)
+            assert abs(value - lanczos) <= 1e-12 * lanczos
+            assert witness.dtype == np.float64
+
+    def test_generic_sums_fall_back(self):
+        rng = np.random.default_rng(2402)
+        for n in range(2, 10):
+            for size in (4, 1 << (n - 1), 3 << (n - 1)):
+                keys = {(int(rng.integers(1 << n)), int(rng.integers(1 << n)))
+                        for _ in range(size)}
+                op = PauliSum(n, {key: float(rng.normal()) for key in keys})
+                assert pseudo_pauli_certificate(op) is None
+
+    def test_other_shapes_fall_back(self):
+        ops = build_level(4)
+        for op in (ops.ident,                 # the projector: its coset is S
+                   ops.z + ops.ident,         # a logical coset beside S
+                   ops.z + ops.x + ops.y + ops.ident,
+                   # two anticommuting strings of a two-qubit code space
+                   PauliSum.from_strings([("ZI", 1.0), ("XI", 1.0)])):
+            assert pseudo_pauli_certificate(op) is None
+
+    def test_bumped_family_sum_falls_back_to_lanczos(self, monkeypatch):
+        op = mermin_case(9).operator
+        terms = dict(op._terms)
+        key = next(iter(terms))
+        terms[key] *= 1 + 1e-6
+        bumped = PauliSum(9, terms)
+        assert pseudo_pauli_certificate(bumped) is None
+        applies = []
+        real = PauliSum.apply
+
+        def apply(self, vec):
+            applies.append(self.n)
+            return real(self, vec)
+
+        monkeypatch.setattr(PauliSum, "apply", apply)
+        value, _ = quantum_lower_bound(bumped)
+        assert applies and abs(value - 256.0) <= 1e-5
+
+    def test_repeated_calls_identical_bits(self):
+        op = svetlichny_case(9).operator
+        (a, x), (b, y) = pseudo_pauli_certificate(op), pseudo_pauli_certificate(op)
+        assert a.hex() == b.hex() and np.array_equal(bits(x), bits(y))
+
+    def test_cap_is_checked_before_the_certificate(self, monkeypatch):
+        def certificate(op):
+            raise AssertionError("certified above the qubit cap")
+
+        monkeypatch.setattr(bounds, "pseudo_pauli_certificate", certificate)
+        with pytest.raises(QubitCapError, match="9 qubits exceeds dense cap of 8"):
+            quantum_lower_bound(mermin_case(9).operator, cap=8)
 
 
 class TestProductAgainstTermProducts:
