@@ -14,8 +14,9 @@ bound), and a sum-of-squares certificate check that can pin the maximum
 exactly. The eigenvalue comes from dense ``eigh`` up to 8 qubits. Above, a
 pseudo Pauli operator B = beta (k . L), whose square is beta^2 |k|^2 times
 the code projector, is certified from its stabilizer structure alone
-(``pseudo_pauli_certificate``): bit operations on its term masks, with no
-dense matrix and no ``apply``. Any other operator goes to Lanczos on
+(``pseudo_pauli_certificate``): bit operations on its term masks, through
+the group kernels of ``stabilizer``, with no dense matrix and no ``apply``.
+Any other operator goes to Lanczos on
 ``PauliSum.apply``. Below 9 qubits dense ``eigh`` is the faster route on
 generic operators, and every catalog row keeps its digits.
 
@@ -69,12 +70,9 @@ import numpy as np
 from .bell import BellExpression, Symbol
 from .pauli import (
     _PAULI_2X2,
-    _PHASED_SIGNS,
-    _REAL_SIGNS,
     BLOCH_PAULIS,
     DENSE_QUBIT_CAP,
     PauliSum,
-    _bit_reversal,
     _check_cap,
     _krylov_top_eigenpair,
     _signed_permutation,
@@ -82,6 +80,7 @@ from .pauli import (
     fix_global_phase,
     top_eigenpair,
 )
+from .stabilizer import _code_state, _gf2_echelon, _grow_group
 
 SYMBOL_BUDGET = 28
 VERTEX_BLOCK = 1 << 20      # most vertex values held in memory at once
@@ -262,19 +261,6 @@ def classical_sample_bound(expr: BellExpression, samples: int = 20000,
     return ClassicalBounds(float(values[lo]), float(values[hi]), wmin, wmax, exact=False)
 
 
-def _gf2_echelon(vecs) -> list[int]:
-    """A reduced echelon basis of the GF(2) span of non-negative integer
-    vectors: each basis vector's top bit, its pivot, is set in no other."""
-    vecs = np.array(vecs, dtype=np.int64)
-    basis: list[int] = []
-    while vecs.size and (top := int(vecs.max())):
-        pivot = top.bit_length() - 1
-        vecs ^= top * ((vecs >> pivot) & 1)
-        basis = [b ^ top if b >> pivot & 1 else b for b in basis]
-        basis.append(top)
-    return basis
-
-
 def _anticommute(u: int, w: int, n: int) -> int:
     """1 when the n-qubit strings with symplectic vectors u and w (x bits
     low, z bits high) anticommute, else 0."""
@@ -311,10 +297,11 @@ def pseudo_pauli_certificate(op: PauliSum) -> tuple[float, np.ndarray] | None:
     7. it stands only when sum |residual| is at most ``_PSEUDO_PAULI_RTOL``
        times sum |c|.
 
-    The witness is the code state stabilized by S and sign(a_1) r_1, one
-    amplitude per element of that group, with (I + A) applied to it, A =
-    sum_j a_j r_j / |a|: that is the +|a| eigenvector of the fitted operator
-    sum_j a_j r_j P. A real sum gets a float64 witness.
+    The witness is (I + A) applied to the code state of S and sign(a_1) r_1,
+    A = sum_j a_j r_j / |a|: the +|a| eigenvector of the fitted operator
+    sum_j a_j r_j P. That group and its state come from ``stabilizer``'s
+    kernels (``_grow_group``, ``_code_state``), with ``_gf2_echelon`` also
+    behind steps 1 and 4. A real sum gets a float64 witness.
     """
     n = op.n
     if op.is_zero or 2 * n > 62:
@@ -368,27 +355,10 @@ def pseudo_pauli_certificate(op: PauliSum) -> tuple[float, np.ndarray] | None:
         return None
     norm = math.hypot(*amps.tolist())
 
-    # the group of S and sign(a_1) r_1, element e = i^gk P(gx, gz), grown by
-    # one signed generator at a time
-    gens = [(g, negs >> i & 1) for i, g in enumerate(stab)]
-    gens.append((int(labels[0]), int(amps[0] < 0)))
-    gx, gz, gk = (np.zeros(1, dtype=np.int64) for _ in range(3))
-    for g, minus in gens:
-        x, z = g & full, g >> n
-        k = (gk + 2 * minus + (x & z).bit_count() + np.bitwise_count(gx & gz)
-             - np.bitwise_count((gx ^ x) & (gz ^ z)) + 2 * (np.bitwise_count(gz & x) & 1))
-        gx, gz = np.concatenate([gx, gx ^ x]), np.concatenate([gz, gz ^ z])
-        gk = np.concatenate([gk, k & 3])
-    # a basis state |b> on which every Z-type element acts as +1
-    b = 0
-    for row in _gf2_echelon(gz[gx == 0] << 1 | gk[gx == 0] >> 1 & 1):
-        b |= (row & 1) << (row.bit_length() - 2)
+    # the code state of S and sign(a_1) r_1
+    signed = [(g, negs >> i & 1) for i, g in enumerate(stab)] + [(int(labels[0]), amps[0] < 0)]
     real = op._is_real()
-    reverse = _bit_reversal(n)
-    table = _REAL_SIGNS if real else _PHASED_SIGNS
-    code = np.zeros(1 << n, dtype=float if real else complex)
-    np.add.at(code, (reverse[gx] ^ reverse[b]).astype(np.intp),
-              table[(gk + np.bitwise_count(gx & gz)) & 3, np.bitwise_count(gz & b) & 1])
+    code = _code_state(n, _grow_group((g & full, g >> n, 2 * int(m)) for g, m in signed), real)
     witness = code.copy()
     for r, a in zip(labels.tolist(), amps.tolist()):
         dest, entries = _signed_permutation(n, np.array([r & full]), np.array([r >> n]),

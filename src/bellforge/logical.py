@@ -8,10 +8,10 @@ combinations
 
 expanded over n-qubit Pauli strings. Two construction routes are provided and
 must agree: a dense outer-product route (any code basis of at most
-``DECOMPOSE_QUBIT_CAP`` qubits) and a symbolic stabilizer route (half-group
-split, one pass over the group per operator, any n the group fits). The named
-Bell and GHZ3 bases are stabilizer codes like any other; their operators still
-come from the numeric route, whose digits the recursive family and the
+``DECOMPOSE_QUBIT_CAP`` qubits) and a symbolic stabilizer route (the group's
+element arrays split by one parity test, one array product per operator). The
+named Bell and GHZ3 bases are stabilizer codes like any other; their operators
+still come from the numeric route, whose digits the recursive family and the
 certified table carry, and are built once per process and shared.
 """
 
@@ -32,9 +32,10 @@ from .pauli import (
 from .stabilizer import (
     LogicalBasis,
     StabilizerGroup,
+    _signed_sum,
+    _times,
     basis_from_flip,
     bell_basis,
-    commuting_split,
     ghz3_basis,
 )
 
@@ -96,25 +97,31 @@ def ghz3_logical_paulis() -> LogicalPaulis:
 
 def logical_paulis_symbolic(group: StabilizerGroup, flip: PauliTerm,
                             basis: LogicalBasis | None = None) -> LogicalPaulis:
-    """Half-group split construction.
+    """Half-group split construction, on the group's element arrays.
 
-    Z collects the group half anticommuting with the flip, X the commuting
-    half C times the flip, each scaled 2/2^n. Y = i*X@Z in one pass over C:
-    the other half is z*C for any z in it, so Y = (2/2^n) sum of i*flip*z*c
-    over c in C. Agrees term-for-term with the numeric route on the basis
-    derived from the same data.
+    Z collects the group half anticommuting with the flip, ident the other
+    half C and X each c * flip, all scaled 2/2^n. Y = i*X@Z = (2/2^n) sum of
+    i*(c*flip)*z over C, for any z in the other half (which is C*z). Agrees
+    term-for-term with the numeric route on the basis derived from the same
+    data. Raises ValueError on a flip of phase +/-i, or one that commutes
+    with the whole group.
     """
+    if flip.n != group.n or not flip.is_hermitian:
+        raise ValueError(f"flip {flip} is not a Hermitian {group.n}-qubit string")
     if basis is None:
         basis = basis_from_flip(group, flip)
-    comm, anti = commuting_split(group, flip)
-    if not anti:
+    n, (gx, gz, gk) = group.n, group._arrays
+    anti = (np.bitwise_count(gx & flip.z_mask) ^ np.bitwise_count(gz & flip.x_mask)) & 1 == 1
+    if not anti.any():
         raise ValueError("flip commutes with the whole group; no logical Z")
-    w = 2.0 / (1 << group.n)
-    z_op = PauliSum.from_terms(((e, w) for e in anti), n=group.n)
-    x_op = PauliSum.from_terms(((e * flip, w) for e in comm), n=group.n)
-    ident = PauliSum.from_terms(((e, w) for e in comm), n=group.n)
-    flip_z = flip * anti[0]
-    i_flip_z = PauliTerm(group.n, flip_z.x_mask, flip_z.z_mask, flip_z.phase_exp + 1)
-    y_op = PauliSum.from_terms(((i_flip_z * e, w) for e in comm), n=group.n)
-    return LogicalPaulis(basis=basis, z=z_op, x=x_op, y=y_op, ident=ident)
-
+    comm = (gx[~anti], gz[~anti], gk[~anti])
+    x = _times(*comm, flip.x_mask, flip.z_mask, flip.phase_exp)
+    z = int(np.argmax(anti))
+    w = 2.0 / (1 << n)
+    return LogicalPaulis(
+        basis=basis,
+        z=_signed_sum(n, gx[anti], gz[anti], gk[anti], w),
+        x=_signed_sum(n, *x, w),
+        y=_signed_sum(n, *_times(*x, int(gx[z]), int(gz[z]), int(gk[z]) + 1), w),
+        ident=_signed_sum(n, *comm, w),
+    )

@@ -1,4 +1,4 @@
-"""Graph states, stabilizer groups, projector expansion and logical bases.
+"""Graph states, stabilizer groups, code states and logical bases.
 
 A logical basis is a pair of orthonormal n-qubit states spanning a
 two-dimensional code space. Every code basis is a stabilizer group plus a
@@ -9,11 +9,16 @@ bases below are two such codes (Gottesman, quant-ph/9705052):
     Bell:  +XX, +ZZ;          flip +ZX
     GHZ3:  +ZZZ, -XXZ, +IYY;  flip +XZZ
 
-A stabilized state is read off the projector's Pauli sum through ``apply``,
-with no dense matrix. A basis holds read-only copies of its kets, so one basis
-can be shared; a copy holds no negative zero. The named Bell and GHZ3 bases
-are constants of the construction: each is built once per process and every
-caller gets the same object.
+The group arithmetic lives here once, on arrays of x masks, z masks and
+powers of i (Aaronson & Gottesman, PRA 70, 052328 (2004)): a GF(2) echelon,
+a signed product and the group growth built on it, and a code-state scatter
+in O(2^n), with no projector sum and no matrix. Elements, projectors, code
+states, ``logical``'s operators and ``bounds``' certificate all use them.
+
+A basis holds read-only copies of its kets, so one basis can be shared; a
+copy holds no negative zero. The named Bell and GHZ3 bases are constants of
+the construction: each is built once per process and every caller gets the
+same object.
 """
 
 from __future__ import annotations
@@ -24,11 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import (
+    _PHASED_SIGNS,
+    _REAL_SIGNS,
     DENSE_QUBIT_CAP,
     PauliSum,
     PauliTerm,
+    _bit_reversal,
     _check_cap,
-    fix_global_phase,
 )
 
 ORTHO_ATOL = 1e-12
@@ -79,23 +86,62 @@ def frozen_ket(vec) -> np.ndarray:
     return out
 
 
-def _symplectic_rank(terms: list[PauliTerm], n: int) -> int:
-    rows = [(t.x_mask << n) | t.z_mask for t in terms]
-    rank = 0
-    for bit in reversed(range(2 * n)):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if (rows[i] >> bit) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for i in range(len(rows)):
-            if i != rank and (rows[i] >> bit) & 1:
-                rows[i] ^= rows[rank]
-        rank += 1
-    return rank
+def _gf2_echelon(vecs) -> list[int]:
+    """A reduced echelon basis of the GF(2) span of non-negative integer
+    vectors: each basis vector's top bit, its pivot, is set in no other. A
+    list with a vector of 64 bits or more (past 31 qubits) stays Python ints."""
+    wide = not isinstance(vecs, np.ndarray) and max(vecs, default=0) >> 63
+    vecs = np.array(vecs, dtype=object if wide else np.int64)
+    basis: list[int] = []
+    while vecs.size and (top := int(vecs.max())):
+        pivot = top.bit_length() - 1
+        vecs ^= top * ((vecs >> pivot) & 1)
+        basis = [b ^ top if b >> pivot & 1 else b for b in basis]
+        basis.append(top)
+    return basis
+
+
+def _times(gx: np.ndarray, gz: np.ndarray, gk: np.ndarray, x: int, z: int, k: int):
+    """Masks and powers of i (mod 4) of each i^gk P(gx, gz) times i^k P(x, z)."""
+    k = (gk + k + (x & z).bit_count() + np.bitwise_count(gx & gz)
+         - np.bitwise_count((gx ^ x) & (gz ^ z)) + 2 * (np.bitwise_count(gz & x) & 1))
+    return gx ^ x, gz ^ z, k & 3
+
+
+def _grow_group(gens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Masks and powers of i of the 2^k products of k commuting (x, z, k)
+    strings: element e holds the generators at its set bits."""
+    group = (np.zeros(1, dtype=np.int64),) * 3
+    for x, z, k in gens:
+        group = tuple(map(np.concatenate, zip(group, _times(*group, x, z, k))))
+    return group
+
+
+def _code_state(n: int, group, real: bool) -> np.ndarray:
+    """sum_e e|r> = 2^n P|r> over a group of 2^n elements (``_grow_group``
+    arrays), in float64 if ``real``. r is the first basis state on which the
+    Z-type elements act as +1, so entry r, the first nonzero, is their count:
+    the phase is fixed, and each entry is an exact integer times i^k."""
+    gx, gz, gk = group
+    b = 0   # a basis state, in qubit order, on which Z-type elements are +1
+    for row in _gf2_echelon(gz[gx == 0] << 1 | gk[gx == 0] >> 1 & 1):
+        b |= (row & 1) << (row.bit_length() - 2)
+    reverse = _bit_reversal(n)
+    moves = reverse[gx]
+    first = (moves ^ reverse[b]).min()
+    table = _REAL_SIGNS if real else _PHASED_SIGNS
+    code = np.zeros(1 << n, dtype=float if real else complex)
+    np.add.at(code, (moves ^ first).astype(np.intp),
+              table[(gk + np.bitwise_count(gx & gz)) & 3,
+                    np.bitwise_count(gz & reverse[first]) & 1])
+    return code
+
+
+def _signed_sum(n: int, gx: np.ndarray, gz: np.ndarray, gk: np.ndarray,
+                weight: float) -> PauliSum:
+    """sum_t weight * i^gk[t] P(gx[t], gz[t]) over distinct strings, gk even."""
+    coeffs = np.where(gk == 0, weight, -weight)
+    return PauliSum(n, dict(zip(zip(gx.tolist(), gz.tolist()), coeffs.tolist())))
 
 
 @dataclass(frozen=True)
@@ -116,12 +162,11 @@ class StabilizerGroup:
                 raise ValueError(f"generator {g} squares to -I, not a stabilizer")
             if g.x_mask == 0 and g.z_mask == 0:
                 raise ValueError("identity cannot be a generator")
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                if not gens[i].commutes(gens[j]):
-                    raise ValueError(
-                        f"generators {gens[i]} and {gens[j]} anticommute")
-        if _symplectic_rank(list(gens), self.n) != self.n:
+        for i, g in enumerate(gens):
+            for h in gens[i + 1:]:
+                if not g.commutes(h):
+                    raise ValueError(f"generators {g} and {h} anticommute")
+        if len(_gf2_echelon([g.x_mask | g.z_mask << self.n for g in gens])) != self.n:
             raise ValueError("generators are not independent")
         object.__setattr__(self, "generators", gens)
 
@@ -130,59 +175,45 @@ class StabilizerGroup:
         gens = tuple(PauliTerm.from_string(s) for s in strings)
         return cls(gens[0].n, gens)
 
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``_grow_group`` arrays of the 2^n elements, shared read-only."""
+        arrays = _grow_group((g.x_mask, g.z_mask, g.phase_exp) for g in self.generators)
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
+
     def elements(self) -> list[PauliTerm]:
-        """All 2^n group elements, sign included, in Gray-code order."""
-        current = PauliTerm.identity(self.n)
-        out = [current]
-        prev_code = 0
-        for k in range(1, 1 << self.n):
-            code = k ^ (k >> 1)
-            flipped = (code ^ prev_code).bit_length() - 1
-            current = current * self.generators[flipped]
-            prev_code = code
-            out.append(current)
-        return out
+        """All 2^n group elements, sign included: element e is the product of
+        the generators at the set bits of e."""
+        return [PauliTerm(self.n, x, z, k)
+                for x, z, k in zip(*(a.tolist() for a in self._arrays))]
 
 
 def graph_state_generators(g: GraphSpec) -> StabilizerGroup:
     """The standard generator for vertex v: X on v, Z on every neighbor."""
-    gens = []
-    for v in range(g.n):
-        x = 1 << v
-        z = 0
-        for u in g.neighbors(v):
-            z |= 1 << u
-        gens.append(PauliTerm(g.n, x, z, 0))
+    gens = (PauliTerm(g.n, 1 << v, sum(1 << u for u in g.neighbors(v))) for v in range(g.n))
     return StabilizerGroup(g.n, tuple(gens))
 
 
 def expand_projector(s: StabilizerGroup, cap: int = DENSE_QUBIT_CAP) -> PauliSum:
     """(1/2^n) * sum of all group elements: the stabilized-state projector."""
     _check_cap(s.n, cap)
-    w = 1.0 / (1 << s.n)
-    return PauliSum.from_terms(((e, w) for e in s.elements()), n=s.n)
+    return _signed_sum(s.n, *s._arrays, 1.0 / (1 << s.n))
 
 
 def state_vector(s: StabilizerGroup, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
-    """The unique stabilized state, global phase fixed.
-
-    The projector is rank one, so its largest-diagonal column is already
-    proportional to the state. Both come from ``apply``, with no matrix: the
-    diagonal is the projector's Z-type terms (x mask 0) applied to all ones.
-    A real projector (a graph state's, say) is applied in float64 throughout;
-    the ket is cast to complex at the end.
-    """
-    proj = expand_projector(s, cap)
-    diagonal = PauliSum(s.n, {k: c for k, c in proj._terms.items() if k[0] == 0})
-    diag = diagonal.apply(np.ones(1 << s.n))
-    col = int(np.argmax(diag))
-    if diag[col] <= PROJECTOR_ATOL:
-        raise ValueError("projector has no usable column; generators inconsistent")
-    basis_state = np.zeros(1 << s.n)
-    basis_state[col] = 1.0
-    vec = proj.apply(basis_state)
-    vec = fix_global_phase(vec / np.linalg.norm(vec))
-    resid = np.max(np.abs(proj.apply(vec) - vec))
+    """The unique stabilized state, global phase fixed: ``_code_state``,
+    normalised, bit for bit the projector's first nonzero column; float64
+    for a real group, then cast. Raises ValueError on a zero scatter or when
+    a generator moves it by over ``PROJECTOR_ATOL`` (``PauliTerm.apply``)."""
+    _check_cap(s.n, cap)
+    gx, gz, _ = s._arrays
+    vec = _code_state(s.n, s._arrays, real=not np.any(np.bitwise_count(gx & gz) & 1))
+    if not vec.any():
+        raise ValueError("stabilized state is zero; generators inconsistent")
+    vec = vec / np.linalg.norm(vec)
+    resid = max(np.max(np.abs(g.apply(vec) - vec)) for g in s.generators)
     if resid > PROJECTOR_ATOL:
         raise ValueError(f"stabilized state residual {resid:.3e}")
     return vec.astype(complex)
@@ -225,15 +256,6 @@ def basis_from_flip(s: StabilizerGroup, zc: PauliTerm,
     zero = state_vector(s, cap)
     one = zc.apply(zero)
     return LogicalBasis(s.n, zero, one)
-
-
-def commuting_split(s: StabilizerGroup, zc: PauliTerm
-                    ) -> tuple[list[PauliTerm], list[PauliTerm]]:
-    """Group elements split into (commuting, anticommuting) halves w.r.t. zc."""
-    comm, anti = [], []
-    for e in s.elements():
-        (comm if e.commutes(zc) else anti).append(e)
-    return comm, anti
 
 
 # --- named bases used by the golden constructions ---------------------------

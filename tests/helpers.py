@@ -73,6 +73,73 @@ def ghz3_kets_typed() -> tuple[np.ndarray, np.ndarray]:
     return zero, one
 
 
+def gray_code_elements(s: StabilizerGroup) -> list[PauliTerm]:
+    """All 2^n group elements, sign included, by a Gray-code walk: one
+    ``PauliTerm`` product per element. The oracle for ``elements()``."""
+    current = PauliTerm.identity(s.n)
+    out = [current]
+    for k in range(1, 1 << s.n):
+        flipped = (k & -k).bit_length() - 1   # the bit that k's Gray code flips
+        current = current * s.generators[flipped]
+        out.append(current)
+    return out
+
+
+def commuting_split(s: StabilizerGroup, zc: PauliTerm
+                    ) -> tuple[list[PauliTerm], list[PauliTerm]]:
+    """Group elements split into (commuting, anticommuting) halves w.r.t. zc,
+    one ``PauliTerm.commutes`` test each."""
+    comm, anti = [], []
+    for e in gray_code_elements(s):
+        (comm if e.commutes(zc) else anti).append(e)
+    return comm, anti
+
+
+def logical_paulis_by_terms(group: StabilizerGroup, flip: PauliTerm
+                            ) -> dict[str, PauliSum]:
+    """The four symbolic logical operators one ``PauliTerm`` at a time: Z the
+    anticommuting half, ident the commuting half C, X each c * flip and Y
+    each (i * flip * z) * c for the first anticommuting z, weighted 2/2^n.
+    The oracle for ``logical_paulis_symbolic``."""
+    comm, anti = commuting_split(group, flip)
+    w = 2.0 / (1 << group.n)
+    flip_z = flip * anti[0]
+    i_flip_z = PauliTerm(group.n, flip_z.x_mask, flip_z.z_mask, flip_z.phase_exp + 1)
+    return {"z": PauliSum.from_terms(((e, w) for e in anti), n=group.n),
+            "x": PauliSum.from_terms(((e * flip, w) for e in comm), n=group.n),
+            "y": PauliSum.from_terms(((i_flip_z * e, w) for e in comm), n=group.n),
+            "ident": PauliSum.from_terms(((e, w) for e in comm), n=group.n)}
+
+
+def seeded_groups(rng: np.random.Generator, n: int, count: int = 3
+                  ) -> list[StabilizerGroup]:
+    """``count`` random graph groups on n qubits, each also with random
+    generator signs and, for n >= 2, rewritten by 2n random generator
+    products g_i <- g_i g_j, which puts Y letters in the generators but
+    leaves the group, and its real projector, as it was. Last comes that
+    group conjugated by the phase gate S (X -> Y, Y -> -X) on a random
+    nonempty set of qubits: a group with odd-Y elements, whose projector is
+    complex."""
+    groups = []
+    for _ in range(count):
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        plain = graph_state_generators(GraphSpec.from_edges(n, edges))
+        signed = [PauliTerm(n, g.x_mask, g.z_mask, 2 * int(rng.integers(2)))
+                  for g in plain.generators]
+        groups += [plain, StabilizerGroup(n, tuple(signed))]
+        if n >= 2:
+            for _ in range(2 * n):
+                i, j = rng.choice(n, size=2, replace=False)
+                signed[i] = signed[i] * signed[j]
+            groups.append(StabilizerGroup(n, tuple(signed)))
+        s = int(rng.integers(1, 1 << n))
+        groups.append(StabilizerGroup(n, tuple(
+            PauliTerm(n, g.x_mask, g.z_mask ^ (g.x_mask & s),
+                      g.phase_exp + 2 * (g.x_mask & g.z_mask & s).bit_count())
+            for g in signed)))
+    return groups
+
+
 def state_vector_dense(s: StabilizerGroup) -> np.ndarray:
     """The stabilized state read off the dense projector: its first
     largest-diagonal column, normalised and phase-fixed. The oracle for

@@ -294,6 +294,27 @@ class TestCli:
         assert "qubit cap exceeded: 5 qubits exceeds dense cap of 3" in captured.err
         assert "(--cap-qubits 3)" in captured.err
 
+    def test_build_40_qubit_path_exits_2(self, tmp_path, capsys):
+        # the 40 generators validate; the code state is past the qubit cap
+        recipe = {"basis": {"kind": "graph", "flip": "Z" * 40,
+                            "graph": {"n": 40, "edges": [[q, q + 1] for q in range(39)]}}}
+        cfg = tmp_path / "recipe.json"
+        cfg.write_text(json.dumps(recipe))
+        assert cli_main(["build", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "qubit cap exceeded: 40 qubits exceeds dense cap of 12" in captured.err
+
+    def test_build_phased_flip_is_a_recipe_error(self, tmp_path, capsys):
+        recipe = dict(LOOP5_RECIPE, basis=dict(LOOP5_RECIPE["basis"], flip="iZZZZZ"))
+        cfg = tmp_path / "recipe.json"
+        cfg.write_text(json.dumps(recipe))
+        assert cli_main(["build", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"recipe error in {cfg}: ")
+        assert "+iZZZZZ" in captured.err
+
     def test_build_graph_basis_honours_cap(self, tmp_path, monkeypatch, capsys):
         # the recipe's basis is built under --cap-qubits, not the default cap
         rendered = []

@@ -20,7 +20,14 @@ from bellforge.stabilizer import (
 
 
 from golden import loop5_golden_x, loop5_golden_y, loop5_golden_z, ring_string
-from helpers import basis_from_kets, logical_paulis_json, rotated_z, sums_match
+from helpers import (
+    basis_from_kets,
+    logical_paulis_by_terms,
+    logical_paulis_json,
+    rotated_z,
+    seeded_groups,
+    sums_match,
+)
 
 
 def loop5_parts():
@@ -185,6 +192,38 @@ class TestSymbolicRoute:
         group, _ = loop5_parts()
         with pytest.raises(ValueError):
             logical_paulis_symbolic(group, PauliTerm.from_string("IIIII"))
+
+    @pytest.mark.parametrize("flip", ["iZZZZZ", "-iZZZZZ"])
+    def test_phased_flip_rejected(self, flip):
+        # i*Z^(x5) squares to -I: it has no Hermitian logical X, with or
+        # without a basis given
+        group, _ = loop5_parts()
+        zc = PauliTerm.from_string(flip)
+        with pytest.raises(ValueError, match="not a Hermitian 5-qubit string"):
+            logical_paulis_symbolic(group, zc)
+        with pytest.raises(ValueError, match="not a Hermitian 5-qubit string"):
+            logical_paulis_symbolic(group, zc, basis_from_flip(group, zc))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_term_oracle(self, n):
+        # graph, signed, Y-bearing and phase-gate groups, several signed
+        # flips each: the same keys and the same coefficient bits as the
+        # PauliTerm-at-a-time split
+        rng = np.random.default_rng(2510 + n)
+        checked = 0
+        for group in seeded_groups(rng, n):
+            for _ in range(3):
+                flip = PauliTerm(n, int(rng.integers(1 << n)), int(rng.integers(1 << n)),
+                                 2 * int(rng.integers(2)))
+                if all(flip.commutes(g) for g in group.generators):
+                    continue
+                ops = logical_paulis_symbolic(group, flip)
+                for name, oracle in logical_paulis_by_terms(group, flip).items():
+                    got = getattr(ops, name)._terms
+                    assert sorted((k, c.hex()) for k, c in got.items()) == \
+                        sorted((k, c.hex()) for k, c in oracle._terms.items())
+                checked += 1
+        assert checked >= 6
 
 
 class TestAlgebraOnCodeSpace:

@@ -3,21 +3,30 @@
 import numpy as np
 import pytest
 
+from bellforge.logical import logical_paulis_symbolic
 from bellforge.pauli import PauliSum, PauliTerm, QubitCapError
 from bellforge.recursive import build_level
 from bellforge.stabilizer import (
     GraphSpec,
     LogicalBasis,
     StabilizerGroup,
+    _gf2_echelon,
     basis_from_flip,
     bell_basis,
-    commuting_split,
     expand_projector,
     ghz3_basis,
     graph_state_generators,
     state_vector,
 )
-from helpers import bell_kets_typed, ghz3_kets_typed, loop5_basis, state_vector_dense
+from helpers import (
+    bell_kets_typed,
+    commuting_split,
+    ghz3_kets_typed,
+    gray_code_elements,
+    loop5_basis,
+    seeded_groups,
+    state_vector_dense,
+)
 
 RNG = np.random.default_rng(1234)
 
@@ -63,6 +72,35 @@ class TestGenerators:
         assert len(elems) == 32
         assert len({e.key() for e in elems}) == 32
         assert all(e.is_hermitian for e in elems)
+
+    def test_elements_match_the_gray_code_walk(self):
+        # graph, signed and Y-bearing groups, n = 1..8: the same signed terms
+        rng = np.random.default_rng(2501)
+        for n in range(1, 9):
+            for g in seeded_groups(rng, n):
+                def signed(terms):
+                    return {(t.x_mask, t.z_mask, t.phase_exp) for t in terms}
+                assert signed(g.elements()) == signed(gray_code_elements(g))
+
+    def test_40_qubit_path_validates(self):
+        # symplectic vectors of 80 bits: the echelon works in Python ints
+        g = graph_state_generators(GraphSpec.path(40))
+        assert len(g.generators) == 40
+        assert [t.letters for t in g.generators[:2]] == ["XZ" + "I" * 38,
+                                                         "ZXZ" + "I" * 37]
+
+    def test_40_qubit_dependent_set_is_rejected(self):
+        gens = list(graph_state_generators(GraphSpec.path(40)).generators)
+        gens[20] = gens[3] * gens[35]
+        with pytest.raises(ValueError, match="not independent"):
+            StabilizerGroup(40, tuple(gens))
+
+    def test_echelon_of_wide_vectors(self):
+        wide = [(1 << 79) | 5, (1 << 79) | 3, 6, 1 << 64]
+        basis = _gf2_echelon(wide)
+        assert sorted(basis) == [6, 1 << 64, (1 << 79) | 3]
+        assert all(type(b) is int for b in basis)
+        assert len(_gf2_echelon(np.array([5, 3, 6]))) == 2
 
 
 class TestProjector:
@@ -144,34 +182,35 @@ class TestStateVector:
         assert abs(overlap - 1.0) < 1e-10   # equal up to global phase
 
     def test_matches_dense_projector_column(self):
-        # graph groups, the same with random generator signs, and signed
-        # Z-type groups (computational basis states), n = 1..8
+        # graph groups, the same with random generator signs, signed Z-type
+        # groups (computational basis states), n = 1..8, generator products
+        # that carry Y letters, n = 2..8, and phase-gate conjugates of those,
+        # whose projectors are complex
         rng = np.random.default_rng(2102)
         groups = []
         for n in range(1, 9):
-            for _ in range(3):
-                edges = [(u, v) for u in range(n) for v in range(u + 1, n)
-                         if rng.random() < 0.5]
-                plain = graph_state_generators(GraphSpec.from_edges(n, edges))
-                groups.append(plain)
-                groups.append(StabilizerGroup(n, tuple(
-                    PauliTerm(n, g.x_mask, g.z_mask, 2 * int(rng.integers(2)))
-                    for g in plain.generators)))
+            groups += seeded_groups(rng, n)
             groups.append(StabilizerGroup(n, tuple(
                 PauliTerm(n, 0, 1 << q, 2 * int(rng.integers(2))) for q in range(n))))
+        complex_projectors = 0
         for group in groups:
             assert state_vector(group).tobytes() == state_vector_dense(group).tobytes()
+            complex_projectors += bool(np.any(expand_projector(group).to_dense().imag))
+        assert complex_projectors >= 20
 
     def test_builds_no_matrix(self, monkeypatch):
         def no_render(*args, **kwargs):
-            raise AssertionError("state_vector rendered a dense matrix")
+            raise AssertionError("state_vector rendered or applied a Pauli sum")
 
         monkeypatch.setattr(PauliSum, "to_dense", no_render)
-        group = graph_state_generators(GraphSpec.path(10))
+        monkeypatch.setattr(PauliSum, "apply", no_render)
+        group = graph_state_generators(GraphSpec.path(12))
         v = state_vector(group)
-        assert np.max(np.abs(expand_projector(group).apply(v) - v)) < 1e-10
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        for g in group.generators:
+            assert np.max(np.abs(g.apply(v) - v)) < 1e-10
         with pytest.raises(QubitCapError):
-            state_vector(group, cap=9)
+            state_vector(group, cap=11)
 
     def test_projection_residual_guard(self):
         v = state_vector(graph_state_generators(GraphSpec.loop(5)))
@@ -247,5 +286,10 @@ class TestHalfGroupSplit:
     ])
     def test_half_counts(self, strings, flip):
         g = StabilizerGroup.from_strings(strings)
-        comm, anti = commuting_split(g, PauliTerm.from_string(flip))
+        zc = PauliTerm.from_string(flip)
+        comm, anti = commuting_split(g, zc)
         assert len(comm) == len(anti) == 2 ** (g.n - 1)
+        # the array route's parity test splits the group the same way
+        ops = logical_paulis_symbolic(g, zc)
+        assert set(ops.z._terms) == {e.key() for e in anti}
+        assert set(ops.ident._terms) == {e.key() for e in comm}
