@@ -28,7 +28,6 @@ from .bounds import (
     BudgetError,
     SosCertificate,
     classical_bounds,
-    classical_sample_bound,
     dichotomic_term_bound,
     quantum_lower_bound,
     seesaw_optimize,
@@ -62,7 +61,6 @@ from .stabilizer import (
     StabilizerGroup,
     basis_from_flip,
     bell_basis,
-    expand_projector,
     ghz3_basis,
     graph_state_generators,
     state_vector,

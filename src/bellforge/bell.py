@@ -169,17 +169,6 @@ class BellExpression:
         index.flags.writeable = False
         return index, self._coeffs
 
-    def evaluate(self, assignment: dict[Symbol, int]) -> float:
-        """The value at one assignment by a direct term walk, not
-        ``factor_table``, so it checks the vertex enumeration independently."""
-        total = self.constant
-        for key, coeff in self.terms.items():
-            v = coeff
-            for sym in key:
-                v *= assignment[sym]
-            total += v
-        return total
-
     def __eq__(self, other) -> bool:
         """Equal parties, constant and terms; term order does not count."""
         if not isinstance(other, BellExpression):

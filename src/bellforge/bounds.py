@@ -109,7 +109,6 @@ class ClassicalBounds:
     maximum: float
     witness_min: dict[Symbol, int]
     witness_max: dict[Symbol, int]
-    exact: bool = True
 
 
 @cache
@@ -126,21 +125,34 @@ def _strategy_table(k: int) -> np.ndarray:
     return table
 
 
-def _vertex_blocks(expr: BellExpression, symbols: list[Symbol]):
-    """Term values (constant excluded) at every +/-1 assignment of ``symbols``.
+def _snapped(coeffs: np.ndarray) -> np.ndarray:
+    """``coeffs``, rounded when every one is within 1e-12 of an integer, so
+    that integer coefficients give exact integer arithmetic."""
+    if coeffs.size and float(np.max(np.abs(coeffs - np.round(coeffs)))) < 1e-12:
+        return np.round(coeffs)
+    return coeffs
 
-    ``symbols`` is sorted and holds every symbol of ``expr``. Yields
-    ``(start, values)`` in rank order, where ``values[i]`` belongs to the
-    assignment of lexicographic rank ``start + i`` (symbol 0 most significant,
-    +1 before -1); no block holds more than VERTEX_BLOCK values.
+
+def _vertex_blocks(exprs: list[BellExpression], symbols: list[Symbol]):
+    """Term values (constants excluded) of each of ``exprs`` at every +/-1
+    assignment of ``symbols``.
+
+    ``symbols`` is sorted and holds every symbol of every expression. Yields
+    ``(start, values)`` in rank order, where ``values[l, i]`` is expression l
+    at the assignment of lexicographic rank ``start + i`` (symbol 0 most
+    significant, +1 before -1); no block holds more than VERTEX_BLOCK values,
+    counting every expression.
 
     The terms form a coefficient tensor with one axis of length k_p + 1 per
     party (index 0 the identity), and the vertex values are that tensor
     contracted with every party's strategy table (a party with more than
     _AXIS_SETTINGS settings spans several axes). Only the trailing parties
-    get a dense tensor: terms are grouped by their factor on the leading
-    parties, each group is contracted over the trailing parties, and blocks of
-    leading strategies combine the groups with their signs.
+    get a dense tensor: the expressions' factor tables stack into one, whose
+    terms are grouped by their factor on the leading parties; each group is
+    contracted over the trailing parties with the expression index beside
+    the group's, and blocks of leading strategies combine the groups with
+    their signs. Each expression's coefficients snap to integers or stay
+    as they are on their own (``_snapped``).
     """
     # factor-table slot j (symbols[j - 1]) is setting local[j] of axis axis_of[j]
     axis_of, local = [-1], [0]
@@ -151,9 +163,10 @@ def _vertex_blocks(expr: BellExpression, symbols: list[Symbol]):
     tables = [_strategy_table(k) for k in np.bincount(axis_of[1:])]
     sizes = [len(table) for table in tables]
 
-    slots, coeffs = expr.factor_table(symbols)
-    if coeffs.size and float(np.max(np.abs(coeffs - np.round(coeffs)))) < 1e-12:
-        coeffs = np.round(coeffs)  # exact integer arithmetic when possible
+    n_exprs = len(exprs)
+    stacked = [expr.factor_table(symbols) for expr in exprs]
+    slots = np.concatenate([slot for slot, _ in stacked])
+    coeffs = np.concatenate([_snapped(c) for _, c in stacked])
     index = np.zeros((len(coeffs), len(tables)), dtype=np.intp)
     term, party = np.nonzero(slots)
     j = slots[term, party]
@@ -166,32 +179,37 @@ def _vertex_blocks(expr: BellExpression, symbols: list[Symbol]):
             lead_keys, inverse = np.unique(index[:, :lead], axis=0,
                                            return_inverse=True)
         n_trail = math.prod(sizes[lead:])
-        if len(lead_keys) * n_trail <= VERTEX_BLOCK:
+        if len(lead_keys) * n_exprs * n_trail <= VERTEX_BLOCK:
             break
     n_groups = len(lead_keys)
+    if n_exprs > 1:
+        which = np.repeat(np.arange(n_exprs), [len(c) for _, c in stacked])
+        inverse = inverse.reshape(-1) * n_exprs + which
 
-    # axis order (trailing parties..., group); each contraction consumes the
-    # first axis and appends the strategy axis, ending at (group, strategies...)
-    trail = np.zeros((*(t.shape[1] for t in tables[lead:]), n_groups))
+    # axis order (trailing parties..., group and expression); each contraction
+    # consumes the first axis and appends the strategy axis, ending at
+    # (group and expression, strategies...)
+    trail = np.zeros((*(t.shape[1] for t in tables[lead:]), n_groups * n_exprs))
     trail[(*index[:, lead:].T, inverse.reshape(-1))] = coeffs
     for table in tables[lead:]:
         # a transposed view, where tensordot would copy the tensor
         trail = trail.reshape(table.shape[1], -1).T @ table.T
     if not lead:
-        yield 0, trail.reshape(-1)
+        yield 0, trail.reshape(n_exprs, -1)
         return
-    trail = trail.reshape(n_groups, n_trail)
+    trail = trail.reshape(n_groups, n_exprs * n_trail)
 
     lead_signs = [tables[a][:, lead_keys[:, a]] for a in range(lead)]
     n_lead = math.prod(sizes[:lead])
-    step = max(1, VERTEX_BLOCK // max(n_trail, n_groups))
+    step = max(1, VERTEX_BLOCK // max(n_exprs * n_trail, n_groups))
     for first in range(0, n_lead, step):
         rest = np.arange(first, min(first + step, n_lead))
         signs = np.ones((rest.size, n_groups))
         for a in reversed(range(lead)):
             rest, digit = np.divmod(rest, sizes[a])
             signs *= lead_signs[a][digit]
-        yield first * n_trail, (signs @ trail).reshape(-1)
+        values = (signs @ trail).reshape(len(signs), n_exprs, n_trail)
+        yield first * n_trail, values.swapaxes(0, 1).reshape(n_exprs, -1)
 
 
 def _assignment_from_rank(rank: int, symbols: list[Symbol]) -> dict[Symbol, int]:
@@ -201,22 +219,21 @@ def _assignment_from_rank(rank: int, symbols: list[Symbol]) -> dict[Symbol, int]
 
 def check_symbol_budget(m: int) -> None:
     """Raise BudgetError if exact enumeration of m symbols exceeds
-    SYMBOL_BUDGET (read at call time)."""
+    SYMBOL_BUDGET (read at call time). Nothing above the budget is enumerated
+    or estimated: a sampled vertex value would be no bound."""
     if m > SYMBOL_BUDGET:
         raise BudgetError(
-            f"{m} symbols exceeds the exact-enumeration budget of "
-            f"{SYMBOL_BUDGET}; classical_sample_bound gives a sampled, "
-            "non-exact lower bound")
+            f"{m} symbols exceeds the exact-enumeration budget of {SYMBOL_BUDGET}")
 
 
 def classical_bounds(expr: BellExpression) -> ClassicalBounds:
     """Exact LHV extrema by full vertex enumeration (tensor contraction).
 
-    Every deterministic +/-1 assignment is evaluated; integer coefficients
-    give exact integer arithmetic. Ties break to the lexicographically
-    smallest assignment (symbols sorted, +1 preferred). Raises BudgetError
-    above SYMBOL_BUDGET symbols; use classical_sample_bound for a non-exact
-    estimate there.
+    Every deterministic +/-1 assignment is evaluated, by a one-expression
+    ``_vertex_blocks`` pass; integer coefficients give exact integer
+    arithmetic. Ties break to the lexicographically smallest assignment
+    (symbols sorted, +1 preferred). Raises BudgetError above SYMBOL_BUDGET
+    symbols.
     """
     symbols = expr.symbols
     m = len(symbols)
@@ -226,7 +243,7 @@ def classical_bounds(expr: BellExpression) -> ClassicalBounds:
         return ClassicalBounds(expr.constant, expr.constant, w, dict(w))
 
     best_max = best_min = None
-    for start, values in _vertex_blocks(expr, symbols):
+    for start, (values,) in _vertex_blocks([expr], symbols):
         hi, lo = int(np.argmax(values)), int(np.argmin(values))
         if best_max is None or values[hi] > best_max[0]:
             best_max = (float(values[hi]), start + hi)
@@ -239,26 +256,6 @@ def classical_bounds(expr: BellExpression) -> ClassicalBounds:
         witness_min=_assignment_from_rank(best_min[1], symbols),
         witness_max=_assignment_from_rank(best_max[1], symbols),
     )
-
-
-def classical_sample_bound(expr: BellExpression, samples: int = 20000,
-                           seed: int = 0) -> ClassicalBounds:
-    """Random-vertex sampling; bounds are attained values, not certified extrema.
-
-    Values add the terms in term order; ties go to the first sample drawn."""
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    symbols = expr.symbols
-    index, coeffs = expr.factor_table(symbols)
-    signs = rng.choice((-1, 1), size=(samples, len(symbols)))
-    by_slot = np.hstack([np.ones((samples, 1), dtype=signs.dtype), signs])
-    values = np.full(samples, expr.constant)
-    for row, coeff in zip(index, coeffs):
-        values += coeff * by_slot[:, row].prod(axis=1)
-    lo, hi = int(np.argmin(values)), int(np.argmax(values))
-    wmin, wmax = ({s: int(v) for s, v in zip(symbols, signs[k])} for k in (lo, hi))
-    return ClassicalBounds(float(values[lo]), float(values[hi]), wmin, wmax, exact=False)
 
 
 def _anticommute(u: int, w: int, n: int) -> int:

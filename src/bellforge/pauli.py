@@ -59,6 +59,7 @@ _KERNEL_CHUNK_BYTES = 1 << 20   # most bytes of render temporaries held at once
 _KERNEL_ENTRY_BYTES = 72
 _KRYLOV_RTOL = 1e-13        # Lanczos stops at this Ritz residual per unit sum |c|
 _KRYLOV_SEED = 0            # seed of the Lanczos start vector
+_KRYLOV_COLLAPSE = 1e-8     # Lanczos tests its residual at once below this beta per unit sum |c|
 
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
@@ -543,16 +544,24 @@ def _krylov_top_eigenpair(op: PauliSum) -> tuple[float, np.ndarray]:
     pair's residual is at most ``_KRYLOV_RTOL`` times sum |c|, or when the
     Krylov space is the whole space. A pseudo Pauli operator B = beta (k.L)
     has B^3 = beta^2 |k|^2 B, so its Krylov spaces have dimension at most 3.
-    The value is the witness's Rayleigh quotient <x|op|x>, taken with one more
-    ``apply``: a lower bound on the largest eigenvalue whether or not the
-    iteration converged.
+    The residual takes an eigensolve of the whole k x k tridiagonal, so it is
+    tested after every step up to k = 8, then only at k growing by a quarter,
+    k + k // 4: O(k^3) over a long run on a clustered spectrum, where testing
+    every step costs O(k^4). It is also tested at once when the next
+    vector's norm beta collapses below ``_KRYLOV_COLLAPSE`` times sum |c|:
+    the Krylov space is then invariant up to rounding. The value is
+    the witness's Rayleigh quotient <x|op|x>, taken with one more ``apply``:
+    a lower bound on the largest eigenvalue whether or not the iteration
+    converged.
     """
     dim = 1 << op.n
-    tol = _KRYLOV_RTOL * sum(abs(c) for c in op._terms.values())
+    scale = sum(abs(c) for c in op._terms.values())
+    tol = _KRYLOV_RTOL * scale
     rng = np.random.default_rng(_KRYLOV_SEED)
     start = rng.standard_normal(dim)
     basis = [start / np.linalg.norm(start)]
     alphas, betas = [], []
+    check = 1
     while True:
         w = op.apply(basis[-1])
         alphas.append(np.vdot(basis[-1], w).real)
@@ -560,10 +569,13 @@ def _krylov_top_eigenpair(op: PauliSum) -> tuple[float, np.ndarray]:
         for _ in range(2):
             w -= vs.T @ (vs.conj() @ w)
         betas.append(np.linalg.norm(w))
-        ritz = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:-1], 1)
-                              + np.diag(betas[:-1], -1))[1][:, -1]
-        if betas[-1] * abs(ritz[-1]) <= tol or len(basis) == dim:
-            break
+        k = len(basis)
+        if k == check or betas[-1] <= _KRYLOV_COLLAPSE * scale or k == dim:
+            ritz = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:-1], 1)
+                                  + np.diag(betas[:-1], -1))[1][:, -1]
+            if betas[-1] * abs(ritz[-1]) <= tol or k == dim:
+                break
+            check = k + max(1, k // 4)
         basis.append(w / betas[-1])
     x = ritz @ vs
     x = fix_global_phase(x / np.linalg.norm(x))

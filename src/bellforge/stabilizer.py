@@ -12,8 +12,8 @@ bases below are two such codes (Gottesman, quant-ph/9705052):
 The group arithmetic lives here once, on arrays of x masks, z masks and
 powers of i (Aaronson & Gottesman, PRA 70, 052328 (2004)): a GF(2) echelon,
 a signed product and the group growth built on it, and a code-state scatter
-in O(2^n), with no projector sum and no matrix. Elements, projectors, code
-states, ``logical``'s operators and ``bounds``' certificate all use them.
+in O(2^n), with no projector sum and no matrix. Elements, code states,
+``logical``'s operators and ``bounds``' certificate all use them.
 
 A basis holds read-only copies of its kets, so one basis can be shared; a
 copy holds no negative zero. The named Bell and GHZ3 bases are constants of
@@ -194,12 +194,6 @@ def graph_state_generators(g: GraphSpec) -> StabilizerGroup:
     """The standard generator for vertex v: X on v, Z on every neighbor."""
     gens = (PauliTerm(g.n, 1 << v, sum(1 << u for u in g.neighbors(v))) for v in range(g.n))
     return StabilizerGroup(g.n, tuple(gens))
-
-
-def expand_projector(s: StabilizerGroup, cap: int = DENSE_QUBIT_CAP) -> PauliSum:
-    """(1/2^n) * sum of all group elements: the stabilized-state projector."""
-    _check_cap(s.n, cap)
-    return _signed_sum(s.n, *s._arrays, 1.0 / (1 << s.n))
 
 
 def state_vector(s: StabilizerGroup, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:

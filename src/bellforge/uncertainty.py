@@ -191,14 +191,13 @@ class QuadraticCase:
     vertices: list[tuple[float, float]]
 
 
-def _pair_vertices(e1: BellExpression, e2: BellExpression
-                   ) -> list[tuple[float, float]]:
-    """Both values at every +/-1 assignment of the symbols of either, in
+def _pair_vertices(e1: BellExpression, e2: BellExpression) -> np.ndarray:
+    """Both values at every +/-1 assignment of the symbols of either, from one
+    two-expression vertex pass: a (2, vertices) array, vertices in
     lexicographic order (symbols sorted, +1 first)."""
     symbols = sorted(set(e1.symbols) | set(e2.symbols))
-    x, y = (np.concatenate([v for _, v in _vertex_blocks(e, symbols)]) + e.constant
-            for e in (e1, e2))
-    return list(zip(x.tolist(), y.tolist()))
+    values = np.concatenate([v for _, v in _vertex_blocks([e1, e2], symbols)], axis=1)
+    return values + np.array([[e1.constant], [e2.constant]])
 
 
 def quadratic_bell(variant: str) -> QuadraticCase:
@@ -221,9 +220,9 @@ def quadratic_bell(variant: str) -> QuadraticCase:
         bound = 8.0
     else:
         raise ValueError(f"unknown quadratic variant {variant!r}")
-    vertices = _pair_vertices(e1, e2)
-    classical = max(x * x + y * y for x, y in vertices)
-    return QuadraticCase(variant, e1, e2, classical, bound, vertices)
+    x, y = _pair_vertices(e1, e2)
+    classical = float(np.max(x * x + y * y))
+    return QuadraticCase(variant, e1, e2, classical, bound, list(zip(x.tolist(), y.tolist())))
 
 
 def quadratic_quantum_sweep(case: QuadraticCase, samples: int = 10000,

@@ -7,6 +7,7 @@ from itertools import product as iter_product
 
 import numpy as np
 
+from bellforge import bounds
 from bellforge.bell import (
     BellExpression,
     DecomposedOperator,
@@ -18,8 +19,10 @@ from bellforge.logical import LogicalPaulis
 from bellforge.pauli import (
     _BITS_LETTER,
     _I_POW,
+    DENSE_QUBIT_CAP,
     PauliSum,
     PauliTerm,
+    _check_cap,
     _realize,
     check_hermitian,
     fix_global_phase,
@@ -29,8 +32,8 @@ from bellforge.stabilizer import (
     GraphSpec,
     LogicalBasis,
     StabilizerGroup,
+    _signed_sum,
     basis_from_flip,
-    expand_projector,
     graph_state_generators,
 )
 
@@ -140,6 +143,12 @@ def seeded_groups(rng: np.random.Generator, n: int, count: int = 3
     return groups
 
 
+def expand_projector(s: StabilizerGroup, cap: int = DENSE_QUBIT_CAP) -> PauliSum:
+    """(1/2^n) * sum of all group elements: the stabilized-state projector."""
+    _check_cap(s.n, cap)
+    return _signed_sum(s.n, *s._arrays, 1.0 / (1 << s.n))
+
+
 def state_vector_dense(s: StabilizerGroup) -> np.ndarray:
     """The stabilized state read off the dense projector: its first
     largest-diagonal column, normalised and phase-fixed. The oracle for
@@ -172,14 +181,84 @@ def sums_match(a: PauliSum, b: PauliSum, atol: float = 1e-12) -> bool:
     return all(abs(da.get(k, 0.0) - db.get(k, 0.0)) <= atol for k in da.keys() | db.keys())
 
 
+def evaluate(expr: BellExpression, assignment: dict) -> float:
+    """The value at one assignment by a direct term walk, not
+    ``factor_table``, so it checks the vertex enumeration independently."""
+    total = expr.constant
+    for key, coeff in expr.terms.items():
+        v = coeff
+        for sym in key:
+            v *= assignment[sym]
+        total += v
+    return total
+
+
 def classical_bounds_bruteforce(expr: BellExpression) -> tuple[float, float]:
     """Direct per-vertex re-evaluation; the independent oracle for tests."""
     symbols = expr.symbols
     lo, hi = math.inf, -math.inf
     for values in iter_product((1, -1), repeat=len(symbols)):
-        v = expr.evaluate(dict(zip(symbols, values)))
+        v = evaluate(expr, dict(zip(symbols, values)))
         lo, hi = min(lo, v), max(hi, v)
     return lo, hi
+
+
+def vertex_blocks_one(expr: BellExpression, symbols):
+    """The one-expression vertex kernel as it stood before it took a stack of
+    expressions, kept as the oracle for ``bounds._vertex_blocks`` at one
+    expression: ``(start, values)`` in rank order, ``values[i]`` the term
+    values at the assignment of rank ``start + i``. Reads ``VERTEX_BLOCK`` and
+    ``_AXIS_SETTINGS`` from ``bounds`` at call time."""
+    # factor-table slot j (symbols[j - 1]) is setting local[j] of axis axis_of[j]
+    axis_of, local = [-1], [0]
+    for j, sym in enumerate(symbols):
+        same = j and symbols[j - 1][0] == sym[0] and local[-1] < bounds._AXIS_SETTINGS
+        axis_of.append(axis_of[-1] + (not same))
+        local.append(local[-1] + 1 if same else 1)
+    tables = [bounds._strategy_table(k) for k in np.bincount(axis_of[1:])]
+    sizes = [len(table) for table in tables]
+
+    slots, coeffs = expr.factor_table(symbols)
+    if coeffs.size and float(np.max(np.abs(coeffs - np.round(coeffs)))) < 1e-12:
+        coeffs = np.round(coeffs)  # exact integer arithmetic when possible
+    index = np.zeros((len(coeffs), len(tables)), dtype=np.intp)
+    term, party = np.nonzero(slots)
+    j = slots[term, party]
+    index[term, np.take(axis_of, j)] = np.take(local, j)
+
+    # fewest leading axes whose grouped trailing values fit in one block
+    lead_keys, inverse = np.zeros((1, 0), np.intp), np.zeros(len(coeffs), np.intp)
+    for lead in range(len(tables) + 1):
+        if lead:
+            lead_keys, inverse = np.unique(index[:, :lead], axis=0,
+                                           return_inverse=True)
+        n_trail = math.prod(sizes[lead:])
+        if len(lead_keys) * n_trail <= bounds.VERTEX_BLOCK:
+            break
+    n_groups = len(lead_keys)
+
+    # axis order (trailing parties..., group); each contraction consumes the
+    # first axis and appends the strategy axis, ending at (group, strategies...)
+    trail = np.zeros((*(t.shape[1] for t in tables[lead:]), n_groups))
+    trail[(*index[:, lead:].T, inverse.reshape(-1))] = coeffs
+    for table in tables[lead:]:
+        # a transposed view, where tensordot would copy the tensor
+        trail = trail.reshape(table.shape[1], -1).T @ table.T
+    if not lead:
+        yield 0, trail.reshape(-1)
+        return
+    trail = trail.reshape(n_groups, n_trail)
+
+    lead_signs = [tables[a][:, lead_keys[:, a]] for a in range(lead)]
+    n_lead = math.prod(sizes[:lead])
+    step = max(1, bounds.VERTEX_BLOCK // max(n_trail, n_groups))
+    for first in range(0, n_lead, step):
+        rest = np.arange(first, min(first + step, n_lead))
+        signs = np.ones((rest.size, n_groups))
+        for a in reversed(range(lead)):
+            rest, digit = np.divmod(rest, sizes[a])
+            signs *= lead_signs[a][digit]
+        yield first * n_trail, (signs @ trail).reshape(-1)
 
 
 def eig_bounds(m: np.ndarray) -> tuple[float, float]:

@@ -23,7 +23,7 @@ from golden import (
     loop5_golden_y,
     loop5_golden_z,
 )
-from helpers import basis_from_kets, classical_bounds_bruteforce
+from helpers import basis_from_kets, classical_bounds_bruteforce, expand_projector
 
 from bellforge.bell import (
     chained_construction,
@@ -47,7 +47,6 @@ from bellforge.stabilizer import (
     GraphSpec,
     StabilizerGroup,
     bell_basis,
-    expand_projector,
     ghz3_basis,
     graph_state_generators,
 )

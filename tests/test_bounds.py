@@ -7,7 +7,7 @@ from itertools import product as iter_product
 import numpy as np
 import pytest
 
-from bellforge import bounds
+from bellforge import bounds, cases
 from bellforge.bell import (
     BellExpression,
     chained_construction,
@@ -22,18 +22,19 @@ from bellforge.bounds import (
     SeesawError,
     SosCertificate,
     classical_bounds,
-    classical_sample_bound,
     dichotomic_term_bound,
     quantum_lower_bound,
     seesaw_optimize,
     sos_pairing_search,
     sos_verify,
 )
-from bellforge.cases import published_identity_expression
+from bellforge.cases import case_names, published_identity_expression, run_cases
 from bellforge.logical import logical_paulis_numeric, logical_paulis_symbolic
 from bellforge.pauli import _PAULI_2X2, PauliSum, PauliTerm
+from bellforge.recursive import mermin_case, svetlichny_case
 from bellforge.stabilizer import GraphSpec, bell_basis, ghz3_basis, graph_state_generators
-from helpers import classical_bounds_bruteforce
+from bellforge.uncertainty import quadratic_bell
+from helpers import bits, classical_bounds_bruteforce, evaluate, vertex_blocks_one
 
 ROOT2 = math.sqrt(2)
 
@@ -50,20 +51,8 @@ def loop5_ops():
         graph_state_generators(GraphSpec.loop(5)), PauliTerm.from_string("ZZZZZ"))
 
 
-def sample_loop(expr, samples, seed):
-    """classical_sample_bound by one draw and one ``evaluate`` per sample."""
-    rng = np.random.default_rng(seed)
-    symbols = expr.symbols
-    best = bounds.ClassicalBounds(math.inf, -math.inf, {}, {}, exact=False)
-    for _ in range(samples):
-        assignment = {s: int(v) for s, v in
-                      zip(symbols, rng.choice((-1, 1), size=len(symbols)))}
-        v = expr.evaluate(assignment)
-        if v > best.maximum:
-            best.maximum, best.witness_max = v, assignment
-        if v < best.minimum:
-            best.minimum, best.witness_min = v, assignment
-    return best
+# (VERTEX_BLOCK, _AXIS_SETTINGS): whole, and small blocks with parties split
+BLOCK_SETTINGS = ((bounds.VERTEX_BLOCK, bounds._AXIS_SETTINGS), (8, 2), (2, 1))
 
 
 class TestClassicalBounds:
@@ -75,8 +64,8 @@ class TestClassicalBounds:
     def test_witness_attains_bound(self):
         expr, _ = chsh_expression()
         cb = classical_bounds(expr)
-        assert abs(expr.evaluate(cb.witness_max) - cb.maximum) < 1e-9
-        assert abs(expr.evaluate(cb.witness_min) - cb.minimum) < 1e-9
+        assert abs(evaluate(expr, cb.witness_max) - cb.maximum) < 1e-9
+        assert abs(evaluate(expr, cb.witness_min) - cb.minimum) < 1e-9
 
     def test_published_identity_expression(self):
         cb = classical_bounds(published_identity_expression())
@@ -122,14 +111,13 @@ class TestClassicalBounds:
             symbols = expr.symbols
             vertices = [dict(zip(symbols, v))
                         for v in iter_product((1, -1), repeat=len(symbols))]
-            values = [expr.evaluate(a) for a in vertices]
+            values = [evaluate(expr, a) for a in vertices]
             lo, hi = classical_bounds_bruteforce(expr)
             assert (lo, hi) == (min(values), max(values))
             if even and symbols:
                 assert values.count(hi) > 1 and values.count(lo) > 1
                 ties += 1
-            for block, per_axis in ((bounds.VERTEX_BLOCK, bounds._AXIS_SETTINGS),
-                                    (8, 2), (2, 1)):
+            for block, per_axis in BLOCK_SETTINGS:
                 monkeypatch.setattr(bounds, "VERTEX_BLOCK", block)
                 monkeypatch.setattr(bounds, "_AXIS_SETTINGS", per_axis)
                 cb = classical_bounds(expr)
@@ -140,8 +128,8 @@ class TestClassicalBounds:
                 else:
                     assert abs(cb.minimum - lo) < 1e-12
                     assert abs(cb.maximum - hi) < 1e-12
-                    assert abs(expr.evaluate(cb.witness_min) - lo) < 1e-12
-                    assert abs(expr.evaluate(cb.witness_max) - hi) < 1e-12
+                    assert abs(evaluate(expr, cb.witness_min) - lo) < 1e-12
+                    assert abs(evaluate(expr, cb.witness_max) - hi) < 1e-12
         assert ties >= 10
 
     def test_memory_stays_bounded(self):
@@ -172,44 +160,8 @@ class TestClassicalBounds:
     def test_budget(self):
         terms = {((p, "A"), ((p + 1) % 29, "A")): 1.0 for p in range(29)}
         expr = BellExpression(29, terms)
-        with pytest.raises(BudgetError, match="sample"):
+        with pytest.raises(BudgetError, match="exceeds the exact-enumeration budget"):
             classical_bounds(expr)
-        sampled = classical_sample_bound(expr, samples=500, seed=1)
-        assert not sampled.exact
-        assert sampled.maximum <= 29.0
-
-    def test_sampling_never_beats_enumeration(self):
-        expr, _ = chsh_expression()
-        cb = classical_bounds(expr)
-        for seed in range(5):
-            s = classical_sample_bound(expr, samples=200, seed=seed)
-            assert s.maximum <= cb.maximum + 1e-12
-            assert s.minimum >= cb.minimum - 1e-12
-
-    def test_sampling_matches_per_sample_loop(self):
-        # one draw of every sample's signs and the terms added in term order
-        # against a per-sample draw and evaluate, the form the sampler had
-        # before it read the factor table; values are exact, so both must
-        # agree bit for bit, witnesses included
-        rng = np.random.default_rng(61)
-        exprs = [chsh_expression()[0], published_identity_expression()]
-        exprs += [random_expression(rng, parties, sparse=bool(parties % 2),
-                                    constant=float(rng.normal()))
-                  for parties in [1, 2, 3, 4, 5] * 4]
-        for i, expr in enumerate(exprs):
-            for samples in (1, 7, 300):
-                got = classical_sample_bound(expr, samples=samples, seed=i)
-                want = sample_loop(expr, samples, seed=i)
-                assert not got.exact
-                assert (got.minimum, got.maximum) == (want.minimum, want.maximum)
-                assert (got.witness_min, got.witness_max) == \
-                    (want.witness_min, want.witness_max), (str(expr), samples)
-
-    def test_sampling_needs_a_sample(self):
-        expr, _ = chsh_expression()
-        for samples in (0, -1):
-            with pytest.raises(ValueError, match="samples"):
-                classical_sample_bound(expr, samples=samples)
 
     def test_lexicographic_witness_tie_break(self):
         # A_0 * B_1 has four optima; the lexicographically smallest (+1 first,
@@ -218,6 +170,113 @@ class TestClassicalBounds:
         cb = classical_bounds(expr)
         assert cb.witness_max == {(0, "A"): 1, (1, "B"): 1}
         assert cb.witness_min == {(0, "A"): 1, (1, "B"): -1}
+
+
+def catalog_expressions(monkeypatch):
+    """Every expression a catalog pass enumerates, in call order."""
+    seen = []
+
+    def recorded(expr):
+        seen.append(expr)
+        return classical_bounds(expr)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cases, "classical_bounds", recorded)
+        run_cases(case_names())
+    return seen
+
+
+def concatenated(blocks):
+    """The values of a block stream, one row per expression, and its starts."""
+    blocks = list(blocks)
+    return (np.concatenate([np.atleast_2d(v) for _, v in blocks], axis=1),
+            [start for start, _ in blocks])
+
+
+class TestVertexPass:
+    def test_one_expression_matches_frozen_kernel(self, monkeypatch):
+        # the stacked kernel at one expression is the one-expression kernel
+        # bit for bit, block for block, and classical_bounds keeps its
+        # lexicographic witnesses; the two small block settings, where every
+        # block is a Python iteration, run on expressions of up to 2^10
+        # vertices
+        rng = np.random.default_rng(2604)
+        exprs = catalog_expressions(monkeypatch)
+        assert len(exprs) >= 20
+        exprs += [mermin_case(9).expression, svetlichny_case(9).expression]
+        exprs += [random_expression(rng, parties, sparse=bool(parties % 2),
+                                    constant=float(rng.normal()))
+                  for parties in [1, 2, 3, 4, 5, 6] * 7]
+        for block, per_axis in BLOCK_SETTINGS:
+            monkeypatch.setattr(bounds, "VERTEX_BLOCK", block)
+            monkeypatch.setattr(bounds, "_AXIS_SETTINGS", per_axis)
+            for expr in exprs:
+                symbols = expr.symbols
+                if not symbols or (block < 1 << 20 and len(symbols) > 10):
+                    continue
+                got, got_starts = concatenated(bounds._vertex_blocks([expr], symbols))
+                want, want_starts = concatenated(vertex_blocks_one(expr, symbols))
+                assert got_starts == want_starts
+                assert np.array_equal(bits(got), bits(want)), str(expr)
+                cb = classical_bounds(expr)
+                values = want[0] + expr.constant
+                hi, lo = int(np.argmax(values)), int(np.argmin(values))
+                assert (cb.maximum, cb.minimum) == (values[hi], values[lo])
+                assert cb.witness_max == bounds._assignment_from_rank(hi, symbols)
+                assert cb.witness_min == bounds._assignment_from_rank(lo, symbols)
+
+    def test_stacked_pass_equals_separate_passes(self, monkeypatch):
+        # two or three expressions on one symbol list, each snapped to
+        # integers on its own: exact where the coefficients snap, within 1e-12
+        # otherwise, where the stack may group and block the terms
+        # differently; small blocks on up to 2^10 vertices, as above
+        rng = np.random.default_rng(2605)
+        stacks = [(quadratic_bell(v).expr1, quadratic_bell(v).expr2) for v in ("uffink", "nki")]
+        stacks.append(tuple(loop5_expressions()))
+        for n in (3, 4):
+            # coefficients 1e-16 off integers beside real ones: only the
+            # family member snaps
+            member = mermin_case(n).expression
+            other = BellExpression(n, {k: float(rng.normal()) for k in member.terms})
+            stacks += [(member, other), (other, member)]
+        for parties in [2, 3, 4, 5] * 6:
+            stack = [random_expression(rng, parties, sparse=bool(rng.integers(2)),
+                                       constant=0.0) for _ in range(int(rng.integers(2, 4)))]
+            if rng.integers(2):
+                stack[0] = BellExpression(parties, {k: float(rng.integers(-3, 4))
+                                                    for k in stack[0].terms})
+            stacks.append(tuple(stack))
+        integer = 0
+        for block, per_axis in BLOCK_SETTINGS:
+            monkeypatch.setattr(bounds, "VERTEX_BLOCK", block)
+            monkeypatch.setattr(bounds, "_AXIS_SETTINGS", per_axis)
+            for stack in stacks:
+                symbols = sorted(set().union(*(e.symbols for e in stack)))
+                if block < 1 << 20 and len(symbols) > 10:
+                    continue
+                got, _ = concatenated(bounds._vertex_blocks(list(stack), symbols))
+                assert got.shape == (len(stack), 1 << len(symbols))
+                for row, expr in zip(got, stack):
+                    want, _ = concatenated(bounds._vertex_blocks([expr], symbols))
+                    coeffs = expr.factor_table()[1]
+                    if np.all(np.abs(coeffs - np.round(coeffs)) < 1e-12):
+                        assert np.array_equal(row, want[0]), str(expr)
+                        integer += 1
+                    else:
+                        assert np.max(np.abs(row - want[0])) <= 1e-12, str(expr)
+        assert integer >= 7 * len(BLOCK_SETTINGS)
+
+    def test_identity_forms_share_one_pass(self):
+        # l5-identity's published form and the derived all-plus form of
+        # 16 * projector hold the same 15 symbols; one two-expression pass
+        # gives the extrema of both
+        published = published_identity_expression()
+        derived, _ = symbolize(16.0 * cases._loop5_ops().ident, {"Z": "A", "X": "B", "Y": "C"})
+        assert derived.symbols == published.symbols and len(published.symbols) == 15
+        values, _ = concatenated(bounds._vertex_blocks([published, derived], published.symbols))
+        values += np.array([[published.constant], [derived.constant]])
+        assert values.min(axis=1).tolist() == [-6.0, -8.0]
+        assert values.max(axis=1).tolist() == [10.0, 16.0]
 
 
 class TestQuantumBounds:

@@ -260,6 +260,53 @@ class TestKrylovAgainstDenseEigh:
             quantum_lower_bound(krylov_sums(1212)[0], cap=8)
 
 
+class TestKrylovSolves:
+    """The k x k tridiagonal eigensolves and the steps of one Lanczos run."""
+
+    @staticmethod
+    def counted_run(monkeypatch, op):
+        counts = {"solves": 0, "applies": 0}
+        eigh, apply = np.linalg.eigh, PauliSum.apply
+
+        def counted_eigh(m, *args, **kwargs):
+            counts["solves"] += 1
+            return eigh(m, *args, **kwargs)
+
+        def counted_apply(self, vec):
+            counts["applies"] += 1
+            return apply(self, vec)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", counted_eigh)
+            patch.setattr(PauliSum, "apply", counted_apply)
+            value, _ = pauli._krylov_top_eigenpair(op)
+        # the last apply is the witness's Rayleigh quotient
+        return value, counts["solves"], counts["applies"] - 1
+
+    def test_clustered_spectrum_takes_few_solves(self, monkeypatch):
+        # 20 random strings on 9 qubits: a long run, where a residual test at
+        # every step would solve once per step
+        rng = np.random.default_rng(1)
+        op = PauliSum(9, {(int(rng.integers(512)), int(rng.integers(512))): float(rng.normal())
+                          for _ in range(20)})
+        value, solves, steps = self.counted_run(monkeypatch, op)
+        assert steps > 100
+        assert solves <= 30
+        top = pauli.top_eigenpair(op.to_dense())[0]
+        assert abs(value - top) <= 1e-9 * abs_sum(op)
+
+    def test_stops_when_beta_collapses(self, monkeypatch):
+        # Z0 + 2 Z1 + 4 Z2 + 8 Z3 has 16 distinct eigenvalues, so the Krylov
+        # space of a generic start vector is invariant after 16 steps; 16
+        # falls between two scheduled residual tests, and the collapse of the
+        # next vector tests the residual there at once
+        op = PauliSum(9, {(0, 1 << q): float(1 << q) for q in range(4)})
+        value, solves, steps = self.counted_run(monkeypatch, op)
+        assert steps == 16
+        assert solves < steps
+        assert abs(value - 15.0) <= 1e-12 * 15
+
+
 def pseudo_pauli_sums(seed):
     """beta (k . L) on graph codes of 2 to 8 qubits: two seeded random
     connected graphs per n and the 5-loop, each generator signed at random,

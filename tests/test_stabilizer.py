@@ -13,7 +13,6 @@ from bellforge.stabilizer import (
     _gf2_echelon,
     basis_from_flip,
     bell_basis,
-    expand_projector,
     ghz3_basis,
     graph_state_generators,
     state_vector,
@@ -21,6 +20,7 @@ from bellforge.stabilizer import (
 from helpers import (
     bell_kets_typed,
     commuting_split,
+    expand_projector,
     ghz3_kets_typed,
     gray_code_elements,
     loop5_basis,

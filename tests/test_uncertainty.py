@@ -75,7 +75,7 @@ def square_in_disc_check(d1: DirectionXZ, d2: DirectionXZ
         })
 
     e1, e2 = expr_for(d1), expr_for(d2)
-    vertices = _pair_vertices(e1, e2)
+    vertices = list(zip(*_pair_vertices(e1, e2).tolist()))
     worst = max(_ellipse(x, y, plus, minus) for x, y in vertices)
     return worst <= DISC_BOUND + 1e-9, worst, vertices
 
