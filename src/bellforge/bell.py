@@ -30,12 +30,12 @@ from .pauli import (
     DENSE_QUBIT_CAP,
     PauliSum,
     PauliTerm,
+    _check_cap,
     bloch_sum,
     product,
 )
 from .stabilizer import (
     GraphSpec,
-    basis_from_flip,
     bell_basis,
     ghz3_basis,
     graph_state_generators,
@@ -531,8 +531,7 @@ class BellRecipe:
     def from_dict(cls, data: dict, cap: int = DENSE_QUBIT_CAP) -> "BellRecipe":
         """The recipe described by ``data``. Its logical operators are resolved
         after every field check: shared for the named bases, by the symbolic
-        route for a graph basis, whose kets are built under the dense qubit
-        cap ``cap``."""
+        route for a graph basis, under the dense qubit cap ``cap``."""
         if not isinstance(data, dict):
             raise ValueError(f"recipe must be an object, not {data!r}")
         basis_spec = data["basis"]
@@ -553,8 +552,8 @@ class BellRecipe:
             n = graph.n
 
             def resolve() -> LogicalPaulis:
-                return logical_paulis_symbolic(group, flip,
-                                               basis_from_flip(group, flip, cap))
+                _check_cap(n, cap)    # the group's arrays hold 2^n elements
+                return logical_paulis_symbolic(group, flip)
         else:
             raise ValueError(f"unknown basis kind {kind!r}")
         k = data.get("k", [0, 0, 1])

@@ -309,21 +309,14 @@ def pseudo_pauli_certificate(op: PauliSum) -> tuple[float, np.ndarray] | None:
     span = _gf2_echelon(vecs ^ vecs[0])
     if len(span) > n + 1:
         return None
-    # v in span commutes with every term iff it does with t0 and with the span
-    tests = [*span, int(vecs[0])]
-    pivots: dict[int, tuple[int, int]] = {}
-    stab = []
-    for j, b in enumerate(span):
-        col, combo = sum(_anticommute(u, b, n) << i for i, u in enumerate(tests)), 1 << j
-        while col:
-            p = col.bit_length() - 1
-            if p not in pivots:
-                pivots[p] = col, combo
-                break
-            col ^= pivots[p][0]
-            combo ^= pivots[p][1]
-        else:
-            stab.append(reduce(xor, (s for i, s in enumerate(span) if combo >> i & 1)))
+    # v in span commutes with every term iff it does with t0 and with the span:
+    # row j holds span[j]'s anticommutation pattern above its own bit j, and
+    # the echelon rows with no pattern bits are the commuting combinations
+    tests, k = [*span, int(vecs[0])], len(span)
+    rows = _gf2_echelon([sum(_anticommute(u, b, n) << i for i, u in enumerate(tests)) << k
+                         | 1 << j for j, b in enumerate(span)])
+    stab = [reduce(xor, (s for i, s in enumerate(span) if row >> i & 1))
+            for row in rows if not row >> k]
     if len(stab) != n - 1:
         return None
     stab = _gf2_echelon(stab)

@@ -47,7 +47,7 @@ from .recursive import (
     scaled_value_fraction,
     svetlichny_case,
 )
-from .stabilizer import GraphSpec, bell_basis, graph_state_generators
+from .stabilizer import GraphSpec, basis_from_flip, bell_basis, graph_state_generators
 from .uncertainty import (
     DirectionXZ,
     lemma_sweep,
@@ -257,11 +257,15 @@ def _case_svetlichny3(config: RunConfig) -> CaseResult:
 
 
 @cache
+def _loop5_code():
+    """The loop-5 code: its graph-state group and the flip Z^(x5), shared."""
+    return graph_state_generators(GraphSpec.loop(5)), PauliTerm.from_string("ZZZZZ")
+
+
+@cache
 def _loop5_ops():
     """The loop-5 code's logical operators, symbolic route, shared."""
-    group = graph_state_generators(GraphSpec.loop(5))
-    flip = PauliTerm.from_string("ZZZZZ")
-    return logical_paulis_symbolic(group, flip)
+    return logical_paulis_symbolic(*_loop5_code())
 
 
 def _case_l5(config: RunConfig, which: str) -> CaseResult:
@@ -337,9 +341,10 @@ def _case_l5_identity(config: RunConfig) -> CaseResult:
                      dense=dense)
 
     rng = np.random.default_rng(config.case_seed("l5-identity"))
+    basis = basis_from_flip(*_loop5_code())
     worst = 0.0
     for _ in range(10):
-        rho = random_codespace_mixture(ops.basis, rng)
+        rho = random_codespace_mixture(basis, rng)
         worst = max(worst, abs(float(np.trace(rho @ dense).real) - 16.0))
 
     # where the published expression and the derived symbolization disagree
@@ -513,7 +518,7 @@ def build_report(recipe: BellRecipe, config: RunConfig, seesaw: bool) -> dict:
     kind = spec.get("kind", "none")
     rough, sos_status, cap = recipe.beta_q, "not-attempted", config.cap_qubits
     if kind == "chained":
-        if recipe.ops.basis is not bell_basis():
+        if recipe.ops is not bell_logical_paulis():
             raise ValueError("chained decomposition is defined on the two-qubit "
                              "Bell-state basis")
         rough = chained_construction(spec["n"]).quantum_bound

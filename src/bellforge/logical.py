@@ -1,18 +1,20 @@
 """Logical Pauli operators of a two-dimensional code space.
 
-For a basis {|0>, |1>} the four operators are the Pauli-like outer-product
-combinations
+A logical qubit is its four operators, the Pauli-like outer-product
+combinations of a code basis {|0>, |1>}
 
     Z = |0><0| - |1><1|      X = |0><1| + |1><0|
     Y = i(|1><0| - |0><1|)   ident = |0><0| + |1><1|
 
-expanded over n-qubit Pauli strings. Two construction routes are provided and
-must agree: a dense outer-product route (any code basis of at most
-``DECOMPOSE_QUBIT_CAP`` qubits) and a symbolic stabilizer route (the group's
-element arrays split by one parity test, one array product per operator). The
-named Bell and GHZ3 bases are stabilizer codes like any other; their operators
-still come from the numeric route, whose digits the recursive family and the
-certified table carry, and are built once per process and shared.
+expanded over n-qubit Pauli strings; it keeps no kets. Two construction
+routes are provided and must agree: a dense outer-product route, which reads
+the kets it is given (any code basis of at most ``DECOMPOSE_QUBIT_CAP``
+qubits), and a symbolic stabilizer route, which builds no state (the group's
+element arrays split by one parity test, one array product per operator).
+The named Bell and GHZ3 bases are stabilizer codes like any other; their
+operators still come from the numeric route, whose digits the recursive
+family and the certified table carry, and are built once per process and
+shared.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .stabilizer import (
     StabilizerGroup,
     _signed_sum,
     _times,
-    basis_from_flip,
     bell_basis,
     ghz3_basis,
 )
@@ -42,9 +43,8 @@ from .stabilizer import (
 
 @dataclass(frozen=True)
 class LogicalPaulis:
-    """The operator quadruple attached to one logical basis."""
+    """The four logical operators of one code space."""
 
-    basis: LogicalBasis
     z: PauliSum
     x: PauliSum
     y: PauliSum
@@ -52,7 +52,7 @@ class LogicalPaulis:
 
     @property
     def n(self) -> int:
-        return self.basis.n
+        return self.z.n
 
     def direction(self, k: tuple[float, float, float]) -> PauliSum:
         """k_x * X + k_y * Y + k_z * Z for a Bloch-like direction k."""
@@ -75,7 +75,6 @@ def logical_paulis_numeric(basis: LogicalBasis) -> LogicalPaulis:
     y_m = 1j * (_outer(one, zero) - _outer(zero, one))
     i_m = _outer(zero, zero) + _outer(one, one)
     return LogicalPaulis(
-        basis=basis,
         z=pauli_decompose(z_m, basis.n),
         x=pauli_decompose(x_m, basis.n),
         y=pauli_decompose(y_m, basis.n),
@@ -95,31 +94,27 @@ def ghz3_logical_paulis() -> LogicalPaulis:
     return logical_paulis_numeric(ghz3_basis())
 
 
-def logical_paulis_symbolic(group: StabilizerGroup, flip: PauliTerm,
-                            basis: LogicalBasis | None = None) -> LogicalPaulis:
+def logical_paulis_symbolic(group: StabilizerGroup, flip: PauliTerm) -> LogicalPaulis:
     """Half-group split construction, on the group's element arrays.
 
     Z collects the group half anticommuting with the flip, ident the other
     half C and X each c * flip, all scaled 2/2^n. Y = i*X@Z = (2/2^n) sum of
-    i*(c*flip)*z over C, for any z in the other half (which is C*z). Agrees
-    term-for-term with the numeric route on the basis derived from the same
-    data. Raises ValueError on a flip of phase +/-i, or one that commutes
-    with the whole group.
+    i*(c*flip)*z over C, for any z in the other half (which is C*z). Builds
+    no state, yet agrees term-for-term with the numeric route on the basis
+    ``basis_from_flip`` derives from the same data. Raises ValueError on a
+    flip of phase +/-i, or one that commutes with the whole group.
     """
     if flip.n != group.n or not flip.is_hermitian:
         raise ValueError(f"flip {flip} is not a Hermitian {group.n}-qubit string")
-    if basis is None:
-        basis = basis_from_flip(group, flip)
     n, (gx, gz, gk) = group.n, group._arrays
     anti = (np.bitwise_count(gx & flip.z_mask) ^ np.bitwise_count(gz & flip.x_mask)) & 1 == 1
     if not anti.any():
-        raise ValueError("flip commutes with the whole group; no logical Z")
+        raise ValueError(f"flip {flip} commutes with the whole group; no logical Z")
     comm = (gx[~anti], gz[~anti], gk[~anti])
     x = _times(*comm, flip.x_mask, flip.z_mask, flip.phase_exp)
     z = int(np.argmax(anti))
     w = 2.0 / (1 << n)
     return LogicalPaulis(
-        basis=basis,
         z=_signed_sum(n, gx[anti], gz[anti], gk[anti], w),
         x=_signed_sum(n, *x, w),
         y=_signed_sum(n, *_times(*x, int(gx[z]), int(gz[z]), int(gk[z]) + 1), w),

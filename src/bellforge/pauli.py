@@ -538,9 +538,10 @@ def _krylov_top_eigenpair(op: PauliSum) -> tuple[float, np.ndarray]:
     (phase-fixed), from Lanczos iteration on ``op.apply``; no dense matrix.
 
     Starts from a fixed-seed real Gaussian vector and reorthogonalises each
-    new vector against all before it (twice). On a real sum every vector, the
-    witness and the last ``apply`` stay float64; a complex sum turns the
-    iteration complex at its first ``apply``. Stops once the top Ritz
+    new vector against all before it (twice), held as the rows of one array.
+    On a real sum every vector, the witness and the last ``apply`` stay
+    float64 and no conjugate is taken; a complex sum runs in complex128 and
+    conjugates the rows once per step. Stops once the top Ritz
     pair's residual is at most ``_KRYLOV_RTOL`` times sum |c|, or when the
     Krylov space is the whole space. A pseudo Pauli operator B = beta (k.L)
     has B^3 = beta^2 |k|^2 B, so its Krylov spaces have dimension at most 3.
@@ -559,24 +560,30 @@ def _krylov_top_eigenpair(op: PauliSum) -> tuple[float, np.ndarray]:
     tol = _KRYLOV_RTOL * scale
     rng = np.random.default_rng(_KRYLOV_SEED)
     start = rng.standard_normal(dim)
-    basis = [start / np.linalg.norm(start)]
+    real = op._is_real()
+    # the Krylov vectors are the rows of one array, doubled when full
+    basis = np.empty((min(dim, 64), dim), dtype=float if real else complex)
+    basis[0] = start / np.linalg.norm(start)
     alphas, betas = [], []
-    check = 1
+    k = check = 1
     while True:
-        w = op.apply(basis[-1])
-        alphas.append(np.vdot(basis[-1], w).real)
-        vs = np.array(basis)
+        w = op.apply(basis[k - 1])
+        alphas.append(np.vdot(basis[k - 1], w).real)
+        vs = basis[:k]
+        vs_conj = vs if real else vs.conj()
         for _ in range(2):
-            w -= vs.T @ (vs.conj() @ w)
+            w -= vs.T @ (vs_conj @ w)
         betas.append(np.linalg.norm(w))
-        k = len(basis)
         if k == check or betas[-1] <= _KRYLOV_COLLAPSE * scale or k == dim:
             ritz = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:-1], 1)
                                   + np.diag(betas[:-1], -1))[1][:, -1]
             if betas[-1] * abs(ritz[-1]) <= tol or k == dim:
                 break
             check = k + max(1, k // 4)
-        basis.append(w / betas[-1])
+        if k == len(basis):
+            basis = np.concatenate((basis, np.empty_like(basis)))
+        basis[k] = w / betas[-1]
+        k += 1
     x = ritz @ vs
     x = fix_global_phase(x / np.linalg.norm(x))
     return float(np.vdot(x, op.apply(x)).real), x

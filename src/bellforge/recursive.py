@@ -1,16 +1,17 @@
 """Recursive multi-qubit construction by linear expansion of one qubit.
 
-The expansion replaces a chosen physical qubit, in states and in operators,
-by its logical image under a rule, itself a logical qubit (``LogicalPaulis``):
-|0> and |1> become the rule's kets, X/Y/Z its logical operators, and I its
-code-space projector. Iterating on the last qubit with the Bell-basis rule
-``bell_logical_paulis()`` grows the n-qubit family behind the Mermin and
-Svetlichny inequalities.
+The expansion replaces a chosen physical qubit of an operator by its logical
+image under a rule, itself a logical qubit (``LogicalPaulis``): X/Y/Z become
+the rule's logical operators, and I its code-space projector. Iterating on the
+last qubit with the Bell-basis rule ``bell_logical_paulis()`` grows the
+n-qubit family behind the Mermin and Svetlichny inequalities. The same
+substitution on states (|0> and |1> become the rule's kets) gives each level's
+code basis; the operators alone carry every bound, so no level builds one.
 
 Every level is a logical qubit too: ``build_level(n)`` returns level n of one
 shared chain, built once per process, in which level k+1 is level k expanded
-at its last qubit (``expand_code``), its kets and all four operators alike.
-Levels are frozen and their kets read-only.
+at its last qubit (``expand_code``), all four operators alike. Levels are
+frozen.
 """
 
 from __future__ import annotations
@@ -24,20 +25,8 @@ import numpy as np
 from .bell import BellExpression, symbolize
 from .logical import LogicalPaulis, bell_logical_paulis
 from .pauli import PauliSum
-from .stabilizer import LogicalBasis
 
 MAX_LEVEL = 10
-
-
-def expand_state(vec: np.ndarray, k: int, n: int, rule: LogicalPaulis) -> np.ndarray:
-    """Replace qubit k of an n-qubit state by its logical image."""
-    if not 0 <= k < n:
-        raise ValueError(f"qubit {k} outside range 0..{n - 1}")
-    left, right = 1 << k, 1 << (n - 1 - k)
-    kets = np.vstack([rule.basis.zero_ket, rule.basis.one_ket])   # (2, 2^rule.n)
-    t = np.asarray(vec, dtype=complex).reshape(left, 2, right)
-    out = np.einsum("abc,bd->adc", t, kets)
-    return out.reshape(left * (1 << rule.n) * right)
 
 
 def expand_operator(op: PauliSum, k: int, rule: LogicalPaulis) -> PauliSum:
@@ -62,12 +51,8 @@ def expand_operator(op: PauliSum, k: int, rule: LogicalPaulis) -> PauliSum:
 
 def expand_code(code: LogicalPaulis, k: int, rule: LogicalPaulis) -> LogicalPaulis:
     """The logical qubit ``code`` with its qubit k replaced by the rule's image:
-    both kets and all four operators expanded alike."""
-    basis = code.basis
+    all four operators expanded alike."""
     return LogicalPaulis(
-        basis=LogicalBasis(code.n + rule.n - 1,
-                           expand_state(basis.zero_ket, k, code.n, rule),
-                           expand_state(basis.one_ket, k, code.n, rule)),
         z=expand_operator(code.z, k, rule),
         x=expand_operator(code.x, k, rule),
         y=expand_operator(code.y, k, rule),
@@ -90,7 +75,6 @@ def _level(n: int) -> LogicalPaulis:
     """Level n of the shared chain: level n - 1 expanded at its last qubit."""
     if n == 1:
         return LogicalPaulis(
-            basis=LogicalBasis(1, np.array([1.0, 0.0]), np.array([0.0, 1.0])),
             z=PauliSum.from_strings([("Z", 1.0)]),
             x=PauliSum.from_strings([("X", 1.0)]),
             y=PauliSum.from_strings([("Y", 1.0)]),

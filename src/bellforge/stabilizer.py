@@ -15,10 +15,14 @@ a signed product and the group growth built on it, and a code-state scatter
 in O(2^n), with no projector sum and no matrix. Elements, code states,
 ``logical``'s operators and ``bounds``' certificate all use them.
 
-A basis holds read-only copies of its kets, so one basis can be shared; a
-copy holds no negative zero. The named Bell and GHZ3 bases are constants of
-the construction: each is built once per process and every caller gets the
-same object.
+Code states are built only where a ket is read: the numeric route to the
+Bell and GHZ3 operators, the certificate's witness, the ``l5-identity``
+code-space mixtures and the Bell-state values of the quadratic cases.
+``logical``'s symbolic route reads the group arrays alone, and the
+recursive family only operators. A basis holds read-only copies of its
+kets, so one basis can be shared; a copy holds no negative zero. The named
+Bell and GHZ3 bases are constants of the construction: each is built once
+per process and every caller gets the same object.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 """Small constructions and comparisons that only the tests use."""
 
+import functools
 import json
 import math
 from itertools import groupby
@@ -34,6 +35,7 @@ from bellforge.stabilizer import (
     StabilizerGroup,
     _signed_sum,
     basis_from_flip,
+    bell_basis,
     graph_state_generators,
 )
 
@@ -50,6 +52,32 @@ def loop5_basis() -> LogicalBasis:
     """Five-qubit loop-graph code basis: |0> = |L5>, |1> = Z^(x5) |L5>."""
     group = graph_state_generators(GraphSpec.loop(5))
     return basis_from_flip(group, PauliTerm.from_string("ZZZZZ"))
+
+
+def expand_state(vec, k: int, n: int, rule: LogicalBasis) -> np.ndarray:
+    """Replace qubit k of an n-qubit state by its logical image: |0> and |1>
+    become the rule's kets. The paper's state expansion; ``recursive``
+    expands operators only, and this is the oracle for the code space they
+    act on."""
+    if not 0 <= k < n:
+        raise ValueError(f"qubit {k} outside range 0..{n - 1}")
+    left, right = 1 << k, 1 << (n - 1 - k)
+    kets = np.vstack([rule.zero_ket, rule.one_ket])   # (2, 2^rule.n)
+    t = np.asarray(vec, dtype=complex).reshape(left, 2, right)
+    out = np.einsum("abc,bd->adc", t, kets)
+    return out.reshape(left * (1 << rule.n) * right)
+
+
+@functools.cache
+def level_kets(n: int) -> LogicalBasis:
+    """The code basis of ``build_level(n)``: the physical qubit at n = 1,
+    then level n - 1's kets expanded at their last qubit by ``bell_basis()``.
+    Built once per process; the kets are read-only."""
+    if n == 1:
+        return LogicalBasis(1, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    prev = level_kets(n - 1)
+    return LogicalBasis(n, *(expand_state(ket, n - 2, n - 1, bell_basis())
+                             for ket in (prev.zero_ket, prev.one_ket)))
 
 
 def bell_kets_typed() -> tuple[np.ndarray, np.ndarray]:

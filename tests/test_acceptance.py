@@ -23,7 +23,7 @@ from golden import (
     loop5_golden_y,
     loop5_golden_z,
 )
-from helpers import basis_from_kets, classical_bounds_bruteforce, expand_projector
+from helpers import basis_from_kets, classical_bounds_bruteforce, expand_projector, loop5_basis
 
 from bellforge.bell import (
     chained_construction,
@@ -165,7 +165,7 @@ def test_criterion_4_identity_case():
     lam, _ = quantum_lower_bound(projector16)
     rng = np.random.default_rng(SEED)
     deviations = [abs(projector16.expectation(
-        random_codespace_mixture(ops.basis, rng)) - 16.0) for _ in range(10)]
+        random_codespace_mixture(loop5_basis(), rng)) - 16.0) for _ in range(10)]
     ok = (cb.minimum == -6.0 and cb.maximum == 10.0
           and abs(lam - 16.0) <= 1e-9 and max(deviations) <= 1e-9)
     report("4 (identity case)", ok,

@@ -34,7 +34,7 @@ from bellforge.pauli import _PAULI_2X2, PauliSum, PauliTerm
 from bellforge.recursive import mermin_case, svetlichny_case
 from bellforge.stabilizer import GraphSpec, bell_basis, ghz3_basis, graph_state_generators
 from bellforge.uncertainty import quadratic_bell
-from helpers import bits, classical_bounds_bruteforce, evaluate, vertex_blocks_one
+from helpers import bits, classical_bounds_bruteforce, evaluate, loop5_basis, vertex_blocks_one
 
 ROOT2 = math.sqrt(2)
 
@@ -291,16 +291,16 @@ class TestQuantumBounds:
         ops = loop5_ops()
         val, wit = quantum_lower_bound(16.0 * ops.z)
         assert abs(val - 16.0) < 1e-9
-        overlap = abs(np.vdot(wit, ops.basis.zero_ket))
+        overlap = abs(np.vdot(wit, loop5_basis().zero_ket))
         assert abs(overlap - 1.0) < 1e-8
 
     def test_projector_reaches_16_on_any_code_state(self):
-        ops = loop5_ops()
-        op16 = 16.0 * ops.ident
+        op16 = 16.0 * loop5_ops().ident
+        basis = loop5_basis()
         rng = np.random.default_rng(5)
         for _ in range(5):
             amps = rng.normal(size=2) + 1j * rng.normal(size=2)
-            psi = amps[0] * ops.basis.zero_ket + amps[1] * ops.basis.one_ket
+            psi = amps[0] * basis.zero_ket + amps[1] * basis.one_ket
             psi /= np.linalg.norm(psi)
             assert abs(op16.expectation(psi) - 16.0) < 1e-9
 

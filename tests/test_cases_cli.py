@@ -316,7 +316,7 @@ class TestCli:
         assert "+iZZZZZ" in captured.err
 
     def test_build_graph_basis_honours_cap(self, tmp_path, monkeypatch, capsys):
-        # the recipe's basis is built under --cap-qubits, not the default cap
+        # the recipe's graph basis resolves under --cap-qubits, not the default cap
         rendered = []
         real = PauliSum.to_dense
 

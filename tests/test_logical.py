@@ -1,13 +1,20 @@
 """Logical Pauli operator construction, numeric vs symbolic routes."""
 
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
-from bellforge import logical
-from bellforge.logical import logical_paulis_numeric, logical_paulis_symbolic
+from bellforge import logical, recursive, stabilizer
+from bellforge.bell import BellRecipe
+from bellforge.logical import (
+    LogicalPaulis,
+    bell_logical_paulis,
+    logical_paulis_numeric,
+    logical_paulis_symbolic,
+)
 from bellforge.pauli import PauliSum, PauliTerm, QubitCapError, product
 from bellforge.stabilizer import (
     GraphSpec,
@@ -24,6 +31,7 @@ from helpers import (
     basis_from_kets,
     logical_paulis_by_terms,
     logical_paulis_json,
+    loop5_basis,
     rotated_z,
     seeded_groups,
     sums_match,
@@ -133,9 +141,8 @@ class TestSymbolicRoute:
     def test_matches_numeric_route(self, strings, flip):
         group = StabilizerGroup.from_strings(strings)
         zc = PauliTerm.from_string(flip)
-        basis = basis_from_flip(group, zc)
-        sym = logical_paulis_symbolic(group, zc, basis)
-        num = logical_paulis_numeric(basis)
+        sym = logical_paulis_symbolic(group, zc)
+        num = logical_paulis_numeric(basis_from_flip(group, zc))
         for a, b in ((sym.z, num.z), (sym.x, num.x), (sym.y, num.y),
                      (sym.ident, num.ident)):
             assert sums_match(a, b, atol=1e-12)
@@ -157,7 +164,7 @@ class TestSymbolicRoute:
                 basis = basis_from_flip(group, flip)
             except ValueError:
                 continue   # the flip commutes with the whole group
-            sym = logical_paulis_symbolic(group, flip, basis)
+            sym = logical_paulis_symbolic(group, flip)
             num = logical_paulis_numeric(basis)
             for a, b in ((sym.z, num.z), (sym.x, num.x), (sym.y, num.y),
                          (sym.ident, num.ident)):
@@ -195,14 +202,13 @@ class TestSymbolicRoute:
 
     @pytest.mark.parametrize("flip", ["iZZZZZ", "-iZZZZZ"])
     def test_phased_flip_rejected(self, flip):
-        # i*Z^(x5) squares to -I: it has no Hermitian logical X, with or
-        # without a basis given
+        # i*Z^(x5) squares to -I: it has no Hermitian logical X, though it
+        # flips the code basis like Z^(x5)
         group, _ = loop5_parts()
         zc = PauliTerm.from_string(flip)
+        basis_from_flip(group, zc)
         with pytest.raises(ValueError, match="not a Hermitian 5-qubit string"):
             logical_paulis_symbolic(group, zc)
-        with pytest.raises(ValueError, match="not a Hermitian 5-qubit string"):
-            logical_paulis_symbolic(group, zc, basis_from_flip(group, zc))
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_term_oracle(self, n):
@@ -228,10 +234,9 @@ class TestSymbolicRoute:
 
 class TestAlgebraOnCodeSpace:
     def test_code_space_action(self):
-        for basis_ops in (logical_paulis_numeric(bell_basis()),
-                          logical_paulis_symbolic(*loop5_parts())):
-            zero = basis_ops.basis.zero_ket
-            one = basis_ops.basis.one_ket
+        for basis_ops, basis in ((logical_paulis_numeric(bell_basis()), bell_basis()),
+                                 (logical_paulis_symbolic(*loop5_parts()), loop5_basis())):
+            zero, one = basis.zero_ket, basis.one_ket
             assert np.allclose(basis_ops.z.apply(zero), zero, atol=1e-10)
             assert np.allclose(basis_ops.z.apply(one), -one, atol=1e-10)
             assert np.allclose(basis_ops.x.apply(zero), one, atol=1e-10)
@@ -257,6 +262,35 @@ class TestAlgebraOnCodeSpace:
         for op in (ops.z, ops.x, ops.y):
             for ket in (two, three):
                 assert np.max(np.abs(op.apply(ket))) < 1e-12
+
+
+class TestOperatorsOnly:
+    def test_a_logical_qubit_is_its_four_operators(self):
+        assert [f.name for f in dataclasses.fields(LogicalPaulis)] == ["z", "x", "y", "ident"]
+        assert logical_paulis_symbolic(*loop5_parts()).n == 5
+
+    def test_operator_routes_build_no_state(self, monkeypatch):
+        # the symbolic route, the recursive chain and a graph recipe read only
+        # the group arrays and the shared Bell rule, whose numeric operators
+        # are built from its kets once, before the patch
+        bell_logical_paulis()
+
+        def no_state(*args, **kwargs):
+            raise AssertionError("a code state was built")
+
+        monkeypatch.setattr(stabilizer, "state_vector", no_state)
+        monkeypatch.setattr(stabilizer, "_code_state", no_state)
+        monkeypatch.setattr(stabilizer.LogicalBasis, "__post_init__", no_state)
+        assert logical_paulis_symbolic(*loop5_parts()).n == 5
+        path12 = graph_state_generators(GraphSpec.path(12))
+        assert logical_paulis_symbolic(path12, PauliTerm(12, 0, (1 << 12) - 1)).n == 12
+        recursive._level.cache_clear()     # a fresh chain, built under the patch
+        assert recursive.build_level(10).n == 10
+        recipe = BellRecipe.from_dict({
+            "basis": {"kind": "graph", "flip": "ZZZZZ",
+                      "graph": {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]}},
+            "k": [0, 0, 1]})
+        assert recipe.ops.n == 5
 
 
 class TestRotatedZ:

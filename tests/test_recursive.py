@@ -1,4 +1,4 @@
-"""Linear-expansion recursion: states, operators, and family bounds."""
+"""Linear-expansion recursion: operators, their code spaces, and family bounds."""
 
 import math
 from fractions import Fraction
@@ -21,12 +21,11 @@ from bellforge.recursive import (
     build_level,
     expand_code,
     expand_operator,
-    expand_state,
     mermin_case,
     svetlichny_case,
 )
-from bellforge.stabilizer import LogicalBasis
-from helpers import sums_match
+from bellforge.stabilizer import LogicalBasis, bell_basis
+from helpers import expand_state, level_kets, sums_match
 
 
 class TestExpansion:
@@ -35,8 +34,9 @@ class TestExpansion:
         assert dict(lv.z.to_strings()) == pytest.approx({"ZZ": 0.5, "XX": 0.5})
         assert dict(lv.x.to_strings()) == pytest.approx({"ZX": 0.5, "XZ": -0.5})
         r = 1 / math.sqrt(2)
-        assert np.allclose(lv.basis.zero_ket, [r, 0, 0, r], atol=1e-12)
-        assert np.allclose(lv.basis.one_ket, [0, r, -r, 0], atol=1e-12)
+        kets = level_kets(2)
+        assert np.allclose(kets.zero_ket, [r, 0, 0, r], atol=1e-12)
+        assert np.allclose(kets.one_ket, [0, r, -r, 0], atol=1e-12)
 
     def test_level2_is_the_bell_rule_bit_for_bit(self):
         lv, bell = build_level(2), bell_logical_paulis()
@@ -44,7 +44,7 @@ class TestExpansion:
             got, want = getattr(lv, op).to_strings(), getattr(bell, op).to_strings()
             assert [(s, c.hex()) for s, c in got] == [(s, c.hex()) for s, c in want], op
         for ket in ("zero_ket", "one_ket"):
-            assert getattr(lv.basis, ket).tobytes() == getattr(bell.basis, ket).tobytes()
+            assert getattr(level_kets(2), ket).tobytes() == getattr(bell_basis(), ket).tobytes()
 
     def test_level3_golden(self):
         lv = build_level(3)
@@ -55,11 +55,11 @@ class TestExpansion:
         want_zero = np.zeros(8)
         want_zero[[0b000, 0b011, 0b101]] = 0.5
         want_zero[0b110] = -0.5
-        assert np.allclose(lv.basis.zero_ket, want_zero, atol=1e-12)
+        assert np.allclose(level_kets(3).zero_ket, want_zero, atol=1e-12)
         want_one = np.zeros(8)
         want_one[0b001] = 0.5
         want_one[[0b010, 0b100, 0b111]] = -0.5
-        assert np.allclose(lv.basis.one_ket, want_one, atol=1e-12)
+        assert np.allclose(level_kets(3).one_ket, want_one, atol=1e-12)
 
     def test_identity_expands_to_projector(self):
         eye = PauliSum.identity(1)
@@ -76,7 +76,7 @@ class TestExpansion:
     def test_expand_state_mid_qubit(self):
         vec = np.zeros(4, dtype=complex)
         vec[0b01] = 1.0   # |0>|1>
-        out = expand_state(vec, 1, 2, bell_logical_paulis())
+        out = expand_state(vec, 1, 2, bell_basis())
         r = 1 / math.sqrt(2)
         want = np.zeros(8, dtype=complex)
         want[0b001] = r   # |0> (|01>-|10>)/sqrt2
@@ -96,7 +96,8 @@ class TestExpansion:
         assert lv.x.to_strings() == [("X", 1.0)]
         assert lv.y.to_strings() == [("Y", 1.0)]
         assert lv.ident.to_strings() == [("I", 1.0)]
-        assert np.allclose(lv.basis.zero_ket, [1, 0]) and np.allclose(lv.basis.one_ket, [0, 1])
+        kets = level_kets(1)
+        assert np.allclose(kets.zero_ket, [1, 0]) and np.allclose(kets.one_ket, [0, 1])
 
     def test_bad_qubit(self):
         with pytest.raises(ValueError):
@@ -111,7 +112,7 @@ class TestLevelInvariants:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_projector_identity(self, n):
         lv = build_level(n)
-        zero, one = lv.basis.zero_ket, lv.basis.one_ket
+        zero, one = level_kets(n).zero_ket, level_kets(n).one_ket
         z_m = np.outer(zero, zero.conj()) - np.outer(one, one.conj())
         x_m = np.outer(zero, one.conj()) + np.outer(one, zero.conj())
         assert np.max(np.abs(lv.z.to_dense() - z_m)) < 1e-10
@@ -120,17 +121,22 @@ class TestLevelInvariants:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_ident_is_the_code_projector_and_y_is_ixz(self, n):
         lv = build_level(n)
-        zero, one = lv.basis.zero_ket, lv.basis.one_ket
+        zero, one = level_kets(n).zero_ket, level_kets(n).one_ket
         projector = np.outer(zero, zero.conj()) + np.outer(one, one.conj())
         assert np.max(np.abs(lv.ident.to_dense() - projector)) < 1e-15
         assert np.max(np.abs((lv.y - product(lv.x, lv.z, scale=1j)).to_dense())) < 1e-15
 
     @pytest.mark.parametrize("n", range(1, MAX_LEVEL + 1))
     def test_every_level_is_a_logical_basis(self, n):
-        basis = build_level(n).basis
-        assert isinstance(basis, LogicalBasis) and basis.n == n
-        # the constructor's norm and orthogonality checks pass on a fresh copy
-        LogicalBasis(n, basis.zero_ket, basis.one_ket)
+        # the level's operators act as logical Paulis on the kets of the
+        # paper's state expansion, which pass LogicalBasis's norm and
+        # orthogonality checks
+        lv, kets = build_level(n), level_kets(n)
+        assert lv.n == kets.n == n and isinstance(kets, LogicalBasis)
+        zero, one = kets.zero_ket, kets.one_ket
+        for op, ket, want in ((lv.z, zero, zero), (lv.z, one, -one), (lv.x, zero, one),
+                              (lv.ident, zero, zero), (lv.ident, one, one)):
+            assert np.max(np.abs(op.apply(ket) - want)) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_scaled_coefficients_are_unit(self, n):
@@ -150,8 +156,10 @@ class TestLevelInvariants:
         composed = expand_code(lv_n, lv_n.n - 1, build_level(3))
         for op in ("z", "x", "y", "ident"):
             assert sums_match(getattr(direct, op), getattr(composed, op)), op
-        assert np.allclose(direct.basis.zero_ket, composed.basis.zero_ket, atol=1e-12)
-        assert np.allclose(direct.basis.one_ket, composed.basis.one_ket, atol=1e-12)
+        # the same two moves on the kets
+        for ket in ("zero_ket", "one_ket"):
+            composed_ket = expand_state(getattr(level_kets(n), ket), n - 1, n, level_kets(3))
+            assert np.allclose(getattr(level_kets(n + 2), ket), composed_ket, atol=1e-12)
 
 
 class TestFamilyCases:

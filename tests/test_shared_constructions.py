@@ -12,10 +12,11 @@ from bellforge.cases import RunConfig, case_names, run_cases
 from bellforge.logical import bell_logical_paulis, ghz3_logical_paulis, logical_paulis_numeric
 from bellforge.pauli import PauliSum
 from bellforge.recursive import MAX_LEVEL, build_level, expand_code
-from bellforge.stabilizer import LogicalBasis, bell_basis, ghz3_basis
+from bellforge.stabilizer import LogicalBasis, basis_from_flip, bell_basis, ghz3_basis
+from helpers import level_kets
 
 CACHED = (stabilizer.bell_basis, stabilizer.ghz3_basis, logical.bell_logical_paulis,
-          logical.ghz3_logical_paulis, recursive._level, cases._loop5_ops,
+          logical.ghz3_logical_paulis, recursive._level, cases._loop5_code, cases._loop5_ops,
           bell._letter_setting, bounds._strategy_table, bell.chained_construction)
 
 # the single-letter settings and strategy tables a catalog pass reads
@@ -72,8 +73,7 @@ def _snapshot(obj) -> tuple:
     if isinstance(obj, LogicalBasis):
         return (obj.n, *_ket_bytes(obj.zero_ket, obj.one_ket))
     if isinstance(obj, logical.LogicalPaulis):
-        return (_snapshot(obj.basis),
-                *map(_sum_bytes, (obj.z, obj.x, obj.y, obj.ident)))
+        return tuple(map(_sum_bytes, (obj.z, obj.x, obj.y, obj.ident)))
     raise TypeError(f"no snapshot for {type(obj).__name__}")
 
 
@@ -143,15 +143,14 @@ class TestBuiltOnce:
 
     def test_same_object_every_call(self):
         assert build_level(5) is build_level(5)
-        assert bell_logical_paulis().basis is bell_basis()
-        assert ghz3_logical_paulis().basis is ghz3_basis()
+        assert bell_basis() is bell_basis() and ghz3_basis() is ghz3_basis()
+        assert cases._loop5_ops() is cases._loop5_ops()
         for kind, ops in (("bell", bell_logical_paulis()), ("ghz3", ghz3_logical_paulis())):
             assert BellRecipe.from_dict({"basis": {"kind": kind}}).ops is ops
 
     def test_shared_chain_matches_fresh_chain(self):
         rule = logical_paulis_numeric(stabilizer.bell_basis.__wrapped__())
         fresh = logical.LogicalPaulis(
-            basis=LogicalBasis(1, np.array([1.0, 0.0]), np.array([0.0, 1.0])),
             z=PauliSum.from_strings([("Z", 1.0)]),
             x=PauliSum.from_strings([("X", 1.0)]),
             y=PauliSum.from_strings([("Y", 1.0)]),
@@ -162,9 +161,6 @@ class TestBuiltOnce:
             assert shared.n == fresh.n == n
             for op in ("z", "x", "y", "ident"):
                 assert getattr(shared, op).to_strings() == getattr(fresh, op).to_strings()
-            for a, b in ((shared.basis.zero_ket, fresh.basis.zero_ket),
-                         (shared.basis.one_ket, fresh.basis.one_ket)):
-                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
             fresh = expand_code(fresh, n - 1, rule)
 
     def test_catalog_pass_leaves_shared_objects_unchanged(self):
@@ -179,11 +175,11 @@ class TestReadOnly:
     @pytest.mark.parametrize("get_ket", [
         lambda: bell_basis().zero_ket,
         lambda: ghz3_basis().one_ket,
-        lambda: bell_logical_paulis().basis.one_ket,
-        lambda: cases._loop5_ops().basis.zero_ket,
-        lambda: build_level(2).basis.zero_ket,
-        lambda: build_level(1).basis.zero_ket,
-        lambda: build_level(6).basis.one_ket,
+        lambda: bell_basis().one_ket,
+        lambda: basis_from_flip(*cases._loop5_code()).zero_ket,
+        lambda: level_kets(2).zero_ket,
+        lambda: level_kets(1).zero_ket,
+        lambda: level_kets(6).one_ket,
     ])
     def test_cached_ket_rejects_writes(self, get_ket):
         ket = get_ket()
@@ -213,7 +209,7 @@ class TestReadOnly:
         with pytest.raises(dataclasses.FrozenInstanceError):
             build_level(3).z = PauliSum.zero(3)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            build_level(3).basis.zero_ket = np.zeros(8, dtype=complex)
+            ghz3_basis().zero_ket = np.zeros(8, dtype=complex)
         with pytest.raises(dataclasses.FrozenInstanceError):
             bell_logical_paulis().ident = PauliSum.zero(2)
 

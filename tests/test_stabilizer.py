@@ -5,7 +5,6 @@ import pytest
 
 from bellforge.logical import logical_paulis_symbolic
 from bellforge.pauli import PauliSum, PauliTerm, QubitCapError
-from bellforge.recursive import build_level
 from bellforge.stabilizer import (
     GraphSpec,
     LogicalBasis,
@@ -23,6 +22,7 @@ from helpers import (
     expand_projector,
     ghz3_kets_typed,
     gray_code_elements,
+    level_kets,
     loop5_basis,
     seeded_groups,
     state_vector_dense,
@@ -245,7 +245,7 @@ class TestLogicalBasis:
         # a flip or an expansion can leave -0.0 parts; a basis never keeps one
         rng = np.random.default_rng(2323)
         bases = [bell_basis(), ghz3_basis(), loop5_basis(),
-                 *(build_level(n).basis for n in range(1, 7))]
+                 *(level_kets(n) for n in range(1, 7))]
         for n in range(2, 7):
             for _ in range(4):
                 edges = [(u, v) for u in range(n) for v in range(u + 1, n)
