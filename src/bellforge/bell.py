@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -27,10 +27,10 @@ from .logical import (
 from .pauli import (
     _BITS_LETTER,
     _BLOCH_BITS,
+    COEFF_PRUNE,
     DENSE_QUBIT_CAP,
     PauliSum,
     PauliTerm,
-    _check_cap,
     bloch_sum,
     product,
 )
@@ -70,18 +70,12 @@ class Setting:
     def bloch(self) -> tuple[float, float, float]:
         return tuple(self.op._terms.get(bits, 0.0) for bits in _BLOCH_BITS)
 
-    def embed(self, n: int) -> PauliSum:
-        return embed_single(self.op, self.party, n)
-
-
-def embed_single(op: PauliSum, party: int, n: int) -> PauliSum:
-    """Place a single-qubit operator at one qubit of an n-qubit register."""
-    if op.n != 1:
-        raise ValueError("expected a single-qubit operator")
-    if not 0 <= party < n:
-        raise ValueError(f"party {party} outside range 0..{n - 1}")
-    return PauliSum(n, {(x << party, z << party): c
-                        for (x, z), c in op._terms.items()})
+    @cached_property
+    def strings(self) -> tuple[tuple[tuple[int, int], float], ...]:
+        """The setting's ((x, z), coefficient) pairs at its party's qubit, in
+        sorted (x, z) order; built once."""
+        return tuple(((x << self.party, z << self.party), c)
+                     for (x, z), c in sorted(self.op._terms.items()))
 
 
 Symbol = tuple[int, str]          # (party, label)
@@ -183,11 +177,13 @@ class BellExpression:
         return f"BellExpression({self.parties}, {dict(self.terms)!r}, {self.constant!r})"
 
     def __str__(self) -> str:
-        parts = []
-        if self.constant:
-            parts.append(f"{self.constant:+g}")
-        for key, c in sorted(self.terms.items()):
-            body = "*".join([f"{label}_{party}" for party, label in key])
+        """The constant, then the terms in key order, read off the factor
+        table: symbols are sorted, so keys sort as their nonzero slots do."""
+        parts = [f"{self.constant:+g}"] if self.constant else []
+        names = (None, *(f"{label}_{party}" for party, label in self._symbols))
+        keys = [[j for j in row if j] for row in self._index.tolist()]
+        for key, c in sorted(zip(keys, self._coeffs.tolist())):
+            body = "*".join(map(names.__getitem__, key))
             if abs(abs(c) - 1.0) < 1e-12:
                 parts.append(("+ " if c > 0 else "- ") + body)
             else:
@@ -203,16 +199,17 @@ class BellExpression:
 def render_terms(expr: BellExpression,
                  bindings: dict[Symbol, Setting]) -> list[PauliSum]:
     """One operator per term of ``expr``, in term order: the coefficient times
-    its bound settings, multiplied in party order (a term walk, not
-    ``factor_table``); SOS pairing search takes these.
+    its bound settings, multiplied in party order; SOS pairing search takes
+    these.
 
     The factors sit on distinct qubits, so each product is a tensor product
     with phase 0: a key is the OR of the factors' masks and a coefficient the
-    product of theirs, taken in party order. Each term's sum is built in one
-    pass, its keys in the order the pairwise product route gives them (the
-    partial sum sorted, then each setting's terms in sorted order)."""
-    n = expr.parties
-    embedded = {}
+    product of theirs, taken in party order after the term's own. Each term
+    walks its factor-table row, one list pass per factor over the partial
+    product, sorted, and the factor's ``Setting.strings``; its keys run in
+    the order that pass gives them."""
+    index, coeffs = expr.factor_table()
+    slots = [None]
     for sym in expr.symbols:
         try:
             setting = bindings[sym]
@@ -220,15 +217,14 @@ def render_terms(expr: BellExpression,
             raise ValueError(f"symbol {sym} is not bound to a setting") from None
         if setting.party != sym[0]:
             raise ValueError(f"binding for {sym} names party {setting.party}")
-        embedded[sym] = sorted(setting.embed(n)._terms.items())
+        slots.append(setting.strings)
     out = []
-    for key, coeff in expr.terms.items():
-        terms = {(0, 0): coeff}
-        for sym in key:
-            terms = {(xa | xb, za | zb): ca * cb
-                     for (xa, za), ca in sorted(terms.items())
-                     for (xb, zb), cb in embedded[sym]}
-        out.append(PauliSum(n, terms))
+    for row, coeff in zip(index.tolist(), coeffs.tolist()):
+        strings = [((0, 0), coeff)]
+        for j in filter(None, row):
+            strings = [((xa | xb, za | zb), ca * cb) for (xa, za), ca in sorted(strings)
+                       for (xb, zb), cb in slots[j]]
+        out.append(PauliSum(expr.parties, dict(strings)))
     return out
 
 
@@ -240,8 +236,16 @@ def render_operator(expr: BellExpression,
 
 
 def sum_terms(expr: BellExpression, terms: list[PauliSum]) -> PauliSum:
-    """The constant of ``expr`` plus its rendered ``terms``, added in order."""
-    return sum(terms, PauliSum.identity(expr.parties, expr.constant))
+    """The constant of ``expr`` plus its rendered ``terms``, added in order;
+    a coefficient that falls to ``COEFF_PRUNE`` or below after an addition
+    leaves the sum, as ``PauliSum`` addition has it."""
+    total = dict(PauliSum.identity(expr.parties, expr.constant)._terms)
+    for term in terms:
+        for key, c in term._terms.items():
+            total[key] = c = total.get(key, 0.0) + c
+            if abs(c) <= COEFF_PRUNE:
+                del total[key]
+    return PauliSum(expr.parties, total)
 
 
 def evaluate_quantum(expr: BellExpression, bindings: dict[Symbol, Setting],
@@ -552,8 +556,7 @@ class BellRecipe:
             n = graph.n
 
             def resolve() -> LogicalPaulis:
-                _check_cap(n, cap)    # the group's arrays hold 2^n elements
-                return logical_paulis_symbolic(group, flip)
+                return logical_paulis_symbolic(group, flip, cap)
         else:
             raise ValueError(f"unknown basis kind {kind!r}")
         k = data.get("k", [0, 0, 1])

@@ -5,7 +5,9 @@ symbols, so the extrema over local hidden-variable models are attained at
 deterministic +/-1 assignments, and those are enumerated in full. The
 expression's ``factor_table`` is scattered into a per-party correlator tensor
 whose contraction with each party's strategy table gives every vertex value
-at once, in blocks of bounded size.
+at once, in blocks of bounded size. A term's place in that tensor is a sum
+of per-slot offsets over its factor-table row, so the scatter is one gather,
+one row sum and one assignment, and every catalog expression is one block.
 
 Quantum numbers come in three strengths: the largest eigenvalue of a concrete
 Bell operator (a certified lower bound on the quantum maximum of the abstract
@@ -77,6 +79,7 @@ from .pauli import (
     _krylov_top_eigenpair,
     _signed_permutation,
     anticommutator_sum,
+    dense_stack,
     fix_global_phase,
     top_eigenpair,
 )
@@ -128,8 +131,9 @@ def _strategy_table(k: int) -> np.ndarray:
 def _snapped(coeffs: np.ndarray) -> np.ndarray:
     """``coeffs``, rounded when every one is within 1e-12 of an integer, so
     that integer coefficients give exact integer arithmetic."""
-    if coeffs.size and float(np.max(np.abs(coeffs - np.round(coeffs)))) < 1e-12:
-        return np.round(coeffs)
+    rounded = coeffs.round()
+    if coeffs.size and float(np.maximum.reduce(abs(coeffs - rounded))) < 1e-12:
+        return rounded
     return coeffs
 
 
@@ -151,46 +155,55 @@ def _vertex_blocks(exprs: list[BellExpression], symbols: list[Symbol]):
     terms are grouped by their factor on the leading parties; each group is
     contracted over the trailing parties with the expression index beside
     the group's, and blocks of leading strategies combine the groups with
-    their signs. Each expression's coefficients snap to integers or stay
-    as they are on their own (``_snapped``).
+    their signs. A term's place in either tensor is a sum of per-slot
+    offsets over its factor-table row; groups are the distinct places on the
+    leading axes. Each expression's coefficients snap to integers or stay as
+    they are on their own (``_snapped``).
     """
-    # factor-table slot j (symbols[j - 1]) is setting local[j] of axis axis_of[j]
-    axis_of, local = [-1], [0]
+    # factor-table slot j (symbols[j - 1]) is setting local[j] of axis
+    # axis_of[j], which holds counts[axis_of[j]] settings
+    axis_of, local, counts = [0], [0], []
     for j, sym in enumerate(symbols):
-        same = j and symbols[j - 1][0] == sym[0] and local[-1] < _AXIS_SETTINGS
-        axis_of.append(axis_of[-1] + (not same))
-        local.append(local[-1] + 1 if same else 1)
-    tables = [_strategy_table(k) for k in np.bincount(axis_of[1:])]
+        if not (j and symbols[j - 1][0] == sym[0] and counts[-1] < _AXIS_SETTINGS):
+            counts.append(0)
+        counts[-1] += 1
+        axis_of.append(len(counts) - 1)
+        local.append(counts[-1])
+    tables = [_strategy_table(k) for k in counts]
     sizes = [len(table) for table in tables]
 
     n_exprs = len(exprs)
-    stacked = [expr.factor_table(symbols) for expr in exprs]
-    slots = np.concatenate([slot for slot, _ in stacked])
-    coeffs = np.concatenate([_snapped(c) for _, c in stacked])
-    index = np.zeros((len(coeffs), len(tables)), dtype=np.intp)
-    term, party = np.nonzero(slots)
-    j = slots[term, party]
-    index[term, np.take(axis_of, j)] = np.take(local, j)
+    stacked = [(slot, _snapped(c)) for slot, c in (e.factor_table(symbols) for e in exprs)]
+    slots, coeffs = stacked[0] if n_exprs == 1 else map(np.concatenate, zip(*stacked))
+
+    def places(axes: range, stride: int = 1) -> np.ndarray:
+        # each term's flat index, times stride, in the C-order tensor over axes
+        offset = {}
+        for a in reversed(axes):
+            offset[a] = stride
+            stride *= counts[a] + 1
+        offsets = np.array([j * offset.get(a, 0) for a, j in zip(axis_of, local)])
+        return np.add.reduce(offsets[slots], 1)
 
     # fewest leading axes whose grouped trailing values fit in one block
-    lead_keys, inverse = np.zeros((1, 0), np.intp), np.zeros(len(coeffs), np.intp)
+    keys = np.zeros(1, np.intp)
     for lead in range(len(tables) + 1):
         if lead:
-            lead_keys, inverse = np.unique(index[:, :lead], axis=0,
-                                           return_inverse=True)
+            keys, inverse = np.unique(places(range(lead)), return_inverse=True)
         n_trail = math.prod(sizes[lead:])
-        if len(lead_keys) * n_exprs * n_trail <= VERTEX_BLOCK:
+        if len(keys) * n_exprs * n_trail <= VERTEX_BLOCK:
             break
-    n_groups = len(lead_keys)
+    n_groups = len(keys)
     if n_exprs > 1:
         which = np.repeat(np.arange(n_exprs), [len(c) for _, c in stacked])
-        inverse = inverse.reshape(-1) * n_exprs + which
+        inverse = inverse * n_exprs + which if lead else which
 
     # axis order (trailing parties..., group and expression); each contraction
     # consumes the first axis and appends the strategy axis, ending at
     # (group and expression, strategies...)
-    trail = np.zeros((*(t.shape[1] for t in tables[lead:]), n_groups * n_exprs))
-    trail[(*index[:, lead:].T, inverse.reshape(-1))] = coeffs
+    trail = np.zeros((*(k + 1 for k in counts[lead:]), n_groups * n_exprs))
+    at = places(range(lead, len(tables)), n_groups * n_exprs)
+    trail.reshape(-1)[at + inverse if n_groups * n_exprs > 1 else at] = coeffs
     for table in tables[lead:]:
         # a transposed view, where tensordot would copy the tensor
         trail = trail.reshape(table.shape[1], -1).T @ table.T
@@ -199,7 +212,8 @@ def _vertex_blocks(exprs: list[BellExpression], symbols: list[Symbol]):
         return
     trail = trail.reshape(n_groups, n_exprs * n_trail)
 
-    lead_signs = [tables[a][:, lead_keys[:, a]] for a in range(lead)]
+    digits = np.unravel_index(keys, [k + 1 for k in counts[:lead]])
+    lead_signs = [table[:, digit] for table, digit in zip(tables, digits)]
     n_lead = math.prod(sizes[:lead])
     step = max(1, VERTEX_BLOCK // max(n_exprs * n_trail, n_groups))
     for first in range(0, n_lead, step):
@@ -244,7 +258,7 @@ def classical_bounds(expr: BellExpression) -> ClassicalBounds:
 
     best_max = best_min = None
     for start, (values,) in _vertex_blocks([expr], symbols):
-        hi, lo = int(np.argmax(values)), int(np.argmin(values))
+        hi, lo = int(values.argmax()), int(values.argmin())
         if best_max is None or values[hi] > best_max[0]:
             best_max = (float(values[hi]), start + hi)
         if best_min is None or values[lo] < best_min[0]:
@@ -431,7 +445,7 @@ def sos_verify(terms: list[PauliSum], cert: SosCertificate) -> SosReport:
 
     dim = 1 << n
     eye = np.eye(dim)
-    dense = [t.to_dense() for t in terms]
+    dense = dense_stack(terms)
     b = np.zeros((dim, dim), dtype=complex)
     for d in dense:
         b += d

@@ -40,7 +40,7 @@ from .bounds import (
     sos_pairing_search,
 )
 from .logical import bell_logical_paulis, ghz3_logical_paulis, logical_paulis_symbolic
-from .pauli import DENSE_QUBIT_CAP, PauliSum, PauliTerm
+from .pauli import DENSE_QUBIT_CAP, PauliSum, PauliTerm, dense_stack
 from .recursive import (
     build_level,
     mermin_case,
@@ -189,8 +189,8 @@ def _derive(logical_form: PauliSum | None, spec: dict,
         resid = float(sum(abs(a.get(k, 0.0) - b.get(k, 0.0))
                           for k in sorted(a.keys() | b.keys())))
     else:
-        dense = operator.to_dense(cap)
-        resid = float(np.max(np.abs(logical_form.to_dense(cap) - dense)))
+        dense, logical = dense_stack([operator, logical_form], cap)
+        resid = float(np.max(np.abs(logical - dense)))
     check = Check("pipeline identity residual", "<= 1e-10", resid, resid <= 1e-10)
     return _Derivation(expr, terms, operator, check, dense)
 

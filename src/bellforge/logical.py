@@ -26,6 +26,7 @@ import numpy as np
 
 from .pauli import (
     DECOMPOSE_QUBIT_CAP,
+    DENSE_QUBIT_CAP,
     PauliSum,
     PauliTerm,
     _check_cap,
@@ -94,7 +95,8 @@ def ghz3_logical_paulis() -> LogicalPaulis:
     return logical_paulis_numeric(ghz3_basis())
 
 
-def logical_paulis_symbolic(group: StabilizerGroup, flip: PauliTerm) -> LogicalPaulis:
+def logical_paulis_symbolic(group: StabilizerGroup, flip: PauliTerm,
+                            cap: int = DENSE_QUBIT_CAP) -> LogicalPaulis:
     """Half-group split construction, on the group's element arrays.
 
     Z collects the group half anticommuting with the flip, ident the other
@@ -102,10 +104,12 @@ def logical_paulis_symbolic(group: StabilizerGroup, flip: PauliTerm) -> LogicalP
     i*(c*flip)*z over C, for any z in the other half (which is C*z). Builds
     no state, yet agrees term-for-term with the numeric route on the basis
     ``basis_from_flip`` derives from the same data. Raises ValueError on a
-    flip of phase +/-i, or one that commutes with the whole group.
+    flip of phase +/-i, or one that commutes with the whole group, and
+    QubitCapError above ``cap`` qubits, before the 2^n elements are built.
     """
     if flip.n != group.n or not flip.is_hermitian:
         raise ValueError(f"flip {flip} is not a Hermitian {group.n}-qubit string")
+    _check_cap(group.n, cap)
     n, (gx, gz, gk) = group.n, group._arrays
     anti = (np.bitwise_count(gx & flip.z_mask) ^ np.bitwise_count(gz & flip.x_mask)) & 1 == 1
     if not anti.any():

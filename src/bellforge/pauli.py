@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import chain
 
 import numpy as np
 
@@ -392,37 +393,17 @@ class PauliSum:
         Python ints past 63 qubits."""
         if self._arrays is None:
             keys = sorted(self._terms)
-            masks = np.array(keys, dtype=np.intp if self.n <= 63 else object).reshape(-1, 2)
-            coeffs = np.array([self._terms[k] for k in keys], dtype=float)
+            masks = np.fromiter(chain.from_iterable(keys), count=2 * len(keys),
+                                dtype=np.intp if self.n <= 63 else object).reshape(-1, 2)
+            coeffs = np.fromiter(map(self._terms.__getitem__, keys), dtype=float,
+                                 count=len(keys))
             masks.flags.writeable = coeffs.flags.writeable = False
             self._arrays = masks[:, 0], masks[:, 1], coeffs
         return self._arrays
 
     def to_dense(self, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
-        """Dense matrix, every term scattered through the batched kernel.
-
-        Terms go through the kernel ``_chunk_terms(n)`` at a time in sorted
-        (x, z) order, and each chunk's entries are added into a +0.0-started
-        output by one ``np.add.at``, which applies repeated indices in order:
-        every entry sees the same additions in the same order as a
-        term-by-term sum. Temporaries stay within ``_KERNEL_CHUNK_BYTES``
-        beside the output.
-        """
-        _check_cap(self.n, cap)
-        n = self.n
-        out = np.zeros(1 << 2 * n, dtype=complex)
-        xs, zs, coeffs = self._sorted_arrays()
-        size = _chunk_terms(n)
-        src = np.arange(1 << n)
-        for lo in range(0, coeffs.size, size):
-            dest, entries = _signed_permutation(n, xs[lo:lo + size], zs[lo:lo + size],
-                                                scales=coeffs[lo:lo + size])
-            dest <<= n
-            dest |= src     # flat index of row dest, column src
-            # 1-d index and values: numpy's fast path, about 4x a 2-d index's
-            np.add.at(out, dest.ravel(), entries.ravel())
-            del dest, entries   # before the next chunk's are made
-        return out.reshape(1 << n, 1 << n)
+        """Dense matrix: ``dense_stack`` of this sum alone."""
+        return dense_stack([self], cap)[0]
 
     def _is_real(self) -> bool:
         """Whether every term has an even number of Y letters, so that the
@@ -467,6 +448,44 @@ class PauliSum:
         else:
             val = np.trace(state @ self.to_dense())
         return float(val.real)
+
+
+def dense_stack(sums: list[PauliSum], cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+    """The dense matrices of n-qubit ``sums``, stacked, in one kernel pass.
+
+    Every sum's terms, in sorted (x, z) order, go through the kernel
+    ``_chunk_terms(n)`` at a time; each chunk is added into a +0.0-started
+    stack by one ``np.add.at``, which applies repeated indices in order, so
+    each entry sees a term-by-term sum of its own sum. Temporaries stay
+    within ``_KERNEL_CHUNK_BYTES`` beside the output.
+    """
+    n = sums[0].n
+    _check_cap(n, cap)
+    if len(sums) == 1:
+        xs, zs, coeffs = sums[0]._sorted_arrays()
+    else:
+        if any(op.n != n for op in sums):
+            raise DimensionError("stacked sums act on different qubit counts")
+        # every sum's terms read in one pass and sorted by (sum, x, z)
+        which = np.arange(len(sums)).repeat([len(op) for op in sums])
+        masks = np.array([key for op in sums for key in op._terms], dtype=np.intp).reshape(-1, 2)
+        coeffs = np.array([c for op in sums for c in op._terms.values()])
+        order = np.lexsort((masks[:, 1], masks[:, 0], which))
+        xs, zs, coeffs = masks[order, 0], masks[order, 1], coeffs[order]
+        base = (which << 2 * n)[:, None]    # where each term's matrix starts in the stack
+    out = np.zeros(len(sums) << 2 * n, dtype=complex)
+    size, src = _chunk_terms(n), np.arange(1 << n)
+    for lo in range(0, coeffs.size, size):
+        dest, entries = _signed_permutation(n, xs[lo:lo + size], zs[lo:lo + size],
+                                            scales=coeffs[lo:lo + size])
+        dest <<= n
+        dest |= src     # flat index of row dest, column src
+        if len(sums) > 1:
+            dest += base[lo:lo + size]
+        # 1-d index and values: numpy's fast path, about 4x a 2-d index's
+        np.add.at(out, dest.ravel(), entries.ravel())
+        del dest, entries   # before the next chunk's are made
+    return out.reshape(len(sums), 1 << n, 1 << n)
 
 
 def bloch_sum(vec) -> PauliSum:

@@ -24,7 +24,7 @@ import numpy as np
 from .bell import BellExpression, Setting, Symbol, _letter_setting, evaluate_quantum
 from .bounds import _vertex_blocks
 from .logical import LogicalPaulis, bell_logical_paulis
-from .pauli import _PAULI_2X2, BLOCH_PAULIS, PauliSum
+from .pauli import _PAULI_2X2, BLOCH_PAULIS, PauliSum, dense_stack
 from .stabilizer import bell_basis
 
 DISC_BOUND = 8.0
@@ -145,7 +145,7 @@ def uncertainty_sweep(samples: int = 10000, seed: int = 0) -> SweepResult:
     rng = np.random.default_rng(seed)
     ops = bell_logical_paulis()
     ex, ez = _random_expectations(
-        rng, samples, [(2 * math.sqrt(2) * op).to_dense() for op in (ops.x, ops.z)])
+        rng, samples, dense_stack([2 * math.sqrt(2) * op for op in (ops.x, ops.z)]))
     t1 = rng.uniform(0, math.pi, size=samples)
     t2 = rng.uniform(0, math.pi, size=samples)
     s1, c1, s2, c2 = np.sin(t1), np.cos(t1), np.sin(t2), np.cos(t2)

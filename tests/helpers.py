@@ -40,6 +40,16 @@ from bellforge.stabilizer import (
 )
 
 
+def embed_single(op: PauliSum, party: int, n: int) -> PauliSum:
+    """Place a single-qubit operator at one qubit of an n-qubit register."""
+    if op.n != 1:
+        raise ValueError("expected a single-qubit operator")
+    if not 0 <= party < n:
+        raise ValueError(f"party {party} outside range 0..{n - 1}")
+    return PauliSum(n, {(x << party, z << party): c
+                        for (x, z), c in op._terms.items()})
+
+
 def basis_from_kets(zero, one) -> LogicalBasis:
     """A logical basis from two kets, each normalised."""
     zero = np.asarray(zero, dtype=complex)
@@ -444,15 +454,61 @@ def render_terms_by_products(expr: BellExpression,
     for key, coeff in expr.terms.items():
         acc = PauliSum.identity(expr.parties, coeff)
         for sym in key:
-            acc = product(acc, bindings[sym].embed(expr.parties))
+            acc = product(acc, embed_single(bindings[sym].op, bindings[sym].party, expr.parties))
         out.append(acc)
     return out
 
 
+def render_terms_by_dicts(expr: BellExpression,
+                          bindings: dict[tuple[int, str], Setting]) -> list[PauliSum]:
+    """``render_terms`` by the dict route it replaced: per term, one dict
+    comprehension per factor over the sorted partial product, each key an OR
+    of masks and each coefficient a product taken in party order."""
+    n = expr.parties
+    embedded = {}
+    for sym in expr.symbols:
+        try:
+            setting = bindings[sym]
+        except KeyError:
+            raise ValueError(f"symbol {sym} is not bound to a setting") from None
+        if setting.party != sym[0]:
+            raise ValueError(f"binding for {sym} names party {setting.party}")
+        embedded[sym] = sorted(embed_single(setting.op, setting.party, n)._terms.items())
+    out = []
+    for key, coeff in expr.terms.items():
+        terms = {(0, 0): coeff}
+        for sym in key:
+            terms = {(xa | xb, za | zb): ca * cb
+                     for (xa, za), ca in sorted(terms.items())
+                     for (xb, zb), cb in embedded[sym]}
+        out.append(PauliSum(n, terms))
+    return out
+
+
+def sum_terms_by_dicts(expr: BellExpression, terms: list[PauliSum]) -> PauliSum:
+    """``sum_terms`` by the route it replaced: the constant as an identity
+    sum, then one ``PauliSum`` addition per term."""
+    return sum(terms, PauliSum.identity(expr.parties, expr.constant))
+
+
+def expression_text_by_terms(expr: BellExpression) -> str:
+    """``str(expr)`` by the route it replaced: the ``terms`` view, sorted."""
+    parts = []
+    if expr.constant:
+        parts.append(f"{expr.constant:+g}")
+    for key, c in sorted(expr.terms.items()):
+        body = "*".join([f"{label}_{party}" for party, label in key])
+        if abs(abs(c) - 1.0) < 1e-12:
+            parts.append(("+ " if c > 0 else "- ") + body)
+        else:
+            parts.append(f"{c:+g}*{body}")
+    return " ".join(parts) if parts else "0"
+
+
 def decomposed_terms_by_products(dec: DecomposedOperator) -> list[PauliSum]:
     """One operator per product of ``dec``, in product order:
-    coeff * product(setting.embed(n), rest), the product route."""
-    return [coeff * product(dec.settings[s_idx].embed(dec.n),
+    coeff * product(setting embedded, rest), the product route."""
+    return [coeff * product(embed_single(dec.settings[s_idx].op, dec.settings[s_idx].party, dec.n),
                             PauliSum.from_terms([(rest, 1.0)]))
             for coeff, s_idx, rest in dec.products]
 
@@ -474,8 +530,8 @@ def chained_reconstruction(n: int, logical: str) -> PauliSum:
     shift = 0 if logical == "z" else n
     out = PauliSum.zero(2)
     for k in range(1, n + 1):
-        za = xz_setting(0, "a", (2 * k - 2) * math.pi / (2 * n)).embed(2)
-        zb = xz_setting(1, "b", (shift + 2 * k - 2) * math.pi / (2 * n)).embed(2)
+        za = embed_single(xz_setting(0, "a", (2 * k - 2) * math.pi / (2 * n)).op, 0, 2)
+        zb = embed_single(xz_setting(1, "b", (shift + 2 * k - 2) * math.pi / (2 * n)).op, 1, 2)
         out = out + (1.0 / n) * product(za, zb)
     return out
 

@@ -19,7 +19,7 @@ from bellforge.bell import (
     symbolize_decomposed,
 )
 from bellforge.logical import logical_paulis_numeric, logical_paulis_symbolic
-from bellforge.pauli import PauliSum, PauliTerm
+from bellforge.pauli import PauliSum, PauliTerm, bloch_sum
 from bellforge.stabilizer import GraphSpec, bell_basis, ghz3_basis, graph_state_generators
 from helpers import (
     basis_from_kets,
@@ -50,8 +50,11 @@ class TestSetting:
             Setting(0, "bad", PauliSum.from_strings([("X", 0.5)], n=1))
 
     def test_embed(self):
+        # the setting's strings sit at its party's qubit, in sorted (x, z) order
         s = Setting(1, "B", PauliSum.from_strings([("Z", 1.0)], n=1))
-        assert s.embed(3).to_strings() == [("IZI", 1.0)]
+        assert s.strings == (((0, 2), 1.0),)
+        s = Setting(2, "C", bloch_sum((0.6, 0.0, -0.8)))
+        assert s.strings == (((0, 4), -0.8), ((4, 0), 0.6))
 
 
 class TestBellExpression:

@@ -225,6 +225,41 @@ class TestVertexPass:
                 assert cb.witness_max == bounds._assignment_from_rank(hi, symbols)
                 assert cb.witness_min == bounds._assignment_from_rank(lo, symbols)
 
+    def test_flat_offsets_match_frozen_kernel(self):
+        # parties of 1, 3 and 11 settings (11 spans two axes of at most
+        # _AXIS_SETTINGS = 10), non-integer and tie-heavy integer
+        # coefficients, and a 22-symbol expression of four blocks, compared
+        # block by block: the values bit for bit, and each witness the
+        # lexicographically first extreme assignment over all blocks
+        rng = np.random.default_rng(2801)
+        exprs = []
+        for settings in [(1, 3, 11), (11, 1), (3, 3, 1, 1), (1,), (11,), (3, 11, 3)]:
+            for integer in (False, True):
+                exprs.append(settings_expression(rng, settings, integer))
+        exprs.append(settings_expression(rng, (11, 11), integer=True, terms=40))
+        assert len(exprs[-1].symbols) == 22
+        for expr in exprs:
+            symbols = expr.symbols
+            blocks = 0
+            best_max = best_min = None
+            for (start, got), (want_start, want) in zip(
+                    bounds._vertex_blocks([expr], symbols), vertex_blocks_one(expr, symbols),
+                    strict=True):
+                assert start == want_start
+                assert np.array_equal(bits(got[0]), bits(want)), str(expr)
+                hi, lo = int(np.argmax(want)), int(np.argmin(want))
+                if best_max is None or want[hi] > best_max[0]:
+                    best_max = (want[hi], start + hi)
+                if best_min is None or want[lo] < best_min[0]:
+                    best_min = (want[lo], start + lo)
+                blocks += 1
+            assert blocks == (4 if len(symbols) == 22 else 1)
+            cb = classical_bounds(expr)
+            assert (cb.maximum, cb.minimum) == (best_max[0] + expr.constant,
+                                                best_min[0] + expr.constant)
+            assert cb.witness_max == bounds._assignment_from_rank(best_max[1], symbols)
+            assert cb.witness_min == bounds._assignment_from_rank(best_min[1], symbols)
+
     def test_stacked_pass_equals_separate_passes(self, monkeypatch):
         # two or three expressions on one symbol list, each snapped to
         # integers on its own: exact where the coefficients snap, within 1e-12
@@ -499,6 +534,24 @@ def random_expression(rng, parties, sparse, constant):
         if key:
             terms[key] = terms.get(key, 0.0) + float(rng.normal())
     return BellExpression(parties, terms, constant=constant)
+
+
+def settings_expression(rng, settings, integer, terms=12):
+    """Up to ``terms`` random terms, party p choosing among ``settings[p]``
+    settings (A, A', A'', ...) or skipping; coefficients in {-1, 1} when
+    ``integer``, else Gaussian."""
+    labels = [[chr(ord("A") + p) + "'" * j for j in range(k)] for p, k in enumerate(settings)]
+    out = {}
+    for _ in range(terms):
+        key = tuple((p, str(rng.choice(labels[p]))) for p in range(len(settings))
+                    if rng.random() < 0.8)
+        if key:
+            out[key] = float(rng.choice([-1.0, 1.0])) if integer else float(rng.normal())
+    # every setting in at least one term, so each party keeps its axes
+    for p, names in enumerate(labels):
+        for label in names:
+            out.setdefault(((p, label),), float(rng.choice([-1.0, 1.0])))
+    return BellExpression(len(settings), out, constant=float(rng.integers(-2, 3)))
 
 
 def loop5_expressions():

@@ -1,9 +1,11 @@
 """The batched Pauli kernel and the array symbolize against the term-by-term
-and mask-walking oracles in ``helpers``, bit for bit, the render of a
-decomposed operator against the product route, and the matrix-free quantum
-lower bounds, Lanczos and the pseudo Pauli certificate, against dense
-``eigh``, on seeded random inputs."""
+and mask-walking oracles in ``helpers``, bit for bit, the render of an
+expression against the product and dict routes, the printer against the
+``terms`` walk, and the matrix-free quantum lower bounds, Lanczos and the
+pseudo Pauli certificate, against dense ``eigh``, on seeded random inputs."""
 
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -17,15 +19,17 @@ from bellforge.bell import (
     Setting,
     _letter_setting,
     build_logical,
+    chained_construction,
     complementary_decompose,
     render_operator,
     render_terms,
+    sum_terms,
     symbolize,
     symbolize_decomposed,
 )
 from bellforge import bounds
 from bellforge.bounds import pseudo_pauli_certificate, quantum_lower_bound
-from bellforge.cases import case_names, run_cases
+from bellforge.cases import case_names, published_identity_expression, run_cases
 from bellforge.pauli import (
     COEFF_PRUNE,
     PauliSum,
@@ -40,13 +44,16 @@ from bellforge.stabilizer import GraphSpec, StabilizerGroup, graph_state_generat
 from helpers import (
     bits,
     decomposed_terms_by_products,
+    expression_text_by_terms,
     factor_table_by_terms,
     product_by_terms,
+    render_terms_by_dicts,
     render_terms_by_products,
     sum_apply,
     sum_to_dense,
     symbolize_by_masks,
     symbolize_by_terms,
+    sum_terms_by_dicts,
     term_apply,
     term_to_dense,
 )
@@ -726,3 +733,100 @@ class TestRenderAgainstProducts:
         for expr, bindings in seen:
             assert list(map(sum_hex, render_terms(expr, bindings))) == \
                 list(map(sum_hex, render_terms_by_products(expr, bindings)))
+
+
+def render_cases(rng):
+    """(expression, bindings) pairs: every catalog derivation, seeded graph
+    recipes symbolized and decomposed at every pivot, chained constructions
+    and ``build`` recipes, and two expressions whose sums cancel below
+    ``COEFF_PRUNE``."""
+    seen = []
+    original = cases.render_terms
+
+    def recorded(expr, bindings):
+        seen.append((expr, bindings))
+        return original(expr, bindings)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cases, "render_terms", recorded)
+        run_cases(case_names(), cases.RunConfig(samples=100))
+    assert len(seen) == 11
+    for recipe in graph_recipes(rng)[::3]:
+        logical_form = build_logical(recipe)
+        seen.append(symbolize(logical_form, ZXY))
+        for pivot in range(logical_form.n):
+            try:
+                seen.append(symbolize_decomposed(complementary_decompose(logical_form, pivot)))
+            except DecompositionError:
+                pass
+    for n in range(2, 10):
+        ch = chained_construction(n)
+        seen.append((ch.expression, ch.bindings))
+    # Z on party 0 three times: +1 and -1 + 2^-50 cancel to below COEFF_PRUNE,
+    # so ZZ leaves the running sum and returns last, from 0.5; each factor's
+    # X part of 1e-8 makes products of 1e-16, which the term drops
+    tilted = bloch_sum((1e-8, 0.0, math.sqrt(1.0 - 1e-16)))
+    bindings = {(0, label): Setting(0, label, tilted) for label in ("A", "A'", "A''")}
+    bindings[1, "B"] = Setting(1, "B", tilted)
+    terms = {((0, "A"), (1, "B")): 1.0, ((0, "A'"), (1, "B")): -1.0 + 2.0 ** -50,
+             ((1, "B"),): 0.25, ((0, "A''"), (1, "B")): 0.5}
+    seen.append((BellExpression(2, terms, constant=0.75), bindings))
+    seen.append((BellExpression(2, terms, constant=1e-15), bindings))
+    return seen
+
+
+class TestRenderAgainstDicts:
+    def test_render_and_sum_match_dict_route(self):
+        # each term's keys in the same order with the same coefficient bits,
+        # and the operator's, pruned after every single addition
+        cancelled = 0
+        for expr, bindings in render_cases(np.random.default_rng(2802)):
+            rendered = render_terms(expr, bindings)
+            oracle = render_terms_by_dicts(expr, bindings)
+            assert list(map(sum_hex, rendered)) == list(map(sum_hex, oracle)), str(expr)
+            total = sum_hex(sum_terms(expr, rendered))
+            assert total == sum_hex(sum_terms_by_dicts(expr, oracle)), str(expr)
+            keys = [key for key, _ in total]
+            if (2, 0) in keys and (0, 3) in keys:
+                # ZZ left the sum and came back after B's X; XX never entered
+                assert keys.index((0, 3)) > keys.index((2, 0))
+                assert (3, 0) not in keys and (3, 0) not in rendered[0]._terms
+                cancelled += 1
+        assert cancelled == 2
+
+    def test_errors_match_dict_route(self):
+        expr = BellExpression(2, {((0, "A"), (1, "B")): 1.0})
+        a, b = _letter_setting(0, "A", "Z"), _letter_setting(1, "B", "X")
+        for bindings, message in (
+                ({(0, "A"): a}, "symbol (1, 'B') is not bound"),
+                ({(0, "A"): a, (1, "B"): a}, "binding for (1, 'B') names party 0")):
+            for route in (render_terms, render_terms_by_dicts):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    route(expr, bindings)
+        rendered = render_operator(expr, {(0, "A"): a, (1, "B"): b})
+        assert sum_hex(rendered) == [((2, 1), (1.0).hex())]
+
+
+class TestPrinterAgainstTerms:
+    def test_catalog_and_random_expressions(self):
+        rng = np.random.default_rng(2803)
+        exprs = [expr for expr, _ in render_cases(rng)]
+        exprs += [published_identity_expression(), BellExpression(3), BellExpression(2, {}, 1.5)]
+        for n in range(3, 9):
+            exprs += [mermin_case(n).expression, svetlichny_case(n).expression]
+        for parties in range(1, 7):
+            for _ in range(5):
+                terms = {}
+                for _ in range(int(rng.integers(1, 12))):
+                    key = tuple((p, str(rng.choice(["A", "B", "A'", "C"])))
+                                for p in range(parties) if rng.random() < 0.7)
+                    if key:
+                        terms[key] = float(rng.choice([1.0, -1.0, 1.0 + 1e-13, 2.5,
+                                                       float(rng.normal()), -3e-5]))
+                constant = float(rng.choice([0.0, 1.0, -2.25, float(rng.normal())]))
+                exprs.append(BellExpression(parties, terms, constant))
+        for expr in exprs:
+            # an expression written from a table, whose terms view is not built
+            fresh = BellExpression._from_table(expr.parties, expr.symbols,
+                                               *expr.factor_table(), expr.constant)
+            assert str(fresh) == expression_text_by_terms(expr) == str(expr)

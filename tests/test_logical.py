@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -209,6 +210,18 @@ class TestSymbolicRoute:
         basis_from_flip(group, zc)
         with pytest.raises(ValueError, match="not a Hermitian 5-qubit string"):
             logical_paulis_symbolic(group, zc)
+
+    def test_qubit_cap(self):
+        # past the cap the call fails before the group's 2^13 elements are
+        # grown; at cap 13 the same code builds
+        group = graph_state_generators(GraphSpec.from_edges(13, [[q, q + 1] for q in range(12)]))
+        flip = PauliTerm.from_string("Z" * 13)
+        start = time.perf_counter()
+        with pytest.raises(QubitCapError, match="13 qubits exceeds dense cap of 12"):
+            logical_paulis_symbolic(group, flip)
+        assert time.perf_counter() - start < 0.1
+        ops = logical_paulis_symbolic(group, flip, cap=13)
+        assert ops.n == 13 and len(ops.z) == 1 << 12
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_term_oracle(self, n):

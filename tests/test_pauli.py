@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from bellforge.bell import embed_single
 from bellforge.logical import bell_logical_paulis
 from bellforge.pauli import (
     _PAULI_2X2,
@@ -24,7 +23,7 @@ from bellforge.pauli import (
     top_eigenpair,
 )
 from bellforge.recursive import expand_operator
-from helpers import eig_bounds
+from helpers import eig_bounds, embed_single
 
 
 def kron_dense(term):

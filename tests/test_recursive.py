@@ -206,8 +206,9 @@ class TestFamilyCases:
         self.check_members(10, calls)
 
     def test_certifying_n9_builds_no_terms_dict(self, monkeypatch):
-        # symbolize writes the factor table and every bound reads it; the
-        # terms dict is a view built only for printing and evaluation
+        # symbolize writes the factor table and every bound, and the printer,
+        # reads it; the terms dict is a view built only for evaluation and
+        # rewriting
         def built(expr):
             raise AssertionError(f"terms dict of a {expr.parties}-party expression built")
 
@@ -217,8 +218,9 @@ class TestFamilyCases:
             classical_bounds(case.expression)
             quantum_lower_bound(case.operator)
             dichotomic_term_bound(case.expression)
+            assert str(case.expression).startswith("+ A_0*A_1*A_2")
         with pytest.raises(AssertionError, match="terms dict of a 9-party"):
-            str(case.expression)
+            case.expression.scaled(2.0)
 
 
 class TestAssignmentValueBound:
