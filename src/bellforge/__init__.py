@@ -26,7 +26,6 @@ from .bell import (
 from .bounds import (
     BoundsReport,
     BudgetError,
-    SosCertificate,
     classical_bounds,
     dichotomic_term_bound,
     quantum_lower_bound,

@@ -12,10 +12,12 @@ one row sum and one assignment, and every catalog expression is one block.
 Quantum numbers come in three strengths: the largest eigenvalue of a concrete
 Bell operator (a certified lower bound on the quantum maximum of the abstract
 expression), the sum of absolute coefficients over dichotomic terms (an upper
-bound), and a sum-of-squares certificate check that can pin the maximum
-exactly. The eigenvalue comes from dense ``eigh`` up to 8 qubits. Above, a
-pseudo Pauli operator B = beta (k . L), whose square is beta^2 |k|^2 times
-the code projector, is certified from its stabilizer structure alone
+bound), and a sum-of-squares identity check on the concrete operator, which
+proves the claimed bound above its spectrum, so equal to its norm where the
+eigenvalue meets it; it says nothing of the abstract expression. The
+eigenvalue comes from dense ``eigh`` up to 8 qubits. Above, a pseudo Pauli
+operator B = beta (k . L), whose square is beta^2 |k|^2 times the code
+projector, is certified from its stabilizer structure alone
 (``pseudo_pauli_certificate``): bit operations on its term masks, through
 the group kernels of ``stabilizer``, with no dense matrix and no ``apply``.
 Any other operator goes to Lanczos on
@@ -405,77 +407,32 @@ def dichotomic_term_bound(expr: BellExpression) -> float:
     return expr.constant + float(sum(abs(c) for c in expr.factor_table()[1].tolist()))
 
 
-# --- sum-of-squares certificates ---------------------------------------------
+# --- sum-of-squares check ---------------------------------------------------
 
-@dataclass(frozen=True)
-class SosCertificate:
-    """Pairing of expression terms claimed to certify a quantum maximum."""
-
-    pairs: tuple[tuple[int, int], ...]
-    claimed_bound: float
-
-    def __post_init__(self):
-        flat = [i for pair in self.pairs for i in pair]
-        if sorted(flat) != list(range(len(flat))):
-            raise ValueError("pairs must partition the term indices exactly once")
+SOS_MAX_TERMS = 8           # the pairing search tries up to 105 pairings
 
 
-@dataclass
-class SosReport:
-    residual: float
-    pairing_ok: bool
-    verified: bool
+def sos_verify(terms: list[PauliSum], pairs, claimed_bound: float) -> float:
+    """Residual of claimed * I - sum(terms) = (1/sqrt2) sum_pairs (I - (P+Q)/sqrt2)^2.
 
-
-def sos_verify(terms: list[PauliSum], cert: SosCertificate) -> SosReport:
-    """Check a sum-of-squares certificate against the dense operator identity.
-
-    Verifies (i) the paired anticommutators cancel overall, and (ii)
-    claimed * I - sum(terms) equals (1/sqrt2) * sum (I - (P+Q)/sqrt2)^2.
+    The largest entry of the difference of the two sides, on the dense
+    operators. Raises ValueError unless ``pairs`` uses every term index
+    exactly once.
     """
-    n = terms[0].n
-    if any(t.n != n for t in terms):
-        raise ValueError("certificate terms act on different qubit counts")
-    if 2 * len(cert.pairs) != len(terms):
-        raise ValueError("pairs do not cover the term list")
-
-    anticomms = [anticommutator_sum(terms[i], terms[j]) for i, j in cert.pairs]
-    total = sum(anticomms, PauliSum.zero(n))
-    pairing_ok = total.is_zero and _negating_match(anticomms)
-
-    dim = 1 << n
-    eye = np.eye(dim)
+    if sorted(i for pair in pairs for i in pair) != list(range(len(terms))):
+        raise ValueError("pairs must use every term index exactly once")
     dense = dense_stack(terms)
-    b = np.zeros((dim, dim), dtype=complex)
+    eye = np.eye(dense.shape[1])
+    b = np.zeros(eye.shape, dtype=complex)
     for d in dense:
         b += d
-    rhs = np.zeros((dim, dim), dtype=complex)
+    rhs = np.zeros(eye.shape, dtype=complex)
     root2 = math.sqrt(2)
-    for i, j in cert.pairs:
+    for i, j in pairs:
         s = eye - (dense[i] + dense[j]) / root2
         rhs += s @ s
     rhs /= root2
-    residual = float(np.max(np.abs(cert.claimed_bound * eye - b - rhs)))
-    return SosReport(residual=residual, pairing_ok=pairing_ok,
-                     verified=pairing_ok and residual <= _SOS_ATOL)
-
-
-def _negating_match(anticomms: list[PauliSum]) -> bool:
-    """Nonzero pair anticommutators must cancel one against another."""
-    live = [ac for ac in anticomms if not ac.is_zero]
-    used = [False] * len(live)
-    for i, ac in enumerate(live):
-        if used[i]:
-            continue
-        found = False
-        for j in range(i + 1, len(live)):
-            if not used[j] and (ac + live[j]).is_zero:
-                used[i] = used[j] = True
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    return float(np.max(np.abs(claimed_bound * eye - b - rhs)))
 
 
 def _pairings(items: list[int]):
@@ -490,18 +447,28 @@ def _pairings(items: list[int]):
 
 
 def sos_pairing_search(terms: list[PauliSum], claimed_bound: float
-                       ) -> tuple[SosCertificate | None, SosReport | None]:
-    """Brute-force search for a verifying pairing; limited to 8 terms."""
-    if len(terms) > 8:
-        raise ValueError("pairing search is limited to 8 terms")
+                       ) -> tuple[tuple[tuple[int, int], ...] | None, float]:
+    """The first pairing of ``terms`` whose SOS identity holds, and its residual.
+
+    The identity needs a pairing's anticommutators to sum to zero, since P^2
+    and Q^2 are multiples of I; only such a pairing is checked by
+    ``sos_verify``. Each anticommutator is computed once, on first use.
+    Returns (None, inf) when no pairing verifies.
+    """
+    if len(terms) > SOS_MAX_TERMS:
+        raise ValueError(f"pairing search is limited to {SOS_MAX_TERMS} terms")
     if len(terms) % 2:
         raise ValueError("need an even number of terms")
+    zero, anticomms = PauliSum.zero(terms[0].n), {}
     for pairing in _pairings(list(range(len(terms)))):
-        cert = SosCertificate(tuple(pairing), claimed_bound)
-        report = sos_verify(terms, cert)
-        if report.verified:
-            return cert, report
-    return None, None
+        for i, j in pairing:
+            if (i, j) not in anticomms:
+                anticomms[i, j] = anticommutator_sum(terms[i], terms[j])
+        if sum((anticomms[pair] for pair in pairing), zero).is_zero:
+            residual = sos_verify(terms, pairing, claimed_bound)
+            if residual <= _SOS_ATOL:
+                return tuple(pairing), residual
+    return None, math.inf
 
 
 # --- see-saw heuristic ---------------------------------------------------------

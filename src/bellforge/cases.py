@@ -31,6 +31,8 @@ from .bell import (
     symbolize_decomposed,
 )
 from .bounds import (
+    _SOS_ATOL,
+    SOS_MAX_TERMS,
     BoundsReport,
     check_symbol_budget,
     classical_bounds,
@@ -197,10 +199,9 @@ def _derive(logical_form: PauliSum | None, spec: dict,
 
 def _sos(terms: list[PauliSum], bound: float) -> tuple[str, Check]:
     """The SOS pairing search on ``terms``: its status and residual check."""
-    cert, rep = sos_pairing_search(terms, bound)
-    return ("verified" if cert is not None else "failed",
-            Check("sos residual", "<= 1e-10", rep.residual if rep else math.inf,
-                  rep is not None and rep.verified))
+    pairs, residual = sos_pairing_search(terms, bound)
+    return ("verified" if pairs is not None else "failed",
+            Check("sos residual", f"<= {_SOS_ATOL:g}", residual, pairs is not None))
 
 
 # --- individual cases ---------------------------------------------------------
@@ -508,8 +509,8 @@ def build_report(recipe: BellRecipe, config: RunConfig, seesaw: bool) -> dict:
     """Run a recipe through the pipeline and report what it certifies.
 
     The decomposition picks the derivation (``_derive``); ``complementary``
-    adds an SOS search on at most 8 terms, and ``chained`` needs the Bell-state
-    basis. ``pipeline_residual`` is the derivation's residual. Raises
+    adds an SOS search on at most ``SOS_MAX_TERMS`` terms, and ``chained``
+    needs the Bell-state basis. ``pipeline_residual`` is the derivation's residual. Raises
     ValueError when the recipe does not fit its decomposition and
     QubitCapError above ``config.cap_qubits``.
     """
@@ -524,7 +525,7 @@ def build_report(recipe: BellRecipe, config: RunConfig, seesaw: bool) -> dict:
         rough = chained_construction(spec["n"]).quantum_bound
     expr, terms, operator, ident, dense = _derive(build_logical(recipe), spec,
                                                   recipe.symbols, cap=cap)
-    if kind == "complementary" and len(terms) <= 8:
+    if kind == "complementary" and len(terms) <= SOS_MAX_TERMS:
         sos_status, _ = _sos(terms, recipe.beta_q)
     seesaw_value = seesaw_optimize(expr, restarts=8, seed=config.seed,
                                    cap=cap).value if seesaw else None

@@ -461,18 +461,12 @@ def dense_stack(sums: list[PauliSum], cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
     """
     n = sums[0].n
     _check_cap(n, cap)
-    if len(sums) == 1:
-        xs, zs, coeffs = sums[0]._sorted_arrays()
-    else:
-        if any(op.n != n for op in sums):
-            raise DimensionError("stacked sums act on different qubit counts")
-        # every sum's terms read in one pass and sorted by (sum, x, z)
-        which = np.arange(len(sums)).repeat([len(op) for op in sums])
-        masks = np.array([key for op in sums for key in op._terms], dtype=np.intp).reshape(-1, 2)
-        coeffs = np.array([c for op in sums for c in op._terms.values()])
-        order = np.lexsort((masks[:, 1], masks[:, 0], which))
-        xs, zs, coeffs = masks[order, 0], masks[order, 1], coeffs[order]
-        base = (which << 2 * n)[:, None]    # where each term's matrix starts in the stack
+    if any(op.n != n for op in sums):
+        raise DimensionError("stacked sums act on different qubit counts")
+    # each sum's terms in sorted (x, z) order: the stack's terms in (sum, x, z) order
+    xs, zs, coeffs = map(np.concatenate, zip(*(op._sorted_arrays() for op in sums)))
+    # where each term's matrix starts in the stack
+    base = np.arange(len(sums)).repeat([len(op) for op in sums])[:, None] << 2 * n
     out = np.zeros(len(sums) << 2 * n, dtype=complex)
     size, src = _chunk_terms(n), np.arange(1 << n)
     for lo in range(0, coeffs.size, size):
@@ -480,8 +474,7 @@ def dense_stack(sums: list[PauliSum], cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
                                             scales=coeffs[lo:lo + size])
         dest <<= n
         dest |= src     # flat index of row dest, column src
-        if len(sums) > 1:
-            dest += base[lo:lo + size]
+        dest += base[lo:lo + size]
         # 1-d index and values: numpy's fast path, about 4x a 2-d index's
         np.add.at(out, dest.ravel(), entries.ravel())
         del dest, entries   # before the next chunk's are made

@@ -3,6 +3,7 @@
 import functools
 import json
 import math
+from dataclasses import dataclass
 from itertools import groupby
 from itertools import product as iter_product
 
@@ -25,7 +26,9 @@ from bellforge.pauli import (
     PauliTerm,
     _check_cap,
     _realize,
+    anticommutator_sum,
     check_hermitian,
+    dense_stack,
     fix_global_phase,
     product,
 )
@@ -567,3 +570,99 @@ def check_density(rho: np.ndarray, atol: float = 1e-10) -> np.ndarray:
     if abs(np.trace(rho).real - 1.0) > 1e-12:
         raise ValueError("density matrix trace is not 1")
     return rho
+
+
+@dataclass(frozen=True)
+class SosCertificate:
+    """Pairing of expression terms claimed to certify a quantum maximum."""
+
+    pairs: tuple[tuple[int, int], ...]
+    claimed_bound: float
+
+    def __post_init__(self):
+        flat = [i for pair in self.pairs for i in pair]
+        if sorted(flat) != list(range(len(flat))):
+            raise ValueError("pairs must partition the term indices exactly once")
+
+
+@dataclass
+class SosReport:
+    residual: float
+    pairing_ok: bool
+    verified: bool
+
+
+def sos_verify_report(terms: list[PauliSum], cert: SosCertificate) -> SosReport:
+    """The record route that ``bounds.sos_verify`` replaces: every pairing's
+    anticommutators, computed afresh, must cancel in sum and one against
+    another, and the dense identity must leave at most ``_SOS_ATOL``."""
+    n = terms[0].n
+    if any(t.n != n for t in terms):
+        raise ValueError("certificate terms act on different qubit counts")
+    if 2 * len(cert.pairs) != len(terms):
+        raise ValueError("pairs do not cover the term list")
+
+    anticomms = [anticommutator_sum(terms[i], terms[j]) for i, j in cert.pairs]
+    total = sum(anticomms, PauliSum.zero(n))
+    pairing_ok = total.is_zero and _negating_match(anticomms)
+
+    dim = 1 << n
+    eye = np.eye(dim)
+    dense = dense_stack(terms)
+    b = np.zeros((dim, dim), dtype=complex)
+    for d in dense:
+        b += d
+    rhs = np.zeros((dim, dim), dtype=complex)
+    root2 = math.sqrt(2)
+    for i, j in cert.pairs:
+        s = eye - (dense[i] + dense[j]) / root2
+        rhs += s @ s
+    rhs /= root2
+    residual = float(np.max(np.abs(cert.claimed_bound * eye - b - rhs)))
+    return SosReport(residual=residual, pairing_ok=pairing_ok,
+                     verified=pairing_ok and residual <= bounds._SOS_ATOL)
+
+
+def _negating_match(anticomms: list[PauliSum]) -> bool:
+    """Nonzero pair anticommutators must cancel one against another."""
+    live = [ac for ac in anticomms if not ac.is_zero]
+    used = [False] * len(live)
+    for i, ac in enumerate(live):
+        if used[i]:
+            continue
+        found = False
+        for j in range(i + 1, len(live)):
+            if not used[j] and (ac + live[j]).is_zero:
+                used[i] = used[j] = True
+                found = True
+                break
+        if not found:
+            return False
+    return True
+
+
+def _pairings(items: list[int]):
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for k, partner in enumerate(rest):
+        remaining = rest[:k] + rest[k + 1:]
+        for tail in _pairings(remaining):
+            yield [(first, partner)] + tail
+
+
+def sos_pairing_search_by_reports(terms: list[PauliSum], claimed_bound: float
+                                  ) -> tuple[SosCertificate | None, SosReport | None]:
+    """Oracle for ``bounds.sos_pairing_search``: every pairing, in the same
+    order, gets a full ``sos_verify_report``; the first verified one wins."""
+    if len(terms) > 8:
+        raise ValueError("pairing search is limited to 8 terms")
+    if len(terms) % 2:
+        raise ValueError("need an even number of terms")
+    for pairing in _pairings(list(range(len(terms)))):
+        cert = SosCertificate(tuple(pairing), claimed_bound)
+        report = sos_verify_report(terms, cert)
+        if report.verified:
+            return cert, report
+    return None, None

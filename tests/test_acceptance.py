@@ -85,12 +85,11 @@ def test_criterion_1_chsh():
     cb = classical_bounds(expr)
     assert len(expr.symbols) == 4        # 16-vertex enumeration
     lam, _ = quantum_lower_bound(render_operator(expr, bindings))
-    cert, rep = sos_pairing_search(render_terms(expr, bindings), 2 * ROOT2)
+    pairs, residual = sos_pairing_search(render_terms(expr, bindings), 2 * ROOT2)
     ok = (cb.maximum == 2.0 and abs(lam - 2 * ROOT2) <= 1e-9
-          and cert is not None and rep.residual <= 1e-10)
+          and pairs is not None and residual <= 1e-10)
     report("1 (chsh)", ok,
-           f"classical={cb.maximum} lambda={lam:.12f} sos_residual="
-           f"{rep.residual if rep else None}")
+           f"classical={cb.maximum} lambda={lam:.12f} sos_residual={residual}")
 
 
 # --- 2. three-qubit Mermin / Svetlichny --------------------------------------
@@ -107,14 +106,14 @@ def test_criterion_2_mermin3_svetlichny3():
     svet_cb = classical_bounds(svet_expr)
     svet_q, _ = quantum_lower_bound(svet_op)
     terms = [c * PauliSum.from_terms([(t, 1.0)]) for t, c in svet_op.items()]
-    cert, rep = sos_pairing_search(terms, 4 * ROOT2)
+    pairs, residual = sos_pairing_search(terms, 4 * ROOT2)
 
     ok = (mermin_cb.maximum == 2.0 and abs(mermin_q - 4.0) <= 1e-9
           and svet_cb.maximum == 4.0 and abs(svet_q - 4 * ROOT2) <= 1e-9
-          and cert is not None and rep.verified)
+          and pairs is not None and residual <= 1e-10)
     report("2 (mermin3/svetlichny3)", ok,
            f"classical={mermin_cb.maximum}/{svet_cb.maximum} "
-           f"quantum={mermin_q:.9f}/{svet_q:.9f} sos={rep.verified if rep else None}")
+           f"quantum={mermin_q:.9f}/{svet_q:.9f} sos_residual={residual}")
 
 
 # --- 3. five-qubit loop code --------------------------------------------------

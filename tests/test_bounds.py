@@ -20,7 +20,6 @@ from bellforge.bell import (
 from bellforge.bounds import (
     BudgetError,
     SeesawError,
-    SosCertificate,
     classical_bounds,
     dichotomic_term_bound,
     quantum_lower_bound,
@@ -30,7 +29,7 @@ from bellforge.bounds import (
 )
 from bellforge.cases import case_names, published_identity_expression, run_cases
 from bellforge.logical import logical_paulis_numeric, logical_paulis_symbolic
-from bellforge.pauli import _PAULI_2X2, PauliSum, PauliTerm
+from bellforge.pauli import _PAULI_2X2, DimensionError, PauliSum, PauliTerm, anticommutator_sum
 from bellforge.recursive import mermin_case, svetlichny_case
 from bellforge.stabilizer import GraphSpec, bell_basis, ghz3_basis, graph_state_generators
 from bellforge.uncertainty import quadratic_bell
@@ -352,17 +351,17 @@ class TestSos:
     def test_chsh_certificate(self):
         _, dec = chsh_expression()
         terms = render_terms(*symbolize_decomposed(dec))
-        cert, rep = sos_pairing_search(terms, 2 * ROOT2)
-        assert cert is not None
-        assert rep.pairing_ok and rep.residual <= 1e-10
+        pairs, residual = sos_pairing_search(terms, 2 * ROOT2)
+        assert pairs is not None and residual <= 1e-10
+        assert sos_verify(terms, pairs, 2 * ROOT2) == residual
 
     def test_svetlichny_certificate_found_by_search(self):
         g3 = logical_paulis_numeric(ghz3_basis())
         op = 4.0 * (g3.x - g3.z)
         terms = [c * PauliSum.from_terms([(t, 1.0)]) for t, c in op.items()]
-        cert, rep = sos_pairing_search(terms, 4 * ROOT2)
-        assert cert is not None
-        assert rep.verified and rep.residual <= 1e-10
+        pairs, residual = sos_pairing_search(terms, 4 * ROOT2)
+        assert pairs is not None and residual <= 1e-10
+        assert sos_verify(terms, pairs, 4 * ROOT2) == residual
 
     def test_wrong_partition_fails_loudly(self):
         _, dec = chsh_expression()
@@ -370,25 +369,32 @@ class TestSos:
         # products come out in restriction order: Z.B, -Z.B', X.B, X.B';
         # pairing a B-setting term with a B'-setting term across different
         # first-party operators breaks the cancellation
-        bad = SosCertificate(((0, 3), (1, 2)), 2 * ROOT2)
-        rep = sos_verify(terms, bad)
-        assert not rep.verified
-        assert rep.residual >= 0.1
+        bad = ((0, 3), (1, 2))
+        assert not sum((anticommutator_sum(terms[i], terms[j]) for i, j in bad),
+                       PauliSum.zero(2)).is_zero
+        assert sos_verify(terms, bad, 2 * ROOT2) >= 0.1
 
     def test_partition_validation(self):
-        with pytest.raises(ValueError):
-            SosCertificate(((0, 1), (1, 2)), 1.0)
         _, dec = chsh_expression()
-        with pytest.raises(ValueError):
-            sos_verify(render_terms(*symbolize_decomposed(dec)),
-                       SosCertificate(((0, 1),), 1.0))
+        terms = render_terms(*symbolize_decomposed(dec))
+        with pytest.raises(ValueError, match="exactly once"):
+            sos_verify(terms, ((0, 1), (1, 2)), 1.0)     # index 1 twice, 3 unused
+        with pytest.raises(ValueError, match="exactly once"):
+            sos_verify(terms, ((0, 1),), 1.0)             # terms 2 and 3 uncovered
+        with pytest.raises(DimensionError):
+            sos_verify(terms[:1] + [PauliSum.identity(3)], ((0, 1),), 1.0)
+        with pytest.raises(ValueError, match="even number"):
+            sos_pairing_search(terms[:3], 1.0)
+        with pytest.raises(ValueError, match="limited to 8"):
+            sos_pairing_search(terms * 3, 1.0)
+        assert bounds.SOS_MAX_TERMS == 8
 
     def test_wrong_bound_fails(self):
         _, dec = chsh_expression()
         terms = render_terms(*symbolize_decomposed(dec))
-        cert, rep = sos_pairing_search(terms, 2 * ROOT2)
-        wrong = SosCertificate(cert.pairs, 3.0)
-        assert not sos_verify(terms, wrong).verified
+        pairs, _ = sos_pairing_search(terms, 2 * ROOT2)
+        assert sos_verify(terms, pairs, 3.0) > 0.1
+        assert sos_pairing_search(terms, 3.0) == (None, math.inf)
 
 
 class TestSeesaw:

@@ -1,9 +1,11 @@
 """The batched Pauli kernel and the array symbolize against the term-by-term
 and mask-walking oracles in ``helpers``, bit for bit, the render of an
 expression against the product and dict routes, the printer against the
-``terms`` walk, and the matrix-free quantum lower bounds, Lanczos and the
-pseudo Pauli certificate, against dense ``eigh``, on seeded random inputs."""
+``terms`` walk, the matrix-free quantum lower bounds, Lanczos and the
+pseudo Pauli certificate, against dense ``eigh``, on seeded random inputs,
+and the SOS pairing search against the record route it replaced."""
 
+import functools
 import math
 import re
 import tracemalloc
@@ -38,7 +40,7 @@ from bellforge.pauli import (
     bloch_sum,
     product,
 )
-from bellforge.logical import logical_paulis_symbolic
+from bellforge.logical import bell_logical_paulis, ghz3_logical_paulis, logical_paulis_symbolic
 from bellforge.recursive import build_level, mermin_case, svetlichny_case
 from bellforge.stabilizer import GraphSpec, StabilizerGroup, graph_state_generators
 from helpers import (
@@ -49,6 +51,7 @@ from helpers import (
     product_by_terms,
     render_terms_by_dicts,
     render_terms_by_products,
+    sos_pairing_search_by_reports,
     sum_apply,
     sum_to_dense,
     symbolize_by_masks,
@@ -830,3 +833,85 @@ class TestPrinterAgainstTerms:
             fresh = BellExpression._from_table(expr.parties, expr.symbols,
                                                *expr.factor_table(), expr.constant)
             assert str(fresh) == expression_text_by_terms(expr) == str(expr)
+
+
+# --- the SOS pairing search against the record route -----------------------------
+
+_SOS_KS = ([0, 0, 1], [1, 0, 0], [0.6, 0, 0.8],
+           [1 / math.sqrt(2), 0, 1 / math.sqrt(2)], [0.6, 0.8, 0])
+
+
+def _sos_bases():
+    yield {"kind": "bell"}, 2
+    yield {"kind": "ghz3"}, 3
+    for n in (2, 3, 4):
+        path, star = [[i, i + 1] for i in range(n - 1)], [[0, i] for i in range(1, n)]
+        for edges in ([], path) + ((star,) if star != path else ()):     # empty, path, star
+            for flip in ("Z" * n, "X" * n, "X" + "Z" * (n - 1), "Z" + "X" * (n - 1)):
+                yield {"kind": "graph", "graph": {"n": n, "edges": edges}, "flip": flip}, n
+
+
+@functools.cache
+def sos_inputs() -> tuple[tuple[str, list[PauliSum], float], ...]:
+    """(label, terms, claimed bound): the catalog's two SOS derivations, then
+    every complementary recipe on at most 8 terms over the axes above, at
+    every pivot; a recipe the pipeline refuses is left out."""
+    root2 = math.sqrt(2)
+    ops = ghz3_logical_paulis()
+    inputs = [
+        ("chsh", cases._derive((2 * root2) * bell_logical_paulis().z,
+                               {"kind": "complementary", "pivot": 1},
+                               letter_order={0: ["X", "Z"]}).terms, 2 * root2),
+        ("svetlichny3", cases._derive(4.0 * (ops.x - ops.z), {"kind": "none"},
+                                      {"Z": "A", "X": "B"}).terms, 4 * root2),
+    ]
+    for basis, n in _sos_bases():
+        for k in _SOS_KS:
+            for pivot in range(n):
+                data = {"basis": basis, "k": k,
+                        "decomposition": {"kind": "complementary", "pivot": pivot}}
+                try:
+                    recipe = BellRecipe.from_dict(data)
+                    terms = cases._derive(build_logical(recipe), recipe.decomposition,
+                                          recipe.symbols).terms
+                except ValueError:      # no logical qubit, or no complementary pairing
+                    continue
+                if len(terms) <= bounds.SOS_MAX_TERMS:
+                    inputs.append((str(data), terms, recipe.beta_q))
+    return tuple(inputs)
+
+
+class TestSosSearchAgainstReportOracle:
+    def test_inputs_cover_both_outcomes_and_sizes(self):
+        inputs = sos_inputs()
+        assert len(inputs) == 97
+        assert {len(terms) for _, terms, _ in inputs} == {4, 8}
+        found = [bounds.sos_pairing_search(terms, bound)[0] is not None
+                 for _, terms, bound in inputs]
+        # the catalog rows and six CHSH-like recipes at k = (x + z)/sqrt2 verify
+        assert found[:2] == [True, True] and sum(found) == 8
+
+    def test_same_pairs_and_residual_bits(self):
+        for label, terms, bound in sos_inputs():
+            pairs, residual = bounds.sos_pairing_search(terms, bound)
+            cert, report = sos_pairing_search_by_reports(terms, bound)
+            assert pairs == (cert.pairs if cert else None), label
+            assert residual.hex() == (report.residual if report else math.inf).hex(), label
+
+    def test_each_anticommutator_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(p, q):
+            calls.append((p, q))
+            return pauli.anticommutator_sum(p, q)
+
+        monkeypatch.setattr(bounds, "anticommutator_sum", counted)
+        recipe = BellRecipe.from_dict(
+            {"basis": {"kind": "graph", "graph": {"n": 4, "edges": []}, "flip": "ZZZZ"},
+             "k": [1, 0, 0], "decomposition": {"kind": "complementary", "pivot": 0}})
+        terms = cases._derive(build_logical(recipe), recipe.decomposition,
+                              recipe.symbols).terms
+        assert len(terms) == 8
+        assert bounds.sos_pairing_search(terms, recipe.beta_q) == (None, math.inf)
+        # 105 pairings of 8 terms, 4 anticommutators each, 28 index pairs
+        assert len(calls) <= 28
