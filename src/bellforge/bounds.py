@@ -738,8 +738,8 @@ class BoundsReport:
     quantum_lower: float
     rough_bound: float | None
     dichotomic_bound: float
-    sos_status: str = "not-attempted"
-    seesaw_value: float | None = None
+    sos_status: str
+    seesaw_value: float | None
 
     @property
     def violation(self) -> bool:

@@ -132,11 +132,19 @@ def _at_most(name: str, value: float, target: float, label: str,
     return Check(name, f"<= {label} + {tol:g}", value, value <= target + tol)
 
 
-def _report(expr: BellExpression, operator: PauliSum, rough: float | None,
-            cap: int, sos_status: str = "not-attempted",
-            seesaw_value: float | None = None,
-            dense: np.ndarray | None = None) -> BoundsReport:
-    """The bounds of ``expr`` and its ``operator`` (dense render ``dense``, if made)."""
+def _report(expr: BellExpression, operator: PauliSum, rough: float | None, cap: int,
+            dense: np.ndarray | None = None, sos: tuple[list[PauliSum], float] | None = None,
+            seesaw: tuple[int, int] | None = None) -> tuple[BoundsReport, Check | None]:
+    """The bounds of ``expr`` and its ``operator`` (dense render ``dense``, if made),
+    with the SOS search on ``sos=(terms, claimed_bound)`` and its residual check,
+    and the see-saw at ``seesaw=(restarts, seed)``, when asked."""
+    sos_status, sos_check, seesaw_value = "not-attempted", None, None
+    if sos is not None:
+        pairs, residual = sos_pairing_search(*sos)
+        sos_status = "verified" if pairs is not None else "failed"
+        sos_check = Check("sos residual", f"<= {_SOS_ATOL:g}", residual, pairs is not None)
+    if seesaw is not None:
+        seesaw_value = seesaw_optimize(expr, restarts=seesaw[0], seed=seesaw[1], cap=cap).value
     cb = classical_bounds(expr)
     q, _ = quantum_lower_bound(operator, cap, dense)
     return BoundsReport(
@@ -148,7 +156,7 @@ def _report(expr: BellExpression, operator: PauliSum, rough: float | None,
         dichotomic_bound=dichotomic_term_bound(expr),
         sos_status=sos_status,
         seesaw_value=seesaw_value,
-    )
+    ), sos_check
 
 
 class _Derivation(NamedTuple):
@@ -197,32 +205,22 @@ def _derive(logical_form: PauliSum | None, spec: dict,
     return _Derivation(expr, terms, operator, check, dense)
 
 
-def _sos(terms: list[PauliSum], bound: float) -> tuple[str, Check]:
-    """The SOS pairing search on ``terms``: its status and residual check."""
-    pairs, residual = sos_pairing_search(terms, bound)
-    return ("verified" if pairs is not None else "failed",
-            Check("sos residual", f"<= {_SOS_ATOL:g}", residual, pairs is not None))
-
-
 # --- individual cases ---------------------------------------------------------
 
 def _case_chsh(config: RunConfig) -> CaseResult:
     expr, terms, operator, ident, dense = _derive(
         (2 * ROOT2) * bell_logical_paulis().z, {"kind": "complementary", "pivot": 1},
         letter_order={0: ["X", "Z"]}, cap=config.cap_qubits)
-    sos_status, sos_check = _sos(terms, 2 * ROOT2)
-    seesaw = seesaw_optimize(expr, restarts=8, seed=config.case_seed("chsh"),
-                             cap=config.cap_qubits)
-    report = _report(expr, operator, rough=2 * ROOT2,
-                     cap=config.cap_qubits, sos_status=sos_status,
-                     seesaw_value=seesaw.value, dense=dense)
+    report, sos_check = _report(expr, operator, rough=2 * ROOT2, cap=config.cap_qubits,
+                                dense=dense, sos=(terms, 2 * ROOT2),
+                                seesaw=(8, config.case_seed("chsh")))
     checks = [
         _exact("classical max", report.classical_max, 2.0, "2"),
         _exact("classical min", report.classical_min, -2.0, "-2"),
         _close("quantum lower bound", report.quantum_lower, 2 * ROOT2, "2*sqrt(2)"),
         sos_check,
         ident,
-        _close("seesaw value", seesaw.value, 2 * ROOT2, "2*sqrt(2)", tol=1e-6),
+        _close("seesaw value", report.seesaw_value, 2 * ROOT2, "2*sqrt(2)", tol=1e-6),
     ]
     return CaseResult("chsh", str(expr), report, checks)
 
@@ -230,7 +228,7 @@ def _case_chsh(config: RunConfig) -> CaseResult:
 def _case_mermin3(config: RunConfig) -> CaseResult:
     expr, _, operator, ident, _ = _derive(4.0 * ghz3_logical_paulis().z,
                                           {"kind": "none"}, {"Z": "A", "X": "B"})
-    report = _report(expr, operator, rough=4.0, cap=config.cap_qubits)
+    report, _ = _report(expr, operator, rough=4.0, cap=config.cap_qubits)
     checks = [
         _exact("classical max", report.classical_max, 2.0, "2"),
         _close("quantum lower bound", report.quantum_lower, 4.0, "4"),
@@ -245,9 +243,8 @@ def _case_svetlichny3(config: RunConfig) -> CaseResult:
     # 4*sqrt2 along the (1,0,-1) direction
     expr, terms, operator, ident, _ = _derive(4.0 * (ops.x - ops.z), {"kind": "none"},
                                               {"Z": "A", "X": "B"})
-    sos_status, sos_check = _sos(terms, 4 * ROOT2)
-    report = _report(expr, operator, rough=4 * ROOT2, cap=config.cap_qubits,
-                     sos_status=sos_status)
+    report, sos_check = _report(expr, operator, rough=4 * ROOT2, cap=config.cap_qubits,
+                                sos=(terms, 4 * ROOT2))
     checks = [
         _exact("classical max", report.classical_max, 4.0, "4"),
         _close("quantum lower bound", report.quantum_lower, 4 * ROOT2, "4*sqrt(2)"),
@@ -282,12 +279,8 @@ def _case_l5(config: RunConfig, which: str) -> CaseResult:
     name = f"l5-{which}"
     expr, _, operator, ident, _ = _derive(logical_form, {"kind": "none"},
                                           {"Z": "A", "X": "B", "Y": "C"})
-    seesaw_value = None
-    if which != "mermin":
-        seesaw_value = seesaw_optimize(
-            expr, restarts=6, seed=config.case_seed(name), cap=config.cap_qubits).value
-    report = _report(expr, operator, rough=rough, cap=config.cap_qubits,
-                     seesaw_value=seesaw_value)
+    seesaw = None if which == "mermin" else (6, config.case_seed(name))
+    report, _ = _report(expr, operator, rough=rough, cap=config.cap_qubits, seesaw=seesaw)
     checks = [
         _exact("classical max", report.classical_max, classical_target,
                f"{classical_target:g}"),
@@ -299,7 +292,7 @@ def _case_l5(config: RunConfig, which: str) -> CaseResult:
                              16.0, "16"))
         checks.append(_exact("term count", float(len(operator)), 16.0, "16"))
     else:
-        checks.append(_at_least("seesaw value", seesaw_value, rough, label))
+        checks.append(_at_least("seesaw value", report.seesaw_value, rough, label))
     return CaseResult(name, str(expr), report, checks)
 
 
@@ -338,8 +331,8 @@ def _case_l5_identity(config: RunConfig) -> CaseResult:
     published = published_identity_expression()
     # one render serves the quantum lower bound and every mixture's trace
     dense = projector16.to_dense(config.cap_qubits)
-    report = _report(published, projector16, rough=16.0, cap=config.cap_qubits,
-                     dense=dense)
+    report, _ = _report(published, projector16, rough=16.0, cap=config.cap_qubits,
+                        dense=dense)
 
     rng = np.random.default_rng(config.case_seed("l5-identity"))
     basis = basis_from_flip(*_loop5_code())
@@ -375,7 +368,7 @@ def _case_chained(config: RunConfig, n: int) -> CaseResult:
     expr, _, operator, ident, dense = _derive(None, {"kind": "chained", "n": n},
                                               cap=config.cap_qubits)
     target_q = chained_construction(n).quantum_bound
-    report = _report(expr, operator, rough=target_q, cap=config.cap_qubits, dense=dense)
+    report, _ = _report(expr, operator, rough=target_q, cap=config.cap_qubits, dense=dense)
     checks = [
         _exact("classical max", report.classical_max, float(2 * n - 2),
                f"{2 * n - 2}"),
@@ -398,8 +391,8 @@ _FAMILY_TRUE_CLASSICAL = {
 def _case_family(config: RunConfig, family: str, n: int) -> CaseResult:
     level = build_level(n)
     case = mermin_case(n, level) if family == "mermin" else svetlichny_case(n, level)
-    report = _report(case.expression, case.operator, rough=case.quantum_target,
-                     cap=config.cap_qubits)
+    report, _ = _report(case.expression, case.operator, rough=case.quantum_target,
+                        cap=config.cap_qubits)
     true_classical = _FAMILY_TRUE_CLASSICAL[family][n]
     published = case.classical_target
     qlabel = f"2^{n - 1}" if family == "mermin" else f"2^{n - 1}*sqrt(2)"
@@ -517,7 +510,7 @@ def build_report(recipe: BellRecipe, config: RunConfig, seesaw: bool) -> dict:
     spec = recipe.decomposition
     _check_decomposition(spec)
     kind = spec.get("kind", "none")
-    rough, sos_status, cap = recipe.beta_q, "not-attempted", config.cap_qubits
+    rough, cap = recipe.beta_q, config.cap_qubits
     if kind == "chained":
         if recipe.ops is not bell_logical_paulis():
             raise ValueError("chained decomposition is defined on the two-qubit "
@@ -525,12 +518,10 @@ def build_report(recipe: BellRecipe, config: RunConfig, seesaw: bool) -> dict:
         rough = chained_construction(spec["n"]).quantum_bound
     expr, terms, operator, ident, dense = _derive(build_logical(recipe), spec,
                                                   recipe.symbols, cap=cap)
-    if kind == "complementary" and len(terms) <= SOS_MAX_TERMS:
-        sos_status, _ = _sos(terms, recipe.beta_q)
-    seesaw_value = seesaw_optimize(expr, restarts=8, seed=config.seed,
-                                   cap=cap).value if seesaw else None
-    report = _report(expr, operator, rough=rough, cap=cap, sos_status=sos_status,
-                     seesaw_value=seesaw_value, dense=dense)
+    sos = (terms, recipe.beta_q) \
+        if kind == "complementary" and len(terms) <= SOS_MAX_TERMS else None
+    report, _ = _report(expr, operator, rough=rough, cap=cap, dense=dense, sos=sos,
+                        seesaw=(8, config.seed) if seesaw else None)
     return {"expression": str(expr), "pipeline_residual": ident.value,
             **report.to_dict()}
 

@@ -86,8 +86,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             print(f"      note: {note}")
     print(f"{len(results)} case(s), "
           f"{sum(len(r.checks) for r in results)} check(s), {failed} failure(s)")
-    if args.json and _write(json.dumps([r.to_dict() for r in results], indent=2,
-                                       sort_keys=True) + "\n", args.json):
+    if args.json and _write(emit_table(results, "json"), args.json):
         return 2
     return 1 if failed else 0
 

@@ -23,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bell import BellExpression, symbolize
+from .bounds import classical_bounds
 from .logical import LogicalPaulis, bell_logical_paulis
 from .pauli import PauliSum
 
@@ -127,8 +128,6 @@ def assignment_value_bound(n: int, which: str = "z",
     coefficients that all lie within 1e-12 of integers to those integers; the
     result is returned as an exact dyadic fraction.
     """
-    from .bounds import classical_bounds  # local import to avoid a cycle
-
     level = level or build_level(n)
     op = level.z if which == "z" else level.x
     scale = 2 ** (n - 1)

@@ -79,10 +79,6 @@ class SweepResult:
     bound: float
     argmax: dict
 
-    @property
-    def ok(self) -> bool:
-        return self.max_lhs <= self.bound + 1e-9
-
 
 def _check_samples(samples: int) -> None:
     if samples < 1:

@@ -235,6 +235,13 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload[0]["case"] == "mermin3"
 
+    def test_verify_json_equals_table_json(self, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        assert cli_main(["verify", "--all", "--seed", "3", "--json", str(out)]) == 0
+        capsys.readouterr()
+        assert cli_main(["table", "--format", "json", "--seed", "3"]) == 0
+        assert out.read_text() == capsys.readouterr().out
+
     def test_table_to_file(self, tmp_path, capsys):
         out = tmp_path / "table.csv"
         rc = cli_main(["table", "--format", "csv", "--out", str(out),

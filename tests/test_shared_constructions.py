@@ -1,14 +1,16 @@
 """The fixed constructions are built once per process and shared read-only."""
 
 import dataclasses
+import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bellforge import bell, bounds, cases, logical, pauli, recursive, stabilizer
 from bellforge.bell import BellRecipe, ChainedConstruction, Setting, chained_construction
-from bellforge.cases import RunConfig, case_names, run_cases
+from bellforge.cases import RunConfig, build_report, case_names, run_cases
 from bellforge.logical import bell_logical_paulis, ghz3_logical_paulis, logical_paulis_numeric
 from bellforge.pauli import PauliSum
 from bellforge.recursive import MAX_LEVEL, build_level, expand_code
@@ -27,6 +29,7 @@ CHAINED_SIZES = range(2, 7)
 
 # the catalog's Monte-Carlo cases take fewer samples; no construction depends on it
 QUICK = RunConfig(samples=500)
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _count_calls(monkeypatch, module, name: str) -> list:
@@ -41,6 +44,20 @@ def _count_calls(monkeypatch, module, name: str) -> list:
     for mod_name, mod in list(sys.modules.items()):
         if mod_name.split(".")[0] == "bellforge" and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def _record_calls(monkeypatch, name: str, key) -> list:
+    """``key(*args, **kwargs)`` of each call of ``cases.name``, patched on the
+    ``cases`` module as the perfbench tracer patches it."""
+    original = getattr(cases, name)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(key(*args, **kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cases, name, recorded)
     return calls
 
 
@@ -109,6 +126,25 @@ class TestBuiltOnce:
         # and their lower bound reads that render; an SOS check renders all
         # its terms in one pass
         assert (len(passes), sum(passes)) == (31, 48)
+
+    def test_bounds_step_runs_what_each_row_asks_for(self, monkeypatch):
+        run_cases(case_names(), QUICK)
+        sos = _record_calls(monkeypatch, "sos_pairing_search",
+                            lambda terms, claimed_bound: len(terms))
+        seesaw = _record_calls(monkeypatch, "seesaw_optimize",
+                               lambda expr, restarts, seed, cap: restarts)
+        run_cases(case_names(), QUICK)
+        # chsh and svetlichny3 search their 4 and 8 terms; chsh, l5-svetlichny
+        # and l5-hyper run the see-saw with 8, 6 and 6 restarts
+        assert (sos, seesaw) == ([4, 8], [8, 6, 6])
+        # a 4-term complementary recipe is searched, a 16-term ``none`` one is not
+        for name, with_seesaw, expected in (("bell-complementary", False, ([4], [])),
+                                            ("bell-complementary", True, ([4], [8])),
+                                            ("loop5", False, ([], []))):
+            del sos[:], seesaw[:]
+            recipe = BellRecipe.from_dict(json.loads((DATA / f"{name}.json").read_text()))
+            build_report(recipe, QUICK, with_seesaw)
+            assert (sos, seesaw) == expected, name
 
     def test_warm_catalog_pass_stays_batched(self, monkeypatch):
         run_cases(case_names(), QUICK)
