@@ -31,15 +31,11 @@ from .pauli import (
     DENSE_QUBIT_CAP,
     PauliSum,
     PauliTerm,
+    _check_cap,
     bloch_sum,
     product,
 )
-from .stabilizer import (
-    GraphSpec,
-    bell_basis,
-    ghz3_basis,
-    graph_state_generators,
-)
+from .stabilizer import GraphSpec, graph_state_generators
 
 DICHOTOMY_ATOL = 1e-12
 
@@ -535,7 +531,8 @@ class BellRecipe:
     def from_dict(cls, data: dict, cap: int = DENSE_QUBIT_CAP) -> "BellRecipe":
         """The recipe described by ``data``. Its logical operators are resolved
         after every field check: shared for the named bases, by the symbolic
-        route for a graph basis, under the dense qubit cap ``cap``."""
+        route for a graph basis, whose group is built only at or below the
+        dense qubit cap ``cap``. The qubit count is the operators'."""
         if not isinstance(data, dict):
             raise ValueError(f"recipe must be an object, not {data!r}")
         basis_spec = data["basis"]
@@ -543,20 +540,19 @@ class BellRecipe:
             raise ValueError(f"basis must be an object, not {basis_spec!r}")
         kind = basis_spec["kind"]
         if kind == "bell":
-            n, resolve = bell_basis().n, bell_logical_paulis
+            resolve = bell_logical_paulis
         elif kind == "ghz3":
-            n, resolve = ghz3_basis().n, ghz3_logical_paulis
+            resolve = ghz3_logical_paulis
         elif kind == "graph":
             graph = _graph_spec(basis_spec["graph"])
             flip_text = basis_spec["flip"]
             if not isinstance(flip_text, str):
                 raise ValueError(f"flip must be a Pauli string, got {flip_text!r}")
-            group = graph_state_generators(graph)
             flip = PauliTerm.from_string(flip_text)
-            n = graph.n
 
             def resolve() -> LogicalPaulis:
-                return logical_paulis_symbolic(group, flip, cap)
+                _check_cap(graph.n, cap)
+                return logical_paulis_symbolic(graph_state_generators(graph), flip, cap)
         else:
             raise ValueError(f"unknown basis kind {kind!r}")
         k = data.get("k", [0, 0, 1])
@@ -566,11 +562,7 @@ class BellRecipe:
         if abs(np.linalg.norm(k) - 1.0) > 1e-12:
             raise ValueError("direction k must be unit norm")
         beta_raw = data.get("beta_q", "auto")
-        if beta_raw == "auto":
-            beta = float(2 ** (n - 1) * np.sum(np.abs(k)))
-        elif _is_real(beta_raw) and beta_raw > 0:
-            beta = float(beta_raw)
-        else:
+        if not (beta_raw == "auto" or _is_real(beta_raw) and beta_raw > 0):
             raise ValueError(
                 f'beta_q must be "auto" or a positive real number, got {beta_raw!r}')
         decomposition = data.get("decomposition", {"kind": "none"})
@@ -581,10 +573,12 @@ class BellRecipe:
                 and len(set(symbols.values())) == len(symbols)):
             raise ValueError("symbols must be an object mapping Pauli letters "
                              f"X, Y, Z to distinct strings, got {symbols!r}")
+        ops = resolve()
         return cls(
-            ops=resolve(),
+            ops=ops,
             k=(float(k[0]), float(k[1]), float(k[2])),
-            beta_q=beta,
+            beta_q=float(2 ** (ops.n - 1) * np.sum(np.abs(k)) if beta_raw == "auto"
+                         else beta_raw),
             decomposition=decomposition,
             symbols=symbols,
         )

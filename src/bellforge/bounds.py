@@ -736,7 +736,7 @@ class BoundsReport:
     classical_max: float
     classical_witness: dict[Symbol, int]
     quantum_lower: float
-    rough_bound: float | None
+    rough_bound: float
     dichotomic_bound: float
     sos_status: str
     seesaw_value: float | None
@@ -752,7 +752,7 @@ class BoundsReport:
             "classical_witness": {f"{lab}_{p}": int(v) for (p, lab), v
                                   in sorted(self.classical_witness.items())},
             "quantum_lower": float(self.quantum_lower),
-            "rough_bound": None if self.rough_bound is None else float(self.rough_bound),
+            "rough_bound": float(self.rough_bound),
             "dichotomic_bound": float(self.dichotomic_bound),
             "sos_status": self.sos_status,
             "seesaw_value": None if self.seesaw_value is None else float(self.seesaw_value),

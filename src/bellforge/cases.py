@@ -42,15 +42,11 @@ from .bounds import (
     sos_pairing_search,
 )
 from .logical import bell_logical_paulis, ghz3_logical_paulis, logical_paulis_symbolic
-from .pauli import DENSE_QUBIT_CAP, PauliSum, PauliTerm, dense_stack
-from .recursive import (
-    build_level,
-    mermin_case,
-    scaled_value_fraction,
-    svetlichny_case,
-)
+from .pauli import DENSE_QUBIT_CAP, PauliSum, PauliTerm, _check_cap, dense_stack
+from .recursive import mermin_case, scaled_value_fraction, svetlichny_case
 from .stabilizer import GraphSpec, basis_from_flip, bell_basis, graph_state_generators
 from .uncertainty import (
+    DISC_BOUND,
     DirectionXZ,
     lemma_sweep,
     quadratic_bell,
@@ -132,15 +128,17 @@ def _at_most(name: str, value: float, target: float, label: str,
     return Check(name, f"<= {label} + {tol:g}", value, value <= target + tol)
 
 
-def _report(expr: BellExpression, operator: PauliSum, rough: float | None, cap: int,
-            dense: np.ndarray | None = None, sos: tuple[list[PauliSum], float] | None = None,
+def _report(expr: BellExpression, operator: PauliSum, rough: float, cap: int,
+            dense: np.ndarray | None = None, sos: list[PauliSum] | None = None,
             seesaw: tuple[int, int] | None = None) -> tuple[BoundsReport, Check | None]:
     """The bounds of ``expr`` and its ``operator`` (dense render ``dense``, if made),
-    with the SOS search on ``sos=(terms, claimed_bound)`` and its residual check,
-    and the see-saw at ``seesaw=(restarts, seed)``, when asked."""
+    with the SOS search on the rendered terms ``sos``, claiming ``rough``, and its
+    residual check, and the see-saw at ``seesaw=(restarts, seed)``, when asked.
+    QubitCapError above ``cap`` qubits comes before either renders."""
+    _check_cap(operator.n, cap)
     sos_status, sos_check, seesaw_value = "not-attempted", None, None
     if sos is not None:
-        pairs, residual = sos_pairing_search(*sos)
+        pairs, residual = sos_pairing_search(sos, rough)
         sos_status = "verified" if pairs is not None else "failed"
         sos_check = Check("sos residual", f"<= {_SOS_ATOL:g}", residual, pairs is not None)
     if seesaw is not None:
@@ -212,7 +210,7 @@ def _case_chsh(config: RunConfig) -> CaseResult:
         (2 * ROOT2) * bell_logical_paulis().z, {"kind": "complementary", "pivot": 1},
         letter_order={0: ["X", "Z"]}, cap=config.cap_qubits)
     report, sos_check = _report(expr, operator, rough=2 * ROOT2, cap=config.cap_qubits,
-                                dense=dense, sos=(terms, 2 * ROOT2),
+                                dense=dense, sos=terms,
                                 seesaw=(8, config.case_seed("chsh")))
     checks = [
         _exact("classical max", report.classical_max, 2.0, "2"),
@@ -244,7 +242,7 @@ def _case_svetlichny3(config: RunConfig) -> CaseResult:
     expr, terms, operator, ident, _ = _derive(4.0 * (ops.x - ops.z), {"kind": "none"},
                                               {"Z": "A", "X": "B"})
     report, sos_check = _report(expr, operator, rough=4 * ROOT2, cap=config.cap_qubits,
-                                sos=(terms, 4 * ROOT2))
+                                sos=terms)
     checks = [
         _exact("classical max", report.classical_max, 4.0, "4"),
         _close("quantum lower bound", report.quantum_lower, 4 * ROOT2, "4*sqrt(2)"),
@@ -389,16 +387,17 @@ _FAMILY_TRUE_CLASSICAL = {
 
 
 def _case_family(config: RunConfig, family: str, n: int) -> CaseResult:
-    level = build_level(n)
-    case = mermin_case(n, level) if family == "mermin" else svetlichny_case(n, level)
-    report, _ = _report(case.expression, case.operator, rough=case.quantum_target,
+    if family == "mermin":
+        case, published, target_q = mermin_case(n), float(2 ** (n - 2)), float(2 ** (n - 1))
+        qlabel = f"2^{n - 1}"
+    else:
+        case, published = svetlichny_case(n), float(2 ** (n - 1))
+        target_q, qlabel = float(2 ** (n - 1)) * np.sqrt(2.0), f"2^{n - 1}*sqrt(2)"
+    report, _ = _report(case.expression, case.operator, rough=target_q,
                         cap=config.cap_qubits)
     true_classical = _FAMILY_TRUE_CLASSICAL[family][n]
-    published = case.classical_target
-    qlabel = f"2^{n - 1}" if family == "mermin" else f"2^{n - 1}*sqrt(2)"
     checks = [
-        _close("quantum lower bound", report.quantum_lower,
-               case.quantum_target, qlabel),
+        _close("quantum lower bound", report.quantum_lower, target_q, qlabel),
         _at_most("classical max within published bound", report.classical_max,
                  published, f"{published:g}", tol=0.0),
         _exact("classical max (enumerated)", report.classical_max,
@@ -419,7 +418,7 @@ def _case_family(config: RunConfig, family: str, n: int) -> CaseResult:
         notes.append(
             f"published classical bound {published:g} holds but is not tight; "
             f"exhaustive enumeration gives {true_classical:g}")
-    return CaseResult(case.name, str(case.expression), report, checks, notes)
+    return CaseResult(f"{family}:{n}", str(case.expression), report, checks, notes)
 
 
 def _case_quadratic(config: RunConfig, variant: str) -> CaseResult:
@@ -450,7 +449,7 @@ def _case_uncertainty_sweep(config: RunConfig) -> CaseResult:
     rho0 = np.outer(bell_basis().zero_ket, bell_basis().zero_ket.conj())
     saturation = uncertainty_lhs(rho0, DirectionXZ(0.0), DirectionXZ(math.pi / 2), ops)
     checks = [
-        _at_most("relation sweep max", sw.max_lhs, 8.0, "8"),
+        _at_most("relation sweep max", sw.max_lhs, DISC_BOUND, "8"),
         _at_most("lemma sweep max", lm.max_lhs, 1.0, "1", tol=1e-10),
         _close("saturation on the Bell state", saturation, 8.0, "8", tol=1e-8),
     ]
@@ -518,8 +517,7 @@ def build_report(recipe: BellRecipe, config: RunConfig, seesaw: bool) -> dict:
         rough = chained_construction(spec["n"]).quantum_bound
     expr, terms, operator, ident, dense = _derive(build_logical(recipe), spec,
                                                   recipe.symbols, cap=cap)
-    sos = (terms, recipe.beta_q) \
-        if kind == "complementary" and len(terms) <= SOS_MAX_TERMS else None
+    sos = terms if kind == "complementary" and len(terms) <= SOS_MAX_TERMS else None
     report, _ = _report(expr, operator, rough=rough, cap=cap, dense=dense, sos=sos,
                         seesaw=(8, config.seed) if seesaw else None)
     return {"expression": str(expr), "pipeline_residual": ident.value,

@@ -20,8 +20,6 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .bell import BellExpression, symbolize
 from .bounds import classical_bounds
 from .logical import LogicalPaulis, bell_logical_paulis
@@ -86,39 +84,27 @@ def _level(n: int) -> LogicalPaulis:
 
 @dataclass
 class FamilyCase:
-    """Operator, symbolized expression and targets for one family member."""
+    """Operator and symbolized expression of one family member."""
 
-    name: str
-    n: int
     operator: PauliSum
     expression: BellExpression
-    classical_target: float
-    quantum_target: float
 
 
 def mermin_case(n: int, level: LogicalPaulis | None = None) -> FamilyCase:
     """2^(n-1) times the level's logical Z, symbolized over A (Z) and B (X)."""
     level = level or build_level(n)
     op = float(2 ** (n - 1)) * level.z
-    expr, _ = symbolize(op, {"Z": "A", "X": "B"})
-    return FamilyCase(
-        name=f"mermin:{n}", n=n, operator=op, expression=expr,
-        classical_target=float(2 ** (n - 2)), quantum_target=float(2 ** (n - 1)))
+    return FamilyCase(op, symbolize(op, {"Z": "A", "X": "B"})[0])
 
 
 def svetlichny_case(n: int, level: LogicalPaulis | None = None) -> FamilyCase:
     """2^(n-1) times (logical X + logical Z) of the level."""
     level = level or build_level(n)
     op = float(2 ** (n - 1)) * (level.x + level.z)
-    expr, _ = symbolize(op, {"Z": "A", "X": "B"})
-    return FamilyCase(
-        name=f"svetlichny:{n}", n=n, operator=op, expression=expr,
-        classical_target=float(2 ** (n - 1)),
-        quantum_target=float(2 ** (n - 1)) * np.sqrt(2.0))
+    return FamilyCase(op, symbolize(op, {"Z": "A", "X": "B"})[0])
 
 
-def assignment_value_bound(n: int, which: str = "z",
-                           level: LogicalPaulis | None = None) -> Fraction:
+def assignment_value_bound(n: int, which: str = "z") -> Fraction:
     """Exact maximum of the +/-1-assignment value of the level operator.
 
     The scaled operator 2^(n-1) * op has unit coefficients only up to
@@ -128,7 +114,7 @@ def assignment_value_bound(n: int, which: str = "z",
     coefficients that all lie within 1e-12 of integers to those integers; the
     result is returned as an exact dyadic fraction.
     """
-    level = level or build_level(n)
+    level = build_level(n)
     op = level.z if which == "z" else level.x
     scale = 2 ** (n - 1)
     scaled = float(scale) * op

@@ -200,12 +200,13 @@ def graph_state_generators(g: GraphSpec) -> StabilizerGroup:
     return StabilizerGroup(g.n, tuple(gens))
 
 
-def state_vector(s: StabilizerGroup, cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
+def state_vector(s: StabilizerGroup) -> np.ndarray:
     """The unique stabilized state, global phase fixed: ``_code_state``,
     normalised, bit for bit the projector's first nonzero column; float64
     for a real group, then cast. Raises ValueError on a zero scatter or when
-    a generator moves it by over ``PROJECTOR_ATOL`` (``PauliTerm.apply``)."""
-    _check_cap(s.n, cap)
+    a generator moves it by over ``PROJECTOR_ATOL`` (``PauliTerm.apply``), and
+    QubitCapError above ``DENSE_QUBIT_CAP`` qubits."""
+    _check_cap(s.n, DENSE_QUBIT_CAP)
     gx, gz, _ = s._arrays
     vec = _code_state(s.n, s._arrays, real=not np.any(np.bitwise_count(gx & gz) & 1))
     if not vec.any():
@@ -239,8 +240,7 @@ class LogicalBasis:
         object.__setattr__(self, "one_ket", one)
 
 
-def basis_from_flip(s: StabilizerGroup, zc: PauliTerm,
-                    cap: int = DENSE_QUBIT_CAP) -> LogicalBasis:
+def basis_from_flip(s: StabilizerGroup, zc: PauliTerm) -> LogicalBasis:
     """Code basis |0> = stabilized state, |1> = flip applied to it.
 
     The flip must anticommute with at least one generator; otherwise it is a
@@ -251,7 +251,7 @@ def basis_from_flip(s: StabilizerGroup, zc: PauliTerm,
     if all(zc.commutes(g) for g in s.generators):
         raise ValueError(
             f"flip {zc} commutes with the whole group; not a valid logical flip")
-    zero = state_vector(s, cap)
+    zero = state_vector(s)
     one = zc.apply(zero)
     return LogicalBasis(s.n, zero, one)
 

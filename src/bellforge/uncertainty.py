@@ -74,9 +74,7 @@ def uncertainty_lhs(rho: np.ndarray, d1: DirectionXZ, d2: DirectionXZ,
 
 @dataclass
 class SweepResult:
-    samples: int
     max_lhs: float
-    bound: float
     argmax: dict
 
 
@@ -152,7 +150,7 @@ def uncertainty_sweep(samples: int = 10000, seed: int = 0) -> SweepResult:
     minus = (s1 - s2) ** 2 + (c1 - c2) ** 2
     lhs = np.where(keep, _ellipse(b1, b2, plus, minus), -np.inf)
     k = int(np.argmax(lhs))
-    return SweepResult(samples, float(lhs[k]), DISC_BOUND,
+    return SweepResult(float(lhs[k]),
                        {"sample": k, "theta1": float(t1[k]), "theta2": float(t2[k])})
 
 
@@ -172,7 +170,7 @@ def lemma_sweep(samples: int = 10000, seed: int = 1) -> SweepResult:
     minus = np.sum((a1 - a2) ** 2, axis=1)
     lhs = np.where(keep, _ellipse(e1, e2, plus, minus), -np.inf)
     k = int(np.argmax(lhs))
-    return SweepResult(samples, float(lhs[k]), 1.0, {"sample": k})
+    return SweepResult(float(lhs[k]), {"sample": k})
 
 
 # --- quadratic Bell inequalities ----------------------------------------------
@@ -248,7 +246,7 @@ def quadratic_quantum_sweep(case: QuadraticCase, samples: int = 10000,
 
     lhs = value(case.expr1) ** 2 + value(case.expr2) ** 2
     k = int(np.argmax(lhs))
-    return SweepResult(samples, float(lhs[k]), case.bound, {"sample": k})
+    return SweepResult(float(lhs[k]), {"sample": k})
 
 
 def uffink_attaining_value(case: QuadraticCase | None = None) -> float:

@@ -20,7 +20,7 @@ from bellforge.cases import (
     run_cases,
 )
 import bellforge
-from bellforge import bounds, cases
+from bellforge import bell, bounds, cases
 from bellforge.cli import main as cli_main
 from bellforge.pauli import PauliSum
 
@@ -227,6 +227,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "5 qubits exceeds dense cap of 4" in err and "--cap-qubits 4" in err
 
+    def test_sos_cap_stops_before_any_render(self, monkeypatch, capsys):
+        def render(sums, cap=None):
+            raise AssertionError("SOS check rendered above the qubit cap")
+
+        monkeypatch.setattr(bounds, "dense_stack", render)
+        assert cli_main(["verify", "--case", "svetlichny3", "--cap-qubits", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "3 qubits exceeds dense cap of 2" in err and "--cap-qubits 2" in err
+
     def test_verify_json_output(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         rc = cli_main(["verify", "--case", "mermin3", "--json", str(out),
@@ -279,16 +288,22 @@ class TestCli:
         assert report["quantum_lower"] <= report["dichotomic_bound"]
 
     def test_build_reproduces_catalog_row(self, tmp_path, capsys):
-        # the loop-5 recipe is the l5-mermin case, so build reports its row
-        cfg = tmp_path / "recipe.json"
-        cfg.write_text(json.dumps(LOOP5_RECIPE))
-        out = tmp_path / "out.json"
-        assert cli_main(["build", "--config", str(cfg), "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        row = json.loads(json.dumps(run_case("l5-mermin").to_dict()))
-        assert report["expression"] == row["expression"]
-        assert {k: report[k] for k in row["bounds"]} == row["bounds"]
-        assert set(report) == {"expression", "pipeline_residual", *row["bounds"]}
+        # each recipe is its catalog case, so build reports the case's row
+        rows = [("l5-mermin", LOOP5_RECIPE),
+                ("mermin3", {"basis": {"kind": "ghz3"}, "k": [0, 0, 1],
+                             "symbols": {"Z": "A", "X": "B"}})]
+        rows += [(f"chained:{n}", {"basis": {"kind": "bell"},
+                                   "decomposition": {"kind": "chained", "n": n}})
+                 for n in range(2, 7)]
+        cfg, out = tmp_path / "recipe.json", tmp_path / "out.json"
+        for case, recipe in rows:
+            cfg.write_text(json.dumps(recipe))
+            assert cli_main(["build", "--config", str(cfg), "--out", str(out)]) == 0
+            report = json.loads(out.read_text())
+            row = json.loads(json.dumps(run_case(case).to_dict()))
+            assert report["expression"] == row["expression"], case
+            assert {k: report[k] for k in row["bounds"]} == row["bounds"], case
+            assert set(report) == {"expression", "pipeline_residual", *row["bounds"]}
 
     @pytest.mark.parametrize("seesaw", [False, True])
     def test_build_above_cap_exits_2(self, tmp_path, capsys, seesaw):
@@ -301,8 +316,12 @@ class TestCli:
         assert "qubit cap exceeded: 5 qubits exceeds dense cap of 3" in captured.err
         assert "(--cap-qubits 3)" in captured.err
 
-    def test_build_40_qubit_path_exits_2(self, tmp_path, capsys):
-        # the 40 generators validate; the code state is past the qubit cap
+    def test_build_40_qubit_path_exits_2(self, tmp_path, monkeypatch, capsys):
+        # past the qubit cap, the recipe fails before its 40 generators are built
+        def no_group(graph):
+            raise AssertionError("stabilizer group built above the qubit cap")
+
+        monkeypatch.setattr(bell, "graph_state_generators", no_group)
         recipe = {"basis": {"kind": "graph", "flip": "Z" * 40,
                             "graph": {"n": 40, "edges": [[q, q + 1] for q in range(39)]}}}
         cfg = tmp_path / "recipe.json"
@@ -311,6 +330,17 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "qubit cap exceeded: 40 qubits exceeds dense cap of 12" in captured.err
+
+    def test_build_1025_qubit_auto_beta_exits_2(self, tmp_path, capsys):
+        # "auto" is 2^1024 |k|_1, past a float; the cap fails before it is computed
+        recipe = {"basis": {"kind": "graph", "flip": "Z" * 1025,
+                            "graph": {"n": 1025, "edges": []}}, "beta_q": "auto"}
+        cfg = tmp_path / "recipe.json"
+        cfg.write_text(json.dumps(recipe))
+        assert cli_main(["build", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "qubit cap exceeded: 1025 qubits exceeds dense cap of 12" in captured.err
 
     def test_build_phased_flip_is_a_recipe_error(self, tmp_path, capsys):
         recipe = dict(LOOP5_RECIPE, basis=dict(LOOP5_RECIPE["basis"], flip="iZZZZZ"))

@@ -210,7 +210,7 @@ class TestStateVector:
         for g in group.generators:
             assert np.max(np.abs(g.apply(v) - v)) < 1e-10
         with pytest.raises(QubitCapError):
-            state_vector(group, cap=11)
+            state_vector(graph_state_generators(GraphSpec.path(13)))
 
     def test_projection_residual_guard(self):
         v = state_vector(graph_state_generators(GraphSpec.loop(5)))

@@ -259,7 +259,7 @@ def closure_sweep(case, samples, seed):
 
     lhs = value(case.expr1) ** 2 + value(case.expr2) ** 2
     k = int(np.argmax(lhs))
-    return SweepResult(samples, float(lhs[k]), case.bound, {"sample": k})
+    return SweepResult(float(lhs[k]), {"sample": k})
 
 
 class TestQuadratic:
@@ -340,7 +340,7 @@ def density_relation_sweep(samples, seed):
     minus = (np.sin(t1) - np.sin(t2)) ** 2 + (np.cos(t1) - np.cos(t2)) ** 2
     lhs = np.where(keep, (b1 + b2) ** 2 / plus + (b1 - b2) ** 2 / minus, -np.inf)
     k = int(np.argmax(lhs))
-    return SweepResult(samples, float(lhs[k]), DISC_BOUND,
+    return SweepResult(float(lhs[k]),
                        {"sample": k, "theta1": float(t1[k]), "theta2": float(t2[k])})
 
 
@@ -361,7 +361,7 @@ def density_lemma_sweep(samples, seed):
     minus = np.sum((a1 - a2) ** 2, axis=1)
     lhs = np.where(keep, (e1 + e2) ** 2 / plus + (e1 - e2) ** 2 / minus, -np.inf)
     k = int(np.argmax(lhs))
-    return SweepResult(samples, float(lhs[k]), 1.0, {"sample": k})
+    return SweepResult(float(lhs[k]), {"sample": k})
 
 
 def density_quadratic_sweep(case, samples, seed):
@@ -384,7 +384,7 @@ def density_quadratic_sweep(case, samples, seed):
 
     lhs = value(case.expr1) ** 2 + value(case.expr2) ** 2
     k = int(np.argmax(lhs))
-    return SweepResult(samples, float(lhs[k]), case.bound, {"sample": k})
+    return SweepResult(float(lhs[k]), {"sample": k})
 
 
 def sweep_pair(name):
