@@ -567,6 +567,17 @@ class BellRecipe:
                 f'beta_q must be "auto" or a positive real number, got {beta_raw!r}')
         decomposition = data.get("decomposition", {"kind": "none"})
         _check_decomposition(decomposition)
+        if decomposition.get("kind") == "chained":
+            # the chained construction brings its own logical form, bound and labels
+            if kind != "bell":
+                raise ValueError("chained decomposition is defined on the two-qubit "
+                                 "Bell-state basis")
+            if data.get("k", [0, 0, 1]) != [0, 0, 1]:
+                raise ValueError(f"chained decomposition needs k = [0, 0, 1], got {data['k']!r}")
+            for name in ("beta_q", "symbols"):
+                if name in data:
+                    raise ValueError(f"chained decomposition takes no {name}, "
+                                     f"got {data[name]!r}")
         symbols = data.get("symbols", {"Z": "A", "X": "B", "Y": "C"})
         if not (isinstance(symbols, dict) and set(symbols) <= {"X", "Y", "Z"}
                 and all(isinstance(name, str) for name in symbols.values())

@@ -15,14 +15,13 @@ expression), the sum of absolute coefficients over dichotomic terms (an upper
 bound), and a sum-of-squares identity check on the concrete operator, which
 proves the claimed bound above its spectrum, so equal to its norm where the
 eigenvalue meets it; it says nothing of the abstract expression. The
-eigenvalue comes from dense ``eigh`` up to 8 qubits. Above, a pseudo Pauli
-operator B = beta (k . L), whose square is beta^2 |k|^2 times the code
-projector, is certified from its stabilizer structure alone
-(``pseudo_pauli_certificate``): bit operations on its term masks, through
-the group kernels of ``stabilizer``, with no dense matrix and no ``apply``.
-Any other operator goes to Lanczos on
-``PauliSum.apply``. Below 9 qubits dense ``eigh`` is the faster route on
-generic operators, and every catalog row keeps its digits.
+eigenvalue comes by one of two routes. Past 8 qubits a pseudo Pauli operator
+B = beta (k . L), whose square is beta^2 |k|^2 times the code projector, is
+certified from its stabilizer structure alone (``pseudo_pauli_certificate``):
+bit operations on its term masks, through the group kernels of
+``stabilizer``, with no dense matrix. Every other operator, and every
+operator up to 8 qubits, takes dense ``eigh`` of its render, so every
+catalog row keeps its digits.
 
 The see-saw heuristic re-renders the Bell operator, and each symbol's
 leave-one-out operator, after every setting update. A symbol's leave-one-out
@@ -78,7 +77,6 @@ from .pauli import (
     DENSE_QUBIT_CAP,
     PauliSum,
     _check_cap,
-    _krylov_top_eigenpair,
     _signed_permutation,
     anticommutator_sum,
     dense_stack,
@@ -96,7 +94,7 @@ _SEESAW_GAIN_TOL = 1e-9     # a restart converges once a sweep gains less
 _RENDER_CHUNK_BYTES = 1 << 18   # most see-saw term matrices built at once
 _SEESAW_BATCH_BYTES = 1 << 22   # most leave-one-out stack bytes per restart batch
 _NEG_ZERO = complex(-0.0, -0.0)  # additive identity that keeps signed zeros
-_DENSE_EIGH_QUBITS = 8      # quantum_lower_bound goes matrix-free above this
+_DENSE_EIGH_QUBITS = 8      # quantum_lower_bound tries the certificate above this
 _PSEUDO_PAULI_RTOL = 1e-13  # largest certificate residual per unit sum |c|
 
 
@@ -379,25 +377,21 @@ def quantum_lower_bound(op: PauliSum, cap: int = DENSE_QUBIT_CAP,
 
     This is the maximum over states for these fixed settings, hence a
     certified lower bound on the quantum maximum of the abstract expression.
-    Up to ``_DENSE_EIGH_QUBITS`` qubits it is the top eigenpair of the dense
-    render (``eigh``). Above, with no dense matrix, a pseudo Pauli operator
-    (every recursive-family member and every ``build`` logical form) gets
-    ``pseudo_pauli_certificate``: |a| less the residual, from the stabilizer
-    structure of its terms in O(T n) bit operations and no ``apply``, exact
-    when the coefficients are. Any other operator, or one whose residual is
-    too large, gets Lanczos on ``PauliSum.apply``, the witness's Rayleigh
-    quotient, a lower bound on the largest eigenvalue even unconverged. A
-    real operator gets a float64 witness on both routes. The split sits
-    where dense ``eigh`` stops being the faster route on generic operators,
-    and it keeps the digits of every catalog row, none of which is past 8
-    qubits. ``cap`` bounds the qubit count on every route; the dense route
-    reads ``dense``, the caller's ``op.to_dense()``, if given.
+    It takes one of two routes. Past ``_DENSE_EIGH_QUBITS`` qubits a pseudo
+    Pauli operator (every recursive-family member and every ``build``
+    logical form) gets ``pseudo_pauli_certificate``: |a| less the residual,
+    from the stabilizer structure of its terms in O(T n) bit operations,
+    exact when the coefficients are, with a float64 witness for a real
+    operator. Every other operator, and every operator up to 8 qubits, gets
+    the top eigenpair of its dense render (``eigh``), which reads ``dense``,
+    the caller's ``op.to_dense()``, if given. ``cap`` bounds the qubit count,
+    checked before either route.
     """
     _check_cap(op.n, cap)
-    if op.n <= _DENSE_EIGH_QUBITS:
-        return top_eigenpair(op.to_dense(cap) if dense is None else dense)
-    certified = pseudo_pauli_certificate(op)
-    return certified if certified is not None else _krylov_top_eigenpair(op)
+    certified = pseudo_pauli_certificate(op) if op.n > _DENSE_EIGH_QUBITS else None
+    if certified is not None:
+        return certified
+    return top_eigenpair(op.to_dense(cap) if dense is None else dense)
 
 
 def dichotomic_term_bound(expr: BellExpression) -> float:

@@ -502,18 +502,15 @@ def build_report(recipe: BellRecipe, config: RunConfig, seesaw: bool) -> dict:
 
     The decomposition picks the derivation (``_derive``); ``complementary``
     adds an SOS search on at most ``SOS_MAX_TERMS`` terms, and ``chained``
-    needs the Bell-state basis. ``pipeline_residual`` is the derivation's residual. Raises
-    ValueError when the recipe does not fit its decomposition and
-    QubitCapError above ``config.cap_qubits``.
+    claims the chained quantum bound. ``pipeline_residual`` is the
+    derivation's residual. Raises ValueError when the recipe does not fit its
+    decomposition and QubitCapError above ``config.cap_qubits``.
     """
     spec = recipe.decomposition
     _check_decomposition(spec)
     kind = spec.get("kind", "none")
     rough, cap = recipe.beta_q, config.cap_qubits
     if kind == "chained":
-        if recipe.ops is not bell_logical_paulis():
-            raise ValueError("chained decomposition is defined on the two-qubit "
-                             "Bell-state basis")
         rough = chained_construction(spec["n"]).quantum_bound
     expr, terms, operator, ident, dense = _derive(build_logical(recipe), spec,
                                                   recipe.symbols, cap=cap)

@@ -24,15 +24,12 @@ Its terms go through the kernel a chunk at a time, within
 ``_KERNEL_CHUNK_BYTES`` of temporaries, and each chunk is added into the
 output by one ``np.add.at``, which applies repeated indices in order, so the
 bits equal a term-by-term sum's. The top eigenpair of a sum comes from dense
-``eigh`` of its render, or with no dense matrix from Lanczos iteration on
-``apply``.
+``eigh`` of its render; ``apply`` runs in complex128 whatever the vector.
 
-The matrix-free route follows the data's dtype. A sum is real when every term
-has an even number of Y letters (even popcount(x & z)), as every pseudo Pauli
-operator of the recursive family is. ``apply`` of a real sum to a real vector
-runs the same kernel on a real sign table and returns float64, with the bits
-of the real part of the complex route; Lanczos on a real sum starts from a
-real vector and stays in float64 throughout. Anything else runs in complex128.
+A sum is real when every term has an even number of Y letters (even
+popcount(x & z)), as every pseudo Pauli operator of the recursive family is.
+Its strings can then read the kernel's real sign table (``real``), so a code
+state and a certificate witness built from them stay float64.
 """
 
 from __future__ import annotations
@@ -54,13 +51,8 @@ _KERNEL_CHUNK_BYTES = 1 << 20   # most bytes of render temporaries held at once
 # destination (its flat index, in to_dense) and 1 for its sign parity, whose
 # uint32 operand (4 more) is freed before the entry is made; the rest is room
 # for numpy's fixed-size ufunc buffers, up to about 0.26 MB in the kernel.
-# tracemalloc reads 25 bytes per entry for complex128 chunks and 17 for
-# float64 ones (numpy 2.4, n = 8..12, 64-term chunks), so a real chunk term
-# reserves 8 bytes fewer per basis state (``_chunk_terms``)
+# tracemalloc reads 25 bytes per entry (numpy 2.4, n = 8..12, 64-term chunks)
 _KERNEL_ENTRY_BYTES = 72
-_KRYLOV_RTOL = 1e-13        # Lanczos stops at this Ritz residual per unit sum |c|
-_KRYLOV_SEED = 0            # seed of the Lanczos start vector
-_KRYLOV_COLLAPSE = 1e-8     # Lanczos tests its residual at once below this beta per unit sum |c|
 
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
@@ -159,11 +151,9 @@ def _signed_permutation(n: int, x_masks: np.ndarray, z_masks: np.ndarray,
     return np.arange(1 << n) ^ reverse[x_masks][:, None], entries
 
 
-def _chunk_terms(n: int, dtype=complex) -> int:
-    """Most terms whose kernel temporaries fit in ``_KERNEL_CHUNK_BYTES``,
-    for entries of ``dtype``."""
-    entry = _KERNEL_ENTRY_BYTES - np.dtype(complex).itemsize + np.dtype(dtype).itemsize
-    return max(1, _KERNEL_CHUNK_BYTES // (entry << n))
+def _chunk_terms(n: int) -> int:
+    """Most terms whose kernel temporaries fit in ``_KERNEL_CHUNK_BYTES``."""
+    return max(1, _KERNEL_CHUNK_BYTES // (_KERNEL_ENTRY_BYTES << n))
 
 
 @dataclass(frozen=True)
@@ -282,11 +272,10 @@ class PauliTerm:
         return out
 
 
-def _check_state(vec: np.ndarray, n: int, dtype=complex) -> np.ndarray:
-    """``vec`` as an n-qubit state vector of ``dtype`` (None: its own);
-    DimensionError otherwise."""
+def _check_state(vec: np.ndarray, n: int) -> np.ndarray:
+    """``vec`` as a complex n-qubit state vector; DimensionError otherwise."""
     dim = 1 << n
-    vec = np.asarray(vec, dtype=dtype)
+    vec = np.asarray(vec, dtype=complex)
     if vec.shape != (dim,):
         raise DimensionError(f"state has shape {vec.shape}, expected ({dim},)")
     return vec
@@ -417,25 +406,16 @@ class PauliSum:
         Term images come from the batched kernel a chunk at a time and are
         added into a +0.0-started vector by one ordered ``np.add.at`` per
         chunk, in sorted (x, z) order, as a term-by-term sum would add them.
-        A real sum applied to a real vector runs in float64: each string's
-        two signs are scaled by its coefficient before they are spread, so an
-        entry is (+/-c) * v, the bits of the complex route's real part.
-        Anything else is complex128.
         """
-        vec = _check_state(vec, self.n, dtype=None)
-        real = not np.iscomplexobj(vec) and self._is_real()
-        vec = vec.astype(float if real else complex, copy=False)
+        vec = _check_state(vec, self.n)
         out = np.zeros_like(vec)
         xs, zs, coeffs = self._sorted_arrays()
-        size = _chunk_terms(self.n, vec.dtype)
+        size = _chunk_terms(self.n)
         for lo in range(0, coeffs.size, size):
             chunk = slice(lo, lo + size)
-            dest, entries = _signed_permutation(
-                self.n, xs[chunk], zs[chunk], scales=coeffs[chunk] if real else None,
-                real=real)
+            dest, entries = _signed_permutation(self.n, xs[chunk], zs[chunk])
             entries *= vec
-            if not real:
-                entries *= coeffs[chunk, None]
+            entries *= coeffs[chunk, None]
             np.add.at(out, dest.ravel(), entries.ravel())
             del dest, entries
         return out
@@ -543,62 +523,6 @@ def top_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     vals, vecs = np.linalg.eigh(check_hermitian(m))
     vec = vecs[:, -1]
     return float(vals[-1]), fix_global_phase(vec)
-
-
-def _krylov_top_eigenpair(op: PauliSum) -> tuple[float, np.ndarray]:
-    """A lower bound on the largest eigenvalue of ``op`` and a unit witness
-    (phase-fixed), from Lanczos iteration on ``op.apply``; no dense matrix.
-
-    Starts from a fixed-seed real Gaussian vector and reorthogonalises each
-    new vector against all before it (twice), held as the rows of one array.
-    On a real sum every vector, the witness and the last ``apply`` stay
-    float64 and no conjugate is taken; a complex sum runs in complex128 and
-    conjugates the rows once per step. Stops once the top Ritz
-    pair's residual is at most ``_KRYLOV_RTOL`` times sum |c|, or when the
-    Krylov space is the whole space. A pseudo Pauli operator B = beta (k.L)
-    has B^3 = beta^2 |k|^2 B, so its Krylov spaces have dimension at most 3.
-    The residual takes an eigensolve of the whole k x k tridiagonal, so it is
-    tested after every step up to k = 8, then only at k growing by a quarter,
-    k + k // 4: O(k^3) over a long run on a clustered spectrum, where testing
-    every step costs O(k^4). It is also tested at once when the next
-    vector's norm beta collapses below ``_KRYLOV_COLLAPSE`` times sum |c|:
-    the Krylov space is then invariant up to rounding. The value is
-    the witness's Rayleigh quotient <x|op|x>, taken with one more ``apply``:
-    a lower bound on the largest eigenvalue whether or not the iteration
-    converged.
-    """
-    dim = 1 << op.n
-    scale = sum(abs(c) for c in op._terms.values())
-    tol = _KRYLOV_RTOL * scale
-    rng = np.random.default_rng(_KRYLOV_SEED)
-    start = rng.standard_normal(dim)
-    real = op._is_real()
-    # the Krylov vectors are the rows of one array, doubled when full
-    basis = np.empty((min(dim, 64), dim), dtype=float if real else complex)
-    basis[0] = start / np.linalg.norm(start)
-    alphas, betas = [], []
-    k = check = 1
-    while True:
-        w = op.apply(basis[k - 1])
-        alphas.append(np.vdot(basis[k - 1], w).real)
-        vs = basis[:k]
-        vs_conj = vs if real else vs.conj()
-        for _ in range(2):
-            w -= vs.T @ (vs_conj @ w)
-        betas.append(np.linalg.norm(w))
-        if k == check or betas[-1] <= _KRYLOV_COLLAPSE * scale or k == dim:
-            ritz = np.linalg.eigh(np.diag(alphas) + np.diag(betas[:-1], 1)
-                                  + np.diag(betas[:-1], -1))[1][:, -1]
-            if betas[-1] * abs(ritz[-1]) <= tol or k == dim:
-                break
-            check = k + max(1, k // 4)
-        if k == len(basis):
-            basis = np.concatenate((basis, np.empty_like(basis)))
-        basis[k] = w / betas[-1]
-        k += 1
-    x = ritz @ vs
-    x = fix_global_phase(x / np.linalg.norm(x))
-    return float(np.vdot(x, op.apply(x)).real), x
 
 
 def fix_global_phase(vec: np.ndarray) -> np.ndarray:

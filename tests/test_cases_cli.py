@@ -372,7 +372,7 @@ class TestCli:
         assert all(n <= 4 for n in rendered)
 
     def test_build_chained_recipe_honours_cap(self, tmp_path, capsys):
-        recipe = {"basis": {"kind": "bell"}, "k": [0, 0, 1], "beta_q": 2.0,
+        recipe = {"basis": {"kind": "bell"}, "k": [0, 0, 1],
                   "decomposition": {"kind": "chained", "n": 3}}
         cfg = tmp_path / "recipe.json"
         cfg.write_text(json.dumps(recipe))
@@ -438,6 +438,27 @@ class TestCli:
                                              message):
         recipe = {"basis": {"kind": "bell"}, "k": [0, 0, 1], "beta_q": 2.0,
                   "decomposition": decomposition}
+        cfg = tmp_path / "recipe.json"
+        cfg.write_text(json.dumps(recipe))
+        assert cli_main(["build", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"recipe error in {cfg}: ")
+        assert message in captured.err
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("basis", {"kind": "ghz3"}, "chained decomposition is defined on the two-qubit "
+                                    "Bell-state basis"),
+        ("k", [1, 0, 0], "chained decomposition needs k = [0, 0, 1], got [1, 0, 0]"),
+        ("beta_q", "auto", "chained decomposition takes no beta_q, got 'auto'"),
+        ("symbols", {"Z": "Q"}, "chained decomposition takes no symbols, got {'Z': 'Q'}"),
+    ])
+    def test_build_rejects_chained_recipe_field(self, tmp_path, capsys, field, value,
+                                                message):
+        # the chained construction brings its own logical form, bound and
+        # labels, so a field it would not read is an error
+        recipe = {"basis": {"kind": "bell"}, "decomposition": {"kind": "chained", "n": 3},
+                  field: value}
         cfg = tmp_path / "recipe.json"
         cfg.write_text(json.dumps(recipe))
         assert cli_main(["build", "--config", str(cfg)]) == 2

@@ -1,9 +1,9 @@
 """The batched Pauli kernel and the array symbolize against the term-by-term
 and mask-walking oracles in ``helpers``, bit for bit, the render of an
 expression against the product and dict routes, the printer against the
-``terms`` walk, the matrix-free quantum lower bounds, Lanczos and the
-pseudo Pauli certificate, against dense ``eigh``, on seeded random inputs,
-and the SOS pairing search against the record route it replaced."""
+``terms`` walk, the quantum lower bound's two routes, the pseudo Pauli
+certificate and dense ``eigh``, against dense ``eigh``, on seeded random
+inputs, and the SOS pairing search against the record route it replaced."""
 
 import functools
 import math
@@ -84,12 +84,6 @@ def random_sum(rng, n, runs, terms):
     return PauliSum(n, {k: random_coeff(rng) for k in sorted(keys)})
 
 
-def real_part(op):
-    """The terms of ``op`` with an even number of Y letters: a real sum."""
-    return PauliSum(op.n, {(x, z): c for (x, z), c in op._terms.items()
-                           if not (x & z).bit_count() & 1})
-
-
 def sums(seed):
     rng = np.random.default_rng(seed)
     out = []
@@ -121,30 +115,9 @@ class TestRenderAgainstTermOracle:
         for op in sums(1203):
             vec = rng.normal(size=1 << op.n) + 1j * rng.normal(size=1 << op.n)
             vec[::3] = -0.0
-            assert np.array_equal(bits(op.apply(vec)), bits(sum_apply(op, vec)))
-
-    @pytest.mark.parametrize("budget", BUDGETS)
-    def test_real_apply_is_the_oracle_real_part(self, monkeypatch, budget):
-        # real sums on real vectors run in float64 with the bits of the
-        # complex oracle's real part; a non-real sum on a real vector keeps
-        # the complex oracle's bits
-        monkeypatch.setattr(pauli, "_KERNEL_CHUNK_BYTES", budget)
-        rng = np.random.default_rng(2201)
-        kinds = set()
-        for op in sums(1203):
-            vec = rng.normal(size=1 << op.n)
-            vec[1::5] = 0.0
-            vec[::3] = -0.0
-            for summand in (real_part(op), op):
-                image, oracle = summand.apply(vec), sum_apply(summand, vec)
-                if summand._is_real():
-                    assert image.dtype == np.float64
-                    assert np.array_equal(bits(image), bits(oracle.real))
-                else:
-                    assert image.dtype == np.complex128
-                    assert np.array_equal(bits(image), bits(oracle))
-                kinds.add(image.dtype)
-        assert kinds == {np.dtype(np.float64), np.dtype(np.complex128)}
+            # a real vector runs the same complex128 route
+            for v in (vec, vec.real.copy()):
+                assert np.array_equal(bits(op.apply(v)), bits(sum_apply(op, v)))
 
     def test_terms_bit_identical(self):
         rng = np.random.default_rng(1204)
@@ -181,19 +154,12 @@ class TestRenderMemory:
         assert dense.nbytes == output
         assert peak <= output + pauli._KERNEL_CHUNK_BYTES
 
-    @pytest.mark.parametrize("n, real", [(10, False), (12, False), (10, True), (12, True)],
-                             ids=["10", "12", "10-real", "12-real"])
-    def test_apply_peak_is_vector_plus_budget(self, n, real):
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_apply_peak_is_vector_plus_budget(self, n):
         rng = np.random.default_rng(1205)
         op = random_sum(rng, n, 3, 400) + random_sum(rng, n, 200, 200)
-        if real:
-            # a real sum on a real vector: float64 chunks and output
-            op = real_part(op)
-            vec = rng.normal(size=1 << n)
-            output = 8 << n
-        else:
-            vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-            output = 16 << n
+        vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        output = 16 << n
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -205,9 +171,10 @@ class TestRenderMemory:
         assert peak <= output + pauli._KERNEL_CHUNK_BYTES
 
 
-def krylov_sums(seed):
-    """9-qubit sums for the matrix-free route: generic spectra, and commuting
-    strings (Z on qubits 0-4, X on 5-8) whose top eigenvalue is degenerate."""
+def generic_sums(seed):
+    """9-qubit sums that are no pseudo Pauli operator: generic spectra, and
+    commuting strings (Z on qubits 0-4, X on 5-8) whose top eigenvalue is
+    degenerate."""
     rng = np.random.default_rng(seed)
     commuting = PauliSum(9, {(0, int(z)): random_coeff(rng)
                              for z in rng.integers(1, 1 << 5, size=6)})
@@ -217,104 +184,34 @@ def krylov_sums(seed):
 
 
 class TestKrylovAgainstDenseEigh:
+    """Past 8 qubits, a sum the certificate rejects takes dense ``eigh``."""
+
     def test_certificate_rejects_every_input(self):
-        # so that quantum_lower_bound runs Lanczos on every sum below
+        # so that quantum_lower_bound takes dense eigh on every sum below
         for seed in range(1208, 1213):
-            for op in krylov_sums(seed):
+            for op in generic_sums(seed):
                 assert pseudo_pauli_certificate(op) is None
 
     def test_value_matches_eigh(self):
-        degenerate = 0
-        for op in krylov_sums(1208):
-            value, _ = quantum_lower_bound(op)
-            dense = op.to_dense()
-            top, _ = pauli.top_eigenpair(dense)
-            assert abs(value - top) <= 1e-9 * sum(abs(c) for _, c in op.items())
-            degenerate += np.sum(np.linalg.eigvalsh(dense) > top - 1e-9) > 1
-        assert degenerate
-
-    def test_value_is_the_witness_rayleigh_quotient(self):
-        for op in krylov_sums(1209):
+        for op in generic_sums(1208):
             value, witness = quantum_lower_bound(op)
-            assert abs(np.linalg.norm(witness) - 1.0) <= 1e-12
-            assert value == np.vdot(witness, op.apply(witness)).real
-
-    def test_unconverged_value_is_a_lower_bound(self, monkeypatch):
-        # one Lanczos step and the Rayleigh quotient, far from the top
-        monkeypatch.setattr(pauli, "_KRYLOV_RTOL", np.inf)
-        for op in krylov_sums(1210):
-            value, _ = quantum_lower_bound(op)
-            assert value <= pauli.top_eigenpair(op.to_dense())[0] + 1e-12
-
-    def test_witness_follows_the_sum_dtype(self):
-        # a real sum stays float64 from the start vector to the witness; a
-        # complex one turns complex at its first apply
-        dtypes = set()
-        for op in krylov_sums(1209):
-            _, witness = quantum_lower_bound(op)
-            assert witness.dtype == (np.float64 if op._is_real() else np.complex128)
-            dtypes.add(witness.dtype)
-        assert dtypes == {np.dtype(np.float64), np.dtype(np.complex128)}
+            top, vec = pauli.top_eigenpair(op.to_dense())
+            assert value.hex() == top.hex()
+            assert np.array_equal(bits(witness), bits(vec))
 
     def test_repeated_calls_identical_bits(self):
-        op = krylov_sums(1211)[0]
+        op = generic_sums(1211)[0]
         (a, x), (b, y) = quantum_lower_bound(op), quantum_lower_bound(op)
         assert a.hex() == b.hex() and np.array_equal(bits(x), bits(y))
 
     def test_cap_is_checked_before_any_apply(self, monkeypatch):
-        def apply(self, vec):
-            raise AssertionError("applied above the qubit cap")
+        def refuse(*args):
+            raise AssertionError("rendered or applied above the qubit cap")
 
-        monkeypatch.setattr(PauliSum, "apply", apply)
+        monkeypatch.setattr(pauli, "dense_stack", refuse)
+        monkeypatch.setattr(PauliSum, "apply", refuse)
         with pytest.raises(QubitCapError, match="9 qubits exceeds dense cap of 8"):
-            quantum_lower_bound(krylov_sums(1212)[0], cap=8)
-
-
-class TestKrylovSolves:
-    """The k x k tridiagonal eigensolves and the steps of one Lanczos run."""
-
-    @staticmethod
-    def counted_run(monkeypatch, op):
-        counts = {"solves": 0, "applies": 0}
-        eigh, apply = np.linalg.eigh, PauliSum.apply
-
-        def counted_eigh(m, *args, **kwargs):
-            counts["solves"] += 1
-            return eigh(m, *args, **kwargs)
-
-        def counted_apply(self, vec):
-            counts["applies"] += 1
-            return apply(self, vec)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "eigh", counted_eigh)
-            patch.setattr(PauliSum, "apply", counted_apply)
-            value, _ = pauli._krylov_top_eigenpair(op)
-        # the last apply is the witness's Rayleigh quotient
-        return value, counts["solves"], counts["applies"] - 1
-
-    def test_clustered_spectrum_takes_few_solves(self, monkeypatch):
-        # 20 random strings on 9 qubits: a long run, where a residual test at
-        # every step would solve once per step
-        rng = np.random.default_rng(1)
-        op = PauliSum(9, {(int(rng.integers(512)), int(rng.integers(512))): float(rng.normal())
-                          for _ in range(20)})
-        value, solves, steps = self.counted_run(monkeypatch, op)
-        assert steps > 100
-        assert solves <= 30
-        top = pauli.top_eigenpair(op.to_dense())[0]
-        assert abs(value - top) <= 1e-9 * abs_sum(op)
-
-    def test_stops_when_beta_collapses(self, monkeypatch):
-        # Z0 + 2 Z1 + 4 Z2 + 8 Z3 has 16 distinct eigenvalues, so the Krylov
-        # space of a generic start vector is invariant after 16 steps; 16
-        # falls between two scheduled residual tests, and the collapse of the
-        # next vector tests the residual there at once
-        op = PauliSum(9, {(0, 1 << q): float(1 << q) for q in range(4)})
-        value, solves, steps = self.counted_run(monkeypatch, op)
-        assert steps == 16
-        assert solves < steps
-        assert abs(value - 15.0) <= 1e-12 * 15
+            quantum_lower_bound(generic_sums(1212)[0], cap=8)
 
 
 def pseudo_pauli_sums(seed):
@@ -396,12 +293,12 @@ class TestPseudoPauliCertificate:
             assert pseudo_pauli_certificate(op)[0] == 2.0 ** (n - 1)
 
     @pytest.mark.parametrize("n", [9, 10])
-    def test_family_past_8_qubits_matches_lanczos(self, n):
+    def test_family_past_8_qubits_matches_eigh(self, n):
         for build in (mermin_case, svetlichny_case):
             op = build(n).operator
             value, witness = pseudo_pauli_certificate(op)
-            lanczos, _ = pauli._krylov_top_eigenpair(op)
-            assert abs(value - lanczos) <= 1e-12 * lanczos
+            top, _ = pauli.top_eigenpair(op.to_dense())
+            assert abs(value - top) <= 1e-12 * top
             assert witness.dtype == np.float64
 
     def test_generic_sums_fall_back(self):
@@ -422,23 +319,44 @@ class TestPseudoPauliCertificate:
                    PauliSum.from_strings([("ZI", 1.0), ("XI", 1.0)])):
             assert pseudo_pauli_certificate(op) is None
 
-    def test_bumped_family_sum_falls_back_to_lanczos(self, monkeypatch):
+    def test_bumped_family_sum_falls_back_to_eigh(self, monkeypatch):
         op = mermin_case(9).operator
         terms = dict(op._terms)
         key = next(iter(terms))
         terms[key] *= 1 + 1e-6
         bumped = PauliSum(9, terms)
         assert pseudo_pauli_certificate(bumped) is None
-        applies = []
-        real = PauliSum.apply
+        shapes = []
+        real = bounds.top_eigenpair
 
-        def apply(self, vec):
-            applies.append(self.n)
-            return real(self, vec)
+        def top_eigenpair(m):
+            shapes.append(m.shape)
+            return real(m)
 
-        monkeypatch.setattr(PauliSum, "apply", apply)
+        monkeypatch.setattr(bounds, "top_eigenpair", top_eigenpair)
         value, _ = quantum_lower_bound(bumped)
-        assert applies and abs(value - 256.0) <= 1e-5
+        assert shapes == [(512, 512)] and abs(value - 256.0) <= 1e-5
+
+    def test_star_9_recipes_never_reach_dense_eigh(self, monkeypatch):
+        # every recipe past 8 qubits that the program builds is certified:
+        # star-9, flip Z^9, the logical form and its complementary rewrite,
+        # k on two axes, in the xz plane and halfway between x and z
+        real = bounds.top_eigenpair
+
+        def top_eigenpair(m):
+            assert m.shape[0] <= 256, f"dense eigh of a {m.shape} matrix"
+            return real(m)
+
+        monkeypatch.setattr(bounds, "top_eigenpair", top_eigenpair)
+        half = 1 / math.sqrt(2)
+        for decomposition in ({"kind": "none"}, {"kind": "complementary", "pivot": 0}):
+            for k in ([0, 0, 1], [1, 0, 0], [0.6, 0, 0.8], [half, 0, half]):
+                recipe = BellRecipe.from_dict({
+                    "basis": {"kind": "graph", "flip": "Z" * 9,
+                              "graph": {"n": 9, "edges": [[0, q] for q in range(1, 9)]}},
+                    "k": k, "decomposition": decomposition})
+                report = cases.build_report(recipe, cases.RunConfig(), seesaw=False)
+                assert abs(report["quantum_lower"] - recipe.beta_q) <= 1e-12 * recipe.beta_q
 
     def test_repeated_calls_identical_bits(self):
         op = svetlichny_case(9).operator
