@@ -28,22 +28,33 @@ leave-one-out operator, after every setting update. A symbol's leave-one-out
 operator holds no other setting of its party, so the sweep goes party by
 party: one render gives the stack of that party's leave-one-out operators,
 and batched partial traces and Bloch projections update all of its settings
-at once. Each render runs from a plan cut once per call from the same
-``factor_table`` (its rows, regrouped, plus one term range per output
-operator) and from a stack of the current 2x2 setting matrices; updating a
-setting overwrites one slot of that stack. A party's leave-one-out operators are
-B (x) I on that party, so its plan drops the party and each B is rendered on
-the other n-1 parties, a quarter of the work, and written into both diagonal
-blocks of the party's axis. Terms are built party-major (each party's factor
-indices outermost, so every multiply runs over a contiguous axis), one
-broadcast product per party for a chunk of at most ``_RENDER_CHUNK_BYTES`` of
-terms, so memory stays a few operators whatever the term count; the product
-buffers are allocated once per see-saw call. Each operator's terms are summed
-in order into its own row of one array, and the rows are transposed to (row,
-col) layout and written into the stack once per render. The products and the
-sums follow a per-term Kronecker chain, so the operators are bit-identical to
-it: dropping an identity factor changes at most the sign of a zero, and a
-party's sums start from +0.0, so every zero reads +0.0 in both.
+at once. A setting's Bloch vector is read off the entries of its Hermitian
+reduced operator h as (2 Re h01, -2 Im h01, Re h00 - Re h11), each zero +0.0,
+which is tr(h sigma) over sigma = X, Y, Z bit for bit. Each render runs from
+a plan cut once per call from the same ``factor_table`` (its rows, regrouped,
+plus one term range per output operator) and from a stack of the current 2x2
+setting matrices; updating a setting overwrites one slot of that stack. A
+party's leave-one-out operators are B (x) I on that party, so its plan drops
+the party and each B is rendered on the other n-1 parties, a quarter of the
+work, and written into both diagonal blocks of the party's axis. Terms are
+built party-major (each party's factor indices outermost, so every multiply
+runs over a contiguous axis), one broadcast product per party for a chunk of
+at most ``_RENDER_CHUNK_BYTES`` of terms, so memory stays a few operators
+whatever the term count; the product buffers are allocated once per see-saw
+call. Each operator's terms are summed in order into its own row of one
+array, and the rows are transposed to (row, col) layout and written into the
+stack once per render. The products and the sums follow a per-term Kronecker
+chain, so the operators are bit-identical to it: dropping an identity factor
+changes at most the sign of a zero, and a party's sums start from +0.0, so
+every zero reads +0.0 in both. A plan whose coefficients are all +1 or -1,
+and whose constant is not negative, folds them into the chain: each term's
+product starts from its coefficient instead of 1, and no pass scales the
+terms. Negation is exact and commutes with rounding, so each entry is the
+scaled chain's up to the sign of a zero, and those signs vanish in the sums,
+which start from +0.0 and never return -0.0. A negative constant leaves -0.0
+off the diagonal of the sum's start, where a term's zero sign would show, so
+that plan, like one with any other coefficient, scales its terms after the
+chain.
 
 Restarts draw random numbers only as they start, so every restart's starting
 settings are drawn up front, in the order one restart after another would
@@ -73,7 +84,6 @@ import numpy as np
 from .bell import BellExpression, Symbol
 from .pauli import (
     _PAULI_2X2,
-    BLOCH_PAULIS,
     DENSE_QUBIT_CAP,
     PauliSum,
     _check_cap,
@@ -484,31 +494,34 @@ class SeesawResult:
 
 
 def _render_plan(expr: BellExpression, symbols: list[Symbol], party: int | None = None
-                 ) -> tuple[np.ndarray, np.ndarray, list[int], float, int | None]:
+                 ) -> tuple[np.ndarray, np.ndarray, list[int], float, int | None, bool]:
     """Compile ``expr`` for repeated dense renders with changing settings.
 
-    Returns ``(index, coeffs, ends, constant, party)``: ``index[t, q]`` picks
-    term t's factor on the q-th rendered party from a ``mats`` stack (0 the
-    identity, j the matrix of ``symbols[j - 1]``), ``coeffs`` holds the term
-    coefficients, output operator s sums terms ``ends[s - 1]:ends[s]`` (from 0
-    for s = 0), and ``constant`` multiplies the identity the first operator
-    starts from. Without ``party`` there is one operator, ``expr`` itself, and
-    every party is rendered. With ``party`` there is one per symbol of that
-    party, in ``symbols`` order: the terms holding the symbol and no constant.
-    Its factor on ``party`` is then the identity in every term, so that column
-    is dropped and ``_render`` places the operators on the other parties
-    beside an identity on ``party``.
+    Returns ``(index, coeffs, ends, constant, party, unit)``: ``index[t, q]``
+    picks term t's factor on the q-th rendered party from a ``mats`` stack (0
+    the identity, j the matrix of ``symbols[j - 1]``), ``coeffs`` holds the
+    term coefficients, output operator s sums terms ``ends[s - 1]:ends[s]``
+    (from 0 for s = 0), and ``constant`` multiplies the identity the first
+    operator starts from. Without ``party`` there is one operator, ``expr``
+    itself, and every party is rendered. With ``party`` there is one per
+    symbol of that party, in ``symbols`` order: the terms holding the symbol
+    and no constant. Its factor on ``party`` is then the identity in every
+    term, so that column is dropped and ``_render`` places the operators on
+    the other parties beside an identity on ``party``. ``unit`` is whether
+    every one of the plan's coefficients is +1 or -1, so that ``_render``
+    starts each term's product from its coefficient instead of scaling it.
     """
     index, coeffs = expr.factor_table(symbols)
-    # complex, so scaling the terms in place needs no cast buffer
-    coeffs, ends, constant = coeffs.astype(complex), [len(coeffs)], expr.constant
+    ends, constant = [len(coeffs)], expr.constant
     if party is not None:
         rows = [np.flatnonzero(index[:, party] == j)
                 for j, sym in enumerate(symbols, 1) if sym[0] == party]
         order = np.concatenate([np.zeros(0, np.intp), *rows])
         index, coeffs = np.delete(index[order], party, axis=1), coeffs[order]
         ends, constant = np.cumsum([len(r) for r in rows], dtype=int).tolist(), 0.0
-    return index, coeffs, ends, constant, party
+    unit = constant >= 0 and bool(np.all(abs(coeffs) == 1.0))
+    # complex, so scaling the terms in place needs no cast buffer
+    return index, coeffs.astype(complex), ends, constant, party, unit
 
 
 def _chunk_terms(term_size: int) -> int:
@@ -527,17 +540,18 @@ def _render_workspace(plans, restarts: int) -> tuple[np.ndarray, np.ndarray]:
     return np.empty(size, dtype=complex), np.empty(size, dtype=complex)
 
 
-def _party_major_products(factors: np.ndarray, buffers=None) -> np.ndarray:
+def _party_major_products(factors: np.ndarray, buffers=None, start=None) -> np.ndarray:
     """Tensor products over p of the 2x2 ``factors[t, p]``, flat, party-major.
 
     Term t's entries run over the axes (a_{n-1}, b_{n-1}, ..., a_0, b_0): each
     party's factor goes outermost, so every multiply runs over a contiguous
     inner axis, and the product so far comes first, as in a Kronecker product.
-    With ``buffers``, a pair of flat arrays each large enough for the result,
-    the products alternate between them and the result is a view of one.
+    Term t's chain starts from ``start[t]``, 1 without ``start``. With
+    ``buffers``, a pair of flat arrays each large enough for the result, the
+    products alternate between them and the result is a view of one.
     """
     size, n = factors.shape[:2]
-    terms = np.ones((size, 1), dtype=complex)
+    terms = np.ones((size, 1), dtype=complex) if start is None else start[:, None]
     for p in range(n):
         shape = (size, 2, 2, terms.shape[1])
         out = None if buffers is None else \
@@ -554,7 +568,9 @@ def _render(plan, mats: np.ndarray, work=None) -> np.ndarray:
     settings, or one restart's ``(slots, 2, 2)``; the result holds every
     restart's operators, restart after restart. The terms of all restarts
     are built in that order, party-major, a chunk of at most
-    ``_RENDER_CHUNK_BYTES`` at a time, and scaled in place. Each operator is
+    ``_RENDER_CHUNK_BYTES`` at a time, and scaled in place; a ``unit`` plan
+    starts each term's chain from its coefficient instead, which gives the
+    same sums bit for bit (module docstring). Each operator is
     summed in term order into its own row of one ``(operators, 4**m)`` array,
     which starts from the plan's constant times I, or +0.0: in every chunk
     the row is added into the operator's first term there and the terms are
@@ -568,7 +584,7 @@ def _render(plan, mats: np.ndarray, work=None) -> np.ndarray:
     ``work`` is a ``_render_workspace`` for the plan and at least this many
     restarts; without it one is allocated.
     """
-    index, coeffs, ends, constant, party = plan
+    index, coeffs, ends, constant, party, unit = plan
     mats = mats.reshape(-1, *mats.shape[-3:])
     restarts, (n_terms, m) = len(mats), index.shape     # m parties rendered
     n = m if party is None else m + 1
@@ -582,9 +598,13 @@ def _render(plan, mats: np.ndarray, work=None) -> np.ndarray:
         sums[:] = constant * _party_major_products(mats[:1, np.zeros(n, np.intp)])[0]
     chunk, s = _chunk_terms(term_size), 0
     for lo in range(0, len(factors), chunk):
-        terms = _party_major_products(factors[lo:lo + chunk], products)
+        if unit:
+            terms = _party_major_products(factors[lo:lo + chunk], products,
+                                          coeffs[lo:lo + chunk])
+        else:
+            terms = _party_major_products(factors[lo:lo + chunk], products)
+            terms *= coeffs[lo:lo + chunk, None]
         hi = lo + len(terms)
-        terms *= coeffs[lo:hi, None]
         a = lo
         while a < hi:
             while ends[s] <= a:
@@ -688,8 +708,12 @@ def seesaw_optimize(expr: BellExpression, restarts: int = 16, seed: int = 0,
                 stack = _render(plan, mats[active], work).reshape(
                     len(active), len(slots), dim, dim)
                 ptr = _partial_trace_keep((rho[:, None] @ stack).reshape(-1, dim, dim), p, n)
-                h = (ptr + ptr.conj().swapaxes(1, 2)) / 2
-                u = np.trace(h[:, None] @ BLOCH_PAULIS, axis1=2, axis2=3).real
+                # u = tr(h sigma) over sigma = X, Y, Z for h = (ptr + ptr^H) / 2:
+                # (2 Re h01, -2 Im h01, Re h00 - Re h11), where Re h_ii = Re ptr_ii;
+                # + 0.0 makes each zero +0.0, as the trace has it
+                h01 = (ptr[:, 0, 1] + ptr[:, 1, 0].conj()) / 2
+                u = np.stack([2 * h01.real, -2 * h01.imag,
+                              ptr[:, 0, 0].real - ptr[:, 1, 1].real], axis=-1) + 0.0
                 u = u.reshape(len(active), len(slots), 3)
                 norm = np.sqrt(np.vecdot(u, u))
                 a, k = np.nonzero(norm > 1e-13)

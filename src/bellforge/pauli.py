@@ -513,7 +513,7 @@ def check_hermitian(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"not a square matrix: shape {m.shape}")
     resid = np.max(np.abs(m - m.conj().T))
-    if resid > HERMITICITY_ATOL:
+    if not resid <= HERMITICITY_ATOL:   # a NaN residual fails too
         raise ValueError(f"matrix is not Hermitian (residual {resid:.3e})")
     return m
 

@@ -530,6 +530,33 @@ def kron_seesaw(expr, restarts, seed, max_sweeps=500, gain_tol=1e-9):
     return best_value, best_bloch, trajectories
 
 
+def catalog_seesaw_rows(monkeypatch):
+    """``{name: (expr, restarts, seed)}``: what each catalog see-saw row passes
+    to ``seesaw_optimize`` at the default seed, recorded from its run."""
+    rows, real = {}, cases.seesaw_optimize
+
+    def record(expr, restarts, seed, **kwargs):
+        rows[name] = (expr, restarts, seed)
+        return real(expr, restarts=restarts, seed=seed, **kwargs)
+
+    monkeypatch.setattr(cases, "seesaw_optimize", record)
+    for name in ("l5-svetlichny", "l5-hyper", "chsh"):
+        run_cases([name])
+    return rows
+
+
+def record_chain_starts(monkeypatch):
+    """Patch ``bounds._party_major_products`` to record each call's ``start``."""
+    real, starts = bounds._party_major_products, []
+
+    def products(factors, buffers=None, start=None):
+        starts.append(start)
+        return real(factors, buffers, start)
+
+    monkeypatch.setattr(bounds, "_party_major_products", products)
+    return starts
+
+
 def random_expression(rng, parties, sparse, constant):
     """Up to 8 terms on 1-3 settings per party; ``sparse`` terms skip parties."""
     settings = {p: ["A", "B", "C"][:int(rng.integers(1, 4))] for p in range(parties)}
@@ -708,10 +735,94 @@ class TestSeesawRender:
         blochs = {sym: np.array(bounds._AXES[0]) for sym in expr.symbols}
         mats = np.stack([_PAULI_2X2["I"], *(bloch_matrix(blochs[sym])
                                              for sym in expr.symbols)])
-        got = bounds._render(bounds._render_plan(expr, expr.symbols), mats)[0]
+        plan = bounds._render_plan(expr, expr.symbols)
+        # a negative constant's -0.0 would show a folded zero's sign: no fold
+        assert not plan[5]
+        got = bounds._render(plan, mats)[0]
         want = kron_render(expr, blochs)
         assert np.signbit(want[0, 1].real) and np.signbit(want[1, 0].real)
         assert_same_bits(got, want, str(expr))
+
+    def test_unit_coefficients_start_the_chain(self, monkeypatch):
+        # every coefficient +1 or -1 and a constant of 0, 1 or 2: every plan
+        # folds, each term's chain starting from its coefficient; only the
+        # constant's identity is built from 1
+        rng = np.random.default_rng(49)
+        starts, constants = record_chain_starts(monkeypatch), 0
+        for _ in range(12):
+            settings = [int(k) for k in rng.integers(1, 4, size=int(rng.integers(1, 5)))]
+            expr = settings_expression(rng, settings, integer=True, terms=8)
+            expr = BellExpression(expr.parties, expr.terms, constant=abs(expr.constant))
+            plans = [bounds._render_plan(expr, expr.symbols, party)
+                     for party in [None, *range(expr.parties)]]
+            assert all(plan[5] for plan in plans), str(expr)
+            self.check_renders(expr, rng)
+            constants += expr.constant != 0
+        chains = [start for start in starts if start is not None]
+        assert len(starts) - len(chains) == constants
+        assert chains and all(np.all(abs(start) == 1) for start in chains)
+
+    def test_one_other_coefficient_scales_the_whole_plan(self, monkeypatch):
+        # one 0.6 among +-1 coefficients, in a term on every party: every
+        # plan holds it, so every plan scales all its terms after the chain
+        expr = BellExpression(3, {((0, "A"), (1, "A"), (2, "A")): 1.0,
+                                  ((0, "B"), (1, "A")): -1.0,
+                                  ((0, "A"), (1, "B"), (2, "B")): 0.6,
+                                  ((1, "B"), (2, "A")): -1.0}, constant=1.0)
+        units = [bounds._render_plan(expr, expr.symbols, party)[5]
+                 for party in (None, 0, 1, 2)]
+        assert units == [False, False, False, False]
+        starts = record_chain_starts(monkeypatch)
+        rng = np.random.default_rng(50)
+        for _ in range(3):
+            self.check_renders(expr, rng)
+        assert starts and all(start is None for start in starts)
+
+    @pytest.mark.parametrize("terms_per_chunk", [1, None])
+    def test_folded_negative_zeros_vanish_in_the_sums(self, monkeypatch, terms_per_chunk):
+        # a chain started from -1 gives -0.0 off the diagonal of -Z, where the
+        # Kronecker chain scaled after the product has +0.0 or -0.0; sums that
+        # start from +0.0 read +0.0 either way, as the oracle does
+        if terms_per_chunk:
+            monkeypatch.setattr(bounds, "_RENDER_CHUNK_BYTES", terms_per_chunk * 16 * 4 * 4)
+        expr = BellExpression(2, {((0, "A"), (1, "A")): -1.0, ((0, "B"),): -1.0,
+                                  ((1, "B"),): 1.0})
+        blochs = {sym: np.array(bounds._AXES[0]) for sym in expr.symbols}
+        mats = np.stack([_PAULI_2X2["I"], *(bloch_matrix(blochs[sym])
+                                             for sym in expr.symbols)])
+        plan = bounds._render_plan(expr, expr.symbols)
+        assert plan[5]
+        real, negative_zeros = bounds._party_major_products, []
+
+        def products(factors, buffers=None, start=None):
+            terms = real(factors, buffers, start)
+            flat = terms.view(float)
+            negative_zeros.append(int(np.sum((flat == 0) & np.signbit(flat))))
+            return terms
+
+        monkeypatch.setattr(bounds, "_party_major_products", products)
+        got = bounds._render(plan, mats)[0]
+        want = kron_render(expr, blochs)
+        assert sum(negative_zeros) > 0
+        assert not np.signbit(want.view(float)[want.view(float) == 0]).any()
+        assert_same_bits(got, want, str(expr))
+
+    def test_catalog_seesaw_rows_fold_where_coefficients_are_unit(self, monkeypatch):
+        # the l5 rows' coefficients are +-1, so each chain starts from its
+        # coefficient; CHSH's are +-0.9999999999999999, one ulp below 1, so its
+        # terms are scaled after the chain
+        rows = catalog_seesaw_rows(monkeypatch)
+        starts = record_chain_starts(monkeypatch)
+        for name, (expr, restarts, seed) in rows.items():
+            starts.clear()
+            seesaw_optimize(expr, restarts=restarts, seed=seed, max_sweeps=1)
+            assert starts, name
+            if name == "chsh":
+                assert set(np.abs(expr.factor_table()[1]).tolist()) == {1 - 2 ** -53}
+                assert all(start is None for start in starts)
+            else:
+                assert all(start is not None and np.all(abs(start) == 1)
+                           for start in starts), name
 
     def test_random_expressions_with_constant(self):
         rng = np.random.default_rng(41)
@@ -750,6 +861,17 @@ class TestSeesawRender:
         # l5-hyper: each party's three leave-one-out operators come from one
         # stack, where the kron loop renders and updates them one at a time
         self.check_seesaw(loop5_expressions()[1], restarts=2, seed=5)
+
+    def test_catalog_seesaw_rows_match_kron_loop(self, monkeypatch):
+        # each row's own expression, restarts and seed; l5-svetlichny's best
+        # settings hold zero Bloch components, whose +0.0 the update must keep
+        rows = catalog_seesaw_rows(monkeypatch)
+        for name, restarts in (("l5-svetlichny", 6), ("l5-hyper", 6), ("chsh", 8)):
+            expr, *call = rows[name]
+            assert call == [restarts, cases.RunConfig().case_seed(name)]
+            res = self.check_seesaw(expr, restarts, call[1])
+            if name == "l5-svetlichny":
+                assert any(c == 0 for b in res.best_bloch.values() for c in b)
 
     @staticmethod
     def check_seesaw(expr, restarts, seed, max_sweeps=500):

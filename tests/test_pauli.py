@@ -418,6 +418,18 @@ class TestDecompose:
         with pytest.raises(ValueError):
             check_hermitian(np.array([[0, 1j], [1j, 0]]))
 
+    @pytest.mark.parametrize("nan_at", [None, (0, 1), (1, 1)],
+                             ids=["all", "off-diagonal", "diagonal"])
+    def test_check_hermitian_rejects_nan(self, nan_at):
+        # NaN > tol is False, so a residual of NaN must fail by not being <= tol,
+        # before eigh would fail to converge on it
+        m = np.eye(2, dtype=complex)
+        m[(slice(None),) * 2 if nan_at is None else nan_at] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            check_hermitian(m)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            top_eigenpair(m)
+
 
 class TestSortedArrayCache:
     def test_built_once_and_read_only(self):
