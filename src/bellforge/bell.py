@@ -203,7 +203,9 @@ def render_terms(expr: BellExpression,
     product of theirs, taken in party order after the term's own. Each term
     walks its factor-table row, one list pass per factor over the partial
     product, sorted, and the factor's ``Setting.strings``; its keys run in
-    the order that pass gives them."""
+    the order that pass gives them. While the partial product and the factor
+    are each one string, as every letter binding is, the step makes the one
+    key and coefficient directly."""
     index, coeffs = expr.factor_table()
     slots = [None]
     for sym in expr.symbols:
@@ -216,11 +218,17 @@ def render_terms(expr: BellExpression,
         slots.append(setting.strings)
     out = []
     for row, coeff in zip(index.tolist(), coeffs.tolist()):
-        strings = [((0, 0), coeff)]
+        x = z = 0
+        strings = None      # the partial product, once it holds two strings
         for j in filter(None, row):
-            strings = [((xa | xb, za | zb), ca * cb) for (xa, za), ca in sorted(strings)
+            if strings is None and len(slots[j]) == 1:
+                ((xb, zb), cb), = slots[j]
+                x, z, coeff = x | xb, z | zb, coeff * cb
+                continue
+            strings = [((xa | xb, za | zb), ca * cb)
+                       for (xa, za), ca in sorted(strings or [((x, z), coeff)])
                        for (xb, zb), cb in slots[j]]
-        out.append(PauliSum(expr.parties, dict(strings)))
+        out.append(PauliSum(expr.parties, dict(strings) if strings else {(x, z): coeff}))
     return out
 
 

@@ -48,6 +48,7 @@ from .stabilizer import GraphSpec, basis_from_flip, bell_basis, graph_state_gene
 from .uncertainty import (
     DISC_BOUND,
     DirectionXZ,
+    QuadraticCase,
     lemma_sweep,
     quadratic_bell,
     quadratic_quantum_sweep,
@@ -85,7 +86,7 @@ class Check:
 @dataclass
 class CaseResult:
     name: str
-    expression: str
+    expression: BellExpression | QuadraticCase | str    # formatted by ``to_dict`` only
     bounds: BoundsReport | None
     checks: list[Check]
     notes: list[str] = field(default_factory=list)
@@ -97,7 +98,7 @@ class CaseResult:
     def to_dict(self) -> dict:
         return {
             "case": self.name,
-            "expression": self.expression,
+            "expression": str(self.expression),
             "bounds": self.bounds.to_dict() if self.bounds else None,
             "checks": [c.to_dict() for c in self.checks],
             "notes": self.notes,
@@ -220,7 +221,7 @@ def _case_chsh(config: RunConfig) -> CaseResult:
         ident,
         _close("seesaw value", report.seesaw_value, 2 * ROOT2, "2*sqrt(2)", tol=1e-6),
     ]
-    return CaseResult("chsh", str(expr), report, checks)
+    return CaseResult("chsh", expr, report, checks)
 
 
 def _case_mermin3(config: RunConfig) -> CaseResult:
@@ -233,7 +234,7 @@ def _case_mermin3(config: RunConfig) -> CaseResult:
         _exact("dichotomic term bound", report.dichotomic_bound, 4.0, "4"),
         ident,
     ]
-    return CaseResult("mermin3", str(expr), report, checks)
+    return CaseResult("mermin3", expr, report, checks)
 
 
 def _case_svetlichny3(config: RunConfig) -> CaseResult:
@@ -249,7 +250,7 @@ def _case_svetlichny3(config: RunConfig) -> CaseResult:
         sos_check,
         ident,
     ]
-    return CaseResult("svetlichny3", str(expr), report, checks)
+    return CaseResult("svetlichny3", expr, report, checks)
 
 
 @cache
@@ -291,7 +292,7 @@ def _case_l5(config: RunConfig, which: str) -> CaseResult:
         checks.append(_exact("term count", float(len(operator)), 16.0, "16"))
     else:
         checks.append(_at_least("seesaw value", report.seesaw_value, rough, label))
-    return CaseResult(name, str(expr), report, checks)
+    return CaseResult(name, expr, report, checks)
 
 
 def random_codespace_mixture(basis, rng: np.random.Generator) -> np.ndarray:
@@ -359,7 +360,7 @@ def _case_l5_identity(config: RunConfig) -> CaseResult:
         "derived (all-plus) form enumerates to classical bounds (-8, 16): no "
         "violation; the published sign variant is the usable inequality.",
     ]
-    return CaseResult("l5-identity", str(published), report, checks, notes)
+    return CaseResult("l5-identity", published, report, checks, notes)
 
 
 def _case_chained(config: RunConfig, n: int) -> CaseResult:
@@ -375,7 +376,7 @@ def _case_chained(config: RunConfig, n: int) -> CaseResult:
         ident,
         _exact("term count", float(len(expr)), float(2 * n), f"{2 * n}"),
     ]
-    return CaseResult(f"chained:{n}", str(expr), report, checks)
+    return CaseResult(f"chained:{n}", expr, report, checks)
 
 
 _FAMILY_TRUE_CLASSICAL = {
@@ -418,7 +419,7 @@ def _case_family(config: RunConfig, family: str, n: int) -> CaseResult:
         notes.append(
             f"published classical bound {published:g} holds but is not tight; "
             f"exhaustive enumeration gives {true_classical:g}")
-    return CaseResult(f"{family}:{n}", str(case.expression), report, checks, notes)
+    return CaseResult(f"{family}:{n}", case.expression, report, checks, notes)
 
 
 def _case_quadratic(config: RunConfig, variant: str) -> CaseResult:
@@ -436,8 +437,7 @@ def _case_quadratic(config: RunConfig, variant: str) -> CaseResult:
     if variant == "uffink":
         attained = uffink_attaining_value(case)
         checks.append(_close("attained on the Bell state", attained, 4.0, "4"))
-    expr = f"<{case.expr1}>^2 + <{case.expr2}>^2 <= {case.bound:g}"
-    return CaseResult(variant, expr, None, checks, notes)
+    return CaseResult(variant, case, None, checks, notes)
 
 
 def _case_uncertainty_sweep(config: RunConfig) -> CaseResult:

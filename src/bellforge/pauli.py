@@ -444,9 +444,12 @@ def dense_stack(sums: list[PauliSum], cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
     if any(op.n != n for op in sums):
         raise DimensionError("stacked sums act on different qubit counts")
     # each sum's terms in sorted (x, z) order: the stack's terms in (sum, x, z) order
-    xs, zs, coeffs = map(np.concatenate, zip(*(op._sorted_arrays() for op in sums)))
-    # where each term's matrix starts in the stack
-    base = np.arange(len(sums)).repeat([len(op) for op in sums])[:, None] << 2 * n
+    if len(sums) == 1:
+        (xs, zs, coeffs), base = sums[0]._sorted_arrays(), None
+    else:
+        xs, zs, coeffs = map(np.concatenate, zip(*(op._sorted_arrays() for op in sums)))
+        # where each term's matrix starts in the stack
+        base = np.arange(len(sums)).repeat([len(op) for op in sums])[:, None] << 2 * n
     out = np.zeros(len(sums) << 2 * n, dtype=complex)
     size, src = _chunk_terms(n), np.arange(1 << n)
     for lo in range(0, coeffs.size, size):
@@ -454,7 +457,8 @@ def dense_stack(sums: list[PauliSum], cap: int = DENSE_QUBIT_CAP) -> np.ndarray:
                                             scales=coeffs[lo:lo + size])
         dest <<= n
         dest |= src     # flat index of row dest, column src
-        dest += base[lo:lo + size]
+        if base is not None:
+            dest += base[lo:lo + size]
         # 1-d index and values: numpy's fast path, about 4x a 2-d index's
         np.add.at(out, dest.ravel(), entries.ravel())
         del dest, entries   # before the next chunk's are made
@@ -512,7 +516,7 @@ def check_hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"not a square matrix: shape {m.shape}")
-    resid = np.max(np.abs(m - m.conj().T))
+    resid = np.abs(m - m.conj().T).max()
     if not resid <= HERMITICITY_ATOL:   # a NaN residual fails too
         raise ValueError(f"matrix is not Hermitian (residual {resid:.3e})")
     return m

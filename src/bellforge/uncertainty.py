@@ -184,6 +184,9 @@ class QuadraticCase:
     bound: float                   # quantum bound on the same quadratic form
     vertices: list[tuple[float, float]]
 
+    def __str__(self) -> str:
+        return f"<{self.expr1}>^2 + <{self.expr2}>^2 <= {self.bound:g}"
+
 
 def _pair_vertices(e1: BellExpression, e2: BellExpression) -> np.ndarray:
     """Both values at every +/-1 assignment of the symbols of either, from one

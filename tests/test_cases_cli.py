@@ -23,6 +23,9 @@ import bellforge
 from bellforge import bell, bounds, cases
 from bellforge.cli import main as cli_main
 from bellforge.pauli import PauliSum
+from bellforge.uncertainty import QuadraticCase
+
+DATA = Path(__file__).resolve().parent / "data"
 
 LOOP5_RECIPE = {
     "basis": {"kind": "graph",
@@ -176,6 +179,43 @@ class TestTables:
             "reference" / "catalog-seed7.json"
         table = emit_table(run_cases(case_names()), "json")
         assert table.encode() == reference.read_bytes()
+
+    def test_expression_text_is_formatted_only_for_json(self, monkeypatch):
+        # a row keeps its expression object; only the JSON table prints it,
+        # once per expression (a quadratic row prints two)
+        calls = []
+        original = BellExpression.__str__
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(BellExpression, "__str__", counted)
+        results = run_cases(case_names())
+        assert {"uffink", "nki"} <= {r.name for r in results}
+        assert calls == []
+        for fmt in ("md", "csv"):
+            emit_table(results, fmt)
+        assert calls == []
+        printed = []
+        for r in results:
+            if isinstance(r.expression, BellExpression):
+                printed.append(r.expression)
+            elif isinstance(r.expression, QuadraticCase):
+                printed += [r.expression.expr1, r.expression.expr2]
+        assert len(printed) == 24 + 2 * 2
+        emit_table(results, "json")
+        assert [id(e) for e in calls] == [id(e) for e in printed]
+
+    @pytest.mark.parametrize("argv, golden", [
+        (["verify", "--all"], "verify-seed7.txt"),
+        (["table"], "table-seed7.md"),
+        (["table", "--format", "csv"], "table-seed7.csv"),
+    ])
+    def test_seed7_text_output_matches_golden(self, capsys, argv, golden):
+        # what verify prints and the text tables, byte for byte at the default seed
+        assert cli_main(argv) == 0
+        assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
 
     def test_json_serializes_numpy_laden_cases(self):
         # cases whose checks carry numpy scalars must still emit plain JSON

@@ -38,6 +38,7 @@ from bellforge.pauli import (
     PauliTerm,
     QubitCapError,
     bloch_sum,
+    dense_stack,
     product,
 )
 from bellforge.logical import bell_logical_paulis, ghz3_logical_paulis, logical_paulis_symbolic
@@ -136,6 +137,27 @@ class TestRenderAgainstTermOracle:
         small = [c for op in ops for c in op._terms.values() if abs(c) < 2 * COEFF_PRUNE]
         assert longest > pauli._chunk_terms(8)
         assert {np.sign(c) for c in small} == {-1.0, 1.0}
+
+
+class TestOneSumStack:
+    def test_one_sum_equals_its_matrix_in_a_stack(self):
+        # the one-sum call reads the sum's cached arrays with no offsets, a
+        # stack offsets each sum's terms; a sum's matrix has the same bits
+        # alone, first or second
+        rng = np.random.default_rng(1206)
+        ops = [random_sum(rng, n, runs, terms)
+               for n in range(1, 9) for runs, terms in ((1, 6), (3, 12), (1 << n, 3 << n))]
+        big = random_sum(rng, 8, 3, 600) + random_sum(rng, 8, 150, 150)
+        assert len(big) >= 128 and len(big) > 2 * pauli._chunk_terms(8)
+        # the same terms, inserted in reverse: the render reads them sorted
+        ops += [big, PauliSum(8, dict(reversed(big._terms.items()))),
+                PauliSum.identity(4, -0.75)]
+        for op in ops:
+            other = random_sum(rng, op.n, 3, 12)
+            alone = bits(dense_stack([op])[0])
+            assert np.array_equal(alone, bits(dense_stack([op, other])[0]))
+            assert np.array_equal(alone, bits(dense_stack([other, op])[1]))
+            assert np.array_equal(alone, bits(sum_to_dense(op)))
 
 
 class TestRenderMemory:
@@ -630,6 +652,29 @@ class TestRenderAgainstProducts:
                     terms[tuple((int(q), str(rng.choice(["A", "B"]))) for q in parties)] = \
                         float(rng.normal())
                 expr = BellExpression(n, terms, float(rng.normal()))
+                assert list(map(sum_hex, render_terms(expr, bindings))) == \
+                    list(map(sum_hex, render_terms_by_products(expr, bindings)))
+
+    def test_one_string_settings_between_bloch_settings(self):
+        # a signed letter (one string) and a Bloch setting (two or three) on
+        # every party, so a term's one-step products come before, between and
+        # after its list passes
+        rng = np.random.default_rng(2204)
+        for n in range(1, 7):
+            for _ in range(8):
+                bindings = {}
+                for q in range(n):
+                    letter = np.zeros(3)
+                    letter[rng.integers(3)] = rng.choice([-1.0, 1.0])
+                    v = rng.normal(size=3)
+                    bindings[q, "A"] = Setting(q, "A", bloch_sum(letter))
+                    bindings[q, "B"] = Setting(q, "B", bloch_sum(v / np.linalg.norm(v)))
+                terms = {}
+                for _ in range(int(rng.integers(1, 10))):
+                    parties = sorted(rng.choice(n, size=rng.integers(1, n + 1), replace=False))
+                    terms[tuple((int(q), str(rng.choice(["A", "A", "B"]))) for q in parties)] = \
+                        float(rng.normal())
+                expr = BellExpression(n, terms)
                 assert list(map(sum_hex, render_terms(expr, bindings))) == \
                     list(map(sum_hex, render_terms_by_products(expr, bindings)))
 
