@@ -543,17 +543,17 @@ class BellRecipe:
         dense qubit cap ``cap``. The qubit count is the operators'."""
         if not isinstance(data, dict):
             raise ValueError(f"recipe must be an object, not {data!r}")
-        basis_spec = data["basis"]
+        basis_spec = _field(data, "basis", "recipe")
         if not isinstance(basis_spec, dict):
             raise ValueError(f"basis must be an object, not {basis_spec!r}")
-        kind = basis_spec["kind"]
+        kind = _field(basis_spec, "kind", "basis")
         if kind == "bell":
             resolve = bell_logical_paulis
         elif kind == "ghz3":
             resolve = ghz3_logical_paulis
         elif kind == "graph":
-            graph = _graph_spec(basis_spec["graph"])
-            flip_text = basis_spec["flip"]
+            graph = _graph_spec(_field(basis_spec, "graph", "graph basis"))
+            flip_text = _field(basis_spec, "flip", "graph basis")
             if not isinstance(flip_text, str):
                 raise ValueError(f"flip must be a Pauli string, got {flip_text!r}")
             flip = PauliTerm.from_string(flip_text)
@@ -611,6 +611,13 @@ def _is_real(value) -> bool:
 def _is_int(value) -> bool:
     """An integer that is not a bool."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _field(spec: dict, key: str, owner: str):
+    """``spec[key]``, or a ValueError naming the missing field."""
+    if key not in spec:
+        raise ValueError(f"{owner} has no {key!r} field")
+    return spec[key]
 
 
 def _graph_spec(spec) -> GraphSpec:

@@ -20,8 +20,12 @@ B = beta (k . L), whose square is beta^2 |k|^2 times the code projector, is
 certified from its stabilizer structure alone (``pseudo_pauli_certificate``):
 bit operations on its term masks, through the group kernels of
 ``stabilizer``, with no dense matrix. Every other operator, and every
-operator up to 8 qubits, takes dense ``eigh`` of its render, so every
-catalog row keeps its digits.
+operator up to 8 qubits, takes ``top_eigenpair`` of its dense render, whose
+value and vector are ``eigh``'s bit for bit, so every catalog row keeps its
+digits. From 64 rows up it runs ``eigh``'s LAPACK steps but back-transforms
+one eigenvector, not all of them: ``mermin:8`` and ``svetlichny:8`` solve in
+less than half of ``eigh``'s time (one BLAS thread). The see-saw's 32 x 32
+and smaller solves stay on ``eigh``.
 
 The see-saw heuristic re-renders the Bell operator, and each symbol's
 leave-one-out operator, after every setting update. A symbol's leave-one-out
@@ -393,9 +397,12 @@ def quantum_lower_bound(op: PauliSum, cap: int = DENSE_QUBIT_CAP,
     from the stabilizer structure of its terms in O(T n) bit operations,
     exact when the coefficients are, with a float64 witness for a real
     operator. Every other operator, and every operator up to 8 qubits, gets
-    the top eigenpair of its dense render (``eigh``), which reads ``dense``,
-    the caller's ``op.to_dense()``, if given. ``cap`` bounds the qubit count,
-    checked before either route.
+    ``top_eigenpair`` of its dense render, which reads ``dense``, the
+    caller's ``op.to_dense()``, if given: ``eigh``'s top pair, bit for bit
+    (from 128 rows up, the vector to the last bit only with one BLAS
+    thread), by ``eigh``'s LAPACK steps with one back-transformed column
+    from 64 rows up. ``cap`` bounds the qubit count, checked before either
+    route.
     """
     _check_cap(op.n, cap)
     certified = pseudo_pauli_certificate(op) if op.n > _DENSE_EIGH_QUBITS else None

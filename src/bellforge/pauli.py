@@ -23,8 +23,20 @@ product of 2x2 factors per term (the PauliComposer scheme, arXiv:2301.00560).
 Its terms go through the kernel a chunk at a time, within
 ``_KERNEL_CHUNK_BYTES`` of temporaries, and each chunk is added into the
 output by one ``np.add.at``, which applies repeated indices in order, so the
-bits equal a term-by-term sum's. The top eigenpair of a sum comes from dense
-``eigh`` of its render; ``apply`` runs in complex128 whatever the vector.
+bits equal a term-by-term sum's. ``apply`` runs in complex128 whatever the
+vector.
+
+The top eigenpair of a sum comes from its dense render, with the bits of
+``np.linalg.eigh``'s last pair. From 64 rows up, ``top_eigenpair`` calls the
+LAPACK steps of ``eigh``'s own ``zheevd`` through ctypes, in numpy's own
+library, and back-transforms only the last eigenvector instead of all N
+(O(N^2) in place of O(N^3)). On the recursive family, with one BLAS thread,
+that is 1.4x faster at 64 rows, 1.8x at 128 and 2.1-2.4x at 256. Below 64
+rows ``eigh`` itself runs: its fixed cost is lower (4 rows: 0.01 ms against
+0.05 ms), the two tie at 32 and the route wins from 48. With more
+than one BLAS thread the value still equals ``eigh``'s, but from 128 rows up
+the vector can differ from it in the last bit, as ``eigh``'s own vectors
+differ between thread counts.
 
 A sum is real when every term has an even number of Y letters (even
 popcount(x & z)), as every pseudo Pauli operator of the recursive family is.
@@ -34,6 +46,7 @@ state and a certificate witness built from them stay float64.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 from functools import cache
 from itertools import chain
@@ -53,6 +66,13 @@ _KERNEL_CHUNK_BYTES = 1 << 20   # most bytes of render temporaries held at once
 # for numpy's fixed-size ufunc buffers, up to about 0.26 MB in the kernel.
 # tracemalloc reads 25 bytes per entry (numpy 2.4, n = 8..12, 64-term chunks)
 _KERNEL_ENTRY_BYTES = 72
+_LAPACK_MIN_DIM = 64        # top_eigenpair takes the LAPACK route from here up
+# zheevd rescales a matrix whose zlanhe norm lies outside [2^-485, 2^485],
+# sqrt(safmin / eps) and its inverse; the route runs where, by the largest
+# magnitude among the real numbers zlanhe reads, it cannot
+_ZHEEVD_UNSCALED = (2.0 ** -485, 2.0 ** 484)
+# each routine's argument count: by address, then hidden character lengths
+_LAPACK_ARGS = {"zhetrd": (10, 1), "dstedc": (11, 1), "zunmtr": (13, 3)}
 
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
@@ -522,11 +542,113 @@ def check_hermitian(m: np.ndarray) -> np.ndarray:
     return m
 
 
+@cache
+def _lapack() -> tuple | None:
+    """``zhetrd``, ``dstedc`` and ``zunmtr`` of the LAPACK that
+    ``np.linalg.eigh`` itself calls (numpy's ILP64 OpenBLAS), or None where
+    numpy's build does not export them under these names."""
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+        fns = tuple(getattr(lib, f"scipy_{name}_64_") for name in _LAPACK_ARGS)
+    except (ImportError, OSError, AttributeError):
+        return None
+    for fn, (pointers, lengths) in zip(fns, _LAPACK_ARGS.values()):
+        # every Fortran argument by address, then the hidden character lengths;
+        # a bare int argument would be cut to 32 bits
+        fn.argtypes = [ctypes.c_void_p] * pointers + [ctypes.c_size_t] * lengths
+        fn.restype = None
+    return fns
+
+
+@cache
+def _zlanhe_entries(dim: int) -> np.ndarray:
+    """Where, in the float64 view of a column-major dim x dim complex
+    matrix, sit the numbers ``zlanhe`` reads for the lower triangle: both
+    parts of each entry below the diagonal and the real part of each on it.
+    Its norm, the largest modulus among those entries, is at least the
+    largest magnitude among these numbers and below 1.5 times it. Shared
+    and read-only."""
+    mask = ~np.tri(dim, dtype=bool).repeat(2, axis=1)
+    mask.reshape(-1)[::2 * dim + 2] = True
+    mask.flags.writeable = False
+    return mask
+
+
+def _lapack_top_eigenpair(m: np.ndarray, lapack: tuple) -> tuple[float, np.ndarray] | None:
+    """The top eigenpair by ``zheevd``'s own steps, back-transforming only
+    the last column, or None where ``zheevd`` would rescale ``m`` first.
+
+    ``eigh`` runs ``zheevd`` on the lower triangle of ``m`` in column-major
+    order: ``zhetrd`` to a real tridiagonal, ``dstedc('I')`` for its
+    eigenpairs (``zstedc`` hands a matrix above 25 rows to it and widens the
+    result to complex) and ``zunmtr`` back onto all N columns. These are the
+    same calls, with workspaces that give the same blocking, but ``zunmtr``
+    gets the last column alone; it applies the reflectors one at a time in
+    both (its workspace is too small for blocking), so that column keeps its
+    bits.
+    """
+    zhetrd, dstedc, zunmtr = lapack
+    dim = m.shape[0]
+    a = m.T.copy()      # m in column-major order, as eigh copies it
+    parts, lower = a.view(float), _zlanhe_entries(dim)
+    largest = max(np.max(parts, where=lower, initial=0.0),
+                  -np.min(parts, where=lower, initial=0.0))
+    if not _ZHEEVD_UNSCALED[0] <= largest <= _ZHEEVD_UNSCALED[1]:
+        return None
+    diag, off = np.empty(dim), np.empty(dim)
+    tau, work = np.empty(dim, dtype=complex), np.empty(1, dtype=complex)
+    z = np.empty((dim, dim))    # column-major: row j holds eigenvector j
+    rwork = np.empty(1 + 4 * dim + dim * dim)
+    iwork = np.empty(3 + 5 * dim, dtype=np.int64)
+    n, one, info = ctypes.c_int64(dim), ctypes.c_int64(1), ctypes.c_int64(0)
+    ref = ctypes.byref
+
+    def check(routine):
+        if info.value:     # eigh raises the same error on a nonzero info
+            raise np.linalg.LinAlgError(
+                f"Eigenvalues did not converge ({routine} info {info.value})")
+
+    # zhetrd blocks alike with any workspace from its optimum N * NB up, such
+    # as zheevd's N^2 + N; a query (size -1) writes that optimum to work[0]
+    head = (b"L", ref(n), a.ctypes.data, ref(n), diag.ctypes.data, off.ctypes.data,
+            tau.ctypes.data)
+    zhetrd(*head, work.ctypes.data, ref(ctypes.c_int64(-1)), ref(info), 1)
+    work = np.empty(int(work[0].real), dtype=complex)
+    zhetrd(*head, work.ctypes.data, ref(ctypes.c_int64(work.size)), ref(info), 1)
+    check("zhetrd")
+    dstedc(b"I", ref(n), diag.ctypes.data, off.ctypes.data, z.ctypes.data, ref(n),
+           rwork.ctypes.data, ref(ctypes.c_int64(rwork.size)), iwork.ctypes.data,
+           ref(ctypes.c_int64(iwork.size)), ref(info), 1)
+    check("dstedc")
+    vec = z[-1].astype(complex)
+    zunmtr(b"L", b"L", b"N", ref(n), ref(one), a.ctypes.data, ref(n), tau.ctypes.data,
+           vec.ctypes.data, ref(n), work.ctypes.data, ref(one), ref(info), 1, 1, 1)
+    check("zunmtr")
+    return float(diag[-1]), vec
+
+
 def top_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue and a matching unit eigenvector (phase-fixed)."""
-    vals, vecs = np.linalg.eigh(check_hermitian(m))
-    vec = vecs[:, -1]
-    return float(vals[-1]), fix_global_phase(vec)
+    """Largest eigenvalue and a matching unit eigenvector (phase-fixed).
+
+    Both equal ``np.linalg.eigh``'s last pair bit for bit. From
+    ``_LAPACK_MIN_DIM`` = 64 rows up they come from
+    ``_lapack_top_eigenpair``, which skips the back-transform of the other
+    N - 1 eigenvectors (one BLAS thread: 2.1-2.4x faster at 256 rows).
+    ``eigh`` runs below 64 rows, where its fixed cost is the lower, where
+    numpy's build does not export the LAPACK routines, and where ``zheevd``
+    would rescale the matrix (largest entry outside about [1e-146, 1e146]).
+    A nonzero LAPACK ``info`` raises ``np.linalg.LinAlgError``, as ``eigh``
+    does. With more than one BLAS thread the value still equals ``eigh``'s,
+    but from 128 rows up the eigenvector can differ from it in the last bit.
+    """
+    m = check_hermitian(m)
+    lapack = _lapack() if m.shape[0] >= _LAPACK_MIN_DIM else None
+    pair = None if lapack is None else _lapack_top_eigenpair(m, lapack)
+    if pair is None:
+        vals, vecs = np.linalg.eigh(m)
+        pair = float(vals[-1]), vecs[:, -1]
+    return pair[0], fix_global_phase(pair[1])
 
 
 def fix_global_phase(vec: np.ndarray) -> np.ndarray:

@@ -547,6 +547,13 @@ class TestCli:
         ({"basis": {"kind": "graph", "graph": {"n": 3, "edges": [[0, True]]},
                     "flip": "ZZZ"}},
          "graph edges must be a list of integer pairs"),
+        # a missing field is named, not printed as a bare key
+        ({"k": [0, 0, 1]}, "recipe has no 'basis' field"),
+        ({"basis": {"graph": {"n": 3, "edges": [[0, 1]]}, "flip": "ZZZ"}},
+         "basis has no 'kind' field"),
+        ({"basis": {"kind": "graph", "flip": "ZZZ"}}, "graph basis has no 'graph' field"),
+        ({"basis": {"kind": "graph", "graph": {"n": 3, "edges": [[0, 1]]}}},
+         "graph basis has no 'flip' field"),
     ])
     def test_build_rejects_bad_graph_recipe(self, tmp_path, capsys, recipe, message):
         cfg = tmp_path / "recipe.json"

@@ -3,12 +3,15 @@ and mask-walking oracles in ``helpers``, bit for bit, the render of an
 expression against the product and dict routes, the printer against the
 ``terms`` walk, the quantum lower bound's two routes, the pseudo Pauli
 certificate and dense ``eigh``, against dense ``eigh``, on seeded random
-inputs, and the SOS pairing search against the record route it replaced."""
+inputs, the top eigenpair's LAPACK route against ``eigh``, bit for bit, and
+the SOS pairing search against the record route it replaced."""
 
 import functools
 import math
+import os
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -216,10 +219,7 @@ class TestKrylovAgainstDenseEigh:
 
     def test_value_matches_eigh(self):
         for op in generic_sums(1208):
-            value, witness = quantum_lower_bound(op)
-            top, vec = pauli.top_eigenpair(op.to_dense())
-            assert value.hex() == top.hex()
-            assert np.array_equal(bits(witness), bits(vec))
+            assert_matches_eigh(quantum_lower_bound(op), op.to_dense())
 
     def test_repeated_calls_identical_bits(self):
         op = generic_sums(1211)[0]
@@ -234,6 +234,144 @@ class TestKrylovAgainstDenseEigh:
         monkeypatch.setattr(PauliSum, "apply", refuse)
         with pytest.raises(QubitCapError, match="9 qubits exceeds dense cap of 8"):
             quantum_lower_bound(generic_sums(1212)[0], cap=8)
+
+
+# with more than one BLAS thread, an eigenvector of 128 rows or more can
+# differ from eigh's in the last bit, as eigh's own do between thread counts
+ONE_BLAS_THREAD = os.environ.get("OPENBLAS_NUM_THREADS") == "1"
+
+
+def eigh_top(m):
+    """The oracle: ``np.linalg.eigh``'s last eigenpair, its vector
+    phase-fixed as ``top_eigenpair`` fixes it."""
+    vals, vecs = np.linalg.eigh(np.asarray(m, dtype=complex))
+    return float(vals[-1]), pauli.fix_global_phase(vecs[:, -1])
+
+
+def assert_matches_eigh(pair, m):
+    value, vec = pair
+    top, ref = eigh_top(m)
+    assert value.hex() == top.hex()
+    if ONE_BLAS_THREAD or m.shape[0] < 128:
+        assert np.array_equal(bits(vec), bits(ref))
+    else:
+        assert np.max(np.abs(vec - ref)) <= 1e-13
+
+
+def assert_is_eigh(m):
+    """Where ``top_eigenpair`` leaves a matrix to ``eigh``, its pair is
+    ``eigh``'s at any thread count."""
+    value, vec = pauli.top_eigenpair(m)
+    top, ref = eigh_top(m)
+    assert value.hex() == top.hex() and np.array_equal(bits(vec), bits(ref))
+
+
+def random_hermitian(rng, dim, complex_valued):
+    g = rng.normal(size=(dim, dim))
+    if complex_valued:
+        g = g + 1j * rng.normal(size=(dim, dim))
+    return (g + g.conj().T) / 2
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """What each ``_lapack_top_eigenpair`` call returned: a pair, or None
+    where it left the matrix to ``eigh``."""
+    returned = []
+    real = pauli._lapack_top_eigenpair
+
+    def spy(m, lapack):
+        returned.append(real(m, lapack))
+        return returned[-1]
+
+    monkeypatch.setattr(pauli, "_lapack_top_eigenpair", spy)
+    return returned
+
+
+class TestTopEigenpairAgainstEigh:
+    """From 64 rows up ``top_eigenpair`` runs ``eigh``'s own LAPACK steps and
+    back-transforms one column; its pair equals ``eigh``'s bit for bit."""
+
+    @pytest.mark.parametrize("complex_valued", [True, False], ids=["complex", "real"])
+    def test_random_matrices(self, lapack_calls, complex_valued):
+        rng = np.random.default_rng(3501 + complex_valued)
+        dims = [64, 96, 128, 200, 256, 512]
+        for dim in dims:
+            m = random_hermitian(rng, dim, complex_valued)
+            assert_matches_eigh(pauli.top_eigenpair(m), m)
+        # every one took the route, where numpy exports it
+        assert sum(pair is not None for pair in lapack_calls) == \
+            len(dims) * (pauli._lapack() is not None)
+
+    def test_catalog_operators(self, monkeypatch, lapack_calls):
+        # every dense operator of 64 rows or more that a catalog pass solves
+        seen = []
+        real = bounds.top_eigenpair
+
+        def recorded(m):
+            if m.shape[0] >= pauli._LAPACK_MIN_DIM:
+                seen.append(m)
+            return real(m)
+
+        monkeypatch.setattr(bounds, "top_eigenpair", recorded)
+        run_cases(case_names())
+        assert sorted(m.shape[0] for m in seen) == [64, 64, 128, 128, 256, 256]
+        for m in seen:
+            assert_matches_eigh(pauli.top_eigenpair(m), m)
+        assert all(pair is not None for pair in lapack_calls)
+
+    def test_missing_symbols_take_eigh(self, monkeypatch, lapack_calls):
+        monkeypatch.setattr(pauli, "_lapack", lambda: None)
+        assert_is_eigh(random_hermitian(np.random.default_rng(3503), 256, True))
+        assert lapack_calls == []
+
+    @pytest.mark.parametrize("error", [ImportError, OSError, AttributeError])
+    def test_failed_lookup_is_none(self, monkeypatch, error):
+        def cdll(path):
+            raise error(path)
+
+        monkeypatch.setattr(pauli.ctypes, "CDLL", cdll)
+        assert pauli._lapack.__wrapped__() is None
+
+    def test_unexported_names_are_none(self, monkeypatch):
+        monkeypatch.setattr(pauli.ctypes, "CDLL", lambda path: SimpleNamespace())
+        assert pauli._lapack.__wrapped__() is None
+
+    @pytest.mark.parametrize("scale,routed", [(1e-150, False), (1e150, False),
+                                              (1e-140, True), (1e140, True)])
+    def test_only_unrescaled_matrices_take_the_route(self, lapack_calls, scale, routed):
+        # zheevd rescales a matrix whose largest entry is outside about
+        # [1e-146, 1e146]; the route leaves those to eigh
+        assert_is_eigh(scale * random_hermitian(np.random.default_rng(3504), 64, True))
+        if pauli._lapack() is not None:
+            assert [pair is not None for pair in lapack_calls] == [routed]
+
+    @pytest.mark.parametrize("dim", [1, 2, 4, 32, 63])
+    def test_small_matrices_never_enter_the_route(self, monkeypatch, dim):
+        def refuse(m, lapack):
+            raise AssertionError(f"the LAPACK route entered at {m.shape}")
+
+        monkeypatch.setattr(pauli, "_lapack_top_eigenpair", refuse)
+        for complex_valued in (True, False):
+            assert_is_eigh(random_hermitian(np.random.default_rng(dim), dim, complex_valued))
+
+    @pytest.mark.parametrize("failing", list(pauli._LAPACK_ARGS))
+    def test_nonzero_info_raises(self, monkeypatch, failing):
+        if pauli._lapack() is None:
+            pytest.skip("numpy's build does not export the LAPACK route")
+        routines = dict(zip(pauli._LAPACK_ARGS, pauli._lapack()))
+        real = routines[failing]
+        info = pauli._LAPACK_ARGS[failing][0] - 1     # the last argument by address
+
+        def fails(*args):
+            real(*args)
+            args[info]._obj.value = 1
+
+        routines[failing] = fails
+        monkeypatch.setattr(pauli, "_lapack", lambda: tuple(routines.values()))
+        m = random_hermitian(np.random.default_rng(3505), 64, True)
+        with pytest.raises(np.linalg.LinAlgError, match=f"{failing} info 1"):
+            pauli.top_eigenpair(m)
 
 
 def pseudo_pauli_sums(seed):
