@@ -445,9 +445,10 @@ def symbolize_decomposed(dec: DecomposedOperator,
 
     A non-pivot party's k-th Pauli letter, in first-seen order, gets the
     label L followed by k primes (L, L', L'', ...); ``letter_order`` pins that
-    order per party when the default is not wanted.
+    order per party when the default is not wanted; the caller's lists are
+    left as they are.
     """
-    letter_order = dict(letter_order or {})
+    letter_order = {party: list(order) for party, order in (letter_order or {}).items()}
     n = dec.n
     bindings: dict[Symbol, Setting] = {}
     label_of: dict[tuple[int, str], str] = {}
@@ -540,18 +541,20 @@ class BellRecipe:
         """The recipe described by ``data``. Its logical operators are resolved
         after every field check: shared for the named bases, by the symbolic
         route for a graph basis, whose group is built only at or below the
-        dense qubit cap ``cap``. The qubit count is the operators'."""
+        dense qubit cap ``cap``. The qubit count is the operators'. A field
+        outside the format, at any level, raises ValueError naming it."""
         if not isinstance(data, dict):
             raise ValueError(f"recipe must be an object, not {data!r}")
+        _check_fields(data, ("basis", "k", "beta_q", "decomposition", "symbols"), "recipe")
         basis_spec = _field(data, "basis", "recipe")
         if not isinstance(basis_spec, dict):
             raise ValueError(f"basis must be an object, not {basis_spec!r}")
         kind = _field(basis_spec, "kind", "basis")
-        if kind == "bell":
-            resolve = bell_logical_paulis
-        elif kind == "ghz3":
-            resolve = ghz3_logical_paulis
+        if kind in ("bell", "ghz3"):
+            _check_fields(basis_spec, ("kind",), f"{kind} basis")
+            resolve = bell_logical_paulis if kind == "bell" else ghz3_logical_paulis
         elif kind == "graph":
+            _check_fields(basis_spec, ("kind", "graph", "flip"), "graph basis")
             graph = _graph_spec(_field(basis_spec, "graph", "graph basis"))
             flip_text = _field(basis_spec, "flip", "graph basis")
             if not isinstance(flip_text, str):
@@ -564,13 +567,13 @@ class BellRecipe:
         else:
             raise ValueError(f"unknown basis kind {kind!r}")
         k = data.get("k", [0, 0, 1])
-        if not (isinstance(k, list) and len(k) == 3 and all(map(_is_real, k))):
+        if not (isinstance(k, list) and len(k) == 3 and all(map(_is_number, k))):
             raise ValueError(f"direction k must be three real numbers, got {k!r}")
         k = np.asarray(k, dtype=float)
         if abs(np.linalg.norm(k) - 1.0) > 1e-12:
             raise ValueError("direction k must be unit norm")
         beta_raw = data.get("beta_q", "auto")
-        if not (beta_raw == "auto" or _is_real(beta_raw) and beta_raw > 0):
+        if not (beta_raw == "auto" or _is_number(beta_raw) and beta_raw > 0):
             raise ValueError(
                 f'beta_q must be "auto" or a positive real number, got {beta_raw!r}')
         decomposition = data.get("decomposition", {"kind": "none"})
@@ -603,7 +606,7 @@ class BellRecipe:
         )
 
 
-def _is_real(value) -> bool:
+def _is_number(value) -> bool:
     """A JSON number that fits a finite float; a bool is not one."""
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
@@ -620,10 +623,18 @@ def _field(spec: dict, key: str, owner: str):
     return spec[key]
 
 
+def _check_fields(spec: dict, allowed: tuple[str, ...], owner: str) -> None:
+    """Raise ValueError naming the first field of ``spec`` outside ``allowed``."""
+    for key in spec:
+        if key not in allowed:
+            raise ValueError(f"{owner} has unknown field {key!r}")
+
+
 def _graph_spec(spec) -> GraphSpec:
     """The graph of a recipe's graph basis: ``{"n": int >= 1, "edges": [[u, v], ...]}``."""
     if not (isinstance(spec, dict) and _is_int(spec.get("n")) and spec["n"] >= 1):
         raise ValueError(f"graph must be an object with an integer n >= 1, got {spec!r}")
+    _check_fields(spec, ("n", "edges"), "graph")
     edges = spec.get("edges")
     if not (isinstance(edges, list) and all(
             isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))
@@ -634,17 +645,20 @@ def _graph_spec(spec) -> GraphSpec:
 
 def _check_decomposition(spec) -> None:
     """Raise ValueError unless ``spec`` names a known decomposition kind with
-    its parameter: an integer ``pivot`` for complementary, an integer ``n`` of
-    at least 2 for chained, nothing for none (the default kind)."""
+    its parameter, and no other field: an integer ``pivot`` for
+    complementary, an integer ``n`` of at least 2 for chained, nothing for
+    none (the default kind)."""
     if not isinstance(spec, dict):
         raise ValueError(f"decomposition must be an object, not {spec!r}")
     kind = spec.get("kind", "none")
     if kind == "none":
+        _check_fields(spec, ("kind",), "none decomposition")
         return
     key = {"complementary": "pivot", "chained": "n"}.get(kind) \
         if isinstance(kind, str) else None
     if key is None:
         raise ValueError(f"unknown decomposition kind {kind!r}")
+    _check_fields(spec, ("kind", key), f"{kind} decomposition")
     value = spec.get(key)
     if not _is_int(value):
         raise ValueError(f"{kind} decomposition needs an integer {key!r}, got {value!r}")

@@ -326,7 +326,7 @@ def pseudo_pauli_certificate(op: PauliSum) -> tuple[float, np.ndarray] | None:
     A = sum_j a_j r_j / |a|: the +|a| eigenvector of the fitted operator
     sum_j a_j r_j P. That group and its state come from ``stabilizer``'s
     kernels (``_grow_group``, ``_code_state``), with ``_gf2_echelon`` also
-    behind steps 1 and 4. A real sum gets a float64 witness.
+    behind steps 1 and 4.
     """
     n = op.n
     if op.is_zero or 2 * n > 62:
@@ -375,12 +375,10 @@ def pseudo_pauli_certificate(op: PauliSum) -> tuple[float, np.ndarray] | None:
 
     # the code state of S and sign(a_1) r_1
     signed = [(g, negs >> i & 1) for i, g in enumerate(stab)] + [(int(labels[0]), amps[0] < 0)]
-    real = op._is_real()
-    code = _code_state(n, _grow_group((g & full, g >> n, 2 * int(m)) for g, m in signed), real)
+    code = _code_state(n, _grow_group((g & full, g >> n, 2 * int(m)) for g, m in signed))
     witness = code.copy()
     for r, a in zip(labels.tolist(), amps.tolist()):
-        dest, entries = _signed_permutation(n, np.array([r & full]), np.array([r >> n]),
-                                            real=real)
+        dest, entries = _signed_permutation(n, np.array([r & full]), np.array([r >> n]))
         witness[dest[0]] += (a / norm) * entries[0] * code
     return norm - slack, fix_global_phase(witness / np.linalg.norm(witness))
 
@@ -395,14 +393,14 @@ def quantum_lower_bound(op: PauliSum, cap: int = DENSE_QUBIT_CAP,
     Pauli operator (every recursive-family member and every ``build``
     logical form) gets ``pseudo_pauli_certificate``: |a| less the residual,
     from the stabilizer structure of its terms in O(T n) bit operations,
-    exact when the coefficients are, with a float64 witness for a real
-    operator. Every other operator, and every operator up to 8 qubits, gets
-    ``top_eigenpair`` of its dense render, which reads ``dense``, the
-    caller's ``op.to_dense()``, if given: ``eigh``'s top pair, bit for bit
-    (from 128 rows up, the vector to the last bit only with one BLAS
-    thread), by ``eigh``'s LAPACK steps with one back-transformed column
-    from 64 rows up. ``cap`` bounds the qubit count, checked before either
-    route.
+    exact when the coefficients are. Every other operator, and every
+    operator up to 8 qubits, gets ``top_eigenpair`` of its dense render,
+    which reads ``dense``, the caller's ``op.to_dense()``, if given:
+    ``eigh``'s top pair, bit for bit (from 128 rows up, the vector to the
+    last bit only with one BLAS thread), by ``eigh``'s LAPACK steps with one
+    back-transformed column from 64 rows up. Either way the witness is a
+    complex128 unit vector. ``cap`` bounds the qubit count, checked before
+    either route.
     """
     _check_cap(op.n, cap)
     certified = pseudo_pauli_certificate(op) if op.n > _DENSE_EIGH_QUBITS else None

@@ -37,11 +37,6 @@ rows ``eigh`` itself runs: its fixed cost is lower (4 rows: 0.01 ms against
 than one BLAS thread the value still equals ``eigh``'s, but from 128 rows up
 the vector can differ from it in the last bit, as ``eigh``'s own vectors
 differ between thread counts.
-
-A sum is real when every term has an even number of Y letters (even
-popcount(x & z)), as every pseudo Pauli operator of the recursive family is.
-Its strings can then read the kernel's real sign table (``real``), so a code
-state and a certificate witness built from them stay float64.
 """
 
 from __future__ import annotations
@@ -95,9 +90,6 @@ _I_POW = (1.0 + 0j, 1j, -1.0 + 0j, -1j)
 # bits as multiplying the phase into a +/-1 sign vector, without the two passes
 _PHASED_SIGNS = np.array([p * np.array([1.0, -1.0]) for p in _I_POW])
 _PHASED_SIGNS.flags.writeable = False
-# the real parts: the signs of a real string, whose row k is even
-_REAL_SIGNS = np.ascontiguousarray(_PHASED_SIGNS.real)
-_REAL_SIGNS.flags.writeable = False
 
 
 class DimensionError(ValueError):
@@ -145,7 +137,7 @@ def _bit_reversal(n: int) -> np.ndarray:
 
 def _signed_permutation(n: int, x_masks: np.ndarray, z_masks: np.ndarray,
                         phase_exps: np.ndarray | int = 0,
-                        scales: np.ndarray | None = None, real: bool = False
+                        scales: np.ndarray | None = None
                         ) -> tuple[np.ndarray, np.ndarray]:
     """Where and with what phase each string i^phase_exps[t] * P_t sends each
     basis state, for the T strings with integer masks ``x_masks[t]``, ``z_masks[t]``.
@@ -155,15 +147,13 @@ def _signed_permutation(n: int, x_masks: np.ndarray, z_masks: np.ndarray,
     one nonzero entry, i^(phase_exp + |x & z|) * (-1)^popcount(r & zm), in row
     r ^ xm (xm, zm: the masks in index bit order). With ``scales``, entry
     (t, r) is ``scales[t] * entry``, the same bits as scaling afterwards; each
-    string's two possible entries are scaled before they are spread. With
-    ``real`` the entries are float64, for strings whose phase is +/-1 only.
+    string's two possible entries are scaled before they are spread.
     """
     reverse = _bit_reversal(n)
     odd = np.bitwise_count(np.arange(1 << n, dtype=reverse.dtype)
                            & reverse[z_masks][:, None])
     odd &= 1
-    table = _REAL_SIGNS if real else _PHASED_SIGNS
-    signs = table[(phase_exps + np.bitwise_count(x_masks & z_masks)) % 4]
+    signs = _PHASED_SIGNS[(phase_exps + np.bitwise_count(x_masks & z_masks)) % 4]
     if scales is not None:
         signs = scales[:, None] * signs
     entries = np.where(odd.view(bool), signs[:, 1:], signs[:, :1])
@@ -414,12 +404,6 @@ class PauliSum:
         """Dense matrix: ``dense_stack`` of this sum alone."""
         return dense_stack([self], cap)[0]
 
-    def _is_real(self) -> bool:
-        """Whether every term has an even number of Y letters, so that the
-        matrix is real."""
-        xs, zs, _ = self._sorted_arrays()
-        return not np.any(np.bitwise_count(xs & zs) & 1)
-
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """The sum applied to a state vector without building the matrix.
 
@@ -652,9 +636,8 @@ def top_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def fix_global_phase(vec: np.ndarray) -> np.ndarray:
-    """Make the first non-negligible amplitude real positive; a real vector
-    stays real (float64), its sign fixed."""
-    vec = np.asarray(vec, dtype=complex if np.iscomplexobj(vec) else float)
+    """Make the first non-negligible amplitude real positive."""
+    vec = np.asarray(vec, dtype=complex)
     for a in vec:
         if abs(a) > _PHASE_TOL:
             return vec * (abs(a) / a)

@@ -34,7 +34,6 @@ import numpy as np
 
 from .pauli import (
     _PHASED_SIGNS,
-    _REAL_SIGNS,
     DENSE_QUBIT_CAP,
     PauliSum,
     PauliTerm,
@@ -121,11 +120,11 @@ def _grow_group(gens) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return group
 
 
-def _code_state(n: int, group, real: bool) -> np.ndarray:
+def _code_state(n: int, group) -> np.ndarray:
     """sum_e e|r> = 2^n P|r> over a group of 2^n elements (``_grow_group``
-    arrays), in float64 if ``real``. r is the first basis state on which the
-    Z-type elements act as +1, so entry r, the first nonzero, is their count:
-    the phase is fixed, and each entry is an exact integer times i^k."""
+    arrays). r is the first basis state on which the Z-type elements act as
+    +1, so entry r, the first nonzero, is their count: the phase is fixed,
+    and each entry is an exact integer times i^k."""
     gx, gz, gk = group
     b = 0   # a basis state, in qubit order, on which Z-type elements are +1
     for row in _gf2_echelon(gz[gx == 0] << 1 | gk[gx == 0] >> 1 & 1):
@@ -133,11 +132,10 @@ def _code_state(n: int, group, real: bool) -> np.ndarray:
     reverse = _bit_reversal(n)
     moves = reverse[gx]
     first = (moves ^ reverse[b]).min()
-    table = _REAL_SIGNS if real else _PHASED_SIGNS
-    code = np.zeros(1 << n, dtype=float if real else complex)
+    code = np.zeros(1 << n, dtype=complex)
     np.add.at(code, (moves ^ first).astype(np.intp),
-              table[(gk + np.bitwise_count(gx & gz)) & 3,
-                    np.bitwise_count(gz & reverse[first]) & 1])
+              _PHASED_SIGNS[(gk + np.bitwise_count(gx & gz)) & 3,
+                            np.bitwise_count(gz & reverse[first]) & 1])
     return code
 
 
@@ -202,20 +200,19 @@ def graph_state_generators(g: GraphSpec) -> StabilizerGroup:
 
 def state_vector(s: StabilizerGroup) -> np.ndarray:
     """The unique stabilized state, global phase fixed: ``_code_state``,
-    normalised, bit for bit the projector's first nonzero column; float64
-    for a real group, then cast. Raises ValueError on a zero scatter or when
-    a generator moves it by over ``PROJECTOR_ATOL`` (``PauliTerm.apply``), and
-    QubitCapError above ``DENSE_QUBIT_CAP`` qubits."""
+    normalised, bit for bit the projector's first nonzero column. Raises
+    ValueError on a zero scatter or when a generator moves it by over
+    ``PROJECTOR_ATOL`` (``PauliTerm.apply``), and QubitCapError above
+    ``DENSE_QUBIT_CAP`` qubits."""
     _check_cap(s.n, DENSE_QUBIT_CAP)
-    gx, gz, _ = s._arrays
-    vec = _code_state(s.n, s._arrays, real=not np.any(np.bitwise_count(gx & gz) & 1))
+    vec = _code_state(s.n, s._arrays)
     if not vec.any():
         raise ValueError("stabilized state is zero; generators inconsistent")
     vec = vec / np.linalg.norm(vec)
     resid = max(np.max(np.abs(g.apply(vec) - vec)) for g in s.generators)
     if resid > PROJECTOR_ATOL:
         raise ValueError(f"stabilized state residual {resid:.3e}")
-    return vec.astype(complex)
+    return vec
 
 
 @dataclass(frozen=True)

@@ -250,6 +250,21 @@ class TestComplementaryDecompose:
         resid = np.max(np.abs(operator.to_dense() - op.to_dense()))
         assert resid < 1e-12
 
+    def test_letter_order_is_not_changed(self):
+        # party 1 of 8 X_L on the 4-qubit empty-graph code reads Z and Y; the
+        # pinned Y comes first and Z is labelled after it
+        ops = logical_paulis_symbolic(graph_state_generators(GraphSpec.from_edges(4, [])),
+                                      PauliTerm.from_string("ZZZZ"))
+        dec = complementary_decompose(8.0 * ops.x, pivot=0)
+        order = {1: ["Y"]}
+        first, bindings = symbolize_decomposed(dec, letter_order=order)
+        assert order == {1: ["Y"]}
+        assert bindings[(1, "B")].bloch() == (0.0, 1.0, 0.0)
+        assert bindings[(1, "B'")].bloch() == (0.0, 0.0, 1.0)
+        second, _ = symbolize_decomposed(dec, letter_order=order)
+        assert order == {1: ["Y"]}
+        assert second.terms == first.terms
+
     def test_rotated_settings(self):
         def canon(v):
             v = np.round(v, 9)

@@ -473,6 +473,13 @@ class TestCli:
         ({"kind": "pivoted", "pivot": 1}, "unknown decomposition kind 'pivoted'"),
         ({"kind": ["chained"], "n": 3}, "unknown decomposition kind ['chained']"),
         (["complementary", 1], "decomposition must be an object"),
+        # a field outside the format is named, not ignored
+        ({"kind": "none", "pivot": 7}, "none decomposition has unknown field 'pivot'"),
+        ({"pivot": 1}, "none decomposition has unknown field 'pivot'"),
+        ({"kind": "complementary", "pivot": 1, "n": 3},
+         "complementary decomposition has unknown field 'n'"),
+        ({"kind": "chained", "n": 3, "pivot": 0},
+         "chained decomposition has unknown field 'pivot'"),
     ])
     def test_build_rejects_bad_decomposition(self, tmp_path, capsys, decomposition,
                                              message):
@@ -519,6 +526,7 @@ class TestCli:
         ("symbols", {"Z": 1}, "symbols must be an object mapping Pauli letters"),
         ("symbols", {"Z": "A", "X": "A", "Y": "C"}, "to distinct strings"),
         ("basis", "bell", "basis must be an object, not 'bell'"),
+        ("symbol", {"Z": "Q"}, "recipe has unknown field 'symbol'"),
     ])
     def test_build_rejects_bad_recipe_field(self, tmp_path, capsys, field, value,
                                             message):
@@ -554,6 +562,19 @@ class TestCli:
         ({"basis": {"kind": "graph", "flip": "ZZZ"}}, "graph basis has no 'graph' field"),
         ({"basis": {"kind": "graph", "graph": {"n": 3, "edges": [[0, 1]]}}},
          "graph basis has no 'flip' field"),
+        # a field outside the format is named, not ignored
+        ({"basis": {"kind": "ghz3", "flip": "XXX"}, "k": [0, 0, 1],
+          "symbol": {"Z": "Q"}, "decomposition": {"kind": "none", "pivot": 7}},
+         "recipe has unknown field 'symbol'"),
+        ({"basis": {"kind": "ghz3", "flip": "XXX"}}, "ghz3 basis has unknown field 'flip'"),
+        ({"basis": {"kind": "bell", "graph": {"n": 2, "edges": []}}},
+         "bell basis has unknown field 'graph'"),
+        ({"basis": {"kind": "graph", "graph": {"n": 3, "edges": [[0, 1]]}, "flip": "ZZZ",
+                    "pivot": 0}},
+         "graph basis has unknown field 'pivot'"),
+        ({"basis": {"kind": "graph", "graph": {"n": 3, "edges": [[0, 1]], "loops": []},
+                    "flip": "ZZZ"}},
+         "graph has unknown field 'loops'"),
     ])
     def test_build_rejects_bad_graph_recipe(self, tmp_path, capsys, recipe, message):
         cfg = tmp_path / "recipe.json"

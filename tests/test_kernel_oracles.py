@@ -208,8 +208,9 @@ def generic_sums(seed):
     return [random_sum(rng, 9, 64, 64), random_sum(rng, 9, 3, 12), commuting]
 
 
-class TestKrylovAgainstDenseEigh:
-    """Past 8 qubits, a sum the certificate rejects takes dense ``eigh``."""
+class TestRejectedSumsTakeDenseEigh:
+    """Past 8 qubits, a sum the certificate rejects takes dense
+    ``top_eigenpair``, with ``eigh``'s bits."""
 
     def test_certificate_rejects_every_input(self):
         # so that quantum_lower_bound takes dense eigh on every sum below
@@ -226,7 +227,7 @@ class TestKrylovAgainstDenseEigh:
         (a, x), (b, y) = quantum_lower_bound(op), quantum_lower_bound(op)
         assert a.hex() == b.hex() and np.array_equal(bits(x), bits(y))
 
-    def test_cap_is_checked_before_any_apply(self, monkeypatch):
+    def test_cap_is_checked_before_any_render(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("rendered or applied above the qubit cap")
 
@@ -414,20 +415,18 @@ class TestPseudoPauliCertificate:
     def test_value_matches_eigh_and_is_below_the_witness(self):
         family = [build(n).operator for n in range(3, 9)
                   for build in (mermin_case, svetlichny_case)]
-        cosets, dtypes = set(), set()
+        cosets = set()
         for op in pseudo_pauli_sums(2401) + family:
             value, witness = pseudo_pauli_certificate(op)
             top, _ = pauli.top_eigenpair(op.to_dense())
             assert abs(value - top) <= 1e-12 * abs_sum(op)
             assert value <= top + self.EIGH_ROUNDING * abs_sum(op)
             assert abs(np.linalg.norm(witness) - 1.0) <= 1e-12
-            assert witness.dtype == (np.float64 if op._is_real() else np.complex128)
+            assert witness.dtype == np.complex128
             rayleigh = np.vdot(witness, op.apply(witness)).real
             assert value <= rayleigh + self.EIGH_ROUNDING * abs_sum(op)
             cosets.add(len(op) >> (op.n - 1))
-            dtypes.add(witness.dtype)
         assert cosets == {1, 2, 3}
-        assert dtypes == {np.dtype(np.float64), np.dtype(np.complex128)}
 
     def test_perturbed_sums_keep_a_lower_bound(self):
         # one coefficient off by 3e-14 sum |c|: the residual is within the
@@ -459,7 +458,8 @@ class TestPseudoPauliCertificate:
             value, witness = pseudo_pauli_certificate(op)
             top, _ = pauli.top_eigenpair(op.to_dense())
             assert abs(value - top) <= 1e-12 * top
-            assert witness.dtype == np.float64
+            assert witness.dtype == np.complex128
+            assert abs(np.linalg.norm(witness) - 1.0) <= 1e-12
 
     def test_generic_sums_fall_back(self):
         rng = np.random.default_rng(2402)

@@ -184,8 +184,7 @@ class TestFamilyCases:
     def check_members(n, calls):
         # past 8 qubits the quantum lower bound of a pseudo Pauli operator is
         # read off its stabilizer structure, with no apply, no dense render
-        # and no eigh; B is real (an even number of Y letters per term), so
-        # the witness is float64
+        # and no eigh; the witness is a complex128 unit vector
         for build, classical, quantum in (
                 (mermin_case, 2.0 ** (n // 2), 2.0 ** (n - 1)),
                 (svetlichny_case, 2.0 ** ((n + 1) // 2), 2.0 ** (n - 1) * math.sqrt(2))):
@@ -193,7 +192,8 @@ class TestFamilyCases:
             assert classical_bounds(case.expression).maximum == classical
             calls.update(apply=0, to_dense=0, top_eigenpair=0)
             q, witness = quantum_lower_bound(case.operator)
-            assert witness.dtype == np.float64
+            assert witness.dtype == np.complex128
+            assert abs(np.linalg.norm(witness) - 1.0) <= 1e-12
             assert calls == {"apply": 0, "to_dense": 0, "top_eigenpair": 0}
             assert abs(q - quantum) <= 1e-9 * quantum
             assert q <= dichotomic_term_bound(case.expression)
