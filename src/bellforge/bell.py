@@ -596,11 +596,17 @@ class BellRecipe:
             raise ValueError("symbols must be an object mapping Pauli letters "
                              f"X, Y, Z to distinct strings, got {symbols!r}")
         ops = resolve()
+        beta_q = float(2 ** (ops.n - 1) * np.sum(np.abs(k)) if beta_raw == "auto"
+                       else beta_raw)
+        direction = ops.direction(k)
+        lost = len(direction) - len(beta_q * direction)
+        if lost:
+            raise ValueError(f"beta_q {beta_q!r} scales {lost} of the {len(direction)} "
+                             f"terms of k . L to {COEFF_PRUNE} or less, which drops them")
         return cls(
             ops=ops,
             k=(float(k[0]), float(k[1]), float(k[2])),
-            beta_q=float(2 ** (ops.n - 1) * np.sum(np.abs(k)) if beta_raw == "auto"
-                         else beta_raw),
+            beta_q=beta_q,
             decomposition=decomposition,
             symbols=symbols,
         )

@@ -184,6 +184,7 @@ def _derive(logical_form: PauliSum | None, spec: dict,
         dec = complementary_decompose(logical_form, spec["pivot"])
         expr, bindings = symbolize_decomposed(dec, letter_order)
     elif kind == "chained":
+        check_symbol_budget(2 * spec["n"])   # before its 2n settings are built
         ch = chained_construction(spec["n"])
         expr, bindings = ch.expression, ch.bindings
         logical_form = ch.quantum_bound * bell_logical_paulis().z
@@ -510,10 +511,10 @@ def build_report(recipe: BellRecipe, config: RunConfig, seesaw: bool) -> dict:
     _check_decomposition(spec)
     kind = spec.get("kind", "none")
     rough, cap = recipe.beta_q, config.cap_qubits
-    if kind == "chained":
-        rough = chained_construction(spec["n"]).quantum_bound
     expr, terms, operator, ident, dense = _derive(build_logical(recipe), spec,
                                                   recipe.symbols, cap=cap)
+    if kind == "chained":
+        rough = chained_construction(spec["n"]).quantum_bound
     sos = terms if kind == "complementary" and len(terms) <= SOS_MAX_TERMS else None
     report, _ = _report(expr, operator, rough=rough, cap=cap, dense=dense, sos=sos,
                         seesaw=(8, config.seed) if seesaw else None)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -119,6 +120,10 @@ def cmd_build(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"pipeline error: {exc}", file=sys.stderr)
         return 2
+    for key, value in report.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            print(f"pipeline error: {key} is {value}, not a finite number", file=sys.stderr)
+            return 2
     return _write(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
 
 

@@ -16,15 +16,15 @@ Every Pauli string is a signed permutation: it sends basis state r to a phase
 times basis state r ^ x. One batched kernel, ``_signed_permutation``, gives
 that target and phase for all 2^n basis states of a whole array of strings at
 once: index masks come from a per-n bit-reversal table, sign parities from
-``np.bitwise_count`` and phases from one table lookup. Rendering, applying and
-decomposing a term or a sum are all built on it. A sum is rendered densely by
-scattering O(2^n) entries per term into a zero matrix, in place of a Kronecker
-product of 2x2 factors per term (the PauliComposer scheme, arXiv:2301.00560).
-Its terms go through the kernel a chunk at a time, within
-``_KERNEL_CHUNK_BYTES`` of temporaries, and each chunk is added into the
-output by one ``np.add.at``, which applies repeated indices in order, so the
-bits equal a term-by-term sum's. ``apply`` runs in complex128 whatever the
-vector.
+``np.bitwise_count`` and phases from one table lookup. Rendering and
+decomposing a term or a sum, and applying a term, are all built on it. A sum
+is rendered densely by scattering O(2^n) entries per term into a zero matrix,
+in place of a Kronecker product of 2x2 factors per term (the PauliComposer
+scheme, arXiv:2301.00560). Its terms go through the kernel a chunk at a time,
+within ``_KERNEL_CHUNK_BYTES`` of temporaries, and each chunk is added into
+the output by one ``np.add.at``, which applies repeated indices in order, so
+the bits equal a term-by-term sum's. A sum acts on a vector only through its
+dense matrix.
 
 The top eigenpair of a sum comes from its dense render, with the bits of
 ``np.linalg.eigh``'s last pair. From 64 rows up, ``top_eigenpair`` calls the
@@ -56,7 +56,7 @@ _PHASE_TOL = 1e-9           # smallest amplitude fix_global_phase takes as first
 _DECOMPOSE_PRUNE = 1e-12    # pauli_decompose drops coefficients up to this
 _KERNEL_CHUNK_BYTES = 1 << 20   # most bytes of render temporaries held at once
 # bytes per basis state of a complex chunk term: 16 for its entry, 8 for its
-# destination (its flat index, in to_dense) and 1 for its sign parity, whose
+# destination (its flat index in the output) and 1 for its sign parity, whose
 # uint32 operand (4 more) is freed before the entry is made; the rest is room
 # for numpy's fixed-size ufunc buffers, up to about 0.26 MB in the kernel.
 # tracemalloc reads 25 bytes per entry (numpy 2.4, n = 8..12, 64-term chunks)
@@ -267,7 +267,9 @@ class PauliTerm:
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """Apply the term to a state vector without building the matrix."""
-        vec = _check_state(vec, self.n)
+        vec = np.asarray(vec, dtype=complex)
+        if vec.shape != (1 << self.n,):
+            raise DimensionError(f"state has shape {vec.shape}, expected ({1 << self.n},)")
         dest, entries = self._permutation()
         out = np.empty(vec.size, dtype=complex)
         out[dest] = entries * vec
@@ -280,15 +282,6 @@ class PauliTerm:
         out = np.zeros((dim, dim), dtype=complex)
         out[dest, np.arange(dim)] = entries
         return out
-
-
-def _check_state(vec: np.ndarray, n: int) -> np.ndarray:
-    """``vec`` as a complex n-qubit state vector; DimensionError otherwise."""
-    dim = 1 << n
-    vec = np.asarray(vec, dtype=complex)
-    if vec.shape != (dim,):
-        raise DimensionError(f"state has shape {vec.shape}, expected ({dim},)")
-    return vec
 
 
 @dataclass(init=False, slots=True)
@@ -404,31 +397,12 @@ class PauliSum:
         """Dense matrix: ``dense_stack`` of this sum alone."""
         return dense_stack([self], cap)[0]
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        """The sum applied to a state vector without building the matrix.
-
-        Term images come from the batched kernel a chunk at a time and are
-        added into a +0.0-started vector by one ordered ``np.add.at`` per
-        chunk, in sorted (x, z) order, as a term-by-term sum would add them.
-        """
-        vec = _check_state(vec, self.n)
-        out = np.zeros_like(vec)
-        xs, zs, coeffs = self._sorted_arrays()
-        size = _chunk_terms(self.n)
-        for lo in range(0, coeffs.size, size):
-            chunk = slice(lo, lo + size)
-            dest, entries = _signed_permutation(self.n, xs[chunk], zs[chunk])
-            entries *= vec
-            entries *= coeffs[chunk, None]
-            np.add.at(out, dest.ravel(), entries.ravel())
-            del dest, entries
-        return out
-
     def expectation(self, state: np.ndarray) -> float:
-        """<psi|A|psi> for a state vector or tr(rho A) for a density matrix."""
+        """<psi|A|psi> for a state vector or tr(rho A) for a density matrix,
+        both from the dense matrix."""
         state = np.asarray(state, dtype=complex)
         if state.ndim == 1:
-            val = np.vdot(state, self.apply(state))
+            val = np.vdot(state, self.to_dense() @ state)
         else:
             val = np.trace(state @ self.to_dense())
         return float(val.real)

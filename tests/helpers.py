@@ -361,13 +361,6 @@ def sum_to_dense(op: PauliSum) -> np.ndarray:
     return out
 
 
-def sum_apply(op: PauliSum, vec: np.ndarray) -> np.ndarray:
-    out = np.zeros(1 << op.n, dtype=complex)
-    for term, c in op.items():
-        out += c * term_apply(term, vec)
-    return out
-
-
 def symbolize_by_terms(op: PauliSum, symbol_map: dict[str, str]):
     """Term-by-term symbolize: a ``PauliTerm`` per term, ``letter(q)`` on
     every qubit and a freshly checked ``Setting`` per new symbol; bindings

@@ -224,6 +224,33 @@ class TestVertexPass:
                 assert cb.witness_max == bounds._assignment_from_rank(hi, symbols)
                 assert cb.witness_min == bounds._assignment_from_rank(lo, symbols)
 
+    def test_catalog_extrema_do_not_depend_on_the_contraction_order(self, monkeypatch):
+        # every catalog row's coefficients are integers after the snap, so
+        # every partial sum is exact: reversed and shuffled term orders give
+        # the default pass's extrema and witnesses at three block sizes, the
+        # smallest on rows of up to 12 symbols (ghz3-unsnapped's
+        # coefficients are not integers, and its order is not free)
+        rng = np.random.default_rng(2607)
+        exprs = catalog_expressions(monkeypatch)
+        default = [classical_bounds(expr) for expr in exprs]
+        runs = 0
+        for block in (1 << 20, 1 << 12, 1 << 7):
+            monkeypatch.setattr(bounds, "VERTEX_BLOCK", block)
+            for expr, want in zip(exprs, default):
+                if block == 1 << 7 and len(expr.symbols) > 12:
+                    continue
+                index, coeffs = expr.factor_table()
+                for order in (np.arange(coeffs.size)[::-1], rng.permutation(coeffs.size)):
+                    cb = classical_bounds(BellExpression._from_table(
+                        expr.parties, expr.symbols, index[order], coeffs[order],
+                        expr.constant))
+                    assert (cb.maximum.hex(), cb.minimum.hex()) == \
+                        (want.maximum.hex(), want.minimum.hex()), str(expr)
+                    assert (cb.witness_max, cb.witness_min) == \
+                        (want.witness_max, want.witness_min), str(expr)
+                    runs += 1
+        assert len(exprs) == 24 and runs == 128
+
     def test_flat_offsets_match_frozen_kernel(self):
         # parties of 1, 3 and 11 settings (11 spans two axes of at most
         # _AXIS_SETTINGS = 10), non-integer and tie-heavy integer

@@ -451,6 +451,21 @@ class TestCli:
         assert captured.out == ""
         assert "15 symbols exceeds the exact-enumeration budget of 10" in captured.err
 
+    def test_build_checks_chained_symbol_budget_before_construction(self, tmp_path,
+                                                                    monkeypatch, capsys):
+        # 2n symbols over budget: none of the 2n settings is built
+        def chained_construction(n):
+            raise AssertionError("built a chained construction over the symbol budget")
+
+        monkeypatch.setattr(cases, "chained_construction", chained_construction)
+        cfg = tmp_path / "recipe.json"
+        cfg.write_text(json.dumps({"basis": {"kind": "bell"},
+                                   "decomposition": {"kind": "chained", "n": 10**9}}))
+        assert cli_main(["build", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "2000000000 symbols exceeds the exact-enumeration budget of 28" in captured.err
+
     def test_build_complementary_recipe_with_three_settings_a_party(self, tmp_path,
                                                                     capsys):
         recipe = {"basis": {"kind": "graph", "graph": {"n": 3, "edges": [[0, 1], [1, 2]]},
@@ -527,6 +542,8 @@ class TestCli:
         ("symbols", {"Z": "A", "X": "A", "Y": "C"}, "to distinct strings"),
         ("basis", "bell", "basis must be an object, not 'bell'"),
         ("symbol", {"Z": "Q"}, "recipe has unknown field 'symbol'"),
+        # every term of k . L falls to COEFF_PRUNE
+        ("beta_q", 1e-14, "beta_q 1e-14 scales 2 of the 2 terms of k . L"),
     ])
     def test_build_rejects_bad_recipe_field(self, tmp_path, capsys, field, value,
                                             message):
@@ -539,6 +556,23 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith(f"recipe error in {cfg}: ")
         assert message in captured.err
+
+    @pytest.mark.parametrize("beta_q,message", [
+        # the X_L terms, 0.15 beta_q each, fall to COEFF_PRUNE: the report
+        # would cover the Z_L terms alone
+        (6e-14, "recipe error in {cfg}: beta_q 6e-14 scales 4 of the 8 terms of k . L"),
+        # the dichotomic bound overflows, and JSON has no Infinity
+        (1.7976931348623157e308, "pipeline error: dichotomic_bound is inf, not a finite number"),
+    ])
+    def test_build_rejects_beta_q_at_either_end_of_the_float_range(self, tmp_path, capsys,
+                                                                   beta_q, message):
+        recipe = {"basis": {"kind": "ghz3"}, "k": [0.6, 0, 0.8], "beta_q": beta_q}
+        cfg = tmp_path / "recipe.json"
+        cfg.write_text(json.dumps(recipe))
+        assert cli_main(["build", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message.format(cfg=cfg) in captured.err
 
     @pytest.mark.parametrize("recipe,message", [
         ({"basis": {"kind": "graph", "graph": 5, "flip": "ZZZZZ"}},

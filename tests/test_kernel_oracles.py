@@ -56,7 +56,6 @@ from helpers import (
     render_terms_by_dicts,
     render_terms_by_products,
     sos_pairing_search_by_reports,
-    sum_apply,
     sum_to_dense,
     symbolize_by_masks,
     symbolize_by_terms,
@@ -111,17 +110,6 @@ class TestRenderAgainstTermOracle:
         monkeypatch.setattr(pauli, "_KERNEL_CHUNK_BYTES", budget)
         for op in sums(1201):
             assert np.array_equal(bits(op.to_dense()), bits(sum_to_dense(op)))
-
-    @pytest.mark.parametrize("budget", BUDGETS)
-    def test_sum_apply_bit_identical(self, monkeypatch, budget):
-        monkeypatch.setattr(pauli, "_KERNEL_CHUNK_BYTES", budget)
-        rng = np.random.default_rng(1202)
-        for op in sums(1203):
-            vec = rng.normal(size=1 << op.n) + 1j * rng.normal(size=1 << op.n)
-            vec[::3] = -0.0
-            # a real vector runs the same complex128 route
-            for v in (vec, vec.real.copy()):
-                assert np.array_equal(bits(op.apply(v)), bits(sum_apply(op, v)))
 
     def test_terms_bit_identical(self):
         rng = np.random.default_rng(1204)
@@ -179,22 +167,6 @@ class TestRenderMemory:
         assert dense.nbytes == output
         assert peak <= output + pauli._KERNEL_CHUNK_BYTES
 
-    @pytest.mark.parametrize("n", [10, 12])
-    def test_apply_peak_is_vector_plus_budget(self, n):
-        rng = np.random.default_rng(1205)
-        op = random_sum(rng, n, 3, 400) + random_sum(rng, n, 200, 200)
-        vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        output = 16 << n
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            image = op.apply(vec)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert image.nbytes == output
-        assert peak <= output + pauli._KERNEL_CHUNK_BYTES
-
 
 def generic_sums(seed):
     """9-qubit sums that are no pseudo Pauli operator: generic spectra, and
@@ -229,10 +201,9 @@ class TestRejectedSumsTakeDenseEigh:
 
     def test_cap_is_checked_before_any_render(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("rendered or applied above the qubit cap")
+            raise AssertionError("rendered above the qubit cap")
 
         monkeypatch.setattr(pauli, "dense_stack", refuse)
-        monkeypatch.setattr(PauliSum, "apply", refuse)
         with pytest.raises(QubitCapError, match="9 qubits exceeds dense cap of 8"):
             quantum_lower_bound(generic_sums(1212)[0], cap=8)
 
@@ -418,12 +389,13 @@ class TestPseudoPauliCertificate:
         cosets = set()
         for op in pseudo_pauli_sums(2401) + family:
             value, witness = pseudo_pauli_certificate(op)
-            top, _ = pauli.top_eigenpair(op.to_dense())
+            dense = op.to_dense()
+            top, _ = pauli.top_eigenpair(dense)
             assert abs(value - top) <= 1e-12 * abs_sum(op)
             assert value <= top + self.EIGH_ROUNDING * abs_sum(op)
             assert abs(np.linalg.norm(witness) - 1.0) <= 1e-12
             assert witness.dtype == np.complex128
-            rayleigh = np.vdot(witness, op.apply(witness)).real
+            rayleigh = np.vdot(witness, dense @ witness).real
             assert value <= rayleigh + self.EIGH_ROUNDING * abs_sum(op)
             cosets.add(len(op) >> (op.n - 1))
         assert cosets == {1, 2, 3}

@@ -250,11 +250,11 @@ class TestAlgebraOnCodeSpace:
         for basis_ops, basis in ((logical_paulis_numeric(bell_basis()), bell_basis()),
                                  (logical_paulis_symbolic(*loop5_parts()), loop5_basis())):
             zero, one = basis.zero_ket, basis.one_ket
-            assert np.allclose(basis_ops.z.apply(zero), zero, atol=1e-10)
-            assert np.allclose(basis_ops.z.apply(one), -one, atol=1e-10)
-            assert np.allclose(basis_ops.x.apply(zero), one, atol=1e-10)
-            assert np.allclose(basis_ops.y.apply(zero), 1j * one, atol=1e-10)
-            assert np.allclose(basis_ops.ident.apply(zero), zero, atol=1e-10)
+            assert np.allclose(basis_ops.z.to_dense() @ zero, zero, atol=1e-10)
+            assert np.allclose(basis_ops.z.to_dense() @ one, -one, atol=1e-10)
+            assert np.allclose(basis_ops.x.to_dense() @ zero, one, atol=1e-10)
+            assert np.allclose(basis_ops.y.to_dense() @ zero, 1j * one, atol=1e-10)
+            assert np.allclose(basis_ops.ident.to_dense() @ zero, zero, atol=1e-10)
 
     def test_squares_and_products(self):
         ops = logical_paulis_symbolic(*loop5_parts())
@@ -274,7 +274,7 @@ class TestAlgebraOnCodeSpace:
         three = np.array([0, r, r, 0], dtype=complex)
         for op in (ops.z, ops.x, ops.y):
             for ket in (two, three):
-                assert np.max(np.abs(op.apply(ket))) < 1e-12
+                assert np.max(np.abs(op.to_dense() @ ket)) < 1e-12
 
 
 class TestOperatorsOnly:
@@ -319,7 +319,7 @@ class TestRotatedZ:
             zt = rotated_z(ops, theta)
             psi = math.cos(theta / 2) * basis.zero_ket \
                 + math.sin(theta / 2) * basis.one_ket
-            assert np.max(np.abs(zt.apply(psi) - psi)) < 1e-10
+            assert np.max(np.abs(zt.to_dense() @ psi - psi)) < 1e-10
 
     def test_rotated_stabilizers_fix_the_eigenstate(self):
         basis = bell_basis()
@@ -331,8 +331,8 @@ class TestRotatedZ:
         xx = product(PauliSum.from_strings([("XI", 1.0)]), x2t)
         psi = math.cos(theta / 2) * basis.zero_ket \
             + math.sin(theta / 2) * basis.one_ket
-        assert np.max(np.abs(zz.apply(psi) - psi)) < 1e-10
-        assert np.max(np.abs(xx.apply(psi) - psi)) < 1e-10
+        assert np.max(np.abs(zz.to_dense() @ psi - psi)) < 1e-10
+        assert np.max(np.abs(xx.to_dense() @ psi - psi)) < 1e-10
 
 
 def test_json_serialization():

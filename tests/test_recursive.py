@@ -136,7 +136,7 @@ class TestLevelInvariants:
         zero, one = kets.zero_ket, kets.one_ket
         for op, ket, want in ((lv.z, zero, zero), (lv.z, one, -one), (lv.x, zero, one),
                               (lv.ident, zero, zero), (lv.ident, one, one)):
-            assert np.max(np.abs(op.apply(ket) - want)) < 1e-12
+            assert np.max(np.abs(op.to_dense() @ ket - want)) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_scaled_coefficients_are_unit(self, n):
@@ -165,8 +165,8 @@ class TestLevelInvariants:
 class TestFamilyCases:
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Counts of ``apply``, ``to_dense`` and ``top_eigenpair`` calls."""
-        counts = {"apply": 0, "to_dense": 0, "top_eigenpair": 0}
+        """Counts of ``to_dense`` and ``top_eigenpair`` calls."""
+        counts = {"to_dense": 0, "top_eigenpair": 0}
 
         def counted(name, real):
             def wrapper(*args, **kwargs):
@@ -174,8 +174,7 @@ class TestFamilyCases:
                 return real(*args, **kwargs)
             return wrapper
 
-        for name in ("apply", "to_dense"):
-            monkeypatch.setattr(PauliSum, name, counted(name, getattr(PauliSum, name)))
+        monkeypatch.setattr(PauliSum, "to_dense", counted("to_dense", PauliSum.to_dense))
         monkeypatch.setattr(bounds, "top_eigenpair",
                             counted("top_eigenpair", bounds.top_eigenpair))
         return counts
@@ -183,18 +182,18 @@ class TestFamilyCases:
     @staticmethod
     def check_members(n, calls):
         # past 8 qubits the quantum lower bound of a pseudo Pauli operator is
-        # read off its stabilizer structure, with no apply, no dense render
-        # and no eigh; the witness is a complex128 unit vector
+        # read off its stabilizer structure, with no dense render and no
+        # eigh; the witness is a complex128 unit vector
         for build, classical, quantum in (
                 (mermin_case, 2.0 ** (n // 2), 2.0 ** (n - 1)),
                 (svetlichny_case, 2.0 ** ((n + 1) // 2), 2.0 ** (n - 1) * math.sqrt(2))):
             case = build(n)
             assert classical_bounds(case.expression).maximum == classical
-            calls.update(apply=0, to_dense=0, top_eigenpair=0)
+            calls.update(to_dense=0, top_eigenpair=0)
             q, witness = quantum_lower_bound(case.operator)
             assert witness.dtype == np.complex128
             assert abs(np.linalg.norm(witness) - 1.0) <= 1e-12
-            assert calls == {"apply": 0, "to_dense": 0, "top_eigenpair": 0}
+            assert calls == {"to_dense": 0, "top_eigenpair": 0}
             assert abs(q - quantum) <= 1e-9 * quantum
             assert q <= dichotomic_term_bound(case.expression)
 
