@@ -65,7 +65,6 @@ from .stabilizer import (
     state_vector,
 )
 from .uncertainty import (
-    DirectionXZ,
     bell_op_xz,
     lemma_sweep,
     quadratic_bell,

@@ -47,7 +47,6 @@ from .recursive import mermin_case, scaled_value_fraction, svetlichny_case
 from .stabilizer import GraphSpec, basis_from_flip, bell_basis, graph_state_generators
 from .uncertainty import (
     DISC_BOUND,
-    DirectionXZ,
     QuadraticCase,
     lemma_sweep,
     quadratic_bell,
@@ -65,7 +64,6 @@ ROOT3 = math.sqrt(3.0)
 class RunConfig:
     seed: int = 7
     cap_qubits: int = DENSE_QUBIT_CAP
-    samples: int = 10000
 
     def case_seed(self, name: str) -> int:
         return (self.seed ^ zlib.crc32(name.encode())) & 0x7FFFFFFF
@@ -425,8 +423,7 @@ def _case_family(config: RunConfig, family: str, n: int) -> CaseResult:
 
 def _case_quadratic(config: RunConfig, variant: str) -> CaseResult:
     case = quadratic_bell(variant)
-    sweep = quadratic_quantum_sweep(case, samples=config.samples,
-                                    seed=config.case_seed(variant))
+    sweep = quadratic_quantum_sweep(case, seed=config.case_seed(variant))
     checks = [
         _exact("classical max of quadratic form", case.classical_max,
                case.bound, f"{case.bound:g}"),
@@ -442,13 +439,11 @@ def _case_quadratic(config: RunConfig, variant: str) -> CaseResult:
 
 
 def _case_uncertainty_sweep(config: RunConfig) -> CaseResult:
-    sw = uncertainty_sweep(samples=config.samples,
-                           seed=config.case_seed("uncertainty-sweep"))
-    lm = lemma_sweep(samples=config.samples,
-                     seed=config.case_seed("lemma-sweep"))
+    sw = uncertainty_sweep(seed=config.case_seed("uncertainty-sweep"))
+    lm = lemma_sweep(seed=config.case_seed("lemma-sweep"))
     ops = bell_logical_paulis()
     rho0 = np.outer(bell_basis().zero_ket, bell_basis().zero_ket.conj())
-    saturation = uncertainty_lhs(rho0, DirectionXZ(0.0), DirectionXZ(math.pi / 2), ops)
+    saturation = uncertainty_lhs(rho0, 0.0, math.pi / 2, ops)
     checks = [
         _at_most("relation sweep max", sw.max_lhs, DISC_BOUND, "8"),
         _at_most("lemma sweep max", lm.max_lhs, 1.0, "1", tol=1e-10),

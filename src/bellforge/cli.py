@@ -27,20 +27,16 @@ def _at_least(low: int):
     return parse
 
 
-def _shared_flags(parser: argparse.ArgumentParser, samples: bool = True) -> None:
+def _shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=_at_least(0), default=RunConfig.seed,
                         help="master RNG seed (a non-negative integer)")
     parser.add_argument("--cap-qubits", type=_at_least(1), default=RunConfig.cap_qubits,
                         help="qubit cap of dense renders and matrix-free bounds "
                              "(at least 1)")
-    if samples:
-        parser.add_argument("--samples", type=_at_least(1), default=RunConfig.samples,
-                            help="Monte-Carlo sample count for sweep cases (at least 1)")
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(seed=args.seed, cap_qubits=args.cap_qubits,
-                     samples=getattr(args, "samples", RunConfig.samples))
+    return RunConfig(seed=args.seed, cap_qubits=args.cap_qubits)
 
 
 def _cap_exceeded(exc: QubitCapError, args: argparse.Namespace) -> int:
@@ -153,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
     p_build.add_argument("--out", help="report JSON file (default stdout)")
     p_build.add_argument("--seesaw", action="store_true",
                          help="also run the see-saw heuristic")
-    _shared_flags(p_build, samples=False)
+    _shared_flags(p_build)
     p_build.set_defaults(func=cmd_build)
 
     p_list = sub.add_parser("list", help="list known case names")

@@ -32,21 +32,9 @@ _ZX_PRODUCTS = np.stack([np.kron(_PAULI_2X2[p], _PAULI_2X2[q])
                          for p in "ZX" for q in "ZX"])
 
 
-@dataclass(frozen=True)
-class DirectionXZ:
-    """Unit vector (sin theta, cos theta) in the xz plane."""
-
-    theta: float
-
-    @property
-    def vector(self) -> np.ndarray:
-        return np.array([math.sin(self.theta), math.cos(self.theta)])
-
-
-def bell_op_xz(ops: LogicalPaulis, d: DirectionXZ) -> PauliSum:
-    """2*sqrt2 * (sin t * logical X + cos t * logical Z)."""
-    s, c = math.sin(d.theta), math.cos(d.theta)
-    return 2 * math.sqrt(2) * ops.direction((s, 0.0, c))
+def bell_op_xz(ops: LogicalPaulis, theta: float) -> PauliSum:
+    """2*sqrt2 * (sin theta * logical X + cos theta * logical Z)."""
+    return 2 * math.sqrt(2) * ops.direction((math.sin(theta), 0.0, math.cos(theta)))
 
 
 def _ellipse(e1, e2, plus, minus):
@@ -54,21 +42,24 @@ def _ellipse(e1, e2, plus, minus):
     return (e1 + e2) ** 2 / plus + (e1 - e2) ** 2 / minus
 
 
-def _check_not_parallel(d1: DirectionXZ, d2: DirectionXZ) -> tuple[float, float]:
-    plus = float(np.linalg.norm(d1.vector + d2.vector)) ** 2
-    minus = float(np.linalg.norm(d1.vector - d2.vector)) ** 2
+def _check_not_parallel(theta1: float, theta2: float) -> tuple[float, float]:
+    d1 = np.array([math.sin(theta1), math.cos(theta1)])
+    d2 = np.array([math.sin(theta2), math.cos(theta2)])
+    plus = float(np.linalg.norm(d1 + d2)) ** 2
+    minus = float(np.linalg.norm(d1 - d2)) ** 2
     if plus < 1e-12 or minus < 1e-12:
         raise ValueError("directions are parallel or antiparallel")
     return plus, minus
 
 
-def uncertainty_lhs(rho: np.ndarray, d1: DirectionXZ, d2: DirectionXZ,
+def uncertainty_lhs(rho: np.ndarray, theta1: float, theta2: float,
                     ops: LogicalPaulis | None = None) -> float:
-    """Ellipse functional of the two Bell expectations; at most 8 for any state."""
+    """Ellipse functional of the Bell expectations at xz-plane angles theta1
+    and theta2; at most 8 for any state."""
     ops = ops or bell_logical_paulis()
-    plus, minus = _check_not_parallel(d1, d2)
-    b1 = bell_op_xz(ops, d1).expectation(rho)
-    b2 = bell_op_xz(ops, d2).expectation(rho)
+    plus, minus = _check_not_parallel(theta1, theta2)
+    b1 = bell_op_xz(ops, theta1).expectation(rho)
+    b2 = bell_op_xz(ops, theta2).expectation(rho)
     return _ellipse(b1, b2, plus, minus)
 
 

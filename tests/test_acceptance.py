@@ -51,7 +51,6 @@ from bellforge.stabilizer import (
     graph_state_generators,
 )
 from bellforge.uncertainty import (
-    DirectionXZ,
     lemma_sweep,
     quadratic_bell,
     quadratic_quantum_sweep,
@@ -296,7 +295,7 @@ def test_criterion_8_quadratic_uncertainty():
     nki_sweep = quadratic_quantum_sweep(nki, samples=10000, seed=SEED + 3)
     ops = logical_paulis_numeric(bell_basis())
     rho0 = np.outer(bell_basis().zero_ket, bell_basis().zero_ket.conj())
-    saturation = uncertainty_lhs(rho0, DirectionXZ(0.0), DirectionXZ(math.pi / 2), ops)
+    saturation = uncertainty_lhs(rho0, 0.0, math.pi / 2, ops)
     ok = (sw.max_lhs <= 8.0 + 1e-9
           and lm.max_lhs <= 1.0 + 1e-10
           and uff.classical_max == 4.0 and uff_sweep.max_lhs <= 4.0 + 1e-9

@@ -644,17 +644,6 @@ class TestCli:
         assert err.count("\n") == 1
         assert not out.parent.exists()
 
-    @pytest.mark.parametrize("command", ["verify", "table"])
-    @pytest.mark.parametrize("samples", ["0", "-3", "many"])
-    def test_samples_below_one_is_a_usage_error(self, capsys, command, samples):
-        argv = [command, "--samples", samples] + ["--case", "uffink"] * (command == "verify")
-        with pytest.raises(SystemExit) as exc:
-            cli_main(argv)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("usage: ")
-        assert f"argument --samples: must be an integer of at least 1, got '{samples}'" in err
-
     @pytest.mark.parametrize("command", ["verify", "table", "build"])
     @pytest.mark.parametrize("seed", ["-1", "1.5", "many"])
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, command, seed):
@@ -686,13 +675,14 @@ class TestCli:
         assert ("argument --cap-qubits: must be an integer of at least 1, "
                 f"got '{argv[-1]}'") in err
 
-    def test_build_has_no_samples_flag(self, tmp_path, capsys):
+    def test_no_command_has_a_samples_flag(self, tmp_path, capsys):
         cfg = tmp_path / "recipe.json"
         cfg.write_text(json.dumps(LOOP5_RECIPE))
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["build", "--config", str(cfg), "--samples", "5"])
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --samples 5" in capsys.readouterr().err
+        for argv in (["verify", "--all"], ["table"], ["build", "--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                cli_main(argv + ["--samples", "5"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --samples 5" in capsys.readouterr().err
 
     @staticmethod
     def _module_env() -> dict:

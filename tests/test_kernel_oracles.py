@@ -825,7 +825,7 @@ def render_cases(rng):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cases, "render_terms", recorded)
-        run_cases(case_names(), cases.RunConfig(samples=100))
+        run_cases(case_names(), cases.RunConfig())
     assert len(seen) == 11
     for recipe in graph_recipes(rng)[::3]:
         logical_form = build_logical(recipe)

@@ -27,8 +27,6 @@ LETTER_KEYS = [(party, label, letter) for party in range(8)
 STRATEGY_SIZES = range(1, 7)
 CHAINED_SIZES = range(2, 7)
 
-# the catalog's Monte-Carlo cases take fewer samples; no construction depends on it
-QUICK = RunConfig(samples=500)
 DATA = Path(__file__).resolve().parent / "data"
 
 
@@ -101,7 +99,7 @@ class TestBuiltOnce:
         decompose = _count_calls(monkeypatch, logical, "pauli_decompose")
         symbolic = _count_calls(monkeypatch, logical, "logical_paulis_symbolic")
         expand = _count_calls(monkeypatch, recursive, "expand_operator")
-        run_cases(case_names(), QUICK)
+        run_cases(case_names(), RunConfig())
         # Bell and GHZ3 bases, four operators each; one loop-5 code; levels
         # 2..8, four operators each
         assert len(decompose) <= 8
@@ -119,7 +117,7 @@ class TestBuiltOnce:
             if mod_name.split(".")[0] == "bellforge" and \
                     getattr(mod, "dense_stack", None) is dense_stack:
                 monkeypatch.setattr(mod, "dense_stack", counted_dense_stack)
-        run_cases(case_names(), QUICK)
+        run_cases(case_names(), RunConfig())
         assert (decompose, symbolic, expand) == ([], [], [])
         # 48 matrices in 31 kernel passes: chsh and chained:2..6 render their
         # operator and logical form in one pass, for the pipeline identity,
@@ -128,12 +126,12 @@ class TestBuiltOnce:
         assert (len(passes), sum(passes)) == (31, 48)
 
     def test_bounds_step_runs_what_each_row_asks_for(self, monkeypatch):
-        run_cases(case_names(), QUICK)
+        run_cases(case_names(), RunConfig())
         sos = _record_calls(monkeypatch, "sos_pairing_search",
                             lambda terms, claimed_bound: len(terms))
         seesaw = _record_calls(monkeypatch, "seesaw_optimize",
                                lambda expr, restarts, seed, cap: restarts)
-        run_cases(case_names(), QUICK)
+        run_cases(case_names(), RunConfig())
         # chsh and svetlichny3 search their 4 and 8 terms; chsh, l5-svetlichny
         # and l5-hyper run the see-saw with 8, 6 and 6 restarts
         assert (sos, seesaw) == ([4, 8], [8, 6, 6])
@@ -143,11 +141,11 @@ class TestBuiltOnce:
                                             ("loop5", False, ([], []))):
             del sos[:], seesaw[:]
             recipe = BellRecipe.from_dict(json.loads((DATA / f"{name}.json").read_text()))
-            build_report(recipe, QUICK, with_seesaw)
+            build_report(recipe, RunConfig(), with_seesaw)
             assert (sos, seesaw) == expected, name
 
     def test_warm_catalog_pass_stays_batched(self, monkeypatch):
-        run_cases(case_names(), QUICK)
+        run_cases(case_names(), RunConfig())
         requested, checked, kernel_calls = set(), [], []
         cached_setting = bell._letter_setting
 
@@ -176,7 +174,7 @@ class TestBuiltOnce:
             return kernel(n, x_masks, *args, **kwargs)
 
         monkeypatch.setattr(pauli, "_signed_permutation", counted_kernel)
-        run_cases(case_names(), QUICK)
+        run_cases(case_names(), RunConfig())
         assert len(requested) >= 10 and checked
         assert not requested & set(checked)
         assert any(terms > 1 for terms, _ in kernel_calls)
@@ -207,7 +205,7 @@ class TestBuiltOnce:
     def test_catalog_pass_leaves_shared_objects_unchanged(self):
         objects = _cached_objects()
         before = [_snapshot(obj) for obj in objects]
-        run_cases(case_names(), QUICK)
+        run_cases(case_names(), RunConfig())
         assert all(a is b for a, b in zip(_cached_objects(), objects))
         assert [_snapshot(obj) for obj in objects] == before
 

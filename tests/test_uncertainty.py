@@ -1,5 +1,6 @@
 """Uncertainty relation for Bell operator pairs and quadratic inequalities."""
 
+import inspect
 import math
 import tracemalloc
 from functools import partial
@@ -21,7 +22,6 @@ from helpers import (
 )
 from bellforge.uncertainty import (
     DISC_BOUND,
-    DirectionXZ,
     SweepResult,
     _ZX_PRODUCTS,
     _check_not_parallel,
@@ -54,27 +54,27 @@ def lemma_check(a1, a2, rho: np.ndarray) -> float:
     return _ellipse(e1, e2, plus, minus)
 
 
-def square_in_disc_check(d1: DirectionXZ, d2: DirectionXZ
+def square_in_disc_check(theta1: float, theta2: float
                          ) -> tuple[bool, float, list[tuple[float, float]]]:
     """All LHV vertices of the symbolized operator pair satisfy the ellipse bound.
 
     For orthogonal directions the ellipse is the disc x^2 + y^2 <= 8 and the
     extreme classical points sit exactly on the circle.
     """
-    plus, minus = _check_not_parallel(d1, d2)
+    plus, minus = _check_not_parallel(theta1, theta2)
     root2 = math.sqrt(2)
     A = [(0, "A"), (0, "B"), (1, "A"), (1, "B")]
     a1, b1, a2, b2 = A
 
-    def expr_for(d: DirectionXZ) -> BellExpression:
-        s, c = math.sin(d.theta), math.cos(d.theta)
+    def expr_for(theta: float) -> BellExpression:
+        s, c = math.sin(theta), math.cos(theta)
         # 2*sqrt2*(sin*X + cos*Z) on the Bell basis, symbols Z->A, X->B
         return BellExpression(2, {
             (a1, a2): root2 * c, (b1, b2): root2 * c,
             (a1, b2): root2 * s, (b1, a2): -root2 * s,
         })
 
-    e1, e2 = expr_for(d1), expr_for(d2)
+    e1, e2 = expr_for(theta1), expr_for(theta2)
     vertices = list(zip(*_pair_vertices(e1, e2).tolist()))
     worst = max(_ellipse(x, y, plus, minus) for x, y in vertices)
     return worst <= DISC_BOUND + 1e-9, worst, vertices
@@ -92,35 +92,33 @@ def bell_state_density():
 
 class TestBellOpXZ:
     def test_zero_angle(self):
-        op = bell_op_xz(bell_ops(), DirectionXZ(0.0))
+        op = bell_op_xz(bell_ops(), 0.0)
         assert dict(op.to_strings()) == pytest.approx({"XX": ROOT2, "ZZ": ROOT2})
 
     def test_quarter_turn(self):
-        op = bell_op_xz(bell_ops(), DirectionXZ(math.pi / 2))
+        op = bell_op_xz(bell_ops(), math.pi / 2)
         assert sums_match(op, 2 * ROOT2 * bell_ops().x, atol=1e-12)
 
     def test_diagonal(self):
-        op = bell_op_xz(bell_ops(), DirectionXZ(math.pi / 4))
+        op = bell_op_xz(bell_ops(), math.pi / 4)
         want = 2.0 * (bell_ops().x + bell_ops().z)
         assert sums_match(op, want, atol=1e-12)
 
 
 class TestUncertaintyLHS:
     def test_saturation_on_bell_state(self):
-        lhs = uncertainty_lhs(bell_state_density(), DirectionXZ(0.0),
-                              DirectionXZ(math.pi / 2), bell_ops())
+        lhs = uncertainty_lhs(bell_state_density(), 0.0, math.pi / 2, bell_ops())
         assert abs(lhs - 8.0) < 1e-8
 
     def test_maximally_mixed(self):
-        lhs = uncertainty_lhs(np.eye(4) / 4, DirectionXZ(0.0),
-                              DirectionXZ(math.pi / 2), bell_ops())
+        lhs = uncertainty_lhs(np.eye(4) / 4, 0.0, math.pi / 2, bell_ops())
         assert abs(lhs) < 1e-12
 
     def test_parallel_rejected(self):
         with pytest.raises(ValueError):
-            uncertainty_lhs(np.eye(4) / 4, DirectionXZ(0.3), DirectionXZ(0.3))
+            uncertainty_lhs(np.eye(4) / 4, 0.3, 0.3)
         with pytest.raises(ValueError):
-            uncertainty_lhs(np.eye(4) / 4, DirectionXZ(0.0), DirectionXZ(math.pi))
+            uncertainty_lhs(np.eye(4) / 4, 0.0, math.pi)
 
     def test_sweep_respects_bound(self):
         sw = uncertainty_sweep(samples=10000, seed=123)
@@ -134,13 +132,13 @@ class TestUncertaintyLHS:
             ra = random_density(rng, 2)
             rb = random_density(rng, 2)
             rho = np.kron(ra, rb)
-            lhs = uncertainty_lhs(rho, DirectionXZ(0.0), DirectionXZ(math.pi / 2), ops)
+            lhs = uncertainty_lhs(rho, 0.0, math.pi / 2, ops)
             worst = max(worst, lhs)
         assert worst <= 4.0 + 1e-9
 
     def test_population_outside_code_space_never_helps(self):
         ops = bell_ops()
-        op = bell_op_xz(ops, DirectionXZ(0.7))
+        op = bell_op_xz(ops, 0.7)
         rho_code = bell_state_density()
         r = 1 / ROOT2
         two = np.array([r, 0, 0, -r], dtype=complex)
@@ -308,14 +306,13 @@ class TestQuadratic:
 
 class TestSquareInDisc:
     def test_orthogonal_pair(self):
-        ok, worst, vertices = square_in_disc_check(DirectionXZ(0.0),
-                                                   DirectionXZ(math.pi / 2))
+        ok, worst, vertices = square_in_disc_check(0.0, math.pi / 2)
         assert ok
         assert abs(worst - 8.0) < 1e-9      # extreme points exactly on the circle
         assert len(vertices) == 16
 
     def test_non_orthogonal_pair(self):
-        ok, worst, _ = square_in_disc_check(DirectionXZ(0.3), DirectionXZ(1.2))
+        ok, worst, _ = square_in_disc_check(0.3, 1.2)
         assert ok
         assert worst <= 8.0 + 1e-9
 
@@ -404,10 +401,12 @@ SWEEP_NAMES = ["relation", "lemma", "uffink", "nki"]
 class TestSweepsAgainstDensityRoute:
     @pytest.mark.parametrize("name", SWEEP_NAMES)
     def test_same_argmax_and_maximum(self, name):
-        # seeds 0-19, then the seed the seed-7 catalog row runs at its samples
+        # seeds 0-19, then the seed the seed-7 catalog row runs at, with the
+        # sweep's default sample count, which the row uses
         sweep, oracle, seed_name = sweep_pair(name)
         runs = [(4000, seed) for seed in range(20)]
-        runs.append((RunConfig().samples, RunConfig().case_seed(seed_name)))
+        runs.append((inspect.signature(sweep).parameters["samples"].default,
+                     RunConfig().case_seed(seed_name)))
         for samples, seed in runs:
             got, want = sweep(samples=samples, seed=seed), oracle(samples, seed)
             assert got.argmax == want.argmax, (name, seed)
