@@ -460,15 +460,26 @@ def _accumulate_product(a: PauliSum, b: PauliSum, scale: complex,
             acc[k] = acc.get(k, 0j) + scale * ca * cb * _I_POW[phase]
 
 
-def _realize(acc: dict[tuple[int, int], complex], n: int) -> PauliSum:
+def _realize(acc: dict[tuple[int, int], complex], a: PauliSum, b: PauliSum,
+             scale: complex) -> PauliSum:
+    """The real sum of ``acc``, which holds products ``scale * a_i * b_j``.
+
+    An imaginary part is rounding when it is small against the real part or,
+    since those products can cancel, against their size |scale| sum|a| sum|b|.
+    """
+    size = None
     terms: dict[tuple[int, int], float] = {}
     for k, c in acc.items():
         if abs(c.imag) > 1e-10 * max(1.0, abs(c.real)):
-            raise ValueError(
-                "operator combination is not Hermitian with real coefficients "
-                f"(term {k} has coefficient {c})")
+            if size is None:
+                size = abs(scale) * sum(map(abs, a._terms.values())) \
+                    * sum(map(abs, b._terms.values()))
+            if abs(c.imag) > 1e-10 * size:
+                raise ValueError(
+                    "operator combination is not Hermitian with real coefficients "
+                    f"(term {k} has coefficient {c})")
         terms[k] = c.real
-    return PauliSum(n, terms)
+    return PauliSum(a.n, terms)
 
 
 def product(a: PauliSum, b: PauliSum, scale: complex = 1.0) -> PauliSum:
@@ -479,7 +490,7 @@ def product(a: PauliSum, b: PauliSum, scale: complex = 1.0) -> PauliSum:
     """
     acc: dict[tuple[int, int], complex] = {}
     _accumulate_product(a, b, scale, acc)
-    return _realize(acc, a.n)
+    return _realize(acc, a, b, scale)
 
 
 def anticommutator_sum(p: PauliSum, q: PauliSum) -> PauliSum:
@@ -487,7 +498,7 @@ def anticommutator_sum(p: PauliSum, q: PauliSum) -> PauliSum:
     acc: dict[tuple[int, int], complex] = {}
     _accumulate_product(p, q, 1.0, acc)
     _accumulate_product(q, p, 1.0, acc)
-    return _realize(acc, p.n)
+    return _realize(acc, p, q, 2.0)
 
 
 def check_hermitian(m: np.ndarray) -> np.ndarray:

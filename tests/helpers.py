@@ -438,7 +438,7 @@ def product_by_terms(a: PauliSum, b: PauliSum, scale: complex = 1.0) -> PauliSum
         for tb, cb in b.items():
             t = ta * tb
             acc[t.key()] = acc.get(t.key(), 0j) + scale * ca * cb * _I_POW[t.phase_exp]
-    return _realize(acc, a.n)
+    return _realize(acc, a, b, scale)
 
 
 def render_terms_by_products(expr: BellExpression,

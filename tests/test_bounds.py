@@ -1,8 +1,10 @@
 """Classical enumeration, eigen bounds, SOS certificates, see-saw."""
 
+import json
 import math
 import tracemalloc
 from itertools import product as iter_product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ import pytest
 from bellforge import bounds, cases
 from bellforge.bell import (
     BellExpression,
+    BellRecipe,
+    build_logical,
     chained_construction,
     complementary_decompose,
     render_operator,
@@ -34,6 +38,8 @@ from bellforge.recursive import mermin_case, svetlichny_case
 from bellforge.stabilizer import GraphSpec, bell_basis, ghz3_basis, graph_state_generators
 from bellforge.uncertainty import quadratic_bell
 from helpers import bits, classical_bounds_bruteforce, evaluate, loop5_basis, vertex_blocks_one
+
+DATA = Path(__file__).resolve().parent / "data"
 
 ROOT2 = math.sqrt(2)
 
@@ -225,19 +231,25 @@ class TestVertexPass:
                 assert cb.witness_min == bounds._assignment_from_rank(lo, symbols)
 
     def test_catalog_extrema_do_not_depend_on_the_contraction_order(self, monkeypatch):
-        # every catalog row's coefficients are integers after the snap, so
-        # every partial sum is exact: reversed and shuffled term orders give
-        # the default pass's extrema and witnesses at three block sizes, the
-        # smallest on rows of up to 12 symbols (ghz3-unsnapped's
-        # coefficients are not integers, and its order is not free)
+        # every catalog row's coefficients, and those of the exact golden
+        # recipes, are integers after the snap, so every partial sum is exact:
+        # reversed and shuffled term orders give the default pass's extrema
+        # and witnesses at four block sizes, the two smallest on expressions
+        # of up to 12 and 10 symbols (ghz3-unsnapped's and graph2-sos-failed's
+        # coefficients are not integers, and their order is not free)
         rng = np.random.default_rng(2607)
         exprs = catalog_expressions(monkeypatch)
+        for name in ("loop5", "bell-complementary", "chained3", "empty4-sos-failed"):
+            recipe = BellRecipe.from_dict(json.loads((DATA / f"{name}.json").read_text()))
+            exprs.append(cases._derive(build_logical(recipe), recipe.decomposition,
+                                       recipe.symbols).expression)
         default = [classical_bounds(expr) for expr in exprs]
         runs = 0
-        for block in (1 << 20, 1 << 12, 1 << 7):
+        for block, most_symbols in ((1 << 20, None), (1 << 12, None), (1 << 7, 12),
+                                    (1 << 4, 10)):
             monkeypatch.setattr(bounds, "VERTEX_BLOCK", block)
             for expr, want in zip(exprs, default):
-                if block == 1 << 7 and len(expr.symbols) > 12:
+                if most_symbols is not None and len(expr.symbols) > most_symbols:
                     continue
                 index, coeffs = expr.factor_table()
                 for order in (np.arange(coeffs.size)[::-1], rng.permutation(coeffs.size)):
@@ -249,7 +261,7 @@ class TestVertexPass:
                     assert (cb.witness_max, cb.witness_min) == \
                         (want.witness_max, want.witness_min), str(expr)
                     runs += 1
-        assert len(exprs) == 24 and runs == 128
+        assert len(exprs) == 28 and runs == 182
 
     def test_flat_offsets_match_frozen_kernel(self):
         # parties of 1, 3 and 11 settings (11 spans two axes of at most

@@ -20,7 +20,7 @@ from bellforge.cases import (
     run_cases,
 )
 import bellforge
-from bellforge import bell, bounds, cases
+from bellforge import bell, bounds, cases, cli
 from bellforge.cli import main as cli_main
 from bellforge.pauli import PauliSum
 from bellforge.uncertainty import QuadraticCase
@@ -544,11 +544,14 @@ class TestCli:
         ("symbol", {"Z": "Q"}, "recipe has unknown field 'symbol'"),
         # every term of k . L falls to COEFF_PRUNE
         ("beta_q", 1e-14, "beta_q 1e-14 scales 2 of the 2 terms of k . L"),
+        # the complementary rewrite would not read the recipe's symbols
+        ("decomposition", {"kind": "complementary", "pivot": 1},
+         "complementary decomposition takes no symbols, got {'Z': 'Q', 'X': 'R'}"),
     ])
     def test_build_rejects_bad_recipe_field(self, tmp_path, capsys, field, value,
                                             message):
         recipe = {"basis": {"kind": "bell"}, "k": [0, 0, 1], "beta_q": 2.0,
-                  field: value}
+                  "symbols": {"Z": "Q", "X": "R"}, field: value}
         cfg = tmp_path / "recipe.json"
         cfg.write_text(json.dumps(recipe))
         assert cli_main(["build", "--config", str(cfg)]) == 2
@@ -561,8 +564,9 @@ class TestCli:
         # the X_L terms, 0.15 beta_q each, fall to COEFF_PRUNE: the report
         # would cover the Z_L terms alone
         (6e-14, "recipe error in {cfg}: beta_q 6e-14 scales 4 of the 8 terms of k . L"),
-        # the dichotomic bound overflows, and JSON has no Infinity
-        (1.7976931348623157e308, "pipeline error: dichotomic_bound is inf, not a finite number"),
+        # the terms' sum of |coefficients| overflows
+        (1.7976931348623157e308, "recipe error in {cfg}: beta_q 1.7976931348623157e+308 "
+                                 "scales the terms of k . L to a sum of |coefficients| of inf"),
     ])
     def test_build_rejects_beta_q_at_either_end_of_the_float_range(self, tmp_path, capsys,
                                                                    beta_q, message):
@@ -573,6 +577,48 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert message.format(cfg=cfg) in captured.err
+
+    @pytest.mark.parametrize("recipe,flags", [
+        # the see-saw's Bloch-update norm overflowed and it read 0.0
+        ({"basis": {"kind": "bell"}, "k": [0.6, 0, 0.8], "beta_q": 1e155}, ["--seesaw"]),
+        # a pivot direction's norm overflowed into a wrong error
+        ({"basis": {"kind": "bell"}, "k": [0, 0, 1], "beta_q": 1e200,
+          "decomposition": {"kind": "complementary", "pivot": 1}}, []),
+    ], ids=["bell-1e155-seesaw", "bell-complementary-1e200"])
+    def test_build_rejects_beta_q_whose_squares_overflow(self, tmp_path, capsys, recipe,
+                                                         flags):
+        cfg = tmp_path / "recipe.json"
+        cfg.write_text(json.dumps(recipe))
+        assert cli_main(["build", "--config", str(cfg)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"recipe error in {cfg}: beta_q {recipe['beta_q']!r} scales the terms of "
+                "k . L to a sum of |coefficients| of ") in captured.err
+        assert "above 2^500" in captured.err
+
+    @pytest.mark.parametrize("beta_q", [1e4, 1e8])
+    def test_build_complementary_recipe_at_large_beta_q(self, tmp_path, capsys, beta_q):
+        # the SOS search's anticommutators sum products of size beta_q^2 that
+        # cancel, leaving rounding far above 1e-10 in their imaginary parts
+        recipe = {"basis": {"kind": "bell"}, "k": [0.6, 0, 0.8], "beta_q": beta_q,
+                  "decomposition": {"kind": "complementary", "pivot": 1}}
+        cfg = tmp_path / "recipe.json"
+        cfg.write_text(json.dumps(recipe))
+        assert cli_main(["build", "--config", str(cfg)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["quantum_lower"] == pytest.approx(beta_q, rel=1e-12)
+
+    def test_build_rejects_a_report_number_that_is_not_finite(self, tmp_path, monkeypatch,
+                                                              capsys):
+        # JSON has no Infinity; a recipe in range never reaches this
+        monkeypatch.setattr(cli, "build_report",
+                            lambda *args: {"classical_max": 1.0, "dichotomic_bound": math.inf})
+        cfg = tmp_path / "recipe.json"
+        cfg.write_text(json.dumps(LOOP5_RECIPE))
+        assert cli_main(["build", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "pipeline error: dichotomic_bound is inf, not a finite number\n"
 
     @pytest.mark.parametrize("recipe,message", [
         ({"basis": {"kind": "graph", "graph": 5, "flip": "ZZZZZ"}},

@@ -186,8 +186,9 @@ class TestSums:
     def test_non_hermitian_product_rejected(self):
         x = PauliSum.from_strings([("X", 1.0)])
         z = PauliSum.from_strings([("Z", 1.0)])
-        with pytest.raises(ValueError):
-            product(x, z)          # X Z = -iY alone is not Hermitian
+        for beta in (1.0, 1e4, 1e8):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                product(beta * x, beta * z)     # X Z = -iY alone is not Hermitian
         assert product(x, z, scale=1j).to_strings() == [("Y", 1.0)]
 
     def test_dense_identity_and_y(self):
