@@ -38,9 +38,8 @@ from .pauli import (
 from .stabilizer import GraphSpec, graph_state_generators
 
 DICHOTOMY_ATOL = 1e-12
-# largest sum of |coefficients| of a recipe's beta_q (k . L): the squares a
-# report takes of such sums (Bloch norms, anticommutators, see-saw updates)
-# stay finite, also after the complementary rewrite's factor of at most sqrt 2
+# largest sum|c| of a recipe's beta_q (k . L): the squares a report takes of such
+# sums stay finite, also after the complementary rewrite's factor of at most sqrt 2
 MAX_COEFF_SUM = 2.0 ** 500
 
 
@@ -589,14 +588,12 @@ class BellRecipe:
                                  "Bell-state basis")
             if data.get("k", [0, 0, 1]) != [0, 0, 1]:
                 raise ValueError(f"chained decomposition needs k = [0, 0, 1], got {data['k']!r}")
-            for name in ("beta_q", "symbols"):
-                if name in data:
-                    raise ValueError(f"chained decomposition takes no {name}, "
-                                     f"got {data[name]!r}")
-        if decomposition.get("kind") == "complementary" and "symbols" in data:
-            # the rewrite labels its settings A, A', ... by party
-            raise ValueError("complementary decomposition takes no symbols, "
-                             f"got {data['symbols']!r}")
+        # both label their own settings, and a chained one brings its own bound
+        unread = {"chained": ("beta_q", "symbols"), "complementary": ("symbols",)}
+        for name in unread.get(decomposition.get("kind"), ()):
+            if name in data:
+                raise ValueError(f"{decomposition['kind']} decomposition takes no {name}, "
+                                 f"got {data[name]!r}")
         symbols = data.get("symbols", {"Z": "A", "X": "B", "Y": "C"})
         if not (isinstance(symbols, dict) and set(symbols) <= {"X", "Y", "Z"}
                 and all(isinstance(name, str) for name in symbols.values())
@@ -607,16 +604,14 @@ class BellRecipe:
         beta_q = float(2 ** (ops.n - 1) * np.sum(np.abs(k)) if beta_raw == "auto"
                        else beta_raw)
         direction = ops.direction(k)
-        scaled = beta_q * direction
-        lost = len(direction) - len(scaled)
+        lost = len(direction) - len(beta_q * direction)
         if lost:
             raise ValueError(f"beta_q {beta_q!r} scales {lost} of the {len(direction)} "
                              f"terms of k . L to {COEFF_PRUNE} or less, which drops them")
-        weight = sum(map(abs, scaled._terms.values()))
+        weight = beta_q * sum(map(abs, direction._terms.values()))
         if not weight <= MAX_COEFF_SUM:
             raise ValueError(f"beta_q {beta_q!r} scales the terms of k . L to a sum of "
-                             f"|coefficients| of {weight:g}, above 2^500, where their "
-                             "squares overflow")
+                             f"|coefficients| of {weight:g} > 2^500, whose square overflows")
         return cls(
             ops=ops,
             k=(float(k[0]), float(k[1]), float(k[2])),

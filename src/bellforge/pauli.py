@@ -462,11 +462,9 @@ def _accumulate_product(a: PauliSum, b: PauliSum, scale: complex,
 
 def _realize(acc: dict[tuple[int, int], complex], a: PauliSum, b: PauliSum,
              scale: complex) -> PauliSum:
-    """The real sum of ``acc``, which holds products ``scale * a_i * b_j``.
-
-    An imaginary part is rounding when it is small against the real part or,
-    since those products can cancel, against their size |scale| sum|a| sum|b|.
-    """
+    """The real sum of the products ``scale * a_i * b_j`` in ``acc``. An imaginary
+    part is rounding when small against the real part or, as those products can
+    cancel, against their size |scale| sum|a| sum|b|."""
     size = None
     terms: dict[tuple[int, int], float] = {}
     for k, c in acc.items():

@@ -43,8 +43,7 @@ def _ellipse(e1, e2, plus, minus):
 
 
 def _check_not_parallel(theta1: float, theta2: float) -> tuple[float, float]:
-    d1 = np.array([math.sin(theta1), math.cos(theta1)])
-    d2 = np.array([math.sin(theta2), math.cos(theta2)])
+    d1, d2 = (np.array([math.sin(t), math.cos(t)]) for t in (theta1, theta2))
     plus = float(np.linalg.norm(d1 + d2)) ** 2
     minus = float(np.linalg.norm(d1 - d2)) ** 2
     if plus < 1e-12 or minus < 1e-12:
@@ -54,8 +53,7 @@ def _check_not_parallel(theta1: float, theta2: float) -> tuple[float, float]:
 
 def uncertainty_lhs(rho: np.ndarray, theta1: float, theta2: float,
                     ops: LogicalPaulis | None = None) -> float:
-    """Ellipse functional of the Bell expectations at xz-plane angles theta1
-    and theta2; at most 8 for any state."""
+    """Ellipse functional of the two Bell expectations; at most 8 for any state."""
     ops = ops or bell_logical_paulis()
     plus, minus = _check_not_parallel(theta1, theta2)
     b1 = bell_op_xz(ops, theta1).expectation(rho)

@@ -594,7 +594,7 @@ class TestCli:
         assert captured.out == ""
         assert (f"recipe error in {cfg}: beta_q {recipe['beta_q']!r} scales the terms of "
                 "k . L to a sum of |coefficients| of ") in captured.err
-        assert "above 2^500" in captured.err
+        assert "> 2^500, whose square overflows" in captured.err
 
     @pytest.mark.parametrize("beta_q", [1e4, 1e8])
     def test_build_complementary_recipe_at_large_beta_q(self, tmp_path, capsys, beta_q):
