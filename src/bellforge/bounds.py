@@ -24,8 +24,12 @@ operator up to 8 qubits, takes ``top_eigenpair`` of its dense render, whose
 value and vector are ``eigh``'s bit for bit, so every catalog row keeps its
 digits. From 64 rows up it runs ``eigh``'s LAPACK steps but back-transforms
 one eigenvector, not all of them: ``mermin:8`` and ``svetlichny:8`` solve in
-less than half of ``eigh``'s time (one BLAS thread). The see-saw's 32 x 32
-and smaller solves stay on ``eigh``.
+less than half of ``eigh``'s time (one BLAS thread). A see-saw call on more
+than 25 rows (n >= 5) builds one ``lapack_solver`` as it starts and passes
+it to every state step's ``top_eigenpair``, so the route's buffers,
+workspace query and ctypes arguments are made once per call; a 32-row solve
+then costs less than ``eigh``'s. Its 16-row and smaller solves stay on
+``eigh``, as the route has ``eigh``'s bits only above 25 rows.
 
 The see-saw heuristic re-renders the Bell operator, and each symbol's
 leave-one-out operator, after every setting update. A symbol's leave-one-out
@@ -47,7 +51,13 @@ at most ``_RENDER_CHUNK_BYTES`` of terms, so memory stays a few operators
 whatever the term count; the product buffers are allocated once per see-saw
 call. Each operator's terms are summed in order into its own row of one
 array, and the rows are transposed to (row, col) layout and written into the
-stack once per render. The products and the sums follow a per-term Kronecker
+stack once per render. Where a party's operators each sum a run of the same
+number of terms and a chunk holds at least one run, its chunks are cut to
+whole runs and each chunk's are summed by one ``np.add.reduce`` over the
+run axis of a (operators, run, entries) view: that axis is not the
+innermost, so the reduction adds term after term from +0.0, as a running
+sum does. Every other plan carries each operator's running sum across
+chunks. The products and the sums follow a per-term Kronecker
 chain, so the operators are bit-identical to it: dropping an identity factor
 changes at most the sign of a zero, and a party's sums start from +0.0, so
 every zero reads +0.0 in both. A plan whose coefficients are all +1 or -1,
@@ -95,6 +105,7 @@ from .pauli import (
     anticommutator_sum,
     dense_stack,
     fix_global_phase,
+    lapack_solver,
     top_eigenpair,
 )
 from .stabilizer import _code_state, _gf2_echelon, _grow_group
@@ -581,8 +592,11 @@ def _render(plan, mats: np.ndarray, work=None) -> np.ndarray:
     the row is added into the operator's first term there and the terms are
     reduced back into it. The reduction starts from -0.0, which, unlike
     ``np.add.reduce``'s default +0.0, leaves a -0.0 entry as the Kronecker
-    chain has it. After the last chunk the rows are transposed to (row, col)
-    layout in one copy. A party plan's operators are rendered on the other
+    chain has it. A party plan whose operators sum equal runs of terms, a
+    chunk holding at least one run, instead takes chunks of whole runs and
+    reduces each chunk's runs into their rows at once, from +0.0, the start
+    its running sums would have. After the last chunk the rows are
+    transposed to (row, col) layout in one copy. A party plan's operators are rendered on the other
     parties and written into both diagonal blocks of the party's axis, one
     assignment each; the other blocks stay +0.0, as the Kronecker chain has
     them there (its party sums start from +0.0 and never return -0.0).
@@ -596,12 +610,18 @@ def _render(plan, mats: np.ndarray, work=None) -> np.ndarray:
     term_size = 4 ** m
     products = work if work is not None else _render_workspace([plan], restarts)
     factors = np.take(mats, index, axis=1).reshape(restarts * n_terms, m, 2, 2)
+    chunk, s = _chunk_terms(term_size), 0
+    # equal runs of at most a chunk: chunks of whole runs, one reduction each
+    run = ends[0] if party is not None and ends else 0
+    if run and run <= chunk and ends == list(range(run, run * len(ends) + 1, run)):
+        chunk -= chunk % run
+    else:
+        run = 0
     coeffs = np.concatenate([coeffs] * restarts)
     ends = [r * n_terms + end for r in range(restarts) for end in ends]
     sums = np.zeros((len(ends), term_size), dtype=complex)
     if constant:
         sums[:] = constant * _party_major_products(mats[:1, np.zeros(n, np.intp)])[0]
-    chunk, s = _chunk_terms(term_size), 0
     for lo in range(0, len(factors), chunk):
         if unit:
             terms = _party_major_products(factors[lo:lo + chunk], products,
@@ -609,6 +629,12 @@ def _render(plan, mats: np.ndarray, work=None) -> np.ndarray:
         else:
             terms = _party_major_products(factors[lo:lo + chunk], products)
             terms *= coeffs[lo:lo + chunk, None]
+        if run:
+            # sequential from +0.0, as the carried sums: ((+0 + t0) + t1) + ...
+            k = len(terms) // run
+            np.add.reduce(terms.reshape(k, run, term_size), axis=1, initial=0j,
+                          out=sums[lo // run:lo // run + k])
+            continue
         hi = lo + len(terms)
         a = lo
         while a < hi:
@@ -692,7 +718,7 @@ def seesaw_optimize(expr: BellExpression, restarts: int = 16, seed: int = 0,
             plans.append(_render_plan(expr, symbols, party=p))
     most = max((len(slots) for _, slots in parties), default=1)
     batch = min(n_restarts, max(1, _SEESAW_BATCH_BYTES // (16 * dim * dim * most)))
-    work = _render_workspace(plans, batch)
+    work, solver = _render_workspace(plans, batch), lapack_solver(dim)
     # restart r's factors are mats[r], the identity first
     blochs = _starting_blochs(symbols, n_restarts, seed)
     mats = np.empty((n_restarts, width, 2, 2), dtype=complex)
@@ -705,7 +731,7 @@ def seesaw_optimize(expr: BellExpression, restarts: int = 16, seed: int = 0,
         active = np.arange(first, min(first + batch, n_restarts))
         operators = _render(plans[0], mats[active], work)
         while len(active):
-            states = [top_eigenpair(operator)[1] for operator in operators]
+            states = [top_eigenpair(operator, work=solver)[1] for operator in operators]
             del operators  # free before the party renders, to keep a sweep's peak
             kets = np.stack(states)
             rho = kets[:, :, None] * kets.conj()[:, None, :]

@@ -33,10 +33,15 @@ library, and back-transforms only the last eigenvector instead of all N
 (O(N^2) in place of O(N^3)). On the recursive family, with one BLAS thread,
 that is 1.4x faster at 64 rows, 1.8x at 128 and 2.1-2.4x at 256. Below 64
 rows ``eigh`` itself runs: its fixed cost is lower (4 rows: 0.01 ms against
-0.05 ms), the two tie at 32 and the route wins from 48. With more
-than one BLAS thread the value still equals ``eigh``'s, but from 128 rows up
-the vector can differ from it in the last bit, as ``eigh``'s own vectors
-differ between thread counts.
+0.05 ms), a one-shot route ties it at 32 and wins from 48. A caller that
+solves many matrices of one size above 25 rows, as the see-saw does, builds
+one ``lapack_solver`` and passes it on every call, and then wins at 32 rows
+too, since the buffers, the workspace query and the ctypes arguments are
+made once. At 25 rows or fewer the route would not have ``eigh``'s bits
+(``zstedc`` solves such a tridiagonal with ``zsteqr``), so ``eigh`` runs,
+solver or not. With more than one BLAS thread the value still equals
+``eigh``'s, but from 128 rows up the vector can differ from it in the last
+bit, as ``eigh``'s own vectors differ between thread counts.
 """
 
 from __future__ import annotations
@@ -62,6 +67,9 @@ _KERNEL_CHUNK_BYTES = 1 << 20   # most bytes of render temporaries held at once
 # tracemalloc reads 25 bytes per entry (numpy 2.4, n = 8..12, 64-term chunks)
 _KERNEL_ENTRY_BYTES = 72
 _LAPACK_MIN_DIM = 64        # top_eigenpair takes the LAPACK route from here up
+# zstedc solves a tridiagonal of up to this many rows with zsteqr, not
+# dstedc, so the route has eigh's bits only above it
+_ZSTEQR_MAX_DIM = 25
 # zheevd rescales a matrix whose zlanhe norm lies outside [2^-485, 2^485],
 # sqrt(safmin / eps) and its inverse; the route runs where, by the largest
 # magnitude among the real numbers zlanhe reads, it cannot
@@ -542,9 +550,11 @@ def _zlanhe_entries(dim: int) -> np.ndarray:
     return mask
 
 
-def _lapack_top_eigenpair(m: np.ndarray, lapack: tuple) -> tuple[float, np.ndarray] | None:
-    """The top eigenpair by ``zheevd``'s own steps, back-transforming only
-    the last column, or None where ``zheevd`` would rescale ``m`` first.
+class _LapackSolver:
+    """The top eigenpair of dim x dim matrices by ``zheevd``'s own steps,
+    back-transforming only the last column; the buffers, the workspace query
+    and the ctypes arguments are made once, so a caller that solves many
+    matrices of one size reuses them (``lapack_solver``).
 
     ``eigh`` runs ``zheevd`` on the lower triangle of ``m`` in column-major
     order: ``zhetrd`` to a real tridiagonal, ``dstedc('I')`` for its
@@ -555,63 +565,103 @@ def _lapack_top_eigenpair(m: np.ndarray, lapack: tuple) -> tuple[float, np.ndarr
     both (its workspace is too small for blocking), so that column keeps its
     bits.
     """
-    zhetrd, dstedc, zunmtr = lapack
-    dim = m.shape[0]
-    a = m.T.copy()      # m in column-major order, as eigh copies it
-    parts, lower = a.view(float), _zlanhe_entries(dim)
-    largest = max(np.max(parts, where=lower, initial=0.0),
-                  -np.min(parts, where=lower, initial=0.0))
-    if not _ZHEEVD_UNSCALED[0] <= largest <= _ZHEEVD_UNSCALED[1]:
-        return None
-    diag, off = np.empty(dim), np.empty(dim)
-    tau, work = np.empty(dim, dtype=complex), np.empty(1, dtype=complex)
-    z = np.empty((dim, dim))    # column-major: row j holds eigenvector j
-    rwork = np.empty(1 + 4 * dim + dim * dim)
-    iwork = np.empty(3 + 5 * dim, dtype=np.int64)
-    n, one, info = ctypes.c_int64(dim), ctypes.c_int64(1), ctypes.c_int64(0)
-    ref = ctypes.byref
 
-    def check(routine):
-        if info.value:     # eigh raises the same error on a nonzero info
+    def __init__(self, dim: int, lapack: tuple):
+        zhetrd, dstedc, zunmtr = lapack
+        self.dim = dim
+        self._a = np.empty((dim, dim), dtype=complex)   # m in column-major order
+        self._parts, self._lower = self._a.view(float), _zlanhe_entries(dim)
+        self._diag, off = np.empty(dim), np.empty(dim)
+        tau, z = np.empty(dim, dtype=complex), np.empty((dim, dim))
+        self._z = z     # column-major: row j holds eigenvector j
+        rwork = np.empty(1 + 4 * dim + dim * dim)
+        iwork = np.empty(3 + 5 * dim, dtype=np.int64)
+        self._vec = np.empty(dim, dtype=complex)
+        self._info = info = ctypes.c_int64(0)
+        n, one, ref = ctypes.c_int64(dim), ctypes.c_int64(1), ctypes.byref
+        # zhetrd blocks alike with any workspace from its optimum N * NB up,
+        # such as zheevd's N^2 + N; a query (size -1) writes that optimum to
+        # work[0]
+        head = (b"L", ref(n), self._a.ctypes.data, ref(n), self._diag.ctypes.data,
+                off.ctypes.data, tau.ctypes.data)
+        query = np.empty(1, dtype=complex)
+        zhetrd(*head, query.ctypes.data, ref(ctypes.c_int64(-1)), ref(info), 1)
+        work = np.empty(int(query[0].real), dtype=complex)
+        # every buffer the calls point into, kept alive with them
+        self._buffers = (off, tau, rwork, iwork, work)
+        self._calls = (
+            ("zhetrd", zhetrd,
+             (*head, work.ctypes.data, ref(ctypes.c_int64(work.size)), ref(info), 1)),
+            ("dstedc", dstedc,
+             (b"I", ref(n), self._diag.ctypes.data, off.ctypes.data, z.ctypes.data,
+              ref(n), rwork.ctypes.data, ref(ctypes.c_int64(rwork.size)),
+              iwork.ctypes.data, ref(ctypes.c_int64(iwork.size)), ref(info), 1)),
+            ("zunmtr", zunmtr,
+             (b"L", b"L", b"N", ref(n), ref(one), self._a.ctypes.data, ref(n),
+              tau.ctypes.data, self._vec.ctypes.data, ref(n), work.ctypes.data,
+              ref(one), ref(info), 1, 1, 1)),
+        )
+
+    def __call__(self, m: np.ndarray) -> tuple[float, np.ndarray] | None:
+        """The top eigenpair of the dim x dim ``m``, or None where ``zheevd``
+        would rescale it first."""
+        if m.shape != (self.dim, self.dim):
+            raise ValueError(f"solver for {self.dim} rows got shape {m.shape}")
+        np.copyto(self._a, m.T)     # as eigh copies it
+        parts, lower = self._parts, self._lower
+        largest = max(np.max(parts, where=lower, initial=0.0),
+                      -np.min(parts, where=lower, initial=0.0))
+        if not _ZHEEVD_UNSCALED[0] <= largest <= _ZHEEVD_UNSCALED[1]:
+            return None
+        zhetrd, dstedc, zunmtr = self._calls
+        self._run(*zhetrd)
+        self._run(*dstedc)
+        np.copyto(self._vec, self._z[-1])
+        self._run(*zunmtr)
+        return float(self._diag[-1]), self._vec.copy()
+
+    def _run(self, routine: str, fn, args: tuple) -> None:
+        fn(*args)
+        if self._info.value:     # eigh raises the same error on a nonzero info
             raise np.linalg.LinAlgError(
-                f"Eigenvalues did not converge ({routine} info {info.value})")
-
-    # zhetrd blocks alike with any workspace from its optimum N * NB up, such
-    # as zheevd's N^2 + N; a query (size -1) writes that optimum to work[0]
-    head = (b"L", ref(n), a.ctypes.data, ref(n), diag.ctypes.data, off.ctypes.data,
-            tau.ctypes.data)
-    zhetrd(*head, work.ctypes.data, ref(ctypes.c_int64(-1)), ref(info), 1)
-    work = np.empty(int(work[0].real), dtype=complex)
-    zhetrd(*head, work.ctypes.data, ref(ctypes.c_int64(work.size)), ref(info), 1)
-    check("zhetrd")
-    dstedc(b"I", ref(n), diag.ctypes.data, off.ctypes.data, z.ctypes.data, ref(n),
-           rwork.ctypes.data, ref(ctypes.c_int64(rwork.size)), iwork.ctypes.data,
-           ref(ctypes.c_int64(iwork.size)), ref(info), 1)
-    check("dstedc")
-    vec = z[-1].astype(complex)
-    zunmtr(b"L", b"L", b"N", ref(n), ref(one), a.ctypes.data, ref(n), tau.ctypes.data,
-           vec.ctypes.data, ref(n), work.ctypes.data, ref(one), ref(info), 1, 1, 1)
-    check("zunmtr")
-    return float(diag[-1]), vec
+                f"Eigenvalues did not converge ({routine} info {self._info.value})")
 
 
-def top_eigenpair(m: np.ndarray) -> tuple[float, np.ndarray]:
+def lapack_solver(dim: int) -> _LapackSolver | None:
+    """A solver that ``top_eigenpair`` can reuse on dim x dim matrices, or
+    None where the route would not give ``eigh``'s bits (25 rows or fewer)
+    or numpy's build does not export the LAPACK routines."""
+    lapack = _lapack() if dim > _ZSTEQR_MAX_DIM else None
+    return None if lapack is None else _LapackSolver(dim, lapack)
+
+
+def top_eigenpair(m: np.ndarray, work: _LapackSolver | None = None
+                  ) -> tuple[float, np.ndarray]:
     """Largest eigenvalue and a matching unit eigenvector (phase-fixed).
 
     Both equal ``np.linalg.eigh``'s last pair bit for bit. From
-    ``_LAPACK_MIN_DIM`` = 64 rows up they come from
-    ``_lapack_top_eigenpair``, which skips the back-transform of the other
-    N - 1 eigenvectors (one BLAS thread: 2.1-2.4x faster at 256 rows).
-    ``eigh`` runs below 64 rows, where its fixed cost is the lower, where
-    numpy's build does not export the LAPACK routines, and where ``zheevd``
-    would rescale the matrix (largest entry outside about [1e-146, 1e146]).
-    A nonzero LAPACK ``info`` raises ``np.linalg.LinAlgError``, as ``eigh``
-    does. With more than one BLAS thread the value still equals ``eigh``'s,
-    but from 128 rows up the eigenvector can differ from it in the last bit.
+    ``_LAPACK_MIN_DIM`` = 64 rows up, or above 25 rows with ``work``, a
+    ``lapack_solver`` for m's size, they come from the LAPACK route, which
+    skips the back-transform of the other N - 1 eigenvectors (one BLAS
+    thread: 2.1-2.4x faster at 256 rows). Without ``work`` each call builds
+    a one-shot solver; a caller that solves many matrices of one size, as
+    the see-saw does, passes one and saves its set-up (32 rows, one BLAS
+    thread: about 141 us a solve against 167 for ``eigh``, which a one-shot
+    solver ties). ``eigh`` runs
+    below 64 rows without ``work``, where its fixed cost is the lower, at 25
+    rows or fewer, where ``zstedc`` would solve the tridiagonal with
+    ``zsteqr`` and not ``dstedc``, where numpy's build does not export the
+    LAPACK routines, and where ``zheevd`` would rescale the matrix (largest
+    entry outside about [1e-146, 1e146]). A nonzero LAPACK ``info`` raises
+    ``np.linalg.LinAlgError``, as ``eigh`` does. With more than one BLAS
+    thread the value still equals ``eigh``'s, but from 128 rows up the
+    eigenvector can differ from it in the last bit.
     """
     m = check_hermitian(m)
-    lapack = _lapack() if m.shape[0] >= _LAPACK_MIN_DIM else None
-    pair = None if lapack is None else _lapack_top_eigenpair(m, lapack)
+    dim = m.shape[0]
+    if work is None and dim >= _LAPACK_MIN_DIM:
+        work = lapack_solver(dim)
+    pair = None if work is None or dim <= _ZSTEQR_MAX_DIM else work(m)
     if pair is None:
         vals, vecs = np.linalg.eigh(m)
         pair = float(vals[-1]), vecs[:, -1]

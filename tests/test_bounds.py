@@ -469,11 +469,11 @@ class TestSeesaw:
         real = bounds.top_eigenpair
         calls = []
 
-        def eigenpair(m):
+        def eigenpair(m, work=None):
             calls.append(1)
             if len(calls) == 2:
                 return 0.0, np.eye(4, dtype=complex)[0]
-            return real(m)
+            return real(m, work)
 
         monkeypatch.setattr(bounds, "top_eigenpair", eigenpair)
         with pytest.raises(SeesawError, match="decreased"):
@@ -695,24 +695,53 @@ class TestSeesawRender:
 
     @pytest.mark.parametrize("terms_per_chunk", [1, 5, 16])
     def test_terms_spanning_several_chunks(self, monkeypatch, terms_per_chunk):
+        # the budget holds terms_per_chunk 5-party terms, so 4x as many of a
+        # loop-5 party plan's 4-party terms. A party plan whose operators sum
+        # equal runs of terms, a run to a chunk at least, sums them a chunk
+        # of whole runs at a time; any other plan carries each operator's
+        # running sum across chunks
         rng = np.random.default_rng(44)
         chsh, _ = chsh_expression()
         monkeypatch.setattr(bounds, "_RENDER_CHUNK_BYTES",
                             terms_per_chunk * 16 * 32 * 32)
-        crossing = 0
-        for expr in loop5_expressions():
-            # 32 and 48 terms: several chunks, the last one partly filled
-            assert len(expr.terms) > terms_per_chunk
+        # equal runs: loop-5 (8 and 12 terms a symbol) and CHSH (2 a symbol);
+        # mostly uneven runs: random 5-party expressions of three sizes, the
+        # largest with more terms to a party than the largest chunk holds;
+        # a party with no symbol
+        loop5 = loop5_expressions()
+        exprs = [*loop5, chsh,
+                 *(settings_expression(rng, [2, 3, 1, 3, 2], integer=False, terms=terms)
+                   for terms in (20, 60, 200)),
+                 BellExpression(3, {((0, "A"), (2, "B")): 1.0, ((0, "A'"),): -0.5})]
+        reduced, carried, crossing = [], 0, 0
+        for expr in exprs:
             for party in range(expr.parties):
-                ends = bounds._render_plan(expr, expr.symbols, party)[2]
-                crossing += sum(first // terms_per_chunk != (end - 1) // terms_per_chunk
-                                for first, end in zip([0, *ends], ends))
+                plan = bounds._render_plan(expr, expr.symbols, party)
+                ends = plan[2]
+                chunk = bounds._chunk_terms(4 ** plan[0].shape[1])
+                runs = np.diff([0, *ends])
+                if len(runs) and runs[0] <= chunk and np.all(runs == runs[0]):
+                    reduced.append(expr)
+                    continue
+                carried += 1
+                crossing += sum(first // chunk != (end - 1) // chunk
+                                for first, end in zip([0, *ends], ends) if end > first)
             self.check_renders(expr, rng)
-        # some leave-one-out operator's terms start in one chunk and end in a
-        # later one, so its running sum is carried across
-        assert crossing > 0
-        # a chunk holds more 4 x 4 terms than CHSH has
-        self.check_renders(chsh, rng)
+            # two restarts' settings stacked render each restart's operators
+            (_, one), (_, two) = random_settings(rng, expr.symbols), \
+                random_settings(rng, expr.symbols)
+            for party in range(expr.parties):
+                plan = bounds._render_plan(expr, expr.symbols, party)
+                assert_same_bits(bounds._render(plan, np.stack([one, two])),
+                                 np.concatenate([bounds._render(plan, one),
+                                                 bounds._render(plan, two)]),
+                                 (str(expr), party))
+        # some party plans take each reduction, and some carried operator's
+        # terms start in one chunk and end in a later one
+        assert reduced and carried and crossing
+        # CHSH's runs fit any chunk; below one run, loop-5's sums are carried
+        assert reduced.count(chsh) == 2
+        assert sum(expr in loop5 for expr in reduced) == 10 * (terms_per_chunk > 1)
 
     def test_render_memory_stays_bounded(self):
         # 96 terms on 7 parties: all term matrices at once would be 24 MB
@@ -1019,11 +1048,11 @@ class TestSeesawBatches:
         real = bounds.top_eigenpair
         calls = []
 
-        def eigenpair(m):
+        def eigenpair(m, work=None):
             calls.append(1)
             if len(calls) == 5:
                 return 0.0, np.eye(4, dtype=complex)[0]
-            return real(m)
+            return real(m, work)
 
         monkeypatch.setattr(bounds, "top_eigenpair", eigenpair)
         with pytest.raises(SeesawError, match="restart 1 decreased"):

@@ -2,12 +2,15 @@
 
 The recipes in ``tests/data/`` cover what the seed-7 table does not:
 unsnapped coefficients (``ghz3`` with k = (0.6, 0, 0.8)), a complementary
-decomposition at pivot 1, a chained recipe, the README's loop-5 recipe, and
-two graph recipes whose SOS search tries every pairing and fails (4 and 8
-terms), each with and without the see-saw. The goldens were written by ``bellforge
-build`` before the factor-table render, the flat-offset vertex pass and the
-printer replaced the dict routes; regenerate them only in a change that means
-to alter a reported number, and say so.
+decomposition at pivot 1, a chained recipe, the README's loop-5 recipe, two
+graph recipes whose SOS search tries every pairing and fails (4 and 8
+terms), and a 6-qubit path recipe, whose see-saw solves 64-row operators
+and sums 5-party terms, each with and without the see-saw. The goldens were
+written by ``bellforge build`` before the factor-table render, the
+flat-offset vertex pass and the printer replaced the dict routes, and the
+path recipe's before the see-saw reused one LAPACK solver per call;
+regenerate them only in a change that means to alter a reported number, and
+say so.
 """
 
 from pathlib import Path
@@ -18,7 +21,7 @@ from bellforge.cli import main as cli_main
 
 DATA = Path(__file__).resolve().parent / "data"
 RECIPES = ("loop5", "bell-complementary", "ghz3-unsnapped", "chained3",
-           "graph2-sos-failed", "empty4-sos-failed")
+           "graph2-sos-failed", "empty4-sos-failed", "path6")
 
 
 @pytest.mark.parametrize("seesaw", [False, True], ids=["plain", "seesaw"])

@@ -247,22 +247,23 @@ def random_hermitian(rng, dim, complex_valued):
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """What each ``_lapack_top_eigenpair`` call returned: a pair, or None
-    where it left the matrix to ``eigh``."""
+    """What each LAPACK solver call returned: a pair, or None where it left
+    the matrix to ``eigh``."""
     returned = []
-    real = pauli._lapack_top_eigenpair
+    real = pauli._LapackSolver.__call__
 
-    def spy(m, lapack):
-        returned.append(real(m, lapack))
+    def spy(solver, m):
+        returned.append(real(solver, m))
         return returned[-1]
 
-    monkeypatch.setattr(pauli, "_lapack_top_eigenpair", spy)
+    monkeypatch.setattr(pauli._LapackSolver, "__call__", spy)
     return returned
 
 
 class TestTopEigenpairAgainstEigh:
-    """From 64 rows up ``top_eigenpair`` runs ``eigh``'s own LAPACK steps and
-    back-transforms one column; its pair equals ``eigh``'s bit for bit."""
+    """From 64 rows up, or above 25 rows with a reused solver,
+    ``top_eigenpair`` runs ``eigh``'s own LAPACK steps and back-transforms
+    one column; its pair equals ``eigh``'s bit for bit."""
 
     @pytest.mark.parametrize("complex_valued", [True, False], ids=["complex", "real"])
     def test_random_matrices(self, lapack_calls, complex_valued):
@@ -271,30 +272,46 @@ class TestTopEigenpairAgainstEigh:
         for dim in dims:
             m = random_hermitian(rng, dim, complex_valued)
             assert_matches_eigh(pauli.top_eigenpair(m), m)
+        # one solver per size, reused on three matrices, as the see-saw reuses
+        # one per call; from 26 rows up zstedc hands the tridiagonal to dstedc
+        reused = [26, 32, 48, 64]
+        for dim in reused:
+            solver = pauli.lapack_solver(dim)
+            for _ in range(3):
+                m = random_hermitian(rng, dim, complex_valued)
+                assert_matches_eigh(pauli.top_eigenpair(m, work=solver), m)
         # every one took the route, where numpy exports it
         assert sum(pair is not None for pair in lapack_calls) == \
-            len(dims) * (pauli._lapack() is not None)
+            (len(dims) + 3 * len(reused)) * (pauli._lapack() is not None)
 
     def test_catalog_operators(self, monkeypatch, lapack_calls):
-        # every dense operator of 64 rows or more that a catalog pass solves
-        seen = []
+        # every dense operator of 64 rows or more that a catalog pass solves,
+        # and every see-saw operator its reused solvers take
+        seen, reused = [], []
         real = bounds.top_eigenpair
 
-        def recorded(m):
-            if m.shape[0] >= pauli._LAPACK_MIN_DIM:
+        def recorded(m, work=None):
+            if work is not None:
+                reused.append(m.copy())
+            elif m.shape[0] >= pauli._LAPACK_MIN_DIM:
                 seen.append(m)
-            return real(m)
+            return real(m, work)
 
         monkeypatch.setattr(bounds, "top_eigenpair", recorded)
         run_cases(case_names())
         assert sorted(m.shape[0] for m in seen) == [64, 64, 128, 128, 256, 256]
         for m in seen:
             assert_matches_eigh(pauli.top_eigenpair(m), m)
+        # the l5 see-saw rows' 32-row solves, where numpy exports the route
+        assert {m.shape[0] for m in reused} == ({32} if pauli._lapack() else set())
+        for m in reused:
+            assert_matches_eigh(pauli.top_eigenpair(m, work=pauli.lapack_solver(32)), m)
         assert all(pair is not None for pair in lapack_calls)
 
     def test_missing_symbols_take_eigh(self, monkeypatch, lapack_calls):
         monkeypatch.setattr(pauli, "_lapack", lambda: None)
         assert_is_eigh(random_hermitian(np.random.default_rng(3503), 256, True))
+        assert pauli.lapack_solver(32) is None
         assert lapack_calls == []
 
     @pytest.mark.parametrize("error", [ImportError, OSError, AttributeError])
@@ -313,19 +330,36 @@ class TestTopEigenpairAgainstEigh:
                                               (1e-140, True), (1e140, True)])
     def test_only_unrescaled_matrices_take_the_route(self, lapack_calls, scale, routed):
         # zheevd rescales a matrix whose largest entry is outside about
-        # [1e-146, 1e146]; the route leaves those to eigh
-        assert_is_eigh(scale * random_hermitian(np.random.default_rng(3504), 64, True))
+        # [1e-146, 1e146]; the route leaves those to eigh, with a reused
+        # solver too
+        rng = np.random.default_rng(3504)
+        assert_is_eigh(scale * random_hermitian(rng, 64, True))
+        m = scale * random_hermitian(rng, 32, True)
+        solver = pauli.lapack_solver(32)
+        pair = pauli.top_eigenpair(m, work=solver)
+        top, ref = eigh_top(m)
+        assert pair[0].hex() == top.hex() and np.array_equal(bits(pair[1]), bits(ref))
         if pauli._lapack() is not None:
-            assert [pair is not None for pair in lapack_calls] == [routed]
+            assert [pair is not None for pair in lapack_calls] == [routed, routed]
 
-    @pytest.mark.parametrize("dim", [1, 2, 4, 32, 63])
+    @pytest.mark.parametrize("dim", [1, 2, 4, 32, 63, 25])
     def test_small_matrices_never_enter_the_route(self, monkeypatch, dim):
-        def refuse(m, lapack):
+        # below 64 rows without a solver; at 25 rows or fewer, where zstedc
+        # solves with zsteqr and the bits differ, not even with one
+        def refuse(solver, m):
             raise AssertionError(f"the LAPACK route entered at {m.shape}")
 
-        monkeypatch.setattr(pauli, "_lapack_top_eigenpair", refuse)
+        solvers = [None]
+        if dim <= pauli._ZSTEQR_MAX_DIM and pauli._lapack() is not None:
+            assert pauli.lapack_solver(dim) is None
+            solvers.append(pauli._LapackSolver(dim, pauli._lapack()))
+        monkeypatch.setattr(pauli._LapackSolver, "__call__", refuse)
         for complex_valued in (True, False):
-            assert_is_eigh(random_hermitian(np.random.default_rng(dim), dim, complex_valued))
+            m = random_hermitian(np.random.default_rng(dim), dim, complex_valued)
+            for solver in solvers:
+                value, vec = pauli.top_eigenpair(m, work=solver)
+                top, ref = eigh_top(m)
+                assert value.hex() == top.hex() and np.array_equal(bits(vec), bits(ref))
 
     @pytest.mark.parametrize("failing", list(pauli._LAPACK_ARGS))
     def test_nonzero_info_raises(self, monkeypatch, failing):
@@ -341,9 +375,24 @@ class TestTopEigenpairAgainstEigh:
 
         routines[failing] = fails
         monkeypatch.setattr(pauli, "_lapack", lambda: tuple(routines.values()))
-        m = random_hermitian(np.random.default_rng(3505), 64, True)
+        rng = np.random.default_rng(3505)
+        m = random_hermitian(rng, 64, True)
         with pytest.raises(np.linalg.LinAlgError, match=f"{failing} info 1"):
             pauli.top_eigenpair(m)
+        # a reused solver raises on every call
+        solver = pauli.lapack_solver(32)
+        for _ in range(2):
+            with pytest.raises(np.linalg.LinAlgError, match=f"{failing} info 1"):
+                pauli.top_eigenpair(random_hermitian(rng, 32, True), work=solver)
+
+    def test_solver_checks_the_shape(self):
+        # the solver's buffers hold one size; another would overrun them
+        if pauli._lapack() is None:
+            pytest.skip("numpy's build does not export the LAPACK route")
+        solver = pauli.lapack_solver(32)
+        with pytest.raises(ValueError, match="solver for 32 rows got shape"):
+            pauli.top_eigenpair(random_hermitian(np.random.default_rng(3506), 64, True),
+                                work=solver)
 
 
 def pseudo_pauli_sums(seed):
