@@ -542,10 +542,12 @@ class BellRecipe:
     @classmethod
     def from_dict(cls, data: dict, cap: int = DENSE_QUBIT_CAP) -> "BellRecipe":
         """The recipe described by ``data``. Its logical operators are resolved
-        after every field check: shared for the named bases, by the symbolic
-        route for a graph basis, whose group is built only at or below the
-        dense qubit cap ``cap``. The qubit count is the operators'. A field
-        outside the format, at any level, raises ValueError naming it."""
+        after every field check and shared per process: the named bases', and
+        a graph basis's by the symbolic route, per graph and flip, built only
+        at or below the dense qubit cap ``cap``. The qubit count is the
+        operators'. A field outside the format, at any level, or a
+        complementary pivot outside the basis's qubits, raises ValueError
+        naming it."""
         if not isinstance(data, dict):
             raise ValueError(f"recipe must be an object, not {data!r}")
         _check_fields(data, ("basis", "k", "beta_q", "decomposition", "symbols"), "recipe")
@@ -566,7 +568,7 @@ class BellRecipe:
 
             def resolve() -> LogicalPaulis:
                 _check_cap(graph.n, cap)
-                return logical_paulis_symbolic(graph_state_generators(graph), flip, cap)
+                return _graph_code_paulis(graph, flip)
         else:
             raise ValueError(f"unknown basis kind {kind!r}")
         k = data.get("k", [0, 0, 1])
@@ -601,6 +603,10 @@ class BellRecipe:
             raise ValueError("symbols must be an object mapping Pauli letters "
                              f"X, Y, Z to distinct strings, got {symbols!r}")
         ops = resolve()
+        if decomposition.get("kind") == "complementary" \
+                and not 0 <= decomposition["pivot"] < ops.n:
+            raise ValueError(f"complementary decomposition needs a pivot in 0..{ops.n - 1}, "
+                             f"the basis's qubits, got {decomposition['pivot']}")
         beta_q = float(2 ** (ops.n - 1) * np.sum(np.abs(k)) if beta_raw == "auto"
                        else beta_raw)
         direction = ops.direction(k)
@@ -619,6 +625,13 @@ class BellRecipe:
             decomposition=decomposition,
             symbols=symbols,
         )
+
+
+@cache
+def _graph_code_paulis(graph: GraphSpec, flip: PauliTerm) -> LogicalPaulis:
+    """A graph code's logical operators by the symbolic route, shared per
+    graph and flip; the caller has checked the qubit cap."""
+    return logical_paulis_symbolic(graph_state_generators(graph), flip, graph.n)
 
 
 def _is_number(value) -> bool:

@@ -2,8 +2,12 @@
 
 Each case builds one Bell inequality through the pipeline, computes bounds,
 and compares them against its frozen targets. Case results serialize
-deterministically (same seed, same bytes) so they can gate CI. A user recipe
-goes through the same bounds report in ``build_report``.
+deterministically (same seed, same bytes) so they can gate CI. Eleven Bell
+rows are recipe rows (``_Row``): a recipe as ``bellforge build --config``
+reads it, the row's checks, and three extras ``build`` leaves at their
+defaults, the complementary letter order, the SOS search and the see-saw
+restarts. Every recipe row and a user recipe's ``build_report`` go through
+one ``_certify``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ import numpy as np
 from .bell import (
     BellExpression,
     BellRecipe,
-    _check_decomposition,
     build_logical,
     chained_construction,
     complementary_decompose,
@@ -41,7 +44,7 @@ from .bounds import (
     seesaw_optimize,
     sos_pairing_search,
 )
-from .logical import bell_logical_paulis, ghz3_logical_paulis, logical_paulis_symbolic
+from .logical import bell_logical_paulis
 from .pauli import DENSE_QUBIT_CAP, PauliSum, PauliTerm, _check_cap, dense_stack
 from .recursive import mermin_case, scaled_value_fraction, svetlichny_case
 from .stabilizer import GraphSpec, basis_from_flip, bell_basis, graph_state_generators
@@ -203,95 +206,61 @@ def _derive(logical_form: PauliSum | None, spec: dict,
     return _Derivation(expr, terms, operator, check, dense)
 
 
-# --- individual cases ---------------------------------------------------------
+# --- recipe rows --------------------------------------------------------------
 
-def _case_chsh(config: RunConfig) -> CaseResult:
+def _certify(recipe: BellRecipe, cap: int, letter_order: dict[int, list[str]] | None = None,
+             sos: bool = False, seesaw: tuple[int, int] | None = None
+             ) -> tuple[BellExpression, BoundsReport, Check, Check | None]:
+    """``_derive``, then ``_report`` claiming beta_q, or the chained bound for a
+    chained recipe, whose logical form ``_derive`` makes: the expression, the
+    bounds, the pipeline identity check and, when ``sos`` asks and there are
+    at most ``SOS_MAX_TERMS`` terms, the SOS residual check."""
+    spec = recipe.decomposition
+    chained = spec.get("kind") == "chained"
     expr, terms, operator, ident, dense = _derive(
-        (2 * ROOT2) * bell_logical_paulis().z, {"kind": "complementary", "pivot": 1},
-        letter_order={0: ["X", "Z"]}, cap=config.cap_qubits)
-    report, sos_check = _report(expr, operator, rough=2 * ROOT2, cap=config.cap_qubits,
-                                dense=dense, sos=terms,
-                                seesaw=(8, config.case_seed("chsh")))
-    checks = [
-        _exact("classical max", report.classical_max, 2.0, "2"),
-        _exact("classical min", report.classical_min, -2.0, "-2"),
-        _close("quantum lower bound", report.quantum_lower, 2 * ROOT2, "2*sqrt(2)"),
-        sos_check,
-        ident,
-        _close("seesaw value", report.seesaw_value, 2 * ROOT2, "2*sqrt(2)", tol=1e-6),
-    ]
-    return CaseResult("chsh", expr, report, checks)
+        None if chained else build_logical(recipe), spec, recipe.symbols, letter_order, cap)
+    rough = chained_construction(spec["n"]).quantum_bound if chained else recipe.beta_q
+    sos_terms = terms if sos and len(terms) <= SOS_MAX_TERMS else None
+    report, sos_check = _report(expr, operator, rough, cap, dense, sos_terms, seesaw)
+    return expr, report, ident, sos_check
 
 
-def _case_mermin3(config: RunConfig) -> CaseResult:
-    expr, _, operator, ident, _ = _derive(4.0 * ghz3_logical_paulis().z,
-                                          {"kind": "none"}, {"Z": "A", "X": "B"})
-    report, _ = _report(expr, operator, rough=4.0, cap=config.cap_qubits)
-    checks = [
-        _exact("classical max", report.classical_max, 2.0, "2"),
-        _close("quantum lower bound", report.quantum_lower, 4.0, "4"),
-        _exact("dichotomic term bound", report.dichotomic_bound, 4.0, "4"),
-        ident,
-    ]
-    return CaseResult("mermin3", expr, report, checks)
+class _Row(NamedTuple):
+    """A recipe row. ``checks`` are in table order: ``(check, name, target,
+    label, *tol)``, or ``"ident"`` and ``"sos"`` where the pipeline identity
+    and SOS residual checks sit."""
+
+    recipe: dict
+    checks: tuple
+    letter_order: dict[int, list[str]] | None = None
+    sos: bool = False
+    restarts: int | None = None
 
 
-def _case_svetlichny3(config: RunConfig) -> CaseResult:
-    ops = ghz3_logical_paulis()
-    # 4*sqrt2 along the (1,0,-1) direction
-    expr, terms, operator, ident, _ = _derive(4.0 * (ops.x - ops.z), {"kind": "none"},
-                                              {"Z": "A", "X": "B"})
-    report, sos_check = _report(expr, operator, rough=4 * ROOT2, cap=config.cap_qubits,
-                                sos=terms)
-    checks = [
-        _exact("classical max", report.classical_max, 4.0, "4"),
-        _close("quantum lower bound", report.quantum_lower, 4 * ROOT2, "4*sqrt(2)"),
-        sos_check,
-        ident,
-    ]
-    return CaseResult("svetlichny3", expr, report, checks)
+@cache
+def _row_recipe(name: str) -> BellRecipe:
+    """A recipe row's recipe, resolved once per process."""
+    return BellRecipe.from_dict(_CASES[name].recipe)
+
+
+def _case_row(config: RunConfig, name: str) -> CaseResult:
+    row = _CASES[name]
+    seesaw = None if row.restarts is None else (row.restarts, config.case_seed(name))
+    expr, report, ident, sos_check = _certify(_row_recipe(name), config.cap_qubits,
+                                              row.letter_order, row.sos, seesaw)
+    made = {"ident": ident, "sos": sos_check}
+    values = {"classical max": report.classical_max, "classical min": report.classical_min,
+              "quantum lower bound": report.quantum_lower, "seesaw value": report.seesaw_value,
+              "dichotomic term bound": report.dichotomic_bound, "term count": float(len(expr))}
+    checks = [made[spec] if isinstance(spec, str) else spec[0](spec[1], values[spec[1]], *spec[2:])
+              for spec in row.checks]
+    return CaseResult(name, expr, report, checks)
 
 
 @cache
 def _loop5_code():
     """The loop-5 code: its graph-state group and the flip Z^(x5), shared."""
     return graph_state_generators(GraphSpec.loop(5)), PauliTerm.from_string("ZZZZZ")
-
-
-@cache
-def _loop5_ops():
-    """The loop-5 code's logical operators, symbolic route, shared."""
-    return logical_paulis_symbolic(*_loop5_code())
-
-
-def _case_l5(config: RunConfig, which: str) -> CaseResult:
-    ops = _loop5_ops()
-    if which == "mermin":
-        logical_form, rough, label, classical_target = 16.0 * ops.z, 16.0, "16", 8.0
-    elif which == "svetlichny":
-        logical_form, rough, label = 16.0 * (ops.z + ops.x), 16 * ROOT2, "16*sqrt(2)"
-        classical_target = 16.0
-    else:
-        logical_form, rough, label = 16.0 * (ops.z + ops.x + ops.y), 16 * ROOT3, "16*sqrt(3)"
-        classical_target = 24.0
-    name = f"l5-{which}"
-    expr, _, operator, ident, _ = _derive(logical_form, {"kind": "none"},
-                                          {"Z": "A", "X": "B", "Y": "C"})
-    seesaw = None if which == "mermin" else (6, config.case_seed(name))
-    report, _ = _report(expr, operator, rough=rough, cap=config.cap_qubits, seesaw=seesaw)
-    checks = [
-        _exact("classical max", report.classical_max, classical_target,
-               f"{classical_target:g}"),
-        ident,
-        _close("quantum lower bound", report.quantum_lower, rough, label),
-    ]
-    if which == "mermin":
-        checks.append(_exact("dichotomic term bound", report.dichotomic_bound,
-                             16.0, "16"))
-        checks.append(_exact("term count", float(len(operator)), 16.0, "16"))
-    else:
-        checks.append(_at_least("seesaw value", report.seesaw_value, rough, label))
-    return CaseResult(name, expr, report, checks)
 
 
 def random_codespace_mixture(basis, rng: np.random.Generator) -> np.ndarray:
@@ -323,8 +292,7 @@ def published_identity_expression() -> BellExpression:
 
 
 def _case_l5_identity(config: RunConfig) -> CaseResult:
-    ops = _loop5_ops()
-    projector16 = 16.0 * ops.ident
+    projector16 = 16.0 * _row_recipe("l5-mermin").ops.ident
     derived_expr, _ = symbolize(projector16, {"Z": "A", "X": "B", "Y": "C"})
     published = published_identity_expression()
     # one render serves the quantum lower bound and every mixture's trace
@@ -360,22 +328,6 @@ def _case_l5_identity(config: RunConfig) -> CaseResult:
         "violation; the published sign variant is the usable inequality.",
     ]
     return CaseResult("l5-identity", published, report, checks, notes)
-
-
-def _case_chained(config: RunConfig, n: int) -> CaseResult:
-    expr, _, operator, ident, dense = _derive(None, {"kind": "chained", "n": n},
-                                              cap=config.cap_qubits)
-    target_q = chained_construction(n).quantum_bound
-    report, _ = _report(expr, operator, rough=target_q, cap=config.cap_qubits, dense=dense)
-    checks = [
-        _exact("classical max", report.classical_max, float(2 * n - 2),
-               f"{2 * n - 2}"),
-        _close("quantum lower bound", report.quantum_lower, target_q,
-               f"{2 * n}*cos(pi/{2 * n})"),
-        ident,
-        _exact("term count", float(len(expr)), float(2 * n), f"{2 * n}"),
-    ]
-    return CaseResult(f"chained:{n}", expr, report, checks)
 
 
 _FAMILY_TRUE_CLASSICAL = {
@@ -458,17 +410,53 @@ def _case_uncertainty_sweep(config: RunConfig) -> CaseResult:
 
 # --- catalog ------------------------------------------------------------------
 
+_LOOP5 = {"kind": "graph", "flip": "ZZZZZ",
+          "graph": {"n": 5, "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]}}
+
+# each case is a recipe row or a function of the run's configuration
 _CASES = {
-    "chsh": _case_chsh,
-    "mermin3": _case_mermin3,
-    "svetlichny3": _case_svetlichny3,
-    **{f"l5-{which}": partial(_case_l5, which=which)
-       for which in ("mermin", "svetlichny", "hyper")},
+    "chsh": _Row({"basis": {"kind": "bell"}, "beta_q": 2 * ROOT2,
+                  "decomposition": {"kind": "complementary", "pivot": 1}},
+                 ((_exact, "classical max", 2.0, "2"), (_exact, "classical min", -2.0, "-2"),
+                  (_close, "quantum lower bound", 2 * ROOT2, "2*sqrt(2)"), "sos", "ident",
+                  (_close, "seesaw value", 2 * ROOT2, "2*sqrt(2)", 1e-6)),
+                 letter_order={0: ["X", "Z"]}, sos=True, restarts=8),
+    "mermin3": _Row({"basis": {"kind": "ghz3"}},
+                    ((_exact, "classical max", 2.0, "2"),
+                     (_close, "quantum lower bound", 4.0, "4"),
+                     (_exact, "dichotomic term bound", 4.0, "4"), "ident")),
+    "svetlichny3": _Row({"basis": {"kind": "ghz3"}, "k": [1 / ROOT2, 0, -1 / ROOT2],
+                         "beta_q": 4 * ROOT2},
+                        ((_exact, "classical max", 4.0, "4"),
+                         (_close, "quantum lower bound", 4 * ROOT2, "4*sqrt(2)"), "sos", "ident"),
+                        sos=True),
+    "l5-mermin": _Row({"basis": _LOOP5},
+                      ((_exact, "classical max", 8.0, "8"), "ident",
+                       (_close, "quantum lower bound", 16.0, "16"),
+                       (_exact, "dichotomic term bound", 16.0, "16"),
+                       (_exact, "term count", 16.0, "16"))),
+    "l5-svetlichny": _Row({"basis": _LOOP5, "k": [1 / ROOT2, 0, 1 / ROOT2],
+                           "beta_q": 16 * ROOT2},
+                          ((_exact, "classical max", 16.0, "16"), "ident",
+                           (_close, "quantum lower bound", 16 * ROOT2, "16*sqrt(2)"),
+                           (_at_least, "seesaw value", 16 * ROOT2, "16*sqrt(2)")),
+                          restarts=6),
+    "l5-hyper": _Row({"basis": _LOOP5, "k": [1 / ROOT3] * 3, "beta_q": 16 * ROOT3},
+                     ((_exact, "classical max", 24.0, "24"), "ident",
+                      (_close, "quantum lower bound", 16 * ROOT3, "16*sqrt(3)"),
+                      (_at_least, "seesaw value", 16 * ROOT3, "16*sqrt(3)")),
+                     restarts=6),
     "l5-identity": _case_l5_identity,
     **{variant: partial(_case_quadratic, variant=variant)
        for variant in ("uffink", "nki")},
     "uncertainty-sweep": _case_uncertainty_sweep,
-    **{f"chained:{n}": partial(_case_chained, n=n) for n in range(2, 7)},
+    **{f"chained:{n}": _Row({"basis": {"kind": "bell"},
+                             "decomposition": {"kind": "chained", "n": n}},
+                            ((_exact, "classical max", float(2 * n - 2), f"{2 * n - 2}"),
+                             (_close, "quantum lower bound", 2 * n * math.cos(math.pi / (2 * n)),
+                              f"{2 * n}*cos(pi/{2 * n})"), "ident",
+                             (_exact, "term count", float(2 * n), f"{2 * n}")))
+       for n in range(2, 7)},
     **{f"{family}:{n}": partial(_case_family, family=family, n=n)
        for family in ("mermin", "svetlichny") for n in range(3, 9)},
 }
@@ -480,10 +468,11 @@ def case_names() -> list[str]:
 
 def run_case(name: str, config: RunConfig | None = None) -> CaseResult:
     try:
-        build = _CASES[name]
+        case = _CASES[name]
     except KeyError:
         raise KeyError(f"unknown case {name!r}") from None
-    return build(config or RunConfig())
+    config = config or RunConfig()
+    return _case_row(config, name) if isinstance(case, _Row) else case(config)
 
 
 def run_cases(names: list[str], config: RunConfig | None = None) -> list[CaseResult]:
@@ -494,27 +483,17 @@ def run_cases(names: list[str], config: RunConfig | None = None) -> list[CaseRes
 # --- recipe builds --------------------------------------------------------------
 
 def build_report(recipe: BellRecipe, config: RunConfig, seesaw: bool) -> dict:
-    """Run a recipe through the pipeline and report what it certifies.
+    """Run a recipe through ``_certify`` and report what it certifies.
 
-    The decomposition picks the derivation (``_derive``); ``complementary``
-    adds an SOS search on at most ``SOS_MAX_TERMS`` terms, and ``chained``
-    claims the chained quantum bound. ``pipeline_residual`` is the
+    A complementary recipe adds the SOS search, on at most ``SOS_MAX_TERMS``
+    terms, and ``seesaw`` the see-saw. ``pipeline_residual`` is the
     derivation's residual. Raises ValueError when the recipe does not fit its
     decomposition and QubitCapError above ``config.cap_qubits``.
     """
-    spec = recipe.decomposition
-    _check_decomposition(spec)
-    kind = spec.get("kind", "none")
-    rough, cap = recipe.beta_q, config.cap_qubits
-    expr, terms, operator, ident, dense = _derive(build_logical(recipe), spec,
-                                                  recipe.symbols, cap=cap)
-    if kind == "chained":
-        rough = chained_construction(spec["n"]).quantum_bound
-    sos = terms if kind == "complementary" and len(terms) <= SOS_MAX_TERMS else None
-    report, _ = _report(expr, operator, rough=rough, cap=cap, dense=dense, sos=sos,
-                        seesaw=(8, config.seed) if seesaw else None)
-    return {"expression": str(expr), "pipeline_residual": ident.value,
-            **report.to_dict()}
+    expr, report, ident, _ = _certify(
+        recipe, config.cap_qubits, sos=recipe.decomposition.get("kind") == "complementary",
+        seesaw=(8, config.seed) if seesaw else None)
+    return {"expression": str(expr), "pipeline_residual": ident.value, **report.to_dict()}
 
 
 # --- table emission -------------------------------------------------------------

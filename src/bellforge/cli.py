@@ -59,7 +59,7 @@ def _write(text: str, out: str | None) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    names = case_names() if args.all else list(args.case or [])
+    names = case_names() if args.all else list(dict.fromkeys(args.case or []))
     if not names:
         print("nothing to verify: pass --case NAME (repeatable) or --all",
               file=sys.stderr)

@@ -344,7 +344,8 @@ class TestVertexPass:
         # 16 * projector hold the same 15 symbols; one two-expression pass
         # gives the extrema of both
         published = published_identity_expression()
-        derived, _ = symbolize(16.0 * cases._loop5_ops().ident, {"Z": "A", "X": "B", "Y": "C"})
+        derived, _ = symbolize(16.0 * cases._row_recipe("l5-mermin").ops.ident,
+                               {"Z": "A", "X": "B", "Y": "C"})
         assert derived.symbols == published.symbols and len(published.symbols) == 15
         values, _ = concatenated(bounds._vertex_blocks([published, derived], published.symbols))
         values += np.array([[published.constant], [derived.constant]])

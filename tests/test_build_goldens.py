@@ -1,6 +1,7 @@
 """``bellforge build`` reports equal their committed goldens, byte for byte.
 
-The recipes in ``tests/data/`` cover what the seed-7 table does not:
+Every recipe in ``tests/data/`` (each ``*.json`` that is not a
+``*.report.json``) is built. They cover what the seed-7 table does not:
 unsnapped coefficients (``ghz3`` with k = (0.6, 0, 0.8)), a complementary
 decomposition at pivot 1, a chained recipe, the README's loop-5 recipe, two
 graph recipes whose SOS search tries every pairing and fails (4 and 8
@@ -20,8 +21,8 @@ import pytest
 from bellforge.cli import main as cli_main
 
 DATA = Path(__file__).resolve().parent / "data"
-RECIPES = ("loop5", "bell-complementary", "ghz3-unsnapped", "chained3",
-           "graph2-sos-failed", "empty4-sos-failed", "path6")
+# every recipe in tests/data/, so a new one cannot be left out
+RECIPES = sorted(p.stem for p in DATA.glob("*.json") if not p.name.endswith(".report.json"))
 
 
 @pytest.mark.parametrize("seesaw", [False, True], ids=["plain", "seesaw"])

@@ -9,11 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from bellforge.bell import BellExpression
+from bellforge.bell import BellExpression, BellRecipe
 from bellforge.cases import (
     RunConfig,
     _derive,
-    _loop5_ops,
     case_names,
     emit_table,
     run_case,
@@ -130,7 +129,7 @@ class TestSymbolizeCheck:
         assert check.ok and check.value == 0.0
 
     def test_flipped_coefficient_fails(self, monkeypatch):
-        ops = _loop5_ops()
+        ops = BellRecipe.from_dict(LOOP5_RECIPE).ops
         op = 16.0 * (ops.z + ops.x)
         symbols = {"Z": "A", "X": "B", "Y": "C"}
         assert _derive(op, {"kind": "none"}, symbols).check.value == 0.0
@@ -251,6 +250,15 @@ class TestCli:
     def test_verify_requires_selection(self, capsys):
         assert cli_main(["verify"]) == 2
 
+    def test_verify_runs_a_repeated_case_once(self, tmp_path, capsys):
+        out = tmp_path / "verify.json"
+        argv = ["verify", "--case", "chsh", "--case", "mermin3", "--case", "chsh"]
+        assert cli_main(argv + ["--json", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert printed.count("PASS  chsh :: classical max") == 1
+        assert printed.endswith("2 case(s), 10 check(s), 0 failure(s)\n")
+        assert [row["case"] for row in json.loads(out.read_text())] == ["chsh", "mermin3"]
+
     def test_cap_qubits_is_enforced(self, capsys):
         assert cli_main(["verify", "--case", "mermin:8", "--cap-qubits", "4"]) == 2
         err = capsys.readouterr().err
@@ -328,22 +336,29 @@ class TestCli:
         assert report["quantum_lower"] <= report["dichotomic_bound"]
 
     def test_build_reproduces_catalog_row(self, tmp_path, capsys):
-        # each recipe is its catalog case, so build reports the case's row
-        rows = [("l5-mermin", LOOP5_RECIPE),
-                ("mermin3", {"basis": {"kind": "ghz3"}, "k": [0, 0, 1],
-                             "symbols": {"Z": "A", "X": "B"}})]
-        rows += [(f"chained:{n}", {"basis": {"kind": "bell"},
-                                   "decomposition": {"kind": "chained", "n": n}})
-                 for n in range(2, 7)]
+        # each recipe row's recipe builds the row, but for what the row's
+        # extras decide: chsh's letter order, the SOS search on svetlichny3
+        # and the see-saw rows' seesaw_value
+        rows = {name: case for name, case in cases._CASES.items()
+                if isinstance(case, cases._Row)}
+        assert len(rows) == 11
         cfg, out = tmp_path / "recipe.json", tmp_path / "out.json"
-        for case, recipe in rows:
-            cfg.write_text(json.dumps(recipe))
+        for case, row in rows.items():
+            cfg.write_text(json.dumps(row.recipe))
             assert cli_main(["build", "--config", str(cfg), "--out", str(out)]) == 0
             report = json.loads(out.read_text())
-            row = json.loads(json.dumps(run_case(case).to_dict()))
-            assert report["expression"] == row["expression"], case
-            assert {k: report[k] for k in row["bounds"]} == row["bounds"], case
-            assert set(report) == {"expression", "pipeline_residual", *row["bounds"]}
+            expected = json.loads(json.dumps(run_case(case).to_dict()))
+            bounds = expected["bounds"]
+            if case == "chsh":
+                expected["expression"] = "+ A_0*B_1 - A_0*B'_1 + A'_0*B_1 + A'_0*B'_1"
+            if case == "svetlichny3":
+                assert bounds["sos_status"] == "verified"
+                bounds["sos_status"] = "not-attempted"
+            if row.restarts is not None:
+                bounds["seesaw_value"] = None
+            assert report["expression"] == expected["expression"], case
+            assert {k: report[k] for k in bounds} == bounds, case
+            assert set(report) == {"expression", "pipeline_residual", *bounds}
 
     @pytest.mark.parametrize("seesaw", [False, True])
     def test_build_above_cap_exits_2(self, tmp_path, capsys, seesaw):
@@ -495,6 +510,11 @@ class TestCli:
          "complementary decomposition has unknown field 'n'"),
         ({"kind": "chained", "n": 3, "pivot": 0},
          "chained decomposition has unknown field 'pivot'"),
+        # a pivot past either end of the Bell basis's qubits 0..1
+        ({"kind": "complementary", "pivot": -1},
+         "complementary decomposition needs a pivot in 0..1, the basis's qubits, got -1"),
+        ({"kind": "complementary", "pivot": 2},
+         "complementary decomposition needs a pivot in 0..1, the basis's qubits, got 2"),
     ])
     def test_build_rejects_bad_decomposition(self, tmp_path, capsys, decomposition,
                                              message):

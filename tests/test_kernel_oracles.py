@@ -854,7 +854,7 @@ class TestRenderAgainstProducts:
             level = build_level(n)
             for op in (level.z, level.x + level.z):
                 seen.append(symbolize(float(2 ** (n - 1)) * op, ZX))
-        seen.append(symbolize(16.0 * cases._loop5_ops().ident, ZXY))
+        seen.append(symbolize(16.0 * cases._row_recipe("l5-mermin").ops.ident, ZXY))
         for expr, bindings in seen:
             assert list(map(sum_hex, render_terms(expr, bindings))) == \
                 list(map(sum_hex, render_terms_by_products(expr, bindings)))

@@ -18,8 +18,9 @@ from bellforge.stabilizer import LogicalBasis, basis_from_flip, bell_basis, ghz3
 from helpers import level_kets
 
 CACHED = (stabilizer.bell_basis, stabilizer.ghz3_basis, logical.bell_logical_paulis,
-          logical.ghz3_logical_paulis, recursive._level, cases._loop5_code, cases._loop5_ops,
-          bell._letter_setting, bounds._strategy_table, bell.chained_construction)
+          logical.ghz3_logical_paulis, recursive._level, cases._loop5_code, cases._row_recipe,
+          bell._graph_code_paulis, bell._letter_setting, bounds._strategy_table,
+          bell.chained_construction)
 
 # the single-letter settings and strategy tables a catalog pass reads
 LETTER_KEYS = [(party, label, letter) for party in range(8)
@@ -69,7 +70,7 @@ def _ket_bytes(*kets: np.ndarray) -> list:
 
 def _cached_objects() -> list:
     return [bell_basis(), ghz3_basis(), bell_logical_paulis(), ghz3_logical_paulis(),
-            cases._loop5_ops(),
+            cases._row_recipe("l5-mermin").ops,
             *(build_level(n) for n in range(1, MAX_LEVEL + 1)),
             *(bell._letter_setting(*key) for key in LETTER_KEYS),
             *(bounds._strategy_table(k) for k in STRATEGY_SIZES),
@@ -124,6 +125,10 @@ class TestBuiltOnce:
         # and their lower bound reads that render; an SOS check renders all
         # its terms in one pass
         assert (len(passes), sum(passes)) == (31, 48)
+        # the README's loop-5 recipe builds on the operators the loop-5 rows resolved
+        recipe = BellRecipe.from_dict(json.loads((DATA / "loop5.json").read_text()))
+        build_report(recipe, RunConfig(), seesaw=False)
+        assert symbolic == []
 
     def test_bounds_step_runs_what_each_row_asks_for(self, monkeypatch):
         run_cases(case_names(), RunConfig())
@@ -183,7 +188,10 @@ class TestBuiltOnce:
     def test_same_object_every_call(self):
         assert build_level(5) is build_level(5)
         assert bell_basis() is bell_basis() and ghz3_basis() is ghz3_basis()
-        assert cases._loop5_ops() is cases._loop5_ops()
+        assert cases._row_recipe("l5-hyper") is cases._row_recipe("l5-hyper")
+        loop5 = BellRecipe.from_dict(json.loads((DATA / "loop5.json").read_text()))
+        assert all(cases._row_recipe(name).ops is loop5.ops
+                   for name in ("l5-mermin", "l5-svetlichny", "l5-hyper"))
         for kind, ops in (("bell", bell_logical_paulis()), ("ghz3", ghz3_logical_paulis())):
             assert BellRecipe.from_dict({"basis": {"kind": kind}}).ops is ops
 
